@@ -13,30 +13,15 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the pre-merge gate: static analysis, the cross-solve reuse
-# determinism properties under the race detector (run first and by name —
-# they are the contract that assembly/hierarchy reuse and warm-started
-# sweeps never change results), the deck golden/property tests by name
-# under the race detector (the contract that .ttsv decks stay bit-identical
-# to struct-built runs through both the library and the CLIs), a short
-# FuzzParseDeck exploration on top of the checked-in seeds, the solve-service
-# suite by name under the race detector (the contract that every ttsvd
-# endpoint is byte-identical to the CLI/deck path and that coalescing,
-# admission and drain are race-free), the sharded/resumable-sweep identity
-# properties by name under the race detector (the contract that shard
-# partitioning, the checkpoint journal, resume-after-kill and the disk cache
-# never change a report's bytes, through the engine, the deck layer, the CLI
-# and the streaming /sweep endpoint), then the whole suite under the race
-# detector, one pass over every benchmark so the harness itself cannot rot,
-# and a single-iteration smoke run of the bench-json pipeline.
+# verify is the pre-merge gate: static analysis, a short FuzzParseDeck
+# exploration on top of the checked-in seeds, the whole suite under the race
+# detector (it includes every determinism contract: reuse and warm-start
+# bit-identity, stencil-versus-CSR identity, deck and service goldens,
+# coalescing/admission/drain, and the sharded/resumable-sweep identities),
+# one pass over every benchmark so the harness itself cannot rot, and a
+# single-iteration smoke run of the bench-json pipeline.
 verify:
 	$(GO) vet ./...
-	$(GO) test -race -run 'SolveContext|WarmStart|SweepReuse|RebuildMatches|RebuildAcross' ./internal/fem ./internal/sweep ./internal/mg
-	$(GO) test -race -run 'OperatorSolveBitIdentical|StencilMatchesCSR|StencilParallel|SolveCGStencil' ./internal/fem ./internal/sparse
-	$(GO) test -race -run 'GeometricHierarchyProperty|GeometricCycleSymmetric|GeometricRebuildMatchesFreshBuild|GeometricHierarchyMatchesGalerkin|GeometricContextCacheKeyedBySelection' ./internal/mg ./internal/fem
-	$(GO) test -race -run 'Deck|CorpusGoldens' ./internal/deck ./cmd/ttsvsolve ./cmd/ttsvplan .
-	$(GO) test -race -run 'MatchesGoldens|MatchesDeck|Coalescing|WarmPool|Admission|Timeout|BadRequests|HealthMetrics|Flight|TokenBucket|ListenAndServeDrains|CancelledRun' ./internal/serve ./cmd/ttsvsolve
-	$(GO) test -race -run 'ShardSpec|SweepJournal|SweepShardMerge|MergeJournals|DiskCache|DeckSweep|DeckShardMerge|SweepFlagsRequireDeck|SweepStream|SweepShardPartitions|WarmPoolKeysOnGridTopology|RefundsAdmissionToken|GridTopology|SweepSmoke' ./internal/sweep ./internal/deck ./internal/serve ./internal/fem ./cmd/ttsvsolve ./cmd/ttsvload
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
@@ -98,8 +83,8 @@ bench-compare:
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -compare BENCH_ref.json -threshold $(BENCH_THRESHOLD) -alloc-threshold $(BENCH_ALLOC_THRESHOLD)
 
 # profile captures CPU and allocation pprof profiles of the sweep-reuse
-# benchmark (the tentpole's end-to-end hot path: symbolic refill, hierarchy
-# re-Galerkin, pooled CG). Inspect with
+# benchmark (the end-to-end sweep hot path: symbolic refill, recycled
+# hierarchy rebuild, pooled CG). Inspect with
 #   go tool pprof profiles/repro.test profiles/sweep_cpu.pprof
 PROFILE_DIR ?= profiles
 profile:
@@ -123,12 +108,12 @@ profile-stencil:
 	@echo "profiles written to $(PROFILE_DIR)/"
 
 # profile-mgbuild captures CPU and allocation pprof profiles of the fresh
-# refined reference solve (hierarchy construction dominates the Galerkin
-# path; the geometric variant is the A/B). Inspect with
+# refined reference solves at 2x and 4x, where assembly and the geometric
+# hierarchy build are a large share of each solve. Inspect with
 #   go tool pprof profiles/repro.test profiles/mgbuild_cpu.pprof
 profile-mgbuild:
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'ReferenceSolveRefinedFresh$$|ReferenceSolveRefinedFreshGeom$$' -benchtime 5x \
+	$(GO) test -run '^$$' -bench 'ReferenceSolveRefinedFresh$$|ReferenceMGRefined4$$' -benchtime 5x \
 		-cpuprofile $(PROFILE_DIR)/mgbuild_cpu.pprof \
 		-memprofile $(PROFILE_DIR)/mgbuild_mem.pprof \
 		-o $(PROFILE_DIR)/repro.test .

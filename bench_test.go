@@ -227,27 +227,8 @@ func BenchmarkReferenceSolveDefault(b *testing.B) {
 // pays the honest rebuild cost of an actual parameter sweep, and
 // ...RefinedFresh keeps the no-reuse baseline measurable.
 func BenchmarkReferenceSolveRefined(b *testing.B) {
-	benchReferenceRefinedReuse(b, ttsv.OperatorAuto)
-}
-
-// BenchmarkReferenceSolveRefinedMatFree/CSR are the matrix-free A/B pair:
-// identical solves (bit-identical temperatures, pinned by
-// TestOperatorSolveBitIdentical) with the operator forced each way, so the
-// archived BENCH_ref.json records what the stencil path saves over
-// streaming the assembled CSR.
-func BenchmarkReferenceSolveRefinedMatFree(b *testing.B) {
-	benchReferenceRefinedReuse(b, ttsv.OperatorStencil)
-}
-
-func BenchmarkReferenceSolveRefinedCSR(b *testing.B) {
-	benchReferenceRefinedReuse(b, ttsv.OperatorCSR)
-}
-
-func benchReferenceRefinedReuse(b *testing.B, opk ttsv.OperatorKind) {
-	b.Helper()
 	s := mustFig4(b, 10)
 	res := ttsv.DefaultResolution().Refine(2)
-	res.Operator = opk
 	sc := ttsv.NewSolveContext()
 	defer sc.Close()
 	if _, _, err := ttsv.SolveReferenceStatsWith(context.Background(), sc, s, res); err != nil {
@@ -265,31 +246,8 @@ func benchReferenceRefinedReuse(b *testing.B, opk ttsv.OperatorKind) {
 // BenchmarkReferenceSolveRefinedFresh is the pre-reuse path: every solve
 // re-derives the pattern and hierarchy from scratch.
 func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
-	benchReferenceRefinedFresh(b, ttsv.MGHierarchyGalerkin, ttsv.MGPrecisionF64)
-}
-
-// BenchmarkReferenceSolveRefinedFreshGeom/GeomF32 are the geometric-
-// hierarchy A/B pair for the fresh path above: identical solves (converged
-// temperatures within solver tolerance) with multigrid coarse levels
-// re-discretized from the grid coefficients instead of Galerkin sparse
-// products. The hierarchy build drops from the dominant cost to a handful
-// of O(n) passes, and the line-smoothed W-cycle converges in fewer CG
-// iterations than the Galerkin V-cycle on these stacks. The F32 variant
-// additionally stores the preconditioner data as float32.
-func BenchmarkReferenceSolveRefinedFreshGeom(b *testing.B) {
-	benchReferenceRefinedFresh(b, ttsv.MGHierarchyGeometric, ttsv.MGPrecisionF64)
-}
-
-func BenchmarkReferenceSolveRefinedFreshGeomF32(b *testing.B) {
-	benchReferenceRefinedFresh(b, ttsv.MGHierarchyGeometric, ttsv.MGPrecisionF32)
-}
-
-func benchReferenceRefinedFresh(b *testing.B, hier ttsv.MGHierarchyKind, prec ttsv.MGPrecisionKind) {
-	b.Helper()
 	s := mustFig4(b, 10)
 	res := ttsv.DefaultResolution().Refine(2)
-	res.Hierarchy = hier
-	res.Precision = prec
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ttsv.SolveReference(s, res); err != nil {

@@ -22,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -44,30 +43,18 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	rate := fs.Float64("rate", 0, "admitted solve requests per second (0 = unlimited)")
 	burst := fs.Int("burst", 0, "admission burst capacity (0 = ceil(rate))")
 	poolIdle := fs.Int("pool", 2, "warm solver-state entries kept per grid topology")
-	mgHier := fs.String("mg-hierarchy", "", "default multigrid hierarchy for JSON requests that don't choose: galerkin or geometric")
-	mgPrec := fs.String("mg-precision", "", "default multigrid preconditioner precision for JSON requests that don't choose: f64 or f32")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
 	tracePath := fs.String("trace", "", "write an NDJSON span trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Validate the multigrid defaults up front: a typo should fail startup,
-	// not 400 every request.
-	if _, err := mg.ParseHierarchy(*mgHier); err != nil {
-		return err
-	}
-	if _, err := mg.ParsePrecision(*mgPrec); err != nil {
-		return err
-	}
 	cfg := serve.Config{
-		Workers:     *workers,
-		Timeout:     *timeout,
-		Rate:        *rate,
-		Burst:       *burst,
-		PoolIdle:    *poolIdle,
-		MGHierarchy: *mgHier,
-		MGPrecision: *mgPrec,
+		Workers:  *workers,
+		Timeout:  *timeout,
+		Rate:     *rate,
+		Burst:    *burst,
+		PoolIdle: *poolIdle,
 	}
 	if *tracePath != "" {
 		fh, err := os.Create(*tracePath)

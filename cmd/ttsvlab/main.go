@@ -63,14 +63,11 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs); tables are identical for any count")
 	solverWorkers := fs.Int("solver-workers", 0, "parallel linear-solver kernel workers per reference solve (<= 1 = sequential)")
 	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, jacobi, ssor, chebyshev, mg or none")
-	operator := fs.String("operator", "auto", "reference-solver matrix representation: auto, csr or stencil (matrix-free)")
-	mgHier := fs.String("mg-hierarchy", "auto", "multigrid coarse-level construction: auto, galerkin or geometric")
-	mgPrec := fs.String("mg-precision", "auto", "multigrid preconditioner-data storage: auto, f64 or f32 (f32 needs -mg-hierarchy geometric)")
 	deckPath := fs.String("deck", "", ".ttsv scenario deck file; runs its analysis cards instead of a named experiment")
 	sweepf := clideck.Register(fs)
 	obsf := cliobs.Register(fs)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: ttsvlab [-quick] [-plot] [-csv DIR] [-workers N] [-solver-workers N] [-precond KIND] [-operator KIND] [-mg-hierarchy KIND] [-mg-precision KIND] [-trace FILE] [-metrics] [-pprof ADDR] [-deck FILE [-shard I/N] [-journal FILE] [-resume] [-merge F1,F2,...] [-cache-dir DIR] [-progress]] {fig4|fig5|fig6|fig7|table1|casestudy|calibrate|planes|transient|all}")
+		fmt.Fprintln(fs.Output(), "usage: ttsvlab [-quick] [-plot] [-csv DIR] [-workers N] [-solver-workers N] [-precond KIND] [-trace FILE] [-metrics] [-pprof ADDR] [-deck FILE [-shard I/N] [-journal FILE] [-resume] [-merge F1,F2,...] [-cache-dir DIR] [-progress]] {fig4|fig5|fig6|fig7|table1|casestudy|calibrate|planes|transient|all}")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -121,19 +118,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return err
 	}
 	cfg.Resolution.Precond = pk
-	opk, err := ttsv.ParseOperator(*operator)
-	if err != nil {
-		return err
-	}
-	cfg.Resolution.Operator = opk
-	cfg.Resolution.Hierarchy, err = ttsv.ParseMGHierarchy(*mgHier)
-	if err != nil {
-		return err
-	}
-	cfg.Resolution.Precision, err = ttsv.ParseMGPrecision(*mgPrec)
-	if err != nil {
-		return err
-	}
 	app := &app{cfg: cfg, plot: *plot, csvDir: *csvDir, out: out}
 	cmd := fs.Arg(0)
 	switch cmd {

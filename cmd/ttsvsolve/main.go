@@ -57,9 +57,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	ildDensity := fs.Float64("qild", 70, "interconnect power density [W/mm³]")
 	workers := fs.Int("workers", 0, "reference-solver kernel workers (<= 1 = sequential; only -model ref)")
 	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, jacobi, ssor, chebyshev, mg or none (only -model ref)")
-	operator := fs.String("operator", "auto", "reference-solver matrix representation: auto, csr or stencil (matrix-free; only -model ref)")
-	mgHier := fs.String("mg-hierarchy", "auto", "multigrid coarse-level construction: auto, galerkin or geometric (only -model ref)")
-	mgPrec := fs.String("mg-precision", "auto", "multigrid preconditioner-data storage: auto, f64 or f32 (f32 needs -mg-hierarchy geometric; only -model ref)")
 	verbose := fs.Bool("v", false, "print per-solve linear-solver statistics (iterations, residual, preconditioner)")
 	config := fs.String("config", "", "JSON block config file (SI units); explicit flags override its fields")
 	deckPath := fs.String("deck", "", ".ttsv scenario deck file; runs its analysis cards and ignores the geometry flags")
@@ -154,18 +151,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		res := ttsv.DefaultResolution()
 		res.Workers = *workers
 		res.Precond, err = ttsv.ParsePrecond(*precond)
-		if err != nil {
-			return err
-		}
-		res.Operator, err = ttsv.ParseOperator(*operator)
-		if err != nil {
-			return err
-		}
-		res.Hierarchy, err = ttsv.ParseMGHierarchy(*mgHier)
-		if err != nil {
-			return err
-		}
-		res.Precision, err = ttsv.ParseMGPrecision(*mgPrec)
 		if err != nil {
 			return err
 		}

@@ -206,27 +206,42 @@ func TestPositionedErrors(t *testing.T) {
 			wantLine: 6,
 		},
 		{
+			name:     "ref workers above cap",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref ref-workers=100000000\n",
+			wantMsg:  "ref-workers must be in [0, 256], got 100000000",
+			wantLine: 6,
+		},
+		{
+			name:     "negative ref workers",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref ref-workers=-1\n",
+			wantMsg:  "ref-workers must be in [0, 256], got -1",
+			wantLine: 6,
+		},
+		// operator=, mg.hierarchy= and mg.precision= are not parameters:
+		// the reference solver's operator and hierarchy follow from the
+		// preconditioner and the grid.
+		{
 			name:     "unknown operator",
 			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref operator=dense\n",
-			wantMsg:  "unknown operator \"dense\"",
+			wantMsg:  "unknown parameter \"operator\"",
 			wantLine: 6,
 		},
 		{
 			name:     "unknown mg hierarchy",
 			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref mg.hierarchy=amg\n",
-			wantMsg:  "unknown hierarchy \"amg\"",
+			wantMsg:  "unknown parameter \"mg.hierarchy\"",
 			wantLine: 6,
 		},
 		{
 			name:     "unknown mg precision",
 			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref mg.precision=f16\n",
-			wantMsg:  "unknown precision \"f16\"",
+			wantMsg:  "unknown parameter \"mg.precision\"",
 			wantLine: 6,
 		},
 		{
 			name:     "f32 without geometric",
 			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref mg.precision=f32\n",
-			wantMsg:  "mg.precision=f32 requires mg.hierarchy=geometric",
+			wantMsg:  "unknown parameter \"mg.precision\"",
 			wantLine: 6,
 		},
 		{

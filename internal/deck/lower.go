@@ -678,23 +678,19 @@ func (el *elements) lowerPlan(c *Card) (Analysis, error) {
 
 // readModels parses the shared model selection parameters: model= (A, B, 1D,
 // ref, all), segments=, k1=, k2=, c1=, and the reference-solver knobs
-// workers-ref=, precond=, refine=, operator=, mg.hierarchy=, mg.precision=.
-// Construction funnels through
+// ref-workers=, precond=, refine=. Construction funnels through
 // ModelSpec.build, the same path JSON-driven requests use, so a card and the
 // equivalent JSON request yield value-identical models.
 func (el *elements) readModels(r *cardReader, defSpec string, defCoeffs core.Coeffs) ([]core.Model, error) {
 	sp := ModelSpec{
-		Model:       strings.ToLower(r.str("model", defSpec)),
-		Segments:    r.int("segments", 100),
-		K1:          r.float("k1", units.DimNone, defCoeffs.K1),
-		K2:          r.float("k2", units.DimNone, defCoeffs.K2),
-		C1:          r.float("c1", units.DimNone, defCoeffs.C1),
-		RefWorkers:  r.int("ref-workers", 0),
-		Refine:      r.int("refine", 1),
-		Precond:     r.str("precond", "auto"),
-		Operator:    r.str("operator", "auto"),
-		MGHierarchy: r.str("mg.hierarchy", "auto"),
-		MGPrecision: r.str("mg.precision", "auto"),
+		Model:      strings.ToLower(r.str("model", defSpec)),
+		Segments:   r.int("segments", 100),
+		K1:         r.float("k1", units.DimNone, defCoeffs.K1),
+		K2:         r.float("k2", units.DimNone, defCoeffs.K2),
+		C1:         r.float("c1", units.DimNone, defCoeffs.C1),
+		RefWorkers: r.int("ref-workers", 0),
+		Refine:     r.int("refine", 1),
+		Precond:    r.str("precond", "auto"),
 	}
 	if r.err != nil {
 		return nil, r.err

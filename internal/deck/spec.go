@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fem"
-	"repro/internal/mg"
 	"repro/internal/sparse"
 )
 
@@ -34,27 +33,16 @@ type ModelSpec struct {
 	// Precond selects the reference solver's preconditioner ("auto",
 	// "jacobi", "ssor", "chebyshev", "mg", "none"); empty selects "auto".
 	Precond string `json:"precond,omitempty"`
-	// RefWorkers is the reference solver's kernel worker count; 0 keeps the
-	// solver sequential.
+	// RefWorkers is the reference solver's kernel worker count, 0 to
+	// MaxRefWorkers; 0 keeps the solver sequential.
 	RefWorkers int `json:"ref_workers,omitempty"`
-	// Operator selects the reference solver's matrix representation
-	// ("auto", "csr", "stencil"); empty selects "auto", which runs
-	// matrix-free whenever the preconditioner allows it. Results are
-	// bit-identical either way.
-	Operator string `json:"operator,omitempty"`
-	// MGHierarchy selects how multigrid coarse levels are built ("auto",
-	// "galerkin", "geometric"); empty selects "auto" (Galerkin). The
-	// geometric hierarchy re-discretizes coarse stencils directly —
-	// markedly cheaper fresh builds — and falls back to Galerkin when the
-	// operator is not stencil-structured. Temperatures agree within solver
-	// tolerance either way.
-	MGHierarchy string `json:"mg_hierarchy,omitempty"`
-	// MGPrecision selects the multigrid preconditioner-data storage
-	// precision ("auto", "f64", "f32"); empty selects "auto" (f64). "f32"
-	// requires the geometric hierarchy. The outer CG stays float64, so
-	// reported temperatures stay within solver tolerance.
-	MGPrecision string `json:"mg_precision,omitempty"`
 }
+
+// MaxRefWorkers caps ModelSpec.RefWorkers. Each worker is a goroutine of
+// the solver's kernel pool, so an unchecked count from a request body could
+// start any number of them; the cap is fixed rather than derived from the
+// host so a spec is valid or invalid everywhere.
+const MaxRefWorkers = 256
 
 // Models resolves the spec into concrete model values, substituting defSpec
 // and defCoeffs for zero fields. Every construction path — deck cards, JSON
@@ -74,15 +62,6 @@ func (sp ModelSpec) Models(defSpec string, defCoeffs core.Coeffs) ([]core.Model,
 	}
 	if sp.Precond == "" {
 		sp.Precond = "auto"
-	}
-	if sp.Operator == "" {
-		sp.Operator = "auto"
-	}
-	if sp.MGHierarchy == "" {
-		sp.MGHierarchy = "auto"
-	}
-	if sp.MGPrecision == "" {
-		sp.MGPrecision = "auto"
 	}
 	return sp.build()
 }
@@ -105,6 +84,9 @@ func (sp ModelSpec) build() ([]core.Model, error) {
 	if sp.Refine < 1 {
 		return nil, &specError{"refine", fmt.Sprintf("refine must be >= 1, got %d", sp.Refine)}
 	}
+	if sp.RefWorkers < 0 || sp.RefWorkers > MaxRefWorkers {
+		return nil, &specError{"ref-workers", fmt.Sprintf("ref-workers must be in [0, %d], got %d", MaxRefWorkers, sp.RefWorkers)}
+	}
 	res := fem.DefaultResolution()
 	res.Workers = sp.RefWorkers
 	if sp.Refine > 1 {
@@ -115,24 +97,6 @@ func (sp ModelSpec) build() ([]core.Model, error) {
 		return nil, &specError{"precond", err.Error()}
 	}
 	res.Precond = pk
-	opk, err := fem.ParseOperator(sp.Operator)
-	if err != nil {
-		return nil, &specError{"operator", err.Error()}
-	}
-	res.Operator = opk
-	hk, err := mg.ParseHierarchy(sp.MGHierarchy)
-	if err != nil {
-		return nil, &specError{"mg.hierarchy", err.Error()}
-	}
-	res.Hierarchy = hk
-	prk, err := mg.ParsePrecision(sp.MGPrecision)
-	if err != nil {
-		return nil, &specError{"mg.precision", err.Error()}
-	}
-	res.Precision = prk
-	if prk == mg.PrecisionF32 && hk != mg.HierarchyGeometric {
-		return nil, &specError{"mg.precision", "mg.precision=f32 requires mg.hierarchy=geometric"}
-	}
 	coeffs := core.Coeffs{K1: sp.K1, K2: sp.K2, C1: sp.C1}
 	one := func(name string) (core.Model, error) {
 		switch name {

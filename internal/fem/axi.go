@@ -83,11 +83,11 @@ func assembleAxi(p *AxiProblem) (*axiSystem, error) {
 // tolerance, preconditioner auto-selection (multigrid above the size
 // threshold, served from sc's hierarchy cache when possible), and a MaxIter
 // budget scaled to the preconditioner class.
-func solveDefaults(sc *SolveContext, opt sparse.Options, sys *axiSystem, sel mgSelect) sparse.Options {
+func solveDefaults(sc *SolveContext, opt sparse.Options, sys *axiSystem) sparse.Options {
 	if opt.Tol == 0 {
 		opt.Tol = 1e-10
 	}
-	return resolveSolverWith(sc, sys.key, opt, sys.matrix, sys.grid, sel)
+	return resolveSolverWith(sc, sys.key, opt, sys.matrix, sys.grid)
 }
 
 // fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. All rows
@@ -127,13 +127,6 @@ func SolveAxiCtx(ctx context.Context, p *AxiProblem, opt sparse.Options) (*AxiSo
 // solution of the same system shape. A nil sc (or sc.NoReuse) makes every
 // solve fresh; the results are bit-identical either way (warm starts aside).
 func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
-	return solveAxiWith(ctx, sc, p, opt, OperatorAuto, mgSelect{})
-}
-
-// solveAxiWith is SolveAxiWith with explicit operator and multigrid
-// selections (see OperatorKind, mgSelect); the stack-level entry points
-// thread Resolution.Operator/Hierarchy/Precision through here.
-func solveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options, opk OperatorKind, sel mgSelect) (*AxiSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()
 	asmCtx, asp := obs.StartSpan(ctx, "fem.assemble")
@@ -145,13 +138,12 @@ func solveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 	}
 	root.Set("unknowns", len(sys.rhs))
 	_, psp := obs.StartSpan(ctx, "fem.precond")
-	o := solveDefaults(sc, opt, sys, sel)
+	o := solveDefaults(sc, opt, sys)
 	if psp != nil {
 		psp.Set("precond", o.Precond.String())
 		psp.End()
 	}
-	setMGAttrs(root, o)
-	op, opName, err := operatorFor(opk, sys.pat, sys.grid.dims, o)
+	op, opName, err := operatorFor(sys.pat, sys.grid.dims, o)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, err

@@ -95,12 +95,6 @@ func SolveCartCtx(ctx context.Context, p *CartProblem, opt sparse.Options) (*Car
 // SolveCartWith is SolveCartCtx solving through a reuse context; see
 // SolveAxiWith for the contract.
 func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
-	return solveCartWith(ctx, sc, p, opt, OperatorAuto, mgSelect{})
-}
-
-// solveCartWith is SolveCartWith with explicit operator and multigrid
-// selections (see OperatorKind, mgSelect).
-func solveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sparse.Options, opk OperatorKind, sel mgSelect) (*CartSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()
 	asmCtx, asp := obs.StartSpan(ctx, "fem.assemble")
@@ -115,13 +109,12 @@ func solveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 		o.Tol = 1e-9
 	}
 	_, psp := obs.StartSpan(ctx, "fem.precond")
-	o = resolveSolverWith(sc, sys.key, o, sys.matrix, sys.grid, sel)
+	o = resolveSolverWith(sc, sys.key, o, sys.matrix, sys.grid)
 	if psp != nil {
 		psp.Set("precond", o.Precond.String())
 		psp.End()
 	}
-	setMGAttrs(root, o)
-	op, opName, err := operatorFor(opk, sys.pat, sys.grid.dims, o)
+	op, opName, err := operatorFor(sys.pat, sys.grid.dims, o)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, err

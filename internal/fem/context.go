@@ -39,15 +39,11 @@ type SolveContext struct {
 }
 
 // hierEntry pairs a multigrid hierarchy with a snapshot of the operator
-// values it was built from — so hierarchyFor can prove the operator
-// unchanged before serving the hierarchy again — and the mg selection it
-// was built under: a cached Galerkin hierarchy must never be served to a
-// solve that asked for the geometric one (or vice versa), even on identical
-// operator values.
+// values it was built from, so hierarchyFor can prove the operator
+// unchanged before serving the hierarchy again.
 type hierEntry struct {
 	h    *mg.Hierarchy
 	vals []float64
-	sel  mgSelect
 }
 
 // NewSolveContext returns an empty context ready for reuse.
@@ -129,30 +125,28 @@ func (sc *SolveContext) poolFor(workers int) *sparse.Pool {
 //   - the cached hierarchy's operator snapshot matches a's values bit for
 //     bit → serve it untouched (repeated solves of one design point);
 //   - a cached hierarchy exists but the values moved → full rebuild through
-//     the predecessor's recycled arena (mg.Options.Prev): every aggregation,
-//     transfer and Galerkin product is recomputed — the smoothed prolongation
-//     depends on the operator values, so none can be kept — but without
+//     the predecessor's recycled arena (mg.Options.Prev): every coarse
+//     operator, transfer and factorization is recomputed — they all depend
+//     on the operator values, so none can be kept — but without
 //     allocations, and bit-identical to a fresh build;
 //   - no cached hierarchy (or no context) → fresh build.
-func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.CSR, g solverGrid, sel mgSelect) (*mg.Hierarchy, error) {
+func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.CSR, g solverGrid) (*mg.Hierarchy, error) {
 	if !sc.reusing() {
-		return buildHierarchy(a, g, sel, nil)
+		return mg.Build(a, g.dims, mg.Options{})
 	}
 	e := sc.hier[key]
 	vals := sc.operatorValues(key, a)
-	if e != nil && e.h != nil && e.sel == sel && vals != nil && sameFloats(e.vals, vals) {
+	if e != nil && e.h != nil && vals != nil && sameFloats(e.vals, vals) {
 		obs.Default().Counter("fem.mg.reuse.hits").Inc()
 		return e.h, nil
 	}
 	var prev *mg.Hierarchy
 	if e != nil && e.h != nil {
-		// A selection change recycles too: the arena's arrays are untyped
-		// capacity, equally useful to either hierarchy mode.
 		prev = e.h
 		e.h = nil
 		obs.Default().Counter("fem.mg.reuse.rebuilds").Inc()
 	}
-	h, err := buildHierarchy(a, g, sel, prev)
+	h, err := mg.Build(a, g.dims, mg.Options{Prev: prev})
 	if err != nil {
 		delete(sc.hier, key)
 		return nil, err
@@ -162,29 +156,12 @@ func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.CSR, g solverGrid, se
 		sc.hier[key] = e
 	}
 	e.h = h
-	e.sel = sel
 	if vals != nil {
 		e.vals = append(e.vals[:0], vals...)
 	} else {
 		e.vals = nil
 	}
 	return h, nil
-}
-
-// buildHierarchy builds a multigrid hierarchy under the given selection,
-// recycling prev's arena when provided. A failed geometric build — the
-// matrix was not a structured conductance stencil — retries as a fresh
-// Galerkin build (counted in fem.mg.geometric.fallback) before the caller's
-// single-level fallback kicks in; prev is already consumed by then and is
-// not offered again.
-func buildHierarchy(a *sparse.CSR, g solverGrid, sel mgSelect, prev *mg.Hierarchy) (*mg.Hierarchy, error) {
-	opt := mg.Options{Hierarchy: sel.Hierarchy, Precision: sel.Precision, Prev: prev}
-	h, err := mg.Build(a, g.dims, opt)
-	if err != nil && sel.Hierarchy == mg.HierarchyGeometric {
-		obs.Default().Counter("fem.mg.geometric.fallback").Inc()
-		h, err = mg.Build(a, g.dims, mg.Options{})
-	}
-	return h, err
 }
 
 // operatorValues returns the live value array of the pattern-owned matrix

@@ -2,116 +2,120 @@ package fem
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/mg"
 	"repro/internal/sparse"
 )
 
-// TestGeometricHierarchyMatchesGalerkin runs the reference stack at a
-// refinement deep enough for multigrid under all three hierarchy/precision
-// selections. The preconditioner only shapes the Krylov space, so every
-// selection must converge to the same temperature field, and the geometric
-// line-smoothed W-cycle must stay in the same mesh-independent iteration
-// band as Galerkin.
+// TestGeometricHierarchyMatchesGalerkin solves the refined axisymmetric
+// reference system with the hierarchy mg.Build picks for its two axes (the
+// geometric one) and with the smoothed-aggregation Galerkin hierarchy Build
+// picks when the same grid is described with a third, unit axis. The
+// preconditioner only shapes the Krylov space, so both must converge to the
+// same temperatures, and the geometric W-cycle must need no more CG
+// iterations than Galerkin — the measurement behind giving 2-axis grids the
+// geometric hierarchy.
 func TestGeometricHierarchyMatchesGalerkin(t *testing.T) {
 	s := fig4(t, 10)
-	var refMax float64
-	var refIters int
-	for _, tc := range []struct {
-		name string
-		hier mg.HierarchyKind
-		prec mg.PrecisionKind
-	}{
-		{"galerkin", mg.HierarchyGalerkin, mg.PrecisionF64},
-		{"geometric", mg.HierarchyGeometric, mg.PrecisionF64},
-		{"geometric-f32", mg.HierarchyGeometric, mg.PrecisionF32},
-	} {
-		res := coarse().Refine(2)
-		res.Precond = sparse.PrecondMG
-		res.Hierarchy = tc.hier
-		res.Precision = tc.prec
-		sol, err := SolveStack(s, res)
+	for _, f := range []int{2, 4} {
+		p, err := BuildAxiProblem(s, DefaultResolution().Refine(f))
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		if sol.Stats.Precond != sparse.PrecondMG || sol.Stats.Levels < 2 {
-			t.Fatalf("%s: ran %v with %d levels, want multigrid", tc.name, sol.Stats.Precond, sol.Stats.Levels)
+		sys, err := assembleAxi(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sol.Stats.Iterations > 30 {
-			t.Errorf("%s: %d CG iterations, want <= 30", tc.name, sol.Stats.Iterations)
+		solve := func(dims []int, wantGeometric bool) ([]float64, int) {
+			h, err := mg.Build(sys.matrix, dims, mg.Options{})
+			if err != nil {
+				t.Fatalf("refine %d dims %v: %v", f, dims, err)
+			}
+			if h.Geometric() != wantGeometric {
+				t.Fatalf("refine %d dims %v: Geometric() = %v", f, dims, h.Geometric())
+			}
+			x, st, err := sparse.SolveCG(sys.matrix, sys.rhs, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
+			if err != nil {
+				t.Fatalf("refine %d dims %v: %v", f, dims, err)
+			}
+			return x, st.Iterations
 		}
-		maxT, _, _ := sol.MaxT()
-		if tc.hier == mg.HierarchyGalerkin {
-			refMax, refIters = maxT, sol.Stats.Iterations
-			continue
+		geo, geoIt := solve(sys.grid.dims, true)
+		gal, galIt := solve(append(append([]int(nil), sys.grid.dims...), 1), false)
+		if geoIt > galIt {
+			t.Errorf("refine %d: geometric took %d CG iterations, galerkin %d", f, geoIt, galIt)
 		}
-		if diff := maxT - refMax; diff > 1e-8 || diff < -1e-8 {
-			t.Errorf("%s: max ΔT %g vs galerkin %g", tc.name, maxT, refMax)
+		var geoMax, galMax float64
+		for i := range geo {
+			geoMax = math.Max(geoMax, geo[i])
+			galMax = math.Max(galMax, gal[i])
 		}
-		if sol.Stats.Iterations > refIters+5 {
-			t.Errorf("%s: %d CG iterations vs galerkin's %d", tc.name, sol.Stats.Iterations, refIters)
+		if diff := math.Abs(geoMax - galMax); diff > 1e-8*galMax {
+			t.Errorf("refine %d: max ΔT %g (geometric) vs %g (galerkin)", f, geoMax, galMax)
 		}
 	}
 }
 
-// TestGeometricResolutionValidation: f32 preconditioner storage requires the
-// geometric hierarchy; the Galerkin CSR kernels are float64-only.
-func TestGeometricResolutionValidation(t *testing.T) {
-	s := fig4(t, 10)
-	res := coarse()
-	res.Precision = mg.PrecisionF32
-	if _, err := SolveStack(s, res); err == nil {
-		t.Fatal("f32 precision without geometric hierarchy did not error")
-	}
-	res.Hierarchy = mg.HierarchyGeometric
-	if _, err := SolveStack(s, res); err != nil {
-		t.Fatalf("f32 + geometric rejected: %v", err)
-	}
-}
-
-// TestGeometricContextCacheKeyedBySelection: a warm SolveContext must not
-// hand a hierarchy built under one hierarchy/precision selection to a solve
-// requesting another, and warm solves must match cold ones bit-for-bit.
+// TestGeometricContextCacheKeyedBySelection: one SolveContext serving an
+// axisymmetric stack (geometric hierarchy) and a 3-D block (Galerkin
+// hierarchy) in turn must keep each grid's hierarchy for that grid — the
+// second round is served from the cache — and every solve must match a
+// context-free solve bit for bit.
 func TestGeometricContextCacheKeyedBySelection(t *testing.T) {
 	s := fig4(t, 10)
-	sc := NewSolveContext()
-	defer sc.Close()
-
-	solve := func(hier mg.HierarchyKind, prec mg.PrecisionKind) *AxiSolution {
-		res := coarse().Refine(2)
-		res.Precond = sparse.PrecondMG
-		res.Hierarchy = hier
-		res.Precision = prec
-		sol, err := SolveStackWith(context.Background(), sc, s, res)
-		if err != nil {
-			t.Fatalf("%v/%v: %v", hier, prec, err)
-		}
-		return sol
+	res := DefaultResolution().Refine(2)
+	res.Precond = sparse.PrecondMG
+	cart, err := BuildCartProblem(s, CartResolution{LateralVia: 4, LateralLiner: 1, LateralOuter: 4, AxialPerLayer: 3, AxialMin: 2, Bulk: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cartOpt := sparse.Options{Precond: sparse.PrecondMG}
+	wantAxi, err := SolveStack(s, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCart, err := SolveCart(cart, cartOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantCart.Stats.Precond != sparse.PrecondMG || wantAxi.Stats.Precond != sparse.PrecondMG {
+		t.Fatalf("ran %v (axi) and %v (cart), want multigrid for both", wantAxi.Stats.Precond, wantCart.Stats.Precond)
 	}
 
-	gal1 := solve(mg.HierarchyGalerkin, mg.PrecisionF64)
-	geo1 := solve(mg.HierarchyGeometric, mg.PrecisionF64)
-	f32a := solve(mg.HierarchyGeometric, mg.PrecisionF32)
-	// Second round reuses the context's cached assembly and hierarchies.
-	gal2 := solve(mg.HierarchyGalerkin, mg.PrecisionF64)
-	geo2 := solve(mg.HierarchyGeometric, mg.PrecisionF64)
-	f32b := solve(mg.HierarchyGeometric, mg.PrecisionF32)
-
-	for _, pair := range []struct {
-		name       string
-		cold, warm *AxiSolution
-	}{{"galerkin", gal1, gal2}, {"geometric", geo1, geo2}, {"geometric-f32", f32a, f32b}} {
-		if pair.cold.Stats.Iterations != pair.warm.Stats.Iterations {
-			t.Errorf("%s: warm solve took %d iterations, cold %d",
-				pair.name, pair.warm.Stats.Iterations, pair.cold.Stats.Iterations)
+	sc := NewSolveContext()
+	defer sc.Close()
+	var roundHits []int64
+	for round := 0; round < 2; round++ {
+		var axi *AxiSolution
+		var c *CartSolution
+		var err, errC error
+		roundHits = append(roundHits, counterDelta("fem.mg.reuse.hits", func() {
+			axi, err = SolveStackWith(context.Background(), sc, s, res)
+			c, errC = SolveCartWith(context.Background(), sc, cart, cartOpt)
+		}))
+		if err != nil || errC != nil {
+			t.Fatal(err, errC)
 		}
-		coldMax, _, _ := pair.cold.MaxT()
-		warmMax, _, _ := pair.warm.MaxT()
-		// The warm solve starts from the cached solution, so CG may stop on
-		// a different Krylov sequence; answers agree within solver tolerance.
-		if diff := coldMax - warmMax; diff > 1e-8 || diff < -1e-8 {
-			t.Errorf("%s: warm max ΔT %g vs cold %g", pair.name, warmMax, coldMax)
+		for j := range axi.T {
+			for i := range axi.T[j] {
+				if axi.T[j][i] != wantAxi.T[j][i] {
+					t.Fatalf("round %d: axi T[%d][%d] = %g, fresh %g", round, j, i, axi.T[j][i], wantAxi.T[j][i])
+				}
+			}
 		}
+		for l := range c.T {
+			for j := range c.T[l] {
+				for i := range c.T[l][j] {
+					if c.T[l][j][i] != wantCart.T[l][j][i] {
+						t.Fatalf("round %d: cart T[%d][%d][%d] differs from the fresh solve", round, l, j, i)
+					}
+				}
+			}
+		}
+	}
+	if roundHits[0] != 0 || roundHits[1] != 2 {
+		t.Errorf("fem.mg.reuse.hits moved by %v per round, want [0 2]", roundHits)
 	}
 }

@@ -8,11 +8,13 @@ import (
 
 // TestMGIterationsMeshIndependent asserts the point of the multigrid
 // preconditioner: CG iteration counts stay within a constant band as the
-// reference grid refines, instead of growing with the mesh.
+// reference grid refines, instead of growing with the mesh. The geometric
+// hierarchy the axisymmetric grid gets takes 13/14/14 iterations at
+// 2×/4×/8×; 16 is the band.
 func TestMGIterationsMeshIndependent(t *testing.T) {
 	s := fig4(t, 10)
-	for _, f := range []int{1, 2, 4} {
-		res := coarse().Refine(f)
+	for _, f := range []int{2, 4, 8} {
+		res := DefaultResolution().Refine(f)
 		res.Precond = sparse.PrecondMG
 		sol, err := SolveStack(s, res)
 		if err != nil {
@@ -24,8 +26,8 @@ func TestMGIterationsMeshIndependent(t *testing.T) {
 		if sol.Stats.Levels < 2 {
 			t.Fatalf("refine %d: hierarchy has %d levels", f, sol.Stats.Levels)
 		}
-		if sol.Stats.Iterations > 30 {
-			t.Errorf("refine %d: %d CG iterations, want <= 30 (mesh-independent band)",
+		if sol.Stats.Iterations > 16 {
+			t.Errorf("refine %d: %d CG iterations, want <= 16 (mesh-independent band)",
 				f, sol.Stats.Iterations)
 		}
 	}

@@ -4,57 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/mg"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 )
-
-// OperatorKind selects the matrix representation a solve hands to the
-// iterative solver: the assembled CSR, or the matrix-free structured-grid
-// stencil extracted from it (sparse.Stencil — same values, a third of the
-// memory traffic per matvec). The two evaluate bit-identically, so the
-// choice changes wall time and bytes moved, never results.
-type OperatorKind int
-
-const (
-	// OperatorAuto picks the stencil whenever the solve can run matrix-free:
-	// every preconditioner except SSOR (whose triangular sweeps need the
-	// assembled triangles) and every structured grid this package emits
-	// qualifies. Falls back to the CSR otherwise.
-	OperatorAuto OperatorKind = iota
-	// OperatorCSR forces the assembled CSR.
-	OperatorCSR
-	// OperatorStencil forces the matrix-free stencil and fails the solve
-	// when it cannot be used (SSOR preconditioning, or a matrix that is not
-	// a full structured-grid stencil).
-	OperatorStencil
-)
-
-// String returns the parseable name of the kind.
-func (k OperatorKind) String() string {
-	switch k {
-	case OperatorCSR:
-		return "csr"
-	case OperatorStencil:
-		return "stencil"
-	default:
-		return "auto"
-	}
-}
-
-// ParseOperator maps a CLI/deck operator name to its kind. The empty string
-// and "auto" select OperatorAuto.
-func ParseOperator(s string) (OperatorKind, error) {
-	switch s {
-	case "", "auto":
-		return OperatorAuto, nil
-	case "csr":
-		return OperatorCSR, nil
-	case "stencil", "matfree":
-		return OperatorStencil, nil
-	default:
-		return OperatorAuto, fmt.Errorf("fem: unknown operator %q (want auto, csr or stencil)", s)
-	}
-}
 
 // stencilFor returns the pattern's matrix-free stencil view, building it on
 // first use and refreshing its coefficient arrays after any numeric refill.
@@ -65,9 +16,6 @@ func (pat *pattern) stencilFor(dims []int) (*sparse.Stencil, error) {
 	if pat.stencil == nil && pat.stencilErr == nil {
 		pat.stencil, pat.stencilErr = sparse.NewStencil(pat.matrix, dims)
 		pat.stencilDirty = false
-		if pat.stencilErr != nil {
-			obs.Default().Counter("fem.operator.stencil.unavailable").Inc()
-		}
 	}
 	if pat.stencilErr != nil {
 		return nil, pat.stencilErr
@@ -81,59 +29,23 @@ func (pat *pattern) stencilFor(dims []int) (*sparse.Stencil, error) {
 	return pat.stencil, nil
 }
 
-// setMGAttrs records the multigrid construction a solve actually uses —
-// after cache reuse and any geometric-build fallback — on its root span:
-// fem.mg.hierarchy (galerkin|geometric) and fem.mg.precision (f64|f32).
-// Solves that resolved to a single-level preconditioner record nothing.
-func setMGAttrs(sp *obs.Span, o sparse.Options) {
-	h, ok := o.MG.(*mg.Hierarchy)
-	if !ok {
-		return
-	}
-	hier, prec := mg.HierarchyGalerkin, mg.PrecisionF64
-	if h.Geometric() {
-		hier = mg.HierarchyGeometric
-	}
-	if h.MixedPrecision() {
-		prec = mg.PrecisionF32
-	}
-	sp.Set("fem.mg.hierarchy", hier.String())
-	sp.Set("fem.mg.precision", prec.String())
-}
-
 // operatorFor resolves the operator a solve runs on, given the fully
-// resolved solver options (the preconditioner decides matrix-free
-// eligibility). It returns the operator plus its name for the fem.operator
-// span attribute. A forced OperatorStencil that cannot be honored is an
-// error; OperatorAuto degrades to the CSR silently.
-func operatorFor(kind OperatorKind, pat *pattern, dims []int, o sparse.Options) (sparse.Operator, string, error) {
-	csr := func() (sparse.Operator, string, error) {
-		// A hierarchy cached across solves keeps the last fine operator set;
-		// a CSR solve must clear it, not inherit it.
-		if h, ok := o.MG.(*mg.Hierarchy); ok {
-			h.SetFineOperator(nil)
-		}
-		return pat.matrix, "csr", nil
-	}
-	if kind == OperatorCSR {
-		return csr()
-	}
+// resolved solver options, and returns it with its name for the
+// fem.operator span attribute. SSOR's triangular sweeps need the assembled
+// matrix, so SSOR solves run on the CSR; every other preconditioner runs on
+// the matrix-free stencil, which evaluates bit-identically (a third of the
+// memory traffic per matvec). Every grid this package assembles is a full
+// structured stencil, so a stencil that cannot be built is an error.
+func operatorFor(pat *pattern, dims []int, o sparse.Options) (sparse.Operator, string, error) {
 	if o.Precond == sparse.PrecondSSOR {
-		if kind == OperatorStencil {
-			return nil, "", fmt.Errorf("fem: the ssor preconditioner cannot run matrix-free; choose another preconditioner or the csr operator")
-		}
-		return csr()
+		return pat.matrix, "csr", nil
 	}
 	st, err := pat.stencilFor(dims)
 	if err != nil {
-		if kind == OperatorStencil {
-			return nil, "", fmt.Errorf("fem: matrix-free operator unavailable: %w", err)
-		}
-		return csr()
+		return nil, "", fmt.Errorf("fem: matrix-free operator unavailable: %w", err)
 	}
 	// A multigrid preconditioner built from the assembled CSR runs its
-	// fine-level smoothing and residuals through the same stencil; the
-	// coarse Galerkin levels keep their CSRs.
+	// fine-level smoothing and residuals through the same stencil.
 	if h, ok := o.MG.(*mg.Hierarchy); ok {
 		h.SetFineOperator(st)
 	}

@@ -1,47 +1,57 @@
 package fem
 
 import (
-	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/mesh"
 	"repro/internal/sparse"
 )
 
+// csrSolve solves an assembled system through the assembled CSR — the
+// reference the matrix-free stencil the solve paths run on must match bit
+// for bit. A freshly built hierarchy runs its fine level on the same CSR.
+func csrSolve(t *testing.T, a *sparse.CSR, rhs []float64, g solverGrid, opt sparse.Options) ([]float64, sparse.Stats) {
+	t.Helper()
+	o := resolveSolver(opt, a, g)
+	x, st, err := sparse.SolveCG(a, rhs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, st
+}
+
 // TestOperatorSolveBitIdenticalAxi pins the matrix-free contract end to end:
-// forcing the stencil or the CSR operator (or leaving the choice to auto)
-// must produce bit-identical temperature fields and iteration counts, at
-// every worker count and under both the single-level and multigrid
-// preconditioners.
+// the stencil solves the reference runs must produce bit-identical
+// temperature fields and iteration counts to the same solve on the
+// assembled CSR, at every worker count and under both the single-level and
+// multigrid preconditioners.
 func TestOperatorSolveBitIdenticalAxi(t *testing.T) {
 	s := fig4(t, 10)
+	res := coarse().Refine(2)
+	p, err := BuildAxiProblem(s, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := assembleAxi(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pc := range []sparse.PrecondKind{sparse.PrecondChebyshev, sparse.PrecondMG} {
-		var ref *AxiSolution
 		for _, w := range []int{1, 2, 4, 8} {
-			for _, opk := range []OperatorKind{OperatorCSR, OperatorStencil, OperatorAuto} {
-				res := coarse().Refine(2)
-				res.Precond = pc
-				res.Workers = w
-				res.Operator = opk
-				sol, err := SolveStack(s, res)
-				if err != nil {
-					t.Fatalf("%v/%v workers %d: %v", pc, opk, w, err)
-				}
-				if ref == nil {
-					ref = sol
-					continue
-				}
-				if sol.Stats.Iterations != ref.Stats.Iterations {
-					t.Fatalf("%v/%v workers %d: %d iterations, want %d",
-						pc, opk, w, sol.Stats.Iterations, ref.Stats.Iterations)
-				}
-				for j := range sol.T {
-					for i := range sol.T[j] {
-						if sol.T[j][i] != ref.T[j][i] {
-							t.Fatalf("%v/%v workers %d: T[%d][%d] = %g != %g",
-								pc, opk, w, j, i, sol.T[j][i], ref.T[j][i])
-						}
+			res.Precond = pc
+			res.Workers = w
+			sol, err := SolveStack(s, res)
+			if err != nil {
+				t.Fatalf("%v workers %d: %v", pc, w, err)
+			}
+			x, st := csrSolve(t, sys.matrix, sys.rhs, sys.grid, sparse.Options{Tol: 1e-10, Workers: w, Precond: pc})
+			if sol.Stats.Iterations != st.Iterations {
+				t.Fatalf("%v workers %d: stencil %d iterations, csr %d", pc, w, sol.Stats.Iterations, st.Iterations)
+			}
+			for j := range sol.T {
+				for i := range sol.T[j] {
+					if v := x[j*sys.nr+i]; sol.T[j][i] != v {
+						t.Fatalf("%v workers %d: T[%d][%d] = %g, csr %g", pc, w, j, i, sol.T[j][i], v)
 					}
 				}
 			}
@@ -50,8 +60,8 @@ func TestOperatorSolveBitIdenticalAxi(t *testing.T) {
 }
 
 // TestOperatorSolveBitIdenticalCart covers the 3-D path, including the
-// anisotropic (distinct vertical conductivity) assembly: the forced stencil
-// and forced CSR solves must agree bitwise.
+// anisotropic (distinct vertical conductivity) assembly and the Galerkin
+// hierarchy: stencil and CSR solves must agree bitwise.
 func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 	edges := func(n int, hi float64) []float64 {
 		e, err := mesh.Uniform(0, hi, n)
@@ -62,9 +72,9 @@ func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 	}
 	for _, aniso := range []bool{false, true} {
 		p := &CartProblem{
-			XEdges: edges(7, 1e-3),
-			YEdges: edges(5, 1e-3),
-			ZEdges: edges(11, 2e-3),
+			XEdges: edges(12, 1e-3),
+			YEdges: edges(10, 1e-3),
+			ZEdges: edges(16, 2e-3),
 			K:      func(_, _, _ float64) float64 { return 3.0 },
 			Q:      func(_, _, z float64) float64 { return 1e8 * (z + 1e-4) },
 			Bottom: Fixed(0),
@@ -78,32 +88,28 @@ func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 				return 3.0
 			}
 		}
-		var ref *CartSolution
-		for _, w := range []int{1, 4} {
-			for _, opk := range []OperatorKind{OperatorCSR, OperatorStencil} {
-				sc := NewSolveContext()
-				// Pin a matrix-free-capable preconditioner: a system this
-				// small auto-selects SSOR, which rejects the forced stencil.
-				sol, err := solveCartWith(context.Background(), sc, p,
-					sparse.Options{Workers: w, Precond: sparse.PrecondChebyshev}, opk, mgSelect{})
-				sc.Close()
+		sys, err := assembleCart(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pc := range []sparse.PrecondKind{sparse.PrecondChebyshev, sparse.PrecondMG} {
+			for _, w := range []int{1, 4} {
+				opt := sparse.Options{Workers: w, Precond: pc}
+				sol, err := SolveCart(p, opt)
 				if err != nil {
-					t.Fatalf("aniso=%v %v workers %d: %v", aniso, opk, w, err)
+					t.Fatalf("aniso=%v %v workers %d: %v", aniso, pc, w, err)
 				}
-				if ref == nil {
-					ref = sol
-					continue
-				}
-				if sol.Stats.Iterations != ref.Stats.Iterations {
-					t.Fatalf("aniso=%v %v workers %d: %d iterations, want %d",
-						aniso, opk, w, sol.Stats.Iterations, ref.Stats.Iterations)
+				opt.Tol = 1e-9
+				x, st := csrSolve(t, sys.matrix, sys.rhs, sys.grid, opt)
+				if sol.Stats.Precond != pc || sol.Stats.Iterations != st.Iterations {
+					t.Fatalf("aniso=%v %v workers %d: stencil ran %v for %d iterations, csr %v for %d",
+						aniso, pc, w, sol.Stats.Precond, sol.Stats.Iterations, st.Precond, st.Iterations)
 				}
 				for l := range sol.T {
 					for j := range sol.T[l] {
 						for i := range sol.T[l][j] {
-							if sol.T[l][j][i] != ref.T[l][j][i] {
-								t.Fatalf("aniso=%v %v workers %d: T[%d][%d][%d] differs",
-									aniso, opk, w, l, j, i)
+							if sol.T[l][j][i] != x[(l*sys.ny+j)*sys.nx+i] {
+								t.Fatalf("aniso=%v %v workers %d: T[%d][%d][%d] differs", aniso, pc, w, l, j, i)
 							}
 						}
 					}
@@ -113,32 +119,14 @@ func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 	}
 }
 
-// TestOperatorForcedStencilSSORFails: SSOR's triangular sweeps need the
-// assembled matrix, so forcing the stencil under it must fail the solve
-// with a diagnostic naming the conflict — while auto quietly keeps the CSR.
-func TestOperatorForcedStencilSSORFails(t *testing.T) {
-	s := fig4(t, 10)
-	res := coarse()
-	res.Precond = sparse.PrecondSSOR
-	res.Operator = OperatorStencil
-	if _, err := SolveStack(s, res); err == nil || !strings.Contains(err.Error(), "ssor") {
-		t.Fatalf("forced stencil under SSOR: err = %v, want mention of ssor", err)
-	}
-	res.Operator = OperatorAuto
-	if _, err := SolveStack(s, res); err != nil {
-		t.Fatalf("auto under SSOR must fall back to the CSR: %v", err)
-	}
-}
-
 // TestOperatorRefineCarriesSolverKnobs: Refine scales mesh counts and the
 // grading exponent but must pass the solver knobs through untouched.
 func TestOperatorRefineCarriesSolverKnobs(t *testing.T) {
 	r := DefaultResolution()
 	r.Workers = 3
 	r.Precond = sparse.PrecondMG
-	r.Operator = OperatorStencil
 	r2 := r.Refine(2)
-	if r2.Workers != 3 || r2.Precond != sparse.PrecondMG || r2.Operator != OperatorStencil {
+	if r2.Workers != 3 || r2.Precond != sparse.PrecondMG {
 		t.Fatalf("Refine dropped solver knobs: %+v", r2)
 	}
 	if r2.RefineFactor != 2 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -40,8 +39,8 @@ func (e *ConvergenceError) Error() string {
 func (e *ConvergenceError) Unwrap() []error { return []error{ErrNotConverged, e.err} }
 
 // mgAutoThreshold is the unknown count above which the default
-// preconditioner becomes geometric multigrid. Below it the hierarchy setup
-// (Galerkin products, coarse factorization) costs more than the CG
+// preconditioner becomes multigrid. Below it the hierarchy setup (coarse
+// operators, transfers, coarse factorization) costs more than the CG
 // iterations it saves; above it the mesh-independent iteration count wins —
 // decisively so at the 2–4× refined resolutions of convergence studies.
 // The default-resolution axisymmetric block (~2k cells) stays on the
@@ -58,18 +57,10 @@ func sparseDefaults() sparse.Options {
 
 // solverGrid carries the structured-grid shape behind an assembled system:
 // the per-axis cell counts, fastest-varying first. Multigrid construction
-// uses it to cross-check the matrix layout; the aggregation itself is
-// driven by the matrix coefficients.
+// picks its hierarchy from the axis count (see mg.Build) and reads the
+// stencil layout off it.
 type solverGrid struct {
 	dims []int
-}
-
-// mgSelect bundles the multigrid construction choices a Resolution carries
-// (hierarchy mode and preconditioner-data precision) through the solve paths
-// into the hierarchy cache. The zero value is the default Galerkin/f64 build.
-type mgSelect struct {
-	Hierarchy mg.HierarchyKind
-	Precision mg.PrecisionKind
 }
 
 // resolveSolver finalizes the solver options for an assembled system: the
@@ -80,17 +71,16 @@ type mgSelect struct {
 // system size. A pre-built Options.MG (e.g. the transient integrator's
 // shared hierarchy) is reused as-is.
 func resolveSolver(opt sparse.Options, a *sparse.CSR, g solverGrid) sparse.Options {
-	return resolveSolverWith(nil, asmKey{}, opt, a, g, mgSelect{})
+	return resolveSolverWith(nil, asmKey{}, opt, a, g)
 }
 
 // resolveSolverWith is resolveSolver drawing the multigrid hierarchy from
-// sc's cache (reused when the operator values are unchanged and the mg
-// selection matches, rebuilt through the predecessor's recycled arena
-// otherwise). A nil sc builds fresh.
-func resolveSolverWith(sc *SolveContext, key asmKey, opt sparse.Options, a *sparse.CSR, g solverGrid, sel mgSelect) sparse.Options {
+// sc's cache (reused when the operator values are unchanged, rebuilt through
+// the predecessor's recycled arena otherwise). A nil sc builds fresh.
+func resolveSolverWith(sc *SolveContext, key asmKey, opt sparse.Options, a *sparse.CSR, g solverGrid) sparse.Options {
 	if opt.MG == nil && (opt.Precond == sparse.PrecondMG ||
 		(opt.Precond == sparse.PrecondDefault && a.Rows() >= mgAutoThreshold)) {
-		if h, err := sc.hierarchyFor(key, a, g, sel); err == nil {
+		if h, err := sc.hierarchyFor(key, a, g); err == nil {
 			if opt.Precond == sparse.PrecondDefault {
 				obs.Default().Counter("fem.mg.auto").Inc()
 			}

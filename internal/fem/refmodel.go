@@ -13,9 +13,8 @@ import (
 // as the analytical models. The zero value uses DefaultResolution.
 type ReferenceModel struct {
 	// Res is the mesh density; the zero value selects DefaultResolution.
-	// Res.Workers, Res.Precond, Res.Operator, Res.Hierarchy and/or
-	// Res.Precision alone (all mesh counts zero) keep the default mesh but
-	// tune the solver.
+	// Res.Workers and/or Res.Precond alone (all mesh counts zero) keep the
+	// default mesh but tune the solver.
 	Res Resolution
 }
 
@@ -28,16 +27,12 @@ func (ReferenceModel) Name() string { return RefModelName }
 
 // resolution returns the effective mesh density: a Resolution whose mesh
 // counts are all zero keeps the default mesh, with the solver knobs
-// (Workers, Precond, Operator, Hierarchy, Precision) carried over.
+// (Workers, Precond) carried over.
 func (m ReferenceModel) resolution() Resolution {
-	if m.Res == (Resolution{Workers: m.Res.Workers, Precond: m.Res.Precond, Operator: m.Res.Operator,
-		Hierarchy: m.Res.Hierarchy, Precision: m.Res.Precision}) {
+	if m.Res == (Resolution{Workers: m.Res.Workers, Precond: m.Res.Precond}) {
 		r := DefaultResolution()
 		r.Workers = m.Res.Workers
 		r.Precond = m.Res.Precond
-		r.Operator = m.Res.Operator
-		r.Hierarchy = m.Res.Hierarchy
-		r.Precision = m.Res.Precision
 		return r
 	}
 	return m.Res

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/mesh"
-	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/stack"
@@ -37,29 +36,13 @@ type Resolution struct {
 	// pickPrecond), which changes results only within the solver tolerance.
 	Workers int
 	// Precond overrides the preconditioner for solves at this resolution.
-	// The zero value (sparse.PrecondDefault) auto-selects: geometric
-	// multigrid above ~4k unknowns, SSOR/Chebyshev below (see
-	// resolveSolver). sparse.PrecondMG forces multigrid, with the hierarchy
-	// built per solve from the assembled grid.
+	// The zero value (sparse.PrecondDefault) auto-selects: multigrid above
+	// ~4k unknowns, SSOR/Chebyshev below (see resolveSolver).
+	// sparse.PrecondMG forces multigrid. Either way the hierarchy is built
+	// per solve from the assembled grid — the geometric one, since this
+	// grid has two axes (see mg.Build) — and a grid too small to coarsen
+	// falls back to the single-level default.
 	Precond sparse.PrecondKind
-	// Operator selects the matrix representation for solves at this
-	// resolution. The zero value (OperatorAuto) runs matrix-free whenever
-	// the preconditioner allows it; results are bit-identical either way.
-	Operator OperatorKind
-	// Hierarchy selects how multigrid coarse levels are built when a solve
-	// at this resolution is MG-preconditioned: the zero value keeps the
-	// Galerkin smoothed-aggregation hierarchy, mg.HierarchyGeometric
-	// re-discretizes coarse stencils directly (no Galerkin products, no
-	// coarse CSRs — the cheap-build mode for fresh refined solves). A
-	// geometric build that fails (the matrix is not a structured
-	// conductance stencil) falls back to Galerkin, counted in
-	// fem.mg.geometric.fallback.
-	Hierarchy mg.HierarchyKind
-	// Precision selects the multigrid preconditioner-data storage
-	// precision; mg.PrecisionF32 requires the geometric hierarchy. The
-	// outer CG stays float64 either way, so converged temperatures agree
-	// within the solver tolerance.
-	Precision mg.PrecisionKind
 	// RefineFactor records how many times finer than the base mesh this
 	// resolution is (Refine maintains it). Graded mesh intervals raise
 	// their per-cell ratio to the 1/RefineFactor power, keeping the total
@@ -96,9 +79,6 @@ func (r Resolution) Refine(f int) Resolution {
 		Bulk:          r.Bulk * f,
 		Workers:       r.Workers,
 		Precond:       r.Precond,
-		Operator:      r.Operator,
-		Hierarchy:     r.Hierarchy,
-		Precision:     r.Precision,
 		RefineFactor:  rf * f,
 	}
 }
@@ -117,9 +97,6 @@ func (r Resolution) gradeRatio(ratio float64) float64 {
 func (r Resolution) validate() error {
 	if r.RadialVia < 1 || r.RadialLiner < 1 || r.RadialOuter < 1 || r.AxialPerLayer < 1 || r.AxialMin < 1 || r.Bulk < 1 {
 		return fmt.Errorf("fem: resolution fields must all be >= 1: %+v", r)
-	}
-	if r.Precision == mg.PrecisionF32 && r.Hierarchy != mg.HierarchyGeometric {
-		return fmt.Errorf("fem: mg precision f32 requires the geometric hierarchy (mg.hierarchy=geometric)")
 	}
 	return nil
 }
@@ -359,5 +336,5 @@ func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res R
 	o := sparseDefaults()
 	o.Workers = res.Workers
 	o.Precond = res.Precond
-	return solveAxiWith(ctx, sc, p, o, res.Operator, mgSelect{Hierarchy: res.Hierarchy, Precision: res.Precision})
+	return SolveAxiWith(ctx, sc, p, o)
 }

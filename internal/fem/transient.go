@@ -75,17 +75,18 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 	// amortizing the setup the same way the shared pool amortizes workers.
 	o = resolveSolver(o, stepMatrix, sys.grid)
 	// The step matrix shares the steady operator's structured-grid stencil
-	// shape (a diagonal addition changes no sparsity), so the per-step
-	// matvecs run matrix-free whenever the preconditioner allows it —
-	// the same auto policy as the steady solves, applied once for the
-	// whole integration.
+	// shape (a diagonal addition changes no sparsity), so the steps follow
+	// the steady solves' operator rule (see operatorFor): the CSR under
+	// SSOR, the matrix-free stencil otherwise.
 	var stepOp sparse.Operator = stepMatrix
 	if o.Precond != sparse.PrecondSSOR {
-		if st, err := sparse.NewStencil(stepMatrix, sys.grid.dims); err == nil {
-			stepOp = st
-			if h, ok := o.MG.(*mg.Hierarchy); ok {
-				h.SetFineOperator(st)
-			}
+		st, err := sparse.NewStencil(stepMatrix, sys.grid.dims)
+		if err != nil {
+			return nil, fmt.Errorf("fem: matrix-free operator unavailable: %w", err)
+		}
+		stepOp = st
+		if h, ok := o.MG.(*mg.Hierarchy); ok {
+			h.SetFineOperator(st)
 		}
 	}
 	if o.Pool == nil {

@@ -23,236 +23,98 @@ package mg
 // computed or in which order, so a rebuild through a recycled arena is
 // bit-identical to a fresh build.
 type arena struct {
-	freeF64, usedF64   [][]float64
-	freeF32, usedF32   [][]float32
-	freeI32, usedI32   [][]int32
-	freeInt, usedInt   [][]int
-	freeBool, usedBool [][]bool
+	f64s  slab[float64]
+	i32s  slab[int32]
+	intS  slab[int]
+	boolS slab[bool]
 }
 
 // reset returns every used array to the free lists, starting a new
 // generation. The arrays of the hierarchy that owned them must no longer be
 // in use.
 func (ar *arena) reset() {
-	ar.freeF64 = append(ar.freeF64, ar.usedF64...)
-	ar.usedF64 = ar.usedF64[:0]
-	ar.freeF32 = append(ar.freeF32, ar.usedF32...)
-	ar.usedF32 = ar.usedF32[:0]
-	ar.freeI32 = append(ar.freeI32, ar.usedI32...)
-	ar.usedI32 = ar.usedI32[:0]
-	ar.freeInt = append(ar.freeInt, ar.usedInt...)
-	ar.usedInt = ar.usedInt[:0]
-	ar.freeBool = append(ar.freeBool, ar.usedBool...)
-	ar.usedBool = ar.usedBool[:0]
+	ar.f64s.reset()
+	ar.i32s.reset()
+	ar.intS.reset()
+	ar.boolS.reset()
 }
 
-// bestFit removes and returns the index of the smallest free entry with
-// capacity ≥ n, or -1. Generic over the four slice kinds via the caps
-// closure-free pattern below (hand-rolled: this package predates generics
-// use elsewhere in the repo and the four copies stay trivially readable).
-func bestFitF64(free [][]float64, n int) int {
-	best := -1
-	for i, s := range free {
-		if cap(s) >= n && (best < 0 || cap(s) < cap(free[best])) {
-			best = i
-		}
-	}
-	return best
-}
-
-func bestFitF32(free [][]float32, n int) int {
-	best := -1
-	for i, s := range free {
-		if cap(s) >= n && (best < 0 || cap(s) < cap(free[best])) {
-			best = i
-		}
-	}
-	return best
-}
-
-func bestFitI32(free [][]int32, n int) int {
-	best := -1
-	for i, s := range free {
-		if cap(s) >= n && (best < 0 || cap(s) < cap(free[best])) {
-			best = i
-		}
-	}
-	return best
-}
-
-func bestFitInt(free [][]int, n int) int {
-	best := -1
-	for i, s := range free {
-		if cap(s) >= n && (best < 0 || cap(s) < cap(free[best])) {
-			best = i
-		}
-	}
-	return best
-}
-
-func bestFitBool(free [][]bool, n int) int {
-	best := -1
-	for i, s := range free {
-		if cap(s) >= n && (best < 0 || cap(s) < cap(free[best])) {
-			best = i
-		}
-	}
-	return best
-}
-
-// largest returns the index of the largest free entry, or -1. Append-style
-// grabs fall back to it when nothing meets the hint: growing the biggest
-// recycled array wastes the least.
-func largestF64(free [][]float64) int {
-	best := -1
-	for i, s := range free {
-		if best < 0 || cap(s) > cap(free[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-func largestI32(free [][]int32) int {
-	best := -1
-	for i, s := range free {
-		if best < 0 || cap(s) > cap(free[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-func (ar *arena) f64(n int) []float64 {
-	if i := bestFitF64(ar.freeF64, n); i >= 0 {
-		s := ar.takeF64(i)[:n]
-		clear(s)
-		ar.usedF64 = append(ar.usedF64, s)
-		return s
-	}
-	s := make([]float64, n)
-	ar.usedF64 = append(ar.usedF64, s)
-	return s
-}
-
-func (ar *arena) f32(n int) []float32 {
-	if i := bestFitF32(ar.freeF32, n); i >= 0 {
-		s := ar.takeF32(i)[:n]
-		clear(s)
-		ar.usedF32 = append(ar.usedF32, s)
-		return s
-	}
-	s := make([]float32, n)
-	ar.usedF32 = append(ar.usedF32, s)
-	return s
-}
-
-func (ar *arena) i32(n int) []int32 {
-	if i := bestFitI32(ar.freeI32, n); i >= 0 {
-		s := ar.takeI32(i)[:n]
-		clear(s)
-		ar.usedI32 = append(ar.usedI32, s)
-		return s
-	}
-	s := make([]int32, n)
-	ar.usedI32 = append(ar.usedI32, s)
-	return s
-}
-
-func (ar *arena) ints(n int) []int {
-	if i := bestFitInt(ar.freeInt, n); i >= 0 {
-		s := ar.freeInt[i][:n]
-		ar.dropInt(i)
-		clear(s)
-		ar.usedInt = append(ar.usedInt, s)
-		return s
-	}
-	s := make([]int, n)
-	ar.usedInt = append(ar.usedInt, s)
-	return s
-}
-
-func (ar *arena) bools(n int) []bool {
-	if i := bestFitBool(ar.freeBool, n); i >= 0 {
-		s := ar.freeBool[i][:n]
-		ar.dropBool(i)
-		clear(s)
-		ar.usedBool = append(ar.usedBool, s)
-		return s
-	}
-	s := make([]bool, n)
-	ar.usedBool = append(ar.usedBool, s)
-	return s
-}
+func (ar *arena) f64(n int) []float64 { return ar.f64s.grab(n) }
+func (ar *arena) i32(n int) []int32   { return ar.i32s.grab(n) }
+func (ar *arena) ints(n int) []int    { return ar.intS.grab(n) }
+func (ar *arena) bools(n int) []bool  { return ar.boolS.grab(n) }
 
 // f64cap returns an empty slice with capacity ≥ hint when the free list can
 // supply one (falling back to the largest available), for append-style
 // assembly. The final slice must be passed to adoptF64.
-func (ar *arena) f64cap(hint int) []float64 {
-	i := bestFitF64(ar.freeF64, hint)
-	if i < 0 {
-		i = largestF64(ar.freeF64)
-	}
-	if i >= 0 {
-		return ar.takeF64(i)[:0]
-	}
-	return make([]float64, 0, hint)
-}
-
-func (ar *arena) i32cap(hint int) []int32 {
-	i := bestFitI32(ar.freeI32, hint)
-	if i < 0 {
-		i = largestI32(ar.freeI32)
-	}
-	if i >= 0 {
-		return ar.takeI32(i)[:0]
-	}
-	return make([]int32, 0, hint)
-}
+func (ar *arena) f64cap(hint int) []float64 { return ar.f64s.grabCap(hint) }
+func (ar *arena) i32cap(hint int) []int32   { return ar.i32s.grabCap(hint) }
 
 // adoptF64 records the final state of an append-assembled slice so the next
 // generation reuses its (possibly regrown) backing array.
-func (ar *arena) adoptF64(s []float64) { ar.usedF64 = append(ar.usedF64, s) }
-func (ar *arena) adoptI32(s []int32)   { ar.usedI32 = append(ar.usedI32, s) }
-func (ar *arena) adoptInt(s []int)     { ar.usedInt = append(ar.usedInt, s) }
+func (ar *arena) adoptF64(s []float64) { ar.f64s.used = append(ar.f64s.used, s) }
+func (ar *arena) adoptI32(s []int32)   { ar.i32s.used = append(ar.i32s.used, s) }
 
-func (ar *arena) takeF64(i int) []float64 {
-	s := ar.freeF64[i]
-	last := len(ar.freeF64) - 1
-	ar.freeF64[i] = ar.freeF64[last]
-	ar.freeF64[last] = nil
-	ar.freeF64 = ar.freeF64[:last]
-	return s[:cap(s)]
+// slab is the arena's free/used bookkeeping for one element type.
+type slab[T any] struct {
+	free, used [][]T
 }
 
-func (ar *arena) takeF32(i int) []float32 {
-	s := ar.freeF32[i]
-	last := len(ar.freeF32) - 1
-	ar.freeF32[i] = ar.freeF32[last]
-	ar.freeF32[last] = nil
-	ar.freeF32 = ar.freeF32[:last]
-	return s[:cap(s)]
+func (s *slab[T]) reset() {
+	s.free = append(s.free, s.used...)
+	s.used = s.used[:0]
 }
 
-func (ar *arena) takeI32(i int) []int32 {
-	s := ar.freeI32[i]
-	last := len(ar.freeI32) - 1
-	ar.freeI32[i] = ar.freeI32[last]
-	ar.freeI32[last] = nil
-	ar.freeI32 = ar.freeI32[:last]
-	return s[:cap(s)]
+// grab returns a zeroed length-n slice, best fit from the free list or
+// freshly allocated, and records it as used.
+func (s *slab[T]) grab(n int) []T {
+	var v []T
+	if i := s.bestFit(n); i >= 0 {
+		v = s.take(i)[:n]
+		clear(v)
+	} else {
+		v = make([]T, n)
+	}
+	s.used = append(s.used, v)
+	return v
 }
 
-func (ar *arena) dropInt(i int) {
-	last := len(ar.freeInt) - 1
-	ar.freeInt[i] = ar.freeInt[last]
-	ar.freeInt[last] = nil
-	ar.freeInt = ar.freeInt[:last]
+// grabCap returns an empty slice for append-style assembly without
+// recording it. Nothing meeting the hint falls back to the largest free
+// entry: growing the biggest recycled array wastes the least.
+func (s *slab[T]) grabCap(hint int) []T {
+	i := s.bestFit(hint)
+	if i < 0 {
+		for k, v := range s.free {
+			if i < 0 || cap(v) > cap(s.free[i]) {
+				i = k
+			}
+		}
+	}
+	if i >= 0 {
+		return s.take(i)[:0]
+	}
+	return make([]T, 0, hint)
 }
 
-func (ar *arena) dropBool(i int) {
-	last := len(ar.freeBool) - 1
-	ar.freeBool[i] = ar.freeBool[last]
-	ar.freeBool[last] = nil
-	ar.freeBool = ar.freeBool[:last]
+// bestFit returns the index of the smallest free entry with capacity ≥ n,
+// or -1.
+func (s *slab[T]) bestFit(n int) int {
+	best := -1
+	for i, v := range s.free {
+		if cap(v) >= n && (best < 0 || cap(v) < cap(s.free[best])) {
+			best = i
+		}
+	}
+	return best
+}
+
+// take removes free entry i and returns it at full capacity.
+func (s *slab[T]) take(i int) []T {
+	v := s.free[i]
+	last := len(s.free) - 1
+	s.free[i] = s.free[last]
+	s.free[last] = nil
+	s.free = s.free[:last]
+	return v[:cap(v)]
 }

@@ -50,40 +50,23 @@ func (a csrArrays) diagonal(mem *arena) []float64 {
 	return d
 }
 
-// aggregateStrength builds the fine→coarse cell map by repeated pairwise
-// matching on coupling strength: each pass walks the cells in index order
-// and joins every still-free cell with its most strongly coupled free
-// neighbor, measured by the scaled off-diagonal |a_ij|/√(a_ii·a_jj) (the
-// scaling makes couplings comparable across the orders-of-magnitude cell
-// volume spread of graded axisymmetric meshes). passes chained matchings —
-// each on the Galerkin operator of the previous — grow aggregates of up to
-// 2^passes cells.
+// aggregateStrength builds the fine→coarse cell map by one greedy pairwise
+// matching on coupling strength: the pass walks the cells in index order and
+// joins every still-free cell with its most strongly coupled free neighbor,
+// measured by the scaled off-diagonal |a_ij|/√(a_ii·a_jj) (the scaling makes
+// couplings comparable across the orders-of-magnitude cell volume spread of
+// graded meshes). Two-cell aggregates are the gentlest coarsening; the
+// smoothed transfers approximate pairs far better than larger aggregates,
+// and the deeper hierarchy stays cheap because each level still halves.
 //
 // Matching the matrix rather than the mesh is what handles the layer
 // stack's heterogeneous anisotropy: a thin ILD cell couples hardest to its
-// z-neighbors, a tall bulk substrate cell to its r-neighbors, so the same
-// sweep semi-coarsens z across the thin layers and r in the bulk — no
-// global axis choice could do both. Walk order and tie-breaks (first
+// z-neighbors, a wide bulk cell to its in-plane neighbors, so the same
+// sweep semi-coarsens z across the thin layers and the plane in the bulk —
+// no global axis choice could do both. Walk order and tie-breaks (first
 // strongest neighbor in CSR column order) are fixed, so the aggregation is
 // a pure function of the matrix.
-func aggregateStrength(a csrArrays, passes int, mem *arena) ([]int32, int) {
-	agg, nc := matchPairs(a, mem)
-	for p := 1; p < passes; p++ {
-		coarse := galerkinAggregated(a, agg, nc, mem)
-		agg2, nc2 := matchPairs(coarse, mem)
-		if nc2 == nc {
-			break
-		}
-		for i, c := range agg {
-			agg[i] = agg2[c]
-		}
-		nc = nc2
-	}
-	return agg, nc
-}
-
-// matchPairs is one greedy matching pass (see aggregateStrength).
-func matchPairs(a csrArrays, mem *arena) ([]int32, int) {
+func aggregateStrength(a csrArrays, mem *arena) ([]int32, int) {
 	n := a.rows()
 	diag := a.diagonal(mem)
 	agg := mem.i32(n)
@@ -177,64 +160,16 @@ func (r *rowAccumulator) flush(col []int32, val []float64) ([]int32, []float64) 
 	return col, val
 }
 
-// groupByAggregate inverts the fine→coarse map: members lists fine cells
-// coarse row by coarse row (a counting sort, so member order is ascending
-// fine index).
-func groupByAggregate(agg []int32, nc int, mem *arena) (ptr []int32, members []int32) {
-	ptr = mem.i32(nc + 1)
-	for _, c := range agg {
-		ptr[c+1]++
-	}
-	for c := 0; c < nc; c++ {
-		ptr[c+1] += ptr[c]
-	}
-	members = mem.i32(len(agg))
-	next := mem.i32(nc)
-	copy(next, ptr[:nc])
-	for i, c := range agg {
-		members[next[c]] = int32(i)
-		next[c]++
-	}
-	return ptr, members
-}
-
-// galerkinAggregated is the unsmoothed Galerkin product P_aggᵀ·A·P_agg for a
-// 0/1 aggregation: every fine entry accumulates into its aggregate pair.
-// Used between matching passes, where the pair-level coupling strengths —
-// not a solver-grade operator — are what the next pass needs.
-func galerkinAggregated(a csrArrays, agg []int32, nc int, mem *arena) csrArrays {
-	mPtr, members := groupByAggregate(agg, nc, mem)
-	out := csrArrays{ptr: mem.i32(nc + 1), col: mem.i32cap(len(a.col)), val: mem.f64cap(len(a.val))}
-	acc := newRowAccumulator(nc, mem)
-	for ic := 0; ic < nc; ic++ {
-		for m := mPtr[ic]; m < mPtr[ic+1]; m++ {
-			i := members[m]
-			for k := a.ptr[i]; k < a.ptr[i+1]; k++ {
-				acc.add(agg[a.col[k]], a.val[k])
-			}
-		}
-		out.col, out.val = acc.flush(out.col, out.val)
-		out.ptr[ic+1] = int32(len(out.col))
-	}
-	mem.adoptI32(out.col)
-	mem.adoptF64(out.val)
-	return out
-}
-
-// transfer is a level's smoothed-aggregation prolongation P, stored twice in
-// CSR layout: by fine row (p*) for the prolongation x += P·e, and by coarse
-// row (pt*) for the restriction b_c = Pᵀ·r. Both kernels parallelize over
-// their respective output rows with a fixed per-row summation order, so they
-// are bit-identical for any worker count.
+// transfer is a level's smoothed prolongation P, stored twice in CSR
+// layout: by fine row (p*) for the prolongation x += P·e, and by coarse row
+// (pt*) for the restriction b_c = Pᵀ·r. Both kernels parallelize over their
+// respective output rows with a fixed per-row summation order, so they are
+// bit-identical for any worker count.
 type transfer struct {
 	pPtr, pCol   []int32
 	pVal         []float64
 	ptPtr, ptCol []int32
 	ptVal        []float64
-	// pVal32/ptVal32 replace pVal/ptVal on a mixed-precision hierarchy
-	// (Options.Precision f32): the cycle dispatches on them being non-nil
-	// and runs the f32 raw-matvec kernels instead.
-	pVal32, ptVal32 []float32
 }
 
 // saOmega is the prolongation-smoothing damping 4/(3·λmax) applied to the
@@ -250,7 +185,7 @@ const saOmega = 4.0 / 3.0
 // approximation property and keeps the hierarchy's convergence rate
 // mesh-independent. The rows of P follow A's sparsity (plus the diagonal),
 // assembled deterministically through the sorted COO→CSR path.
-func smoothedProlongation(a csrArrays, invDiag []float64, lmax float64, agg []int32, nc int, dropTol float64, mem *arena) *transfer {
+func smoothedProlongation(a csrArrays, invDiag []float64, lmax float64, agg []int32, nc int, mem *arena) *transfer {
 	n := len(invDiag)
 	omega := saOmega / lmax
 	p := csrArrays{ptr: mem.i32(n + 1), col: mem.i32cap(len(a.col) + n), val: mem.f64cap(len(a.val) + n)}
@@ -266,7 +201,7 @@ func smoothedProlongation(a csrArrays, invDiag []float64, lmax float64, agg []in
 	}
 	mem.adoptI32(p.col)
 	mem.adoptF64(p.val)
-	p = filterRows(p, dropTol, mem)
+	p = filterRows(p, mem)
 	pt := transpose(p, nc, mem)
 	return &transfer{
 		pPtr: p.ptr, pCol: p.col, pVal: p.val,
@@ -372,7 +307,7 @@ const pDropTol = 0.02
 
 // filterRows applies pDropTol row filtering (see above) in place on
 // freshly extracted prolongation arrays.
-func filterRows(p csrArrays, dropTol float64, mem *arena) csrArrays {
+func filterRows(p csrArrays, mem *arena) csrArrays {
 	out := csrArrays{ptr: mem.i32(len(p.ptr)), col: mem.i32cap(len(p.col)), val: mem.f64cap(len(p.val))}
 	for i := 0; i < p.rows(); i++ {
 		lo, hi := p.ptr[i], p.ptr[i+1]
@@ -383,7 +318,7 @@ func filterRows(p csrArrays, dropTol float64, mem *arena) csrArrays {
 			}
 			sum += p.val[k]
 		}
-		cut := dropTol * wmax
+		cut := pDropTol * wmax
 		var kept float64
 		for k := lo; k < hi; k++ {
 			if math.Abs(p.val[k]) >= cut {

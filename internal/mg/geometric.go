@@ -1,11 +1,11 @@
 package mg
 
-// Geometric hierarchy construction (Options.Hierarchy = HierarchyGeometric).
+// Geometric hierarchy construction, Build's choice for grids with 1–2 axes.
 //
 // The smoothed-aggregation path builds every coarse operator as a Galerkin
 // product Pᵀ·A·P — two sparse matrix-matrix products per level whose
 // append-grown CSRs dominate fresh-build wall time and memory. On the
-// structured finite-volume grids behind the reference solver none of that
+// axisymmetric finite-volume grid behind the reference solver none of that
 // machinery is needed: the matrix IS a 7-point conductance network with a
 // nonnegative grounding (the Dirichlet boundary terms), and a coarse grid is
 // just the same network with 2×-per-axis merged cells. Each coarse level is
@@ -39,8 +39,8 @@ package mg
 // the pool's deterministic transfer kernels. Because full 2×-per-axis
 // coarsening preserves anisotropy ratios level after level, the levels
 // smooth with the alternating-direction line smoother (linesmooth.go)
-// instead of point Chebyshev, and cycles default to a truncated W-cycle
-// (Options.Gamma). The whole build is a handful of O(n) passes.
+// instead of point Chebyshev, and cycle as a truncated W-cycle (see
+// vcycle). The whole build is a handful of O(n) passes.
 
 import (
 	"fmt"
@@ -283,29 +283,9 @@ func coarsenGeom(f *geomGrid, mem *arena) *geomGrid {
 }
 
 // operator wraps the grid's coefficient arrays as the level's matrix-free
-// stencil — float64 directly, or a float32 copy for the mixed-precision
-// cycle (the float64 arrays stay live either way: the next coarsening and
-// the bottom factorization read them).
-func (g *geomGrid) operator(f32 bool, mem *arena) (sparse.Operator, error) {
-	dims := []int{g.nd[0], g.nd[1], g.nd[2]}
-	if !f32 {
-		return sparse.NewStencilCoeffs(dims, g.diag, g.off)
-	}
-	diag := mem.f32(g.n)
-	for i, v := range g.diag {
-		diag[i] = float32(v)
-	}
-	var off [3][]float32
-	for d := 0; d < 3; d++ {
-		if g.off[d] == nil {
-			continue
-		}
-		off[d] = mem.f32(g.n)
-		for i, v := range g.off[d] {
-			off[d][i] = float32(v)
-		}
-	}
-	return sparse.NewStencilF32Coeffs(dims, diag, off)
+// stencil.
+func (g *geomGrid) operator() (sparse.Operator, error) {
+	return sparse.NewStencilCoeffs([]int{g.nd[0], g.nd[1], g.nd[2]}, g.diag, g.off)
 }
 
 // geomLmax is the Gershgorin bound on the Jacobi-scaled spectrum of a
@@ -358,7 +338,7 @@ func geomLmax(g *geomGrid) float64 {
 // neighboring parent per axis (the out-of-box neighbor), emitted in canonical
 // −z,−y,−x,center,+x,+y,+z column order, so the arrays are deterministic and
 // the counting-sort transpose lands sorted. Restriction is Pᵀ.
-func geomTransfer(f, c *geomGrid, f32 bool, mem *arena) *transfer {
+func geomTransfer(f, c *geomGrid, mem *arena) *transfer {
 	n, nc := f.n, c.n
 	cs := c.strides()
 	fs := f.strides()
@@ -413,79 +393,60 @@ func geomTransfer(f, c *geomGrid, f32 bool, mem *arena) *transfer {
 	mem.adoptI32(p.col)
 	mem.adoptF64(p.val)
 	pt := transpose(p, nc, mem)
-	tr := &transfer{
+	return &transfer{
 		pPtr: p.ptr, pCol: p.col, pVal: p.val,
 		ptPtr: pt.ptr, ptCol: pt.col, ptVal: pt.val,
 	}
-	if f32 {
-		tr.pVal32 = f32From(tr.pVal, mem)
-		tr.ptVal32 = f32From(tr.ptVal, mem)
-		tr.pVal, tr.ptVal = nil, nil
-	}
-	return tr
-}
-
-func f32From(v []float64, mem *arena) []float32 {
-	out := mem.f32(len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
 }
 
 // buildGeometric assembles the hierarchy's levels by repeated
-// re-discretization and factors the coarsest grid densely, mirroring the
-// Galerkin builder's stopping rules.
-func (h *Hierarchy) buildGeometric(a *sparse.CSR, dims []int, opt Options, mem *arena) error {
+// re-discretization and factors the coarsest grid densely, with the same
+// stopping rules as the Galerkin builder.
+func (h *Hierarchy) buildGeometric(a *sparse.CSR, dims []int, mem *arena) error {
 	n := a.Rows()
 	g, err := geomFromCSR(a, dims, mem)
 	if err != nil {
 		return err
 	}
-	f32 := opt.Precision == PrecisionF32
-	lv, err := newLevel(a, opt, mem)
+	lv, err := newLevel(a, mem)
 	if err != nil {
 		return err
 	}
 	// Every geometric level smooths by alternating-direction line relaxation
 	// (see linesmooth.go); the finest level's factors come from the same
 	// extracted coefficients the coarsening consumes.
-	if lv.lines, err = factorLines(g, f32, mem); err != nil {
+	if lv.lines, err = factorLines(g, mem); err != nil {
 		return err
 	}
 	h.levels = append(h.levels, lv)
-	for g.n > opt.coarsestSize() && len(h.levels) < opt.maxLevels() {
+	for g.n > coarsestSize && len(h.levels) < maxLevels {
 		c := coarsenGeom(g, mem)
 		if c.n >= g.n {
 			break
 		}
-		h.levels[len(h.levels)-1].tr = geomTransfer(g, c, f32, mem)
-		op, err := c.operator(f32, mem)
+		h.levels[len(h.levels)-1].tr = geomTransfer(g, c, mem)
+		op, err := c.operator()
 		if err != nil {
 			return err
 		}
-		clv, err := newLevelOp(op, opt, mem)
+		clv, err := newLevelOp(op, mem)
 		if err != nil {
 			return err
 		}
-		if clv.lines, err = factorLines(c, f32, mem); err != nil {
+		if clv.lines, err = factorLines(c, mem); err != nil {
 			return err
 		}
-		if h.gamma > 1 {
-			// W-cycle recursion target: dedicated correction scratch (never
-			// the finest level, whose vectors belong to the caller).
-			clv.b2 = mem.f64(c.n)
-			clv.x2 = mem.f64(c.n)
-		}
+		// W-cycle recursion target: dedicated correction scratch (never the
+		// finest level, whose vectors belong to the caller).
+		clv.b2 = mem.f64(c.n)
+		clv.x2 = mem.f64(c.n)
 		h.levels = append(h.levels, clv)
 		g = c
 	}
 	if len(h.levels) < 2 {
 		return fmt.Errorf("mg: %d unknowns cannot coarsen (already at or below the coarse-solve size)", n)
 	}
-	// Direct coarse solve from the bottom grid's float64 coefficients (the
-	// mixed-precision cycle still backsolves in float64 — the factorization
-	// is where rounding would actually compound).
+	// Direct coarse solve from the bottom grid's coefficients.
 	nb := g.n
 	chol, err := linalg.FactorizeCholeskyInto(denseFromGeom(g, mem),
 		linalg.NewMatrixWithData(nb, nb, mem.f64(nb*nb)))

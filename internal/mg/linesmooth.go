@@ -35,19 +35,18 @@ import (
 // cycle a fixed symmetric positive definite operator (CG stays valid).
 //
 // The factors are stored per level as two arrays (unit-lower entry and
-// inverse pivot per cell) — float32 in the mixed-precision cycle — and the
-// solves run through the pool's line kernels: lines are independent, so
-// results are bit-identical for any worker count.
+// inverse pivot per cell), and the solves run through the pool's line
+// kernels: lines are independent, so results are bit-identical for any
+// worker count.
 
 // lineAxis holds the LDLᵀ factors of the tridiagonal line blocks along one
 // grid axis of a level: l[i] is row i's unit-lower-triangular entry (its
 // coupling to the previous cell on the line divided by that cell's pivot)
-// and invc[i] the inverse pivot. Exactly one of the f64/f32 pairs is set.
+// and invc[i] the inverse pivot.
 type lineAxis struct {
-	axis       int
-	nd         [3]int
-	l, invc    []float64
-	l32, inv32 []float32
+	axis    int
+	nd      [3]int
+	l, invc []float64
 }
 
 // lineOmega damps each line sweep: z += ω·T_d⁻¹(r − A·z). The undamped
@@ -68,11 +67,10 @@ const lineOmega = 0.55
 
 // factorLines LDLᵀ-factors the tridiagonal line blocks of g along every axis
 // of extent > 1, in ascending axis order — the sweep order of the smoother —
-// and folds the lineOmega damping into the inverse pivots. The factorization
-// runs in float64 and is rounded to float32 afterwards when f32 is set. One
-// sequential ascending pass per axis, so recycled rebuilds are bit-identical
-// to fresh ones.
-func factorLines(g *geomGrid, f32 bool, mem *arena) ([]lineAxis, error) {
+// and folds the lineOmega damping into the inverse pivots. One sequential
+// ascending pass per axis, so recycled rebuilds are bit-identical to fresh
+// ones.
+func factorLines(g *geomGrid, mem *arena) ([]lineAxis, error) {
 	var axes []lineAxis
 	s := g.strides()
 	for d := 0; d < 3; d++ {
@@ -101,19 +99,7 @@ func factorLines(g *geomGrid, f32 bool, mem *arena) ([]lineAxis, error) {
 		for i := 0; i < g.n; i++ {
 			invc[i] *= lineOmega
 		}
-		ax := lineAxis{axis: d, nd: g.nd}
-		if f32 {
-			l32 := mem.f32(g.n)
-			inv32 := mem.f32(g.n)
-			for i := 0; i < g.n; i++ {
-				l32[i] = float32(l[i])
-				inv32[i] = float32(invc[i])
-			}
-			ax.l32, ax.inv32 = l32, inv32
-		} else {
-			ax.l, ax.invc = l, invc
-		}
-		axes = append(axes, ax)
+		axes = append(axes, lineAxis{axis: d, nd: g.nd, l: l, invc: invc})
 	}
 	if len(axes) == 0 {
 		return nil, fmt.Errorf("mg: grid %v has no axis to smooth along", g.nd)
@@ -124,11 +110,7 @@ func factorLines(g *geomGrid, f32 bool, mem *arena) ([]lineAxis, error) {
 // solve computes x = T⁻¹r for the axis's line blocks through the pool's
 // deterministic line kernels.
 func (ax *lineAxis) solve(p *sparse.Pool, r, x []float64) {
-	if ax.l32 != nil {
-		p.LineSolveF32(ax.nd, ax.axis, ax.l32, ax.inv32, r, x)
-	} else {
-		p.LineSolve(ax.nd, ax.axis, ax.l, ax.invc, r, x)
-	}
+	p.LineSolve(ax.nd, ax.axis, ax.l, ax.invc, r, x)
 }
 
 // smoothLines applies the alternating-direction line smoother from the zero

@@ -1,30 +1,32 @@
-// Package mg implements a geometric multigrid preconditioner for the
-// structured tensor-product grids behind the finite-volume reference solver
+// Package mg implements the multigrid preconditioner for the structured
+// tensor-product grids behind the finite-volume reference solver
 // (internal/fem): the axisymmetric (r, z) grid and the 3-D Cartesian grid.
 //
-// The hierarchy is built once per matrix by smoothed-aggregation coarsening:
-// fine cells are paired into aggregates by coupling strength, and the
-// tentative piecewise-constant prolongation is smoothed by one damped-Jacobi
-// pass, P = (I − ω·D⁻¹A)·P_agg, before the Galerkin product A_c = Pᵀ·A·P
-// forms the coarse operator. The smoothing step is what makes the V-cycle
-// convergence rate mesh-independent — plain aggregation transfers represent
-// smooth error so poorly that iteration counts grow with refinement — and
-// the Jacobi weighting adapts the transfers to the strong material jumps of
-// a via stack (copper/SiO2/polyimide span four orders of magnitude in k).
+// Build picks the hierarchy from the grid it is given; no caller chooses:
 //
-// Anisotropy: the layer stack mixes sub-micron ILD/liner cells with
-// hundred-micron bulk cells, and which direction couples strongly flips
-// from region to region (z across the thin layers, r in the tall graded
-// substrate cells). Aggregates therefore come from strength-based pairwise
-// matching on the matrix itself rather than a per-axis mesh rule: each cell
-// joins its most strongly coupled neighbor, which semi-coarsens every
-// region along its own strong direction (see aggregateStrength).
+//   - Grids with 1–2 axes (the axisymmetric reference and its transient) get
+//     the geometric hierarchy (geometric.go): every coarse level is
+//     re-discretized straight from the fine level's stencil coefficients by
+//     2×-per-axis cell merging, smoothed by alternating-direction line
+//     relaxation (linesmooth.go) and cycled as a truncated W-cycle. The build
+//     is a handful of O(n) passes with no sparse matrix products.
+//   - 3-axis grids (the Cartesian block and the chip power map) get the
+//     smoothed-aggregation Galerkin hierarchy (coarsen.go): fine cells are
+//     paired into aggregates by coupling strength, the tentative piecewise-
+//     constant prolongation is smoothed by one damped-Jacobi pass,
+//     P = (I − ω·D⁻¹A)·P_agg, and the Galerkin product A_c = Pᵀ·A·P forms
+//     each coarse operator, cycled as a V-cycle with Chebyshev smoothing.
+//     Alternating line relaxation with full 2× coarsening is not robust when
+//     two axes couple strongly, which happens only in 3-D: on the Fig. 4
+//     block the geometric cycle needs 160 CG iterations where Galerkin needs
+//     21, and on Fig. 5 it stalls before its iteration budget. Aggregating
+//     along each cell's strongest coupling semi-coarsens every region along
+//     its own strong direction instead (see aggregateStrength).
 //
-// Applied as a preconditioner, one V-cycle with fixed-degree Chebyshev
-// smoothing is a fixed linear SPD operator (CG stays valid), built entirely
-// from matrix products, transfers and element-wise updates on the
-// deterministic chunk grid of internal/sparse.Pool — solves are
-// bit-identical for any worker count.
+// Either cycle is a fixed symmetric positive definite operator (CG stays
+// valid), built from matrix products, transfers, line solves and element-
+// wise updates on the deterministic chunk grid of internal/sparse.Pool —
+// solves are bit-identical for any worker count.
 package mg
 
 import (
@@ -36,212 +38,32 @@ import (
 	"repro/internal/sparse"
 )
 
-// HierarchyKind selects how the coarse operators of a hierarchy are built.
-type HierarchyKind int
-
-const (
-	// HierarchyGalerkin (the default) coarsens by smoothed aggregation and
-	// forms each coarse operator as the Galerkin product A_c = Pᵀ·A·P — two
-	// sparse matrix-matrix products per level, stored as CSRs. Robust on any
-	// SPD input, at the cost of dominating fresh-build wall time and memory.
-	HierarchyGalerkin HierarchyKind = iota
-	// HierarchyGeometric re-discretizes each coarse level directly from the
-	// fine level's 7-point stencil coefficients: fine cells are merged 2×
-	// per axis and the face conductances collapse by series/parallel
-	// composition, yielding a coefficient-backed sparse.Stencil per level —
-	// no sparse matrix products, no coarse CSR storage, an O(n) build. It
-	// requires the matrix to be a structured-grid stencil with nonpositive
-	// off-diagonals (the fem finite-volume systems qualify); Build fails on
-	// anything else. Geometric levels pair Jacobi-smoothed box transfers
-	// with an alternating-direction line smoother (full coarsening keeps
-	// each level's anisotropy, which defeats point smoothing) and default
-	// to a truncated W-cycle (Gamma 2); on the fem stacks the combination
-	// takes fewer CG iterations than the Galerkin hierarchy.
-	HierarchyGeometric
-)
-
-func (k HierarchyKind) String() string {
-	switch k {
-	case HierarchyGalerkin:
-		return "galerkin"
-	case HierarchyGeometric:
-		return "geometric"
-	default:
-		return fmt.Sprintf("HierarchyKind(%d)", int(k))
-	}
-}
-
-// ParseHierarchy converts a command-line or deck spelling into a
-// HierarchyKind. "auto", "default" and "" select Galerkin.
-func ParseHierarchy(s string) (HierarchyKind, error) {
-	switch s {
-	case "auto", "default", "", "galerkin":
-		return HierarchyGalerkin, nil
-	case "geometric", "geom":
-		return HierarchyGeometric, nil
-	}
-	return HierarchyGalerkin, fmt.Errorf("mg: unknown hierarchy %q (want auto, galerkin or geometric)", s)
-}
-
-// PrecisionKind selects the storage precision of the hierarchy's
-// preconditioner data (line-smoother factors, transfer values, coarse
-// stencil coefficients). The outer CG and every residual stay float64 either way —
-// the preconditioner only shapes the Krylov space, so converged answers stay
-// within solver tolerance of the full-precision run.
-type PrecisionKind int
-
-const (
-	// PrecisionF64 (the default) stores everything as float64.
-	PrecisionF64 PrecisionKind = iota
-	// PrecisionF32 stores smoother/transfer/coarse-stencil data as float32,
-	// widened per term inside the kernels — roughly halving preconditioner
-	// memory traffic. Only the geometric hierarchy supports it (the Galerkin
-	// CSR kernels are float64-only).
-	PrecisionF32
-)
-
-func (k PrecisionKind) String() string {
-	switch k {
-	case PrecisionF64:
-		return "f64"
-	case PrecisionF32:
-		return "f32"
-	default:
-		return fmt.Sprintf("PrecisionKind(%d)", int(k))
-	}
-}
-
-// ParsePrecision converts a command-line or deck spelling into a
-// PrecisionKind. "auto", "default" and "" select f64.
-func ParsePrecision(s string) (PrecisionKind, error) {
-	switch s {
-	case "auto", "default", "", "f64", "float64":
-		return PrecisionF64, nil
-	case "f32", "float32":
-		return PrecisionF32, nil
-	}
-	return PrecisionF64, fmt.Errorf("mg: unknown precision %q (want auto, f64 or f32)", s)
-}
-
-// Options tunes hierarchy construction. The zero value selects defaults
-// appropriate for the heat-conduction systems in this repository.
+// Options tunes hierarchy construction. The zero value builds from scratch.
 type Options struct {
-	// Hierarchy selects how coarse operators are built; see HierarchyKind.
-	// The zero value is HierarchyGalerkin.
-	Hierarchy HierarchyKind
-	// Precision selects the preconditioner-data storage precision; see
-	// PrecisionKind. The zero value is PrecisionF64. PrecisionF32 requires
-	// HierarchyGeometric.
-	Precision PrecisionKind
-	// CoarsestSize stops coarsening once a level has at most this many
-	// unknowns; that level is solved directly by dense Cholesky.
-	// Zero means 400.
-	CoarsestSize int
-	// SmootherDegree is the Chebyshev smoother's polynomial degree per pre-
-	// and post-smoothing application. Zero means 2.
-	SmootherDegree int
-	// SmootherRange sets the smoother's target interval [λmax/SmootherRange,
-	// λmax] on the Jacobi-scaled spectrum. Zero means 8.
-	SmootherRange float64
-	// PairPasses is the number of chained pairwise matchings per level;
-	// aggregates reach up to 2^PairPasses cells. Zero means 1: pairs only,
-	// the gentlest coarsening. On the stack systems the resulting two-cell
-	// aggregates cut CG iteration counts 2–4× below four-cell ones — the
-	// smoothed transfers approximate pairs far better — and the deeper
-	// hierarchy stays cheap because each level also halves.
-	PairPasses int
-	// MaxLevels caps the hierarchy depth. Zero means 24.
-	MaxLevels int
-	// Gamma is the number of coarse-grid visits per cycle below
-	// GammaFromLevel: 1 gives a pure V-cycle, 2 a truncated W-cycle (each
-	// extra visit is an additive residual correction, so the cycle stays a
-	// fixed symmetric operator and CG remains valid). Zero means 1 — the
-	// V-cycle — for the Galerkin hierarchy: on the nested mesh families
-	// fem's grading-preserving refinement produces, its V-cycle iteration
-	// counts are already mesh-independent, so extra visits only add wall
-	// time. For the geometric hierarchy zero means 2: full coarsening
-	// halves resolution per axis every level, so the cheap extra coarse
-	// visits buy back what the faster coarsening loses. Negative forces 1
-	// in either mode.
-	Gamma int
-	// GammaFromLevel is the first level index whose recursion into the next
-	// coarser level runs Gamma times; shallower levels recurse once. Zero
-	// and negative mean 0 (from the finest level).
-	GammaFromLevel int
-	// DeepPairPasses is the pairwise-matching pass count for levels at index
-	// DeepAggLevel and beyond: deeper coarsening (up to 2^DeepPairPasses-cell
-	// aggregates) where the compounding Galerkin stencil growth makes extra
-	// levels expensive. Zero means 2; negative means PairPasses everywhere.
-	DeepPairPasses int
-	// DeepAggLevel is the first level index coarsened with DeepPairPasses.
-	// Zero disables deep aggregation — the default: gentle pairs converge
-	// strictly better, and on nested refinements the Galerkin
-	// densification the deep passes guard against stays mild (watch the
-	// mg.level*.density gauges). Negative means every level.
-	DeepAggLevel int
 	// Prev optionally donates a previous hierarchy whose backing arrays are
-	// recycled through the build's internal arena — the re-Galerkin path for
+	// recycled through the build's internal arena — the rebuild path for
 	// parameter sweeps, where each point's operator shares the sparsity
-	// pattern of the last. The rebuild recomputes aggregation, transfers and
-	// coarse operators from the new matrix (falling back to nothing: a
-	// recycled build IS a full build, just without the allocations), so the
-	// result is bit-identical to a fresh Build. Prev is consumed: it must not
-	// be cycled again afterwards, even when Build fails.
+	// pattern of the last. The rebuild recomputes every coarse operator,
+	// transfer and factorization from the new matrix (a recycled build IS a
+	// full build, just without the allocations), so the result is
+	// bit-identical to a fresh Build. Prev is consumed: it must not be cycled
+	// again afterwards, even when Build fails.
 	Prev *Hierarchy
 }
 
-func (o Options) coarsestSize() int { return intDefault(o.CoarsestSize, 400) }
-func (o Options) degree() int       { return intDefault(o.SmootherDegree, 2) }
-func (o Options) pairPasses() int   { return intDefault(o.PairPasses, 1) }
-func (o Options) maxLevels() int    { return intDefault(o.MaxLevels, 24) }
-
-func (o Options) gamma() int {
-	if o.Gamma < 0 {
-		return 1
-	}
-	// The geometric hierarchy defaults to the truncated W-cycle to match
-	// the smoothed-aggregation V-cycle's convergence; Galerkin keeps the
-	// plain V-cycle (see Options.Gamma).
-	if o.Gamma == 0 && o.Hierarchy == HierarchyGeometric {
-		return 2
-	}
-	return intDefault(o.Gamma, 1)
-}
-
-func (o Options) gammaFromLevel() int {
-	if o.GammaFromLevel < 0 {
-		return 0
-	}
-	return intDefault(o.GammaFromLevel, 0)
-}
-
-func (o Options) deepPairPasses() int {
-	if o.DeepPairPasses < 0 {
-		return o.pairPasses()
-	}
-	return intDefault(o.DeepPairPasses, 2)
-}
-
-func (o Options) deepAggLevel() int {
-	if o.DeepAggLevel < 0 {
-		return 0
-	}
-	return intDefault(o.DeepAggLevel, 1<<30) // zero: deep aggregation off
-}
-
-func (o Options) smootherRange() float64 {
-	if o.SmootherRange > 1 {
-		return o.SmootherRange
-	}
-	return 8
-}
-
-func intDefault(v, d int) int {
-	if v > 0 {
-		return v
-	}
-	return d
-}
+const (
+	// coarsestSize stops coarsening once a level has at most this many
+	// unknowns; that level is solved directly by dense Cholesky.
+	coarsestSize = 400
+	// maxLevels caps the hierarchy depth.
+	maxLevels = 24
+	// smootherDegree is the Chebyshev smoother's polynomial degree per pre-
+	// and post-smoothing application on Galerkin levels.
+	smootherDegree = 2
+	// smootherRange sets the Chebyshev smoother's target interval
+	// [λmax/smootherRange, λmax] on the Jacobi-scaled spectrum.
+	smootherRange = 8.0
+)
 
 // level is one grid of the hierarchy plus its transfer to the next-coarser
 // one. Scratch vectors live here so a cycle allocates nothing; consequently
@@ -251,12 +73,12 @@ type level struct {
 	// levels never assemble one: they carry only a coefficient-backed
 	// stencil in op, and a stays nil.
 	a *sparse.CSR
-	// op is the operator the level's matrix products run through. A
-	// Galerkin level starts at its assembled CSR; SetFineOperator can
-	// redirect the finest level to a matrix-free equivalent (fem's
-	// structured-grid stencil), which must match a bit for bit — the
-	// smoother bounds and the coarse hierarchy are built from a, so a
-	// mismatched operator would desynchronize them silently.
+	// op is the operator the level's matrix products run through. A level
+	// starts at its assembled CSR; SetFineOperator can redirect the finest
+	// level to a matrix-free equivalent (fem's structured-grid stencil),
+	// which must match a bit for bit — the smoother bounds and the coarse
+	// hierarchy are built from a, so a mismatched operator would
+	// desynchronize them silently.
 	op sparse.Operator
 
 	// Chebyshev smoother data (see newSmoother). lmax is the Gershgorin
@@ -265,16 +87,13 @@ type level struct {
 	invDiag      []float64
 	lmax         float64
 	theta, delta float64
-	degree       int
 
 	// lines switches the level to the alternating-direction line smoother
 	// (see linesmooth.go) — set on every geometric level, nil on Galerkin
-	// ones, which keep the Chebyshev smoother. Its factors are float32 in
-	// the mixed-precision cycle (Options.Precision).
+	// ones, which keep the Chebyshev smoother.
 	lines []lineAxis
 
-	// Smoothed-aggregation transfer to the next-coarser level; nil on the
-	// coarsest level.
+	// Transfer to the next-coarser level; nil on the coarsest level.
 	tr *transfer
 
 	// Scratch: b/x are this level's restricted problem (unused on the finest
@@ -283,10 +102,11 @@ type level struct {
 	// iteration state.
 	b, x, res, e []float64
 	cd, cres, ct []float64
-	// b2/x2 carry the extra residual corrections of the truncated W-cycle
-	// (nil on the finest level, which is never a Gamma target). They must
-	// not alias the vectors above: the correction wraps around a full
-	// vcycle, which consumes every other scratch slot on this level.
+	// b2/x2 carry the extra residual correction of the geometric W-cycle
+	// (nil on the finest level, which is never a W-cycle target, and on
+	// Galerkin levels). They must not alias the vectors above: the
+	// correction wraps around a full cycle, which consumes every other
+	// scratch slot on this level.
 	b2, x2 []float64
 }
 
@@ -298,15 +118,9 @@ type Hierarchy struct {
 	levels []*level
 	coarse *linalg.Cholesky
 
-	// gamma/gammaFrom freeze the cycle shape chosen at Build time (see
-	// Options.Gamma): levels at index >= gammaFrom visit their coarse level
-	// gamma times per cycle.
-	gamma, gammaFrom int
-
-	// geometric and f32 record the hierarchy mode and storage precision
-	// chosen at Build time, for metrics and diagnostics.
+	// geometric records which hierarchy Build chose: it selects the
+	// W-cycle in vcycle and feeds metrics and diagnostics.
 	geometric bool
-	f32       bool
 
 	// ar owns every array behind the hierarchy; Build(Options{Prev: h})
 	// resets and reuses it, which is why a donated hierarchy must never be
@@ -323,12 +137,19 @@ type Hierarchy struct {
 // Build constructs a hierarchy for the n-unknown matrix a laid out on a
 // structured grid with the given per-axis cell counts, fastest-varying axis
 // first (the fem convention: axi index = iz·nr + ir has dims [nr, nz]; cart
-// index = (iz·ny + iy)·nx + ix has dims [nx, ny, nz]). The dims only
-// cross-check the caller's layout — aggregation itself reads coupling
-// strengths off the matrix. The matrix must be symmetric positive definite
-// with a positive diagonal; Build fails — and the caller falls back to a
+// index = (iz·ny + iy)·nx + ix has dims [nx, ny, nz]). The number of axes
+// picks the hierarchy (see the package comment): geometric for 1–2 axes,
+// smoothed-aggregation Galerkin for 3. The matrix must be symmetric positive
+// definite with a positive diagonal — on 1–2 axes also a nearest-neighbor
+// conductance stencil on dims; Build fails — and the caller falls back to a
 // single-level preconditioner — when it is not, or when it cannot coarsen.
 func Build(a *sparse.CSR, dims []int, opt Options) (*Hierarchy, error) {
+	return build(a, dims, opt, len(dims) < 3)
+}
+
+// build is Build with the hierarchy chosen by the caller, so tests can
+// compare both hierarchies on one grid.
+func build(a *sparse.CSR, dims []int, opt Options, geometric bool) (*Hierarchy, error) {
 	buildStart := time.Now()
 	n := a.Rows()
 	if a.Cols() != n {
@@ -347,9 +168,6 @@ func Build(a *sparse.CSR, dims []int, opt Options) (*Hierarchy, error) {
 	if cells != n {
 		return nil, fmt.Errorf("mg: grid %v has %d cells, matrix has %d rows", dims, cells, n)
 	}
-	if opt.Precision == PrecisionF32 && opt.Hierarchy != HierarchyGeometric {
-		return nil, fmt.Errorf("mg: Precision f32 requires the geometric hierarchy (the Galerkin CSR kernels are float64-only)")
-	}
 
 	// Recycle the donated hierarchy's arena when there is one; every
 	// allocation below comes out of it, so a steady-state sweep rebuild
@@ -364,13 +182,12 @@ func Build(a *sparse.CSR, dims []int, opt Options) (*Hierarchy, error) {
 		opt.Prev.levels = nil
 		reused = true
 	}
-	h := &Hierarchy{ar: mem, gamma: opt.gamma(), gammaFrom: opt.gammaFromLevel(),
-		geometric: opt.Hierarchy == HierarchyGeometric, f32: opt.Precision == PrecisionF32}
-	if opt.Hierarchy == HierarchyGeometric {
-		if err := h.buildGeometric(a, dims, opt, mem); err != nil {
+	h := &Hierarchy{ar: mem, geometric: geometric}
+	if geometric {
+		if err := h.buildGeometric(a, dims, mem); err != nil {
 			return nil, err
 		}
-	} else if err := h.buildGalerkin(a, opt, mem); err != nil {
+	} else if err := h.buildGalerkin(a, mem); err != nil {
 		return nil, err
 	}
 	h.bindMetrics(time.Since(buildStart), reused)
@@ -379,37 +196,23 @@ func Build(a *sparse.CSR, dims []int, opt Options) (*Hierarchy, error) {
 
 // buildGalerkin runs the smoothed-aggregation coarsening loop and factors the
 // coarsest Galerkin operator.
-func (h *Hierarchy) buildGalerkin(a *sparse.CSR, opt Options, mem *arena) error {
+func (h *Hierarchy) buildGalerkin(a *sparse.CSR, mem *arena) error {
 	n := a.Rows()
 	for {
-		lv, err := newLevel(a, opt, mem)
+		lv, err := newLevel(a, mem)
 		if err != nil {
 			return err
 		}
-		if len(h.levels) > 0 && h.gamma > 1 {
-			// This level can be a W-cycle recursion target: give it the
-			// dedicated correction scratch (never the finest level, whose
-			// vectors belong to the caller).
-			lv.b2 = mem.f64(a.Rows())
-			lv.x2 = mem.f64(a.Rows())
-		}
 		h.levels = append(h.levels, lv)
-		if a.Rows() <= opt.coarsestSize() || len(h.levels) >= opt.maxLevels() {
+		if a.Rows() <= coarsestSize || len(h.levels) >= maxLevels {
 			break
 		}
-		// Gentle pairwise coarsening everywhere by default; deeper
-		// aggregates below DeepAggLevel when the caller opts in (see
-		// Options.DeepAggLevel).
-		passes := opt.pairPasses()
-		if len(h.levels) > opt.deepAggLevel() {
-			passes = opt.deepPairPasses()
-		}
 		ar := extractCSR(a, mem)
-		agg, nc := aggregateStrength(ar, passes, mem)
+		agg, nc := aggregateStrength(ar, mem)
 		if nc >= a.Rows() {
 			break
 		}
-		lv.tr = smoothedProlongation(ar, lv.invDiag, lv.lmax, agg, nc, pDropTol, mem)
+		lv.tr = smoothedProlongation(ar, lv.invDiag, lv.lmax, agg, nc, mem)
 		if a, err = galerkin(ar, lv.tr, nc, mem); err != nil {
 			return fmt.Errorf("mg: level %d coarse operator: %w", len(h.levels), err)
 		}
@@ -452,10 +255,9 @@ func (h *Hierarchy) bindMetrics(buildWall time.Duration, reused bool) {
 	for k, lv := range h.levels {
 		h.levelWall[k] = r.Histogram(fmt.Sprintf("mg.cycle.level%d.seconds", k), obs.ExpBuckets(1e-7, 4, 12))
 		// Stored entries and mean stencil width per level: the Galerkin
-		// densification these gauges expose is what the deep-level
-		// aggregation and prolongation filtering exist to contain (the
-		// re-discretized geometric levels report their fixed structural
-		// stencil counts instead).
+		// densification these gauges expose is what the prolongation
+		// filtering exists to contain (the re-discretized geometric levels
+		// report their fixed structural stencil counts instead).
 		nnz := lv.nnz()
 		r.Gauge(fmt.Sprintf("mg.level%d.nnz", k)).Set(float64(nnz))
 		r.Gauge(fmt.Sprintf("mg.level%d.density", k)).Set(float64(nnz) / float64(lv.op.Rows()))
@@ -478,28 +280,27 @@ func (lv *level) nnz() int {
 // newLevelOp wraps an operator with its smoother and scratch space — the
 // shared core of newLevel and the geometric builder's coefficient-backed
 // coarse levels, which have no assembled CSR.
-func newLevelOp(op sparse.Operator, opt Options, mem *arena) (*level, error) {
+func newLevelOp(op sparse.Operator, mem *arena) (*level, error) {
 	n := op.Rows()
 	lv := &level{
-		op:     op,
-		degree: opt.degree(),
-		b:      mem.f64(n),
-		x:      mem.f64(n),
-		res:    mem.f64(n),
-		e:      mem.f64(n),
-		cd:     mem.f64(n),
-		cres:   mem.f64(n),
-		ct:     mem.f64(n),
+		op:   op,
+		b:    mem.f64(n),
+		x:    mem.f64(n),
+		res:  mem.f64(n),
+		e:    mem.f64(n),
+		cd:   mem.f64(n),
+		cres: mem.f64(n),
+		ct:   mem.f64(n),
 	}
-	if err := lv.newSmoother(opt.smootherRange(), mem); err != nil {
+	if err := lv.newSmoother(mem); err != nil {
 		return nil, err
 	}
 	return lv, nil
 }
 
 // newLevel wraps a matrix with its smoother and scratch space.
-func newLevel(a *sparse.CSR, opt Options, mem *arena) (*level, error) {
-	lv, err := newLevelOp(a, opt, mem)
+func newLevel(a *sparse.CSR, mem *arena) (*level, error) {
+	lv, err := newLevelOp(a, mem)
 	if err != nil {
 		return nil, err
 	}
@@ -510,11 +311,10 @@ func newLevel(a *sparse.CSR, opt Options, mem *arena) (*level, error) {
 // SetFineOperator redirects the finest level's matrix products (smoother
 // matvecs and residuals) through op — typically the matrix-free stencil
 // internal/fem extracts from the same assembled matrix, which makes the
-// dominant per-cycle work matrix-free while the coarse levels stay on their
-// Galerkin CSRs. The operator must evaluate bit-identically to the build
-// matrix (the fem stencil's contract); nil or a size mismatch restores the
-// assembled CSR. Call per solve: a hierarchy cached across solves keeps the
-// last operator set.
+// dominant per-cycle work matrix-free. The operator must evaluate
+// bit-identically to the build matrix (the fem stencil's contract); nil or a
+// size mismatch restores the assembled CSR. Call per solve: a hierarchy
+// cached across solves keeps the last operator set.
 func (h *Hierarchy) SetFineOperator(op sparse.Operator) {
 	lv := h.levels[0]
 	if op == nil || op.Rows() != lv.a.Rows() || op.Cols() != lv.a.Cols() {
@@ -530,14 +330,9 @@ func (h *Hierarchy) Levels() int { return len(h.levels) }
 // Size implements sparse.MGSolver.
 func (h *Hierarchy) Size() int { return h.levels[0].a.Rows() }
 
-// Geometric reports whether the hierarchy was built in geometric mode —
-// diagnostics for span attributes and tests.
+// Geometric reports whether Build chose the geometric hierarchy (1–2 grid
+// axes) rather than smoothed aggregation (3 axes) — diagnostics for tests.
 func (h *Hierarchy) Geometric() bool { return h.geometric }
-
-// MixedPrecision reports whether the hierarchy stores its preconditioner
-// data as float32 (Options.Precision) — diagnostics for span attributes and
-// tests.
-func (h *Hierarchy) MixedPrecision() bool { return h.f32 }
 
 // LevelSizes returns the unknown count per level, finest first —
 // diagnostics for tests and the verbose CLI paths.
@@ -549,9 +344,10 @@ func (h *Hierarchy) LevelSizes() []int {
 	return out
 }
 
-// Cycle implements sparse.MGSolver: z ← V-cycle(0, r), one symmetric
-// V(1,1) cycle with Chebyshev pre- and post-smoothing. The same polynomial
-// runs before and after the coarse correction and the coarse solve is
+// Cycle implements sparse.MGSolver: z ← cycle(0, r), one symmetric cycle
+// with matching pre- and post-smoothing — a V(1,1) cycle with Chebyshev
+// smoothing on a Galerkin hierarchy, a truncated W-cycle with line smoothing
+// on a geometric one. The smoother pair is adjoint and the coarse solve is
 // exact, so the cycle is a fixed symmetric positive definite operator.
 func (h *Hierarchy) Cycle(z, r []float64, p *sparse.Pool) {
 	h.cycles.Inc()
@@ -589,31 +385,23 @@ func (h *Hierarchy) vcycle(k int, x, b []float64, p *sparse.Pool) {
 	// Restrict: b_c = Pᵀ·res, parallel over coarse rows with the summation
 	// order fixed by the transposed CSR layout.
 	tr := lv.tr
-	if tr.ptVal32 != nil {
-		p.MulVecRawF32(tr.ptPtr, tr.ptCol, tr.ptVal32, res, next.b)
-	} else {
-		p.MulVecRaw(tr.ptPtr, tr.ptCol, tr.ptVal, res, next.b)
-	}
+	p.MulVecRaw(tr.ptPtr, tr.ptCol, tr.ptVal, res, next.b)
 	h.vcycle(k+1, next.x, next.b, p)
-	if k >= h.gammaFrom && k+1 < len(h.levels)-1 {
-		// Truncated W-cycle: revisit the coarse level gamma-1 more times,
-		// each visit an additive correction of the residual the last one
-		// left. With B the single-visit cycle, two visits apply 2B − BAB —
-		// still symmetric, still positive definite for a convergent B — so
-		// the preconditioner stays CG-safe. Skipped on the coarsest level,
-		// whose direct solve is already exact.
-		for g := 1; g < h.gamma; g++ {
-			p.ResidualOp(next.op, next.x, next.b, next.b2)
-			h.vcycle(k+1, next.x2, next.b2, p)
-			p.VecAdd(next.x, next.x2)
-		}
+	if h.geometric && k+1 < len(h.levels)-1 {
+		// Truncated W-cycle: revisit the coarse level once more, an additive
+		// correction of the residual the first visit left. With B the
+		// single-visit cycle, two visits apply 2B − BAB — still symmetric,
+		// still positive definite for a convergent B — so the preconditioner
+		// stays CG-safe. Full coarsening halves resolution per axis every
+		// level, and the cheap extra coarse visit buys back what the faster
+		// coarsening loses. Skipped on the coarsest level, whose direct
+		// solve is already exact.
+		p.ResidualOp(next.op, next.x, next.b, next.b2)
+		h.vcycle(k+1, next.x2, next.b2, p)
+		p.VecAdd(next.x, next.x2)
 	}
 	// Prolong and correct: x += P·e, parallel over fine rows.
-	if tr.pVal32 != nil {
-		p.MulVecAddRawF32(tr.pPtr, tr.pCol, tr.pVal32, next.x, x)
-	} else {
-		p.MulVecAddRaw(tr.pPtr, tr.pCol, tr.pVal, next.x, x)
-	}
+	p.MulVecAddRaw(tr.pPtr, tr.pCol, tr.pVal, next.x, x)
 	// Post-smooth the correction: x += S'·(b - A·x) with S' the adjoint of
 	// the pre-smoother (the same Chebyshev polynomial, or the line sweep in
 	// reversed axis order), keeping the cycle symmetric.

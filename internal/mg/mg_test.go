@@ -112,23 +112,50 @@ func TestBuildErrors(t *testing.T) {
 	}
 	_ = dims
 
-	// A zero diagonal breaks the Jacobi-scaled smoother.
+	// A zero diagonal breaks the Galerkin levels' Jacobi-scaled smoother
+	// (the geometric builder rejects this matrix earlier, for its positive
+	// off-diagonal; see TestGeometricBuildRejections).
 	coo := sparse.NewCOO(2048, 2048)
 	for i := 0; i < 2047; i++ {
 		coo.Add(i, i, 1)
 	}
 	coo.Add(2047, 2046, 1)
 	coo.Add(2046, 2047, 1)
-	if _, err := Build(coo.ToCSR(), []int{2048}, Options{}); err == nil {
+	if _, err := build(coo.ToCSR(), []int{2048}, Options{}, false); err == nil {
 		t.Fatal("Build accepted a matrix with a non-positive diagonal")
 	}
 }
 
 func mustCSR(a *sparse.CSR, _ []int) *sparse.CSR { return a }
 
+// Build picks the hierarchy from the grid: geometric on 1–2 axes, smoothed
+// aggregation on 3.
+func TestBuildPicksHierarchyByAxes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		a         *sparse.CSR
+		dims      []int
+		geometric bool
+	}{
+		{"1 axis", mustCSR(poisson2D(1024, 1)), []int{1024}, true},
+		{"2 axes", mustCSR(poisson2D(32, 32)), []int{32, 32}, true},
+		{"3 axes", mustCSR(poisson3D(12, 12, 12)), []int{12, 12, 12}, false},
+	} {
+		h, err := Build(tc.a, tc.dims, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if h.Geometric() != tc.geometric {
+			t.Errorf("%s: Geometric() = %v, want %v", tc.name, h.Geometric(), tc.geometric)
+		}
+	}
+}
+
+// The Galerkin hierarchy's levels shrink strictly down to a small coarsest
+// level; TestGeometricHierarchyShape covers the geometric one.
 func TestHierarchyShape(t *testing.T) {
 	a, dims := poisson2D(64, 64)
-	h, err := Build(a, dims, Options{})
+	h, err := build(a, dims, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +180,7 @@ func TestAggregationCoversAndIsDeterministic(t *testing.T) {
 	for _, mk := range []func(int, int) (*sparse.CSR, []int){poisson2D, layered2D} {
 		a, _ := mk(48, 48)
 		ar := extractCSR(a, &arena{})
-		agg, nc := aggregateStrength(ar, 1, &arena{})
+		agg, nc := aggregateStrength(ar, &arena{})
 		if nc <= 0 || nc >= a.Rows() {
 			t.Fatalf("nc = %d of %d rows", nc, a.Rows())
 		}
@@ -169,7 +196,7 @@ func TestAggregationCoversAndIsDeterministic(t *testing.T) {
 				t.Fatalf("aggregate %d has %d cells, want 1 or 2 (pairwise matching)", c, cnt)
 			}
 		}
-		agg2, nc2 := aggregateStrength(extractCSR(a, &arena{}), 1, &arena{})
+		agg2, nc2 := aggregateStrength(extractCSR(a, &arena{}), &arena{})
 		if nc2 != nc {
 			t.Fatalf("second run: nc = %d, want %d", nc2, nc)
 		}
@@ -188,7 +215,7 @@ func TestAggregationFollowsStrongCoupling(t *testing.T) {
 	// a strong-direction neighbor.
 	nx, ny := 32, 32
 	a, _ := layered2D(nx, ny)
-	agg, nc := aggregateStrength(extractCSR(a, &arena{}), 1, &arena{})
+	agg, nc := aggregateStrength(extractCSR(a, &arena{}), &arena{})
 	partner := make([]int, nc)
 	for i := range partner {
 		partner[i] = -1
@@ -234,15 +261,13 @@ func TestAggregationFollowsStrongCoupling(t *testing.T) {
 	}
 }
 
-func TestCycleIsSymmetricPositiveDefinite(t *testing.T) {
-	a, dims := poisson2D(32, 32)
-	h, err := Build(a, dims, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkSymmetricPositiveDefinite probes a built cycle M with random vector
+// pairs: u·Mv must equal v·Mu and u·Mu must be positive, or CG quietly
+// loses its convergence guarantee.
+func checkSymmetricPositiveDefinite(t *testing.T, h *Hierarchy, n int) {
+	t.Helper()
 	p := sparse.NewPool(1)
 	defer p.Close()
-	n := a.Rows()
 	u := make([]float64, n)
 	v := make([]float64, n)
 	mu := make([]float64, n)
@@ -262,12 +287,44 @@ func TestCycleIsSymmetricPositiveDefinite(t *testing.T) {
 	}
 }
 
+// The Galerkin V-cycle must be a fixed SPD operator.
+func TestCycleIsSymmetricPositiveDefinite(t *testing.T) {
+	a, dims := poisson2D(32, 32)
+	h, err := build(a, dims, Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSymmetricPositiveDefinite(t, h, a.Rows())
+}
+
+// TestWCycleIsSymmetricAndConverges: the geometric hierarchy's truncated
+// W-cycle adds its extra coarse visit as an additive residual correction,
+// so on the flipping-anisotropy grid it must remain a fixed SPD operator
+// (CG-safe) and precondition CG into the mesh-independent band.
+func TestWCycleIsSymmetricAndConverges(t *testing.T) {
+	a, dims := layered2D(48, 48)
+	h, err := Build(a, dims, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSymmetricPositiveDefinite(t, h, a.Rows())
+	b := make([]float64, a.Rows())
+	fillRand(b, 11)
+	_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Iterations > 30 {
+		t.Fatalf("W-cycle CG took %d iterations, want <= 30", st.Iterations)
+	}
+}
+
 func TestVCycleStationaryIterationConverges(t *testing.T) {
 	for name, mk := range map[string]func(int, int) (*sparse.CSR, []int){
 		"poisson": poisson2D, "layered": layered2D,
 	} {
 		a, dims := mk(48, 48)
-		h, err := Build(a, dims, Options{})
+		h, err := build(a, dims, Options{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -299,7 +356,7 @@ func TestVCycleStationaryIterationConverges(t *testing.T) {
 
 func TestCycleBitIdenticalAcrossWorkers(t *testing.T) {
 	a, dims := poisson2D(64, 64)
-	h, err := Build(a, dims, Options{})
+	h, err := build(a, dims, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,24 +383,26 @@ func TestCycleBitIdenticalAcrossWorkers(t *testing.T) {
 
 func TestCGIterationsMeshIndependent(t *testing.T) {
 	// The point of the hierarchy: CG iteration counts must stay within a
-	// constant band as the grid refines.
-	for _, nx := range []int{32, 64, 128} {
-		a, dims := poisson2D(nx, nx)
-		h, err := Build(a, dims, Options{})
-		if err != nil {
-			t.Fatalf("%d: %v", nx, err)
-		}
-		b := make([]float64, a.Rows())
-		fillRand(b, 9)
-		_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
-		if err != nil {
-			t.Fatalf("%d: %v", nx, err)
-		}
-		if st.Iterations > 30 {
-			t.Fatalf("grid %d×%d: %d CG iterations, want <= 30", nx, nx, st.Iterations)
-		}
-		if st.Levels != h.Levels() {
-			t.Fatalf("stats report %d levels, hierarchy has %d", st.Levels, h.Levels())
+	// constant band as the grid refines, for both hierarchies.
+	for _, geometric := range []bool{false, true} {
+		for _, nx := range []int{32, 64, 128} {
+			a, dims := poisson2D(nx, nx)
+			h, err := build(a, dims, Options{}, geometric)
+			if err != nil {
+				t.Fatalf("geometric=%v %d: %v", geometric, nx, err)
+			}
+			b := make([]float64, a.Rows())
+			fillRand(b, 9)
+			_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
+			if err != nil {
+				t.Fatalf("geometric=%v %d: %v", geometric, nx, err)
+			}
+			if st.Iterations > 30 {
+				t.Fatalf("geometric=%v grid %d×%d: %d CG iterations, want <= 30", geometric, nx, nx, st.Iterations)
+			}
+			if st.Levels != h.Levels() {
+				t.Fatalf("stats report %d levels, hierarchy has %d", st.Levels, h.Levels())
+			}
 		}
 	}
 }
@@ -371,73 +430,3 @@ func dot(a, b []float64) float64 {
 }
 
 func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
-
-// TestWCycleIsSymmetricAndConverges exercises the truncated W-cycle
-// (Options.Gamma = 2, off by default): the extra coarse visits are additive
-// residual corrections, so the cycle must remain a fixed symmetric positive
-// definite operator (CG-safe) and converge at least as fast as the V-cycle
-// as a stationary iteration.
-func TestWCycleIsSymmetricAndConverges(t *testing.T) {
-	a, dims := layered2D(48, 48)
-	h, err := Build(a, dims, Options{Gamma: 2, GammaFromLevel: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sparse.NewPool(1)
-	defer p.Close()
-	n := a.Rows()
-	u := make([]float64, n)
-	v := make([]float64, n)
-	mu := make([]float64, n)
-	mv := make([]float64, n)
-	for trial := uint64(0); trial < 5; trial++ {
-		fillRand(u, 3000+trial)
-		fillRand(v, 4000+trial)
-		h.Cycle(mu, u, p)
-		h.Cycle(mv, v, p)
-		uMv, vMu, uMu := dot(u, mv), dot(v, mu), dot(u, mu)
-		if rel := math.Abs(uMv-vMu) / math.Max(math.Abs(uMv), 1e-300); rel > 1e-10 {
-			t.Fatalf("trial %d: W-cycle not symmetric: u·Mv = %.17g, v·Mu = %.17g (rel %g)", trial, uMv, vMu, rel)
-		}
-		if uMu <= 0 {
-			t.Fatalf("trial %d: u·Mu = %g, W-cycle is not positive definite", trial, uMu)
-		}
-	}
-	b := make([]float64, n)
-	fillRand(b, 11)
-	_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations > 30 {
-		t.Fatalf("W-cycle CG took %d iterations, want <= 30", st.Iterations)
-	}
-}
-
-// TestDeepAggregationShortensHierarchy exercises the opt-in deep-level
-// aggregation: 2^DeepPairPasses-cell aggregates below DeepAggLevel must
-// yield a strictly shallower hierarchy than pairs everywhere, and the
-// resulting preconditioner must still converge.
-func TestDeepAggregationShortensHierarchy(t *testing.T) {
-	a, dims := poisson2D(96, 96)
-	pairs, err := Build(a, dims, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deep, err := Build(a, dims, Options{DeepAggLevel: 1, DeepPairPasses: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deep.Levels() >= pairs.Levels() {
-		t.Fatalf("deep aggregation gave %d levels, pairs %d; want shallower", deep.Levels(), pairs.Levels())
-	}
-	b := make([]float64, a.Rows())
-	fillRand(b, 13)
-	_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: deep, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations > 60 {
-		t.Fatalf("deep-aggregation CG took %d iterations, want <= 60", st.Iterations)
-	}
-}

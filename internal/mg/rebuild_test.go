@@ -71,31 +71,27 @@ func sameBits(t *testing.T, what string, a, b []float64) {
 	}
 }
 
-// TestRebuildMatchesFreshBuild is the re-Galerkin equivalence property: a
-// hierarchy rebuilt through a donated predecessor's arena (Options.Prev)
-// must be indistinguishable — level sizes and cycle output bits — from one
-// built from nothing on the same matrix. Two recycled generations are
-// checked so the second rebuild runs entirely off the free lists.
-func TestRebuildMatchesFreshBuild(t *testing.T) {
+// checkRebuild is the rebuild equivalence property: a hierarchy rebuilt
+// through a donated predecessor's arena (Options.Prev) must be
+// indistinguishable — level sizes and cycle output bits — from one built
+// from nothing on the same matrix. Two recycled generations are checked so
+// the second rebuild runs entirely off the free lists.
+func checkRebuild(t *testing.T, geometric bool) {
+	t.Helper()
 	nx, ny := 48, 48
 	n := nx * ny
 	a1, dims := layeredContrast(nx, ny, 100)
 	a2, _ := layeredContrast(nx, ny, 37)
-
-	fresh2, err := Build(a2, dims, Options{})
-	if err != nil {
-		t.Fatalf("fresh Build(a2): %v", err)
+	mk := func(a *sparse.CSR, prev *Hierarchy) *Hierarchy {
+		t.Helper()
+		h, err := build(a, dims, Options{Prev: prev}, geometric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	want2 := cycleBits(t, fresh2, n, 7)
-
-	donor, err := Build(a1, dims, Options{})
-	if err != nil {
-		t.Fatalf("Build(a1): %v", err)
-	}
-	re2, err := Build(a2, dims, Options{Prev: donor})
-	if err != nil {
-		t.Fatalf("recycled Build(a2): %v", err)
-	}
+	fresh2 := mk(a2, nil)
+	re2 := mk(a2, mk(a1, nil))
 	if got, want := re2.LevelSizes(), fresh2.LevelSizes(); len(got) != len(want) {
 		t.Fatalf("recycled level sizes %v, fresh %v", got, want)
 	} else {
@@ -105,26 +101,28 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 			}
 		}
 	}
-	sameBits(t, "rebuild gen 1 cycle", cycleBits(t, re2, n, 7), want2)
+	sameBits(t, "rebuild gen 1 cycle", cycleBits(t, re2, n, 7), cycleBits(t, fresh2, n, 7))
 
 	// Second generation: every allocation site should now find a recycled
 	// array of exactly the right size.
-	fresh1, err := Build(a1, dims, Options{})
-	if err != nil {
-		t.Fatalf("fresh Build(a1): %v", err)
-	}
-	re1, err := Build(a1, dims, Options{Prev: re2})
-	if err != nil {
-		t.Fatalf("recycled Build(a1) gen 2: %v", err)
-	}
+	fresh1 := mk(a1, nil)
+	re1 := mk(a1, re2)
 	sameBits(t, "rebuild gen 2 cycle", cycleBits(t, re1, n, 11), cycleBits(t, fresh1, n, 11))
 }
 
-// TestRebuildAcrossTopologyChange donates a hierarchy of a different size:
-// the arena must serve what fits and allocate the rest, still bit-identical.
+// TestRebuildMatchesFreshBuild checks rebuild equivalence for the
+// smoothed-aggregation Galerkin hierarchy.
+func TestRebuildMatchesFreshBuild(t *testing.T) { checkRebuild(t, false) }
+
+// TestGeometricRebuildMatchesFreshBuild checks it for the geometric one.
+func TestGeometricRebuildMatchesFreshBuild(t *testing.T) { checkRebuild(t, true) }
+
+// TestRebuildAcrossTopologyChange donates a hierarchy of a different size
+// and kind: the arena must serve what fits and allocate the rest, still
+// bit-identical.
 func TestRebuildAcrossTopologyChange(t *testing.T) {
 	aSmall, dimsSmall := layeredContrast(24, 24, 100)
-	donor, err := Build(aSmall, dimsSmall, Options{})
+	donor, err := build(aSmall, dimsSmall, Options{}, false)
 	if err != nil {
 		t.Fatalf("Build small: %v", err)
 	}

@@ -8,14 +8,14 @@ import (
 )
 
 // newSmoother prepares the level's Chebyshev smoother: the inverse diagonal
-// and the eigenvalue bounds [λmax/rng, λmax] of the Jacobi-scaled operator
-// B = D⁻¹A (Gershgorin upper bound). Unlike the standalone Chebyshev
+// and the eigenvalue bounds [λmax/smootherRange, λmax] of the Jacobi-scaled
+// operator B = D⁻¹A (Gershgorin upper bound). Unlike the standalone Chebyshev
 // preconditioner — which targets the whole spectrum — a smoother only has
 // to damp the upper part; the coarse-grid correction handles the rest. A
 // narrower interval makes the low-degree polynomial far more effective on
 // the modes it owns. It reads the level through the Operator interface, so
 // the coefficient-backed geometric levels need no assembled CSR.
-func (lv *level) newSmoother(rng float64, mem *arena) error {
+func (lv *level) newSmoother(mem *arena) error {
 	op := lv.op
 	n := op.Rows()
 	d := op.DiagonalInto(mem.f64(n))
@@ -36,7 +36,7 @@ func (lv *level) newSmoother(rng float64, mem *arena) error {
 	if lmax <= 0 || math.IsNaN(lmax) || math.IsInf(lmax, 0) {
 		return fmt.Errorf("mg: smoother eigenvalue bound %g", lmax)
 	}
-	lmin := lmax / rng
+	lmin := lmax / smootherRange
 	lv.invDiag = inv
 	lv.lmax = lmax
 	lv.theta = (lmax + lmin) / 2
@@ -68,7 +68,7 @@ func (lv *level) smooth(z, r []float64, p *sparse.Pool, reverse bool) {
 	rhoOld := 1 / sigma
 	invD := lv.invDiag
 	p.ChebyBegin(z, d, res, invD, r, 1/lv.theta)
-	for k := 2; k <= lv.degree; k++ {
+	for k := 2; k <= smootherDegree; k++ {
 		p.MulVecOp(a, d, t)
 		rho := 1 / (2*sigma - rhoOld)
 		p.ChebyStep(z, d, res, invD, t, rho*rhoOld, 2*rho/lv.delta)

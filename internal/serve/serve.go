@@ -62,16 +62,6 @@ type Config struct {
 	// PoolIdle caps the warm solver-state entries kept per grid topology;
 	// <= 0 selects 2.
 	PoolIdle int
-	// MGHierarchy, when non-empty ("galerkin" or "geometric"), is applied to
-	// JSON solve/sweep/plan requests whose models.mg_hierarchy field is
-	// empty, selecting how reference-solver multigrid coarse levels are
-	// built. Deck requests are unaffected — a deck spells mg.hierarchy=
-	// itself. Requests that do set the field always win. Invalid spellings
-	// surface as 400s on the affected requests.
-	MGHierarchy string
-	// MGPrecision is the matching default for models.mg_precision ("f64" or
-	// "f32"; "f32" requires the geometric hierarchy).
-	MGPrecision string
 	// Registry receives the service metrics; nil selects obs.Default().
 	Registry *obs.Registry
 	// Trace optionally records per-request and solver spans as NDJSON.
@@ -451,23 +441,11 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-// applyMGDefaults fills the service-level multigrid defaults into a JSON
-// request's model spec when the request left the fields empty.
-func (s *Server) applyMGDefaults(sp *deck.ModelSpec) {
-	if sp.MGHierarchy == "" {
-		sp.MGHierarchy = s.cfg.MGHierarchy
-	}
-	if sp.MGPrecision == "" {
-		sp.MGPrecision = s.cfg.MGPrecision
-	}
-}
-
 func (s *Server) lowerSolve(body []byte) (*deck.Scenario, error) {
 	req := SolveRequest{Block: stack.DefaultBlock()}
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	s.applyMGDefaults(&req.Models)
 	models, err := req.Models.Models("all", opCoeffs)
 	if err != nil {
 		return nil, err
@@ -492,7 +470,6 @@ func (s *Server) lowerSweepRequest(body []byte) (SweepRequest, *deck.Scenario, s
 	if err != nil {
 		return req, nil, sweep.ShardSpec{}, err
 	}
-	s.applyMGDefaults(&req.Models)
 	models, err := req.Models.Models("all", opCoeffs)
 	if err != nil {
 		return req, nil, sweep.ShardSpec{}, err
@@ -531,7 +508,6 @@ func (s *Server) lowerPlan(body []byte) (*deck.Scenario, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	s.applyMGDefaults(&req.Models)
 	models, err := req.Models.Models("a", planCoeffs)
 	if err != nil {
 		return nil, err

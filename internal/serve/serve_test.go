@@ -20,8 +20,6 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/deck"
-	"repro/internal/fem"
-	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stack"
@@ -232,43 +230,6 @@ func TestPlanMatchesDeck(t *testing.T) {
 	}
 }
 
-// Service-level multigrid defaults (Config.MGHierarchy/MGPrecision) fill
-// JSON requests that leave the fields empty; a request that chooses
-// explicitly wins; and the merged spec is validated like any other, so an
-// inconsistent combination surfaces as a lowering error (a 400 at the
-// handler). Deck requests never pass through applyMGDefaults — the corpus
-// golden tests above pin that path byte for byte.
-func TestConfigMGDefaultsApplyToJSONRequests(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{Workers: 1, MGHierarchy: "geometric", MGPrecision: "f32"})
-
-	refRes := func(t *testing.T, body string) fem.Resolution {
-		t.Helper()
-		sc, err := s.lowerSolve([]byte(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, ok := sc.Analyses[0].Op.Models[0].(fem.ReferenceModel)
-		if !ok {
-			t.Fatalf("lowered model is %T, want fem.ReferenceModel", sc.Analyses[0].Op.Models[0])
-		}
-		return m.Res
-	}
-
-	res := refRes(t, `{"models": {"model": "ref"}}`)
-	if res.Hierarchy != mg.HierarchyGeometric || res.Precision != mg.PrecisionF32 {
-		t.Fatalf("config defaults not applied: hierarchy=%v precision=%v", res.Hierarchy, res.Precision)
-	}
-
-	res = refRes(t, `{"models": {"model": "ref", "mg_hierarchy": "galerkin", "mg_precision": "f64"}}`)
-	if res.Hierarchy != mg.HierarchyGalerkin || res.Precision != mg.PrecisionF64 {
-		t.Fatalf("request override lost to config: hierarchy=%v precision=%v", res.Hierarchy, res.Precision)
-	}
-
-	if _, err := s.lowerSolve([]byte(`{"models": {"model": "ref", "mg_hierarchy": "galerkin"}}`)); err == nil {
-		t.Fatal("galerkin request merged with the configured f32 default lowered without error")
-	}
-}
-
 // TestCoalescingCollapsesIdenticalRequests fires N identical /solve requests
 // while the execution is gated, then releases the gate: exactly one
 // execution must run and the other N-1 requests must share its bytes.
@@ -410,6 +371,19 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/solve", `{"bogus": 1}`, http.StatusBadRequest, "unknown field"},
 		{"trailing garbage", "/solve", `{} {}`, http.StatusBadRequest, "trailing data"},
 		{"bad model", "/solve", `{"models": {"model": "x"}}`, http.StatusBadRequest, "unknown model"},
+		{"ref workers above cap", "/solve", `{"models": {"model": "ref", "ref_workers": 100000000}}`,
+			http.StatusBadRequest, "ref-workers must be in [0, 256]"},
+		{"negative ref workers", "/solve", `{"models": {"model": "ref", "ref_workers": -1}}`,
+			http.StatusBadRequest, "ref-workers must be in [0, 256]"},
+		// operator, mg_hierarchy and mg_precision are not spec fields: the
+		// reference solver's operator and hierarchy follow from the
+		// preconditioner and the grid.
+		{"removed operator field", "/solve", `{"models": {"model": "ref", "operator": "csr"}}`,
+			http.StatusBadRequest, "unknown field"},
+		{"removed mg_hierarchy field", "/solve", `{"models": {"model": "ref", "mg_hierarchy": "geometric"}}`,
+			http.StatusBadRequest, "unknown field"},
+		{"removed mg_precision field", "/sweep", `{"param": "r", "values": [1e-5], "models": {"model": "ref", "mg_precision": "f32"}}`,
+			http.StatusBadRequest, "unknown field"},
 		{"sweep without points", "/sweep", `{"param": "r"}`, http.StatusBadRequest, "points"},
 		{"sweep bad param", "/sweep", `{"param": "zz", "values": [1e-6]}`, http.StatusBadRequest, "zz"},
 		{"plan without tiles", "/plan", `{"budget": 15}`, http.StatusBadRequest, "tile"},

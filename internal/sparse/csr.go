@@ -4,8 +4,8 @@
 //
 // The usual workflow is: accumulate entries into a COO builder during
 // assembly (duplicates sum), convert once to CSR, then run a preconditioned
-// Conjugate Gradient (symmetric positive definite systems, the common case
-// for heat conduction) or BiCGSTAB (mildly non-symmetric systems).
+// Conjugate Gradient on the symmetric positive definite system — through
+// the CSR, or through the matrix-free Stencil on structured grids.
 package sparse
 
 import (

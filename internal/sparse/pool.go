@@ -59,10 +59,7 @@ const (
 	kernVecAdd
 	kernChebyBegin
 	kernChebyStep
-	kernRawMulVecF32
-	kernRawMulVecAddF32
 	kernLineSolve
-	kernLineSolveF32
 	kernBody
 )
 
@@ -78,10 +75,6 @@ type kernelJob struct {
 	// v1..v5 are the vector operands; their role depends on the kind (e.g.
 	// for kernResidual: v1 = x, v2 = b, v3 = r).
 	v1, v2, v3, v4, v5 []float64
-	// f1/f2 are the float32 operands of the mixed-precision kinds: the raw
-	// matvec values of kernRawMulVec*F32, the tridiagonal factors of
-	// kernLineSolveF32.
-	f1, f2 []float32
 	// nd and axis carry the grid shape of the line-solve kinds.
 	nd     [3]int
 	axis   int
@@ -214,14 +207,8 @@ func (p *Pool) runChunk(c int) {
 		chebyBeginSpan(j.v1, j.v2, j.v3, j.v4, j.v5, j.s1, lo, hi)
 	case kernChebyStep:
 		chebyStepSpan(j.v1, j.v2, j.v3, j.v4, j.v5, j.s1, j.s2, lo, hi)
-	case kernRawMulVecF32:
-		rawMulVecF32Span(j.ptr, j.col, j.f1, j.v1, j.v2, lo, hi)
-	case kernRawMulVecAddF32:
-		rawMulVecAddF32Span(j.ptr, j.col, j.f1, j.v1, j.v2, lo, hi)
 	case kernLineSolve:
 		lineSolveSpan(j.nd, j.axis, j.v1, j.v2, j.v3, j.v4, lo, hi)
-	case kernLineSolveF32:
-		lineSolveF32Span(j.nd, j.axis, j.f1, j.f2, j.v1, j.v2, lo, hi)
 	case kernBody:
 		j.body(lo, hi)
 	}
@@ -382,31 +369,6 @@ func chebyStepSpan(z, d, res, invD, t []float64, c1, c2 float64, lo, hi int) {
 	}
 }
 
-// Mixed-precision span loops: float32 coefficient/diagonal data widened per
-// term, float64 vectors and accumulation — the bandwidth half of the
-// mixed-precision multigrid cycle. Same evaluation order as their float64
-// twins, so results stay bit-identical for any worker count.
-
-func rawMulVecF32Span(ptr, col []int32, val []float32, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var s float64
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			s += float64(val[k]) * x[col[k]]
-		}
-		y[i] = s
-	}
-}
-
-func rawMulVecAddF32Span(ptr, col []int32, val []float32, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var s float64
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			s += float64(val[k]) * x[col[k]]
-		}
-		y[i] += s
-	}
-}
-
 // lineBase resolves the traversal of grid lines along an axis: the
 // element stride within a line, the line length, and the base cell of line t.
 // Lines enumerate the cells of the perpendicular plane in ascending index
@@ -438,22 +400,6 @@ func lineSolveSpan(nd [3]int, axis int, l, invc, r, x []float64, lo, hi int) {
 		for k := length - 2; k >= 0; k-- {
 			i -= s
 			x[i] = x[i]*invc[i] - l[i+s]*x[i+s]
-		}
-	}
-}
-
-func lineSolveF32Span(nd [3]int, axis int, l, invc []float32, r, x []float64, lo, hi int) {
-	for t := lo; t < hi; t++ {
-		i, s, length := lineBase(nd, axis, t)
-		x[i] = r[i]
-		for k := 1; k < length; k++ {
-			i += s
-			x[i] = r[i] - float64(l[i])*x[i-s]
-		}
-		x[i] *= float64(invc[i])
-		for k := length - 2; k >= 0; k-- {
-			i -= s
-			x[i] = x[i]*float64(invc[i]) - float64(l[i+s])*x[i+s]
 		}
 	}
 }
@@ -597,30 +543,6 @@ func (p *Pool) MulVecAddRaw(ptr, col []int32, val, x, y []float64) {
 	p.run(n)
 }
 
-// MulVecRawF32 computes y = M·x for a raw CSR triple whose values are stored
-// as float32; each term widens to float64 before accumulating. See MulVecRaw.
-func (p *Pool) MulVecRawF32(ptr, col []int32, val []float32, x, y []float64) {
-	n := len(ptr) - 1
-	if p.seq() {
-		rawMulVecF32Span(ptr, col, val, x, y, 0, n)
-		return
-	}
-	p.job = kernelJob{kind: kernRawMulVecF32, ptr: ptr, col: col, f1: val, v1: x, v2: y}
-	p.run(n)
-}
-
-// MulVecAddRawF32 computes y += M·x for a float32-valued raw CSR triple; see
-// MulVecRawF32.
-func (p *Pool) MulVecAddRawF32(ptr, col []int32, val []float32, x, y []float64) {
-	n := len(ptr) - 1
-	if p.seq() {
-		rawMulVecAddF32Span(ptr, col, val, x, y, 0, n)
-		return
-	}
-	p.job = kernelJob{kind: kernRawMulVecAddF32, ptr: ptr, col: col, f1: val, v1: x, v2: y}
-	p.run(n)
-}
-
 // ChebyBegin runs the first step of the Chebyshev semi-iteration on
 // B·z = D⁻¹r from z = 0: res = D⁻¹r, d = res/θ, z = d. Fused and
 // element-wise, so bit-identical for any worker count. Shared by the
@@ -660,18 +582,6 @@ func (p *Pool) LineSolve(nd [3]int, axis int, l, invc, r, x []float64) {
 		return
 	}
 	p.job = kernelJob{kind: kernLineSolve, nd: nd, axis: axis, v1: l, v2: invc, v3: r, v4: x}
-	p.run(lines)
-}
-
-// LineSolveF32 is LineSolve with float32 factors, widened per term — the
-// smoother half of the mixed-precision multigrid cycle.
-func (p *Pool) LineSolveF32(nd [3]int, axis int, l, invc []float32, r, x []float64) {
-	lines := len(r) / nd[axis]
-	if p.seq() {
-		lineSolveF32Span(nd, axis, l, invc, r, x, 0, lines)
-		return
-	}
-	p.job = kernelJob{kind: kernLineSolveF32, nd: nd, axis: axis, f1: l, f2: invc, v1: r, v2: x}
 	p.run(lines)
 }
 

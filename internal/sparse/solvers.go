@@ -455,166 +455,3 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 	}
 	return x, st, nil
 }
-
-// SolveBiCGSTAB solves a general (possibly non-symmetric) system A·x = b.
-func SolveBiCGSTAB(a *CSR, b []float64, opt Options) ([]float64, Stats, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, Stats{}, fmt.Errorf("sparse: BiCGSTAB needs a square matrix, got %dx%d", a.rows, a.cols)
-	}
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: BiCGSTAB rhs length %d, want %d", len(b), n)
-	}
-	pre, kind, err := makePrecond(a, opt.Precond, opt.MG, nil)
-	if err != nil {
-		return nil, Stats{Precond: kind}, err
-	}
-	x := make([]float64, n)
-	r := make([]float64, n)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, Stats{Precond: kind}, fmt.Errorf("sparse: BiCGSTAB initial guess length %d, want %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-		ax := a.MulVec(x, nil)
-		for i := range r {
-			r[i] = b[i] - ax[i]
-		}
-	} else {
-		copy(r, b)
-	}
-	bnorm := norm2(b)
-	if bnorm == 0 {
-		return x, Stats{Precond: kind}, nil
-	}
-	tol := opt.tol()
-	maxIter := opt.maxIter(n)
-
-	rhat := make([]float64, n)
-	copy(rhat, r)
-	v := make([]float64, n)
-	p := make([]float64, n)
-	ph := make([]float64, n)
-	s := make([]float64, n)
-	sh := make([]float64, n)
-	t := make([]float64, n)
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	var it int
-	for it = 0; it < maxIter; it++ {
-		if norm2(r)/bnorm <= tol {
-			break
-		}
-		rhoNew := dot(rhat, r)
-		if rhoNew == 0 {
-			return nil, Stats{Iterations: it, Precond: kind}, fmt.Errorf("sparse: BiCGSTAB breakdown (rho = 0)")
-		}
-		beta := (rhoNew / rho) * (alpha / omega)
-		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		pre.apply(ph, p)
-		a.MulVec(ph, v)
-		d := dot(rhat, v)
-		if d == 0 {
-			return nil, Stats{Iterations: it, Precond: kind}, fmt.Errorf("sparse: BiCGSTAB breakdown (rhat·v = 0)")
-		}
-		alpha = rho / d
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if norm2(s)/bnorm <= tol {
-			for i := range x {
-				x[i] += alpha * ph[i]
-			}
-			copy(r, s)
-			it++
-			break
-		}
-		pre.apply(sh, s)
-		a.MulVec(sh, t)
-		tt := dot(t, t)
-		if tt == 0 {
-			return nil, Stats{Iterations: it, Precond: kind}, fmt.Errorf("sparse: BiCGSTAB breakdown (t·t = 0)")
-		}
-		omega = dot(t, s) / tt
-		if omega == 0 {
-			return nil, Stats{Iterations: it, Precond: kind}, fmt.Errorf("sparse: BiCGSTAB breakdown (omega = 0)")
-		}
-		for i := range x {
-			x[i] += alpha*ph[i] + omega*sh[i]
-			r[i] = s[i] - omega*t[i]
-		}
-	}
-	res := norm2(r) / bnorm
-	st := Stats{Iterations: it, Residual: res, Precond: kind}
-	if res > tol {
-		return x, st, fmt.Errorf("%w: BiCGSTAB after %d iterations, residual %g > tol %g", ErrNotConverged, it, res, tol)
-	}
-	return x, st, nil
-}
-
-// SolveGaussSeidel solves A·x = b with Gauss-Seidel sweeps. It is slow and
-// exists as an independent cross-check of the Krylov solvers in tests.
-func SolveGaussSeidel(a *CSR, b []float64, opt Options) ([]float64, Stats, error) {
-	n := a.rows
-	if a.cols != n || len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: Gauss-Seidel dimension mismatch")
-	}
-	d := a.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			return nil, Stats{}, fmt.Errorf("sparse: Gauss-Seidel: zero diagonal at row %d", i)
-		}
-	}
-	x := make([]float64, n)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, Stats{}, fmt.Errorf("sparse: Gauss-Seidel initial guess length %d, want %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-	}
-	bnorm := norm2(b)
-	if bnorm == 0 {
-		return make([]float64, n), Stats{Precond: PrecondNone}, nil
-	}
-	tol := opt.tol()
-	maxIter := opt.maxIter(n)
-	var it int
-	for it = 0; it < maxIter; it++ {
-		for i := 0; i < n; i++ {
-			s := b[i]
-			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-				if j := a.colIdx[k]; j != i {
-					s -= a.val[k] * x[j]
-				}
-			}
-			x[i] = s / d[i]
-		}
-		if a.Residual(x, b)/bnorm <= tol {
-			break
-		}
-	}
-	res := a.Residual(x, b) / bnorm
-	st := Stats{Iterations: it, Residual: res, Precond: PrecondNone}
-	if res > tol {
-		return x, st, fmt.Errorf("%w: Gauss-Seidel after %d iterations, residual %g > tol %g", ErrNotConverged, it, res, tol)
-	}
-	return x, st, nil
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
 	"repro/internal/canon"
@@ -26,14 +27,17 @@ const DefaultCacheCapacity = 1 << 16
 // many entries were evicted, and the same counts feed the obs default
 // registry as sweep.cache.{hits,misses,evictions}.
 //
-// A Cache is safe for concurrent use. Cached *core.Result values are shared
-// between all callers and must be treated as read-only.
+// A Cache is safe for concurrent use, and a Cached model solves each point
+// once: callers asking for a point that is still being solved wait for it.
+// Cached *core.Result values are shared between all callers and must be
+// treated as read-only.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
 	entries   map[string]*list.Element
 	order     *list.List // front = most recently used
 	disk      *DiskCache // optional persistent tier behind the LRU
+	inflight  map[string]*flight
 	hits      int
 	misses    int
 	evictions int
@@ -45,6 +49,17 @@ type cacheEntry struct {
 	err error
 }
 
+// flight is one in-progress solve of a key that Cached models are waiting on.
+type flight struct {
+	done chan struct{}
+	res  *core.Result
+	err  error
+}
+
+// errFlightAborted is what waiters get when the solve they waited on
+// panicked instead of returning.
+var errFlightAborted = errors.New("sweep: the concurrent solve of this point did not finish")
+
 // NewCache returns an empty cache bounded at DefaultCacheCapacity entries.
 func NewCache() *Cache { return NewCacheSize(DefaultCacheCapacity) }
 
@@ -55,6 +70,7 @@ func NewCacheSize(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
 		entries:  make(map[string]*list.Element),
+		inflight: make(map[string]*flight),
 		order:    list.New(),
 	}
 }
@@ -181,11 +197,38 @@ func (cm cachedModel) Name() string { return cm.m.Name() }
 // Solve implements core.Model with memoization. Returned results are shared
 // and must be treated as read-only.
 func (cm cachedModel) Solve(s *stack.Stack) (*core.Result, error) {
-	key := cacheKey(cm.m, s)
-	if res, err, ok := cm.c.lookup(key); ok {
+	return cm.c.do(cacheKey(cm.m, s), func() (*core.Result, error) { return cm.m.Solve(s) })
+}
+
+// do returns key's cached outcome, or runs solve for it once: a caller that
+// asks for a key another caller is solving waits for that solve and counts
+// as a hit, so each distinct point is solved (and missed) exactly once.
+func (c *Cache) do(key string, solve func() (*core.Result, error)) (*core.Result, error) {
+	c.mu.Lock()
+	if f, ok := c.inflight[key]; ok {
+		c.mu.Unlock()
+		<-f.done
+		c.mu.Lock()
+		c.hits++
+		c.mu.Unlock()
+		obs.Default().Counter("sweep.cache.hits").Inc()
+		return f.res, f.err
+	}
+	f := &flight{done: make(chan struct{}), err: errFlightAborted}
+	c.inflight[key] = f
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(f.done)
+	}()
+	if res, err, ok := c.lookup(key); ok {
+		f.res, f.err = res, err
 		return res, err
 	}
-	res, err := cm.m.Solve(s)
-	cm.c.store(key, res, err)
+	res, err := solve()
+	c.store(key, res, err)
+	f.res, f.err = res, err
 	return res, err
 }

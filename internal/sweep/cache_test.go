@@ -3,6 +3,9 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -113,5 +116,64 @@ func TestCacheStoreIdempotentUnderRace(t *testing.T) {
 	}
 	if c.order.Len() != 1 {
 		t.Fatalf("duplicate store leaked list nodes: %d", c.order.Len())
+	}
+}
+
+// countingModel counts its solves and holds each one until countRelease
+// closes. The state is package-level because the cache key encodes the
+// model's fields.
+type countingModel struct{}
+
+var (
+	countSolves  atomic.Int32
+	countRelease chan struct{}
+)
+
+func (countingModel) Name() string { return "counting" }
+func (countingModel) Solve(*stack.Stack) (*core.Result, error) {
+	countSolves.Add(1)
+	<-countRelease
+	return &core.Result{MaxDT: 1}, nil
+}
+
+// TestCachedSolvesEachPointOnce: callers asking for a point another caller
+// is still solving wait for it instead of solving it again, so a shared
+// cache reports one miss per distinct point however the callers interleave.
+func TestCachedSolvesEachPointOnce(t *testing.T) {
+	s := fig4Stack(t, 10)
+	countSolves.Store(0)
+	countRelease = make(chan struct{})
+	c := NewCache()
+	m := Cached(countingModel{}, c)
+	const callers = 8
+	var wg sync.WaitGroup
+	results := make([]*core.Result, callers)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := m.Solve(s)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = r
+		}(i)
+	}
+	for countSolves.Load() == 0 {
+		runtime.Gosched()
+	}
+	close(countRelease)
+	wg.Wait()
+	if n := countSolves.Load(); n != 1 {
+		t.Fatalf("%d concurrent callers ran %d solves, want 1", callers, n)
+	}
+	hits, misses, _ := c.Counters()
+	if misses != 1 || hits != callers-1 || c.Len() != 1 {
+		t.Fatalf("hits=%d misses=%d len=%d, want %d/1/1", hits, misses, c.Len(), callers-1)
+	}
+	for i, r := range results {
+		if r != results[0] {
+			t.Fatalf("caller %d got a different result pointer", i)
+		}
 	}
 }

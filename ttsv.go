@@ -43,7 +43,6 @@ import (
 	"repro/internal/fem"
 	"repro/internal/fit"
 	"repro/internal/materials"
-	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
@@ -131,15 +130,6 @@ type (
 	// PrecondKind selects the reference solver's preconditioner; see
 	// Resolution.Precond and the Precond* constants.
 	PrecondKind = sparse.PrecondKind
-	// OperatorKind selects the reference solver's matrix representation;
-	// see Resolution.Operator and the Operator* constants.
-	OperatorKind = fem.OperatorKind
-	// MGHierarchyKind selects how multigrid coarse levels are built; see
-	// Resolution.Hierarchy and the MGHierarchy* constants.
-	MGHierarchyKind = mg.HierarchyKind
-	// MGPrecisionKind selects the multigrid preconditioner-data storage
-	// precision; see Resolution.Precision and the MGPrecision* constants.
-	MGPrecisionKind = mg.PrecisionKind
 	// PlanOptions controls worker count and memoization of insertion
 	// planning.
 	PlanOptions = plan.Options
@@ -183,8 +173,10 @@ type (
 )
 
 // Preconditioner choices for Resolution.Precond. PrecondAuto picks per
-// system: geometric multigrid above a few thousand unknowns, SSOR
-// (sequential) or Chebyshev (parallel) below.
+// system: multigrid above a few thousand unknowns, SSOR (sequential) or
+// Chebyshev (parallel) below. Multigrid builds the hierarchy its grid
+// calls for: geometric on the axisymmetric reference, smoothed-aggregation
+// Galerkin on 3-D grids.
 const (
 	PrecondAuto      = sparse.PrecondDefault
 	PrecondJacobi    = sparse.PrecondJacobi
@@ -197,52 +189,6 @@ const (
 // ParsePrecond converts a command-line spelling ("auto", "jacobi", "none",
 // "ssor", "chebyshev", "mg") into a PrecondKind.
 func ParsePrecond(s string) (PrecondKind, error) { return sparse.ParsePrecond(s) }
-
-// Operator choices for Resolution.Operator. OperatorAuto runs the solve
-// matrix-free off the structured-grid stencil whenever the preconditioner
-// allows it (everything but SSOR) and falls back to the assembled CSR
-// otherwise; results are bit-identical either way. OperatorCSR forces the
-// assembled matrix, OperatorStencil fails the solve when matrix-free is
-// impossible.
-const (
-	OperatorAuto    = fem.OperatorAuto
-	OperatorCSR     = fem.OperatorCSR
-	OperatorStencil = fem.OperatorStencil
-)
-
-// ParseOperator converts a command-line spelling ("auto", "csr", "stencil",
-// or "matfree") into an OperatorKind.
-func ParseOperator(s string) (OperatorKind, error) { return fem.ParseOperator(s) }
-
-// Multigrid hierarchy choices for Resolution.Hierarchy. MGHierarchyGalerkin
-// (the default) coarsens by smoothed aggregation with Galerkin coarse
-// operators — robust on any SPD system. MGHierarchyGeometric re-discretizes
-// each coarse level directly from the fine stencil coefficients — no sparse
-// matrix products, much cheaper fresh builds — and falls back to Galerkin
-// (counted in fem.mg.geometric.fallback) when the operator is not
-// stencil-structured. Converged temperatures agree within solver tolerance.
-const (
-	MGHierarchyGalerkin  = mg.HierarchyGalerkin
-	MGHierarchyGeometric = mg.HierarchyGeometric
-)
-
-// ParseMGHierarchy converts a command-line spelling ("auto", "galerkin",
-// "geometric") into an MGHierarchyKind.
-func ParseMGHierarchy(s string) (MGHierarchyKind, error) { return mg.ParseHierarchy(s) }
-
-// Multigrid precision choices for Resolution.Precision. MGPrecisionF32
-// stores the preconditioner's data (line-smoother factors, transfers, coarse
-// stencils) as float32, roughly halving its memory traffic; it requires the
-// geometric hierarchy. The outer CG stays float64 either way, so reported
-// temperatures stay within solver tolerance.
-const (
-	MGPrecisionF64 = mg.PrecisionF64
-	MGPrecisionF32 = mg.PrecisionF32
-)
-
-// ParseMGPrecision converts a command-line spelling ("auto", "f64", "f32")
-// into an MGPrecisionKind.
-func ParseMGPrecision(s string) (MGPrecisionKind, error) { return mg.ParsePrecision(s) }
 
 // Stock materials (conductivities from the paper's §IV).
 var (
