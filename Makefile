@@ -16,7 +16,8 @@ test:
 # verify is the pre-merge gate: static analysis, a short FuzzParseDeck
 # exploration on top of the checked-in seeds, the whole suite under the race
 # detector (it includes every determinism contract: reuse and warm-start
-# bit-identity, stencil-versus-CSR identity, deck and service goldens,
+# bit-identity, the reference-solve golden hashes, stencil kernels against
+# the CSR reference, deck and service goldens,
 # coalescing/admission/drain, and the sharded/resumable-sweep identities),
 # one pass over every benchmark so the harness itself cannot rot, and a
 # single-iteration smoke run of the bench-json pipeline.
@@ -68,22 +69,21 @@ bench-json:
 	@out=$$($(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchtime $(BENCHTIME) -count $(BENCHCOUNT) .) || { printf '%s\n' "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
-# bench-compare guards the solver's performance: it reruns the reference
+# bench-compare guards the solver's costs: it reruns the reference
 # benchmarks (min-of-BENCHCOUNT, like the archive) and diffs them against
-# the committed BENCH_ref.json, failing when any wall time regresses by more
-# than BENCH_THRESHOLD percent or any B/op / allocs/op regresses by more
-# than BENCH_ALLOC_THRESHOLD percent (allocation counts are deterministic,
-# so their gate is tighter). Min-of-N keeps host noise out of the diff, but
-# a marginal wall failure on a busy machine is still worth a rerun before
-# being trusted.
-BENCH_THRESHOLD ?= 25
+# the committed BENCH_ref.json, failing when any host-independent column —
+# B/op, allocs/op or the cgiters CG iteration count — regresses by more than
+# BENCH_ALLOC_THRESHOLD percent. ns/op is printed next to them but not
+# gated: on a shared host its run-to-run spread exceeds any bound tight
+# enough to catch a real regression, so wall-time claims need alternating
+# runs on one quiet host instead.
 BENCH_ALLOC_THRESHOLD ?= 10
 bench-compare:
 	@out=$$($(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchtime $(BENCHTIME) -count $(BENCHCOUNT) .) || { printf '%s\n' "$$out"; exit 1; }; \
-	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -compare BENCH_ref.json -threshold $(BENCH_THRESHOLD) -alloc-threshold $(BENCH_ALLOC_THRESHOLD)
+	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -compare BENCH_ref.json -alloc-threshold $(BENCH_ALLOC_THRESHOLD)
 
 # profile captures CPU and allocation pprof profiles of the sweep-reuse
-# benchmark (the end-to-end sweep hot path: symbolic refill, recycled
+# benchmark (the end-to-end sweep hot path: stencil refill, recycled
 # hierarchy rebuild, pooled CG). Inspect with
 #   go tool pprof profiles/repro.test profiles/sweep_cpu.pprof
 PROFILE_DIR ?= profiles

@@ -17,7 +17,10 @@
 //
 // With -compare the parsed input is diffed against a previously archived
 // document instead of being re-emitted; the command fails when any
-// benchmark's wall time regresses past -threshold percent. This is the
+// benchmark's host-independent columns — B/op, allocs/op and the cgiters CG
+// iteration count — regress past -alloc-threshold percent. Wall time is
+// printed next to them but never gated: on a shared host its run-to-run
+// spread exceeds any bound tight enough to mean something. This is the
 // engine behind `make bench-compare`:
 //
 //	go test -run '^$' -bench Reference -benchtime 2x . | benchjson -compare BENCH_ref.json
@@ -70,8 +73,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	outPath := fs.String("o", "", "write JSON here instead of stdout")
 	refPath := fs.String("compare", "", "diff the input against this archived JSON instead of emitting JSON")
-	threshold := fs.Float64("threshold", 25, "with -compare, fail when any ns/op regresses by more than this percentage")
-	allocThreshold := fs.Float64("alloc-threshold", 10, "with -compare, fail when any B/op or allocs/op regresses by more than this percentage (memory is deterministic, so the gate can be tighter than wall time)")
+	allocThreshold := fs.Float64("alloc-threshold", 10, "with -compare, fail when any B/op, allocs/op or cgiters regresses by more than this percentage (ns/op is reported, not gated)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,7 +84,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	doc.GoMaxProcs = runtime.GOMAXPROCS(0)
 	doc.NumCPU = runtime.NumCPU()
 	if *refPath != "" {
-		return compare(doc, *refPath, *threshold, *allocThreshold, out)
+		return compare(doc, *refPath, *allocThreshold, out)
 	}
 	w := out
 	if *outPath != "" {
@@ -98,17 +100,22 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// memUnits are the deterministic allocation metrics gated by -alloc-threshold.
+// memUnits are the deterministic allocation metrics; -count runs merge them
+// by elementwise minimum.
 var memUnits = [...]string{"B/op", "allocs/op"}
 
+// gatedUnits are the host-independent metrics compare gates: allocation is
+// deterministic for a fixed workload, and so is the CG iteration count.
+var gatedUnits = [...]string{"B/op", "allocs/op", "cgiters"}
+
 // compare diffs doc against the archived reference document, one line per
-// benchmark, and fails when any matched benchmark's ns/op exceeds its
-// reference by more than threshold percent, or its B/op or allocs/op exceeds
-// the reference by more than allocThreshold percent. Memory metrics are only
-// gated when both sides report them — the archive may predate -benchmem
+// benchmark, and fails when any matched benchmark's B/op, allocs/op or
+// cgiters exceeds its reference by more than threshold percent. ns/op is
+// printed with its delta but never fails the comparison. A gated metric is
+// only compared when both sides report it — the archive may predate its
 // capture. Benchmarks present on only one side are reported but never fail
-// the comparison. Getting faster (or leaner) is never a failure.
-func compare(doc *Document, refPath string, threshold, allocThreshold float64, w io.Writer) error {
+// the comparison. Getting leaner is never a failure.
+func compare(doc *Document, refPath string, threshold float64, w io.Writer) error {
 	data, err := os.ReadFile(refPath)
 	if err != nil {
 		return err
@@ -132,12 +139,8 @@ func compare(doc *Document, refPath string, threshold, allocThreshold float64, w
 		matched++
 		delta := 100 * (b.NsPerOp - r.NsPerOp) / r.NsPerOp
 		mark := ""
-		if delta > threshold {
-			mark = "   REGRESSION"
-			regressed = append(regressed, fmt.Sprintf("%s (%+.1f%% ns/op)", b.Name, delta))
-		}
 		var mem strings.Builder
-		for _, unit := range memUnits {
+		for _, unit := range gatedUnits {
 			bv, bok := b.Metrics[unit]
 			rv, rok := r.Metrics[unit]
 			if !bok || !rok || rv <= 0 {
@@ -145,7 +148,7 @@ func compare(doc *Document, refPath string, threshold, allocThreshold float64, w
 			}
 			md := 100 * (bv - rv) / rv
 			fmt.Fprintf(&mem, "   %s %+.1f%%", unit, md)
-			if md > allocThreshold {
+			if md > threshold {
 				mark = "   REGRESSION"
 				regressed = append(regressed, fmt.Sprintf("%s (%+.1f%% %s)", b.Name, md, unit))
 			}
@@ -157,10 +160,10 @@ func compare(doc *Document, refPath string, threshold, allocThreshold float64, w
 		return fmt.Errorf("no benchmark on input matches the reference %s", refPath)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d regression(s) past %g%% ns/op / %g%% mem vs %s: %s",
-			len(regressed), threshold, allocThreshold, refPath, strings.Join(regressed, ", "))
+		return fmt.Errorf("%d regression(s) past %g%% in B/op, allocs/op or cgiters vs %s: %s",
+			len(regressed), threshold, refPath, strings.Join(regressed, ", "))
 	}
-	fmt.Fprintf(w, "ok: %d benchmark(s) within %g%% ns/op and %g%% mem of %s\n", matched, threshold, allocThreshold, refPath)
+	fmt.Fprintf(w, "ok: %d benchmark(s) within %g%% B/op, allocs/op and cgiters of %s (ns/op not gated)\n", matched, threshold, refPath)
 	return nil
 }
 

@@ -105,14 +105,15 @@ const refJSON = `{
 
 func TestCompareWithinThresholdPasses(t *testing.T) {
 	// Sample's ReferenceSolveDefault runs 111222333 ns/op vs a 1e8 reference:
-	// an 11.2% regression, inside the 25% default.
+	// an 11.2% wall-time regression, reported but never gated — wall time is
+	// host-dependent.
 	ref := writeRef(t, refJSON)
 	var buf bytes.Buffer
-	if err := run([]string{"-compare", ref}, strings.NewReader(sample), &buf); err != nil {
-		t.Fatalf("within-threshold compare failed: %v\n%s", err, buf.String())
+	if err := run([]string{"-compare", ref, "-alloc-threshold", "0"}, strings.NewReader(sample), &buf); err != nil {
+		t.Fatalf("wall-time delta failed the compare: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	if !strings.Contains(out, "ok: 2 benchmark(s) within 25%") {
+	if !strings.Contains(out, "ok: 2 benchmark(s) within 0% B/op, allocs/op and cgiters") {
 		t.Errorf("no pass summary:\n%s", out)
 	}
 	if !strings.Contains(out, "+11.2%") {
@@ -121,14 +122,18 @@ func TestCompareWithinThresholdPasses(t *testing.T) {
 }
 
 func TestCompareFailsOnRegression(t *testing.T) {
-	ref := writeRef(t, refJSON)
+	// The CG iteration count is host-independent, so it is gated: sample's
+	// ReferenceMGRefined2 takes 14 iterations against an archived 12.
+	ref := writeRef(t, `{"benchmarks": [
+    {"name": "ReferenceMGRefined2", "iterations": 5, "ns_per_op": 222333444, "metrics": {"cgiters": 12}}
+  ]}`)
 	var buf bytes.Buffer
-	err := run([]string{"-compare", ref, "-threshold", "10"}, strings.NewReader(sample), &buf)
+	err := run([]string{"-compare", ref}, strings.NewReader(sample), &buf)
 	if err == nil {
-		t.Fatalf("11.2%% regression passed a 10%% threshold:\n%s", buf.String())
+		t.Fatalf("16.7%% cgiters regression passed a 10%% threshold:\n%s", buf.String())
 	}
-	if !strings.Contains(err.Error(), "ReferenceSolveDefault") {
-		t.Errorf("error does not name the regressed benchmark: %v", err)
+	if !strings.Contains(err.Error(), "ReferenceMGRefined2") || !strings.Contains(err.Error(), "cgiters") {
+		t.Errorf("error does not name the regressed benchmark and metric: %v", err)
 	}
 	if !strings.Contains(buf.String(), "REGRESSION") {
 		t.Errorf("regression not marked in the table:\n%s", buf.String())
@@ -179,8 +184,8 @@ func TestCompareSkipsMemWithoutReferenceMetrics(t *testing.T) {
 	if err := run([]string{"-compare", ref, "-alloc-threshold", "0"}, strings.NewReader(sample), &buf); err != nil {
 		t.Fatalf("metric-free reference gated memory anyway: %v\n%s", err, buf.String())
 	}
-	if strings.Contains(buf.String(), "B/op") {
-		t.Errorf("memory delta reported without reference metrics:\n%s", buf.String())
+	if out := buf.String(); strings.Contains(out, "B/op +") || strings.Contains(out, "B/op -") {
+		t.Errorf("memory delta reported without reference metrics:\n%s", out)
 	}
 }
 

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/units"
 )
@@ -256,10 +258,19 @@ func TestErrorStatsRuntimes(t *testing.T) {
 		t.Error("runtimes missing")
 	}
 	// The analytical models must be orders of magnitude faster than the
-	// reference (the paper's efficiency claim).
-	if stats["A"].AvgRuntime > stats[RefName].AvgRuntime/10 {
-		t.Errorf("Model A runtime %v not well below reference %v",
-			stats["A"].AvgRuntime, stats[RefName].AvgRuntime)
+	// reference (the paper's efficiency claim). Compare per-point medians:
+	// one preempted µs-scale Model A point can drag a mean past the bound
+	// on a loaded host, but not the median.
+	median := func(model string) time.Duration {
+		rts := make([]time.Duration, 0, len(sw.Points))
+		for _, p := range sw.Points {
+			rts = append(rts, p.Runtime[model])
+		}
+		sort.Slice(rts, func(i, j int) bool { return rts[i] < rts[j] })
+		return rts[len(rts)/2]
+	}
+	if a, ref := median("A"), median(RefName); a > ref/10 {
+		t.Errorf("Model A median runtime %v not well below reference %v", a, ref)
 	}
 	if stats[RefName].Max != 0 || stats[RefName].Avg != 0 {
 		t.Error("reference has nonzero self-error")

@@ -1,36 +1,35 @@
 package fem
 
-// Symbolic/numeric assembly split.
+// Assembly straight into stencil coefficients.
 //
-// The finite-volume discretizations in this package emit their matrix
-// coefficients in a fixed cell order that depends only on the mesh topology
-// and the boundary-condition kinds — never on the coefficient values. That
-// makes the expensive half of assembly (building the CSR sparsity pattern:
-// sorting the emission stream, merging duplicates, allocating the index
-// arrays) a pure function of an asmKey, reusable across every solve of a
-// parameter sweep. The cheap half (the numbers) is a zero + scatter-add
-// through a precomputed slot map.
+// Both finite-volume discretizations in this package live on structured
+// grids, so an assembled system is a sparse.Stencil — one diagonal array
+// plus one off-diagonal array per axis — with its right-hand side (and, on
+// the axisymmetric grid, the cell volumes). The emitters below write each
+// face conductance g straight into those arrays: −g into the face's
+// off-diagonal slot, +g into both cells' diagonals. No sparsity pattern,
+// index array or slot map exists.
 //
-// Both halves run the same emission loop, and duplicate emissions are summed
-// in emission order in both the first fill and every refill, so a system
-// assembled through a cached pattern is bit-identical to one assembled from
-// scratch: reuse changes where the arrays come from, never what is in them.
+// The arrays' shape depends only on an asmKey — the cell counts and
+// boundary kinds — never on the coefficient values, so a SolveContext keeps
+// one assembly per key and every later solve of a parameter sweep refills
+// it in place. Every fill zeroes the accumulated arrays and walks the cells
+// in the same fixed order, adding to each diagonal in the same sequence, so
+// a refilled system is bit-identical to a fresh one: reuse changes where
+// the arrays come from, never what is in them.
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/mesh"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
-// asmKey identifies an assembly pattern: everything the sparsity structure
-// and emission order depend on. The coefficient fields of a problem (K, Q,
-// boundary temperatures) change the numbers, never the structure, so any two
-// problems with equal keys share a pattern.
+// asmKey identifies an assembly's shape: everything the stencil layout and
+// fill order depend on. The coefficient fields of a problem (K, Q, boundary
+// temperatures) change the numbers, never the shape, so any two problems
+// with equal keys share an assembly.
 type asmKey struct {
 	kind               byte // 'a' axisymmetric, 'c' Cartesian
 	d0, d1, d2         int  // cells per axis (d2 is 0 for axisymmetric)
@@ -38,96 +37,76 @@ type asmKey struct {
 	aniso              bool // Cartesian: distinct vertical-conductivity buffer
 }
 
-// pattern is the symbolic half of an assembled system plus the buffers the
-// numeric half refills in place: the CSR index arrays are built once per
-// key, and slots maps every coefficient emission — in emission order — to
-// its CSR value slot.
-type pattern struct {
-	key    asmKey
-	n      int
-	slots  []int32
-	matrix *sparse.CSR
-	val    []float64 // the matrix's value array (adopted by NewCSRFromSorted)
-	rhs    []float64
-	vol    []float64 // axisymmetric: cell volumes
-	k      []float64 // cell conductivities, row-major like the unknowns
-	kz     []float64 // Cartesian: vertical conductivities (aliases k when isotropic)
-
-	// Matrix-free view of matrix, built lazily by stencilFor and refreshed
-	// after refills; stencilErr is the sticky probe failure and stencilDirty
-	// marks the coefficient arrays stale relative to val.
-	stencil      *sparse.Stencil
-	stencilErr   error
-	stencilDirty bool
+// assembly holds an assembled system: the stencil operator, whose
+// coefficient arrays the emitters write, the right-hand side, and the
+// sampled conductivities — all refilled in place for each problem with the
+// same key.
+type assembly struct {
+	key asmKey
+	op  *sparse.Stencil
+	rhs []float64
+	vol []float64 // axisymmetric: cell volumes
+	k   []float64 // cell conductivities, row-major like the unknowns
+	kz  []float64 // Cartesian: vertical conductivities (aliases k when isotropic)
 }
 
-// finishSymbolic turns a recorded emission stream into the CSR pattern, slot
-// map and first numeric fill. Duplicate (r, c) emissions share a slot and
-// are summed in emission order — the order every refill also uses.
-func (pat *pattern) finishSymbolic(rs, cs []int32, vs []float64) error {
-	nEmit := len(rs)
-	perm := make([]int32, nEmit)
-	for i := range perm {
-		perm[i] = int32(i)
+// newAssembly allocates the arrays for a grid with the given per-axis cell
+// counts, fastest-varying first.
+func newAssembly(key asmKey, dims []int) (*assembly, error) {
+	n := 1
+	for _, d := range dims {
+		n *= d
 	}
-	sort.Slice(perm, func(x, y int) bool {
-		a, b := perm[x], perm[y]
-		if rs[a] != rs[b] {
-			return rs[a] < rs[b]
+	asm := &assembly{
+		key: key,
+		rhs: make([]float64, n),
+		k:   make([]float64, n),
+	}
+	var off [3][]float64 // off[d][i] = A[i, i+stride_d]; nil for axes of extent 1
+	for d, nd := range dims {
+		if nd > 1 {
+			off[d] = make([]float64, n)
 		}
-		return cs[a] < cs[b]
-	})
-	slots := make([]int32, nEmit)
-	rowPtr := make([]int, pat.n+1)
-	colIdx := make([]int, 0, nEmit)
-	prevR, prevC := int32(-1), int32(-1)
-	nnz := 0
-	for _, p := range perm {
-		if rs[p] != prevR || cs[p] != prevC {
-			prevR, prevC = rs[p], cs[p]
-			colIdx = append(colIdx, int(prevC))
-			rowPtr[prevR+1]++
-			nnz++
-		}
-		slots[p] = int32(nnz - 1)
 	}
-	for i := 0; i < pat.n; i++ {
-		rowPtr[i+1] += rowPtr[i]
+	asm.kz = asm.k
+	if key.aniso {
+		asm.kz = make([]float64, n)
 	}
-	pat.slots = slots
-	pat.val = make([]float64, nnz)
-	for t, s := range slots {
-		pat.val[s] += vs[t]
+	if key.kind == 'a' {
+		asm.vol = make([]float64, n)
 	}
-	m, err := sparse.NewCSRFromSorted(pat.n, pat.n, rowPtr, colIdx, pat.val)
+	op, err := sparse.NewStencilCoeffs(dims, make([]float64, n), off)
 	if err != nil {
-		return fmt.Errorf("fem: internal: assembled pattern invalid: %w", err)
+		return nil, fmt.Errorf("fem: internal: %w", err)
 	}
-	pat.matrix = m
-	return nil
+	asm.op = op
+	return asm, nil
 }
 
-// refillInto prepares a cached pattern for a numeric pass and returns the
-// scatter-add emission sink. The returned done must be called after the
-// emission loop: it verifies the loop emitted exactly as many coefficients
-// as the symbolic pass recorded (the structural invariant behind reuse).
-func (pat *pattern) refillInto() (add func(r, c int, v float64), done func() error) {
-	clear(pat.val)
-	clear(pat.rhs)
-	pat.stencilDirty = true
-	t := 0
-	slots, val := pat.slots, pat.val
-	add = func(_, _ int, v float64) {
-		val[slots[t]] += v
-		t++
-	}
-	done = func() error {
-		if t != len(slots) {
-			return fmt.Errorf("fem: internal: cached pattern saw %d emissions, expected %d", t, len(slots))
+// assembleWith returns sc's cached assembly for key, or a new one, after
+// fill has (re)assembled the problem into it. The diagonal and right-hand
+// side accumulate, so they are zeroed first; the off-diagonals and volumes
+// are assigned outright by every fill. A new assembly is cached only once
+// its first fill succeeds.
+func assembleWith(sc *SolveContext, key asmKey, dims []int, fill func(*assembly) error) (*assembly, error) {
+	asm := sc.cachedAssembly(key)
+	fresh := asm == nil
+	if fresh {
+		var err error
+		if asm, err = newAssembly(key, dims); err != nil {
+			return nil, err
 		}
-		return nil
 	}
-	return add, done
+	diag, _ := asm.op.Coeffs()
+	clear(diag)
+	clear(asm.rhs)
+	if err := fill(asm); err != nil {
+		return nil, err
+	}
+	if fresh {
+		sc.storeAssembly(asm)
+	}
+	return asm, nil
 }
 
 // --- axisymmetric -----------------------------------------------------------
@@ -151,11 +130,13 @@ func fillAxiK(p *AxiProblem, nr, nz int, rc, zc, k []float64) error {
 }
 
 // axiEmit walks the axisymmetric finite-volume discretization in a fixed
-// cell order, reporting every matrix coefficient through add and writing the
-// right-hand side and cell volumes directly. The symbolic recording pass and
-// every numeric refill run this same loop.
-func axiEmit(p *AxiProblem, nr, nz int, rc, zc, k []float64, add func(r, c int, v float64), rhs, vol []float64) error {
-	idx := func(i, j int) int { return j*nr + i }
+// cell order, writing every face conductance into asm's stencil arrays and
+// the sources, boundary terms and cell volumes into its right-hand side and
+// volumes. The diagonal and asm.rhs must be zero on entry.
+func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
+	k, rhs, vol := asm.k, asm.rhs, asm.vol
+	diag, off := asm.op.Coeffs()
+	offR, offZ := off[0], off[1]
 	// faceG computes the conductance between two cell centers through a
 	// shared face of area a, with center-to-face distances d1, d2 and
 	// conductivities k1, k2 (series/harmonic combination).
@@ -168,8 +149,8 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc, k []float64, add func(r, c int, 
 		for i := 0; i < nr; i++ {
 			rw, re := p.REdges[i], p.REdges[i+1]
 			ring := math.Pi * (re*re - rw*rw) // axial face area
-			row := idx(i, j)
-			kc := k[j*nr+i]
+			row := j*nr + i
+			kc := k[row]
 			vol[row] = ring * dz
 
 			// Volumetric source. Negative densities (cooling) are legal;
@@ -186,15 +167,14 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc, k []float64, add func(r, c int, 
 			// East neighbor (radial outward).
 			if i+1 < nr {
 				a := 2 * math.Pi * re * dz
-				g := faceG(a, re-rc[i], kc, rc[i+1]-re, k[j*nr+i+1])
-				add(row, row, g)
-				add(row, idx(i+1, j), -g)
-				add(idx(i+1, j), idx(i+1, j), g)
-				add(idx(i+1, j), row, -g)
+				g := faceG(a, re-rc[i], kc, rc[i+1]-re, k[row+1])
+				diag[row] += g
+				offR[row] = -g
+				diag[row+1] += g
 			} else if p.Outer.Kind == Dirichlet {
 				a := 2 * math.Pi * re * dz
 				g := a * kc / (re - rc[i])
-				add(row, row, g)
+				diag[row] += g
 				rhs[row] += g * p.Outer.Temp
 			}
 			// West face: interior handled by the east sweep of cell i-1; the
@@ -203,21 +183,20 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc, k []float64, add func(r, c int, 
 
 			// North neighbor (axial upward).
 			if j+1 < nz {
-				g := faceG(ring, zn-zc[j], kc, zc[j+1]-zn, k[(j+1)*nr+i])
-				add(row, row, g)
-				add(row, idx(i, j+1), -g)
-				add(idx(i, j+1), idx(i, j+1), g)
-				add(idx(i, j+1), row, -g)
+				g := faceG(ring, zn-zc[j], kc, zc[j+1]-zn, k[row+nr])
+				diag[row] += g
+				offZ[row] = -g
+				diag[row+nr] += g
 			} else if p.Top.Kind == Dirichlet {
 				g := ring * kc / (zn - zc[j])
-				add(row, row, g)
+				diag[row] += g
 				rhs[row] += g * p.Top.Temp
 			}
 
 			// South boundary.
 			if j == 0 && p.Bottom.Kind == Dirichlet {
 				g := ring * kc / (zc[j] - zs)
-				add(row, row, g)
+				diag[row] += g
 				rhs[row] += g * p.Bottom.Temp
 			}
 		}
@@ -225,57 +204,10 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc, k []float64, add func(r, c int, 
 	return nil
 }
 
-// newAxiPattern runs the symbolic pass: record the emission stream, build
-// the CSR pattern and slot map, and perform the first numeric fill.
-func newAxiPattern(p *AxiProblem, key asmKey, nr, nz int, rc, zc []float64) (*pattern, error) {
-	n := nr * nz
-	pat := &pattern{
-		key: key, n: n,
-		rhs: make([]float64, n),
-		vol: make([]float64, n),
-		k:   make([]float64, n),
-	}
-	if err := fillAxiK(p, nr, nz, rc, zc, pat.k); err != nil {
-		return nil, err
-	}
-	// Interior cells emit 8 coefficients (east + north stencils), Dirichlet
-	// boundaries one more each: 9n never reallocates.
-	est := 9 * n
-	rs := make([]int32, 0, est)
-	cs := make([]int32, 0, est)
-	vs := make([]float64, 0, est)
-	record := func(r, c int, v float64) {
-		rs = append(rs, int32(r))
-		cs = append(cs, int32(c))
-		vs = append(vs, v)
-	}
-	if err := axiEmit(p, nr, nz, rc, zc, pat.k, record, pat.rhs, pat.vol); err != nil {
-		return nil, err
-	}
-	if err := pat.finishSymbolic(rs, cs, vs); err != nil {
-		return nil, err
-	}
-	return pat, nil
-}
-
-// refillAxi re-runs the numeric pass of a cached pattern for a new problem
-// with the same key: resample conductivities, zero, scatter-add.
-func (pat *pattern) refillAxi(p *AxiProblem, nr, nz int, rc, zc []float64) error {
-	if err := fillAxiK(p, nr, nz, rc, zc, pat.k); err != nil {
-		return err
-	}
-	add, done := pat.refillInto()
-	if err := axiEmit(p, nr, nz, rc, zc, pat.k, add, pat.rhs, pat.vol); err != nil {
-		return err
-	}
-	return done()
-}
-
-// assembleAxiWith discretizes the problem, reusing a cached assembly pattern
-// from sc when one matches. With a nil (or reuse-disabled) context it builds
-// a throwaway pattern through the same two-pass machinery, so the assembled
-// system is bit-identical either way.
-func assembleAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem) (*axiSystem, error) {
+// assembleAxiWith discretizes the problem into sc's cached assembly for its
+// key, or a new one. With a nil (or reuse-disabled) context every solve
+// assembles fresh; the system is bit-identical either way.
+func assembleAxiWith(sc *SolveContext, p *AxiProblem) (*axiSystem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -283,35 +215,17 @@ func assembleAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem) (*axi
 	nz := len(p.ZEdges) - 1
 	rc := mesh.Centers(p.REdges)
 	zc := mesh.Centers(p.ZEdges)
-	key := axiKey(nr, nz, p)
-	if pat := sc.pattern(key); pat != nil {
-		_, sp := obs.StartSpan(ctx, "fem.assemble.numeric")
-		err := pat.refillAxi(p, nr, nz, rc, zc)
-		sp.End()
-		if err != nil {
-			return nil, err
+	asm, err := assembleWith(sc, axiKey(nr, nz, p), []int{nr, nz}, func(asm *assembly) error {
+		if err := fillAxiK(p, nr, nz, rc, zc, asm.k); err != nil {
+			return err
 		}
-		return axiSystemFrom(pat, nr, nz, rc, zc), nil
-	}
-	_, sp := obs.StartSpan(ctx, "fem.assemble.symbolic")
-	pat, err := newAxiPattern(p, key, nr, nz, rc, zc)
-	sp.End()
+		return axiEmit(p, nr, nz, rc, zc, asm)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sc.storePattern(pat)
-	return axiSystemFrom(pat, nr, nz, rc, zc), nil
-}
-
-func axiSystemFrom(pat *pattern, nr, nz int, rc, zc []float64) *axiSystem {
-	return &axiSystem{
-		nr: nr, nz: nz, rc: rc, zc: zc,
-		matrix: pat.matrix, rhs: pat.rhs, volumes: pat.vol,
-		// Unknown index = iz·nr + ir: the radial axis varies fastest.
-		grid: solverGrid{dims: []int{nr, nz}},
-		key:  pat.key,
-		pat:  pat,
-	}
+	// Unknown index = iz·nr + ir: the radial axis varies fastest.
+	return &axiSystem{nr: nr, nz: nz, rc: rc, zc: zc, op: asm.op, rhs: asm.rhs, volumes: asm.vol, key: asm.key}, nil
 }
 
 // --- Cartesian --------------------------------------------------------------
@@ -346,16 +260,19 @@ func fillCartK(p *CartProblem, nx, ny, nz int, xc, yc, zc, k, kz []float64) erro
 }
 
 // cartEmit walks the 3-D Cartesian finite-volume discretization in a fixed
-// cell order; see axiEmit for the pass contract.
-func cartEmit(p *CartProblem, nx, ny, nz int, xc, yc, zc, k, kz []float64, add func(r, c int, v float64), rhs []float64) error {
-	idx := func(i, j, l int) int { return (l*ny+j)*nx + i }
+// cell order; see axiEmit for the contract.
+func cartEmit(p *CartProblem, nx, ny, nz int, xc, yc, zc []float64, asm *assembly) error {
+	k, kz, rhs := asm.k, asm.kz, asm.rhs
+	diag, off := asm.op.Coeffs()
+	offX, offY, offZ := off[0], off[1], off[2]
+	nxy := nx * ny
 	for l := 0; l < nz; l++ {
 		dz := p.ZEdges[l+1] - p.ZEdges[l]
 		for j := 0; j < ny; j++ {
 			dy := p.YEdges[j+1] - p.YEdges[j]
 			for i := 0; i < nx; i++ {
 				dx := p.XEdges[i+1] - p.XEdges[i]
-				row := idx(i, j, l)
+				row := (l*ny+j)*nx + i
 				kc := k[row]
 				if p.Q != nil {
 					qv := p.Q(xc[i], yc[j], zc[l])
@@ -367,41 +284,35 @@ func cartEmit(p *CartProblem, nx, ny, nz int, xc, yc, zc, k, kz []float64, add f
 				// +x neighbor.
 				if i+1 < nx {
 					a := dy * dz
-					g := a / ((p.XEdges[i+1]-xc[i])/kc + (xc[i+1]-p.XEdges[i+1])/k[idx(i+1, j, l)])
-					nb := idx(i+1, j, l)
-					add(row, row, g)
-					add(row, nb, -g)
-					add(nb, nb, g)
-					add(nb, row, -g)
+					g := a / ((p.XEdges[i+1]-xc[i])/kc + (xc[i+1]-p.XEdges[i+1])/k[row+1])
+					diag[row] += g
+					offX[row] = -g
+					diag[row+1] += g
 				}
 				// +y neighbor.
 				if j+1 < ny {
 					a := dx * dz
-					g := a / ((p.YEdges[j+1]-yc[j])/kc + (yc[j+1]-p.YEdges[j+1])/k[idx(i, j+1, l)])
-					nb := idx(i, j+1, l)
-					add(row, row, g)
-					add(row, nb, -g)
-					add(nb, nb, g)
-					add(nb, row, -g)
+					g := a / ((p.YEdges[j+1]-yc[j])/kc + (yc[j+1]-p.YEdges[j+1])/k[row+nx])
+					diag[row] += g
+					offY[row] = -g
+					diag[row+nx] += g
 				}
 				// +z neighbor (vertical conductivity).
 				kcz := kz[row]
 				if l+1 < nz {
 					a := dx * dy
-					g := a / ((p.ZEdges[l+1]-zc[l])/kcz + (zc[l+1]-p.ZEdges[l+1])/kz[idx(i, j, l+1)])
-					nb := idx(i, j, l+1)
-					add(row, row, g)
-					add(row, nb, -g)
-					add(nb, nb, g)
-					add(nb, row, -g)
+					g := a / ((p.ZEdges[l+1]-zc[l])/kcz + (zc[l+1]-p.ZEdges[l+1])/kz[row+nxy])
+					diag[row] += g
+					offZ[row] = -g
+					diag[row+nxy] += g
 				} else if p.Top.Kind == Dirichlet {
 					g := dx * dy * kcz / (p.ZEdges[nz] - zc[l])
-					add(row, row, g)
+					diag[row] += g
 					rhs[row] += g * p.Top.Temp
 				}
 				if l == 0 && p.Bottom.Kind == Dirichlet {
 					g := dx * dy * kcz / (zc[0] - p.ZEdges[0])
-					add(row, row, g)
+					diag[row] += g
 					rhs[row] += g * p.Bottom.Temp
 				}
 			}
@@ -410,54 +321,8 @@ func cartEmit(p *CartProblem, nx, ny, nz int, xc, yc, zc, k, kz []float64, add f
 	return nil
 }
 
-// newCartPattern runs the symbolic pass for a Cartesian problem.
-func newCartPattern(p *CartProblem, key asmKey, nx, ny, nz int, xc, yc, zc []float64) (*pattern, error) {
-	n := nx * ny * nz
-	pat := &pattern{
-		key: key, n: n,
-		rhs: make([]float64, n),
-		k:   make([]float64, n),
-	}
-	pat.kz = pat.k
-	if key.aniso {
-		pat.kz = make([]float64, n)
-	}
-	if err := fillCartK(p, nx, ny, nz, xc, yc, zc, pat.k, pat.kz); err != nil {
-		return nil, err
-	}
-	// Interior cells emit 12 coefficients (three neighbor stencils of 4);
-	// 13n covers the Dirichlet extremes without reallocating.
-	est := 13 * n
-	rs := make([]int32, 0, est)
-	cs := make([]int32, 0, est)
-	vs := make([]float64, 0, est)
-	record := func(r, c int, v float64) {
-		rs = append(rs, int32(r))
-		cs = append(cs, int32(c))
-		vs = append(vs, v)
-	}
-	if err := cartEmit(p, nx, ny, nz, xc, yc, zc, pat.k, pat.kz, record, pat.rhs); err != nil {
-		return nil, err
-	}
-	if err := pat.finishSymbolic(rs, cs, vs); err != nil {
-		return nil, err
-	}
-	return pat, nil
-}
-
-func (pat *pattern) refillCart(p *CartProblem, nx, ny, nz int, xc, yc, zc []float64) error {
-	if err := fillCartK(p, nx, ny, nz, xc, yc, zc, pat.k, pat.kz); err != nil {
-		return err
-	}
-	add, done := pat.refillInto()
-	if err := cartEmit(p, nx, ny, nz, xc, yc, zc, pat.k, pat.kz, add, pat.rhs); err != nil {
-		return err
-	}
-	return done()
-}
-
 // assembleCartWith is assembleAxiWith for the 3-D Cartesian solver.
-func assembleCartWith(ctx context.Context, sc *SolveContext, p *CartProblem) (*cartSystem, error) {
+func assembleCartWith(sc *SolveContext, p *CartProblem) (*cartSystem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -467,33 +332,15 @@ func assembleCartWith(ctx context.Context, sc *SolveContext, p *CartProblem) (*c
 	xc := mesh.Centers(p.XEdges)
 	yc := mesh.Centers(p.YEdges)
 	zc := mesh.Centers(p.ZEdges)
-	key := cartKey(nx, ny, nz, p)
-	if pat := sc.pattern(key); pat != nil {
-		_, sp := obs.StartSpan(ctx, "fem.assemble.numeric")
-		err := pat.refillCart(p, nx, ny, nz, xc, yc, zc)
-		sp.End()
-		if err != nil {
-			return nil, err
+	asm, err := assembleWith(sc, cartKey(nx, ny, nz, p), []int{nx, ny, nz}, func(asm *assembly) error {
+		if err := fillCartK(p, nx, ny, nz, xc, yc, zc, asm.k, asm.kz); err != nil {
+			return err
 		}
-		return cartSystemFrom(pat, nx, ny, nz, xc, yc, zc), nil
-	}
-	_, sp := obs.StartSpan(ctx, "fem.assemble.symbolic")
-	pat, err := newCartPattern(p, key, nx, ny, nz, xc, yc, zc)
-	sp.End()
+		return cartEmit(p, nx, ny, nz, xc, yc, zc, asm)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sc.storePattern(pat)
-	return cartSystemFrom(pat, nx, ny, nz, xc, yc, zc), nil
-}
-
-func cartSystemFrom(pat *pattern, nx, ny, nz int, xc, yc, zc []float64) *cartSystem {
-	return &cartSystem{
-		nx: nx, ny: ny, nz: nz, xc: xc, yc: yc, zc: zc,
-		matrix: pat.matrix, rhs: pat.rhs,
-		// Unknown index = (iz·ny + iy)·nx + ix: x varies fastest, then y, z.
-		grid: solverGrid{dims: []int{nx, ny, nz}},
-		key:  pat.key,
-		pat:  pat,
-	}
+	// Unknown index = (iz·ny + iy)·nx + ix: x varies fastest, then y, z.
+	return &cartSystem{nx: nx, ny: ny, nz: nz, xc: xc, yc: yc, zc: zc, op: asm.op, rhs: asm.rhs, key: asm.key}, nil
 }

@@ -64,19 +64,17 @@ func (p *AxiProblem) Validate() error {
 type axiSystem struct {
 	nr, nz  int
 	rc, zc  []float64
-	matrix  *sparse.CSR
+	op      *sparse.Stencil
 	rhs     []float64
 	volumes []float64 // cell volumes, row-major like the unknowns
-	grid    solverGrid
 	key     asmKey
-	pat     *pattern // the owning pattern, for the matrix-free stencil view
 }
 
 // assembleAxi discretizes the problem without a reuse context; shared by the
 // transient solver and tests. The discretization itself lives in assembly.go
-// (axiEmit), shared with the pattern-cached path.
+// (axiEmit), shared with the context-cached path.
 func assembleAxi(p *AxiProblem) (*axiSystem, error) {
-	return assembleAxiWith(context.Background(), nil, p)
+	return assembleAxiWith(nil, p)
 }
 
 // solveDefaults fills in the solver settings this package uses: tight
@@ -87,7 +85,7 @@ func solveDefaults(sc *SolveContext, opt sparse.Options, sys *axiSystem) sparse.
 	if opt.Tol == 0 {
 		opt.Tol = 1e-10
 	}
-	return resolveSolverWith(sc, sys.key, opt, sys.matrix, sys.grid)
+	return resolveSolverWith(sc, sys.key, opt, sys.op)
 }
 
 // fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. All rows
@@ -129,8 +127,8 @@ func SolveAxiCtx(ctx context.Context, p *AxiProblem, opt sparse.Options) (*AxiSo
 func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()
-	asmCtx, asp := obs.StartSpan(ctx, "fem.assemble")
-	sys, err := assembleAxiWith(asmCtx, sc, p)
+	_, asp := obs.StartSpan(ctx, "fem.assemble")
+	sys, err := assembleAxiWith(sc, p)
 	asp.End()
 	if err != nil {
 		root.Set("error", err.Error())
@@ -143,19 +141,13 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 		psp.Set("precond", o.Precond.String())
 		psp.End()
 	}
-	op, opName, err := operatorFor(sys.pat, sys.grid.dims, o)
-	if err != nil {
-		root.Set("error", err.Error())
-		return nil, err
-	}
-	root.Set("fem.operator", opName)
 	if o.Pool == nil {
 		o.Pool = sc.poolFor(o.Workers)
 	}
 	if o.X0 == nil {
 		o.X0 = sc.warmX0(sys.key, len(sys.rhs))
 	}
-	x, st, err := sparse.SolveCGCtx(ctx, op, sys.rhs, o)
+	x, st, err := sparse.SolveCGCtx(ctx, sys.op, sys.rhs, o)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, solveErr("axisymmetric solve", len(sys.rhs), st, err)

@@ -66,18 +66,16 @@ func (p *CartProblem) Validate() error {
 type cartSystem struct {
 	nx, ny, nz int
 	xc, yc, zc []float64
-	matrix     *sparse.CSR
+	op         *sparse.Stencil
 	rhs        []float64
-	grid       solverGrid
 	key        asmKey
-	pat        *pattern // the owning pattern, for the matrix-free stencil view
 }
 
 // assembleCart discretizes the problem without a reuse context. The
 // discretization itself lives in assembly.go (cartEmit), shared with the
-// pattern-cached path.
+// context-cached path.
 func assembleCart(p *CartProblem) (*cartSystem, error) {
-	return assembleCartWith(context.Background(), nil, p)
+	return assembleCartWith(nil, p)
 }
 
 // SolveCart assembles and solves the finite-volume system.
@@ -97,8 +95,8 @@ func SolveCartCtx(ctx context.Context, p *CartProblem, opt sparse.Options) (*Car
 func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()
-	asmCtx, asp := obs.StartSpan(ctx, "fem.assemble")
-	sys, err := assembleCartWith(asmCtx, sc, p)
+	_, asp := obs.StartSpan(ctx, "fem.assemble")
+	sys, err := assembleCartWith(sc, p)
 	asp.End()
 	if err != nil {
 		root.Set("error", err.Error())
@@ -109,17 +107,11 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 		o.Tol = 1e-9
 	}
 	_, psp := obs.StartSpan(ctx, "fem.precond")
-	o = resolveSolverWith(sc, sys.key, o, sys.matrix, sys.grid)
+	o = resolveSolverWith(sc, sys.key, o, sys.op)
 	if psp != nil {
 		psp.Set("precond", o.Precond.String())
 		psp.End()
 	}
-	op, opName, err := operatorFor(sys.pat, sys.grid.dims, o)
-	if err != nil {
-		root.Set("error", err.Error())
-		return nil, err
-	}
-	root.Set("fem.operator", opName)
 	if o.Pool == nil {
 		o.Pool = sc.poolFor(o.Workers)
 	}
@@ -128,7 +120,7 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 	if o.X0 == nil {
 		o.X0 = sc.warmX0(sys.key, n)
 	}
-	x, st, err := sparse.SolveCGCtx(ctx, op, sys.rhs, o)
+	x, st, err := sparse.SolveCGCtx(ctx, sys.op, sys.rhs, o)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, solveErr("3-D solve", n, st, err)

@@ -39,6 +39,76 @@ func TestCartUniformSlabWithSource(t *testing.T) {
 	}
 }
 
+// TestCartLayeredSlabSeriesResistance is the closed-form check of the 3-D
+// emitter's vertical couplings: a laterally uniform two-layer slab with a
+// vertical conductivity KZ distinct from the lateral K, heated in its top
+// cell plane and held at the sink below. All heat flows down through the
+// cell-center-to-center resistances in series, so every cell-center
+// temperature is exactly (Q/A)·R(z), with R the summed h/KZ of the cells
+// below plus half the cell's own — the finite-volume discretization of a
+// layered slab carries no truncation error. A vertical face that read K
+// instead of KZ, or a misplaced boundary conductance, breaks the match.
+func TestCartLayeredSlabSeriesResistance(t *testing.T) {
+	const (
+		t1, kz1 = 1e-3, 120.0 // bottom layer
+		t2, kz2 = 0.4e-3, 3.0 // top layer, source cells included
+		kLat    = 1.0         // lateral conductivity: carries no heat here
+		tSrc    = 2e-5        // one cell plane of source at the top
+		qv      = 1e9         // W/m³ in the source plane
+		side    = 5e-4
+	)
+	x, _ := mesh.Uniform(0, side, 3)
+	z, err := mesh.Line(0, []mesh.Interval{
+		{Hi: t1, Cells: 8},
+		{Hi: t1 + t2 - tSrc, Cells: 6},
+		{Hi: t1 + t2, Cells: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &CartProblem{
+		XEdges: x, YEdges: append([]float64(nil), x...), ZEdges: z,
+		K: func(_, _, _ float64) float64 { return kLat },
+		KZ: func(_, _, zz float64) float64 {
+			if zz < t1 {
+				return kz1
+			}
+			return kz2
+		},
+		Q: func(_, _, zz float64) float64 {
+			if zz > t1+t2-tSrc {
+				return qv
+			}
+			return 0
+		},
+		Bottom: Fixed(0),
+		Top:    Insulated(),
+	}
+	sol, err := SolveCart(p, sparse.Options{Tol: 1e-13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flux := qv * tSrc // W/m² crossing every plane below the source
+	var below float64 // Σ h/KZ of the cells under the current one
+	for l, zz := range sol.ZCenters {
+		h := z[l+1] - z[l]
+		kz := p.KZ(0, 0, zz)
+		want := flux * (below + h/2/kz)
+		below += h / kz
+		for j := range sol.T[l] {
+			for i, got := range sol.T[l][j] {
+				if math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("T[%d][%d][%d] = %.15g, series resistance gives %.15g", l, j, i, got, want)
+				}
+			}
+		}
+	}
+	wantMax := flux * (t1/kz1 + (t2-tSrc/2)/kz2)
+	if got := sol.MaxT(); math.Abs(got-wantMax) > 1e-9*wantMax {
+		t.Fatalf("max ΔT = %.15g, want %.15g", got, wantMax)
+	}
+}
+
 func TestCartTotalSource(t *testing.T) {
 	x, _ := mesh.Uniform(0, 1e-3, 4)
 	z, _ := mesh.Uniform(0, 2e-3, 8)

@@ -7,8 +7,8 @@ import (
 )
 
 // SolveContext carries reusable state across the repeated solves of a
-// parameter sweep: assembly patterns (symbolic CSR structure + refillable
-// value buffers), multigrid hierarchies, kernel worker pools with their
+// parameter sweep: assemblies (stencil coefficient arrays refilled in
+// place), multigrid hierarchies, kernel worker pools with their
 // scratch free-lists, and — opt-in — the previous solution of each system
 // shape for warm-starting CG.
 //
@@ -23,7 +23,7 @@ import (
 // one solve at a time. Sweep workers each own one. The zero value of the
 // pointer (nil) is valid everywhere and means "no reuse".
 type SolveContext struct {
-	// NoReuse disables pattern, hierarchy and pool reuse, making every solve
+	// NoReuse disables assembly, hierarchy and pool reuse, making every solve
 	// behave as if it ran without a context. Mainly for A/B-testing reuse
 	// itself (the equivalence property tests flip it).
 	NoReuse bool
@@ -32,15 +32,16 @@ type SolveContext struct {
 	// sequence, so it is excluded from the bit-identity contract above.
 	WarmStart bool
 
-	patterns map[asmKey]*pattern
-	hier     map[asmKey]*hierEntry
-	warm     map[asmKey][]float64
-	pool     *sparse.Pool
+	assemblies map[asmKey]*assembly
+	hier       map[asmKey]*hierEntry
+	warm       map[asmKey][]float64
+	pool       *sparse.Pool
 }
 
-// hierEntry pairs a multigrid hierarchy with a snapshot of the operator
-// values it was built from, so hierarchyFor can prove the operator
-// unchanged before serving the hierarchy again.
+// hierEntry pairs a multigrid hierarchy with a snapshot of the stencil
+// coefficients it was built from (the diagonal and each axis's off-
+// diagonals, end to end), so hierarchyFor can prove the operator unchanged
+// before serving the hierarchy again.
 type hierEntry struct {
 	h    *mg.Hierarchy
 	vals []float64
@@ -49,9 +50,9 @@ type hierEntry struct {
 // NewSolveContext returns an empty context ready for reuse.
 func NewSolveContext() *SolveContext {
 	return &SolveContext{
-		patterns: make(map[asmKey]*pattern),
-		hier:     make(map[asmKey]*hierEntry),
-		warm:     make(map[asmKey][]float64),
+		assemblies: make(map[asmKey]*assembly),
+		hier:       make(map[asmKey]*hierEntry),
+		warm:       make(map[asmKey][]float64),
 	}
 }
 
@@ -78,26 +79,27 @@ func (sc *SolveContext) ResetWarm() {
 
 func (sc *SolveContext) reusing() bool { return sc != nil && !sc.NoReuse }
 
-// pattern returns the cached assembly pattern for key, or nil when the
-// caller must build one.
-func (sc *SolveContext) pattern(key asmKey) *pattern {
+// cachedAssembly returns the cached assembly for key, or nil when the
+// caller must allocate one. The fem.assemble.pattern.* counters record
+// refills (hits) against fresh allocations (misses).
+func (sc *SolveContext) cachedAssembly(key asmKey) *assembly {
 	if !sc.reusing() {
 		return nil
 	}
-	pat := sc.patterns[key]
-	if pat != nil {
+	asm := sc.assemblies[key]
+	if asm != nil {
 		obs.Default().Counter("fem.assemble.pattern.hits").Inc()
 	} else {
 		obs.Default().Counter("fem.assemble.pattern.misses").Inc()
 	}
-	return pat
+	return asm
 }
 
-func (sc *SolveContext) storePattern(pat *pattern) {
+func (sc *SolveContext) storeAssembly(asm *assembly) {
 	if !sc.reusing() {
 		return
 	}
-	sc.patterns[pat.key] = pat
+	sc.assemblies[asm.key] = asm
 }
 
 // poolFor returns the context's kernel pool for the given worker count,
@@ -119,24 +121,23 @@ func (sc *SolveContext) poolFor(workers int) *sparse.Pool {
 	return sc.pool
 }
 
-// hierarchyFor returns a multigrid hierarchy for the system (a, g) assembled
+// hierarchyFor returns a multigrid hierarchy for the stencil a assembled
 // under key. Three tiers, cheapest first:
 //
-//   - the cached hierarchy's operator snapshot matches a's values bit for
-//     bit → serve it untouched (repeated solves of one design point);
+//   - the cached hierarchy's coefficient snapshot matches a bit for bit →
+//     serve it untouched (repeated solves of one design point);
 //   - a cached hierarchy exists but the values moved → full rebuild through
 //     the predecessor's recycled arena (mg.Options.Prev): every coarse
 //     operator, transfer and factorization is recomputed — they all depend
 //     on the operator values, so none can be kept — but without
 //     allocations, and bit-identical to a fresh build;
 //   - no cached hierarchy (or no context) → fresh build.
-func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.CSR, g solverGrid) (*mg.Hierarchy, error) {
+func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.Stencil) (*mg.Hierarchy, error) {
 	if !sc.reusing() {
-		return mg.Build(a, g.dims, mg.Options{})
+		return mg.Build(a, mg.Options{})
 	}
 	e := sc.hier[key]
-	vals := sc.operatorValues(key, a)
-	if e != nil && e.h != nil && vals != nil && sameFloats(e.vals, vals) {
+	if e != nil && e.h != nil && sameCoeffs(e.vals, a) {
 		obs.Default().Counter("fem.mg.reuse.hits").Inc()
 		return e.h, nil
 	}
@@ -146,7 +147,7 @@ func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.CSR, g solverGrid) (*
 		e.h = nil
 		obs.Default().Counter("fem.mg.reuse.rebuilds").Inc()
 	}
-	h, err := mg.Build(a, g.dims, mg.Options{Prev: prev})
+	h, err := mg.Build(a, mg.Options{Prev: prev})
 	if err != nil {
 		delete(sc.hier, key)
 		return nil, err
@@ -156,35 +157,30 @@ func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.CSR, g solverGrid) (*
 		sc.hier[key] = e
 	}
 	e.h = h
-	if vals != nil {
-		e.vals = append(e.vals[:0], vals...)
-	} else {
-		e.vals = nil
+	diag, off := a.Coeffs()
+	e.vals = e.vals[:0]
+	for _, part := range [...][]float64{diag, off[0], off[1], off[2]} {
+		e.vals = append(e.vals, part...)
 	}
 	return h, nil
 }
 
-// operatorValues returns the live value array of the pattern-owned matrix
-// behind key, or nil when a was not assembled through this context (then no
-// snapshot comparison is possible and the hierarchy is always rebuilt).
-func (sc *SolveContext) operatorValues(key asmKey, a *sparse.CSR) []float64 {
-	pat := sc.patterns[key]
-	if pat == nil || pat.matrix != a {
-		return nil
-	}
-	return pat.val
-}
-
-func sameFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+// sameCoeffs reports whether snap holds exactly a's coefficient arrays laid
+// end to end, as hierarchyFor stores them.
+func sameCoeffs(snap []float64, a *sparse.Stencil) bool {
+	diag, off := a.Coeffs()
+	for _, part := range [...][]float64{diag, off[0], off[1], off[2]} {
+		if len(part) > len(snap) {
 			return false
 		}
+		for i, v := range part {
+			if snap[i] != v {
+				return false
+			}
+		}
+		snap = snap[len(part):]
 	}
-	return true
+	return len(snap) == 0
 }
 
 // warmX0 returns the stored previous solution for key, or nil for a cold

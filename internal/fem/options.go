@@ -55,14 +55,6 @@ func sparseDefaults() sparse.Options {
 	return sparse.Options{Tol: 1e-10}
 }
 
-// solverGrid carries the structured-grid shape behind an assembled system:
-// the per-axis cell counts, fastest-varying first. Multigrid construction
-// picks its hierarchy from the axis count (see mg.Build) and reads the
-// stencil layout off it.
-type solverGrid struct {
-	dims []int
-}
-
 // resolveSolver finalizes the solver options for an assembled system: the
 // default preconditioner becomes multigrid above mgAutoThreshold unknowns
 // (falling back to the single-level default when a hierarchy cannot be
@@ -70,17 +62,17 @@ type solverGrid struct {
 // an unset MaxIter scales with the preconditioner class instead of the
 // system size. A pre-built Options.MG (e.g. the transient integrator's
 // shared hierarchy) is reused as-is.
-func resolveSolver(opt sparse.Options, a *sparse.CSR, g solverGrid) sparse.Options {
-	return resolveSolverWith(nil, asmKey{}, opt, a, g)
+func resolveSolver(opt sparse.Options, a *sparse.Stencil) sparse.Options {
+	return resolveSolverWith(nil, asmKey{}, opt, a)
 }
 
 // resolveSolverWith is resolveSolver drawing the multigrid hierarchy from
 // sc's cache (reused when the operator values are unchanged, rebuilt through
 // the predecessor's recycled arena otherwise). A nil sc builds fresh.
-func resolveSolverWith(sc *SolveContext, key asmKey, opt sparse.Options, a *sparse.CSR, g solverGrid) sparse.Options {
+func resolveSolverWith(sc *SolveContext, key asmKey, opt sparse.Options, a *sparse.Stencil) sparse.Options {
 	if opt.MG == nil && (opt.Precond == sparse.PrecondMG ||
 		(opt.Precond == sparse.PrecondDefault && a.Rows() >= mgAutoThreshold)) {
-		if h, err := sc.hierarchyFor(key, a, g); err == nil {
+		if h, err := sc.hierarchyFor(key, a); err == nil {
 			if opt.Precond == sparse.PrecondDefault {
 				obs.Default().Counter("fem.mg.auto").Inc()
 			}

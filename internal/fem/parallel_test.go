@@ -138,24 +138,24 @@ func TestSolveCGWorkersBitIdenticalOnFEMSystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	systems := []struct {
-		name   string
-		matrix *sparse.CSR
-		rhs    []float64
+		name string
+		op   *sparse.Stencil
+		rhs  []float64
 	}{
-		{"axi", axiSys.matrix, axiSys.rhs},
-		{"cart3d", cartSys.matrix, cartSys.rhs},
+		{"axi", axiSys.op, axiSys.rhs},
+		{"cart3d", cartSys.op, cartSys.rhs},
 	}
 	for _, sys := range systems {
 		for _, pc := range []sparse.PrecondKind{sparse.PrecondJacobi, sparse.PrecondChebyshev} {
 			opt := sparse.Options{Tol: 1e-10, MaxIter: 100000, Precond: pc}
 			opt.Workers = 1
-			seq, _, err := sparse.SolveCG(sys.matrix, sys.rhs, opt)
+			seq, _, err := sparse.SolveCG(sys.op, sys.rhs, opt)
 			if err != nil {
 				t.Fatalf("%s/%v sequential: %v", sys.name, pc, err)
 			}
 			for _, w := range []int{2, 4, 8} {
 				opt.Workers = w
-				par, _, err := sparse.SolveCG(sys.matrix, sys.rhs, opt)
+				par, _, err := sparse.SolveCG(sys.op, sys.rhs, opt)
 				if err != nil {
 					t.Fatalf("%s/%v workers=%d: %v", sys.name, pc, w, err)
 				}

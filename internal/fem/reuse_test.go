@@ -41,7 +41,7 @@ func wantSameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestSolveContextBitIdentical is the tentpole reuse property: a radius
-// sweep solved through one shared SolveContext (pattern refills, pooled
+// sweep solved through one shared SolveContext (assembly refills, pooled
 // scratch from the second point on) must reproduce the fresh per-point
 // solves bit for bit, and so must a context with NoReuse set.
 func TestSolveContextBitIdentical(t *testing.T) {
@@ -68,11 +68,11 @@ func TestSolveContextBitIdentical(t *testing.T) {
 			}
 			wantSameBits(t, "context vs fresh", flatAxiT(sol.T), fresh[i])
 		}
-		if wantPat := 1; !noReuse && len(sc.patterns) != wantPat {
-			t.Fatalf("context cached %d patterns, want %d (one topology for the whole sweep)", len(sc.patterns), wantPat)
+		if wantPat := 1; !noReuse && len(sc.assemblies) != wantPat {
+			t.Fatalf("context cached %d assemblies, want %d (one topology for the whole sweep)", len(sc.assemblies), wantPat)
 		}
-		if noReuse && len(sc.patterns) != 0 {
-			t.Fatalf("NoReuse context cached %d patterns, want 0", len(sc.patterns))
+		if noReuse && len(sc.assemblies) != 0 {
+			t.Fatalf("NoReuse context cached %d assemblies, want 0", len(sc.assemblies))
 		}
 	}
 }
@@ -205,8 +205,8 @@ func TestSolveContextTopologyChange(t *testing.T) {
 		}
 		wantSameBits(t, "topology change", flatAxiT(got.T), flatAxiT(want.T))
 	}
-	if len(sc.patterns) != 2 {
-		t.Fatalf("context cached %d patterns, want 2 (one per topology)", len(sc.patterns))
+	if len(sc.assemblies) != 2 {
+		t.Fatalf("context cached %d assemblies, want 2 (one per topology)", len(sc.assemblies))
 	}
 }
 

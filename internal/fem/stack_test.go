@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sparse"
 	"repro/internal/stack"
 	"repro/internal/units"
 )
@@ -235,5 +236,58 @@ func TestResolutionRefine(t *testing.T) {
 	d := DefaultResolution()
 	if r.RadialVia != 2*d.RadialVia || r.Bulk != 2*d.Bulk || r.AxialPerLayer != 2*d.AxialPerLayer {
 		t.Errorf("Refine(2) = %+v", r)
+	}
+}
+
+// TestOperatorRefineCarriesSolverKnobs: Refine scales mesh counts and the
+// grading exponent but must pass the solver knobs through untouched.
+func TestOperatorRefineCarriesSolverKnobs(t *testing.T) {
+	r := DefaultResolution()
+	r.Workers = 3
+	r.Precond = sparse.PrecondMG
+	r2 := r.Refine(2)
+	if r2.Workers != 3 || r2.Precond != sparse.PrecondMG {
+		t.Fatalf("Refine dropped solver knobs: %+v", r2)
+	}
+	if r2.RefineFactor != 2 {
+		t.Fatalf("Refine(2).RefineFactor = %d, want 2", r2.RefineFactor)
+	}
+	if r4 := r2.Refine(2); r4.RefineFactor != 4 || r4.Bulk != 4*r.Bulk {
+		t.Fatalf("Refine(2).Refine(2) = %+v, want factor 4 and 4x counts", r4)
+	}
+}
+
+// TestRefineKeepsGradingEnvelope asserts the nested-family property behind
+// deep-refinement solver scaling: refining must subdivide the same graded
+// mesh, so the widest/narrowest cell ratio of the graded bulk interval stays
+// (nearly) fixed instead of growing exponentially with the factor.
+func TestRefineKeepsGradingEnvelope(t *testing.T) {
+	s := fig4(t, 10)
+	spread := func(res Resolution) float64 {
+		p, err := BuildAxiProblem(s, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first res.Bulk cells of the z mesh are the graded substrate.
+		wMax, wMin := 0.0, 1e300
+		for i := 0; i < res.Bulk; i++ {
+			w := p.ZEdges[i+1] - p.ZEdges[i]
+			if w > wMax {
+				wMax = w
+			}
+			if w < wMin {
+				wMin = w
+			}
+		}
+		return wMax / wMin
+	}
+	base := spread(DefaultResolution())
+	for _, f := range []int{2, 4, 8} {
+		sp := spread(DefaultResolution().Refine(f))
+		// Nested subdivision keeps the end-to-end envelope; the extra factor
+		// below ratio^(1/f) per cell is small and bounded.
+		if sp > 1.5*base {
+			t.Fatalf("refine %d: bulk width spread %.3g vs base %.3g — grading is compounding", f, sp, base)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -43,9 +42,12 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 		return nil, err
 	}
 	n := len(sys.rhs)
-	// Lumped mass over dt: m_i = V_i·c_i/dt, added to the diagonal.
+	// Lumped mass over dt, m_i = V_i·c_i/dt: the step operator K + M/dt is
+	// the steady stencil with m added to its diagonal, sharing the steady
+	// off-diagonal arrays.
+	diag, off := sys.op.Coeffs()
 	mOverDt := make([]float64, n)
-	coo := sparse.NewCOO(n, n)
+	stepDiag := make([]float64, n)
 	for j := 0; j < sys.nz; j++ {
 		for i := 0; i < sys.nr; i++ {
 			row := j*sys.nr + i
@@ -55,40 +57,24 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 					c, sys.rc[i], sys.zc[j])
 			}
 			mOverDt[row] = sys.volumes[row] * c / dt
-			coo.Add(row, row, mOverDt[row])
+			stepDiag[row] = diag[row] + mOverDt[row]
 		}
 	}
-	// stepMatrix = K + M/dt.
-	stepMatrix, err := addDiagonal(sys.matrix, mOverDt)
+	stepOp, err := sparse.NewStencilCoeffs(sys.op.Dims(), stepDiag, off)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fem: internal: %w", err)
 	}
 
 	o := opt
 	if o.Tol == 0 {
 		o.Tol = 1e-10
 	}
-	// Resolve the preconditioner against the step matrix, not the steady
-	// operator: K + M/dt is what every implicit step solves. The operator is
+	// Resolve the preconditioner against the step operator, not the steady
+	// one: K + M/dt is what every implicit step solves. The operator is
 	// fixed across steps, so one multigrid hierarchy (built here by
 	// resolveSolver and carried in o.MG) serves the whole integration —
 	// amortizing the setup the same way the shared pool amortizes workers.
-	o = resolveSolver(o, stepMatrix, sys.grid)
-	// The step matrix shares the steady operator's structured-grid stencil
-	// shape (a diagonal addition changes no sparsity), so the steps follow
-	// the steady solves' operator rule (see operatorFor): the CSR under
-	// SSOR, the matrix-free stencil otherwise.
-	var stepOp sparse.Operator = stepMatrix
-	if o.Precond != sparse.PrecondSSOR {
-		st, err := sparse.NewStencil(stepMatrix, sys.grid.dims)
-		if err != nil {
-			return nil, fmt.Errorf("fem: matrix-free operator unavailable: %w", err)
-		}
-		stepOp = st
-		if h, ok := o.MG.(*mg.Hierarchy); ok {
-			h.SetFineOperator(st)
-		}
-	}
+	o = resolveSolver(o, stepOp)
 	if o.Pool == nil {
 		// One pool serves every step; spawning and tearing down workers per
 		// step would dominate the short warm-started solves.
@@ -124,22 +110,6 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 	out.Final = &AxiSolution{p: p, RCenters: sys.rc, ZCenters: sys.zc, T: sys.fieldFrom(x), Stats: out.Stats}
 	obs.Default().Counter("fem.transient.steps").Add(int64(steps))
 	return out, nil
-}
-
-// addDiagonal returns a + diag(d) as a new CSR matrix.
-func addDiagonal(a *sparse.CSR, d []float64) (*sparse.CSR, error) {
-	n := a.Rows()
-	if a.Cols() != n || len(d) != n {
-		return nil, fmt.Errorf("fem: addDiagonal dimension mismatch")
-	}
-	coo := sparse.NewCOO(n, n)
-	a.Each(func(i, j int, v float64) {
-		coo.Add(i, j, v)
-	})
-	for i, v := range d {
-		coo.Add(i, i, v)
-	}
-	return coo.ToCSR(), nil
 }
 
 // SettlingTime returns the first simulated instant after which the maximum

@@ -7,16 +7,17 @@ import (
 	"repro/internal/sparse"
 )
 
-// csrArrays is a read-only snapshot of a sparse.CSR's storage, extracted via
-// Each (row-major, sorted columns). The mg assembly kernels need per-row
-// access, which the sparse package deliberately does not export.
+// csrArrays is a read-only CSR snapshot of a level operator, extracted via
+// Each (row-major, sorted columns) — from the fine stencil's ascending-
+// column walk or a coarse Galerkin CSR alike. The mg assembly kernels need
+// per-row access, which the sparse package deliberately does not export.
 type csrArrays struct {
 	ptr []int32
 	col []int32
 	val []float64
 }
 
-func extractCSR(a *sparse.CSR, mem *arena) csrArrays {
+func extractCSR(a matrix, mem *arena) csrArrays {
 	ar := csrArrays{
 		ptr: mem.i32(a.Rows() + 1),
 		col: mem.i32cap(a.NNZ()),
@@ -343,7 +344,7 @@ func filterRows(p csrArrays, mem *arena) csrArrays {
 }
 
 // denseFrom expands the (small) coarsest matrix for direct factorization.
-func denseFrom(a *sparse.CSR, mem *arena) *linalg.Matrix {
+func denseFrom(a matrix, mem *arena) *linalg.Matrix {
 	m := linalg.NewMatrixWithData(a.Rows(), a.Cols(), mem.f64(a.Rows()*a.Cols()))
 	a.Each(func(i, j int, v float64) {
 		m.Set(i, j, v)

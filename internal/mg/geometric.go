@@ -78,63 +78,25 @@ func (g *geomGrid) coord(i, d int) int {
 	}
 }
 
-// geomFromCSR extracts the fine level's stencil coefficients and grounding
-// from the assembled matrix, validating that it is a structured-grid
-// conductance network: every entry the diagonal or an axis neighbor, every
-// symmetric pair bitwise equal, every off-diagonal nonpositive.
-func geomFromCSR(a *sparse.CSR, dims []int, mem *arena) (*geomGrid, error) {
-	n := a.Rows()
-	g := &geomGrid{nd: [3]int{1, 1, 1}, n: n}
-	if len(dims) > 3 {
-		return nil, fmt.Errorf("mg: geometric hierarchy supports 1-3 grid axes, got %d", len(dims))
-	}
-	for i, d := range dims {
+// geomFromStencil reads the fine level straight off the operator's
+// coefficient arrays — aliased, not copied: the build only reads them — and
+// computes the grounding. The operator must be a conductance network: every
+// existing off-diagonal nonpositive.
+func geomFromStencil(a *sparse.Stencil, mem *arena) (*geomGrid, error) {
+	g := &geomGrid{nd: [3]int{1, 1, 1}, n: a.Rows()}
+	for i, d := range a.Dims() {
 		g.nd[i] = d
 	}
-	g.diag = mem.f64(n)
-	g.sigma = mem.f64(n)
+	g.diag, g.off = a.Coeffs()
 	for d := 0; d < 3; d++ {
-		if g.nd[d] > 1 {
-			g.off[d] = mem.f64(n)
+		for i := 0; i < g.n; i++ {
+			if g.coord(i, d)+1 < g.nd[d] && g.off[d][i] > 0 {
+				return nil, fmt.Errorf("mg: positive off-diagonal %g at (%d,%d); geometric hierarchy needs a conductance network",
+					g.off[d][i], i, i+g.strides()[d])
+			}
 		}
 	}
-	s := g.strides()
-	var bad error
-	a.Each(func(i, j int, v float64) {
-		if bad != nil {
-			return
-		}
-		switch diff := j - i; {
-		case diff == 0:
-			g.diag[i] = v
-		case diff == s[2] && g.nd[2] > 1 && g.coord(i, 2)+1 < g.nd[2]:
-			g.off[2][i] = v
-		case diff == s[1] && g.nd[1] > 1 && g.coord(i, 1)+1 < g.nd[1]:
-			g.off[1][i] = v
-		case diff == s[0] && g.nd[0] > 1 && g.coord(i, 0)+1 < g.nd[0]:
-			g.off[0][i] = v
-		case diff == -s[2] && g.nd[2] > 1 && g.coord(i, 2) > 0:
-			if g.off[2][j] != v {
-				bad = fmt.Errorf("mg: coupling (%d, axis 2) is not symmetric: %g vs %g", j, v, g.off[2][j])
-			}
-		case diff == -s[1] && g.nd[1] > 1 && g.coord(i, 1) > 0:
-			if g.off[1][j] != v {
-				bad = fmt.Errorf("mg: coupling (%d, axis 1) is not symmetric: %g vs %g", j, v, g.off[1][j])
-			}
-		case diff == -s[0] && g.nd[0] > 1 && g.coord(i, 0) > 0:
-			if g.off[0][j] != v {
-				bad = fmt.Errorf("mg: coupling (%d, axis 0) is not symmetric: %g vs %g", j, v, g.off[0][j])
-			}
-		default:
-			bad = fmt.Errorf("mg: entry (%d,%d) is not a grid-%v stencil neighbor; geometric hierarchy needs a structured stencil matrix", i, j, dims)
-		}
-		if bad == nil && i != j && v > 0 {
-			bad = fmt.Errorf("mg: positive off-diagonal %g at (%d,%d); geometric hierarchy needs a conductance network", v, i, j)
-		}
-	})
-	if bad != nil {
-		return nil, bad
-	}
+	g.sigma = mem.f64(g.n)
 	g.fillSigma()
 	return g, nil
 }
@@ -284,7 +246,7 @@ func coarsenGeom(f *geomGrid, mem *arena) *geomGrid {
 
 // operator wraps the grid's coefficient arrays as the level's matrix-free
 // stencil.
-func (g *geomGrid) operator() (sparse.Operator, error) {
+func (g *geomGrid) operator() (*sparse.Stencil, error) {
 	return sparse.NewStencilCoeffs([]int{g.nd[0], g.nd[1], g.nd[2]}, g.diag, g.off)
 }
 
@@ -402,9 +364,9 @@ func geomTransfer(f, c *geomGrid, mem *arena) *transfer {
 // buildGeometric assembles the hierarchy's levels by repeated
 // re-discretization and factors the coarsest grid densely, with the same
 // stopping rules as the Galerkin builder.
-func (h *Hierarchy) buildGeometric(a *sparse.CSR, dims []int, mem *arena) error {
+func (h *Hierarchy) buildGeometric(a *sparse.Stencil, mem *arena) error {
 	n := a.Rows()
-	g, err := geomFromCSR(a, dims, mem)
+	g, err := geomFromStencil(a, mem)
 	if err != nil {
 		return err
 	}
@@ -414,7 +376,7 @@ func (h *Hierarchy) buildGeometric(a *sparse.CSR, dims []int, mem *arena) error 
 	}
 	// Every geometric level smooths by alternating-direction line relaxation
 	// (see linesmooth.go); the finest level's factors come from the same
-	// extracted coefficients the coarsening consumes.
+	// coefficient arrays the coarsening consumes.
 	if lv.lines, err = factorLines(g, mem); err != nil {
 		return err
 	}
@@ -429,7 +391,7 @@ func (h *Hierarchy) buildGeometric(a *sparse.CSR, dims []int, mem *arena) error 
 		if err != nil {
 			return err
 		}
-		clv, err := newLevelOp(op, mem)
+		clv, err := newLevel(op, mem)
 		if err != nil {
 			return err
 		}

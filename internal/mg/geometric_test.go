@@ -7,45 +7,16 @@ import (
 	"repro/internal/sparse"
 )
 
-// poisson3D assembles the 7-point Dirichlet Laplacian on an nx×ny×nz grid —
-// the Cartesian member of the geometric property-test grid zoo.
-func poisson3D(nx, ny, nz int) (*sparse.CSR, []int) {
-	n := nx * ny * nz
-	coo := sparse.NewCOO(n, n)
-	for iz := 0; iz < nz; iz++ {
-		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				i := (iz*ny+iy)*nx + ix
-				coo.Add(i, i, 6)
-				if ix > 0 {
-					coo.Add(i, i-1, -1)
-				}
-				if ix < nx-1 {
-					coo.Add(i, i+1, -1)
-				}
-				if iy > 0 {
-					coo.Add(i, i-nx, -1)
-				}
-				if iy < ny-1 {
-					coo.Add(i, i+nx, -1)
-				}
-				if iz > 0 {
-					coo.Add(i, i-nx*ny, -1)
-				}
-				if iz < nz-1 {
-					coo.Add(i, i+nx*ny, -1)
-				}
-			}
-		}
-	}
-	return coo.ToCSR(), []int{nx, ny, nz}
-}
+// poisson3D is the 7-point Dirichlet Laplacian on an nx×ny×nz grid — the
+// Cartesian member of the geometric property-test grid zoo.
+func poisson3D(nx, ny, nz int) *sparse.Stencil { return laplacian(6, nx, ny, nz) }
 
-// The geometric hierarchy must coarsen 2× per axis with no assembled coarse
-// CSRs: coefficient-backed stencil levels all the way down.
+// The geometric hierarchy must coarsen 2× per axis with no assembled CSRs:
+// the caller's stencil on the finest level, coefficient-backed stencils
+// below it.
 func TestGeometricHierarchyShape(t *testing.T) {
-	a, dims := poisson2D(64, 64)
-	h, err := Build(a, dims, Options{})
+	a := poisson2D(64, 64)
+	h, err := Build(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +33,10 @@ func TestGeometricHierarchyShape(t *testing.T) {
 			t.Fatalf("level sizes %v, want %v", sizes, want)
 		}
 	}
+	if h.levels[0].op != a {
+		t.Fatal("finest level does not run on the caller's stencil")
+	}
 	for k, lv := range h.levels {
-		if k == 0 {
-			if lv.a == nil {
-				t.Fatal("finest level lost its assembled CSR")
-			}
-			continue
-		}
-		if lv.a != nil {
-			t.Fatalf("geometric level %d assembled a CSR", k)
-		}
 		if _, ok := lv.op.(*sparse.Stencil); !ok {
 			t.Fatalf("geometric level %d operator is %T, want *sparse.Stencil", k, lv.op)
 		}
@@ -79,43 +44,23 @@ func TestGeometricHierarchyShape(t *testing.T) {
 }
 
 func TestGeometricBuildRejections(t *testing.T) {
-	// An entry off the stencil pattern must be rejected.
-	a, dims := poisson2D(32, 32)
-	coo := sparse.NewCOO(a.Rows(), a.Cols())
-	a.Each(func(i, j int, v float64) { coo.Add(i, j, v) })
-	coo.Add(0, 5, -0.25)
-	coo.Add(5, 0, -0.25)
-	if _, err := Build(coo.ToCSR(), dims, Options{}); err == nil ||
-		!strings.Contains(err.Error(), "stencil neighbor") {
-		t.Fatalf("off-stencil entry: err = %v, want stencil-neighbor rejection", err)
-	}
-
 	// A positive off-diagonal (not a conductance network) must be rejected.
-	coo = sparse.NewCOO(a.Rows(), a.Cols())
-	a.Each(func(i, j int, v float64) {
-		if i != j && ((i == 0 && j == 1) || (i == 1 && j == 0)) {
-			v = 0.5
-		}
-		coo.Add(i, j, v)
-	})
-	if _, err := Build(coo.ToCSR(), dims, Options{}); err == nil ||
+	a := poisson2D(32, 32)
+	_, off := a.Coeffs()
+	off[0][0] = 0.5
+	if _, err := Build(a, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "conductance") {
 		t.Fatalf("positive off-diagonal: err = %v, want conductance-network rejection", err)
 	}
-
 }
 
 // The geometric W-cycle must be a fixed SPD operator on every grid shape
 // it serves: one axis and two.
 func TestGeometricCycleSymmetricPositiveDefinite(t *testing.T) {
-	for _, g := range []struct {
-		nx, ny int
-		dims   []int
-	}{{1500, 1, []int{1500}}, {40, 40, []int{40, 40}}} {
-		a, _ := poisson2D(g.nx, g.ny)
-		h, err := Build(a, g.dims, Options{})
+	for _, a := range []*sparse.Stencil{laplacian(4, 1500), poisson2D(40, 40)} {
+		h, err := Build(a, Options{})
 		if err != nil {
-			t.Fatalf("%v: %v", g.dims, err)
+			t.Fatalf("%v: %v", a.Dims(), err)
 		}
 		checkSymmetricPositiveDefinite(t, h, a.Rows())
 	}
@@ -137,22 +82,22 @@ func TestGeometricCycleSymmetricPositiveDefinite(t *testing.T) {
 func TestGeometricHierarchyProperty(t *testing.T) {
 	grids := []struct {
 		name string
-		mk   func() (*sparse.CSR, []int)
+		mk   func() *sparse.Stencil
 	}{
-		{"poisson2d", func() (*sparse.CSR, []int) { return poisson2D(64, 64) }},
-		{"layered2d", func() (*sparse.CSR, []int) { return layered2D(64, 64) }},
-		{"cart3d", func() (*sparse.CSR, []int) { return poisson3D(16, 16, 16) }},
-		{"contrast1e3", func() (*sparse.CSR, []int) { return layeredContrast(64, 64, 1000) }},
+		{"poisson2d", func() *sparse.Stencil { return poisson2D(64, 64) }},
+		{"layered2d", func() *sparse.Stencil { return layered2D(64, 64) }},
+		{"cart3d", func() *sparse.Stencil { return poisson3D(16, 16, 16) }},
+		{"contrast1e3", func() *sparse.Stencil { return layeredContrast(64, 64, 1000) }},
 	}
 	workers := []int{1, 2, 4, 8}
 	for _, g := range grids {
 		t.Run(g.name, func(t *testing.T) {
-			a, dims := g.mk()
+			a := g.mk()
 			n := a.Rows()
 			b := make([]float64, n)
 			fillRand(b, 77)
 
-			gal, err := build(a, dims, Options{}, false)
+			gal, err := build(a, Options{}, false)
 			if err != nil {
 				t.Fatalf("galerkin build: %v", err)
 			}
@@ -161,7 +106,7 @@ func TestGeometricHierarchyProperty(t *testing.T) {
 				t.Fatalf("galerkin solve: %v", err)
 			}
 
-			h, err := build(a, dims, Options{}, true)
+			h, err := build(a, Options{}, true)
 			if err != nil {
 				t.Fatalf("geometric build: %v", err)
 			}
@@ -201,11 +146,11 @@ func TestGeometricHierarchyProperty(t *testing.T) {
 // The stationary iteration x += M(b - Ax) with the geometric W-cycle must
 // still contract fast enough to be a useful preconditioner on its own.
 func TestGeometricStationaryConverges(t *testing.T) {
-	for name, mk := range map[string]func(int, int) (*sparse.CSR, []int){
+	for name, mk := range map[string]func(int, int) *sparse.Stencil{
 		"poisson": poisson2D, "layered": layered2D,
 	} {
-		a, dims := mk(48, 48)
-		h, err := Build(a, dims, Options{})
+		a := mk(48, 48)
+		h, err := Build(a, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -69,17 +69,10 @@ const (
 // one. Scratch vectors live here so a cycle allocates nothing; consequently
 // a Hierarchy serves one solve at a time (like sparse.Pool).
 type level struct {
-	// a is the level's assembled CSR. The geometric hierarchy's coarse
-	// levels never assemble one: they carry only a coefficient-backed
-	// stencil in op, and a stays nil.
-	a *sparse.CSR
-	// op is the operator the level's matrix products run through. A level
-	// starts at its assembled CSR; SetFineOperator can redirect the finest
-	// level to a matrix-free equivalent (fem's structured-grid stencil),
-	// which must match a bit for bit — the smoother bounds and the coarse
-	// hierarchy are built from a, so a mismatched operator would
-	// desynchronize them silently.
-	op sparse.Operator
+	// op is the level's operator: the caller's stencil on the finest level,
+	// a coefficient-backed stencil on geometric coarse levels, a Galerkin
+	// CSR on smoothed-aggregation coarse levels.
+	op matrix
 
 	// Chebyshev smoother data (see newSmoother). lmax is the Gershgorin
 	// bound on the Jacobi-scaled spectrum, reused as the prolongation-
@@ -110,6 +103,16 @@ type level struct {
 	b2, x2 []float64
 }
 
+// matrix is what a level reads of its operator: the products the cycle
+// runs, plus the entry count and the ascending-column entry walk that
+// Galerkin coarsening and the dense coarse solve consume. *sparse.Stencil
+// and *sparse.CSR both provide it.
+type matrix interface {
+	sparse.Operator
+	NNZ() int
+	Each(fn func(i, j int, v float64))
+}
+
 // Hierarchy is a built multigrid preconditioner. It implements
 // sparse.MGSolver. Build once per matrix and reuse across solves with the
 // same operator (e.g. every implicit step of a transient integration); not
@@ -134,41 +137,22 @@ type Hierarchy struct {
 	levelWall []*obs.Histogram
 }
 
-// Build constructs a hierarchy for the n-unknown matrix a laid out on a
-// structured grid with the given per-axis cell counts, fastest-varying axis
-// first (the fem convention: axi index = iz·nr + ir has dims [nr, nz]; cart
-// index = (iz·ny + iy)·nx + ix has dims [nx, ny, nz]). The number of axes
-// picks the hierarchy (see the package comment): geometric for 1–2 axes,
-// smoothed-aggregation Galerkin for 3. The matrix must be symmetric positive
-// definite with a positive diagonal — on 1–2 axes also a nearest-neighbor
-// conductance stencil on dims; Build fails — and the caller falls back to a
-// single-level preconditioner — when it is not, or when it cannot coarsen.
-func Build(a *sparse.CSR, dims []int, opt Options) (*Hierarchy, error) {
-	return build(a, dims, opt, len(dims) < 3)
+// Build constructs a hierarchy for the structured-grid operator a. The
+// number of grid axes picks the hierarchy (see the package comment):
+// geometric for 1–2, smoothed-aggregation Galerkin for 3. The operator must
+// be symmetric positive definite with a positive diagonal — on 1–2 axes also
+// a conductance network (nonpositive off-diagonals); Build fails — and the
+// caller falls back to a single-level preconditioner — when it is not, or
+// when it cannot coarsen. The hierarchy's finest level runs on a itself, so
+// a must not change while the hierarchy is in use.
+func Build(a *sparse.Stencil, opt Options) (*Hierarchy, error) {
+	return build(a, opt, len(a.Dims()) < 3)
 }
 
 // build is Build with the hierarchy chosen by the caller, so tests can
 // compare both hierarchies on one grid.
-func build(a *sparse.CSR, dims []int, opt Options, geometric bool) (*Hierarchy, error) {
+func build(a *sparse.Stencil, opt Options, geometric bool) (*Hierarchy, error) {
 	buildStart := time.Now()
-	n := a.Rows()
-	if a.Cols() != n {
-		return nil, fmt.Errorf("mg: matrix %dx%d is not square", a.Rows(), a.Cols())
-	}
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("mg: no grid dimensions")
-	}
-	cells := 1
-	for _, d := range dims {
-		if d < 1 {
-			return nil, fmt.Errorf("mg: invalid grid dimensions %v", dims)
-		}
-		cells *= d
-	}
-	if cells != n {
-		return nil, fmt.Errorf("mg: grid %v has %d cells, matrix has %d rows", dims, cells, n)
-	}
-
 	// Recycle the donated hierarchy's arena when there is one; every
 	// allocation below comes out of it, so a steady-state sweep rebuild
 	// allocates (almost) nothing. A fresh build seeds an arena of its own,
@@ -184,7 +168,7 @@ func build(a *sparse.CSR, dims []int, opt Options, geometric bool) (*Hierarchy, 
 	}
 	h := &Hierarchy{ar: mem, geometric: geometric}
 	if geometric {
-		if err := h.buildGeometric(a, dims, mem); err != nil {
+		if err := h.buildGeometric(a, mem); err != nil {
 			return nil, err
 		}
 	} else if err := h.buildGalerkin(a, mem); err != nil {
@@ -196,8 +180,8 @@ func build(a *sparse.CSR, dims []int, opt Options, geometric bool) (*Hierarchy, 
 
 // buildGalerkin runs the smoothed-aggregation coarsening loop and factors the
 // coarsest Galerkin operator.
-func (h *Hierarchy) buildGalerkin(a *sparse.CSR, mem *arena) error {
-	n := a.Rows()
+func (h *Hierarchy) buildGalerkin(fine *sparse.Stencil, mem *arena) error {
+	var a matrix = fine
 	for {
 		lv, err := newLevel(a, mem)
 		if err != nil {
@@ -218,12 +202,12 @@ func (h *Hierarchy) buildGalerkin(a *sparse.CSR, mem *arena) error {
 		}
 	}
 	if len(h.levels) < 2 {
-		return fmt.Errorf("mg: %d unknowns cannot coarsen (already at or below the coarse-solve size)", n)
+		return fmt.Errorf("mg: %d unknowns cannot coarsen (already at or below the coarse-solve size)", fine.Rows())
 	}
 	// Direct coarse solve: factor once, backsolve per cycle. A factorization
 	// failure means the Galerkin operator lost positive definiteness, i.e.
 	// the input matrix was not SPD — report it instead of cycling divergently.
-	bottom := h.levels[len(h.levels)-1].a
+	bottom := h.levels[len(h.levels)-1].op
 	nb := bottom.Rows()
 	chol, err := linalg.FactorizeCholeskyInto(denseFrom(bottom, mem),
 		linalg.NewMatrixWithData(nb, nb, mem.f64(nb*nb)))
@@ -258,29 +242,14 @@ func (h *Hierarchy) bindMetrics(buildWall time.Duration, reused bool) {
 		// densification these gauges expose is what the prolongation
 		// filtering exists to contain (the re-discretized geometric levels
 		// report their fixed structural stencil counts instead).
-		nnz := lv.nnz()
+		nnz := lv.op.NNZ()
 		r.Gauge(fmt.Sprintf("mg.level%d.nnz", k)).Set(float64(nnz))
 		r.Gauge(fmt.Sprintf("mg.level%d.density", k)).Set(float64(nnz) / float64(lv.op.Rows()))
 	}
 }
 
-// nnz reports the level operator's stored-entry count: the assembled CSR's
-// when the level has one, the structural stencil count of a coefficient-
-// backed geometric level otherwise.
-func (lv *level) nnz() int {
-	if lv.a != nil {
-		return lv.a.NNZ()
-	}
-	if z, ok := lv.op.(interface{ NNZ() int }); ok {
-		return z.NNZ()
-	}
-	return 0
-}
-
-// newLevelOp wraps an operator with its smoother and scratch space — the
-// shared core of newLevel and the geometric builder's coefficient-backed
-// coarse levels, which have no assembled CSR.
-func newLevelOp(op sparse.Operator, mem *arena) (*level, error) {
+// newLevel wraps an operator with its smoother and scratch space.
+func newLevel(op matrix, mem *arena) (*level, error) {
 	n := op.Rows()
 	lv := &level{
 		op:   op,
@@ -298,37 +267,11 @@ func newLevelOp(op sparse.Operator, mem *arena) (*level, error) {
 	return lv, nil
 }
 
-// newLevel wraps a matrix with its smoother and scratch space.
-func newLevel(a *sparse.CSR, mem *arena) (*level, error) {
-	lv, err := newLevelOp(a, mem)
-	if err != nil {
-		return nil, err
-	}
-	lv.a = a
-	return lv, nil
-}
-
-// SetFineOperator redirects the finest level's matrix products (smoother
-// matvecs and residuals) through op — typically the matrix-free stencil
-// internal/fem extracts from the same assembled matrix, which makes the
-// dominant per-cycle work matrix-free. The operator must evaluate
-// bit-identically to the build matrix (the fem stencil's contract); nil or a
-// size mismatch restores the assembled CSR. Call per solve: a hierarchy
-// cached across solves keeps the last operator set.
-func (h *Hierarchy) SetFineOperator(op sparse.Operator) {
-	lv := h.levels[0]
-	if op == nil || op.Rows() != lv.a.Rows() || op.Cols() != lv.a.Cols() {
-		lv.op = lv.a
-		return
-	}
-	lv.op = op
-}
-
 // Levels implements sparse.MGSolver.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
 // Size implements sparse.MGSolver.
-func (h *Hierarchy) Size() int { return h.levels[0].a.Rows() }
+func (h *Hierarchy) Size() int { return h.levels[0].op.Rows() }
 
 // Geometric reports whether Build chose the geometric hierarchy (1–2 grid
 // axes) rather than smoothed aggregation (3 axes) — diagnostics for tests.

@@ -8,77 +8,46 @@ import (
 	"repro/internal/sparse"
 )
 
-// poisson2D assembles the 5-point Dirichlet Laplacian on an nx×ny grid —
-// the canonical mesh-independence benchmark for a multigrid cycle.
-func poisson2D(nx, ny int) (*sparse.CSR, []int) {
-	n := nx * ny
-	coo := sparse.NewCOO(n, n)
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			i := iy*nx + ix
-			coo.Add(i, i, 4)
-			if ix > 0 {
-				coo.Add(i, i-1, -1)
-			}
-			if ix < nx-1 {
-				coo.Add(i, i+1, -1)
-			}
-			if iy > 0 {
-				coo.Add(i, i-nx, -1)
-			}
-			if iy < ny-1 {
-				coo.Add(i, i+nx, -1)
-			}
-		}
+// mustStencil wraps test coefficient arrays as a stencil operator.
+func mustStencil(dims []int, diag []float64, off [3][]float64) *sparse.Stencil {
+	st, err := sparse.NewStencilCoeffs(dims, diag, off)
+	if err != nil {
+		panic(err)
 	}
-	return coo.ToCSR(), []int{nx, ny}
+	return st
 }
 
-// layered2D assembles an anisotropic diffusion operator whose strong
-// coupling direction flips between the lower and upper half of the grid —
-// the same heterogeneity pattern as a via stack's thin-layer/bulk mix, which
-// defeats any global semi-coarsening axis choice. Face coefficients are
-// harmonic means of the two cells' conductivities (standard finite-volume
-// form), so the matrix is symmetric; the bottom row is held at a Dirichlet
-// sink so it is also positive definite.
-func layered2D(nx, ny int) (*sparse.CSR, []int) {
-	n := nx * ny
-	kxy := func(iy int) (float64, float64) {
-		if iy >= ny/2 {
-			return 1, 100
-		}
-		return 100, 1
+// laplacian assembles a Dirichlet Laplacian stencil on a 1–3 axis grid: the
+// given diagonal and −1 to every axis neighbor.
+func laplacian(diag float64, dims ...int) *sparse.Stencil {
+	n := 1
+	for _, d := range dims {
+		n *= d
 	}
-	harm := func(a, b float64) float64 { return 2 * a * b / (a + b) }
-	coo := sparse.NewCOO(n, n)
-	diag := make([]float64, n)
-	addFace := func(i, j int, kf float64) {
-		coo.Add(i, j, -kf)
-		coo.Add(j, i, -kf)
-		diag[i] += kf
-		diag[j] += kf
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = diag
 	}
-	for iy := 0; iy < ny; iy++ {
-		kx, ky := kxy(iy)
-		for ix := 0; ix < nx; ix++ {
-			i := iy*nx + ix
-			if ix < nx-1 {
-				addFace(i, i+1, kx)
-			}
-			if iy < ny-1 {
-				_, ky2 := kxy(iy + 1)
-				addFace(i, i+nx, harm(ky, ky2))
-			}
-			if iy == 0 {
-				diag[i] += 2 * ky // Dirichlet sink below the bottom row
+	var off [3][]float64
+	for ax, nd := range dims {
+		if nd > 1 {
+			off[ax] = make([]float64, n)
+			for i := range off[ax] {
+				off[ax][i] = -1 // entries past the high edge are never read
 			}
 		}
 	}
-	for i, d := range diag {
-		coo.Add(i, i, d)
-	}
-	return coo.ToCSR(), []int{nx, ny}
+	return mustStencil(dims, d, off)
 }
+
+// poisson2D is the 5-point Dirichlet Laplacian on an nx×ny grid — the
+// canonical mesh-independence benchmark for a multigrid cycle.
+func poisson2D(nx, ny int) *sparse.Stencil { return laplacian(4, nx, ny) }
+
+// layered2D is an anisotropic diffusion operator whose strong coupling
+// direction flips between the lower and upper half of the grid (see
+// layeredContrast) at a 100:1 contrast.
+func layered2D(nx, ny int) *sparse.Stencil { return layeredContrast(nx, ny, 100) }
 
 // fillRand fills v with a deterministic pseudo-random sequence in [-0.5, 0.5).
 func fillRand(v []float64, seed uint64) {
@@ -90,58 +59,39 @@ func fillRand(v []float64, seed uint64) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	a, dims := poisson2D(16, 16)
-	cases := []struct {
-		name string
-		a    *sparse.CSR
-		dims []int
-		want string
-	}{
-		{"no dims", a, nil, "no grid dimensions"},
-		{"bad dim", a, []int{16, 0}, "invalid grid"},
-		{"cell mismatch", a, []int{16, 8}, "cells"},
-		{"too small", mustCSR(poisson2D(4, 4)), []int{4, 4}, "cannot coarsen"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Build(tc.a, tc.dims, Options{})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Build err = %v, want substring %q", err, tc.want)
-			}
-		})
-	}
-	_ = dims
+	t.Run("too small", func(t *testing.T) {
+		if _, err := Build(poisson2D(4, 4), Options{}); err == nil || !strings.Contains(err.Error(), "cannot coarsen") {
+			t.Fatalf("Build err = %v, want substring %q", err, "cannot coarsen")
+		}
+	})
 
 	// A zero diagonal breaks the Galerkin levels' Jacobi-scaled smoother
 	// (the geometric builder rejects this matrix earlier, for its positive
 	// off-diagonal; see TestGeometricBuildRejections).
-	coo := sparse.NewCOO(2048, 2048)
+	diag := make([]float64, 2048)
+	off := make([]float64, 2048)
 	for i := 0; i < 2047; i++ {
-		coo.Add(i, i, 1)
+		diag[i] = 1
 	}
-	coo.Add(2047, 2046, 1)
-	coo.Add(2046, 2047, 1)
-	if _, err := build(coo.ToCSR(), []int{2048}, Options{}, false); err == nil {
+	off[2046] = 1
+	if _, err := build(mustStencil([]int{2048}, diag, [3][]float64{off}), Options{}, false); err == nil {
 		t.Fatal("Build accepted a matrix with a non-positive diagonal")
 	}
 }
-
-func mustCSR(a *sparse.CSR, _ []int) *sparse.CSR { return a }
 
 // Build picks the hierarchy from the grid: geometric on 1–2 axes, smoothed
 // aggregation on 3.
 func TestBuildPicksHierarchyByAxes(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		a         *sparse.CSR
-		dims      []int
+		a         *sparse.Stencil
 		geometric bool
 	}{
-		{"1 axis", mustCSR(poisson2D(1024, 1)), []int{1024}, true},
-		{"2 axes", mustCSR(poisson2D(32, 32)), []int{32, 32}, true},
-		{"3 axes", mustCSR(poisson3D(12, 12, 12)), []int{12, 12, 12}, false},
+		{"1 axis", laplacian(4, 1024), true},
+		{"2 axes", poisson2D(32, 32), true},
+		{"3 axes", poisson3D(12, 12, 12), false},
 	} {
-		h, err := Build(tc.a, tc.dims, Options{})
+		h, err := Build(tc.a, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -154,8 +104,8 @@ func TestBuildPicksHierarchyByAxes(t *testing.T) {
 // The Galerkin hierarchy's levels shrink strictly down to a small coarsest
 // level; TestGeometricHierarchyShape covers the geometric one.
 func TestHierarchyShape(t *testing.T) {
-	a, dims := poisson2D(64, 64)
-	h, err := build(a, dims, Options{}, false)
+	a := poisson2D(64, 64)
+	h, err := build(a, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +127,8 @@ func TestHierarchyShape(t *testing.T) {
 }
 
 func TestAggregationCoversAndIsDeterministic(t *testing.T) {
-	for _, mk := range []func(int, int) (*sparse.CSR, []int){poisson2D, layered2D} {
-		a, _ := mk(48, 48)
+	for _, mk := range []func(int, int) *sparse.Stencil{poisson2D, layered2D} {
+		a := mk(48, 48)
 		ar := extractCSR(a, &arena{})
 		agg, nc := aggregateStrength(ar, &arena{})
 		if nc <= 0 || nc >= a.Rows() {
@@ -214,7 +164,7 @@ func TestAggregationFollowsStrongCoupling(t *testing.T) {
 	// interior cells: the partner (the other cell in the aggregate) must be
 	// a strong-direction neighbor.
 	nx, ny := 32, 32
-	a, _ := layered2D(nx, ny)
+	a := layered2D(nx, ny)
 	agg, nc := aggregateStrength(extractCSR(a, &arena{}), &arena{})
 	partner := make([]int, nc)
 	for i := range partner {
@@ -289,8 +239,8 @@ func checkSymmetricPositiveDefinite(t *testing.T, h *Hierarchy, n int) {
 
 // The Galerkin V-cycle must be a fixed SPD operator.
 func TestCycleIsSymmetricPositiveDefinite(t *testing.T) {
-	a, dims := poisson2D(32, 32)
-	h, err := build(a, dims, Options{}, false)
+	a := poisson2D(32, 32)
+	h, err := build(a, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +252,8 @@ func TestCycleIsSymmetricPositiveDefinite(t *testing.T) {
 // so on the flipping-anisotropy grid it must remain a fixed SPD operator
 // (CG-safe) and precondition CG into the mesh-independent band.
 func TestWCycleIsSymmetricAndConverges(t *testing.T) {
-	a, dims := layered2D(48, 48)
-	h, err := Build(a, dims, Options{})
+	a := layered2D(48, 48)
+	h, err := Build(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +270,11 @@ func TestWCycleIsSymmetricAndConverges(t *testing.T) {
 }
 
 func TestVCycleStationaryIterationConverges(t *testing.T) {
-	for name, mk := range map[string]func(int, int) (*sparse.CSR, []int){
+	for name, mk := range map[string]func(int, int) *sparse.Stencil{
 		"poisson": poisson2D, "layered": layered2D,
 	} {
-		a, dims := mk(48, 48)
-		h, err := build(a, dims, Options{}, false)
+		a := mk(48, 48)
+		h, err := build(a, Options{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -355,8 +305,8 @@ func TestVCycleStationaryIterationConverges(t *testing.T) {
 }
 
 func TestCycleBitIdenticalAcrossWorkers(t *testing.T) {
-	a, dims := poisson2D(64, 64)
-	h, err := build(a, dims, Options{}, false)
+	a := poisson2D(64, 64)
+	h, err := build(a, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +336,8 @@ func TestCGIterationsMeshIndependent(t *testing.T) {
 	// constant band as the grid refines, for both hierarchies.
 	for _, geometric := range []bool{false, true} {
 		for _, nx := range []int{32, 64, 128} {
-			a, dims := poisson2D(nx, nx)
-			h, err := build(a, dims, Options{}, geometric)
+			a := poisson2D(nx, nx)
+			h, err := build(a, Options{}, geometric)
 			if err != nil {
 				t.Fatalf("geometric=%v %d: %v", geometric, nx, err)
 			}
@@ -408,12 +358,12 @@ func TestCGIterationsMeshIndependent(t *testing.T) {
 }
 
 func TestHierarchySizeMismatchRejected(t *testing.T) {
-	a, dims := poisson2D(32, 32)
-	h, err := Build(a, dims, Options{})
+	a := poisson2D(32, 32)
+	h, err := Build(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, _ := poisson2D(16, 16)
+	small := poisson2D(16, 16)
 	b := make([]float64, small.Rows())
 	b[0] = 1
 	if _, _, err := sparse.SolveCG(small, b, sparse.Options{Precond: sparse.PrecondMG, MG: h}); err == nil {

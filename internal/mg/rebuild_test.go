@@ -6,10 +6,15 @@ import (
 	"repro/internal/sparse"
 )
 
-// layeredContrast is layered2D with a tunable anisotropy contrast: every
-// contrast produces the same sparsity pattern (the 5-point stencil never
-// changes) but different operator values — the sweep-rebuild scenario.
-func layeredContrast(nx, ny int, contrast float64) (*sparse.CSR, []int) {
+// layeredContrast assembles an anisotropic diffusion operator whose strong
+// coupling direction flips between the lower and upper half of the grid —
+// the same heterogeneity pattern as a via stack's thin-layer/bulk mix, which
+// defeats any global semi-coarsening axis choice. Face coefficients are
+// harmonic means of the two cells' conductivities (standard finite-volume
+// form); the bottom row is held at a Dirichlet sink so the operator is
+// positive definite. Every contrast produces the same stencil shape but
+// different operator values — the sweep-rebuild scenario.
+func layeredContrast(nx, ny int, contrast float64) *sparse.Stencil {
 	n := nx * ny
 	kxy := func(iy int) (float64, float64) {
 		if iy >= ny/2 {
@@ -18,34 +23,30 @@ func layeredContrast(nx, ny int, contrast float64) (*sparse.CSR, []int) {
 		return contrast, 1
 	}
 	harm := func(a, b float64) float64 { return 2 * a * b / (a + b) }
-	coo := sparse.NewCOO(n, n)
 	diag := make([]float64, n)
-	addFace := func(i, j int, kf float64) {
-		coo.Add(i, j, -kf)
-		coo.Add(j, i, -kf)
-		diag[i] += kf
-		diag[j] += kf
-	}
+	off := [3][]float64{make([]float64, n), make([]float64, n)}
 	for iy := 0; iy < ny; iy++ {
 		kx, ky := kxy(iy)
 		for ix := 0; ix < nx; ix++ {
 			i := iy*nx + ix
 			if ix < nx-1 {
-				addFace(i, i+1, kx)
+				off[0][i] = -kx
+				diag[i] += kx
+				diag[i+1] += kx
 			}
 			if iy < ny-1 {
 				_, ky2 := kxy(iy + 1)
-				addFace(i, i+nx, harm(ky, ky2))
+				kf := harm(ky, ky2)
+				off[1][i] = -kf
+				diag[i] += kf
+				diag[i+nx] += kf
 			}
 			if iy == 0 {
-				diag[i] += 2 * ky
+				diag[i] += 2 * ky // Dirichlet sink below the bottom row
 			}
 		}
 	}
-	for i, d := range diag {
-		coo.Add(i, i, d)
-	}
-	return coo.ToCSR(), []int{nx, ny}
+	return mustStencil([]int{nx, ny}, diag, off)
 }
 
 // cycleBits applies one V-cycle to a fixed pseudo-random residual and
@@ -80,11 +81,11 @@ func checkRebuild(t *testing.T, geometric bool) {
 	t.Helper()
 	nx, ny := 48, 48
 	n := nx * ny
-	a1, dims := layeredContrast(nx, ny, 100)
-	a2, _ := layeredContrast(nx, ny, 37)
-	mk := func(a *sparse.CSR, prev *Hierarchy) *Hierarchy {
+	a1 := layeredContrast(nx, ny, 100)
+	a2 := layeredContrast(nx, ny, 37)
+	mk := func(a *sparse.Stencil, prev *Hierarchy) *Hierarchy {
 		t.Helper()
-		h, err := build(a, dims, Options{Prev: prev}, geometric)
+		h, err := build(a, Options{Prev: prev}, geometric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,17 +122,16 @@ func TestGeometricRebuildMatchesFreshBuild(t *testing.T) { checkRebuild(t, true)
 // and kind: the arena must serve what fits and allocate the rest, still
 // bit-identical.
 func TestRebuildAcrossTopologyChange(t *testing.T) {
-	aSmall, dimsSmall := layeredContrast(24, 24, 100)
-	donor, err := build(aSmall, dimsSmall, Options{}, false)
+	donor, err := build(layeredContrast(24, 24, 100), Options{}, false)
 	if err != nil {
 		t.Fatalf("Build small: %v", err)
 	}
-	aBig, dimsBig := layeredContrast(40, 40, 100)
-	fresh, err := Build(aBig, dimsBig, Options{})
+	aBig := layeredContrast(40, 40, 100)
+	fresh, err := Build(aBig, Options{})
 	if err != nil {
 		t.Fatalf("fresh Build big: %v", err)
 	}
-	re, err := Build(aBig, dimsBig, Options{Prev: donor})
+	re, err := Build(aBig, Options{Prev: donor})
 	if err != nil {
 		t.Fatalf("recycled Build big: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // to damp the upper part; the coarse-grid correction handles the rest. A
 // narrower interval makes the low-degree polynomial far more effective on
 // the modes it owns. It reads the level through the Operator interface, so
-// the coefficient-backed geometric levels need no assembled CSR.
+// stencil and CSR levels share it.
 func (lv *level) newSmoother(mem *arena) error {
 	op := lv.op
 	n := op.Rows()

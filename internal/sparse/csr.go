@@ -2,10 +2,11 @@
 // used by the distributed TTSV model (Model B) at large segment counts and
 // by the finite-volume heat-conduction reference solver.
 //
-// The usual workflow is: accumulate entries into a COO builder during
-// assembly (duplicates sum), convert once to CSR, then run a preconditioned
-// Conjugate Gradient on the symmetric positive definite system — through
-// the CSR, or through the matrix-free Stencil on structured grids.
+// General networks accumulate entries into a COO builder during assembly
+// (duplicates sum) and convert once to CSR; structured grids fill a
+// matrix-free Stencil's coefficient arrays directly. Either then runs a
+// preconditioned Conjugate Gradient on the symmetric positive definite
+// system.
 package sparse
 
 import (

@@ -221,21 +221,31 @@ func (p *jacobiPrecond) apply(z, r []float64) {
 
 // ssorPrecond implements M = (D+L) D^-1 (D+U) with omega = 1.
 type ssorPrecond struct {
-	a    *CSR
+	a    triangular
 	diag []float64
 	pool *Pool
 }
 
-// newSSOR builds the SSOR preconditioner. Its triangular sweeps walk the
-// explicit CSR index arrays, so it is the one preconditioner that cannot run
-// on a matrix-free Operator; callers selecting SSOR must solve through the
-// assembled CSR matrix.
+// triangular is what SSOR needs beyond an Operator: the forward sweep
+// (D+L)·z = r and the in-place backward sweep (D+U)·z = z, each row
+// subtracting its strictly lower (upper) entries in ascending column order
+// before dividing by d. *CSR and *Stencil implement it with the same
+// per-row order, so SSOR over either gives bit-identical results.
+type triangular interface {
+	Operator
+	lowerSolve(z, r, d []float64)
+	upperSolve(z, d []float64)
+}
+
+// newSSOR builds the SSOR preconditioner. Its sweeps are inherently
+// sequential and need the operator's triangles, which the CSR and the
+// stencil expose.
 func newSSOR(op Operator, pl *Pool) (*ssorPrecond, error) {
-	a, ok := op.(*CSR)
+	a, ok := op.(triangular)
 	if !ok {
-		return nil, fmt.Errorf("sparse: ssor preconditioner requires an assembled *CSR matrix, got a matrix-free operator")
+		return nil, fmt.Errorf("sparse: ssor preconditioner needs a *CSR or *Stencil operator, got %T", op)
 	}
-	d := a.DiagonalInto(pl.Grab(a.rows))
+	d := a.DiagonalInto(pl.Grab(a.Rows()))
 	for i, v := range d {
 		if v == 0 {
 			pl.Release(d)
@@ -248,28 +258,35 @@ func newSSOR(op Operator, pl *Pool) (*ssorPrecond, error) {
 func (p *ssorPrecond) release() { p.pool.Release(p.diag) }
 
 func (p *ssorPrecond) apply(z, r []float64) {
-	a, d := p.a, p.diag
-	n := a.rows
-	// Forward solve (D+L) y = r.
-	for i := 0; i < n; i++ {
+	d := p.diag
+	p.a.lowerSolve(z, r, d)
+	// Scale by D: y = D·y.
+	for i := range z {
+		z[i] *= d[i]
+	}
+	p.a.upperSolve(z, d)
+}
+
+// lowerSolve implements triangular.
+func (m *CSR) lowerSolve(z, r, d []float64) {
+	for i := 0; i < m.rows; i++ {
 		s := r[i]
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			if j := a.colIdx[k]; j < i {
-				s -= a.val[k] * z[j]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			if j := m.colIdx[k]; j < i {
+				s -= m.val[k] * z[j]
 			}
 		}
 		z[i] = s / d[i]
 	}
-	// Scale by D: y = D·y.
-	for i := 0; i < n; i++ {
-		z[i] *= d[i]
-	}
-	// Backward solve (D+U) z = y.
-	for i := n - 1; i >= 0; i-- {
+}
+
+// upperSolve implements triangular.
+func (m *CSR) upperSolve(z, d []float64) {
+	for i := m.rows - 1; i >= 0; i-- {
 		s := z[i]
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			if j := a.colIdx[k]; j > i {
-				s -= a.val[k] * z[j]
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			if j := m.colIdx[k]; j > i {
+				s -= m.val[k] * z[j]
 			}
 		}
 		z[i] = s / d[i]
@@ -331,9 +348,9 @@ func ctxErr(ctx context.Context) error {
 
 // SolveCG solves the symmetric positive definite system A·x = b with the
 // preconditioned Conjugate Gradient method. The matrix is consumed through
-// the Operator interface: pass the assembled *CSR, or a matrix-free Stencil
-// for structured grids — with the same values the two produce bit-identical
-// iterates (every kernel accumulates in ascending column order either way).
+// the Operator interface: a *CSR, or a matrix-free Stencil for structured
+// grids — holding the same entries the two produce bit-identical iterates
+// (every kernel accumulates in ascending column order either way).
 func SolveCG(a Operator, b []float64, opt Options) ([]float64, Stats, error) {
 	return SolveCGCtx(context.Background(), a, b, opt)
 }

@@ -3,177 +3,66 @@ package sparse
 // Matrix-free stencil operator for structured grids.
 //
 // The finite-volume discretizations in internal/fem live on structured
-// tensor-product grids: every row of the assembled matrix couples a cell to
-// at most one neighbor per axis direction (a 5-point stencil on the
-// axisymmetric (r, z) grid, 7-point on the 3-D Cartesian grid), and the
-// assembly emits each symmetric pair (i, j)/(j, i) from the same conductance,
-// so the off-diagonals are bitwise symmetric. A general CSR walk through such
-// a matrix streams 8 bytes of column index per value and stores every
-// off-diagonal twice; the Stencil instead keeps one diagonal array plus one
-// off-diagonal array per axis (off[d][i] = A[i, i+stride_d]) and enumerates
-// the neighbors arithmetically — roughly a third of the memory traffic per
-// matvec, which is the whole cost of a matvec this regular.
+// tensor-product grids: every row of the system couples a cell to at most
+// one neighbor per axis direction (a 5-point stencil on the axisymmetric
+// (r, z) grid, 7-point on the 3-D Cartesian grid), and each face conductance
+// serves both cells it separates, so the system is symmetric by
+// construction. The Stencil stores exactly that: one diagonal array plus one
+// off-diagonal array per axis (off[d][i] = A[i, i+stride_d]), and enumerates
+// the neighbors arithmetically. The assembly writes these arrays directly;
+// no sparsity pattern or column index exists, and a matvec streams roughly a
+// third of the bytes a CSR walk of the same matrix would.
 //
-// Bit-identity with the CSR product is a design invariant, not an accident:
-// for any row the stored columns are exactly {i−s2, i−s1, i−s0, i, i+s0,
-// i+s1, i+s2} ∩ existing neighbors, CSR accumulates them in ascending column
-// order, and the stencil loops add their terms in that same order, using
-// off[d][i−s_d] for the lower neighbor — bitwise equal to A[i, i−s_d] by the
-// verified symmetry. Property tests in this package and internal/fem pin the
-// equivalence matvec-by-matvec and solve-by-solve.
+// Every kernel accumulates a row's terms in ascending column order — −z, −y,
+// −x, diagonal, +x, +y, +z — using off[d][i−s_d] for the lower neighbor.
+// That is the order a CSR row walk uses, so a CSR holding the same entries
+// (built from Each, which walks them in that order) evaluates bit-
+// identically; the tests in this package keep the CSR kernels as the
+// reference for every stencil kernel and for whole CG solves.
 
 import "fmt"
 
-// Stencil is a matrix-free Operator for a structured-grid matrix: per-axis
-// coefficient arrays extracted from an assembled *CSR, evaluated without
-// touching the CSR index arrays. It stays attached to the source matrix:
-// after the matrix's values are refilled in place (the symbolic/numeric
-// assembly split), Refresh re-extracts the coefficients through precomputed
-// slot maps in one O(nnz) pass.
+// Stencil is a matrix-free Operator for a symmetric nearest-neighbor matrix
+// on a structured grid, backed by caller-owned coefficient arrays.
 type Stencil struct {
-	a          *CSR
+	dims       []int
 	nx, ny, nz int // cells per axis, fastest-varying first; 1 when absent
 	nxy        int // nx·ny, the z-neighbor stride
 	n          int
 
 	diag []float64
-	// off[d][i] = A[i, i + stride_d] where stride = {1, nx, nx·ny}; zero and
-	// never read where the neighbor does not exist. Lower neighbors reuse the
-	// same arrays through symmetry: A[i, i−s_d] = off[d][i−s_d].
+	// off[d][i] = A[i, i + stride_d] where stride = {1, nx, nx·ny}; never
+	// read where the neighbor does not exist. Lower neighbors reuse the same
+	// arrays through symmetry: A[i, i−s_d] = off[d][i−s_d].
 	off [3][]float64
-
-	diagSlot []int32
-	// upSlot[d][i] / loSlot[d][i] are the CSR value slots of A[i, i+s_d] and
-	// its transpose A[i+s_d, i]; −1 at the high edge of axis d. Refresh reads
-	// the up slot and verifies the lo slot matches (the symmetry the lower-
-	// neighbor reuse depends on).
-	upSlot, loSlot [3][]int32
 }
 
-// NewStencil extracts a matrix-free stencil operator from the n-unknown
-// matrix a laid out on a structured grid with the given per-axis cell
-// counts, fastest-varying axis first (the fem convention: axi index =
-// iz·nr + ir has dims [nr, nz]; cart index = (iz·ny + iy)·nx + ix has dims
-// [nx, ny, nz]). It fails — and the caller falls back to the CSR — when the
-// matrix is not a full symmetric nearest-neighbor stencil on that grid:
-// every stored entry must be the diagonal or an axis neighbor, every axis
-// neighbor must be stored, and each symmetric pair must match bitwise.
-func NewStencil(a *CSR, dims []int) (*Stencil, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, fmt.Errorf("sparse: stencil needs a square matrix, got %dx%d", a.rows, a.cols)
-	}
+// NewStencilCoeffs wraps caller-owned coefficient arrays as a matrix-free
+// stencil operator on a grid with the given per-axis cell counts, fastest-
+// varying axis first (the fem convention: axi index = iz·nr + ir has dims
+// [nr, nz]; cart index = (iz·ny + iy)·nx + ix has dims [nx, ny, nz]). diag
+// holds the main diagonal; off[d][i] = A[i, i+stride_d] must be nil exactly
+// for axes of extent 1 and is never read where the upper neighbor does not
+// exist. The arrays are retained, not copied: a caller refilling
+// coefficients in place just overwrites them, and symmetry is structural —
+// the same off entry serves both triangles.
+func NewStencilCoeffs(dims []int, diag []float64, off [3][]float64) (*Stencil, error) {
 	if len(dims) < 1 || len(dims) > 3 {
 		return nil, fmt.Errorf("sparse: stencil supports 1-3 grid axes, got %d", len(dims))
 	}
 	nd := [3]int{1, 1, 1}
-	cells := 1
+	n := 1
 	for i, d := range dims {
 		if d < 1 {
 			return nil, fmt.Errorf("sparse: invalid grid dimensions %v", dims)
 		}
 		nd[i] = d
-		cells *= d
+		n *= d
 	}
-	if cells != n {
-		return nil, fmt.Errorf("sparse: grid %v has %d cells, matrix has %d rows", dims, cells, n)
+	if n != len(diag) {
+		return nil, fmt.Errorf("sparse: grid %v has %d cells, coefficients have %d", dims, n, len(diag))
 	}
-	s := &Stencil{
-		a: a, nx: nd[0], ny: nd[1], nz: nd[2], nxy: nd[0] * nd[1], n: n,
-		diag:     make([]float64, n),
-		diagSlot: make([]int32, n),
-	}
-	for i := range s.diagSlot {
-		s.diagSlot[i] = -1
-	}
-	stride := [3]int{1, s.nx, s.nxy}
-	for d := 0; d < 3; d++ {
-		if nd[d] > 1 {
-			s.off[d] = make([]float64, n)
-			s.upSlot[d] = make([]int32, n)
-			s.loSlot[d] = make([]int32, n)
-			for i := range s.upSlot[d] {
-				s.upSlot[d][i] = -1
-				s.loSlot[d][i] = -1
-			}
-		}
-	}
-	// Classify every stored entry. The coordinate guards make the directions
-	// mutually exclusive even when strides collide (an axis of extent 1 never
-	// owns a neighbor), so each entry lands in exactly one slot or fails.
-	ix, iy, iz := 0, 0, 0
-	for i := 0; i < n; i++ {
-		coord := [3]int{ix, iy, iz}
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			j := a.colIdx[k]
-			switch diff := j - i; {
-			case diff == 0:
-				s.diagSlot[i] = int32(k)
-			case diff == stride[2] && coord[2]+1 < nd[2]:
-				s.upSlot[2][i] = int32(k)
-			case diff == stride[1] && coord[1]+1 < nd[1]:
-				s.upSlot[1][i] = int32(k)
-			case diff == stride[0] && coord[0]+1 < nd[0]:
-				s.upSlot[0][i] = int32(k)
-			case diff == -stride[2] && coord[2] > 0:
-				s.loSlot[2][j] = int32(k)
-			case diff == -stride[1] && coord[1] > 0:
-				s.loSlot[1][j] = int32(k)
-			case diff == -stride[0] && coord[0] > 0:
-				s.loSlot[0][j] = int32(k)
-			default:
-				return nil, fmt.Errorf("sparse: entry (%d,%d) is not a grid-%v stencil neighbor", i, j, dims)
-			}
-		}
-		if s.diagSlot[i] < 0 {
-			return nil, fmt.Errorf("sparse: stencil row %d has no diagonal entry", i)
-		}
-		if ix++; ix == s.nx {
-			ix = 0
-			if iy++; iy == s.ny {
-				iy = 0
-				iz++
-			}
-		}
-	}
-	// Full-stencil check: every existing neighbor must be stored in both
-	// triangles. A missing coupling would make the stencil product differ
-	// from the CSR product in signed-zero corner cases, so it is rejected
-	// rather than papered over with a zero coefficient.
-	for d := 0; d < 3; d++ {
-		if s.off[d] == nil {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if !s.hasUp(d, i) {
-				continue
-			}
-			if s.upSlot[d][i] < 0 || s.loSlot[d][i] < 0 {
-				return nil, fmt.Errorf("sparse: stencil row %d is missing its axis-%d neighbor coupling", i, d)
-			}
-		}
-	}
-	if err := s.Refresh(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// NewStencilCoeffs wraps caller-owned coefficient arrays as a matrix-free
-// stencil operator with no CSR backing — the storage format of the
-// re-discretized coarse levels of internal/mg's geometric hierarchy, which
-// never assemble a coarse matrix at all. diag holds the main diagonal;
-// off[d][i] = A[i, i+stride_d] must be nil exactly for axes of extent 1 and
-// is never read where the upper neighbor does not exist. The arrays are
-// retained, not copied: a caller refreshing coefficients in place just
-// overwrites them. Refresh is a no-op (there is no source matrix to re-read)
-// and symmetry is structural — the same off entry serves both triangles.
-func NewStencilCoeffs(dims []int, diag []float64, off [3][]float64) (*Stencil, error) {
-	nd, n, err := checkStencilDims(dims, len(diag))
-	if err != nil {
-		return nil, err
-	}
-	s := &Stencil{nx: nd[0], ny: nd[1], nz: nd[2], nxy: nd[0] * nd[1], n: n, diag: diag}
+	s := &Stencil{dims: append([]int(nil), dims...), nx: nd[0], ny: nd[1], nz: nd[2], nxy: nd[0] * nd[1], n: n, diag: diag}
 	for d := 0; d < 3; d++ {
 		if nd[d] > 1 {
 			if len(off[d]) != n {
@@ -187,73 +76,14 @@ func NewStencilCoeffs(dims []int, diag []float64, off [3][]float64) (*Stencil, e
 	return s, nil
 }
 
-// checkStencilDims validates a 1-3 axis dims slice against the unknown count and
-// returns the padded per-axis extents.
-func checkStencilDims(dims []int, n int) ([3]int, int, error) {
-	nd := [3]int{1, 1, 1}
-	if len(dims) < 1 || len(dims) > 3 {
-		return nd, 0, fmt.Errorf("sparse: stencil supports 1-3 grid axes, got %d", len(dims))
-	}
-	cells := 1
-	for i, d := range dims {
-		if d < 1 {
-			return nd, 0, fmt.Errorf("sparse: invalid grid dimensions %v", dims)
-		}
-		nd[i] = d
-		cells *= d
-	}
-	if cells != n {
-		return nd, 0, fmt.Errorf("sparse: grid %v has %d cells, coefficients have %d", dims, cells, n)
-	}
-	return nd, cells, nil
-}
+// Dims returns the per-axis cell counts the stencil was built with, fastest-
+// varying first. The slice is shared; callers must not modify it.
+func (s *Stencil) Dims() []int { return s.dims }
 
-// hasUp reports whether cell i has an upper neighbor along axis d.
-func (s *Stencil) hasUp(d, i int) bool {
-	switch d {
-	case 0:
-		return i%s.nx < s.nx-1
-	case 1:
-		return i%s.nxy/s.nx < s.ny-1
-	default:
-		return i/s.nxy < s.nz-1
-	}
-}
-
-// Refresh re-extracts the coefficient arrays from the source matrix's value
-// array — one O(nnz) pass through the precomputed slot maps, run after every
-// in-place numeric refill. It verifies the off-diagonal symmetry the lower-
-// neighbor reuse depends on and fails when the refilled values broke it.
-func (s *Stencil) Refresh() error {
-	if s.a == nil {
-		// Coefficient-backed stencil (NewStencilCoeffs): the coefficient
-		// arrays ARE the storage, there is nothing to re-extract.
-		return nil
-	}
-	val := s.a.val
-	for i, k := range s.diagSlot {
-		s.diag[i] = val[k]
-	}
-	for d := 0; d < 3; d++ {
-		off := s.off[d]
-		if off == nil {
-			continue
-		}
-		up, lo := s.upSlot[d], s.loSlot[d]
-		for i, ku := range up {
-			if ku < 0 {
-				continue
-			}
-			v := val[ku]
-			if val[lo[i]] != v {
-				return fmt.Errorf("sparse: stencil coupling (%d, axis %d) is not symmetric: %g vs %g",
-					i, d, v, val[lo[i]])
-			}
-			off[i] = v
-		}
-	}
-	return nil
-}
+// Coeffs returns the coefficient arrays backing the stencil — the diagonal
+// and the per-axis upper off-diagonals, nil for axes of extent 1. They are
+// the live storage, not copies.
+func (s *Stencil) Coeffs() (diag []float64, off [3][]float64) { return s.diag, s.off }
 
 // Rows implements Operator.
 func (s *Stencil) Rows() int { return s.n }
@@ -261,26 +91,112 @@ func (s *Stencil) Rows() int { return s.n }
 // Cols implements Operator.
 func (s *Stencil) Cols() int { return s.n }
 
-// NNZ returns the stored-entry count of the source matrix, or the structural
-// entry count (diagonal plus both triangles of every axis coupling) for a
-// coefficient-backed stencil with no CSR behind it.
+// NNZ returns the structural entry count: the diagonal plus both triangles
+// of every axis coupling.
 func (s *Stencil) NNZ() int {
-	if s.a != nil {
-		return s.a.NNZ()
-	}
-	return stencilNNZ(s.n, [3]int{s.nx, s.ny, s.nz})
-}
-
-// stencilNNZ counts the structural entries of a full nearest-neighbor stencil
-// on the given grid: n diagonals plus two stored values per axis face.
-func stencilNNZ(n int, nd [3]int) int {
-	nnz := n
-	for d := 0; d < 3; d++ {
-		if nd[d] > 1 {
-			nnz += 2 * (n / nd[d]) * (nd[d] - 1)
+	nnz := s.n
+	for _, nd := range [3]int{s.nx, s.ny, s.nz} {
+		if nd > 1 {
+			nnz += 2 * (s.n / nd) * (nd - 1)
 		}
 	}
 	return nnz
+}
+
+// Each calls fn for every stored entry — the diagonal and every existing
+// axis neighbor — row by row in ascending column order, the order a CSR
+// row walk takes. A CSR assembled from this walk holds the same entries in
+// the same order, so its kernels evaluate bit-identically to the stencil's.
+func (s *Stencil) Each(fn func(i, j int, v float64)) {
+	nx, ny, nz, nxy := s.nx, s.ny, s.nz, s.nxy
+	d, ox, oy, oz := s.diag, s.off[0], s.off[1], s.off[2]
+	ix, iy, iz := 0, 0, 0
+	for i := 0; i < s.n; i++ {
+		if iz > 0 {
+			fn(i, i-nxy, oz[i-nxy])
+		}
+		if iy > 0 {
+			fn(i, i-nx, oy[i-nx])
+		}
+		if ix > 0 {
+			fn(i, i-1, ox[i-1])
+		}
+		fn(i, i, d[i])
+		if ix+1 < nx {
+			fn(i, i+1, ox[i])
+		}
+		if iy+1 < ny {
+			fn(i, i+nx, oy[i])
+		}
+		if iz+1 < nz {
+			fn(i, i+nxy, oz[i])
+		}
+		if ix++; ix == nx {
+			ix = 0
+			if iy++; iy == ny {
+				iy = 0
+				iz++
+			}
+		}
+	}
+}
+
+// lowerSolve implements triangular: the forward Gauss–Seidel sweep
+// (D+L)·z = r, subtracting the −z, −y, −x neighbors in that (ascending
+// column) order like the CSR sweep.
+func (s *Stencil) lowerSolve(z, r, d []float64) {
+	nx, nxy := s.nx, s.nxy
+	ox, oy, oz := s.off[0], s.off[1], s.off[2]
+	ix, iy, iz := 0, 0, 0
+	for i := 0; i < s.n; i++ {
+		v := r[i]
+		if iz > 0 {
+			v -= oz[i-nxy] * z[i-nxy]
+		}
+		if iy > 0 {
+			v -= oy[i-nx] * z[i-nx]
+		}
+		if ix > 0 {
+			v -= ox[i-1] * z[i-1]
+		}
+		z[i] = v / d[i]
+		if ix++; ix == nx {
+			ix = 0
+			if iy++; iy == s.ny {
+				iy = 0
+				iz++
+			}
+		}
+	}
+}
+
+// upperSolve implements triangular: the backward sweep (D+U)·z = z in
+// place, from the last row up, subtracting the +x, +y, +z neighbors in that
+// (ascending column) order like the CSR sweep.
+func (s *Stencil) upperSolve(z, d []float64) {
+	nx, ny, nz, nxy := s.nx, s.ny, s.nz, s.nxy
+	ox, oy, oz := s.off[0], s.off[1], s.off[2]
+	ix, iy, iz := nx-1, ny-1, nz-1
+	for i := s.n - 1; i >= 0; i-- {
+		v := z[i]
+		if ix+1 < nx {
+			v -= ox[i] * z[i+1]
+		}
+		if iy+1 < ny {
+			v -= oy[i] * z[i+nx]
+		}
+		if iz+1 < nz {
+			v -= oz[i] * z[i+nxy]
+		}
+		z[i] = v / d[i]
+		if ix--; ix < 0 {
+			ix = nx - 1
+			if iy--; iy < 0 {
+				iy = ny - 1
+				iz--
+			}
+		}
+	}
 }
 
 // coords decomposes row i into its grid coordinates.
@@ -461,9 +377,7 @@ func (s *Stencil) MulVec(x, y []float64) []float64 {
 	return y
 }
 
-// DiagonalInto implements Operator. The stored diagonal is the CSR's value
-// array read through the slot map, so the result is bitwise identical to the
-// CSR extraction.
+// DiagonalInto implements Operator.
 func (s *Stencil) DiagonalInto(d []float64) []float64 {
 	if len(d) != s.n {
 		panic("sparse: DiagonalInto length mismatch")

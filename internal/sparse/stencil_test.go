@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// gridCSR assembles a structured-grid conduction matrix the way the fem
-// package does: one strictly positive conductance per axis-neighbor pair,
-// emitted symmetrically (i,i)+g (i,j)-g (j,j)+g (j,i)-g, plus a positive
+// gridStencil assembles a structured-grid conduction operator the way the
+// fem package does: one strictly positive conductance per axis-neighbor
+// pair, accumulated into both cells' diagonals, plus a positive
 // Dirichlet-style diagonal boost — SPD with a full nearest-neighbor stencil.
-func gridCSR(dims []int, seed int64) *CSR {
+func gridStencil(dims []int, seed int64) *Stencil {
 	rng := rand.New(rand.NewSource(seed))
 	nd := [3]int{1, 1, 1}
 	n := 1
@@ -19,26 +19,53 @@ func gridCSR(dims []int, seed int64) *CSR {
 		n *= d
 	}
 	stride := [3]int{1, nd[0], nd[0] * nd[1]}
-	c := NewCOO(n, n)
+	diag := make([]float64, n)
+	var off [3][]float64
+	for d := range off {
+		if nd[d] > 1 {
+			off[d] = make([]float64, n)
+		}
+	}
 	for i := 0; i < n; i++ {
-		ix := i % nd[0]
-		iy := i / nd[0] % nd[1]
-		iz := i / (nd[0] * nd[1])
-		coord := [3]int{ix, iy, iz}
+		coord := [3]int{i % nd[0], i / nd[0] % nd[1], i / (nd[0] * nd[1])}
 		for d := 0; d < 3; d++ {
 			if coord[d]+1 >= nd[d] {
 				continue
 			}
-			j := i + stride[d]
 			g := 0.1 + rng.Float64()
-			c.Add(i, i, g)
-			c.Add(i, j, -g)
-			c.Add(j, j, g)
-			c.Add(j, i, -g)
+			diag[i] += g
+			off[d][i] = -g
+			diag[i+stride[d]] += g
 		}
-		c.Add(i, i, 0.5+rng.Float64())
+		diag[i] += 0.5 + rng.Float64()
 	}
-	return c.ToCSR()
+	st, err := NewStencilCoeffs(dims, diag, off)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// stencilCSR assembles the CSR holding the stencil's entries from its
+// ascending-column walk — the reference every stencil kernel must match.
+func stencilCSR(st *Stencil) *CSR {
+	n := st.Rows()
+	rowPtr := make([]int, n+1)
+	var colIdx []int
+	var val []float64
+	st.Each(func(i, j int, v float64) {
+		rowPtr[i+1]++
+		colIdx = append(colIdx, j)
+		val = append(val, v)
+	})
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	m, err := NewCSRFromSorted(n, n, rowPtr, colIdx, val)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 var stencilDims = [][]int{
@@ -58,10 +85,10 @@ var stencilDims = [][]int{
 // collapsed to one cell, and for every kernel the solvers call.
 func TestStencilMatchesCSRBitIdentical(t *testing.T) {
 	for _, dims := range stencilDims {
-		a := gridCSR(dims, 17)
-		st, err := NewStencil(a, dims)
-		if err != nil {
-			t.Fatalf("dims %v: NewStencil: %v", dims, err)
+		st := gridStencil(dims, 17)
+		a := stencilCSR(st)
+		if a.NNZ() != st.NNZ() {
+			t.Fatalf("dims %v: walk has %d entries, NNZ reports %d", dims, a.NNZ(), st.NNZ())
 		}
 		n := a.Rows()
 		x := randomVec(n, 5)
@@ -124,11 +151,8 @@ func TestStencilMatchesCSRBitIdentical(t *testing.T) {
 // per-chunk evaluation order).
 func TestStencilParallelBitIdenticalAcrossWorkers(t *testing.T) {
 	dims := []int{13, 11, 7} // 1001 rows: several 256-row chunks plus a ragged tail
-	a := gridCSR(dims, 23)
-	st, err := NewStencil(a, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := gridStencil(dims, 23)
+	a := stencilCSR(st)
 	n := a.Rows()
 	x := randomVec(n, 8)
 	b := randomVec(n, 9)
@@ -154,89 +178,35 @@ func TestStencilParallelBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Refresh must pick up in-place value changes (the numeric-refill path) and
-// reject refills that break the off-diagonal symmetry the lower-neighbor
-// reuse depends on.
-func TestStencilRefresh(t *testing.T) {
-	dims := []int{5, 4}
-	a := gridCSR(dims, 31)
-	st, err := NewStencil(a, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.Rows()
-	// Scale every value in place, as a refill with different material
-	// parameters would.
-	for k := range a.val {
-		a.val[k] *= 1.75
-	}
-	if err := st.Refresh(); err != nil {
-		t.Fatalf("Refresh after symmetric rescale: %v", err)
-	}
-	x := randomVec(n, 4)
-	yc := make([]float64, n)
-	ys := make([]float64, n)
-	a.SpanMulVec(x, yc, 0, n)
-	st.SpanMulVec(x, ys, 0, n)
-	for i := range yc {
-		if yc[i] != ys[i] {
-			t.Fatalf("post-Refresh product differs at %d", i)
+func TestNewStencilCoeffsRejectsBadShapes(t *testing.T) {
+	diag := make([]float64, 6)
+	full := make([]float64, 6)
+	for _, tc := range []struct {
+		name string
+		dims []int
+		off  [3][]float64
+		want string
+	}{
+		{"no axes", nil, [3][]float64{}, "1-3 grid axes"},
+		{"zero extent", []int{6, 0}, [3][]float64{full}, "invalid grid"},
+		{"cell mismatch", []int{3, 3}, [3][]float64{full, full}, "cells"},
+		{"short axis", []int{3, 2}, [3][]float64{full, full[:4]}, "axis-1"},
+		{"extent-1 axis with coefficients", []int{6, 1}, [3][]float64{full, full}, "extent 1"},
+	} {
+		if _, err := NewStencilCoeffs(tc.dims, diag, tc.off); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
-	}
-	// Break one off-diagonal pair: Refresh must notice.
-	for k := a.rowPtr[1]; k < a.rowPtr[2]; k++ {
-		if a.colIdx[k] == 2 {
-			a.val[k] *= 2
-		}
-	}
-	if err := st.Refresh(); err == nil {
-		t.Fatal("Refresh accepted an asymmetric refill")
-	}
-}
-
-func TestNewStencilRejectsNonStencilMatrices(t *testing.T) {
-	// Entry outside the neighbor pattern.
-	c := NewCOO(6, 6)
-	for i := 0; i < 6; i++ {
-		c.Add(i, i, 2)
-	}
-	c.Add(0, 5, -1)
-	c.Add(5, 0, -1)
-	if _, err := NewStencil(c.ToCSR(), []int{3, 2}); err == nil ||
-		!strings.Contains(err.Error(), "stencil neighbor") {
-		t.Fatalf("expected non-neighbor rejection, got %v", err)
-	}
-	// Missing interior coupling: diagonal-only matrix on a 2-D grid.
-	d := NewCOO(6, 6)
-	for i := 0; i < 6; i++ {
-		d.Add(i, i, 2)
-	}
-	if _, err := NewStencil(d.ToCSR(), []int{3, 2}); err == nil ||
-		!strings.Contains(err.Error(), "missing") {
-		t.Fatalf("expected missing-coupling rejection, got %v", err)
-	}
-	// Grid size must match the matrix.
-	if _, err := NewStencil(gridCSR([]int{3, 2}, 1), []int{3, 3}); err == nil {
-		t.Fatal("expected cell-count mismatch rejection")
-	}
-	// Unstructured matrix (random couplings) must be rejected, not mis-read.
-	if _, err := NewStencil(randomSPD(12, 2), []int{12}); err == nil {
-		t.Fatal("expected rejection of an unstructured matrix")
 	}
 }
 
 // End to end: CG over the Stencil must return bit-identical solutions and
-// iteration counts to CG over the CSR it was extracted from, for the
-// preconditioners that support matrix-free operation.
+// iteration counts to CG over the CSR built from its entry walk, under every
+// single-level preconditioner — SSOR's triangular sweeps included.
 func TestSolveCGStencilMatchesCSR(t *testing.T) {
-	dims := []int{9, 8, 5}
-	a := gridCSR(dims, 41)
-	st, err := NewStencil(a, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := gridStencil([]int{9, 8, 5}, 41)
+	a := stencilCSR(st)
 	b := randomVec(a.Rows(), 11)
-	for _, pk := range []PrecondKind{PrecondNone, PrecondJacobi, PrecondChebyshev} {
+	for _, pk := range []PrecondKind{PrecondNone, PrecondJacobi, PrecondChebyshev, PrecondSSOR} {
 		xc, sc, err := SolveCG(a, b, Options{Precond: pk})
 		if err != nil {
 			t.Fatalf("%v csr: %v", pk, err)
@@ -253,11 +223,5 @@ func TestSolveCGStencilMatchesCSR(t *testing.T) {
 				t.Fatalf("%v: solution differs at %d: %x vs %x", pk, i, xc[i], xs[i])
 			}
 		}
-	}
-	// SSOR needs the assembled CSR; a matrix-free operator must be refused
-	// loudly rather than silently downgraded.
-	if _, _, err := SolveCG(st, b, Options{Precond: PrecondSSOR}); err == nil ||
-		!strings.Contains(err.Error(), "ssor") {
-		t.Fatalf("expected ssor-over-stencil rejection, got %v", err)
 	}
 }
