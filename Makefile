@@ -130,7 +130,8 @@ PKG ?=
 FUZZ_TARGETS = \
 	FuzzParseDeck:./internal/deck \
 	FuzzLoadBlockConfig:./internal/stack \
-	FuzzMaterialUnmarshalJSON:./internal/materials
+	FuzzMaterialUnmarshalJSON:./internal/materials \
+	FuzzServeJSON:./internal/serve
 fuzz:
 ifneq ($(FUZZ),)
 	$(GO) test -fuzz '^$(FUZZ)$$' -fuzztime $(FUZZTIME) -run '^$(FUZZ)$$' $(PKG)

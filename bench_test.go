@@ -20,7 +20,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	ttsv "repro"
 	"repro/internal/core"
@@ -256,63 +255,6 @@ func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
 	}
 }
 
-// BenchmarkReferenceSolveWorkers* runs the reference solve with the solver
-// kernels on N workers (Resolution.Workers). On a multi-core machine the
-// parallel variants shed most of the matvec/reduction time; on one core they
-// track the sequential path, because the pool parks idle workers instead of
-// spinning.
-func benchReferenceWorkers(b *testing.B, workers int) {
-	b.Helper()
-	s := mustFig4(b, 10)
-	res := ttsv.DefaultResolution()
-	res.Workers = workers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ttsv.SolveReference(s, res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReferenceSolveWorkers1(b *testing.B) { benchReferenceWorkers(b, 1) }
-func BenchmarkReferenceSolveWorkers2(b *testing.B) { benchReferenceWorkers(b, 2) }
-func BenchmarkReferenceSolveWorkers4(b *testing.B) { benchReferenceWorkers(b, 4) }
-
-// BenchmarkReferenceSolveSpeedup4 interleaves sequential and 4-worker
-// refined-mesh solves and reports their wall-time ratio as the "speedup"
-// metric, the headline number for the parallel linear-algebra layer. Both
-// paths pin the Chebyshev preconditioner so the ratio isolates kernel
-// parallelism rather than preconditioner choice.
-func BenchmarkReferenceSolveSpeedup4(b *testing.B) {
-	s := mustFig4(b, 10)
-	prob, err := fem.BuildAxiProblem(s, fem.DefaultResolution().Refine(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := sparse.Options{Tol: 1e-10, Precond: sparse.PrecondChebyshev}
-	var seq, par time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt.Workers = 1
-		sol, err := fem.SolveAxi(prob, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seq += sol.Stats.Wall
-		opt.Workers = 4
-		sol, err = fem.SolveAxi(prob, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		par += sol.Stats.Wall
-	}
-	if par > 0 {
-		b.ReportMetric(float64(seq)/float64(par), "speedup")
-	}
-}
-
 // Ablation: Model B's chain networks have bandwidth 2, so the netlist picks
 // the O(n·b²) banded direct solver automatically; these sizes previously ran
 // dense LU (B(120), 529 unknowns) and conjugate gradients (B(500), 2101
@@ -366,7 +308,7 @@ func BenchmarkModelAClosedForm(b *testing.B) {
 }
 
 // BenchmarkReferenceMG* measure the multigrid-preconditioned reference
-// solve against the single-level preconditioners as the mesh refines; the
+// solve against the single-level SSOR baseline as the mesh refines; the
 // "cgiters" metric is the CG iteration count of the last solve and
 // "mglevels" the hierarchy depth. Each iteration re-solves from scratch, so
 // the multigrid timings include hierarchy construction — the honest
@@ -418,22 +360,17 @@ func BenchmarkReferenceMGRefined8(b *testing.B) {
 	benchReferenceResolved(b, 8, sparse.PrecondMG)
 }
 
-// Single-level baselines at the same refined mesh, for the wall-time
-// comparison BENCH_ref.json records. Only the 2x mesh gets single-level
-// baselines: at 4x the single-level iteration counts pass 600 and the
-// benchmark would spend seconds per data point demonstrating the O(√n)
-// growth the 2x rows already show.
+// The single-level baseline at the same refined mesh, for the wall-time
+// comparison BENCH_ref.json records. Only the 2x mesh gets it: at 4x the
+// SSOR iteration count passes 600 and the benchmark would spend seconds per
+// data point demonstrating the O(√n) growth the 2x row already shows.
 func BenchmarkReferenceSSORRefined2(b *testing.B) {
 	benchReferenceResolved(b, 2, sparse.PrecondSSOR)
 }
 
-func BenchmarkReferenceChebyshevRefined2(b *testing.B) {
-	benchReferenceResolved(b, 2, sparse.PrecondChebyshev)
-}
-
-// Ablation: preconditioner choice for the FVM solve.
-func benchPrecond(b *testing.B, p sparse.PrecondKind) {
-	b.Helper()
+// BenchmarkFVMPrecondSSOR is the default-mesh FVM solve under SSOR, the
+// preconditioner the default policy picks there.
+func BenchmarkFVMPrecondSSOR(b *testing.B) {
 	s := mustFig4(b, 10)
 	prob, err := fem.BuildAxiProblem(s, fem.DefaultResolution())
 	if err != nil {
@@ -442,16 +379,11 @@ func benchPrecond(b *testing.B, p sparse.PrecondKind) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fem.SolveAxi(prob, sparse.Options{Tol: 1e-10, Precond: p}); err != nil {
+		if _, err := fem.SolveAxi(prob, sparse.Options{Tol: 1e-10, Precond: sparse.PrecondSSOR}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkFVMPrecondSSOR(b *testing.B)      { benchPrecond(b, sparse.PrecondSSOR) }
-func BenchmarkFVMPrecondJacobi(b *testing.B)    { benchPrecond(b, sparse.PrecondJacobi) }
-func BenchmarkFVMPrecondNone(b *testing.B)      { benchPrecond(b, sparse.PrecondNone) }
-func BenchmarkFVMPrecondChebyshev(b *testing.B) { benchPrecond(b, sparse.PrecondChebyshev) }
 
 // Ablation: the SPD direct solver (Cholesky) versus general LU on the dense
 // conductance matrices Model B assembles below the sparse cutoff.

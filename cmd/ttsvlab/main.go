@@ -61,13 +61,12 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	plot := fs.Bool("plot", false, "draw ASCII figures for the sweeps")
 	csvDir := fs.String("csv", "", "write tables as CSV into this directory")
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs); tables are identical for any count")
-	solverWorkers := fs.Int("solver-workers", 0, "parallel linear-solver kernel workers per reference solve (<= 1 = sequential)")
-	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, jacobi, ssor, chebyshev, mg or none")
+	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, ssor or mg")
 	deckPath := fs.String("deck", "", ".ttsv scenario deck file; runs its analysis cards instead of a named experiment")
 	sweepf := clideck.Register(fs)
 	obsf := cliobs.Register(fs)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: ttsvlab [-quick] [-plot] [-csv DIR] [-workers N] [-solver-workers N] [-precond KIND] [-trace FILE] [-metrics] [-pprof ADDR] [-deck FILE [-shard I/N] [-journal FILE] [-resume] [-merge F1,F2,...] [-cache-dir DIR] [-progress]] {fig4|fig5|fig6|fig7|table1|casestudy|calibrate|planes|transient|all}")
+		fmt.Fprintln(fs.Output(), "usage: ttsvlab [-quick] [-plot] [-csv DIR] [-workers N] [-precond KIND] [-trace FILE] [-metrics] [-pprof ADDR] [-deck FILE [-shard I/N] [-journal FILE] [-resume] [-merge F1,F2,...] [-cache-dir DIR] [-progress]] {fig4|fig5|fig6|fig7|table1|casestudy|calibrate|planes|transient|all}")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -112,7 +111,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	cfg.Ctx = ctx
 	cfg.Trace = tracer
 	cfg.Workers = *workers
-	cfg.Resolution.Workers = *solverWorkers
 	pk, err := sparse.ParsePrecond(*precond)
 	if err != nil {
 		return err

@@ -55,8 +55,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	k2 := fs.Float64("k2", 0.55, "Model A fitting coefficient k2")
 	devDensity := fs.Float64("qdev", 700, "device power density [W/mm³]")
 	ildDensity := fs.Float64("qild", 70, "interconnect power density [W/mm³]")
-	workers := fs.Int("workers", 0, "reference-solver kernel workers (<= 1 = sequential; only -model ref)")
-	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, jacobi, ssor, chebyshev, mg or none (only -model ref)")
+	workers := fs.Int("workers", 0, "parallel sweep/plan workers for -deck runs (0 = all CPUs); output is identical for any count")
+	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, ssor or mg (only -model ref)")
 	verbose := fs.Bool("v", false, "print per-solve linear-solver statistics (iterations, residual, preconditioner)")
 	config := fs.String("config", "", "JSON block config file (SI units); explicit flags override its fields")
 	deckPath := fs.String("deck", "", ".ttsv scenario deck file; runs its analysis cards and ignores the geometry flags")
@@ -149,7 +149,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		models = []ttsv.Model{ttsv.Model1D{}}
 	case "ref":
 		res := ttsv.DefaultResolution()
-		res.Workers = *workers
 		res.Precond, err = ttsv.ParsePrecond(*precond)
 		if err != nil {
 			return err

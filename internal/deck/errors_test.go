@@ -205,16 +205,37 @@ func TestPositionedErrors(t *testing.T) {
 			wantMsg:  "unknown model \"z\"",
 			wantLine: 6,
 		},
+		// Request-size caps: refine, segments and sweep points.
 		{
-			name:     "ref workers above cap",
-			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref ref-workers=100000000\n",
-			wantMsg:  "ref-workers must be in [0, 256], got 100000000",
+			name:     "refine above cap",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref refine=9\n",
+			wantMsg:  "refine must be in [1, 8], got 9",
 			wantLine: 6,
 		},
 		{
-			name:     "negative ref workers",
-			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref ref-workers=-1\n",
-			wantMsg:  "ref-workers must be in [0, 256], got -1",
+			name:     "segments above cap",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=b segments=10001\n",
+			wantMsg:  "segments must be in [1, 10000], got 10001",
+			wantLine: 6,
+		},
+		{
+			name:     "sweep points above cap",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.sweep r 1um 20um 10001 model=a\n",
+			wantMsg:  "sweep has 10001 points, more than the maximum 10000",
+			wantLine: 6,
+		},
+		{
+			name:     "sweep list above cap",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.sweep r list" + strings.Repeat(" 5um", 10001) + " model=a\n",
+			wantMsg:  "sweep has 10001 points, more than the maximum 10000",
+			wantLine: 6,
+		},
+		// ref-workers= is not a parameter: every reference solve runs on the
+		// caller's goroutine.
+		{
+			name:     "unknown ref workers",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref ref-workers=2\n",
+			wantMsg:  "unknown parameter \"ref-workers\"",
 			wantLine: 6,
 		},
 		// operator=, mg.hierarchy= and mg.precision= are not parameters:

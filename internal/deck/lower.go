@@ -514,14 +514,20 @@ func (el *elements) lowerSweep(c *Card, sc *Scenario) (Analysis, error) {
 		if len(values) == 0 {
 			return Analysis{}, errAt(el.file, c.Pos, ".sweep list needs at least one value")
 		}
+		if err := CheckSweepPoints(len(values)); err != nil {
+			return Analysis{}, errAt(el.file, c.Pos, "%v", err)
+		}
 	} else {
 		lo := r.posFloat(1, "from", dim)
 		hi := r.posFloat(2, "to", dim)
 		n := r.posInt(3, "points")
-		if r.err == nil && n < 2 {
-			return Analysis{}, errAt(el.file, c.Pos, ".sweep needs at least 2 points, got %d", n)
-		}
 		if r.err == nil {
+			if n < 2 {
+				return Analysis{}, errAt(el.file, c.Pos, ".sweep needs at least 2 points, got %d", n)
+			}
+			if err := CheckSweepPoints(n); err != nil {
+				return Analysis{}, errAt(el.file, c.Pos, "%v", err)
+			}
 			values = units.Linspace(lo, hi, n)
 		}
 	}
@@ -678,19 +684,18 @@ func (el *elements) lowerPlan(c *Card) (Analysis, error) {
 
 // readModels parses the shared model selection parameters: model= (A, B, 1D,
 // ref, all), segments=, k1=, k2=, c1=, and the reference-solver knobs
-// ref-workers=, precond=, refine=. Construction funnels through
+// precond=, refine=. Construction funnels through
 // ModelSpec.build, the same path JSON-driven requests use, so a card and the
 // equivalent JSON request yield value-identical models.
 func (el *elements) readModels(r *cardReader, defSpec string, defCoeffs core.Coeffs) ([]core.Model, error) {
 	sp := ModelSpec{
-		Model:      strings.ToLower(r.str("model", defSpec)),
-		Segments:   r.int("segments", 100),
-		K1:         r.float("k1", units.DimNone, defCoeffs.K1),
-		K2:         r.float("k2", units.DimNone, defCoeffs.K2),
-		C1:         r.float("c1", units.DimNone, defCoeffs.C1),
-		RefWorkers: r.int("ref-workers", 0),
-		Refine:     r.int("refine", 1),
-		Precond:    r.str("precond", "auto"),
+		Model:    strings.ToLower(r.str("model", defSpec)),
+		Segments: r.int("segments", 100),
+		K1:       r.float("k1", units.DimNone, defCoeffs.K1),
+		K2:       r.float("k2", units.DimNone, defCoeffs.K2),
+		C1:       r.float("c1", units.DimNone, defCoeffs.C1),
+		Refine:   r.int("refine", 1),
+		Precond:  r.str("precond", "auto"),
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -30,19 +30,37 @@ type ModelSpec struct {
 	// Refine uniformly refines the reference resolution; 0 and 1 select the
 	// default mesh.
 	Refine int `json:"refine,omitempty"`
-	// Precond selects the reference solver's preconditioner ("auto",
-	// "jacobi", "ssor", "chebyshev", "mg", "none"); empty selects "auto".
+	// Precond selects the reference solver's preconditioner ("auto", "ssor",
+	// "mg"); empty selects "auto".
 	Precond string `json:"precond,omitempty"`
-	// RefWorkers is the reference solver's kernel worker count, 0 to
-	// MaxRefWorkers; 0 keeps the solver sequential.
-	RefWorkers int `json:"ref_workers,omitempty"`
 }
 
-// MaxRefWorkers caps ModelSpec.RefWorkers. Each worker is a goroutine of
-// the solver's kernel pool, so an unchecked count from a request body could
-// start any number of them; the cap is fixed rather than derived from the
-// host so a spec is valid or invalid everywhere.
-const MaxRefWorkers = 256
+// Request-size caps. A few bytes of deck or JSON can otherwise ask for an
+// arbitrarily large grid, Model B network or sweep, so each is checked where
+// specs are validated, before anything is allocated. The caps are fixed
+// rather than derived from the host, so a request is valid or invalid
+// everywhere.
+const (
+	// MaxRefine caps ModelSpec.Refine: the deepest refinement the repository
+	// runs (about 93k unknowns, 39 MB per solve).
+	MaxRefine = 8
+	// MaxSegments caps ModelSpec.Segments at 10× the largest Model B the
+	// repository runs, B(1000).
+	MaxSegments = 10000
+	// MaxSweepPoints caps the point count of one sweep; see
+	// CheckSweepPoints.
+	MaxSweepPoints = 10000
+)
+
+// CheckSweepPoints rejects a sweep of more than MaxSweepPoints points. Deck
+// .sweep cards and JSON sweep requests both call it before building their
+// value lists.
+func CheckSweepPoints(n int) error {
+	if n > MaxSweepPoints {
+		return fmt.Errorf("sweep has %d points, more than the maximum %d", n, MaxSweepPoints)
+	}
+	return nil
+}
 
 // Models resolves the spec into concrete model values, substituting defSpec
 // and defCoeffs for zero fields. Every construction path — deck cards, JSON
@@ -78,17 +96,13 @@ func (e *specError) Error() string { return e.msg }
 // build constructs the model values from a fully-populated spec. All
 // validation of spec fields lives here; errors are *specError.
 func (sp ModelSpec) build() ([]core.Model, error) {
-	if sp.Segments < 1 {
-		return nil, &specError{"segments", fmt.Sprintf("segments must be >= 1, got %d", sp.Segments)}
+	if sp.Segments < 1 || sp.Segments > MaxSegments {
+		return nil, &specError{"segments", fmt.Sprintf("segments must be in [1, %d], got %d", MaxSegments, sp.Segments)}
 	}
-	if sp.Refine < 1 {
-		return nil, &specError{"refine", fmt.Sprintf("refine must be >= 1, got %d", sp.Refine)}
-	}
-	if sp.RefWorkers < 0 || sp.RefWorkers > MaxRefWorkers {
-		return nil, &specError{"ref-workers", fmt.Sprintf("ref-workers must be in [0, %d], got %d", MaxRefWorkers, sp.RefWorkers)}
+	if sp.Refine < 1 || sp.Refine > MaxRefine {
+		return nil, &specError{"refine", fmt.Sprintf("refine must be in [1, %d], got %d", MaxRefine, sp.Refine)}
 	}
 	res := fem.DefaultResolution()
-	res.Workers = sp.RefWorkers
 	if sp.Refine > 1 {
 		res = res.Refine(sp.Refine)
 	}

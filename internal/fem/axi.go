@@ -120,7 +120,7 @@ func SolveAxiCtx(ctx context.Context, p *AxiProblem, opt sparse.Options) (*AxiSo
 }
 
 // SolveAxiWith is SolveAxiCtx solving through a reuse context: assembly
-// patterns, multigrid hierarchies and kernel pools cached in sc are
+// patterns, multigrid hierarchies and CG scratch cached in sc are
 // recycled, and with sc.WarmStart the CG iteration starts from the previous
 // solution of the same system shape. A nil sc (or sc.NoReuse) makes every
 // solve fresh; the results are bit-identical either way (warm starts aside).
@@ -142,7 +142,7 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 		psp.End()
 	}
 	if o.Pool == nil {
-		o.Pool = sc.poolFor(o.Workers)
+		o.Pool = sc.scratch()
 	}
 	if o.X0 == nil {
 		o.X0 = sc.warmX0(sys.key, len(sys.rhs))

@@ -113,7 +113,7 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 		psp.End()
 	}
 	if o.Pool == nil {
-		o.Pool = sc.poolFor(o.Workers)
+		o.Pool = sc.scratch()
 	}
 	n := sys.nx * sys.ny * sys.nz
 	root.Set("unknowns", n)

@@ -8,9 +8,8 @@ import (
 
 // SolveContext carries reusable state across the repeated solves of a
 // parameter sweep: assemblies (stencil coefficient arrays refilled in
-// place), multigrid hierarchies, kernel worker pools with their
-// scratch free-lists, and — opt-in — the previous solution of each system
-// shape for warm-starting CG.
+// place), multigrid hierarchies, a scratch pool of CG work vectors, and —
+// opt-in — the previous solution of each system shape for warm-starting CG.
 //
 // Everything except WarmStart is invisible in the results: a solve through a
 // context is bit-identical to the same solve without one, because the reuse
@@ -19,11 +18,11 @@ import (
 // (the solution still converges to the same tolerance), which is why it is a
 // separate switch rather than part of the default reuse.
 //
-// A SolveContext is not safe for concurrent use: like sparse.Pool it serves
-// one solve at a time. Sweep workers each own one. The zero value of the
+// A SolveContext is not safe for concurrent use: it serves one solve at a
+// time. Sweep workers each own one. The zero value of the
 // pointer (nil) is valid everywhere and means "no reuse".
 type SolveContext struct {
-	// NoReuse disables assembly, hierarchy and pool reuse, making every solve
+	// NoReuse disables assembly, hierarchy and scratch reuse, making every solve
 	// behave as if it ran without a context. Mainly for A/B-testing reuse
 	// itself (the equivalence property tests flip it).
 	NoReuse bool
@@ -56,13 +55,12 @@ func NewSolveContext() *SolveContext {
 	}
 }
 
-// Close releases the context's worker pool. The context remains usable;
-// a later solve simply re-creates the pool.
+// Close drops the context's pooled scratch vectors. The context remains
+// usable; a later solve simply re-creates the pool.
 func (sc *SolveContext) Close() {
 	if sc == nil {
 		return
 	}
-	sc.pool.Close()
 	sc.pool = nil
 }
 
@@ -102,22 +100,16 @@ func (sc *SolveContext) storeAssembly(asm *assembly) {
 	sc.assemblies[asm.key] = asm
 }
 
-// poolFor returns the context's kernel pool for the given worker count,
-// creating or resizing it as needed. The pool's scratch free-list is what
-// lets consecutive solves share their CG work vectors. Returns nil when the
-// context is nil or reuse is off (the solver then manages its own pool).
-func (sc *SolveContext) poolFor(workers int) *sparse.Pool {
+// scratch returns the context's scratch pool, which lets consecutive solves
+// share their CG work vectors. Returns nil when the context is nil or reuse
+// is off (each solve then allocates its own).
+func (sc *SolveContext) scratch() *sparse.Pool {
 	if !sc.reusing() {
 		return nil
 	}
-	if workers < 1 {
-		workers = 1
+	if sc.pool == nil {
+		sc.pool = &sparse.Pool{}
 	}
-	if sc.pool != nil && sc.pool.Workers() == workers {
-		return sc.pool
-	}
-	sc.pool.Close()
-	sc.pool = sparse.NewPool(workers)
 	return sc.pool
 }
 

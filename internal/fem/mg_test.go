@@ -33,12 +33,12 @@ func TestMGIterationsMeshIndependent(t *testing.T) {
 	}
 }
 
-// TestMGBeatsJacobiIterations pins the headline speedup: at twice the
+// TestMGBeatsSSORIterations pins the headline speedup: at twice the
 // default reference resolution, multigrid-preconditioned CG must need at
-// least 3x fewer iterations than Jacobi (in practice the gap is ~50x).
-func TestMGBeatsJacobiIterations(t *testing.T) {
+// least 3x fewer iterations than SSOR (in practice the gap is ~40x).
+func TestMGBeatsSSORIterations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("Jacobi baseline at 2x default resolution is slow")
+		t.Skip("SSOR baseline at 2x default resolution is slow")
 	}
 	s := fig4(t, 10)
 
@@ -49,53 +49,22 @@ func TestMGBeatsJacobiIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res.Precond = sparse.PrecondJacobi
-	jacSol, err := SolveStack(s, res)
+	res.Precond = sparse.PrecondSSOR
+	ssorSol, err := SolveStack(s, res)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	mgIt, jacIt := mgSol.Stats.Iterations, jacSol.Stats.Iterations
-	if mgIt == 0 || jacIt < 3*mgIt {
-		t.Errorf("MG used %d iterations, Jacobi %d; want Jacobi >= 3x MG", mgIt, jacIt)
+	mgIt, ssorIt := mgSol.Stats.Iterations, ssorSol.Stats.Iterations
+	if mgIt == 0 || ssorIt < 3*mgIt {
+		t.Errorf("MG used %d iterations, SSOR %d; want SSOR >= 3x MG", mgIt, ssorIt)
 	}
 
 	// Both converged to the same tolerance; the answers must agree closely.
 	mgMax, _, _ := mgSol.MaxT()
-	jacMax, _, _ := jacSol.MaxT()
-	if diff := mgMax - jacMax; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("MG max ΔT %g vs Jacobi %g", mgMax, jacMax)
-	}
-}
-
-// TestMGBitIdenticalAcrossWorkers asserts the determinism contract: a
-// multigrid-preconditioned solve produces bit-identical temperature fields
-// for any worker count.
-func TestMGBitIdenticalAcrossWorkers(t *testing.T) {
-	s := fig4(t, 10)
-	var ref *AxiSolution
-	for _, w := range []int{1, 2, 4, 8} {
-		res := coarse().Refine(2)
-		res.Precond = sparse.PrecondMG
-		res.Workers = w
-		sol, err := SolveStack(s, res)
-		if err != nil {
-			t.Fatalf("workers %d: %v", w, err)
-		}
-		if ref == nil {
-			ref = sol
-			continue
-		}
-		if sol.Stats.Iterations != ref.Stats.Iterations {
-			t.Fatalf("workers %d: %d iterations, want %d", w, sol.Stats.Iterations, ref.Stats.Iterations)
-		}
-		for j := range sol.T {
-			for i := range sol.T[j] {
-				if sol.T[j][i] != ref.T[j][i] {
-					t.Fatalf("workers %d: T[%d][%d] = %g != %g", w, j, i, sol.T[j][i], ref.T[j][i])
-				}
-			}
-		}
+	ssorMax, _, _ := ssorSol.MaxT()
+	if diff := mgMax - ssorMax; diff > 1e-6 || diff < -1e-6 {
+		t.Errorf("MG max ΔT %g vs SSOR %g", mgMax, ssorMax)
 	}
 }
 

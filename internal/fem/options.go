@@ -43,8 +43,8 @@ func (e *ConvergenceError) Unwrap() []error { return []error{ErrNotConverged, e.
 // operators, transfers, coarse factorization) costs more than the CG
 // iterations it saves; above it the mesh-independent iteration count wins —
 // decisively so at the 2–4× refined resolutions of convergence studies.
-// The default-resolution axisymmetric block (~2k cells) stays on the
-// single-level preconditioners; the 3-D and refined solves cross over.
+// The default-resolution axisymmetric block (~2k cells) stays on SSOR; the
+// 3-D and refined solves cross over.
 const mgAutoThreshold = 4000
 
 // sparseDefaults returns the iterative-solver settings used by the stack
@@ -56,12 +56,11 @@ func sparseDefaults() sparse.Options {
 }
 
 // resolveSolver finalizes the solver options for an assembled system: the
-// default preconditioner becomes multigrid above mgAutoThreshold unknowns
-// (falling back to the single-level default when a hierarchy cannot be
-// built), an explicit PrecondMG request gets its hierarchy built here, and
-// an unset MaxIter scales with the preconditioner class instead of the
-// system size. A pre-built Options.MG (e.g. the transient integrator's
-// shared hierarchy) is reused as-is.
+// default preconditioner becomes multigrid at mgAutoThreshold unknowns and
+// above, SSOR below; an explicit PrecondMG request gets its hierarchy built
+// here; a grid that cannot support a hierarchy falls back to SSOR; and an
+// unset MaxIter scales with the preconditioner instead of the system size.
+// A pre-built Options.MG is reused as-is.
 func resolveSolver(opt sparse.Options, a *sparse.Stencil) sparse.Options {
 	return resolveSolverWith(nil, asmKey{}, opt, a)
 }
@@ -70,53 +69,40 @@ func resolveSolver(opt sparse.Options, a *sparse.Stencil) sparse.Options {
 // sc's cache (reused when the operator values are unchanged, rebuilt through
 // the predecessor's recycled arena otherwise). A nil sc builds fresh.
 func resolveSolverWith(sc *SolveContext, key asmKey, opt sparse.Options, a *sparse.Stencil) sparse.Options {
-	if opt.MG == nil && (opt.Precond == sparse.PrecondMG ||
-		(opt.Precond == sparse.PrecondDefault && a.Rows() >= mgAutoThreshold)) {
+	auto := opt.Precond == sparse.PrecondDefault
+	if opt.MG == nil && (opt.Precond == sparse.PrecondMG || (auto && a.Rows() >= mgAutoThreshold)) {
 		if h, err := sc.hierarchyFor(key, a); err == nil {
-			if opt.Precond == sparse.PrecondDefault {
+			if auto {
 				obs.Default().Counter("fem.mg.auto").Inc()
 			}
 			opt.Precond = sparse.PrecondMG
 			opt.MG = h
 		} else {
+			// A grid too small to coarsen or a degenerate operator: Stats
+			// reports the preconditioner that actually ran.
 			obs.Default().Counter("fem.mg.fallback").Inc()
-			if opt.Precond == sparse.PrecondMG {
-				// An explicit request on a grid that cannot support a hierarchy
-				// (too few cells to coarsen, degenerate operator): fall back to
-				// the default selection rather than failing the solve; Stats
-				// reports the preconditioner that actually ran.
-				opt.Precond = sparse.PrecondDefault
-			}
 		}
 	}
-	opt = pickPrecond(opt)
+	if opt.Precond != sparse.PrecondMG || opt.MG == nil {
+		opt.Precond = sparse.PrecondSSOR
+	}
 	if opt.MaxIter == 0 {
 		opt.MaxIter = maxIterFor(opt.Precond, a.Rows())
 	}
 	return opt
 }
 
-// maxIterFor budgets CG iterations by preconditioner class rather than the
-// flat 10·n default: multigrid converges in a mesh-independent handful of
-// iterations, the single-level preconditioners in O(√κ) ≈ O(√n) on these
-// second-order elliptic systems. Unpreconditioned CG gets a far larger
-// budget still — without diagonal scaling its condition number carries the
-// stack's full four-decade coefficient contrast, and the default-resolution
-// block already needs ~9k iterations. Each budget is several times the
-// observed count, so hitting one genuinely means "did not converge", caught
-// early instead of after 10·n wasted iterations.
+// maxIterFor budgets CG iterations by preconditioner rather than the flat
+// 10·n default: multigrid converges in a mesh-independent handful of
+// iterations, SSOR in O(√κ) ≈ O(√n) on these second-order elliptic systems.
+// Each budget is several times the observed count, so hitting one genuinely
+// means "did not converge", caught early instead of after 10·n wasted
+// iterations.
 func maxIterFor(p sparse.PrecondKind, n int) int {
-	root := int(math.Sqrt(float64(n)))
-	switch p {
-	case sparse.PrecondMG:
+	if p == sparse.PrecondMG {
 		return 200
-	case sparse.PrecondSSOR, sparse.PrecondChebyshev:
-		return 40*root + 1000
-	case sparse.PrecondNone:
-		return 600*root + 8000
-	default: // Jacobi
-		return 150*root + 2000
 	}
+	return 40*int(math.Sqrt(float64(n))) + 1000
 }
 
 // solveErr wraps a linear-solver failure with the system context; iteration
@@ -128,28 +114,6 @@ func solveErr(what string, n int, st sparse.Stats, err error) error {
 		return &ConvergenceError{What: what, Cells: n, Stats: st, err: err}
 	}
 	return fmt.Errorf("fem: %s (%d cells): %w", what, n, err)
-}
-
-// pickPrecond resolves the default preconditioner for this package's
-// solves: SSOR for sequential runs (fewest iterations), Chebyshev when the
-// solve runs on more than one worker (SSOR's triangular sweeps are
-// inherently sequential; Chebyshev parallelizes and stays bit-identical for
-// any worker count). An explicit opt.Precond — including the PrecondMG
-// resolveSolver may have attached — is honored unchanged.
-func pickPrecond(opt sparse.Options) sparse.Options {
-	if opt.Precond != sparse.PrecondDefault {
-		return opt
-	}
-	workers := opt.Workers
-	if opt.Pool != nil {
-		workers = opt.Pool.Workers()
-	}
-	if workers > 1 {
-		opt.Precond = sparse.PrecondChebyshev
-	} else {
-		opt.Precond = sparse.PrecondSSOR
-	}
-	return opt
 }
 
 // almostEqual reports whether a and b agree to within rtol relatively (or

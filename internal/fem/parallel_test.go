@@ -111,99 +111,6 @@ func TestTransientAccumulatesStats(t *testing.T) {
 	}
 }
 
-// Property: on the repository's real FVM systems — axisymmetric and 3-D
-// Cartesian — the parallel CG solve is bit-identical to the sequential one
-// for any worker count when the preconditioner is pinned.
-func TestSolveCGWorkersBitIdenticalOnFEMSystems(t *testing.T) {
-	s, err := fig4At(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	axiProb, err := BuildAxiProblem(s, coarse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	axiSys, err := assembleAxi(axiProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cartProb, err := BuildCartProblem(s, CartResolution{
-		LateralVia: 4, LateralLiner: 1, LateralOuter: 4, AxialPerLayer: 2, AxialMin: 1, Bulk: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cartSys, err := assembleCart(cartProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	systems := []struct {
-		name string
-		op   *sparse.Stencil
-		rhs  []float64
-	}{
-		{"axi", axiSys.op, axiSys.rhs},
-		{"cart3d", cartSys.op, cartSys.rhs},
-	}
-	for _, sys := range systems {
-		for _, pc := range []sparse.PrecondKind{sparse.PrecondJacobi, sparse.PrecondChebyshev} {
-			opt := sparse.Options{Tol: 1e-10, MaxIter: 100000, Precond: pc}
-			opt.Workers = 1
-			seq, _, err := sparse.SolveCG(sys.op, sys.rhs, opt)
-			if err != nil {
-				t.Fatalf("%s/%v sequential: %v", sys.name, pc, err)
-			}
-			for _, w := range []int{2, 4, 8} {
-				opt.Workers = w
-				par, _, err := sparse.SolveCG(sys.op, sys.rhs, opt)
-				if err != nil {
-					t.Fatalf("%s/%v workers=%d: %v", sys.name, pc, w, err)
-				}
-				for i := range seq {
-					if par[i] != seq[i] {
-						t.Fatalf("%s/%v workers=%d: x[%d] = %x, want %x",
-							sys.name, pc, w, i, math.Float64bits(par[i]), math.Float64bits(seq[i]))
-					}
-				}
-			}
-		}
-	}
-}
-
-// The full stack solve must produce the same field with Workers set once the
-// preconditioner is pinned, and the default parallel path must still converge
-// to the same answer within tolerance.
-func TestSolveStackWithWorkers(t *testing.T) {
-	s, err := fig4At(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := coarse()
-	seq, err := SolveStack(s, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Workers = 4
-	par, err := SolveStack(s, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Stats.Workers != 4 {
-		t.Errorf("parallel solve reports %d workers", par.Stats.Workers)
-	}
-	if par.Stats.Precond != sparse.PrecondChebyshev {
-		t.Errorf("parallel default precond %v, want chebyshev", par.Stats.Precond)
-	}
-	if seq.Stats.Precond != sparse.PrecondSSOR {
-		t.Errorf("sequential default precond %v, want ssor", seq.Stats.Precond)
-	}
-	maxSeq, _, _ := seq.MaxT()
-	maxPar, _, _ := par.MaxT()
-	if d := math.Abs(maxSeq-maxPar) / maxSeq; d > 1e-7 {
-		t.Errorf("worker solve ΔT %g differs from sequential %g (rel %g)", maxPar, maxSeq, d)
-	}
-}
-
 func TestSolveStackCtxCancelled(t *testing.T) {
 	s, err := fig4At(10)
 	if err != nil {
@@ -216,12 +123,12 @@ func TestSolveStackCtxCancelled(t *testing.T) {
 	}
 }
 
-// A Workers-only Resolution keeps the default mesh.
-func TestReferenceModelWorkersOnlyResolution(t *testing.T) {
-	m := ReferenceModel{Res: Resolution{Workers: 3}}
+// A Precond-only Resolution keeps the default mesh.
+func TestReferenceModelPrecondOnlyResolution(t *testing.T) {
+	m := ReferenceModel{Res: Resolution{Precond: sparse.PrecondMG}}
 	got := m.resolution()
 	want := DefaultResolution()
-	want.Workers = 3
+	want.Precond = sparse.PrecondMG
 	if got != want {
 		t.Errorf("resolution() = %+v, want %+v", got, want)
 	}

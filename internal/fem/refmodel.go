@@ -13,8 +13,8 @@ import (
 // as the analytical models. The zero value uses DefaultResolution.
 type ReferenceModel struct {
 	// Res is the mesh density; the zero value selects DefaultResolution.
-	// Res.Workers and/or Res.Precond alone (all mesh counts zero) keep the
-	// default mesh but tune the solver.
+	// Res.Precond alone (all mesh counts zero) keeps the default mesh but
+	// picks the preconditioner.
 	Res Resolution
 }
 
@@ -26,12 +26,10 @@ const RefModelName = "FVM"
 func (ReferenceModel) Name() string { return RefModelName }
 
 // resolution returns the effective mesh density: a Resolution whose mesh
-// counts are all zero keeps the default mesh, with the solver knobs
-// (Workers, Precond) carried over.
+// counts are all zero keeps the default mesh, with Precond carried over.
 func (m ReferenceModel) resolution() Resolution {
-	if m.Res == (Resolution{Workers: m.Res.Workers, Precond: m.Res.Precond}) {
+	if m.Res == (Resolution{Precond: m.Res.Precond}) {
 		r := DefaultResolution()
-		r.Workers = m.Res.Workers
 		r.Precond = m.Res.Precond
 		return r
 	}

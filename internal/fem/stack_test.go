@@ -243,10 +243,9 @@ func TestResolutionRefine(t *testing.T) {
 // grading exponent but must pass the solver knobs through untouched.
 func TestOperatorRefineCarriesSolverKnobs(t *testing.T) {
 	r := DefaultResolution()
-	r.Workers = 3
 	r.Precond = sparse.PrecondMG
 	r2 := r.Refine(2)
-	if r2.Workers != 3 || r2.Precond != sparse.PrecondMG {
+	if r2.Precond != sparse.PrecondMG {
 		t.Fatalf("Refine dropped solver knobs: %+v", r2)
 	}
 	if r2.RefineFactor != 2 {

@@ -29,15 +29,9 @@ type Resolution struct {
 	// Bulk is the cell count of the thick first-plane substrate (graded
 	// towards the via tip).
 	Bulk int
-	// Workers is the iterative solver's kernel worker count for solves at
-	// this resolution; values <= 1 solve sequentially. With a fixed
-	// preconditioner results are bit-identical for any value; the default
-	// preconditioner switches from SSOR to Chebyshev when Workers > 1 (see
-	// pickPrecond), which changes results only within the solver tolerance.
-	Workers int
 	// Precond overrides the preconditioner for solves at this resolution.
-	// The zero value (sparse.PrecondDefault) auto-selects: multigrid above
-	// ~4k unknowns, SSOR/Chebyshev below (see resolveSolver).
+	// The zero value (sparse.PrecondDefault) auto-selects: multigrid at
+	// ~4k unknowns and above, SSOR below (see resolveSolver).
 	// sparse.PrecondMG forces multigrid. Either way the hierarchy is built
 	// per solve from the assembled grid — the geometric one, since this
 	// grid has two axes (see mg.Build) — and a grid too small to coarsen
@@ -77,7 +71,6 @@ func (r Resolution) Refine(f int) Resolution {
 		AxialPerLayer: r.AxialPerLayer * f,
 		AxialMin:      r.AxialMin * f,
 		Bulk:          r.Bulk * f,
-		Workers:       r.Workers,
 		Precond:       r.Precond,
 		RefineFactor:  rf * f,
 	}
@@ -314,8 +307,7 @@ func SolveStack(s *stack.Stack, res Resolution) (*AxiSolution, error) {
 	return SolveStackCtx(context.Background(), s, res)
 }
 
-// SolveStackCtx is SolveStack honoring cancellation and the resolution's
-// solver worker count.
+// SolveStackCtx is SolveStack honoring cancellation.
 func SolveStackCtx(ctx context.Context, s *stack.Stack, res Resolution) (*AxiSolution, error) {
 	return SolveStackWith(ctx, nil, s, res)
 }
@@ -334,7 +326,6 @@ func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res R
 	}
 	sp.Set("planes", len(s.Planes))
 	o := sparseDefaults()
-	o.Workers = res.Workers
 	o.Precond = res.Precond
 	return SolveAxiWith(ctx, sc, p, o)
 }

@@ -72,15 +72,11 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 	// Resolve the preconditioner against the step operator, not the steady
 	// one: K + M/dt is what every implicit step solves. The operator is
 	// fixed across steps, so one multigrid hierarchy (built here by
-	// resolveSolver and carried in o.MG) serves the whole integration —
-	// amortizing the setup the same way the shared pool amortizes workers.
+	// resolveSolver and carried in o.MG) serves the whole integration,
+	// and one scratch pool serves every step's CG work vectors.
 	o = resolveSolver(o, stepOp)
 	if o.Pool == nil {
-		// One pool serves every step; spawning and tearing down workers per
-		// step would dominate the short warm-started solves.
-		pl := sparse.NewPool(o.Workers)
-		defer pl.Close()
-		o.Pool = pl
+		o.Pool = &sparse.Pool{}
 	}
 	x := make([]float64, n)
 	rhs := make([]float64, n)

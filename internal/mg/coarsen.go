@@ -163,9 +163,8 @@ func (r *rowAccumulator) flush(col []int32, val []float64) ([]int32, []float64) 
 
 // transfer is a level's smoothed prolongation P, stored twice in CSR
 // layout: by fine row (p*) for the prolongation x += P·e, and by coarse row
-// (pt*) for the restriction b_c = Pᵀ·r. Both kernels parallelize over their
-// respective output rows with a fixed per-row summation order, so they are
-// bit-identical for any worker count.
+// (pt*) for the restriction b_c = Pᵀ·r. Both products walk their output
+// rows with a fixed per-row summation order (see mulVecRaw).
 type transfer struct {
 	pPtr, pCol   []int32
 	pVal         []float64

@@ -36,7 +36,7 @@ package mg
 // prolongation is the box injection smoothed by one damped-Jacobi pass,
 // P = (I − ω·D⁻¹A)·P_box, assembled directly from the stencil coefficients
 // in a single O(n) pass (see geomTransfer) and stored as raw CSR triples for
-// the pool's deterministic transfer kernels. Because full 2×-per-axis
+// the transfer products (mulVecRaw). Because full 2×-per-axis
 // coarsening preserves anisotropy ratios level after level, the levels
 // smooth with the alternating-direction line smoother (linesmooth.go)
 // instead of point Chebyshev, and cycle as a truncated W-cycle (see

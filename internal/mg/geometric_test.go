@@ -69,9 +69,10 @@ func TestGeometricCycleSymmetricPositiveDefinite(t *testing.T) {
 // TestGeometricHierarchyProperty is the geometric hierarchy's acceptance
 // property over the grid zoo (2-D Poisson, flipping-anisotropy layered,
 // high-contrast layered, and the 3-D Poisson cube, which Build itself hands
-// to Galerkin) × worker counts 1/2/4/8:
+// to Galerkin):
 //
-//   - cycle output is bit-identical for every worker count;
+//   - repeated cycles on one input are bit-identical (no state leaks from
+//     one cycle into the next through the level scratch);
 //   - preconditioned CG takes at most 3 iterations more than the Galerkin
 //     hierarchy on the same system (on the axisymmetric fem stacks geometric
 //     needs FEWER iterations than Galerkin; the +3 headroom covers the
@@ -89,7 +90,6 @@ func TestGeometricHierarchyProperty(t *testing.T) {
 		{"cart3d", func() *sparse.Stencil { return poisson3D(16, 16, 16) }},
 		{"contrast1e3", func() *sparse.Stencil { return layeredContrast(64, 64, 1000) }},
 	}
-	workers := []int{1, 2, 4, 8}
 	for _, g := range grids {
 		t.Run(g.name, func(t *testing.T) {
 			a := g.mk()
@@ -110,20 +110,18 @@ func TestGeometricHierarchyProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("geometric build: %v", err)
 			}
-			// Bit-identical cycles across worker counts.
+			// Bit-identical repeated cycles.
 			r := make([]float64, n)
 			fillRand(r, 5)
 			var ref []float64
-			for _, w := range workers {
-				p := sparse.NewPool(w)
+			for range 3 {
 				z := make([]float64, n)
-				h.Cycle(z, r, p)
-				p.Close()
+				h.Cycle(z, r)
 				if ref == nil {
 					ref = z
 					continue
 				}
-				sameBits(t, g.name+" cycle workers", z, ref)
+				sameBits(t, g.name+" repeated cycle", z, ref)
 			}
 			_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
 			if err != nil {
@@ -154,7 +152,6 @@ func TestGeometricStationaryConverges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		p := sparse.NewPool(1)
 		n := a.Rows()
 		b := make([]float64, n)
 		fillRand(b, 7)
@@ -164,7 +161,7 @@ func TestGeometricStationaryConverges(t *testing.T) {
 		copy(r, b)
 		r0 := norm2(r)
 		for it := 0; it < 30; it++ {
-			h.Cycle(z, r, p)
+			h.Cycle(z, r)
 			for i := range x {
 				x[i] += z[i]
 			}
@@ -173,7 +170,6 @@ func TestGeometricStationaryConverges(t *testing.T) {
 				r[i] = b[i] - r[i]
 			}
 		}
-		p.Close()
 		if rel := norm2(r) / r0; rel > 1e-6 {
 			t.Fatalf("%s: stationary geometric cycle reduced the residual only to %g in 30 iterations", name, rel)
 		}

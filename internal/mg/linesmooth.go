@@ -1,10 +1,6 @@
 package mg
 
-import (
-	"fmt"
-
-	"repro/internal/sparse"
-)
+import "fmt"
 
 // Alternating-direction line smoother for the geometric hierarchy.
 //
@@ -35,9 +31,7 @@ import (
 // cycle a fixed symmetric positive definite operator (CG stays valid).
 //
 // The factors are stored per level as two arrays (unit-lower entry and
-// inverse pivot per cell), and the solves run through the pool's line
-// kernels: lines are independent, so results are bit-identical for any
-// worker count.
+// inverse pivot per cell); each line is solved by a fixed-order recurrence.
 
 // lineAxis holds the LDLᵀ factors of the tridiagonal line blocks along one
 // grid axis of a level: l[i] is row i's unit-lower-triangular entry (its
@@ -107,17 +101,49 @@ func factorLines(g *geomGrid, mem *arena) ([]lineAxis, error) {
 	return axes, nil
 }
 
-// solve computes x = T⁻¹r for the axis's line blocks through the pool's
-// deterministic line kernels.
-func (ax *lineAxis) solve(p *sparse.Pool, r, x []float64) {
-	p.LineSolve(ax.nd, ax.axis, ax.l, ax.invc, r, x)
+// solve computes x = T⁻¹r for the axis's line blocks: for each grid line
+// along the axis, the LDLᵀ backsolve of its tridiagonal block — forward
+// substitution (I+L)y = r, then x = (I+Lᵀ)⁻¹C⁻¹y walking back down the
+// line. x must not alias r.
+func (ax *lineAxis) solve(r, x []float64) {
+	l, invc := ax.l, ax.invc
+	for t, lines := 0, len(r)/ax.nd[ax.axis]; t < lines; t++ {
+		i, s, length := lineBase(ax.nd, ax.axis, t)
+		x[i] = r[i]
+		for k := 1; k < length; k++ {
+			i += s
+			x[i] = r[i] - l[i]*x[i-s]
+		}
+		x[i] *= invc[i]
+		for k := length - 2; k >= 0; k-- {
+			i -= s
+			x[i] = x[i]*invc[i] - l[i+s]*x[i+s]
+		}
+	}
+}
+
+// lineBase resolves the traversal of grid lines along an axis: the base
+// cell of line t, the element stride within a line, and the line length.
+// Lines enumerate the cells of the perpendicular plane in ascending index
+// order, so line t's base follows from t and the grid shape alone.
+func lineBase(nd [3]int, axis, t int) (base, stride, length int) {
+	nx := nd[0]
+	switch axis {
+	case 0:
+		return t * nx, 1, nx
+	case 1:
+		nxy := nx * nd[1]
+		return t/nx*nxy + t%nx, nx, nd[1]
+	default:
+		return t, nx * nd[1], nd[2]
+	}
 }
 
 // smoothLines applies the alternating-direction line smoother from the zero
 // initial guess: a multiplicative sweep over the level's axes, ascending
 // when reverse is false (pre-smoothing), descending when true (the adjoint
 // order, for post-smoothing). z must not alias r or the scratch.
-func (lv *level) smoothLines(z, r []float64, p *sparse.Pool, reverse bool) {
+func (lv *level) smoothLines(z, r []float64, reverse bool) {
 	axes := lv.lines
 	for k := range axes {
 		ax := &axes[k]
@@ -125,11 +151,11 @@ func (lv *level) smoothLines(z, r []float64, p *sparse.Pool, reverse bool) {
 			ax = &axes[len(axes)-1-k]
 		}
 		if k == 0 {
-			ax.solve(p, r, z)
+			ax.solve(r, z)
 			continue
 		}
-		p.ResidualOp(lv.op, z, r, lv.cres)
-		ax.solve(p, lv.cres, lv.ct)
-		p.VecAdd(z, lv.ct)
+		lv.op.SpanResidual(z, r, lv.cres, 0, len(r))
+		ax.solve(lv.cres, lv.ct)
+		vecAdd(z, lv.ct)
 	}
 }

@@ -25,8 +25,8 @@
 //
 // Either cycle is a fixed symmetric positive definite operator (CG stays
 // valid), built from matrix products, transfers, line solves and element-
-// wise updates on the deterministic chunk grid of internal/sparse.Pool —
-// solves are bit-identical for any worker count.
+// wise updates, each a plain loop with one fixed evaluation order on the
+// calling goroutine.
 package mg
 
 import (
@@ -67,7 +67,7 @@ const (
 
 // level is one grid of the hierarchy plus its transfer to the next-coarser
 // one. Scratch vectors live here so a cycle allocates nothing; consequently
-// a Hierarchy serves one solve at a time (like sparse.Pool).
+// a Hierarchy serves one solve at a time.
 type level struct {
 	// op is the level's operator: the caller's stencil on the finest level,
 	// a coefficient-backed stencil on geometric coarse levels, a Galerkin
@@ -292,12 +292,12 @@ func (h *Hierarchy) LevelSizes() []int {
 // smoothing on a Galerkin hierarchy, a truncated W-cycle with line smoothing
 // on a geometric one. The smoother pair is adjoint and the coarse solve is
 // exact, so the cycle is a fixed symmetric positive definite operator.
-func (h *Hierarchy) Cycle(z, r []float64, p *sparse.Pool) {
+func (h *Hierarchy) Cycle(z, r []float64) {
 	h.cycles.Inc()
-	h.vcycle(0, z, r, p)
+	h.vcycle(0, z, r)
 }
 
-func (h *Hierarchy) vcycle(k int, x, b []float64, p *sparse.Pool) {
+func (h *Hierarchy) vcycle(k int, x, b []float64) {
 	if h.levelWall != nil {
 		// Inclusive per-level wall time: level k's bucket covers its smoothing,
 		// transfers, and everything below it.
@@ -306,9 +306,8 @@ func (h *Hierarchy) vcycle(k int, x, b []float64, p *sparse.Pool) {
 	}
 	lv := h.levels[k]
 	if k == len(h.levels)-1 {
-		// Dense Cholesky backsolve into the level's solution vector;
-		// sequential (the coarsest grid is a few hundred unknowns) and
-		// therefore trivially worker-count independent.
+		// Dense Cholesky backsolve into the level's solution vector (the
+		// coarsest grid is a few hundred unknowns).
 		if err := h.coarse.SolveInto(x, b); err != nil {
 			// Unreachable: the factor and b have matching sizes by
 			// construction. Fall back to a Jacobi sweep rather than panic.
@@ -320,16 +319,16 @@ func (h *Hierarchy) vcycle(k int, x, b []float64, p *sparse.Pool) {
 	}
 	next := h.levels[k+1]
 	// Pre-smooth from the zero initial guess: x = q(B)·D⁻¹·b.
-	lv.smooth(x, b, p, false)
+	lv.smooth(x, b, false)
 	// res = b - A·x, fused per row (same accumulation order as the
 	// unfused matvec-then-subtract).
 	res := lv.res
-	p.ResidualOp(lv.op, x, b, res)
-	// Restrict: b_c = Pᵀ·res, parallel over coarse rows with the summation
-	// order fixed by the transposed CSR layout.
+	lv.op.SpanResidual(x, b, res, 0, len(res))
+	// Restrict: b_c = Pᵀ·res, the summation order fixed by the transposed
+	// CSR layout.
 	tr := lv.tr
-	p.MulVecRaw(tr.ptPtr, tr.ptCol, tr.ptVal, res, next.b)
-	h.vcycle(k+1, next.x, next.b, p)
+	mulVecRaw(tr.ptPtr, tr.ptCol, tr.ptVal, res, next.b)
+	h.vcycle(k+1, next.x, next.b)
 	if h.geometric && k+1 < len(h.levels)-1 {
 		// Truncated W-cycle: revisit the coarse level once more, an additive
 		// correction of the residual the first visit left. With B the
@@ -339,16 +338,47 @@ func (h *Hierarchy) vcycle(k int, x, b []float64, p *sparse.Pool) {
 		// level, and the cheap extra coarse visit buys back what the faster
 		// coarsening loses. Skipped on the coarsest level, whose direct
 		// solve is already exact.
-		p.ResidualOp(next.op, next.x, next.b, next.b2)
-		h.vcycle(k+1, next.x2, next.b2, p)
-		p.VecAdd(next.x, next.x2)
+		next.op.SpanResidual(next.x, next.b, next.b2, 0, len(next.b2))
+		h.vcycle(k+1, next.x2, next.b2)
+		vecAdd(next.x, next.x2)
 	}
-	// Prolong and correct: x += P·e, parallel over fine rows.
-	p.MulVecAddRaw(tr.pPtr, tr.pCol, tr.pVal, next.x, x)
+	// Prolong and correct: x += P·e.
+	mulVecAddRaw(tr.pPtr, tr.pCol, tr.pVal, next.x, x)
 	// Post-smooth the correction: x += S'·(b - A·x) with S' the adjoint of
 	// the pre-smoother (the same Chebyshev polynomial, or the line sweep in
 	// reversed axis order), keeping the cycle symmetric.
-	p.ResidualOp(lv.op, x, b, res)
-	lv.smooth(lv.e, res, p, true)
-	p.VecAdd(x, lv.e)
+	lv.op.SpanResidual(x, b, res, 0, len(res))
+	lv.smooth(lv.e, res, true)
+	vecAdd(x, lv.e)
+}
+
+// mulVecRaw computes y = M·x for a raw CSR triple (row pointers, column
+// indices, values) — the layout the transfers store their prolongator and
+// its transpose in. Each row sums in index order.
+func mulVecRaw(ptr, col []int32, val, x, y []float64) {
+	for i := 0; i < len(ptr)-1; i++ {
+		var s float64
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			s += val[k] * x[col[k]]
+		}
+		y[i] = s
+	}
+}
+
+// mulVecAddRaw computes y += M·x for a raw CSR triple; see mulVecRaw.
+func mulVecAddRaw(ptr, col []int32, val, x, y []float64) {
+	for i := 0; i < len(ptr)-1; i++ {
+		var s float64
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			s += val[k] * x[col[k]]
+		}
+		y[i] += s
+	}
+}
+
+// vecAdd computes dst[i] += src[i].
+func vecAdd(dst, src []float64) {
+	for i := range dst {
+		dst[i] += src[i]
+	}
 }

@@ -216,8 +216,6 @@ func TestAggregationFollowsStrongCoupling(t *testing.T) {
 // loses its convergence guarantee.
 func checkSymmetricPositiveDefinite(t *testing.T, h *Hierarchy, n int) {
 	t.Helper()
-	p := sparse.NewPool(1)
-	defer p.Close()
 	u := make([]float64, n)
 	v := make([]float64, n)
 	mu := make([]float64, n)
@@ -225,8 +223,8 @@ func checkSymmetricPositiveDefinite(t *testing.T, h *Hierarchy, n int) {
 	for trial := uint64(0); trial < 5; trial++ {
 		fillRand(u, 1000+trial)
 		fillRand(v, 2000+trial)
-		h.Cycle(mu, u, p)
-		h.Cycle(mv, v, p)
+		h.Cycle(mu, u)
+		h.Cycle(mv, v)
 		uMv, vMu, uMu := dot(u, mv), dot(v, mu), dot(u, mu)
 		if rel := math.Abs(uMv-vMu) / math.Max(math.Abs(uMv), 1e-300); rel > 1e-10 {
 			t.Fatalf("trial %d: cycle not symmetric: u·Mv = %.17g, v·Mu = %.17g (rel %g)", trial, uMv, vMu, rel)
@@ -278,7 +276,6 @@ func TestVCycleStationaryIterationConverges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		p := sparse.NewPool(1)
 		n := a.Rows()
 		b := make([]float64, n)
 		fillRand(b, 7)
@@ -288,7 +285,7 @@ func TestVCycleStationaryIterationConverges(t *testing.T) {
 		copy(r, b)
 		r0 := norm2(r)
 		for it := 0; it < 30; it++ {
-			h.Cycle(z, r, p)
+			h.Cycle(z, r)
 			for i := range x {
 				x[i] += z[i]
 			}
@@ -297,36 +294,8 @@ func TestVCycleStationaryIterationConverges(t *testing.T) {
 				r[i] = b[i] - r[i]
 			}
 		}
-		p.Close()
 		if rel := norm2(r) / r0; rel > 1e-8 {
 			t.Fatalf("%s: stationary V-cycle reduced the residual only to %g in 30 iterations", name, rel)
-		}
-	}
-}
-
-func TestCycleBitIdenticalAcrossWorkers(t *testing.T) {
-	a := poisson2D(64, 64)
-	h, err := build(a, Options{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.Rows()
-	r := make([]float64, n)
-	fillRand(r, 42)
-	var ref []float64
-	for _, w := range []int{1, 2, 4, 8} {
-		p := sparse.NewPool(w)
-		z := make([]float64, n)
-		h.Cycle(z, r, p)
-		p.Close()
-		if ref == nil {
-			ref = z
-			continue
-		}
-		for i := range z {
-			if z[i] != ref[i] {
-				t.Fatalf("workers %d: z[%d] = %.17g != %.17g", w, i, z[i], ref[i])
-			}
 		}
 	}
 }

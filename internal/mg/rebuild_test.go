@@ -56,7 +56,7 @@ func cycleBits(t *testing.T, h *Hierarchy, n int, seed uint64) []float64 {
 	r := make([]float64, n)
 	fillRand(r, seed)
 	z := make([]float64, n)
-	h.Cycle(z, r, nil)
+	h.Cycle(z, r)
 	return z
 }
 

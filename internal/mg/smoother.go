@@ -3,17 +3,14 @@ package mg
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/sparse"
 )
 
 // newSmoother prepares the level's Chebyshev smoother: the inverse diagonal
 // and the eigenvalue bounds [λmax/smootherRange, λmax] of the Jacobi-scaled
-// operator B = D⁻¹A (Gershgorin upper bound). Unlike the standalone Chebyshev
-// preconditioner — which targets the whole spectrum — a smoother only has
-// to damp the upper part; the coarse-grid correction handles the rest. A
-// narrower interval makes the low-degree polynomial far more effective on
-// the modes it owns. It reads the level through the Operator interface, so
+// operator B = D⁻¹A (Gershgorin upper bound). A smoother only has to damp
+// the upper part of the spectrum; the coarse-grid correction handles the
+// rest. A narrow interval makes the low-degree polynomial far more
+// effective on the modes it owns. It reads the level through the Operator interface, so
 // stencil and CSR levels share it.
 func (lv *level) newSmoother(mem *arena) error {
 	op := lv.op
@@ -48,30 +45,49 @@ func (lv *level) newSmoother(mem *arena) error {
 // degree Chebyshev semi-iteration on the Jacobi-scaled operator (Saad,
 // Iterative Methods, alg. 12.1) for Galerkin levels, the alternating-
 // direction line relaxation for geometric levels (see smoothLines). Either
-// way z is a fixed linear operator applied to r, every step a pooled matvec,
-// line solve or element-wise update on the deterministic chunk grid, so the
-// result is bit-identical for any worker count. z must not alias r or the
+// way z is a fixed linear operator applied to r. z must not alias r or the
 // scratch. reverse selects the adjoint sweep order (meaningful only for the
 // line smoother, whose axis sweeps do not commute): the post-smoother passes
 // true so the cycle stays a symmetric operator.
-func (lv *level) smooth(z, r []float64, p *sparse.Pool, reverse bool) {
+func (lv *level) smooth(z, r []float64, reverse bool) {
 	if lv.lines != nil {
-		lv.smoothLines(z, r, p, reverse)
+		lv.smoothLines(z, r, reverse)
 		return
 	}
 	a := lv.op
 	d, res, t := lv.cd, lv.cres, lv.ct
-	// The element-wise recurrence steps run through sparse's fused Cheby
-	// kernels: a smoother application sits inside every vcycle of every CG
-	// iteration, and closure-based Range calls here allocated on each one.
 	sigma := lv.theta / lv.delta
 	rhoOld := 1 / sigma
 	invD := lv.invDiag
-	p.ChebyBegin(z, d, res, invD, r, 1/lv.theta)
+	chebyBegin(z, d, res, invD, r, 1/lv.theta)
 	for k := 2; k <= smootherDegree; k++ {
-		p.MulVecOp(a, d, t)
+		a.SpanMulVec(d, t, 0, len(t))
 		rho := 1 / (2*sigma - rhoOld)
-		p.ChebyStep(z, d, res, invD, t, rho*rhoOld, 2*rho/lv.delta)
+		chebyStep(z, d, res, invD, t, rho*rhoOld, 2*rho/lv.delta)
 		rhoOld = rho
+	}
+}
+
+// chebyBegin runs the first step of the Chebyshev semi-iteration on
+// B·z = D⁻¹r from z = 0: res = D⁻¹r, d = res/θ, z = d.
+func chebyBegin(z, d, res, invD, r []float64, invTheta float64) {
+	for i := range r {
+		rh := invD[i] * r[i]
+		res[i] = rh
+		di := rh * invTheta
+		d[i] = di
+		z[i] = di
+	}
+}
+
+// chebyStep runs one subsequent step of the Chebyshev semi-iteration given
+// t = A·d: res -= D⁻¹t, d = c1·d + c2·res, z += d.
+func chebyStep(z, d, res, invD, t []float64, c1, c2 float64) {
+	for i := range res {
+		ri := res[i] - invD[i]*t[i] // res -= B·d (previous correction)
+		res[i] = ri
+		di := c1*d[i] + c2*ri
+		d[i] = di
+		z[i] += di
 	}
 }

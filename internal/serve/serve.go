@@ -479,6 +479,13 @@ func (s *Server) lowerSweepRequest(body []byte) (SweepRequest, *deck.Scenario, s
 		return req, nil, sweep.ShardSpec{}, err
 	}
 	values := req.Values
+	n := len(values)
+	if n == 0 {
+		n = req.Points
+	}
+	if err := deck.CheckSweepPoints(n); err != nil {
+		return req, nil, sweep.ShardSpec{}, err
+	}
 	if len(values) == 0 {
 		if req.Points < 2 {
 			return req, nil, sweep.ShardSpec{}, fmt.Errorf("sweep needs values, or from/to with points >= 2 (got points=%d)", req.Points)

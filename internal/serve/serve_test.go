@@ -371,13 +371,21 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/solve", `{"bogus": 1}`, http.StatusBadRequest, "unknown field"},
 		{"trailing garbage", "/solve", `{} {}`, http.StatusBadRequest, "trailing data"},
 		{"bad model", "/solve", `{"models": {"model": "x"}}`, http.StatusBadRequest, "unknown model"},
-		{"ref workers above cap", "/solve", `{"models": {"model": "ref", "ref_workers": 100000000}}`,
-			http.StatusBadRequest, "ref-workers must be in [0, 256]"},
-		{"negative ref workers", "/solve", `{"models": {"model": "ref", "ref_workers": -1}}`,
-			http.StatusBadRequest, "ref-workers must be in [0, 256]"},
-		// operator, mg_hierarchy and mg_precision are not spec fields: the
-		// reference solver's operator and hierarchy follow from the
-		// preconditioner and the grid.
+		// Request-size caps: refine, segments and sweep points.
+		{"refine above cap", "/solve", `{"models": {"model": "ref", "refine": 9}}`,
+			http.StatusBadRequest, "refine must be in [1, 8]"},
+		{"segments above cap", "/solve", `{"models": {"model": "b", "segments": 10001}}`,
+			http.StatusBadRequest, "segments must be in [1, 10000]"},
+		{"sweep points above cap", "/sweep", `{"param": "r", "from": 1e-6, "to": 2e-5, "points": 10001, "models": {"model": "a"}}`,
+			http.StatusBadRequest, "more than the maximum 10000"},
+		{"sweep values above cap", "/sweep", `{"param": "r", "values": [` + strings.Repeat("1e-5, ", 10000) + `1e-5], "models": {"model": "a"}}`,
+			http.StatusBadRequest, "more than the maximum 10000"},
+		// ref_workers, operator, mg_hierarchy and mg_precision are not spec
+		// fields: every reference solve runs on the caller's goroutine, and
+		// its operator and hierarchy follow from the preconditioner and the
+		// grid.
+		{"removed ref_workers field", "/solve", `{"models": {"model": "ref", "ref_workers": 2}}`,
+			http.StatusBadRequest, "unknown field"},
 		{"removed operator field", "/solve", `{"models": {"model": "ref", "operator": "csr"}}`,
 			http.StatusBadRequest, "unknown field"},
 		{"removed mg_hierarchy field", "/solve", `{"models": {"model": "ref", "mg_hierarchy": "geometric"}}`,

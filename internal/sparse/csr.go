@@ -163,13 +163,7 @@ func (m *CSR) MulVec(x, y []float64) []float64 {
 	if len(y) != m.rows {
 		y = make([]float64, m.rows)
 	}
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * x[m.colIdx[k]]
-		}
-		y[i] = s
-	}
+	m.SpanMulVec(x, y, 0, m.rows)
 	return y
 }
 

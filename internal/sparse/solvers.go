@@ -15,28 +15,20 @@ import (
 var ErrNotConverged = errors.New("sparse: iterative solver did not converge")
 
 // Options configures the iterative solvers. The zero value selects sensible
-// defaults (rtol 1e-10, 10·n iterations, Jacobi preconditioning, one
-// worker).
+// defaults (rtol 1e-10, 10·n iterations, SSOR preconditioning).
 type Options struct {
 	// Tol is the relative residual tolerance ||r||/||b||. Zero means 1e-10.
 	Tol float64
 	// MaxIter caps the iteration count. Zero means 10·n (at least 100).
 	MaxIter int
 	// Precond selects the preconditioner for PCG. The zero value
-	// (PrecondDefault) resolves to Jacobi, or to Chebyshev when the solve
-	// runs on more than one worker (SSOR-class preconditioners are
-	// inherently sequential; Chebyshev parallelizes).
+	// (PrecondDefault) resolves to SSOR.
 	Precond PrecondKind
 	// X0 optionally supplies an initial guess (copied, not modified).
 	X0 []float64
-	// Workers is the kernel worker count of the solve; values <= 1 run
-	// sequentially. With a fixed preconditioner, results are bit-identical
-	// for any value: all reductions use fixed chunk boundaries combined in
-	// chunk order. Ignored when Pool is set.
-	Workers int
-	// Pool optionally supplies a reusable worker pool, e.g. one pool shared
-	// across the many linear solves of a transient integration. The caller
-	// retains ownership and must Close it.
+	// Pool optionally supplies a scratch pool shared across solves, e.g. the
+	// many linear solves of a transient integration, so they reuse their
+	// work vectors.
 	Pool *Pool
 	// MG supplies the multigrid hierarchy applied when Precond is PrecondMG.
 	// It must have been built for the same matrix passed to the solver
@@ -51,11 +43,11 @@ type Options struct {
 // plugs into the iterative solvers as a preconditioner without this package
 // importing it. Implementations must be fixed linear SPD operators —
 // CG's convergence theory assumes the preconditioner does not change
-// between iterations — and deterministic for any pool worker count.
+// between iterations — and deterministic.
 type MGSolver interface {
-	// Cycle applies one multigrid cycle approximating A⁻¹·r into z, running
-	// its kernels on pool p (nil = sequential). z and r have Size() elements.
-	Cycle(z, r []float64, p *Pool)
+	// Cycle applies one multigrid cycle approximating A⁻¹·r into z. z and r
+	// have Size() elements.
+	Cycle(z, r []float64)
 	// Levels reports the hierarchy depth (≥ 1).
 	Levels() int
 	// Size reports the fine-grid unknown count the hierarchy was built for.
@@ -67,29 +59,15 @@ type PrecondKind int
 
 const (
 	// PrecondDefault lets the caller of the solver pick; the solvers in this
-	// package treat it as Jacobi.
+	// package treat it as SSOR.
 	PrecondDefault PrecondKind = iota
-	// PrecondJacobi scales by the inverse diagonal. Cheap and robust for
-	// the strongly diagonal heat-conduction systems in this repo.
-	PrecondJacobi
-	// PrecondNone runs the unpreconditioned method.
-	PrecondNone
 	// PrecondSSOR applies a symmetric successive-over-relaxation sweep
-	// (omega = 1, i.e. symmetric Gauss-Seidel) as the preconditioner. Its
-	// triangular solves are inherently sequential.
+	// (omega = 1, i.e. symmetric Gauss-Seidel) as the preconditioner.
 	PrecondSSOR
-	// PrecondChebyshev applies a fixed-degree Chebyshev polynomial in the
-	// Jacobi-scaled matrix. Every operation is a matrix product or an
-	// element-wise update, so it parallelizes across workers and stays
-	// bit-identical for any worker count.
-	PrecondChebyshev
-	// PrecondMG applies one V-cycle of a geometric multigrid hierarchy
-	// supplied via Options.MG. On the structured finite-volume grids of this
-	// repository the CG iteration count becomes essentially mesh-independent,
-	// which is what makes fine-resolution reference solves tractable. Like
-	// Chebyshev, every operation is a matrix product, transfer, or
-	// element-wise update on a fixed chunk grid, so solves stay bit-identical
-	// for any worker count.
+	// PrecondMG applies one cycle of a multigrid hierarchy supplied via
+	// Options.MG. On the structured finite-volume grids of this repository
+	// the CG iteration count becomes essentially mesh-independent, which is
+	// what makes fine-resolution reference solves tractable.
 	PrecondMG
 )
 
@@ -97,14 +75,8 @@ func (p PrecondKind) String() string {
 	switch p {
 	case PrecondDefault:
 		return "default"
-	case PrecondJacobi:
-		return "jacobi"
-	case PrecondNone:
-		return "none"
 	case PrecondSSOR:
 		return "ssor"
-	case PrecondChebyshev:
-		return "chebyshev"
 	case PrecondMG:
 		return "multigrid"
 	default:
@@ -119,18 +91,12 @@ func ParsePrecond(s string) (PrecondKind, error) {
 	switch s {
 	case "auto", "default", "":
 		return PrecondDefault, nil
-	case "jacobi":
-		return PrecondJacobi, nil
-	case "none":
-		return PrecondNone, nil
 	case "ssor":
 		return PrecondSSOR, nil
-	case "chebyshev":
-		return PrecondChebyshev, nil
 	case "mg", "multigrid":
 		return PrecondMG, nil
 	}
-	return PrecondDefault, fmt.Errorf("sparse: unknown preconditioner %q (want auto, jacobi, none, ssor, chebyshev or mg)", s)
+	return PrecondDefault, fmt.Errorf("sparse: unknown preconditioner %q (want auto, ssor or mg)", s)
 }
 
 // Stats reports what an iterative solve did.
@@ -145,8 +111,6 @@ type Stats struct {
 	// Wall is the wall-clock duration of the solve (for a transient
 	// integration, the sum over all steps).
 	Wall time.Duration
-	// Workers is the kernel worker count the solve ran on (1 = sequential).
-	Workers int
 	// Levels is the multigrid hierarchy depth when Precond is PrecondMG,
 	// zero otherwise.
 	Levels int
@@ -156,9 +120,6 @@ func (s Stats) String() string {
 	out := fmt.Sprintf("%d iterations, residual %.3g, precond %v", s.Iterations, s.Residual, s.Precond)
 	if s.Levels > 0 {
 		out += fmt.Sprintf(" (%d levels)", s.Levels)
-	}
-	if s.Workers > 1 {
-		out += fmt.Sprintf(", %d workers", s.Workers)
 	}
 	return out
 }
@@ -190,35 +151,6 @@ type releaser interface {
 	release()
 }
 
-type identityPrecond struct{}
-
-func (identityPrecond) apply(z, r []float64) { copy(z, r) }
-
-type jacobiPrecond struct {
-	invDiag []float64
-	pool    *Pool
-}
-
-func newJacobi(a Operator, pl *Pool) (*jacobiPrecond, error) {
-	inv := a.DiagonalInto(pl.Grab(a.Rows()))
-	for i, v := range inv {
-		if v == 0 {
-			pl.Release(inv)
-			return nil, fmt.Errorf("sparse: jacobi preconditioner: zero diagonal at row %d", i)
-		}
-		inv[i] = 1 / v
-	}
-	return &jacobiPrecond{invDiag: inv, pool: pl}, nil
-}
-
-func (p *jacobiPrecond) release() { p.pool.Release(p.invDiag) }
-
-func (p *jacobiPrecond) apply(z, r []float64) {
-	for i := range r {
-		z[i] = r[i] * p.invDiag[i]
-	}
-}
-
 // ssorPrecond implements M = (D+L) D^-1 (D+U) with omega = 1.
 type ssorPrecond struct {
 	a    triangular
@@ -237,9 +169,8 @@ type triangular interface {
 	upperSolve(z, d []float64)
 }
 
-// newSSOR builds the SSOR preconditioner. Its sweeps are inherently
-// sequential and need the operator's triangles, which the CSR and the
-// stencil expose.
+// newSSOR builds the SSOR preconditioner. Its sweeps need the operator's
+// triangles, which the CSR and the stencil expose.
 func newSSOR(op Operator, pl *Pool) (*ssorPrecond, error) {
 	a, ok := op.(triangular)
 	if !ok {
@@ -294,34 +225,16 @@ func (m *CSR) upperSolve(z, d []float64) {
 }
 
 // mgPrecond adapts an MGSolver hierarchy to the internal preconditioner
-// interface, binding the pool of the enclosing solve.
-type mgPrecond struct {
-	h    MGSolver
-	pool *Pool
-}
+// interface.
+type mgPrecond struct{ h MGSolver }
 
-func (m mgPrecond) apply(z, r []float64) { m.h.Cycle(z, r, m.pool) }
+func (m mgPrecond) apply(z, r []float64) { m.h.Cycle(z, r) }
 
 func makePrecond(a Operator, kind PrecondKind, mg MGSolver, pl *Pool) (preconditioner, PrecondKind, error) {
-	if kind == PrecondDefault {
-		if pl.Workers() > 1 {
-			kind = PrecondChebyshev
-		} else {
-			kind = PrecondJacobi
-		}
-	}
 	switch kind {
-	case PrecondJacobi:
-		p, err := newJacobi(a, pl)
-		return p, PrecondJacobi, err
-	case PrecondNone:
-		return identityPrecond{}, PrecondNone, nil
-	case PrecondSSOR:
+	case PrecondDefault, PrecondSSOR:
 		p, err := newSSOR(a, pl)
 		return p, PrecondSSOR, err
-	case PrecondChebyshev:
-		p, err := newChebyshev(a, pl)
-		return p, PrecondChebyshev, err
 	case PrecondMG:
 		if mg == nil {
 			return nil, kind, fmt.Errorf("sparse: PrecondMG requires Options.MG (build a hierarchy with internal/mg)")
@@ -329,7 +242,7 @@ func makePrecond(a Operator, kind PrecondKind, mg MGSolver, pl *Pool) (precondit
 		if mg.Size() != a.Rows() {
 			return nil, kind, fmt.Errorf("sparse: multigrid hierarchy built for %d unknowns, matrix has %d", mg.Size(), a.Rows())
 		}
-		return mgPrecond{h: mg, pool: pl}, PrecondMG, nil
+		return mgPrecond{h: mg}, PrecondMG, nil
 	default:
 		return nil, kind, fmt.Errorf("sparse: unknown preconditioner %v", kind)
 	}
@@ -357,9 +270,8 @@ func SolveCG(a Operator, b []float64, opt Options) ([]float64, Stats, error) {
 
 // SolveCGCtx is SolveCG honoring cancellation: the context is checked
 // between iterations, and a cancelled solve returns promptly with the
-// iterate so far and an error wrapping ctx.Err(). Kernels run across
-// opt.Workers workers (or opt.Pool); with a fixed preconditioner the result
-// is bit-identical for any worker count.
+// iterate so far and an error wrapping ctx.Err(). The solve runs on the
+// calling goroutine.
 //
 // Each solve emits a "sparse.cg" span when the context carries an
 // obs.Tracer, and records iteration/residual/wall histograms plus
@@ -373,7 +285,6 @@ func SolveCGCtx(ctx context.Context, a Operator, b []float64, opt Options) ([]fl
 		sp.Set("iterations", st.Iterations)
 		sp.Set("residual", st.Residual)
 		sp.Set("precond", st.Precond.String())
-		sp.Set("workers", st.Workers)
 		if st.Levels > 0 {
 			sp.Set("mg_levels", st.Levels)
 		}
@@ -396,12 +307,8 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 		return nil, Stats{}, fmt.Errorf("sparse: CG rhs length %d, want %d", len(b), n)
 	}
 	pl := opt.Pool
-	if pl == nil {
-		pl = NewPool(opt.Workers)
-		defer pl.Close()
-	}
 	stats := func(it int, res float64, kind PrecondKind) Stats {
-		st := Stats{Iterations: it, Residual: res, Precond: kind, Wall: time.Since(start), Workers: pl.Workers()}
+		st := Stats{Iterations: it, Residual: res, Precond: kind, Wall: time.Since(start)}
 		if kind == PrecondMG && opt.MG != nil {
 			st.Levels = opt.MG.Levels()
 		}
@@ -426,11 +333,11 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 			return nil, stats(0, 0, kind), fmt.Errorf("sparse: CG initial guess length %d, want %d", len(opt.X0), n)
 		}
 		copy(x, opt.X0)
-		pl.residualFrom(a, x, b, r)
+		a.SpanResidual(x, b, r, 0, n)
 	} else {
 		copy(r, b)
 	}
-	bnorm := pl.norm2(b)
+	bnorm := norm2(b)
 	if bnorm == 0 {
 		// The unique SPD solution for b = 0 is x = 0.
 		for i := range x {
@@ -442,8 +349,8 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 	maxIter := opt.maxIter(n)
 	pre.apply(z, r)
 	copy(p, z)
-	rz := pl.dot(r, z)
-	rr := pl.dot(r, r)
+	rz := dot(r, z)
+	rr := dot(r, r)
 	var it int
 	for it = 0; it < maxIter; it++ {
 		if math.Sqrt(rr)/bnorm <= tol {
@@ -453,17 +360,17 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 			res := math.Sqrt(rr) / bnorm
 			return x, stats(it, res, kind), fmt.Errorf("sparse: CG cancelled after %d iterations (residual %g): %w", it, res, err)
 		}
-		pap := pl.mulVecDot(a, p, ap, p)
+		pap := mulVecDot(a, p, ap, p)
 		if pap <= 0 || math.IsNaN(pap) {
 			return nil, stats(it, 0, kind), fmt.Errorf("sparse: CG breakdown (p·Ap = %g); matrix is not SPD", pap)
 		}
 		alpha := rz / pap
-		rr = pl.cgUpdate(x, r, p, ap, alpha)
+		rr = cgUpdate(x, r, p, ap, alpha)
 		pre.apply(z, r)
-		rzNew := pl.dot(r, z)
+		rzNew := dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
-		pl.xpby(p, z, beta)
+		xpby(p, z, beta)
 	}
 	res := math.Sqrt(rr) / bnorm
 	st := stats(it, res, kind)

@@ -249,43 +249,6 @@ func (s *Stencil) SpanMulVec(x, y []float64, lo, hi int) {
 	}
 }
 
-// SpanMulVecAdd implements Operator: y[i] += (A·x)[i] for lo <= i < hi.
-func (s *Stencil) SpanMulVecAdd(x, y []float64, lo, hi int) {
-	nx, ny, nz, nxy := s.nx, s.ny, s.nz, s.nxy
-	d, ox, oy, oz := s.diag, s.off[0], s.off[1], s.off[2]
-	ix, iy, iz := s.coords(lo)
-	for i := lo; i < hi; i++ {
-		var acc float64
-		if iz > 0 {
-			acc += oz[i-nxy] * x[i-nxy]
-		}
-		if iy > 0 {
-			acc += oy[i-nx] * x[i-nx]
-		}
-		if ix > 0 {
-			acc += ox[i-1] * x[i-1]
-		}
-		acc += d[i] * x[i]
-		if ix+1 < nx {
-			acc += ox[i] * x[i+1]
-		}
-		if iy+1 < ny {
-			acc += oy[i] * x[i+nx]
-		}
-		if iz+1 < nz {
-			acc += oz[i] * x[i+nxy]
-		}
-		y[i] += acc
-		if ix++; ix == nx {
-			ix = 0
-			if iy++; iy == ny {
-				iy = 0
-				iz++
-			}
-		}
-	}
-}
-
 // SpanMulVecDot implements Operator: y = A·x over the span plus the partial
 // Σ w[i]·y[i], accumulated in row order like the CSR kernel.
 func (s *Stencil) SpanMulVecDot(x, y, w []float64, lo, hi int) float64 {

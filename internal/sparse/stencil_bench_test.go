@@ -14,12 +14,10 @@ func benchMatVec(b *testing.B, op Operator) {
 	for i := range x {
 		x[i] = float64(i%17) - 8
 	}
-	p := NewPool(1)
-	defer p.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.MulVecOp(op, x, y)
+		op.SpanMulVec(x, y, 0, n)
 	}
 }
 

@@ -105,16 +105,6 @@ func TestStencilMatchesCSRBitIdentical(t *testing.T) {
 			}
 		}
 
-		ac := append([]float64(nil), b...)
-		as := append([]float64(nil), b...)
-		a.SpanMulVecAdd(x, ac, 0, n)
-		st.SpanMulVecAdd(x, as, 0, n)
-		for i := range ac {
-			if ac[i] != as[i] {
-				t.Fatalf("dims %v: SpanMulVecAdd differs at %d", dims, i)
-			}
-		}
-
 		dc := a.SpanMulVecDot(x, yc, w, 0, n)
 		ds := st.SpanMulVecDot(x, ys, w, 0, n)
 		if dc != ds {
@@ -146,38 +136,6 @@ func TestStencilMatchesCSRBitIdentical(t *testing.T) {
 	}
 }
 
-// The pool's parallel kernels over a Stencil must stay bit-identical to the
-// sequential CSR product for any worker count (same chunk grid, same
-// per-chunk evaluation order).
-func TestStencilParallelBitIdenticalAcrossWorkers(t *testing.T) {
-	dims := []int{13, 11, 7} // 1001 rows: several 256-row chunks plus a ragged tail
-	st := gridStencil(dims, 23)
-	a := stencilCSR(st)
-	n := a.Rows()
-	x := randomVec(n, 8)
-	b := randomVec(n, 9)
-	ref := make([]float64, n)
-	a.SpanMulVec(x, ref, 0, n)
-	refR := make([]float64, n)
-	a.SpanResidual(x, b, refR, 0, n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := NewPool(workers)
-		y := make([]float64, n)
-		r := make([]float64, n)
-		p.MulVecOp(st, x, y)
-		p.ResidualOp(st, x, b, r)
-		for i := 0; i < n; i++ {
-			if y[i] != ref[i] {
-				t.Fatalf("workers=%d: MulVecOp differs at %d", workers, i)
-			}
-			if r[i] != refR[i] {
-				t.Fatalf("workers=%d: ResidualOp differs at %d", workers, i)
-			}
-		}
-		p.Close()
-	}
-}
-
 func TestNewStencilCoeffsRejectsBadShapes(t *testing.T) {
 	diag := make([]float64, 6)
 	full := make([]float64, 6)
@@ -200,28 +158,26 @@ func TestNewStencilCoeffsRejectsBadShapes(t *testing.T) {
 }
 
 // End to end: CG over the Stencil must return bit-identical solutions and
-// iteration counts to CG over the CSR built from its entry walk, under every
-// single-level preconditioner — SSOR's triangular sweeps included.
+// iteration counts to CG over the CSR built from its entry walk under SSOR,
+// whose triangular sweeps walk the operator differently from the products.
 func TestSolveCGStencilMatchesCSR(t *testing.T) {
 	st := gridStencil([]int{9, 8, 5}, 41)
 	a := stencilCSR(st)
 	b := randomVec(a.Rows(), 11)
-	for _, pk := range []PrecondKind{PrecondNone, PrecondJacobi, PrecondChebyshev, PrecondSSOR} {
-		xc, sc, err := SolveCG(a, b, Options{Precond: pk})
-		if err != nil {
-			t.Fatalf("%v csr: %v", pk, err)
-		}
-		xs, ss, err := SolveCG(st, b, Options{Precond: pk})
-		if err != nil {
-			t.Fatalf("%v stencil: %v", pk, err)
-		}
-		if sc.Iterations != ss.Iterations {
-			t.Fatalf("%v: iteration count differs: %d vs %d", pk, sc.Iterations, ss.Iterations)
-		}
-		for i := range xc {
-			if xc[i] != xs[i] {
-				t.Fatalf("%v: solution differs at %d: %x vs %x", pk, i, xc[i], xs[i])
-			}
+	xc, sc, err := SolveCG(a, b, Options{Precond: PrecondSSOR})
+	if err != nil {
+		t.Fatalf("csr: %v", err)
+	}
+	xs, ss, err := SolveCG(st, b, Options{Precond: PrecondSSOR})
+	if err != nil {
+		t.Fatalf("stencil: %v", err)
+	}
+	if sc.Iterations != ss.Iterations {
+		t.Fatalf("iteration count differs: %d vs %d", sc.Iterations, ss.Iterations)
+	}
+	for i := range xc {
+		if xc[i] != xs[i] {
+			t.Fatalf("solution differs at %d: %x vs %x", i, xc[i], xs[i])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fem"
+	"repro/internal/sparse"
 	"repro/internal/stack"
 )
 
@@ -52,7 +53,7 @@ func keyCases(t *testing.T) []struct {
 		{"1D/material", core.Model1D{}, matStack},
 		{"FVM/default", fem.ReferenceModel{}, base},
 		{"FVM/refined", fem.ReferenceModel{Res: refined}, base},
-		{"FVM/workers", fem.ReferenceModel{Res: fem.Resolution{Workers: 4}}, base},
+		{"FVM/precond", fem.ReferenceModel{Res: fem.Resolution{Precond: sparse.PrecondMG}}, base},
 	}
 }
 

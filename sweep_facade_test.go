@@ -80,38 +80,6 @@ func TestSolveReferenceStatsThroughFacade(t *testing.T) {
 	}
 }
 
-func TestSolveReferenceStatsWithWorkers(t *testing.T) {
-	s, err := ttsv.Fig4Block(10e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := ttsv.DefaultResolution()
-	seq, _, err := ttsv.SolveReferenceStats(s, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Workers = 4
-	par, stats, err := ttsv.SolveReferenceStats(s, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != 4 {
-		t.Errorf("stats report %d workers, want 4", stats.Workers)
-	}
-	if stats.Precond != sparse.PrecondChebyshev {
-		t.Errorf("parallel default preconditioner %v, want chebyshev", stats.Precond)
-	}
-	if stats.Wall <= 0 {
-		t.Errorf("wall time %v not populated", stats.Wall)
-	}
-	// Chebyshev and SSOR converge to the same field within the solver
-	// tolerance; the quantity of interest must agree far tighter than the
-	// models the reference judges.
-	if d := (par - seq) / seq; d > 1e-7 || d < -1e-7 {
-		t.Errorf("worker solve ΔT %g differs from sequential %g (rel %g)", par, seq, d)
-	}
-}
-
 // Cancelling a sweep must stop reference solves that are already running —
 // the solver checks the context between CG iterations — not just prevent
 // queued jobs from starting.
@@ -120,9 +88,10 @@ func TestSweepCancellationStopsInFlightSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A refined mesh makes each solve take long enough (hundreds of
-	// milliseconds) that the cancellation below lands mid-solve.
-	m := ttsv.ReferenceModel(ttsv.DefaultResolution().Refine(2))
+	// A 4x-refined mesh makes each solve take long enough (over a hundred
+	// milliseconds) that the cancellation below lands mid-solve; a 2x solve
+	// can finish inside the 30 ms before it.
+	m := ttsv.ReferenceModel(ttsv.DefaultResolution().Refine(4))
 	var jobs ttsv.Batch
 	for i := 0; i < 4; i++ {
 		jobs = jobs.Add("", s, m)

@@ -173,21 +173,17 @@ type (
 )
 
 // Preconditioner choices for Resolution.Precond. PrecondAuto picks per
-// system: multigrid above a few thousand unknowns, SSOR (sequential) or
-// Chebyshev (parallel) below. Multigrid builds the hierarchy its grid
-// calls for: geometric on the axisymmetric reference, smoothed-aggregation
-// Galerkin on 3-D grids.
+// system: multigrid from a few thousand unknowns up, SSOR below. Multigrid
+// builds the hierarchy its grid calls for: geometric on the axisymmetric
+// reference, smoothed-aggregation Galerkin on 3-D grids.
 const (
-	PrecondAuto      = sparse.PrecondDefault
-	PrecondJacobi    = sparse.PrecondJacobi
-	PrecondNone      = sparse.PrecondNone
-	PrecondSSOR      = sparse.PrecondSSOR
-	PrecondChebyshev = sparse.PrecondChebyshev
-	PrecondMG        = sparse.PrecondMG
+	PrecondAuto = sparse.PrecondDefault
+	PrecondSSOR = sparse.PrecondSSOR
+	PrecondMG   = sparse.PrecondMG
 )
 
-// ParsePrecond converts a command-line spelling ("auto", "jacobi", "none",
-// "ssor", "chebyshev", "mg") into a PrecondKind.
+// ParsePrecond converts a command-line spelling ("auto", "ssor", "mg") into
+// a PrecondKind.
 func ParsePrecond(s string) (PrecondKind, error) { return sparse.ParsePrecond(s) }
 
 // Stock materials (conductivities from the paper's §IV).
@@ -244,15 +240,15 @@ func DefaultResolution() Resolution { return fem.DefaultResolution() }
 
 // SolveReference runs the finite-volume reference solver (the COMSOL
 // stand-in) on a stack and returns the maximum temperature rise above the
-// heat sink. Resolution.Workers > 1 runs the solver kernels in parallel.
+// heat sink.
 func SolveReference(s *Stack, res Resolution) (float64, error) {
 	max, _, err := SolveReferenceStats(s, res)
 	return max, err
 }
 
 // SolveReferenceStats is SolveReference returning the iterative solver's
-// statistics (iteration count, final residual, preconditioner, wall time,
-// worker count) alongside the maximum temperature rise.
+// statistics (iteration count, final residual, preconditioner, wall time)
+// alongside the maximum temperature rise.
 func SolveReferenceStats(s *Stack, res Resolution) (float64, SolverStats, error) {
 	return SolveReferenceStatsCtx(context.Background(), s, res)
 }
@@ -271,10 +267,9 @@ func SolveReferenceStatsCtx(ctx context.Context, s *Stack, res Resolution) (floa
 
 // ReferenceModel wraps the finite-volume reference solver as a Model so it
 // can join sweeps and planning runs next to the analytical models. The zero
-// Resolution selects DefaultResolution; Resolution.Workers sets the solver's
-// kernel worker count. The returned model supports sweep cancellation
-// (core.ContextSolver), so cancelling a Sweep stops its in-flight reference
-// solves between solver iterations, and cross-solve reuse
+// Resolution selects DefaultResolution. The returned model supports sweep
+// cancellation (core.ContextSolver), so cancelling a Sweep stops its
+// in-flight reference solves between solver iterations, and cross-solve reuse
 // (core.ReusableSolver): Sweep workers automatically cache its assembly
 // patterns, multigrid hierarchies and solver scratch across jobs.
 func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} }
@@ -283,7 +278,7 @@ func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} 
 // outside of Sweep (which manages contexts itself): assembly patterns,
 // multigrid hierarchies and solver scratch carry over between solves through
 // it. Reuse never changes results — a solve through a context is
-// bit-identical to one without — and Close releases the held worker pool.
+// bit-identical to one without — and Close drops the held scratch vectors.
 // A context serves one solve at a time (use one per goroutine). Setting
 // WarmStart additionally seeds each solve from the previous solution of the
 // same system shape, which changes the CG iterate sequence but not the
