@@ -49,9 +49,10 @@ bench:
 
 # bench-json archives the reference-solver costs (the BenchmarkReference*
 # family, including the multigrid variants with their cgiters/mglevels
-# metrics, plus the SweepReuse/SweepNoReuse A/B pair) as JSON. The committed
-# BENCH_ref.json is regenerated with the defaults below — plain `make
-# bench-json` — so archive and compare always run the identical
+# metrics, plus the SweepReuse/SweepNoReuse A/B pair) and the analytic
+# models' costs (the Table1Model* and TransientModel* rows) as JSON. The
+# committed BENCH_ref.json is regenerated with the defaults below — plain
+# `make bench-json` — so archive and compare always run the identical
 # configuration: benchjson collapses the -count runs to each benchmark's
 # fastest (min-of-N filters the additive scheduling noise a shared host
 # stacks on every run — on a loaded 1-CPU container single runs of the same
@@ -62,14 +63,14 @@ bench:
 BENCHTIME ?= 2x
 BENCHCOUNT ?= 3
 BENCH_OUT ?= BENCH_ref.json
-BENCH_PATTERN ?= 'Reference|SweepReuse|SweepNoReuse'
+BENCH_PATTERN ?= 'Reference|SweepReuse|SweepNoReuse|Table1Model|TransientModel'
 # Captured into a shell variable rather than piped directly: in a plain
 # pipe a failing `go test` is masked by the parser's exit status.
 bench-json:
 	@out=$$($(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchtime $(BENCHTIME) -count $(BENCHCOUNT) .) || { printf '%s\n' "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
-# bench-compare guards the solver's costs: it reruns the reference
+# bench-compare guards the solvers' costs: it reruns the archived
 # benchmarks (min-of-BENCHCOUNT, like the archive) and diffs them against
 # the committed BENCH_ref.json, failing when any host-independent column —
 # B/op, allocs/op or the cgiters CG iteration count — regresses by more than

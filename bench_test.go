@@ -255,15 +255,7 @@ func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
 	}
 }
 
-// Ablation: Model B's chain networks have bandwidth 2, so the netlist picks
-// the O(n·b²) banded direct solver automatically; these sizes previously ran
-// dense LU (B(120), 529 unknowns) and conjugate gradients (B(500), 2101
-// unknowns) — compare against BenchmarkDenseLU/BenchmarkBandedSolve for the
-// raw solver-level difference.
-func BenchmarkModelB120Banded(b *testing.B) { benchTable1(b, ttsv.NewModelB(120)) }
-func BenchmarkModelB500Banded(b *testing.B) { benchTable1(b, ttsv.NewModelB(500)) }
-
-// Raw solver ablation on the same tridiagonal SPD system.
+// BenchmarkBandedSolve times the banded LU alone on a tridiagonal SPD system.
 func BenchmarkBandedSolve(b *testing.B) {
 	const n = 200
 	bd := linalg.NewBanded(n, 1)
@@ -284,19 +276,9 @@ func BenchmarkBandedSolve(b *testing.B) {
 	}
 }
 
-// Ablation: Model A through the topological network assembly versus the
-// literal transcription of the paper's equations (1)-(6).
-func BenchmarkModelANetwork(b *testing.B) {
-	s := mustFig4(b, 10)
-	m := ttsv.ModelA{Coeffs: ttsv.PaperBlockCoeffs()}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkModelAClosedForm times the literal transcription of the paper's
+// eqs. (1)-(6) as a dense 5×5 system; BenchmarkTable1ModelA times Model A
+// through its banded ladder.
 func BenchmarkModelAClosedForm(b *testing.B) {
 	s := mustFig4(b, 10)
 	b.ReportAllocs()
@@ -385,8 +367,8 @@ func BenchmarkFVMPrecondSSOR(b *testing.B) {
 	}
 }
 
-// Ablation: the SPD direct solver (Cholesky) versus general LU on the dense
-// conductance matrices Model B assembles below the sparse cutoff.
+// Ablation: the SPD direct solver (Cholesky) versus general LU on a dense
+// tridiagonal conductance matrix; compare BenchmarkBandedSolve.
 func BenchmarkDenseCholesky(b *testing.B) {
 	a, rhs := spdBenchSystem(b, 200)
 	b.ReportAllocs()

@@ -12,7 +12,7 @@ import (
 // linear system in T1..T5 (T0 follows directly from eq. (6)).
 //
 // It is an intentionally independent implementation of the same model as
-// ModelA.Solve — the latter assembles the network topologically — and exists
+// ModelA.Solve — the latter stamps the network rung by rung — and exists
 // as a cross-check; library users should prefer ModelA, which handles any
 // plane count.
 func SolveThreePlaneEquations(s *stack.Stack, c Coeffs) (*Result, error) {

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/netlist"
-	"repro/internal/stack"
-)
+import "repro/internal/stack"
 
 // ModelA is the paper's compact resistive-network TTSV model (§II, Fig. 2).
 // Each plane contributes a vertical surroundings resistor, a vertical via
@@ -25,145 +19,54 @@ type ModelA struct {
 // Name implements Model.
 func (m ModelA) Name() string { return "A" }
 
-// Solve implements Model by assembling the Fig. 2 network and solving its
-// nodal equations (eqs. (1)-(6) for three planes).
+// Solve implements Model by solving the nodal equations of the Fig. 2
+// network (eqs. (1)-(6) for three planes).
 func (m ModelA) Solve(s *stack.Stack) (*Result, error) {
+	l, err := m.ladder(s, false)
+	if err != nil {
+		return nil, err
+	}
+	return l.steady(m.Name())
+}
+
+// ladder assembles the Fig. 2 network for any plane count. Every plane
+// below the top is one rung (R1-R3, R4-R6, ...) whose node S is the plane
+// temperature T1, T3, ... and whose node M is the via temperature T2, T4,
+// .... The top plane is a single node fed by its surroundings resistor and
+// by fill and liner in series from the via node below (R7 and R8 + R9 in
+// eq. (1)). A transient ladder lumps each plane's surroundings volume onto
+// S, its fill and liner column onto M, and the top plane's whole mass onto
+// its one node.
+func (m ModelA) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 	res, rs, err := Resistances(s, m.Coeffs)
 	if err != nil {
 		return nil, err
 	}
-	net, nodes, err := buildModelANetwork(s, res, rs)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := net.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("core: model A solve: %w", err)
-	}
-
 	n := len(s.Planes)
-	out := &Result{
-		Model:    m.Name(),
-		PlaneDT:  make([]float64, n),
-		BaseDT:   sol.Temp(nodes.base),
-		Unknowns: net.NumNodes() - 1, // all but the grounded sink
-		Solver:   sol.SolverStats(),
-	}
-	for i, id := range nodes.surround {
-		out.PlaneDT[i] = sol.Temp(id)
-	}
-	_, out.MaxDT = sol.MaxTemp()
-	return out, nil
-}
-
-// modelANodes records the node ids of the assembled network.
-type modelANodes struct {
-	sink     netlist.NodeID
-	base     netlist.NodeID   // T0
-	surround []netlist.NodeID // T1, T3, T5, ... (per plane)
-	metal    []netlist.NodeID // T2, T4, ...     (per plane except the top)
-}
-
-// buildModelANetwork wires the Fig. 2 topology for any plane count.
-func buildModelANetwork(s *stack.Stack, res []PlaneResistances, rs float64) (*netlist.Network, modelANodes, error) {
-	n := len(s.Planes)
-	net := netlist.New()
-	nodes := modelANodes{
-		sink:     net.Node("sink"),
-		base:     net.Node("T0"),
-		surround: make([]netlist.NodeID, n),
-		metal:    make([]netlist.NodeID, n-1),
-	}
-	if err := net.Fix(nodes.sink, 0); err != nil {
-		return nil, nodes, err
-	}
-	if err := net.AddResistor("Rs", nodes.sink, nodes.base, rs); err != nil {
-		return nil, nodes, err
-	}
-	for i := 0; i < n; i++ {
-		nodes.surround[i] = net.Node(fmt.Sprintf("plane%d/T", i+1))
-		if i < n-1 {
-			nodes.metal[i] = net.Node(fmt.Sprintf("plane%d/M", i+1))
-		}
-	}
-	for i := 0; i < n; i++ {
-		r := res[i]
-		// Nodes below this plane's elements.
-		downS, downM := nodes.base, nodes.base
-		if i > 0 {
-			downS, downM = nodes.surround[i-1], nodes.metal[i-1]
-		}
-		label := func(kind string) string { return fmt.Sprintf("plane%d/%s", i+1, kind) }
-		if i < n-1 {
-			if err := net.AddResistor(label("surround"), downS, nodes.surround[i], r.Surround); err != nil {
-				return nil, nodes, err
-			}
-			if err := net.AddResistor(label("metal"), downM, nodes.metal[i], r.Metal); err != nil {
-				return nil, nodes, err
-			}
-			if err := net.AddResistor(label("liner"), nodes.surround[i], nodes.metal[i], r.Liner); err != nil {
-				return nil, nodes, err
-			}
-		} else {
-			// Top plane: single node; fill and liner act in series into the
-			// metal node of the plane below (R8 + R9 in eq. (1)).
-			if err := net.AddResistor(label("surround"), downS, nodes.surround[i], r.Surround); err != nil {
-				return nil, nodes, err
-			}
-			if err := net.AddResistor(label("metal+liner"), downM, nodes.surround[i], r.Metal+r.Liner); err != nil {
-				return nil, nodes, err
-			}
-		}
-		if q := s.Planes[i].TotalPower(); q != 0 {
-			if err := net.AddSource(label("q"), nodes.surround[i], q); err != nil {
-				return nil, nodes, err
-			}
-		}
-	}
-	if err := setModelACapacitances(s, net, nodes); err != nil {
-		return nil, nodes, err
-	}
-	return net, nodes, nil
-}
-
-// setModelACapacitances lumps each plane's thermal mass onto its network
-// nodes for transient analysis: the surroundings volume onto the plane node,
-// the via fill (plus liner) column onto the metal node, and the first
-// plane's bulk substrate onto T0. Steady-state solves ignore these.
-func setModelACapacitances(s *stack.Stack, net *netlist.Network, nodes modelANodes) error {
-	v := s.Via
+	l := newLadder(s, 2*n, rs, transient)
 	area := s.SurroundArea()
-	metalArea := v.MetalArea()
-	rl := v.SplitRadius() + v.LinerThickness
-	linerArea := float64(v.EffectiveCount())*math.Pi*rl*rl - metalArea
-	p0 := s.Planes[0]
-	bulkCap := (p0.SiThickness - v.Extension) * s.Footprint * p0.Si.C
-	if err := net.SetCapacitance(nodes.base, bulkCap); err != nil {
-		return err
-	}
+	colCap := columnHeatCap(s)
 	for i, p := range s.Planes {
 		var surrCap float64
 		switch i {
 		case 0:
-			surrCap = area * (p.ILDThickness*p.ILD.C + v.Extension*p.Si.C)
+			surrCap = area * (p.ILDThickness*p.ILD.C + s.Via.Extension*p.Si.C)
 		default:
 			surrCap = area * (p.ILDThickness*p.ILD.C + p.SiThickness*p.Si.C + p.BondThickness*p.Bond.C)
 		}
-		h := s.ColumnHeight(i)
-		viaCap := h * (metalArea*v.Fill.C + linerArea*v.Liner.C)
-		if i < len(s.Planes)-1 {
-			if err := net.SetCapacitance(nodes.surround[i], surrCap); err != nil {
-				return err
-			}
-			if err := net.SetCapacitance(nodes.metal[i], viaCap); err != nil {
-				return err
-			}
+		viaCap := s.ColumnHeight(i) * colCap
+		r, q := res[i], p.TotalPower()
+		if i < n-1 {
+			l.rung(i+1, r.Surround, r.Metal, r.Liner, q, surrCap, viaCap)
 		} else {
-			// Single top node carries the whole plane's mass.
-			if err := net.SetCapacitance(nodes.surround[i], surrCap+viaCap); err != nil {
-				return err
-			}
+			top := l.next
+			l.link(l.s, top, r.Surround, n, "surround")
+			l.link(l.m, top, r.Metal+r.Liner, n, "fill+liner")
+			l.q[top] = q
+			l.mass(top, surrCap+viaCap, n, "plane")
+			l.s = top
 		}
+		l.tops = append(l.tops, l.s)
 	}
-	return nil
+	return l, l.err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/netlist"
 	"repro/internal/stack"
 )
 
@@ -15,9 +14,9 @@ import (
 // fitting coefficients are used: the distributed lateral coupling itself
 // captures the multi-dimensional heat flow that Model A's k1/k2 absorb.
 //
-// The resulting 2·n_A node system (eq. (19)) is assembled as a thermal
-// network and solved; accuracy rises with the segment count at increasing
-// solve cost (paper Table I).
+// The resulting 2·n_A node system (eq. (19)) is one banded ladder solved
+// directly; accuracy rises with the segment count at increasing solve cost
+// (paper Table I).
 type ModelB struct {
 	// Plane1Segments is the segment count of the first plane, whose via
 	// column only spans the ILD plus the extension l_ext (its thick
@@ -67,73 +66,31 @@ func splitSegments(n int, tILD, tSi float64) segmentation {
 
 // Solve implements Model.
 func (m ModelB) Solve(s *stack.Stack) (*Result, error) {
-	net, nodes, err := m.buildNetwork(s)
+	l, err := m.ladder(s, false)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := net.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("core: model B solve: %w", err)
-	}
-	out := &Result{
-		Model:    m.Name(),
-		PlaneDT:  make([]float64, len(s.Planes)),
-		BaseDT:   sol.Temp(nodes.base),
-		Unknowns: 2*nodes.totalSegments + 1,
-		Solver:   sol.SolverStats(),
-	}
-	for i, id := range nodes.planeTop {
-		out.PlaneDT[i] = sol.Temp(id)
-	}
-	_, out.MaxDT = sol.MaxTemp()
-	return out, nil
+	return l.steady(m.Name())
 }
 
-// modelBNodes records the node handles of a built Model B network.
-type modelBNodes struct {
-	sink, base    netlist.NodeID
-	planeTop      []netlist.NodeID
-	totalSegments int
-}
-
-// buildNetwork assembles the distributed π-segment network (Fig. 3) with
-// per-node thermal masses attached for transient analysis.
-func (m ModelB) buildNetwork(s *stack.Stack) (*netlist.Network, modelBNodes, error) {
-	var nodes modelBNodes
+// ladder assembles the distributed π-segment network (Fig. 3): every
+// segment is one rung, with the fill and liner values of eq. (21) and the
+// plane's heat spread over its ILD segments (eq. (20)). A transient ladder
+// carries each segment's thermal mass.
+func (m ModelB) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 	if m.Plane1Segments < 1 || m.PlaneSegments < 1 {
-		return nil, nodes, fmt.Errorf("core: model B needs positive segment counts, got (%d, %d)",
+		return nil, fmt.Errorf("core: model B needs positive segment counts, got (%d, %d)",
 			m.Plane1Segments, m.PlaneSegments)
 	}
 	// Element values follow the Model A formulas with k1 = k2 = 1 (§III).
 	res, rs, err := Resistances(s, UnitCoeffs())
 	if err != nil {
-		return nil, nodes, err
+		return nil, err
 	}
-
-	net := netlist.New()
-	sink := net.Node("sink")
-	if err := net.Fix(sink, 0); err != nil {
-		return nil, nodes, err
-	}
-	base := net.Node("T0")
-	if err := net.AddResistor("Rs", sink, base, rs); err != nil {
-		return nil, nodes, err
-	}
-
+	segments := m.Plane1Segments + (len(s.Planes)-1)*m.PlaneSegments
+	l := newLadder(s, 2*segments+1, rs, transient)
 	area := s.SurroundArea()
-	metalArea := s.Via.MetalArea()
-	rl := s.Via.SplitRadius() + s.Via.LinerThickness
-	linerArea := float64(s.Via.EffectiveCount())*math.Pi*rl*rl - metalArea
-	// The first plane's bulk substrate mass sits on T0 (transient only).
-	p0 := s.Planes[0]
-	if err := net.SetCapacitance(base, (p0.SiThickness-s.Via.Extension)*s.Footprint*p0.Si.C); err != nil {
-		return nil, nodes, err
-	}
-	// Both chains grow upward from T0.
-	prevS, prevM := base, base
-
-	planeTop := make([]netlist.NodeID, len(s.Planes))
-	totalSegments := 0
+	colCap := columnHeatCap(s)
 
 	for i, p := range s.Planes {
 		var seg segmentation
@@ -143,7 +100,6 @@ func (m ModelB) buildNetwork(s *stack.Stack) (*netlist.Network, modelBNodes, err
 			seg = splitSegments(m.PlaneSegments, p.ILDThickness, p.SiThickness)
 		}
 		nj := seg.nILD + seg.nSi
-		totalSegments += nj
 		metalSeg := res[i].Metal / float64(nj) // R_M/n_j, eq. (21)
 		linerSeg := res[i].Liner * float64(nj) // n_j·R_L, eq. (21)
 
@@ -170,8 +126,7 @@ func (m ModelB) buildNetwork(s *stack.Stack) (*netlist.Network, modelBNodes, err
 		qPerILD := p.TotalPower() / float64(seg.nILD) // eq. (20)
 
 		// Per-segment thermal masses (used only by transient analysis).
-		h := s.ColumnHeight(i)
-		metalCap := h / float64(nj) * (metalArea*s.Via.Fill.C + linerArea*s.Via.Liner.C)
+		metalCap := s.ColumnHeight(i) / float64(nj) * colCap
 		var ildSurrCap, siSurrCap, bondCap float64
 		if i == 0 {
 			ildSurrCap = area * (p.ILDThickness*p.ILD.C + s.Via.Extension*p.Si.C) / float64(seg.nILD)
@@ -190,55 +145,18 @@ func (m ModelB) buildNetwork(s *stack.Stack) (*netlist.Network, modelBNodes, err
 
 		// Build segments bottom-to-top: bond (folded into the first silicon
 		// segment), silicon, then ILD (paper Fig. 3).
-		segIdx := 0
-		addSegment := func(vertical, inject, surrCap float64) error {
-			segIdx++
-			sn := net.Node(fmt.Sprintf("p%d/s%d/T", i+1, segIdx))
-			mn := net.Node(fmt.Sprintf("p%d/s%d/M", i+1, segIdx))
-			if err := net.AddResistor(fmt.Sprintf("p%d/s%d/vert", i+1, segIdx), prevS, sn, vertical); err != nil {
-				return err
-			}
-			if err := net.AddResistor(fmt.Sprintf("p%d/s%d/metal", i+1, segIdx), prevM, mn, metalSeg); err != nil {
-				return err
-			}
-			if err := net.AddResistor(fmt.Sprintf("p%d/s%d/liner", i+1, segIdx), sn, mn, linerSeg); err != nil {
-				return err
-			}
-			if inject != 0 {
-				if err := net.AddSource(fmt.Sprintf("p%d/s%d/q", i+1, segIdx), sn, inject); err != nil {
-					return err
-				}
-			}
-			if err := net.SetCapacitance(sn, surrCap); err != nil {
-				return err
-			}
-			if err := net.SetCapacitance(mn, metalCap); err != nil {
-				return err
-			}
-			prevS, prevM = sn, mn
-			return nil
-		}
-
 		for k := 0; k < seg.nSi; k++ {
-			vertical := rSiSeg
-			cap := siSurrCap
+			vertical, surrCap := rSiSeg, siSurrCap
 			if k == 0 {
 				vertical += rBond // first silicon segment carries the bond
-				cap += bondCap
+				surrCap += bondCap
 			}
-			if err := addSegment(vertical, 0, cap); err != nil {
-				return nil, nodes, err
-			}
+			l.rung(i+1, vertical, metalSeg, linerSeg, 0, surrCap, metalCap)
 		}
 		for k := 0; k < seg.nILD; k++ {
-			if err := addSegment(rILDseg, qPerILD, ildSurrCap); err != nil {
-				return nil, nodes, err
-			}
+			l.rung(i+1, rILDseg, metalSeg, linerSeg, qPerILD, ildSurrCap, metalCap)
 		}
-		planeTop[i] = prevS
+		l.tops = append(l.tops, l.s)
 	}
-
-	nodes = modelBNodes{sink: sink, base: base, planeTop: planeTop, totalSegments: totalSegments}
-
-	return net, nodes, nil
+	return l, l.err
 }

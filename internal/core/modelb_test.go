@@ -189,9 +189,9 @@ func TestModelBQualitativeBehaviors(t *testing.T) {
 	}
 }
 
-func TestModelBLargeSystemSparsePath(t *testing.T) {
-	// 1000 segments per plane exceeds the netlist dense cutoff and exercises
-	// the CG path; results must stay close to a moderate segmentation.
+func TestModelBLargeSystem(t *testing.T) {
+	// B(1000) is a 4201-node ladder, the largest Model B the repository
+	// runs; its result must stay close to a moderate segmentation.
 	s := fig4Stack(t)
 	big := solveB(t, NewModelB(1000), s).MaxDT
 	mid := solveB(t, NewModelB(200), s).MaxDT

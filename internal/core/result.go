@@ -25,10 +25,9 @@ type Result struct {
 	BaseDT float64
 	// Unknowns is the size of the linear system that was solved.
 	Unknowns int
-	// Solver reports the iterative linear-solve statistics when the
-	// producing model solved its system iteratively (Model B above the
-	// sparse cutoff, the FVM reference solver). It is zero for direct
-	// solves, whose factorizations have no iteration count.
+	// Solver reports the iterative linear-solve statistics of the FVM
+	// reference solver. The analytic models solve their ladders directly,
+	// and a factorization has no iteration count, so they leave it zero.
 	Solver sparse.Stats
 }
 

@@ -2,14 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/netlist"
 	"repro/internal/stack"
 )
 
 // TransientSpec configures a transient (step-power) simulation: the heat
 // sources switch on at t = 0 with the stack at the heat-sink temperature,
-// and the network integrates forward with the implicit Euler method.
+// and the model's ladder integrates forward with the implicit Euler method.
 type TransientSpec struct {
 	// Dt is the time step (s).
 	Dt float64
@@ -19,8 +19,8 @@ type TransientSpec struct {
 
 // Validate checks the specification.
 func (ts TransientSpec) Validate() error {
-	if ts.Dt <= 0 {
-		return fmt.Errorf("core: transient step %g must be positive", ts.Dt)
+	if !(ts.Dt > 0) || math.IsInf(ts.Dt, 1) {
+		return fmt.Errorf("core: transient step %g must be positive and finite", ts.Dt)
 	}
 	if ts.Steps < 1 {
 		return fmt.Errorf("core: transient needs at least 1 step, got %d", ts.Steps)
@@ -46,23 +46,6 @@ type TransientResult struct {
 	Settled bool
 }
 
-// transientFromNetwork runs the shared integration and extraction.
-func transientFromNetwork(model string, net *netlist.Network, top netlist.NodeID, spec TransientSpec) (*TransientResult, error) {
-	sol, err := net.SolveTransient(spec.Dt, spec.Steps, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s transient: %w", model, err)
-	}
-	times, temps := sol.History(top)
-	out := &TransientResult{
-		Model:   model,
-		Times:   times,
-		TopDT:   temps,
-		FinalDT: temps[len(temps)-1],
-	}
-	out.SettlingTime, out.Settled = sol.SettlingTime(top, 0.05)
-	return out, nil
-}
-
 // SolveTransient simulates the stack's step response with Model A's network.
 // Each node carries the thermal mass of the structure it lumps (plane bulk,
 // via column, first-plane substrate), so the response exposes the stack's
@@ -72,15 +55,11 @@ func (m ModelA) SolveTransient(s *stack.Stack, spec TransientSpec) (*TransientRe
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	res, rs, err := Resistances(s, m.Coeffs)
+	l, err := m.ladder(s, true)
 	if err != nil {
 		return nil, err
 	}
-	net, nodes, err := buildModelANetwork(s, res, rs)
-	if err != nil {
-		return nil, err
-	}
-	return transientFromNetwork(m.Name(), net, nodes.surround[len(s.Planes)-1], spec)
+	return l.transient(m.Name(), spec)
 }
 
 // SolveTransient simulates the stack's step response with Model B's
@@ -90,9 +69,9 @@ func (m ModelB) SolveTransient(s *stack.Stack, spec TransientSpec) (*TransientRe
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	net, nodes, err := m.buildNetwork(s)
+	l, err := m.ladder(s, true)
 	if err != nil {
 		return nil, err
 	}
-	return transientFromNetwork(m.Name(), net, nodes.planeTop[len(nodes.planeTop)-1], spec)
+	return l.transient(m.Name(), spec)
 }

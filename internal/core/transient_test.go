@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/units"
@@ -117,8 +118,10 @@ func solveTransientRadius(t *testing.T, rUM float64) (*TransientResult, error) {
 func TestTransientSpecValidation(t *testing.T) {
 	s := fig4Stack(t)
 	m := ModelA{Coeffs: PaperBlockCoeffs()}
-	if _, err := m.SolveTransient(s, TransientSpec{Dt: 0, Steps: 10}); err == nil {
-		t.Error("zero dt accepted")
+	for _, dt := range []float64{0, -1e-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := m.SolveTransient(s, TransientSpec{Dt: dt, Steps: 10}); err == nil {
+			t.Errorf("dt %g accepted", dt)
+		}
 	}
 	if _, err := m.SolveTransient(s, TransientSpec{Dt: 1e-3, Steps: 0}); err == nil {
 		t.Error("zero steps accepted")

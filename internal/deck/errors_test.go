@@ -205,7 +205,8 @@ func TestPositionedErrors(t *testing.T) {
 			wantMsg:  "unknown model \"z\"",
 			wantLine: 6,
 		},
-		// Request-size caps: refine, segments and sweep points.
+		// Request-size caps: refine, segments, sweep points and transient
+		// steps.
 		{
 			name:     "refine above cap",
 			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref refine=9\n",
@@ -228,6 +229,12 @@ func TestPositionedErrors(t *testing.T) {
 			name:     "sweep list above cap",
 			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.sweep r list" + strings.Repeat(" 5um", 10001) + " model=a\n",
 			wantMsg:  "sweep has 10001 points, more than the maximum 10000",
+			wantLine: 6,
+		},
+		{
+			name:     "tran steps above cap",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.tran dt=1us steps=2000000000 model=b segments=10000\n",
+			wantMsg:  "steps must be at most 10000, got 2000000000",
 			wantLine: 6,
 		},
 		// ref-workers= is not a parameter: every reference solve runs on the

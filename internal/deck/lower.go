@@ -459,6 +459,9 @@ func (el *elements) lowerTran(c *Card, sc *Scenario) (Analysis, error) {
 	if _, ok := models[0].(transientModel); !ok {
 		return Analysis{}, errAt(el.file, c.Pos, ".tran model %s has no transient form (want A or B)", models[0].Name())
 	}
+	if spec.Steps > MaxTranSteps {
+		return Analysis{}, errAt(el.file, c.Pos, "steps must be at most %d, got %d", MaxTranSteps, spec.Steps)
+	}
 	if err := spec.Validate(); err != nil {
 		return Analysis{}, errAt(el.file, c.Pos, "%v", err)
 	}

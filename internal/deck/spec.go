@@ -36,10 +36,10 @@ type ModelSpec struct {
 }
 
 // Request-size caps. A few bytes of deck or JSON can otherwise ask for an
-// arbitrarily large grid, Model B network or sweep, so each is checked where
-// specs are validated, before anything is allocated. The caps are fixed
-// rather than derived from the host, so a request is valid or invalid
-// everywhere.
+// arbitrarily large grid, Model B network, sweep or transient, so each is
+// checked where specs are validated, before anything is allocated. The caps
+// are fixed rather than derived from the host, so a request is valid or
+// invalid everywhere.
 const (
 	// MaxRefine caps ModelSpec.Refine: the deepest refinement the repository
 	// runs (about 93k unknowns, 39 MB per solve).
@@ -50,6 +50,9 @@ const (
 	// MaxSweepPoints caps the point count of one sweep; see
 	// CheckSweepPoints.
 	MaxSweepPoints = 10000
+	// MaxTranSteps caps the step count of one .tran analysis at 25× the
+	// longest transient the repository runs (400 steps).
+	MaxTranSteps = 10000
 )
 
 // CheckSweepPoints rejects a sweep of more than MaxSweepPoints points. Deck

@@ -10,7 +10,7 @@ import (
 // diagonal-major: row i keeps its 2b+1 band entries contiguously, so
 // factorization and solve run in O(n·b²) and O(n·b).
 //
-// The thermal chain networks of the distributed TTSV model (Model B) have
+// The two-rail ladders of the lumped TTSV models (Models A and B) have
 // bandwidth 2 under their natural node ordering, which makes this the
 // asymptotically right direct solver for them.
 type Banded struct {

@@ -18,7 +18,7 @@ type Cholesky struct {
 // FactorizeCholesky computes the Cholesky factorization of a symmetric
 // positive definite matrix. Only the lower triangle of a is read; the input
 // is not modified. Thermal conductance matrices are SPD, so this is the
-// natural direct solver for the netlist engine.
+// natural dense direct solver for them (the multigrid coarse solve).
 func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 	n := a.Rows()
 	if a.Cols() != n {

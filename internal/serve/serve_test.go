@@ -371,7 +371,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/solve", `{"bogus": 1}`, http.StatusBadRequest, "unknown field"},
 		{"trailing garbage", "/solve", `{} {}`, http.StatusBadRequest, "trailing data"},
 		{"bad model", "/solve", `{"models": {"model": "x"}}`, http.StatusBadRequest, "unknown model"},
-		// Request-size caps: refine, segments and sweep points.
+		// Request-size caps: refine, segments, sweep points and transient
+		// steps.
 		{"refine above cap", "/solve", `{"models": {"model": "ref", "refine": 9}}`,
 			http.StatusBadRequest, "refine must be in [1, 8]"},
 		{"segments above cap", "/solve", `{"models": {"model": "b", "segments": 10001}}`,
@@ -380,6 +381,8 @@ func TestBadRequests(t *testing.T) {
 			http.StatusBadRequest, "more than the maximum 10000"},
 		{"sweep values above cap", "/sweep", `{"param": "r", "values": [` + strings.Repeat("1e-5, ", 10000) + `1e-5], "models": {"model": "a"}}`,
 			http.StatusBadRequest, "more than the maximum 10000"},
+		{"tran steps above cap", "/deck", "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.tran dt=1us steps=2000000000 model=b segments=10000\n",
+			http.StatusBadRequest, "steps must be at most 10000"},
 		// ref_workers, operator, mg_hierarchy and mg_precision are not spec
 		// fields: every reference solve runs on the caller's goroutine, and
 		// its operator and hierarchy follow from the preconditioner and the
