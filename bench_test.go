@@ -217,12 +217,13 @@ func BenchmarkReferenceSolveDefault(b *testing.B) {
 }
 
 // BenchmarkReferenceSolveRefined measures the refined solve the way a sweep
-// pays for it: through a persistent SolveContext, so the sparsity pattern,
-// multigrid hierarchy and solver scratch amortize across solves. The
-// operator here never changes between iterations, so this is the reuse
-// upper bound (hierarchy served from cache); one warm-up solve before the
-// timer pays the one-time pattern/hierarchy construction so the measurement
-// is the amortized steady state the doc promises. BenchmarkSweepReuseFVM
+// pays for it: through a persistent SolveContext, so the assembly, the
+// banded Cholesky factor the grid rule picks at 2× and the solver scratch
+// amortize across solves. The operator here never changes between
+// iterations, so this is the reuse upper bound (factor served from cache:
+// two triangular sweeps); one warm-up solve before the timer pays the
+// one-time assembly and factorization so the measurement is the amortized
+// steady state the doc promises. BenchmarkSweepReuseFVM
 // pays the honest rebuild cost of an actual parameter sweep, and
 // ...RefinedFresh keeps the no-reuse baseline measurable.
 func BenchmarkReferenceSolveRefined(b *testing.B) {
@@ -243,7 +244,7 @@ func BenchmarkReferenceSolveRefined(b *testing.B) {
 }
 
 // BenchmarkReferenceSolveRefinedFresh is the pre-reuse path: every solve
-// re-derives the pattern and hierarchy from scratch.
+// assembles and factors from scratch.
 func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
 	s := mustFig4(b, 10)
 	res := ttsv.DefaultResolution().Refine(2)
@@ -340,31 +341,6 @@ func BenchmarkReferenceMGRefined4(b *testing.B) {
 // count should sit in the same band as the 2x and 4x benchmarks.
 func BenchmarkReferenceMGRefined8(b *testing.B) {
 	benchReferenceResolved(b, 8, sparse.PrecondMG)
-}
-
-// The single-level baseline at the same refined mesh, for the wall-time
-// comparison BENCH_ref.json records. Only the 2x mesh gets it: at 4x the
-// SSOR iteration count passes 600 and the benchmark would spend seconds per
-// data point demonstrating the O(√n) growth the 2x row already shows.
-func BenchmarkReferenceSSORRefined2(b *testing.B) {
-	benchReferenceResolved(b, 2, sparse.PrecondSSOR)
-}
-
-// BenchmarkFVMPrecondSSOR is the default-mesh FVM solve under SSOR, the
-// preconditioner the default policy picks there.
-func BenchmarkFVMPrecondSSOR(b *testing.B) {
-	s := mustFig4(b, 10)
-	prob, err := fem.BuildAxiProblem(s, fem.DefaultResolution())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fem.SolveAxi(prob, sparse.Options{Tol: 1e-10, Precond: sparse.PrecondSSOR}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // Ablation: the SPD direct solver (Cholesky) versus general LU on a dense

@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	plot := fs.Bool("plot", false, "draw ASCII figures for the sweeps")
 	csvDir := fs.String("csv", "", "write tables as CSV into this directory")
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs); tables are identical for any count")
-	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, ssor or mg")
+	precond := fs.String("precond", "auto", "reference solver: auto (banded Cholesky on small grids, multigrid above) or mg (always multigrid)")
 	deckPath := fs.String("deck", "", ".ttsv scenario deck file; runs its analysis cards instead of a named experiment")
 	sweepf := clideck.Register(fs)
 	obsf := cliobs.Register(fs)

@@ -78,7 +78,7 @@ func TestRunPlotFlag(t *testing.T) {
 func TestRunTraceAndMetrics(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "fig7.ndjson")
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-quick", "-trace", trace, "-metrics", "fig7"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-precond", "mg", "-trace", trace, "-metrics", "fig7"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(trace)

@@ -56,8 +56,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	devDensity := fs.Float64("qdev", 700, "device power density [W/mm³]")
 	ildDensity := fs.Float64("qild", 70, "interconnect power density [W/mm³]")
 	workers := fs.Int("workers", 0, "parallel sweep/plan workers for -deck runs (0 = all CPUs); output is identical for any count")
-	precond := fs.String("precond", "auto", "reference-solver preconditioner: auto, ssor or mg (only -model ref)")
-	verbose := fs.Bool("v", false, "print per-solve linear-solver statistics (iterations, residual, preconditioner)")
+	precond := fs.String("precond", "auto", "reference solver: auto (banded Cholesky on small grids, multigrid above) or mg (always multigrid; only -model ref)")
+	verbose := fs.Bool("v", false, "print the reference solve's linear-solver statistics (method, iterations, half-bandwidth, factor reuse, residual)")
 	config := fs.String("config", "", "JSON block config file (SI units); explicit flags override its fields")
 	deckPath := fs.String("deck", "", ".ttsv scenario deck file; runs its analysis cards and ignores the geometry flags")
 	sweepf := clideck.Register(fs)

@@ -88,13 +88,26 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// A reference solve behind -trace must emit a parseable NDJSON span chain
-// covering assembly → preconditioner setup → CG, and -metrics must dump the
-// solver series.
+// -v reports what the reference solve did: at the default mesh the grid
+// rule's banded Cholesky solve, with its half-bandwidth, a fresh factor and
+// the true residual.
+func TestVerboseReportsDirectSolve(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-model", "ref", "-r", "10", "-v"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "solver: direct (banded Cholesky, half-bandwidth 27, new factor), 0 iterations, residual "; !strings.Contains(buf.String(), want) {
+		t.Errorf("-v output lacks %q:\n%s", want, buf.String())
+	}
+}
+
+// A multigrid reference solve behind -trace must emit a parseable NDJSON
+// span chain covering assembly → preconditioner setup → CG, and -metrics
+// must dump the solver series.
 func TestRunTraceAndMetrics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.ndjson")
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-model", "ref", "-r", "10", "-trace", path, "-metrics"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-model", "ref", "-r", "10", "-precond", "mg", "-trace", path, "-metrics"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -237,6 +237,14 @@ func TestPositionedErrors(t *testing.T) {
 			wantMsg:  "steps must be at most 10000, got 2000000000",
 			wantLine: 6,
 		},
+		// precond= takes auto or mg: the SSOR preconditioner is gone, and
+		// the grid rule picks the banded Cholesky solve on small grids.
+		{
+			name:     "precond ssor",
+			src:      "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.op model=ref precond=ssor\n",
+			wantMsg:  "unknown preconditioner \"ssor\" (want auto or mg)",
+			wantLine: 6,
+		},
 		// ref-workers= is not a parameter: every reference solve runs on the
 		// caller's goroutine.
 		{

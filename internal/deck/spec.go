@@ -30,8 +30,8 @@ type ModelSpec struct {
 	// Refine uniformly refines the reference resolution; 0 and 1 select the
 	// default mesh.
 	Refine int `json:"refine,omitempty"`
-	// Precond selects the reference solver's preconditioner ("auto", "ssor",
-	// "mg"); empty selects "auto".
+	// Precond selects the reference solver ("auto": the grid rule, "mg":
+	// multigrid); empty selects "auto".
 	Precond string `json:"precond,omitempty"`
 }
 

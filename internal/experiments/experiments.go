@@ -113,9 +113,6 @@ type ErrStat struct {
 	Max, Avg float64
 	// AvgRuntime is the mean solve time.
 	AvgRuntime time.Duration
-	// AvgIters is the mean iterative-solver iteration count (zero for
-	// models that solved directly).
-	AvgIters float64
 }
 
 // models bundles a named solver.
@@ -319,7 +316,6 @@ func (sw *Sweep) ErrorStats() map[string]ErrStat {
 				continue
 			}
 			totalRT += p.Runtime[name]
-			stat.AvgIters += float64(p.Solver[name].Iterations)
 			if name == RefName {
 				n++
 				continue
@@ -334,7 +330,6 @@ func (sw *Sweep) ErrorStats() map[string]ErrStat {
 		if n > 0 {
 			stat.Avg /= float64(n)
 			stat.AvgRuntime = totalRT / time.Duration(n)
-			stat.AvgIters /= float64(n)
 		}
 		out[name] = stat
 	}

@@ -77,17 +77,6 @@ func assembleAxi(p *AxiProblem) (*axiSystem, error) {
 	return assembleAxiWith(nil, p)
 }
 
-// solveDefaults fills in the solver settings this package uses: tight
-// tolerance, preconditioner auto-selection (multigrid above the size
-// threshold, served from sc's hierarchy cache when possible), and a MaxIter
-// budget scaled to the preconditioner class.
-func solveDefaults(sc *SolveContext, opt sparse.Options, sys *axiSystem) sparse.Options {
-	if opt.Tol == 0 {
-		opt.Tol = 1e-10
-	}
-	return resolveSolverWith(sc, sys.key, opt, sys.op)
-}
-
 // fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. All rows
 // share one backing array, so the reshape costs two allocations instead of
 // one per z-plane.
@@ -107,22 +96,23 @@ func SolveAxi(p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
 	return SolveAxiCtx(context.Background(), p, opt)
 }
 
-// SolveAxiCtx is SolveAxi honoring cancellation: the conjugate-gradient
-// iteration checks ctx between iterations, so a cancelled caller (e.g. an
-// aborted sweep) does not run an in-flight solve to completion.
+// SolveAxiCtx is SolveAxi honoring cancellation: a direct solve checks ctx
+// before factoring and before its sweeps, a CG solve between iterations, so
+// a cancelled caller (e.g. an aborted sweep) does not run an in-flight
+// solve to completion.
 //
 // When ctx carries an obs.Tracer the solve emits a "fem.solve" span with
-// "fem.assemble" and "fem.precond" children; the CG iteration's "sparse.cg"
-// span nests under "fem.solve", giving the assembly → preconditioner → CG
-// chain in the trace.
+// "fem.assemble" and "fem.precond" children. A direct solve runs inside
+// "fem.precond"; a CG iteration's "sparse.cg" span follows it under
+// "fem.solve", giving the assembly → preconditioner → CG chain in the trace.
 func SolveAxiCtx(ctx context.Context, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
 	return SolveAxiWith(ctx, nil, p, opt)
 }
 
-// SolveAxiWith is SolveAxiCtx solving through a reuse context: assembly
-// patterns, multigrid hierarchies and CG scratch cached in sc are
-// recycled, and with sc.WarmStart the CG iteration starts from the previous
-// solution of the same system shape. A nil sc (or sc.NoReuse) makes every
+// SolveAxiWith is SolveAxiCtx solving through a reuse context: assemblies,
+// factors, multigrid hierarchies and CG scratch cached in sc are recycled,
+// and with sc.WarmStart a CG iteration starts from the previous solution of
+// the same system shape. A nil sc (or sc.NoReuse) makes every
 // solve fresh; the results are bit-identical either way (warm starts aside).
 func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
@@ -135,19 +125,10 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 		return nil, err
 	}
 	root.Set("unknowns", len(sys.rhs))
-	_, psp := obs.StartSpan(ctx, "fem.precond")
-	o := solveDefaults(sc, opt, sys)
-	if psp != nil {
-		psp.Set("precond", o.Precond.String())
-		psp.End()
+	if opt.Tol == 0 {
+		opt.Tol = 1e-10
 	}
-	if o.Pool == nil {
-		o.Pool = sc.scratch()
-	}
-	if o.X0 == nil {
-		o.X0 = sc.warmX0(sys.key, len(sys.rhs))
-	}
-	x, st, err := sparse.SolveCGCtx(ctx, sys.op, sys.rhs, o)
+	x, st, err := sc.solveSystem(ctx, sys.key, sys.op, sys.rhs, opt)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, solveErr("axisymmetric solve", len(sys.rhs), st, err)

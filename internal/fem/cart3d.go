@@ -83,8 +83,8 @@ func SolveCart(p *CartProblem, opt sparse.Options) (*CartSolution, error) {
 	return SolveCartCtx(context.Background(), p, opt)
 }
 
-// SolveCartCtx is SolveCart honoring cancellation between conjugate-gradient
-// iterations. Like SolveAxiCtx it emits fem.solve/fem.assemble/fem.precond
+// SolveCartCtx is SolveCart honoring cancellation as SolveAxiCtx does. Like
+// SolveAxiCtx it emits fem.solve/fem.assemble/fem.precond
 // spans when ctx carries an obs.Tracer.
 func SolveCartCtx(ctx context.Context, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
 	return SolveCartWith(ctx, nil, p, opt)
@@ -106,21 +106,9 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 	if o.Tol == 0 {
 		o.Tol = 1e-9
 	}
-	_, psp := obs.StartSpan(ctx, "fem.precond")
-	o = resolveSolverWith(sc, sys.key, o, sys.op)
-	if psp != nil {
-		psp.Set("precond", o.Precond.String())
-		psp.End()
-	}
-	if o.Pool == nil {
-		o.Pool = sc.scratch()
-	}
 	n := sys.nx * sys.ny * sys.nz
 	root.Set("unknowns", n)
-	if o.X0 == nil {
-		o.X0 = sc.warmX0(sys.key, n)
-	}
-	x, st, err := sparse.SolveCGCtx(ctx, sys.op, sys.rhs, o)
+	x, st, err := sc.solveSystem(ctx, sys.key, sys.op, sys.rhs, o)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, solveErr("3-D solve", n, st, err)

@@ -1,6 +1,8 @@
 package fem
 
 import (
+	"sync"
+
 	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -8,7 +10,8 @@ import (
 
 // SolveContext carries reusable state across the repeated solves of a
 // parameter sweep: assemblies (stencil coefficient arrays refilled in
-// place), multigrid hierarchies, a scratch pool of CG work vectors, and —
+// place), banded Cholesky factors, multigrid hierarchies, a scratch pool of
+// CG work vectors, and —
 // opt-in — the previous solution of each system shape for warm-starting CG.
 //
 // Everything except WarmStart is invisible in the results: a solve through a
@@ -22,7 +25,7 @@ import (
 // time. Sweep workers each own one. The zero value of the
 // pointer (nil) is valid everywhere and means "no reuse".
 type SolveContext struct {
-	// NoReuse disables assembly, hierarchy and scratch reuse, making every solve
+	// NoReuse disables assembly, factor, hierarchy and scratch reuse, making every solve
 	// behave as if it ran without a context. Mainly for A/B-testing reuse
 	// itself (the equivalence property tests flip it).
 	NoReuse bool
@@ -32,6 +35,7 @@ type SolveContext struct {
 	WarmStart bool
 
 	assemblies map[asmKey]*assembly
+	factors    map[asmKey]*factorEntry
 	hier       map[asmKey]*hierEntry
 	warm       map[asmKey][]float64
 	pool       *sparse.Pool
@@ -50,18 +54,24 @@ type hierEntry struct {
 func NewSolveContext() *SolveContext {
 	return &SolveContext{
 		assemblies: make(map[asmKey]*assembly),
+		factors:    make(map[asmKey]*factorEntry),
 		hier:       make(map[asmKey]*hierEntry),
 		warm:       make(map[asmKey][]float64),
 	}
 }
 
-// Close drops the context's pooled scratch vectors. The context remains
-// usable; a later solve simply re-creates the pool.
+// Close drops the context's pooled scratch vectors and returns its factors'
+// storage to the shared free list. The context remains usable; a later
+// solve simply re-creates the pool and refactors.
 func (sc *SolveContext) Close() {
 	if sc == nil {
 		return
 	}
 	sc.pool = nil
+	for key, e := range sc.factors {
+		releaseBand(e.buf)
+		delete(sc.factors, key)
+	}
 }
 
 // ResetWarm forgets the stored previous solutions, so the next warm-started
@@ -149,16 +159,115 @@ func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.Stencil) (*mg.Hierarc
 		sc.hier[key] = e
 	}
 	e.h = h
-	diag, off := a.Coeffs()
-	e.vals = e.vals[:0]
-	for _, part := range [...][]float64{diag, off[0], off[1], off[2]} {
-		e.vals = append(e.vals, part...)
-	}
+	e.vals = snapshot(e.vals[:0], a)
 	return h, nil
 }
 
+// factorEntry is a cached banded Cholesky factor. buf, from the shared free
+// list, holds the factor's band followed by vals, the snapshot of the
+// coefficients it was computed from.
+type factorEntry struct {
+	f    *sparse.Cholesky
+	buf  []float64
+	vals []float64
+}
+
+// factorFor returns a banded Cholesky factor of the stencil a assembled
+// under key. A cached factor whose coefficient snapshot matches a bit for
+// bit is served untouched (reused); a changed operator is refactored into
+// the same storage. Without a context the factor's storage is borrowed from
+// the shared free list and returned as borrowed, which the caller releases
+// after the solve, error or not. The fem.direct.factors counter records
+// factorizations, fem.direct.reuse.hits the factors served from cache.
+func (sc *SolveContext) factorFor(key asmKey, a *sparse.Stencil) (f *sparse.Cholesky, reused bool, borrowed []float64, err error) {
+	band := sparse.CholeskyLen(a)
+	if !sc.reusing() {
+		borrowed = grabBand(band)
+		f, err = factor(a, borrowed)
+		return f, false, borrowed, err
+	}
+	e := sc.factors[key]
+	if e != nil && sameCoeffs(e.vals, a) {
+		obs.Default().Counter("fem.direct.reuse.hits").Inc()
+		return e.f, true, nil, nil
+	}
+	if e == nil {
+		e = &factorEntry{buf: grabBand(band + a.Rows()*(1+len(a.Dims())))}
+		sc.factors[key] = e
+	}
+	if e.f, err = factor(a, e.buf[:band]); err != nil {
+		releaseBand(e.buf)
+		delete(sc.factors, key)
+		return nil, false, nil, err
+	}
+	e.vals = snapshot(e.buf[band:band], a)
+	return e.f, false, nil, nil
+}
+
+// factor runs one counted banded Cholesky factorization.
+func factor(a *sparse.Stencil, buf []float64) (*sparse.Cholesky, error) {
+	obs.Default().Counter("fem.direct.factors").Inc()
+	return sparse.FactorCholesky(a, buf)
+}
+
+// bands is the process-wide free list of factor storage. Factors are large
+// (2.6 MB at twice the default mesh) and every context-free solve needs
+// one, so solves borrow and return them here, and contexts return theirs
+// on Close. They stay off the CG scratch pools, whose first-fit Grab would
+// hand a band to a CG vector. At most maxFreeBands buffers are kept.
+var bands struct {
+	sync.Mutex
+	free [][]float64
+}
+
+const maxFreeBands = 4
+
+// grabBand returns a length-n buffer from the free list — the smallest that
+// fits — or a new one. Its contents are undefined.
+func grabBand(n int) []float64 {
+	bands.Lock()
+	defer bands.Unlock()
+	best := -1
+	for i, b := range bands.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(bands.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]float64, n)
+	}
+	b := bands.free[best]
+	last := len(bands.free) - 1
+	bands.free[best], bands.free[last] = bands.free[last], nil
+	bands.free = bands.free[:last]
+	return b[:n]
+}
+
+// releaseBand returns a buffer from grabBand to the free list; nil is a
+// no-op, and a full list drops the buffer for the GC.
+func releaseBand(b []float64) {
+	if b == nil {
+		return
+	}
+	bands.Lock()
+	defer bands.Unlock()
+	if len(bands.free) < maxFreeBands {
+		bands.free = append(bands.free, b[:cap(b)])
+	}
+}
+
+// snapshot appends a's coefficient arrays end to end to dst — the layout
+// sameCoeffs compares against.
+func snapshot(dst []float64, a *sparse.Stencil) []float64 {
+	diag, off := a.Coeffs()
+	for _, part := range [...][]float64{diag, off[0], off[1], off[2]} {
+		dst = append(dst, part...)
+	}
+	return dst
+}
+
 // sameCoeffs reports whether snap holds exactly a's coefficient arrays laid
-// end to end, as hierarchyFor stores them.
+// end to end, as snapshot stores them.
 func sameCoeffs(snap []float64, a *sparse.Stencil) bool {
 	diag, off := a.Coeffs()
 	for _, part := range [...][]float64{diag, off[0], off[1], off[2]} {

@@ -91,10 +91,11 @@ func checkGolden(t *testing.T, cases []goldenCase) {
 
 // TestSolveGolden pins every reference-solver path to the exact bits it
 // produced when the golden file was written: the temperature field and the
-// CG iteration count of axisymmetric solves under SSOR and multigrid, the
-// 3-D block under the Galerkin hierarchy and SSOR, a transient integration,
-// and SolveContext re-solves that hit the hierarchy cache or rebuild through
-// a recycled arena. Refactors of assembly, the operator or the hierarchy must
+// CG iteration count (0 for a direct solve) of axisymmetric solves by the
+// banded Cholesky factor and by multigrid, the 3-D block under the Galerkin
+// hierarchy and the factor, a transient integration, and SolveContext
+// re-solves that hit the hierarchy or factor cache, or rebuild through a
+// recycled arena or refactor into the cached storage. Refactors of assembly, the operator or the hierarchy must
 // leave every line unchanged; regenerate with -update only for an intended
 // numerical change.
 func TestSolveGolden(t *testing.T) {
@@ -105,20 +106,27 @@ func TestSolveGolden(t *testing.T) {
 			if err != nil {
 				return 0, nil, err
 			}
+			if sol.Stats.Direct != (pc == sparse.PrecondDefault) {
+				t.Errorf("%v: stats %v", pc, sol.Stats)
+			}
 			return sol.Stats.Iterations, flatAxiT(sol.T), nil
 		}
 	}
-	cart := func(pc sparse.PrecondKind) func() (int, []float64, error) {
+	// Coarser lateral meshes than DefaultCartResolution keep the Galerkin
+	// build (seconds at the default) cheap under -race, and put the direct
+	// case under the grid rule's budget.
+	cart := func(lateral int, pc sparse.PrecondKind) func() (int, []float64, error) {
 		return func() (int, []float64, error) {
-			// A coarser lateral mesh than DefaultCartResolution keeps the
-			// Galerkin build (seconds at the default) cheap under -race.
-			p, err := BuildCartProblem(fig4(t, 10), CartResolution{LateralVia: 4, LateralLiner: 1, LateralOuter: 4, AxialPerLayer: 3, AxialMin: 2, Bulk: 6})
+			p, err := BuildCartProblem(fig4(t, 10), CartResolution{LateralVia: lateral, LateralLiner: 1, LateralOuter: lateral, AxialPerLayer: 3, AxialMin: 2, Bulk: 6})
 			if err != nil {
 				return 0, nil, err
 			}
 			sol, err := SolveCart(p, sparse.Options{Tol: 1e-9, Precond: pc})
 			if err != nil {
 				return 0, nil, err
+			}
+			if sol.Stats.Direct != (pc == sparse.PrecondDefault) {
+				t.Errorf("3-D %v: stats %v", pc, sol.Stats)
 			}
 			return sol.Stats.Iterations, flatCartT(sol.T), nil
 		}
@@ -151,15 +159,60 @@ func TestSolveGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, []goldenCase{
-		{"axi-coarse-ssor", axi(coarse(), sparse.PrecondSSOR)},
+		{"axi-coarse-direct", axi(coarse(), sparse.PrecondDefault)},
 		{"axi-2x-mg-w1", axi(coarse().Refine(2), sparse.PrecondMG)},
-		{"cart-fig4-mg", cart(sparse.PrecondMG)},
-		{"cart-fig4-ssor", cart(sparse.PrecondSSOR)},
+		{"cart-fig4-mg", cart(4, sparse.PrecondMG)},
+		{"cart-fig4-direct", cart(2, sparse.PrecondDefault)},
 		{"axi-2x-transient-mg", transient},
 		{"ctx-first-r10", viaContext(10)},
 		{"ctx-cache-hit-r10", viaContext(10)},
 		{"ctx-rebuild-r20", viaContext(20)},
 	})
+}
+
+// TestDirectFactorCacheGolden pins the banded Cholesky factor cache at the
+// default mesh, in the order of the ctx-* lines: a first solve through a
+// context (factor), the same operator again (served from cache, no
+// factorization) and a new radius on the same topology (refactored into the
+// cached storage). Each field must also hash-match a context-free solve of
+// the same stack.
+func TestDirectFactorCacheGolden(t *testing.T) {
+	sc := NewSolveContext()
+	defer sc.Close()
+	var cases []goldenCase
+	for _, c := range []struct {
+		name           string
+		rUM            float64
+		factors, reuse int64
+	}{{"ctx-direct-first-r10", 10, 1, 0}, {"ctx-direct-hit-r10", 10, 0, 1}, {"ctx-direct-refactor-r20", 20, 1, 0}} {
+		cases = append(cases, goldenCase{c.name, func() (int, []float64, error) {
+			fresh, err := SolveStack(fig4(t, c.rUM), DefaultResolution())
+			if err != nil {
+				return 0, nil, err
+			}
+			var sol *AxiSolution
+			reuse := counterDelta("fem.direct.reuse.hits", func() {
+				factors := counterDelta("fem.direct.factors", func() {
+					sol, err = SolveStackWith(context.Background(), sc, fig4(t, c.rUM), DefaultResolution())
+				})
+				if factors != c.factors {
+					t.Errorf("%s: %d factorizations, want %d", c.name, factors, c.factors)
+				}
+			})
+			if err != nil {
+				return 0, nil, err
+			}
+			if reuse != c.reuse || sol.Stats.Reused != (c.reuse == 1) || !sol.Stats.Direct {
+				t.Errorf("%s: %d cache hits, stats %v", c.name, reuse, sol.Stats)
+			}
+			field := flatAxiT(sol.T)
+			if got, want := fieldHash(field), fieldHash(flatAxiT(fresh.T)); got != want {
+				t.Errorf("%s: context solve %s, context-free solve %s", c.name, got, want)
+			}
+			return sol.Stats.Iterations, field, nil
+		}})
+	}
+	checkGolden(t, cases)
 }
 
 // TestOperatorSolveBitIdenticalAxi pins the matrix-free axisymmetric
@@ -180,10 +233,10 @@ func TestOperatorSolveBitIdenticalAxi(t *testing.T) {
 
 // TestOperatorSolveBitIdenticalCart covers the 3-D path, including the
 // anisotropic (distinct vertical conductivity) assembly, under both the
-// Galerkin hierarchy and the single-level SSOR sweep: each solve must run
-// the preconditioner it was asked for and match its golden line bit for
-// bit (the multigrid lines were written when the solve still ran against an
-// assembled CSR).
+// Galerkin hierarchy and the banded Cholesky factor the grid rule picks for
+// this 12×10×16 grid: each solve must run the method it was asked for and
+// match its golden line bit for bit (the multigrid lines were written when
+// the solve still ran against an assembled CSR).
 func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 	edges := func(n int, hi float64) []float64 {
 		e, err := mesh.Uniform(0, hi, n)
@@ -216,15 +269,15 @@ func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 		for _, c := range []struct {
 			name string
 			pc   sparse.PrecondKind
-		}{{"multigrid-w1", sparse.PrecondMG}, {"ssor", sparse.PrecondSSOR}} {
+		}{{"multigrid-w1", sparse.PrecondMG}, {"direct", sparse.PrecondDefault}} {
 			pc := c.pc
 			cases = append(cases, goldenCase{fmt.Sprintf("op-cart-%s-%s", kind, c.name), func() (int, []float64, error) {
 				sol, err := SolveCart(p, sparse.Options{Precond: pc})
 				if err != nil {
 					return 0, nil, err
 				}
-				if sol.Stats.Precond != pc {
-					t.Errorf("%s %v: ran %v", kind, pc, sol.Stats.Precond)
+				if sol.Stats.Precond != pc || sol.Stats.Direct != (pc == sparse.PrecondDefault) {
+					t.Errorf("%s %v: ran %v", kind, pc, sol.Stats)
 				}
 				return sol.Stats.Iterations, flatCartT(sol.T), nil
 			}})

@@ -1,9 +1,12 @@
 package fem
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/sparse"
+	"repro/internal/stack"
 )
 
 // TestMGIterationsMeshIndependent asserts the point of the multigrid
@@ -33,68 +36,75 @@ func TestMGIterationsMeshIndependent(t *testing.T) {
 	}
 }
 
-// TestMGBeatsSSORIterations pins the headline speedup: at twice the
-// default reference resolution, multigrid-preconditioned CG must need at
-// least 3x fewer iterations than SSOR (in practice the gap is ~40x).
-func TestMGBeatsSSORIterations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("SSOR baseline at 2x default resolution is slow")
-	}
+// TestMGAutoSelection pins the one grid rule on the grids this repository
+// solves: the banded Cholesky factor where n·b² < directBudget (the 1× and
+// 2× axisymmetric Fig. 4 meshes, the 6×6×26 chip power-map grid) and
+// multigrid above it (the 4× mesh, the 12×12×35 chip grid). The chip grids
+// are built here with their dims, since the rule reads only the shape.
+func TestMGAutoSelection(t *testing.T) {
 	s := fig4(t, 10)
-
-	res := DefaultResolution().Refine(2)
-	res.Precond = sparse.PrecondMG
-	mgSol, err := SolveStack(s, res)
-	if err != nil {
-		t.Fatal(err)
+	cartOf := func(nx, nz int) *CartProblem {
+		x, _ := mesh.Uniform(0, 1.5e-3, nx)
+		z, _ := mesh.Uniform(0, 2e-4, nz)
+		return &CartProblem{
+			XEdges: x, YEdges: x, ZEdges: z,
+			K:      func(_, _, _ float64) float64 { return 130 },
+			Q:      func(_, _, _ float64) float64 { return 1e9 },
+			Bottom: Fixed(0), Top: Insulated(),
+		}
 	}
-
-	res.Precond = sparse.PrecondSSOR
-	ssorSol, err := SolveStack(s, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mgIt, ssorIt := mgSol.Stats.Iterations, ssorSol.Stats.Iterations
-	if mgIt == 0 || ssorIt < 3*mgIt {
-		t.Errorf("MG used %d iterations, SSOR %d; want SSOR >= 3x MG", mgIt, ssorIt)
-	}
-
-	// Both converged to the same tolerance; the answers must agree closely.
-	mgMax, _, _ := mgSol.MaxT()
-	ssorMax, _, _ := ssorSol.MaxT()
-	if diff := mgMax - ssorMax; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("MG max ΔT %g vs SSOR %g", mgMax, ssorMax)
+	for _, tc := range []struct {
+		grid   string
+		solve  func() (sparse.Stats, error)
+		n, b   int
+		direct bool
+	}{
+		{"axi 1x", axiStats(s, 1), 1458, 27, true},
+		{"axi 2x", axiStats(s, 2), 5832, 54, true},
+		{"axi 4x", axiStats(s, 4), 23328, 108, false},
+		{"cart 6x6x26", cartStats(cartOf(6, 26)), 936, 36, true},
+		{"cart 12x12x35", cartStats(cartOf(12, 35)), 5040, 144, false},
+	} {
+		if nb2 := float64(tc.n) * float64(tc.b) * float64(tc.b); (nb2 < directBudget) != tc.direct {
+			t.Fatalf("%s: n·b² = %.3g does not probe the %.3g budget as intended", tc.grid, nb2, float64(directBudget))
+		}
+		st, err := tc.solve()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.grid, err)
+		}
+		if st.Direct != tc.direct || (st.Precond == sparse.PrecondMG) == tc.direct {
+			t.Errorf("%s: ran %v, want direct = %v", tc.grid, st, tc.direct)
+		}
+		if tc.direct && (st.Bandwidth != tc.b || st.Iterations != 0) {
+			t.Errorf("%s: stats %v, want half-bandwidth %d and no iterations", tc.grid, st, tc.b)
+		}
 	}
 }
 
-// TestMGAutoSelection checks the default-policy threshold: small systems
-// keep the single-level preconditioners, large ones upgrade to multigrid
-// without the caller asking.
-func TestMGAutoSelection(t *testing.T) {
-	s := fig4(t, 10)
-	for _, tc := range []struct {
-		refine int
-		wantMG bool
-	}{{1, false}, {4, true}} {
-		sol, err := SolveStack(s, coarse().Refine(tc.refine))
+// axiStats solves s at f times the default mesh under the default rule.
+func axiStats(s *stack.Stack, f int) func() (sparse.Stats, error) {
+	return func() (sparse.Stats, error) {
+		sol, err := SolveStack(s, DefaultResolution().Refine(f))
 		if err != nil {
-			t.Fatalf("refine %d: %v", tc.refine, err)
+			return sparse.Stats{}, err
 		}
-		n := len(sol.RCenters) * len(sol.ZCenters)
-		if (n >= mgAutoThreshold) != tc.wantMG {
-			t.Fatalf("refine %d: n = %d does not probe the %d-unknown threshold as intended",
-				tc.refine, n, mgAutoThreshold)
+		return sol.Stats, nil
+	}
+}
+
+// cartStats solves p under the default rule.
+func cartStats(p *CartProblem) func() (sparse.Stats, error) {
+	return func() (sparse.Stats, error) {
+		sol, err := SolveCart(p, sparse.Options{Tol: 1e-8})
+		if err != nil {
+			return sparse.Stats{}, err
 		}
-		if got := sol.Stats.Precond == sparse.PrecondMG; got != tc.wantMG {
-			t.Errorf("refine %d (n = %d): auto-selected %v, want multigrid = %v",
-				tc.refine, n, sol.Stats.Precond, tc.wantMG)
-		}
+		return sol.Stats, nil
 	}
 }
 
 // TestMGExplicitFallsBackWhenTiny: an explicit multigrid request on a grid
-// too small to coarsen falls back to the default preconditioner instead of
+// too small to coarsen falls back to the banded Cholesky factor instead of
 // failing the solve.
 func TestMGExplicitFallsBackWhenTiny(t *testing.T) {
 	s := fig4(t, 10)
@@ -106,16 +116,16 @@ func TestMGExplicitFallsBackWhenTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Stats.Precond == sparse.PrecondMG {
-		t.Errorf("tiny grid still reports multigrid (%v)", sol.Stats.Precond)
+	if sol.Stats.Precond == sparse.PrecondMG || !sol.Stats.Direct {
+		t.Errorf("tiny grid ran %v, want the direct fallback", sol.Stats)
 	}
 }
 
-// TestTransientMGMatchesSSOR runs the same implicit integration under the
-// multigrid and SSOR preconditioners. The hierarchy is built once on the
-// step matrix and reused across steps; both runs must land on the same
-// trajectory endpoint.
-func TestTransientMGMatchesSSOR(t *testing.T) {
+// TestTransientMGMatchesDirect runs the same implicit integration under
+// multigrid and under the banded Cholesky factor the grid rule picks. The
+// hierarchy, or the factor, is built once on the step matrix and reused
+// across steps; both runs must land on the same trajectory.
+func TestTransientMGMatchesDirect(t *testing.T) {
 	s, err := fig4At(10)
 	if err != nil {
 		t.Fatal(err)
@@ -132,13 +142,19 @@ func TestTransientMGMatchesSSOR(t *testing.T) {
 	if mgTr.Stats.Precond != sparse.PrecondMG || mgTr.Stats.Levels < 2 {
 		t.Fatalf("transient stats %v: multigrid did not run", mgTr.Stats)
 	}
-	ssorTr, err := SolveAxiTransient(p, dt, steps, sparse.Options{Tol: 1e-11, Precond: sparse.PrecondSSOR})
+	var directTr *AxiTransient
+	factors := counterDelta("fem.direct.factors", func() {
+		directTr, err = SolveAxiTransient(p, dt, steps, sparse.Options{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mgTr.MaxT[len(mgTr.MaxT)-1]
-	want := ssorTr.MaxT[len(ssorTr.MaxT)-1]
-	if diff := got - want; diff > 1e-8 || diff < -1e-8 {
-		t.Errorf("transient final max ΔT: MG %g vs SSOR %g", got, want)
+	if !directTr.Stats.Direct || directTr.Stats.Iterations != 0 || factors != 1 {
+		t.Fatalf("transient stats %v after %d factorizations: want one factor serving every step", directTr.Stats, factors)
+	}
+	for k, got := range mgTr.MaxT {
+		if want := directTr.MaxT[k]; math.Abs(got-want) > 1e-8 {
+			t.Errorf("step %d max ΔT: MG %g vs direct %g", k+1, got, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sparse"
+	"repro/internal/stack"
 )
 
 // counterDelta runs fn and returns how much the named obs counter moved.
@@ -22,8 +23,8 @@ func counterDelta(name string, fn func()) int64 {
 }
 
 // TestMGFallbackSelectsWorkingPrecondAndCounts: an explicit multigrid
-// request on a grid too small to coarsen must fall back to a preconditioner
-// that actually converges, and the fallback must be visible in the metrics
+// request on a grid too small to coarsen must fall back to the banded
+// Cholesky factor, and the fallback must be visible in the metrics
 // registry.
 func TestMGFallbackSelectsWorkingPrecondAndCounts(t *testing.T) {
 	s := fig4(t, 10)
@@ -43,19 +44,19 @@ func TestMGFallbackSelectsWorkingPrecondAndCounts(t *testing.T) {
 	if d < 1 {
 		t.Errorf("fem.mg.fallback moved by %d, want >= 1", d)
 	}
-	if sol.Stats.Precond == sparse.PrecondMG || sol.Stats.Precond == sparse.PrecondDefault {
-		t.Errorf("fallback ran %v, want a concrete single-level preconditioner", sol.Stats.Precond)
+	if sol.Stats.Precond == sparse.PrecondMG || !sol.Stats.Direct {
+		t.Errorf("fallback ran %v, want the direct solve", sol.Stats)
 	}
 	if sol.Stats.Levels != 0 {
 		t.Errorf("fallback reports %d multigrid levels, want 0", sol.Stats.Levels)
 	}
-	if sol.Stats.Residual > 1e-10 {
-		t.Errorf("fallback preconditioner did not converge: residual %g", sol.Stats.Residual)
+	if sol.Stats.Residual > 1e-12 {
+		t.Errorf("fallback direct solve reports residual %g", sol.Stats.Residual)
 	}
 }
 
-// TestNotConvergedCarriesResidualAndCounts starves a solve of iterations
-// and asserts the structured error: it matches both ErrNotConverged
+// TestNotConvergedCarriesResidualAndCounts starves a multigrid-
+// preconditioned CG solve of iterations and asserts the structured error: it matches both ErrNotConverged
 // sentinels, exposes the achieved residual via ConvergenceError, and bumps
 // the not-converged counter.
 func TestNotConvergedCarriesResidualAndCounts(t *testing.T) {
@@ -66,7 +67,7 @@ func TestNotConvergedCarriesResidualAndCounts(t *testing.T) {
 	}
 	var solveErr error
 	d := counterDelta("fem.solve.notconverged", func() {
-		_, solveErr = SolveAxi(p, sparse.Options{MaxIter: 2})
+		_, solveErr = SolveAxi(p, sparse.Options{MaxIter: 2, Precond: sparse.PrecondMG})
 	})
 	if solveErr == nil {
 		t.Fatal("2-iteration budget converged; test cannot probe the failure path")
@@ -98,38 +99,49 @@ func TestNotConvergedCarriesResidualAndCounts(t *testing.T) {
 	}
 }
 
-// TestSolveStackCtxEmitsSpanChain runs a reference solve under a tracer and
-// checks the NDJSON trace contains the fem.stack → fem.solve →
-// {fem.assemble, fem.precond, sparse.cg} chain with correct parent links.
-func TestSolveStackCtxEmitsSpanChain(t *testing.T) {
-	s := fig4(t, 10)
+// spanRec is one NDJSON span record of the tracer.
+type spanRec struct {
+	Span   string         `json:"span"`
+	ID     int64          `json:"id"`
+	Parent int64          `json:"parent"`
+	DurNS  int64          `json:"dur_ns"`
+	Attrs  map[string]any `json:"attrs"`
+}
+
+// tracedSpans solves s at res under a tracer and returns its spans by name.
+func tracedSpans(t *testing.T, s *stack.Stack, res Resolution) map[string]spanRec {
+	t.Helper()
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
 	ctx := obs.ContextWithTracer(context.Background(), tr)
-	if _, err := SolveStackCtx(ctx, s, coarse()); err != nil {
+	if _, err := SolveStackCtx(ctx, s, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-	type rec struct {
-		Span   string         `json:"span"`
-		ID     int64          `json:"id"`
-		Parent int64          `json:"parent"`
-		DurNS  int64          `json:"dur_ns"`
-		Attrs  map[string]any `json:"attrs"`
-	}
-	byName := map[string]rec{}
+	byName := map[string]spanRec{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var r rec
+		var r spanRec
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Fatalf("unparseable NDJSON line %q: %v", line, err)
 		}
 		byName[r.Span] = r
 	}
+	return byName
+}
+
+// TestSolveStackCtxEmitsSpanChain runs a multigrid-preconditioned reference
+// solve under a tracer and checks the NDJSON trace contains the fem.stack →
+// fem.solve → {fem.assemble, fem.precond, sparse.cg} chain with correct
+// parent links.
+func TestSolveStackCtxEmitsSpanChain(t *testing.T) {
+	res := coarse()
+	res.Precond = sparse.PrecondMG
+	byName := tracedSpans(t, fig4(t, 10), res)
 	for _, want := range []string{"fem.stack", "fem.solve", "fem.assemble", "fem.precond", "sparse.cg"} {
 		if _, ok := byName[want]; !ok {
-			t.Fatalf("trace missing span %q (have %v)", want, buf.String())
+			t.Fatalf("trace missing span %q (have %v)", want, byName)
 		}
 	}
 	if byName["fem.stack"].Parent != 0 {
@@ -148,12 +160,44 @@ func TestSolveStackCtxEmitsSpanChain(t *testing.T) {
 	}
 }
 
-// TestSolveRecordsMetrics asserts one reference solve feeds the solver
-// series of the default registry.
+// TestDirectSolveObservability: a direct solve runs inside its fem.precond
+// span, which carries the method, half-bandwidth, factor reuse and true
+// residual, and emits no sparse.cg span; Stats reports the same.
+func TestDirectSolveObservability(t *testing.T) {
+	s := fig4(t, 10)
+	byName := tracedSpans(t, s, coarse())
+	if _, ok := byName["sparse.cg"]; ok {
+		t.Error("direct solve emitted a sparse.cg span")
+	}
+	sp, ok := byName["fem.precond"]
+	if !ok || sp.Parent != byName["fem.solve"].ID {
+		t.Fatalf("fem.precond missing or misparented: %+v", byName)
+	}
+	sol, err := SolveStack(s, coarse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sol.Stats
+	if !st.Direct || st.Iterations != 0 || st.Bandwidth != len(sol.RCenters) || st.Reused || !(st.Residual > 0) {
+		t.Fatalf("direct stats %+v", st)
+	}
+	want := map[string]any{"precond": "direct", "iterations": 0.0, "half_bandwidth": float64(st.Bandwidth),
+		"reused": false, "residual": st.Residual}
+	for k, v := range want {
+		if sp.Attrs[k] != v {
+			t.Errorf("fem.precond %s = %v, want %v", k, sp.Attrs[k], v)
+		}
+	}
+}
+
+// TestSolveRecordsMetrics asserts one multigrid-preconditioned reference
+// solve feeds the CG series of the default registry.
 func TestSolveRecordsMetrics(t *testing.T) {
 	s := fig4(t, 10)
+	res := coarse()
+	res.Precond = sparse.PrecondMG
 	before := obs.Default().Snapshot()
-	if _, err := SolveStack(s, coarse()); err != nil {
+	if _, err := SolveStack(s, res); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default().Snapshot()

@@ -1,9 +1,9 @@
 package fem
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -38,71 +38,71 @@ func (e *ConvergenceError) Error() string {
 // errors.Is chains.
 func (e *ConvergenceError) Unwrap() []error { return []error{ErrNotConverged, e.err} }
 
-// mgAutoThreshold is the unknown count above which the default
-// preconditioner becomes multigrid. Below it the hierarchy setup (coarse
-// operators, transfers, coarse factorization) costs more than the CG
-// iterations it saves; above it the mesh-independent iteration count wins —
-// decisively so at the 2–4× refined resolutions of convergence studies.
-// The default-resolution axisymmetric block (~2k cells) stays on SSOR; the
-// 3-D and refined solves cross over.
-const mgAutoThreshold = 4000
+// directBudget bounds the cost n·b² — unknowns times the squared half-
+// bandwidth; a banded Cholesky factorization takes about n·b²/2 multiply-
+// adds — of the grids solved direct. Grids at or above it get multigrid-
+// preconditioned CG. It sits between the axisymmetric grids where each
+// method wins fresh solves (EXPERIMENTS.md, "Direct or multigrid"): the
+// factor at 2× the default mesh (n·b² = 1.7e7), multigrid from 3× (8.6e7).
+const directBudget = 5e7
 
-// sparseDefaults returns the iterative-solver settings used by the stack
-// reference solves: tight tolerance (the reference must out-resolve the
-// models it judges) with a generous iteration budget. The preconditioner is
-// left at PrecondDefault so resolveSolver can choose per system.
-func sparseDefaults() sparse.Options {
-	return sparse.Options{Tol: 1e-10}
-}
+// mgMaxIter budgets multigrid-preconditioned CG, which converges in a
+// mesh-independent 10–20 iterations on these grids: reaching it means the
+// solve did not converge, caught early instead of after the 10·n default.
+const mgMaxIter = 200
 
-// resolveSolver finalizes the solver options for an assembled system: the
-// default preconditioner becomes multigrid at mgAutoThreshold unknowns and
-// above, SSOR below; an explicit PrecondMG request gets its hierarchy built
-// here; a grid that cannot support a hierarchy falls back to SSOR; and an
-// unset MaxIter scales with the preconditioner instead of the system size.
-// A pre-built Options.MG is reused as-is.
-func resolveSolver(opt sparse.Options, a *sparse.Stencil) sparse.Options {
-	return resolveSolverWith(nil, asmKey{}, opt, a)
-}
-
-// resolveSolverWith is resolveSolver drawing the multigrid hierarchy from
-// sc's cache (reused when the operator values are unchanged, rebuilt through
-// the predecessor's recycled arena otherwise). A nil sc builds fresh.
-func resolveSolverWith(sc *SolveContext, key asmKey, opt sparse.Options, a *sparse.Stencil) sparse.Options {
-	auto := opt.Precond == sparse.PrecondDefault
-	if opt.MG == nil && (opt.Precond == sparse.PrecondMG || (auto && a.Rows() >= mgAutoThreshold)) {
-		if h, err := sc.hierarchyFor(key, a); err == nil {
-			if auto {
-				obs.Default().Counter("fem.mg.auto").Inc()
+// solveSystem solves a·x = b, assembled under key, by the one grid rule: a
+// grid with n·b² < directBudget by banded Cholesky, with the factor cached
+// in sc; any other grid, or an explicit PrecondMG request, by multigrid-
+// preconditioned CG with a hierarchy from sc's cache. A grid too small to
+// coarsen falls back to the factor. ctx is checked before factoring, before
+// the factor's sweeps and between CG iterations. An unset CG MaxIter
+// becomes mgMaxIter, and sc.WarmStart seeds CG with the previous solution
+// of the same shape.
+//
+// The "fem.precond" span covers the hierarchy build of a CG solve, whose
+// iteration gets its own "sparse.cg" span, and the whole of a direct solve,
+// so it carries what a direct solve did: method, half-bandwidth, factor
+// reuse and residual.
+func (sc *SolveContext) solveSystem(ctx context.Context, key asmKey, a *sparse.Stencil, b []float64, opt sparse.Options) ([]float64, sparse.Stats, error) {
+	_, sp := obs.StartSpan(ctx, "fem.precond")
+	defer sp.End()
+	if opt.Pool == nil {
+		opt.Pool = sc.scratch()
+	}
+	n, bw := float64(a.Rows()), float64(a.HalfBandwidth())
+	if opt.Precond == sparse.PrecondMG || n*bw*bw >= directBudget {
+		h, err := sc.hierarchyFor(key, a)
+		if err == nil {
+			opt.Precond, opt.MG = sparse.PrecondMG, h
+			if opt.MaxIter == 0 {
+				opt.MaxIter = mgMaxIter
 			}
-			opt.Precond = sparse.PrecondMG
-			opt.MG = h
-		} else {
-			// A grid too small to coarsen or a degenerate operator: Stats
-			// reports the preconditioner that actually ran.
-			obs.Default().Counter("fem.mg.fallback").Inc()
+			if opt.X0 == nil {
+				opt.X0 = sc.warmX0(key, a.Rows())
+			}
+			sp.Set("precond", opt.Precond.String())
+			sp.End()
+			return sparse.SolveCGCtx(ctx, a, b, opt)
 		}
+		obs.Default().Counter("fem.mg.fallback").Inc()
 	}
-	if opt.Precond != sparse.PrecondMG || opt.MG == nil {
-		opt.Precond = sparse.PrecondSSOR
+	if err := ctx.Err(); err != nil {
+		return nil, sparse.Stats{}, err
 	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = maxIterFor(opt.Precond, a.Rows())
+	f, reused, borrowed, err := sc.factorFor(key, a)
+	defer releaseBand(borrowed)
+	if err != nil {
+		return nil, sparse.Stats{}, err
 	}
-	return opt
-}
-
-// maxIterFor budgets CG iterations by preconditioner rather than the flat
-// 10·n default: multigrid converges in a mesh-independent handful of
-// iterations, SSOR in O(√κ) ≈ O(√n) on these second-order elliptic systems.
-// Each budget is several times the observed count, so hitting one genuinely
-// means "did not converge", caught early instead of after 10·n wasted
-// iterations.
-func maxIterFor(p sparse.PrecondKind, n int) int {
-	if p == sparse.PrecondMG {
-		return 200
-	}
-	return 40*int(math.Sqrt(float64(n))) + 1000
+	x, st, err := sparse.SolveCholesky(ctx, a, f, b, opt.Pool)
+	st.Reused = reused
+	sp.Set("precond", "direct")
+	sp.Set("iterations", 0)
+	sp.Set("half_bandwidth", st.Bandwidth)
+	sp.Set("reused", st.Reused)
+	sp.Set("residual", st.Residual)
+	return x, st, err
 }
 
 // solveErr wraps a linear-solver failure with the system context; iteration

@@ -82,8 +82,9 @@ func TestAssemblyRejectsNonFiniteSource(t *testing.T) {
 }
 
 // Regression: SolveAxiTransient used to discard the per-step CG statistics.
+// Multigrid is forced: the grid rule would solve this grid direct.
 func TestTransientAccumulatesStats(t *testing.T) {
-	r, _ := mesh.Uniform(0, 1e-4, 3)
+	r, _ := mesh.Uniform(0, 1e-4, 24)
 	z, _ := mesh.Uniform(0, 1e-3, 20)
 	p := &AxiProblem{
 		REdges: r, ZEdges: z,
@@ -93,7 +94,7 @@ func TestTransientAccumulatesStats(t *testing.T) {
 		Bottom: Fixed(0), Top: Insulated(), Outer: Insulated(),
 	}
 	const steps = 5
-	tr, err := SolveAxiTransient(p, 1e-3, steps, sparse.Options{Tol: 1e-10})
+	tr, err := SolveAxiTransient(p, 1e-3, steps, sparse.Options{Tol: 1e-10, Precond: sparse.PrecondMG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +104,8 @@ func TestTransientAccumulatesStats(t *testing.T) {
 	if tr.Stats.Wall <= 0 {
 		t.Errorf("aggregated wall time %v not populated", tr.Stats.Wall)
 	}
-	if tr.Stats.Precond == sparse.PrecondDefault {
-		t.Errorf("preconditioner not resolved: %+v", tr.Stats)
+	if tr.Stats.Precond != sparse.PrecondMG {
+		t.Errorf("multigrid did not run: %+v", tr.Stats)
 	}
 	if tr.Final.Stats != tr.Stats {
 		t.Errorf("Final.Stats %+v differs from aggregate %+v", tr.Final.Stats, tr.Stats)

@@ -325,7 +325,5 @@ func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res R
 		return nil, err
 	}
 	sp.Set("planes", len(s.Planes))
-	o := sparseDefaults()
-	o.Precond = res.Precond
-	return SolveAxiWith(ctx, sc, p, o)
+	return SolveAxiWith(ctx, sc, p, sparse.Options{Precond: res.Precond})
 }

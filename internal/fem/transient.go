@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -25,8 +26,11 @@ type AxiTransient struct {
 
 // SolveAxiTransient integrates the problem for steps·dt seconds. The problem
 // must supply a Cap function (volumetric heat capacity). Each implicit step
-// solves (M/dt + K)·T' = M/dt·T + q with conjugate gradients warm-started
-// from the previous instant.
+// solves (M/dt + K)·T' = M/dt·T + q. The step operator is fixed, so the grid
+// rule is applied to it once: a banded Cholesky factor, formed once, makes
+// every step two triangular sweeps; on a grid above the direct budget one
+// multigrid hierarchy serves CG at every step, warm-started from the
+// previous instant.
 func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options) (*AxiTransient, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return nil, fmt.Errorf("fem: transient step %g must be positive and finite", dt)
@@ -69,15 +73,13 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 	if o.Tol == 0 {
 		o.Tol = 1e-10
 	}
-	// Resolve the preconditioner against the step operator, not the steady
-	// one: K + M/dt is what every implicit step solves. The operator is
-	// fixed across steps, so one multigrid hierarchy (built here by
-	// resolveSolver and carried in o.MG) serves the whole integration,
-	// and one scratch pool serves every step's CG work vectors.
-	o = resolveSolver(o, stepOp)
-	if o.Pool == nil {
-		o.Pool = &sparse.Pool{}
-	}
+	// Every step solves the step operator K + M/dt, not the steady one,
+	// through one private context: the first step factors it (or builds its
+	// hierarchy), and each later step finds the coefficients unchanged and
+	// reuses the factor, its scratch pool and the hierarchy.
+	sc := NewSolveContext()
+	defer sc.Close()
+	ctx := context.Background()
 	x := make([]float64, n)
 	rhs := make([]float64, n)
 	out := &AxiTransient{}
@@ -86,7 +88,7 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 			rhs[i] = sys.rhs[i] + mOverDt[i]*x[i]
 		}
 		o.X0 = x
-		xNew, st, err := sparse.SolveCG(stepOp, rhs, o)
+		xNew, st, err := sc.solveSystem(ctx, asmKey{}, stepOp, rhs, o)
 		if err != nil {
 			return nil, solveErr(fmt.Sprintf("transient step %d", k), n, st, err)
 		}

@@ -142,9 +142,9 @@ type Hierarchy struct {
 // geometric for 1–2, smoothed-aggregation Galerkin for 3. The operator must
 // be symmetric positive definite with a positive diagonal — on 1–2 axes also
 // a conductance network (nonpositive off-diagonals); Build fails — and the
-// caller falls back to a single-level preconditioner — when it is not, or
-// when it cannot coarsen. The hierarchy's finest level runs on a itself, so
-// a must not change while the hierarchy is in use.
+// caller falls back to a direct solve — when it is not, or when it cannot
+// coarsen. The hierarchy's finest level runs on a itself, so a must not
+// change while the hierarchy is in use.
 func Build(a *sparse.Stencil, opt Options) (*Hierarchy, error) {
 	return build(a, opt, len(a.Dims()) < 3)
 }

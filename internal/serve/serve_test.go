@@ -383,6 +383,8 @@ func TestBadRequests(t *testing.T) {
 			http.StatusBadRequest, "more than the maximum 10000"},
 		{"tran steps above cap", "/deck", "t\nb1 side=100um\np1 tsi=500um td=4um\np2 tsi=45um td=4um tb=1um\nv1 r=10um tl=1um\n.tran dt=1us steps=2000000000 model=b segments=10000\n",
 			http.StatusBadRequest, "steps must be at most 10000"},
+		{"removed ssor preconditioner", "/solve", `{"models": {"model": "ref", "precond": "ssor"}}`,
+			http.StatusBadRequest, "unknown preconditioner \"ssor\""},
 		// ref_workers, operator, mg_hierarchy and mg_precision are not spec
 		// fields: every reference solve runs on the caller's goroutine, and
 		// its operator and hierarchy follow from the preconditioner and the

@@ -1,12 +1,9 @@
-// Package sparse implements sparse matrices and iterative Krylov solvers
-// used by the distributed TTSV model (Model B) at large segment counts and
-// by the finite-volume heat-conduction reference solver.
-//
-// General networks accumulate entries into a COO builder during assembly
-// (duplicates sum) and convert once to CSR; structured grids fill a
-// matrix-free Stencil's coefficient arrays directly. Either then runs a
-// preconditioned Conjugate Gradient on the symmetric positive definite
-// system.
+// Package sparse implements the linear algebra of the finite-volume
+// heat-conduction reference solver: the matrix-free Stencil its structured
+// grids fill directly, a banded Cholesky factorization of it, and Conjugate
+// Gradient with a multigrid hook for grids too large to factor. CSR holds
+// the multigrid hierarchy's coarse Galerkin operators and the tests'
+// reference matrices, which the COO builder assembles.
 package sparse
 
 import (

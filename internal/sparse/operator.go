@@ -3,7 +3,7 @@ package sparse
 import "math"
 
 // Operator is the read-only matrix contract the iterative solvers and the
-// multigrid smoother consume: everything CG, SSOR and the multigrid cycle
+// multigrid smoother consume: everything CG and the multigrid cycle
 // need from A without committing to a storage format. *CSR implements it,
 // as does the matrix-free Stencil for structured grids.
 //

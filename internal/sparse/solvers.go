@@ -15,14 +15,14 @@ import (
 var ErrNotConverged = errors.New("sparse: iterative solver did not converge")
 
 // Options configures the iterative solvers. The zero value selects sensible
-// defaults (rtol 1e-10, 10·n iterations, SSOR preconditioning).
+// defaults (rtol 1e-10, 10·n iterations, no preconditioner).
 type Options struct {
 	// Tol is the relative residual tolerance ||r||/||b||. Zero means 1e-10.
 	Tol float64
 	// MaxIter caps the iteration count. Zero means 10·n (at least 100).
 	MaxIter int
 	// Precond selects the preconditioner for PCG. The zero value
-	// (PrecondDefault) resolves to SSOR.
+	// (PrecondDefault) runs plain CG.
 	Precond PrecondKind
 	// X0 optionally supplies an initial guess (copied, not modified).
 	X0 []float64
@@ -59,11 +59,8 @@ type PrecondKind int
 
 const (
 	// PrecondDefault lets the caller of the solver pick; the solvers in this
-	// package treat it as SSOR.
+	// package run it as plain, unpreconditioned CG.
 	PrecondDefault PrecondKind = iota
-	// PrecondSSOR applies a symmetric successive-over-relaxation sweep
-	// (omega = 1, i.e. symmetric Gauss-Seidel) as the preconditioner.
-	PrecondSSOR
 	// PrecondMG applies one cycle of a multigrid hierarchy supplied via
 	// Options.MG. On the structured finite-volume grids of this repository
 	// the CG iteration count becomes essentially mesh-independent, which is
@@ -75,8 +72,6 @@ func (p PrecondKind) String() string {
 	switch p {
 	case PrecondDefault:
 		return "default"
-	case PrecondSSOR:
-		return "ssor"
 	case PrecondMG:
 		return "multigrid"
 	default:
@@ -91,15 +86,14 @@ func ParsePrecond(s string) (PrecondKind, error) {
 	switch s {
 	case "auto", "default", "":
 		return PrecondDefault, nil
-	case "ssor":
-		return PrecondSSOR, nil
 	case "mg", "multigrid":
 		return PrecondMG, nil
 	}
-	return PrecondDefault, fmt.Errorf("sparse: unknown preconditioner %q (want auto, ssor or mg)", s)
+	return PrecondDefault, fmt.Errorf("sparse: unknown preconditioner %q (want auto or mg)", s)
 }
 
-// Stats reports what an iterative solve did.
+// Stats reports what a solve did: a CG iteration, or a direct banded
+// Cholesky solve (Direct).
 type Stats struct {
 	// Iterations actually performed.
 	Iterations int
@@ -114,9 +108,24 @@ type Stats struct {
 	// Levels is the multigrid hierarchy depth when Precond is PrecondMG,
 	// zero otherwise.
 	Levels int
+	// Direct reports a banded Cholesky solve (SolveCholesky): Iterations is
+	// 0 and Residual is the true ‖b − A·x‖/‖b‖ of the result.
+	Direct bool
+	// Bandwidth is the half-bandwidth of a direct solve's factor.
+	Bandwidth int
+	// Reused reports that a direct solve served a factor cached from an
+	// earlier solve of the same operator instead of factoring.
+	Reused bool
 }
 
 func (s Stats) String() string {
+	if s.Direct {
+		factor := "new"
+		if s.Reused {
+			factor = "reused"
+		}
+		return fmt.Sprintf("direct (banded Cholesky, half-bandwidth %d, %s factor), 0 iterations, residual %.3g", s.Bandwidth, factor, s.Residual)
+	}
 	out := fmt.Sprintf("%d iterations, residual %.3g, precond %v", s.Iterations, s.Residual, s.Precond)
 	if s.Levels > 0 {
 		out += fmt.Sprintf(" (%d levels)", s.Levels)
@@ -145,106 +154,31 @@ type preconditioner interface {
 	apply(z, r []float64)
 }
 
-// releaser is implemented by preconditioners whose workspace came from a
-// pool's scratch free-list; the solver releases them when the solve ends.
-type releaser interface {
-	release()
-}
-
-// ssorPrecond implements M = (D+L) D^-1 (D+U) with omega = 1.
-type ssorPrecond struct {
-	a    triangular
-	diag []float64
-	pool *Pool
-}
-
-// triangular is what SSOR needs beyond an Operator: the forward sweep
-// (D+L)·z = r and the in-place backward sweep (D+U)·z = z, each row
-// subtracting its strictly lower (upper) entries in ascending column order
-// before dividing by d. *CSR and *Stencil implement it with the same
-// per-row order, so SSOR over either gives bit-identical results.
-type triangular interface {
-	Operator
-	lowerSolve(z, r, d []float64)
-	upperSolve(z, d []float64)
-}
-
-// newSSOR builds the SSOR preconditioner. Its sweeps need the operator's
-// triangles, which the CSR and the stencil expose.
-func newSSOR(op Operator, pl *Pool) (*ssorPrecond, error) {
-	a, ok := op.(triangular)
-	if !ok {
-		return nil, fmt.Errorf("sparse: ssor preconditioner needs a *CSR or *Stencil operator, got %T", op)
-	}
-	d := a.DiagonalInto(pl.Grab(a.Rows()))
-	for i, v := range d {
-		if v == 0 {
-			pl.Release(d)
-			return nil, fmt.Errorf("sparse: ssor preconditioner: zero diagonal at row %d", i)
-		}
-	}
-	return &ssorPrecond{a: a, diag: d, pool: pl}, nil
-}
-
-func (p *ssorPrecond) release() { p.pool.Release(p.diag) }
-
-func (p *ssorPrecond) apply(z, r []float64) {
-	d := p.diag
-	p.a.lowerSolve(z, r, d)
-	// Scale by D: y = D·y.
-	for i := range z {
-		z[i] *= d[i]
-	}
-	p.a.upperSolve(z, d)
-}
-
-// lowerSolve implements triangular.
-func (m *CSR) lowerSolve(z, r, d []float64) {
-	for i := 0; i < m.rows; i++ {
-		s := r[i]
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if j := m.colIdx[k]; j < i {
-				s -= m.val[k] * z[j]
-			}
-		}
-		z[i] = s / d[i]
-	}
-}
-
-// upperSolve implements triangular.
-func (m *CSR) upperSolve(z, d []float64) {
-	for i := m.rows - 1; i >= 0; i-- {
-		s := z[i]
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if j := m.colIdx[k]; j > i {
-				s -= m.val[k] * z[j]
-			}
-		}
-		z[i] = s / d[i]
-	}
-}
-
 // mgPrecond adapts an MGSolver hierarchy to the internal preconditioner
 // interface.
 type mgPrecond struct{ h MGSolver }
 
 func (m mgPrecond) apply(z, r []float64) { m.h.Cycle(z, r) }
 
-func makePrecond(a Operator, kind PrecondKind, mg MGSolver, pl *Pool) (preconditioner, PrecondKind, error) {
+// identity is plain CG's preconditioner: z = r.
+type identity struct{}
+
+func (identity) apply(z, r []float64) { copy(z, r) }
+
+func makePrecond(a Operator, kind PrecondKind, mg MGSolver) (preconditioner, error) {
 	switch kind {
-	case PrecondDefault, PrecondSSOR:
-		p, err := newSSOR(a, pl)
-		return p, PrecondSSOR, err
+	case PrecondDefault:
+		return identity{}, nil
 	case PrecondMG:
 		if mg == nil {
-			return nil, kind, fmt.Errorf("sparse: PrecondMG requires Options.MG (build a hierarchy with internal/mg)")
+			return nil, fmt.Errorf("sparse: PrecondMG requires Options.MG (build a hierarchy with internal/mg)")
 		}
 		if mg.Size() != a.Rows() {
-			return nil, kind, fmt.Errorf("sparse: multigrid hierarchy built for %d unknowns, matrix has %d", mg.Size(), a.Rows())
+			return nil, fmt.Errorf("sparse: multigrid hierarchy built for %d unknowns, matrix has %d", mg.Size(), a.Rows())
 		}
-		return mgPrecond{h: mg}, PrecondMG, nil
+		return mgPrecond{h: mg}, nil
 	default:
-		return nil, kind, fmt.Errorf("sparse: unknown preconditioner %v", kind)
+		return nil, fmt.Errorf("sparse: unknown preconditioner %v", kind)
 	}
 }
 
@@ -314,12 +248,10 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 		}
 		return st
 	}
-	pre, kind, err := makePrecond(a, opt.Precond, opt.MG, pl)
+	kind := opt.Precond
+	pre, err := makePrecond(a, kind, opt.MG)
 	if err != nil {
 		return nil, stats(0, 0, kind), err
-	}
-	if rel, ok := pre.(releaser); ok {
-		defer rel.release()
 	}
 	// x escapes (it is the returned solution); the other four vectors are
 	// pure scratch, fully overwritten before first read, so they come from

@@ -41,20 +41,46 @@ func TestSolveCGLaplacian(t *testing.T) {
 	}
 }
 
+// jacobiCycle is a stand-in multigrid hierarchy for the PrecondMG hook: one
+// "cycle" is a diagonal (Jacobi) scaling, a fixed SPD operator as the
+// MGSolver contract requires.
+type jacobiCycle struct{ d []float64 }
+
+func newJacobiCycle(a Operator) jacobiCycle {
+	return jacobiCycle{d: a.DiagonalInto(make([]float64, a.Rows()))}
+}
+
+func (j jacobiCycle) Cycle(z, r []float64) {
+	for i := range z {
+		z[i] = r[i] / j.d[i]
+	}
+}
+func (j jacobiCycle) Levels() int { return 1 }
+func (j jacobiCycle) Size() int   { return len(j.d) }
+
 func TestSolveCGAllPreconditioners(t *testing.T) {
 	a := laplacian1D(200)
 	b := make([]float64, 200)
 	for i := range b {
 		b[i] = math.Sin(float64(i))
 	}
-	for _, p := range []PrecondKind{PrecondDefault, PrecondSSOR} {
-		x, st, err := SolveCG(a, b, Options{Precond: p})
+	for _, p := range []PrecondKind{PrecondDefault, PrecondMG} {
+		x, st, err := SolveCG(a, b, Options{Precond: p, MG: newJacobiCycle(a)})
 		if err != nil {
 			t.Fatalf("precond %v: %v", p, err)
 		}
 		if r := a.Residual(x, b); r > 1e-7 {
 			t.Fatalf("precond %v: residual %g after %d iters", p, r, st.Iterations)
 		}
+		if st.Precond != p {
+			t.Errorf("asked for %v, ran %v", p, st.Precond)
+		}
+	}
+	if _, _, err := SolveCG(a, b, Options{Precond: PrecondMG}); err == nil {
+		t.Error("PrecondMG without a hierarchy accepted")
+	}
+	if _, _, err := SolveCG(a, b, Options{Precond: PrecondMG, MG: newJacobiCycle(laplacian1D(10))}); err == nil {
+		t.Error("PrecondMG with a hierarchy of the wrong size accepted")
 	}
 }
 
@@ -162,8 +188,7 @@ func TestCGLinearityProperty(t *testing.T) {
 }
 
 func TestPrecondKindString(t *testing.T) {
-	if PrecondSSOR.String() != "ssor" || PrecondDefault.String() != "default" ||
-		PrecondMG.String() != "multigrid" {
+	if PrecondDefault.String() != "default" || PrecondMG.String() != "multigrid" {
 		t.Error("PrecondKind.String wrong")
 	}
 	if PrecondKind(99).String() == "" {
@@ -179,8 +204,8 @@ func TestSolveCGDefaultPrecondSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Precond != PrecondSSOR {
-		t.Errorf("default precond %v, want ssor", st.Precond)
+	if st.Precond != PrecondDefault || st.Levels != 0 {
+		t.Errorf("default precond %v (%d levels), want plain CG", st.Precond, st.Levels)
 	}
 }
 

@@ -141,64 +141,6 @@ func (s *Stencil) Each(fn func(i, j int, v float64)) {
 	}
 }
 
-// lowerSolve implements triangular: the forward Gauss–Seidel sweep
-// (D+L)·z = r, subtracting the −z, −y, −x neighbors in that (ascending
-// column) order like the CSR sweep.
-func (s *Stencil) lowerSolve(z, r, d []float64) {
-	nx, nxy := s.nx, s.nxy
-	ox, oy, oz := s.off[0], s.off[1], s.off[2]
-	ix, iy, iz := 0, 0, 0
-	for i := 0; i < s.n; i++ {
-		v := r[i]
-		if iz > 0 {
-			v -= oz[i-nxy] * z[i-nxy]
-		}
-		if iy > 0 {
-			v -= oy[i-nx] * z[i-nx]
-		}
-		if ix > 0 {
-			v -= ox[i-1] * z[i-1]
-		}
-		z[i] = v / d[i]
-		if ix++; ix == nx {
-			ix = 0
-			if iy++; iy == s.ny {
-				iy = 0
-				iz++
-			}
-		}
-	}
-}
-
-// upperSolve implements triangular: the backward sweep (D+U)·z = z in
-// place, from the last row up, subtracting the +x, +y, +z neighbors in that
-// (ascending column) order like the CSR sweep.
-func (s *Stencil) upperSolve(z, d []float64) {
-	nx, ny, nz, nxy := s.nx, s.ny, s.nz, s.nxy
-	ox, oy, oz := s.off[0], s.off[1], s.off[2]
-	ix, iy, iz := nx-1, ny-1, nz-1
-	for i := s.n - 1; i >= 0; i-- {
-		v := z[i]
-		if ix+1 < nx {
-			v -= ox[i] * z[i+1]
-		}
-		if iy+1 < ny {
-			v -= oy[i] * z[i+nx]
-		}
-		if iz+1 < nz {
-			v -= oz[i] * z[i+nxy]
-		}
-		z[i] = v / d[i]
-		if ix--; ix < 0 {
-			ix = nx - 1
-			if iy--; iy < 0 {
-				iy = ny - 1
-				iz--
-			}
-		}
-	}
-}
-
 // coords decomposes row i into its grid coordinates.
 func (s *Stencil) coords(i int) (ix, iy, iz int) {
 	iz = i / s.nxy

@@ -158,26 +158,28 @@ func TestNewStencilCoeffsRejectsBadShapes(t *testing.T) {
 }
 
 // End to end: CG over the Stencil must return bit-identical solutions and
-// iteration counts to CG over the CSR built from its entry walk under SSOR,
-// whose triangular sweeps walk the operator differently from the products.
+// iteration counts to CG over the CSR built from its entry walk, plain and
+// through the multigrid hook.
 func TestSolveCGStencilMatchesCSR(t *testing.T) {
 	st := gridStencil([]int{9, 8, 5}, 41)
 	a := stencilCSR(st)
 	b := randomVec(a.Rows(), 11)
-	xc, sc, err := SolveCG(a, b, Options{Precond: PrecondSSOR})
-	if err != nil {
-		t.Fatalf("csr: %v", err)
-	}
-	xs, ss, err := SolveCG(st, b, Options{Precond: PrecondSSOR})
-	if err != nil {
-		t.Fatalf("stencil: %v", err)
-	}
-	if sc.Iterations != ss.Iterations {
-		t.Fatalf("iteration count differs: %d vs %d", sc.Iterations, ss.Iterations)
-	}
-	for i := range xc {
-		if xc[i] != xs[i] {
-			t.Fatalf("solution differs at %d: %x vs %x", i, xc[i], xs[i])
+	for _, p := range []PrecondKind{PrecondDefault, PrecondMG} {
+		xc, sc, err := SolveCG(a, b, Options{Precond: p, MG: newJacobiCycle(a)})
+		if err != nil {
+			t.Fatalf("%v csr: %v", p, err)
+		}
+		xs, ss, err := SolveCG(st, b, Options{Precond: p, MG: newJacobiCycle(st)})
+		if err != nil {
+			t.Fatalf("%v stencil: %v", p, err)
+		}
+		if sc.Iterations != ss.Iterations {
+			t.Fatalf("%v: iteration count differs: %d vs %d", p, sc.Iterations, ss.Iterations)
+		}
+		for i := range xc {
+			if xc[i] != xs[i] {
+				t.Fatalf("%v: solution differs at %d: %x vs %x", p, i, xc[i], xs[i])
+			}
 		}
 	}
 }

@@ -14,18 +14,31 @@ import (
 	ttsv "repro"
 )
 
+// mgResolution is the default mesh with multigrid forced, so the solve
+// runs CG and feeds its series (the grid rule would solve it direct).
+func mgResolution() ttsv.Resolution {
+	res := ttsv.DefaultResolution()
+	res.Precond = ttsv.PrecondMG
+	return res
+}
+
 func TestMetricsThroughFacade(t *testing.T) {
 	s, err := ttsv.Fig4Block(10e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ttsv.Metrics().Counters["sparse.cg.solves"]
+	before := ttsv.Metrics().Counters
+	if _, _, err := ttsv.SolveReferenceStats(s, mgResolution()); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := ttsv.SolveReferenceStats(s, ttsv.DefaultResolution()); err != nil {
 		t.Fatal(err)
 	}
 	snap := ttsv.Metrics()
-	if got := snap.Counters["sparse.cg.solves"]; got != before+1 {
-		t.Errorf("sparse.cg.solves = %d, want %d", got, before+1)
+	for name, want := range map[string]int64{"sparse.cg.solves": 1, "fem.direct.factors": 1} {
+		if got := snap.Counters[name] - before[name]; got != want {
+			t.Errorf("%s moved by %d, want %d", name, got, want)
+		}
 	}
 	h, ok := snap.Histograms["sparse.cg.iterations"]
 	if !ok {
@@ -47,7 +60,7 @@ func TestTraceContextEmitsSolverSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tr := ttsv.NewTracer(&buf)
 	ctx := ttsv.TraceContext(context.Background(), tr)
-	if _, _, err := ttsv.SolveReferenceStatsCtx(ctx, s, ttsv.DefaultResolution()); err != nil {
+	if _, _, err := ttsv.SolveReferenceStatsCtx(ctx, s, mgResolution()); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Err(); err != nil {
@@ -77,7 +90,7 @@ func TestDisableMetricsStopsRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ttsv.SolveReferenceStats(s, ttsv.DefaultResolution()); err != nil {
+	if _, _, err := ttsv.SolveReferenceStats(s, mgResolution()); err != nil {
 		t.Fatal(err)
 	}
 	snap := ttsv.Metrics()
@@ -85,7 +98,7 @@ func TestDisableMetricsStopsRecording(t *testing.T) {
 		t.Errorf("disabled registry recorded %d series", len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms))
 	}
 	ttsv.EnableMetrics()
-	if _, _, err := ttsv.SolveReferenceStats(s, ttsv.DefaultResolution()); err != nil {
+	if _, _, err := ttsv.SolveReferenceStats(s, mgResolution()); err != nil {
 		t.Fatal(err)
 	}
 	if ttsv.Metrics().Counters["sparse.cg.solves"] != 1 {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	ttsv "repro"
-	"repro/internal/sparse"
 )
 
 func TestSweepThroughFacade(t *testing.T) {
@@ -66,14 +65,11 @@ func TestSolveReferenceStatsThroughFacade(t *testing.T) {
 	if max != plain {
 		t.Errorf("SolveReferenceStats ΔT %g != SolveReference %g", max, plain)
 	}
-	if stats.Iterations <= 0 {
-		t.Errorf("iterative reference solve reported %d iterations", stats.Iterations)
+	if !stats.Direct || stats.Iterations != 0 || stats.Bandwidth <= 0 {
+		t.Errorf("default-mesh reference solve ran %v, want the direct solve", stats)
 	}
 	if stats.Residual <= 0 {
 		t.Errorf("residual %g not populated", stats.Residual)
-	}
-	if stats.Precond != sparse.PrecondSSOR {
-		t.Errorf("preconditioner %v, want SSOR", stats.Precond)
 	}
 	if stats.String() == "" {
 		t.Error("stats String is empty")
@@ -144,7 +140,7 @@ func TestReferenceModelThroughFacade(t *testing.T) {
 	if r.MaxDT != want {
 		t.Errorf("ReferenceModel ΔT %g != SolveReference %g", r.MaxDT, want)
 	}
-	if r.Solver.Iterations <= 0 {
+	if !r.Solver.Direct || r.Solver.Residual <= 0 {
 		t.Errorf("Result.Solver not populated: %+v", r.Solver)
 	}
 }

@@ -124,8 +124,8 @@ type (
 	// SweepShardSpec selects one chain-aligned slice of a sweep batch; see
 	// ParseSweepShard and DeckSweepControl.Shard.
 	SweepShardSpec = sweep.ShardSpec
-	// SolverStats reports an iterative linear solve (iterations, residual,
-	// preconditioner); see Result.Solver and SolveReferenceStats.
+	// SolverStats reports a reference linear solve (direct or CG: method,
+	// iterations, residual); see Result.Solver and SolveReferenceStats.
 	SolverStats = sparse.Stats
 	// PrecondKind selects the reference solver's preconditioner; see
 	// Resolution.Precond and the Precond* constants.
@@ -172,18 +172,19 @@ type (
 	MetricsSnapshot = obs.Snapshot
 )
 
-// Preconditioner choices for Resolution.Precond. PrecondAuto picks per
-// system: multigrid from a few thousand unknowns up, SSOR below. Multigrid
-// builds the hierarchy its grid calls for: geometric on the axisymmetric
-// reference, smoothed-aggregation Galerkin on 3-D grids.
+// Preconditioner choices for Resolution.Precond. PrecondAuto applies the
+// grid rule: a banded Cholesky solve where unknowns × half-bandwidth² is
+// under a fixed budget (the default and 2× meshes), multigrid-preconditioned
+// CG above it. PrecondMG forces multigrid, which builds the hierarchy its
+// grid calls for: geometric on the axisymmetric reference,
+// smoothed-aggregation Galerkin on 3-D grids.
 const (
 	PrecondAuto = sparse.PrecondDefault
-	PrecondSSOR = sparse.PrecondSSOR
 	PrecondMG   = sparse.PrecondMG
 )
 
-// ParsePrecond converts a command-line spelling ("auto", "ssor", "mg") into
-// a PrecondKind.
+// ParsePrecond converts a command-line spelling ("auto", "mg") into a
+// PrecondKind.
 func ParsePrecond(s string) (PrecondKind, error) { return sparse.ParsePrecond(s) }
 
 // Stock materials (conductivities from the paper's §IV).
@@ -246,16 +247,16 @@ func SolveReference(s *Stack, res Resolution) (float64, error) {
 	return max, err
 }
 
-// SolveReferenceStats is SolveReference returning the iterative solver's
-// statistics (iteration count, final residual, preconditioner, wall time)
-// alongside the maximum temperature rise.
+// SolveReferenceStats is SolveReference returning the linear solver's
+// statistics (method, iteration count, residual, wall time) alongside the
+// maximum temperature rise.
 func SolveReferenceStats(s *Stack, res Resolution) (float64, SolverStats, error) {
 	return SolveReferenceStatsCtx(context.Background(), s, res)
 }
 
 // SolveReferenceStatsCtx is SolveReferenceStats honoring cancellation: the
-// solver checks ctx between conjugate-gradient iterations, so a cancelled
-// caller does not run an in-flight solve to completion.
+// solver checks ctx before factoring, before a direct solve's sweeps and
+// between conjugate-gradient iterations.
 func SolveReferenceStatsCtx(ctx context.Context, s *Stack, res Resolution) (float64, SolverStats, error) {
 	sol, err := fem.SolveStackCtx(ctx, s, res)
 	if err != nil {
@@ -269,16 +270,17 @@ func SolveReferenceStatsCtx(ctx context.Context, s *Stack, res Resolution) (floa
 // can join sweeps and planning runs next to the analytical models. The zero
 // Resolution selects DefaultResolution. The returned model supports sweep
 // cancellation (core.ContextSolver), so cancelling a Sweep stops its
-// in-flight reference solves between solver iterations, and cross-solve reuse
+// in-flight reference solves, and cross-solve reuse
 // (core.ReusableSolver): Sweep workers automatically cache its assembly
-// patterns, multigrid hierarchies and solver scratch across jobs.
+// patterns, factors, multigrid hierarchies and solver scratch across jobs.
 func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} }
 
 // NewSolveContext returns a reuse context for repeated reference solves
 // outside of Sweep (which manages contexts itself): assembly patterns,
-// multigrid hierarchies and solver scratch carry over between solves through
-// it. Reuse never changes results — a solve through a context is
-// bit-identical to one without — and Close drops the held scratch vectors.
+// banded Cholesky factors, multigrid hierarchies and solver scratch carry
+// over between solves through it. Reuse never changes results — a solve
+// through a context is bit-identical to one without — and Close drops the
+// held scratch vectors and factors.
 // A context serves one solve at a time (use one per goroutine). Setting
 // WarmStart additionally seeds each solve from the previous solution of the
 // same system shape, which changes the CG iterate sequence but not the
@@ -287,7 +289,8 @@ func NewSolveContext() *SolveContext { return fem.NewSolveContext() }
 
 // SolveReferenceStatsWith is SolveReferenceStatsCtx solving through a reuse
 // context; pass the same non-nil sc across a parameter sweep's solves to
-// skip re-deriving the sparsity pattern and multigrid hierarchy each time.
+// skip re-deriving the sparsity pattern, factor and multigrid hierarchy each
+// time.
 func SolveReferenceStatsWith(ctx context.Context, sc *SolveContext, s *Stack, res Resolution) (float64, SolverStats, error) {
 	sol, err := fem.SolveStackWith(ctx, sc, s, res)
 	if err != nil {
