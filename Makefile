@@ -48,8 +48,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # bench-json archives the reference-solver costs (the BenchmarkReference*
-# family, including the multigrid variants with their cgiters/mglevels
-# metrics, plus the SweepReuse/SweepNoReuse A/B pair) and the analytic
+# family, including the multigrid variants and the 3-D Fig. 4 block with
+# their cgiters/mglevels metrics, plus the SweepReuse sweep) and the analytic
 # models' costs (the Table1Model* and TransientModel* rows) as JSON. The
 # committed BENCH_ref.json is regenerated with the defaults below — plain
 # `make bench-json` — so archive and compare always run the identical
@@ -63,7 +63,7 @@ bench:
 BENCHTIME ?= 2x
 BENCHCOUNT ?= 3
 BENCH_OUT ?= BENCH_ref.json
-BENCH_PATTERN ?= 'Reference|SweepReuse|SweepNoReuse|Table1Model|TransientModel'
+BENCH_PATTERN ?= 'Reference|SweepReuse|Table1Model|TransientModel'
 # Captured into a shell variable rather than piped directly: in a plain
 # pipe a failing `go test` is masked by the parser's exit status.
 bench-json:
@@ -84,8 +84,8 @@ bench-compare:
 	printf '%s\n' "$$out" | $(GO) run ./cmd/benchjson -compare BENCH_ref.json -alloc-threshold $(BENCH_ALLOC_THRESHOLD)
 
 # profile captures CPU and allocation pprof profiles of the sweep-reuse
-# benchmark (the end-to-end sweep hot path: stencil refill, recycled
-# hierarchy rebuild, pooled CG). Inspect with
+# benchmark (the end-to-end sweep hot path: stencil refill, refactoring
+# into the cached factor storage, pooled solves). Inspect with
 #   go tool pprof profiles/repro.test profiles/sweep_cpu.pprof
 PROFILE_DIR ?= profiles
 profile:

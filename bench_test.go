@@ -343,13 +343,41 @@ func BenchmarkReferenceMGRefined8(b *testing.B) {
 	benchReferenceResolved(b, 8, sparse.PrecondMG)
 }
 
+// BenchmarkReferenceCartFig4 is the 3-D Cartesian reference solve of the
+// Fig. 4 block at r = 10 µm and the default 3-D resolution — the
+// multigrid-preconditioned path of the 3-D cross-validation and the chip
+// power map, hierarchy build included. "cgiters" is the CG iteration count
+// and "mglevels" the hierarchy depth.
+func BenchmarkReferenceCartFig4(b *testing.B) {
+	prob, err := fem.BuildCartProblem(mustFig4(b, 10), fem.DefaultCartResolution())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st sparse.Stats
+	for i := 0; i < b.N; i++ {
+		sol, err := fem.SolveCart(prob, sparse.Options{Tol: 1e-9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st = sol.Stats
+	}
+	b.ReportMetric(float64(st.Iterations), "cgiters")
+	b.ReportMetric(float64(st.Levels), "mglevels")
+}
+
 // Ablation: the SPD direct solver (Cholesky) versus general LU on a dense
 // tridiagonal conductance matrix; compare BenchmarkBandedSolve.
 func BenchmarkDenseCholesky(b *testing.B) {
 	a, rhs := spdBenchSystem(b, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := linalg.SolveSPD(a, rhs); err != nil {
+		c, err := linalg.FactorizeCholesky(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Solve(rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -481,22 +509,19 @@ func BenchmarkSweepParallelFVM(b *testing.B) { benchSweepEngine(b, runtime.GOMAX
 
 func BenchmarkSweepParallelFVM4(b *testing.B) { benchSweepEngine(b, 4) }
 
-// BenchmarkSweepReuseFVM / BenchmarkSweepNoReuseFVM A/B the cross-solve
-// reuse the sweep engine applies by default: a refined-mesh radius sweep in
-// which every point shares the mesh topology but not the operator values, so
-// each job after the first refills the cached pattern and rebuilds the
-// multigrid hierarchy through recycled memory instead of re-deriving both.
-// This is the honest reuse case — the per-point win of an actual sweep —
-// as opposed to BenchmarkReferenceSolveRefined's unchanged-operator upper
-// bound.
-func benchSweepReuse(b *testing.B, noReuse bool) {
-	b.Helper()
+// BenchmarkSweepReuseFVM measures the cross-solve reuse the sweep engine
+// applies: a refined-mesh radius sweep in which every point shares the mesh
+// topology but not the operator values, so each job after the first refills
+// the cached assembly and refactors into the cached factor storage. This is
+// the honest reuse case — the per-point cost of an actual sweep — as opposed
+// to BenchmarkReferenceSolveRefined's unchanged-operator upper bound.
+func BenchmarkSweepReuseFVM(b *testing.B) {
 	m := ttsv.ReferenceModel(ttsv.DefaultResolution().Refine(2))
 	var jobs ttsv.Batch
 	for _, r := range []float64{5, 8, 12, 16, 20} {
 		jobs = jobs.Add("", mustFig4(b, r), m)
 	}
-	opts := ttsv.SweepOptions{Workers: 1, NoReuse: noReuse}
+	opts := ttsv.SweepOptions{Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -511,9 +536,6 @@ func benchSweepReuse(b *testing.B, noReuse bool) {
 		}
 	}
 }
-
-func BenchmarkSweepReuseFVM(b *testing.B)   { benchSweepReuse(b, false) }
-func BenchmarkSweepNoReuseFVM(b *testing.B) { benchSweepReuse(b, true) }
 
 // BenchmarkSweepCachedFVM measures the memoized path: after the first
 // iteration every job is a cache hit, so this reports the engine's per-job

@@ -112,8 +112,8 @@ func SolveAxiCtx(ctx context.Context, p *AxiProblem, opt sparse.Options) (*AxiSo
 // SolveAxiWith is SolveAxiCtx solving through a reuse context: assemblies,
 // factors, multigrid hierarchies and CG scratch cached in sc are recycled,
 // and with sc.WarmStart a CG iteration starts from the previous solution of
-// the same system shape. A nil sc (or sc.NoReuse) makes every
-// solve fresh; the results are bit-identical either way (warm starts aside).
+// the same system shape. A nil sc makes every solve fresh; the results are
+// bit-identical either way (warm starts aside).
 func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()

@@ -224,11 +224,9 @@ func TestAxisymmetricReductionValidatedIn3D(t *testing.T) {
 	}
 }
 
-// checkCartMG asserts that a 3-D block solve ran multigrid — the Galerkin
-// hierarchy mg.Build gives 3-axis grids — and converged well inside the
-// 25-iteration band (21 on Fig. 4, 17 on Fig. 5). The geometric hierarchy
-// needs 160 on Fig. 4 and stalls on Fig. 5, which is why 3-D grids do not
-// get it.
+// checkCartMG asserts that a 3-D block solve ran multigrid — the
+// z-semicoarsened plane hierarchy mg.Build gives 3-axis grids — and
+// converged well inside the 25-iteration band.
 func checkCartMG(t *testing.T, what string, sol *CartSolution) {
 	t.Helper()
 	if sol.Stats.Precond != sparse.PrecondMG {
@@ -236,6 +234,41 @@ func checkCartMG(t *testing.T, what string, sol *CartSolution) {
 	}
 	if sol.Stats.Iterations > 25 {
 		t.Errorf("%s 3-D solve took %d CG iterations, want <= 25", what, sol.Stats.Iterations)
+	}
+}
+
+// TestCartMGIterations gates the 3-D hierarchy on the paper's blocks: Fig. 4
+// across the via radii (2, 10 and 20 µm) and Fig. 5 across the liner
+// thicknesses (0.2 and 3 µm), at the default 3-D resolution.
+func TestCartMGIterations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3-D block solves are slow")
+	}
+	blocks := []struct {
+		what string
+		mk   func() (*stack.Stack, error)
+	}{
+		{"Fig. 4 r=2", func() (*stack.Stack, error) { return stack.Fig4Block(units.UM(2)) }},
+		{"Fig. 4 r=10", func() (*stack.Stack, error) { return stack.Fig4Block(units.UM(10)) }},
+		{"Fig. 4 r=20", func() (*stack.Stack, error) { return stack.Fig4Block(units.UM(20)) }},
+		{"Fig. 5 tL=0.2", func() (*stack.Stack, error) { return stack.Fig5Block(units.UM(0.2)) }},
+		{"Fig. 5 tL=3", func() (*stack.Stack, error) { return stack.Fig5Block(units.UM(3)) }},
+	}
+	for _, b := range blocks {
+		s, err := b.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := BuildCartProblem(s, DefaultCartResolution())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := SolveCart(p, sparse.Options{Tol: 1e-9})
+		if err != nil {
+			t.Fatalf("%s: %v", b.what, err)
+		}
+		t.Logf("%s: %d CG iterations, %d levels", b.what, sol.Stats.Iterations, sol.Stats.Levels)
+		checkCartMG(t, b.what, sol)
 	}
 }
 

@@ -25,10 +25,6 @@ import (
 // time. Sweep workers each own one. The zero value of the
 // pointer (nil) is valid everywhere and means "no reuse".
 type SolveContext struct {
-	// NoReuse disables assembly, factor, hierarchy and scratch reuse, making every solve
-	// behave as if it ran without a context. Mainly for A/B-testing reuse
-	// itself (the equivalence property tests flip it).
-	NoReuse bool
 	// WarmStart seeds each solve's CG iteration with the previous solution
 	// of the same system shape. Off by default: it perturbs the iterate
 	// sequence, so it is excluded from the bit-identity contract above.
@@ -85,13 +81,11 @@ func (sc *SolveContext) ResetWarm() {
 	clear(sc.warm)
 }
 
-func (sc *SolveContext) reusing() bool { return sc != nil && !sc.NoReuse }
-
 // cachedAssembly returns the cached assembly for key, or nil when the
 // caller must allocate one. The fem.assemble.pattern.* counters record
 // refills (hits) against fresh allocations (misses).
 func (sc *SolveContext) cachedAssembly(key asmKey) *assembly {
-	if !sc.reusing() {
+	if sc == nil {
 		return nil
 	}
 	asm := sc.assemblies[key]
@@ -104,17 +98,17 @@ func (sc *SolveContext) cachedAssembly(key asmKey) *assembly {
 }
 
 func (sc *SolveContext) storeAssembly(asm *assembly) {
-	if !sc.reusing() {
+	if sc == nil {
 		return
 	}
 	sc.assemblies[asm.key] = asm
 }
 
 // scratch returns the context's scratch pool, which lets consecutive solves
-// share their CG work vectors. Returns nil when the context is nil or reuse
-// is off (each solve then allocates its own).
+// share their CG work vectors. Returns nil when the context is nil (each
+// solve then allocates its own).
 func (sc *SolveContext) scratch() *sparse.Pool {
-	if !sc.reusing() {
+	if sc == nil {
 		return nil
 	}
 	if sc.pool == nil {
@@ -124,32 +118,18 @@ func (sc *SolveContext) scratch() *sparse.Pool {
 }
 
 // hierarchyFor returns a multigrid hierarchy for the stencil a assembled
-// under key. Three tiers, cheapest first:
-//
-//   - the cached hierarchy's coefficient snapshot matches a bit for bit →
-//     serve it untouched (repeated solves of one design point);
-//   - a cached hierarchy exists but the values moved → full rebuild through
-//     the predecessor's recycled arena (mg.Options.Prev): every coarse
-//     operator, transfer and factorization is recomputed — they all depend
-//     on the operator values, so none can be kept — but without
-//     allocations, and bit-identical to a fresh build;
-//   - no cached hierarchy (or no context) → fresh build.
+// under key: the cached one when its coefficient snapshot matches a bit for
+// bit (repeated solves of one design point), a fresh build otherwise.
 func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.Stencil) (*mg.Hierarchy, error) {
-	if !sc.reusing() {
-		return mg.Build(a, mg.Options{})
+	if sc == nil {
+		return mg.Build(a)
 	}
 	e := sc.hier[key]
-	if e != nil && e.h != nil && sameCoeffs(e.vals, a) {
+	if e != nil && sameCoeffs(e.vals, a) {
 		obs.Default().Counter("fem.mg.reuse.hits").Inc()
 		return e.h, nil
 	}
-	var prev *mg.Hierarchy
-	if e != nil && e.h != nil {
-		prev = e.h
-		e.h = nil
-		obs.Default().Counter("fem.mg.reuse.rebuilds").Inc()
-	}
-	h, err := mg.Build(a, mg.Options{Prev: prev})
+	h, err := mg.Build(a)
 	if err != nil {
 		delete(sc.hier, key)
 		return nil, err
@@ -181,7 +161,7 @@ type factorEntry struct {
 // factorizations, fem.direct.reuse.hits the factors served from cache.
 func (sc *SolveContext) factorFor(key asmKey, a *sparse.Stencil) (f *sparse.Cholesky, reused bool, borrowed []float64, err error) {
 	band := sparse.CholeskyLen(a)
-	if !sc.reusing() {
+	if sc == nil {
 		borrowed = grabBand(band)
 		f, err = factor(a, borrowed)
 		return f, false, borrowed, err

@@ -92,12 +92,12 @@ func checkGolden(t *testing.T, cases []goldenCase) {
 // TestSolveGolden pins every reference-solver path to the exact bits it
 // produced when the golden file was written: the temperature field and the
 // CG iteration count (0 for a direct solve) of axisymmetric solves by the
-// banded Cholesky factor and by multigrid, the 3-D block under the Galerkin
+// banded Cholesky factor and by multigrid, the 3-D block under the plane
 // hierarchy and the factor, a transient integration, and SolveContext
-// re-solves that hit the hierarchy or factor cache, or rebuild through a
-// recycled arena or refactor into the cached storage. Refactors of assembly, the operator or the hierarchy must
-// leave every line unchanged; regenerate with -update only for an intended
-// numerical change.
+// re-solves that hit the hierarchy or factor cache, or rebuild the hierarchy
+// or refactor into the cached storage. Refactors of assembly, the operator
+// or the hierarchy must leave every line unchanged; regenerate with -update
+// only for an intended numerical change.
 func TestSolveGolden(t *testing.T) {
 	axi := func(res Resolution, pc sparse.PrecondKind) func() (int, []float64, error) {
 		return func() (int, []float64, error) {
@@ -112,9 +112,9 @@ func TestSolveGolden(t *testing.T) {
 			return sol.Stats.Iterations, flatAxiT(sol.T), nil
 		}
 	}
-	// Coarser lateral meshes than DefaultCartResolution keep the Galerkin
-	// build (seconds at the default) cheap under -race, and put the direct
-	// case under the grid rule's budget.
+	// Coarser lateral meshes than DefaultCartResolution keep the 3-D solves
+	// cheap under -race, and put the direct case under the grid rule's
+	// budget.
 	cart := func(lateral int, pc sparse.PrecondKind) func() (int, []float64, error) {
 		return func() (int, []float64, error) {
 			p, err := BuildCartProblem(fig4(t, 10), CartResolution{LateralVia: lateral, LateralLiner: 1, LateralOuter: lateral, AxialPerLayer: 3, AxialMin: 2, Bulk: 6})
@@ -144,7 +144,7 @@ func TestSolveGolden(t *testing.T) {
 	}
 	// The context cases share one SolveContext, in order: a first solve
 	// (fresh build), the same operator again (hierarchy cache hit) and a new
-	// radius on the same topology (recycled rebuild).
+	// radius on the same topology (rebuild).
 	sc := NewSolveContext()
 	defer sc.Close()
 	viaContext := func(rUM float64) func() (int, []float64, error) {
@@ -233,10 +233,9 @@ func TestOperatorSolveBitIdenticalAxi(t *testing.T) {
 
 // TestOperatorSolveBitIdenticalCart covers the 3-D path, including the
 // anisotropic (distinct vertical conductivity) assembly, under both the
-// Galerkin hierarchy and the banded Cholesky factor the grid rule picks for
+// plane hierarchy and the banded Cholesky factor the grid rule picks for
 // this 12×10×16 grid: each solve must run the method it was asked for and
-// match its golden line bit for bit (the multigrid lines were written when
-// the solve still ran against an assembled CSR).
+// match its golden line bit for bit.
 func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 	edges := func(n int, hi float64) []float64 {
 		e, err := mesh.Uniform(0, hi, n)

@@ -42,45 +42,32 @@ func wantSameBits(t *testing.T, what string, got, want []float64) {
 
 // TestSolveContextBitIdentical is the tentpole reuse property: a radius
 // sweep solved through one shared SolveContext (assembly refills, pooled
-// scratch from the second point on) must reproduce the fresh per-point
-// solves bit for bit, and so must a context with NoReuse set.
+// scratch from the second point on) must reproduce the per-point solves
+// through a nil context — no reuse at all — bit for bit.
 func TestSolveContextBitIdentical(t *testing.T) {
-	radii := []float64{5, 10, 20}
-	fresh := make([][]float64, len(radii))
-	for i, r := range radii {
+	sc := NewSolveContext()
+	defer sc.Close()
+	for _, r := range []float64{5, 10, 20} {
 		s := fig4(t, r)
-		sol, err := SolveStack(s, coarse())
+		fresh, err := SolveStackWith(context.Background(), nil, s, coarse())
 		if err != nil {
-			t.Fatalf("fresh solve r=%g: %v", r, err)
+			t.Fatalf("nil-context solve r=%g: %v", r, err)
 		}
-		fresh[i] = flatAxiT(sol.T)
+		sol, err := SolveStackWith(context.Background(), sc, s, coarse())
+		if err != nil {
+			t.Fatalf("context solve r=%g: %v", r, err)
+		}
+		wantSameBits(t, "context vs nil context", flatAxiT(sol.T), flatAxiT(fresh.T))
 	}
-
-	for _, noReuse := range []bool{false, true} {
-		sc := NewSolveContext()
-		sc.NoReuse = noReuse
-		defer sc.Close()
-		for i, r := range radii {
-			s := fig4(t, r)
-			sol, err := SolveStackWith(context.Background(), sc, s, coarse())
-			if err != nil {
-				t.Fatalf("context solve (noReuse=%v) r=%g: %v", noReuse, r, err)
-			}
-			wantSameBits(t, "context vs fresh", flatAxiT(sol.T), fresh[i])
-		}
-		if wantPat := 1; !noReuse && len(sc.assemblies) != wantPat {
-			t.Fatalf("context cached %d assemblies, want %d (one topology for the whole sweep)", len(sc.assemblies), wantPat)
-		}
-		if noReuse && len(sc.assemblies) != 0 {
-			t.Fatalf("NoReuse context cached %d assemblies, want 0", len(sc.assemblies))
-		}
+	if wantPat := 1; len(sc.assemblies) != wantPat {
+		t.Fatalf("context cached %d assemblies, want %d (one topology for the whole sweep)", len(sc.assemblies), wantPat)
 	}
 }
 
 // TestSolveContextMGReuse forces the multigrid preconditioner and checks the
-// hierarchy cache's three tiers: bit-identity with fresh solves throughout,
-// pointer-identical hierarchy when the operator is unchanged, and a rebuild
-// when the radius (and therefore the operator values) moves.
+// hierarchy cache: bit-identity with fresh solves throughout, the
+// pointer-identical hierarchy when the operator is unchanged, and a fresh
+// build when the radius (and therefore the operator values) moves.
 func TestSolveContextMGReuse(t *testing.T) {
 	res := coarse()
 	res.Precond = sparse.PrecondMG

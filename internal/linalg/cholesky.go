@@ -24,26 +24,10 @@ func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 	if a.Cols() != n {
 		return nil, fmt.Errorf("linalg: cannot Cholesky-factorize non-square %dx%d matrix", n, a.Cols())
 	}
-	return FactorizeCholeskyInto(a, NewMatrix(n, n))
-}
-
-// FactorizeCholeskyInto is FactorizeCholesky writing the factor into l, an
-// n×n matrix whose contents are fully overwritten (callers may recycle the
-// backing storage of a previous factorization, e.g. via NewMatrixWithData).
-// The inner loops run on raw row slices: the dense coarse solve sits on the
-// multigrid build path, where accessor bounds checks cost real time. The
-// summation order is exactly that of the accessor-based formulation, so the
-// factor bits do not depend on which entry point produced it.
-func FactorizeCholeskyInto(a, l *Matrix) (*Cholesky, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return nil, fmt.Errorf("linalg: cannot Cholesky-factorize non-square %dx%d matrix", n, a.Cols())
-	}
-	if l.rows != n || l.cols != n {
-		return nil, fmt.Errorf("linalg: Cholesky factor buffer is %dx%d, want %dx%d", l.rows, l.cols, n, n)
-	}
+	// The inner loops run on raw row slices: accessor bounds checks cost
+	// real time on the multigrid build path.
+	l := NewMatrix(n, n)
 	ad, ld := a.data, l.data
-	clear(ld)
 	for j := 0; j < n; j++ {
 		rowj := ld[j*n : j*n+j+1 : j*n+j+1]
 		d := ad[j*n+j]
@@ -77,7 +61,7 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 }
 
 // SolveInto solves A·x = b into dst, which must not alias b. It performs no
-// allocation, so per-V-cycle coarse solves can run on recycled scratch.
+// allocation, so the per-cycle multigrid coarse solve allocates nothing.
 func (c *Cholesky) SolveInto(dst, b []float64) error {
 	n := c.l.rows
 	if len(b) != n {
@@ -118,16 +102,4 @@ func (c *Cholesky) Det() float64 {
 		d *= v * v
 	}
 	return d
-}
-
-// SolveSPD solves the symmetric positive definite system A·x = b with a
-// fresh Cholesky factorization. It is roughly twice as fast as the general
-// LU path and fails loudly (ErrNotSPD) when the matrix is not SPD —
-// which for a thermal conductance matrix indicates an assembly bug.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorizeCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
 }

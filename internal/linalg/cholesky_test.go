@@ -19,11 +19,11 @@ func spdTestMatrix() *Matrix {
 func TestCholeskySolve(t *testing.T) {
 	a := spdTestMatrix()
 	b := []float64{1, 2, 3}
-	x, err := SolveSPD(a, b)
+	x, err := solveSPD(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := Residual(a, x, b); r > 1e-12 {
+	if r := residual(a, x, b); r > 1e-12 {
 		t.Fatalf("residual %g", r)
 	}
 }
@@ -47,7 +47,7 @@ func TestCholeskyMatchesLU(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xc, err := SolveSPD(a, b)
+		xc, err := solveSPD(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -68,7 +68,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 		{1, 0},
 		{0, -1},
 	})
-	if _, err := SolveSPD(a, []float64{1, 1}); !errors.Is(err, ErrNotSPD) {
+	if _, err := solveSPD(a, []float64{1, 1}); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("err = %v, want ErrNotSPD", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestCholeskyReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := Residual(a, x, b); r > 1e-12 {
+		if r := residual(a, x, b); r > 1e-12 {
 			t.Fatalf("residual %g for rhs %v", r, b)
 		}
 	}
@@ -158,13 +158,22 @@ func TestCholeskyProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := SolveSPD(a, b)
+		x, err := solveSPD(a, b)
 		if err != nil {
 			return false
 		}
-		return Residual(a, x, b) < 1e-9
+		return residual(a, x, b) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// solveSPD solves A·x = b with a fresh Cholesky factorization.
+func solveSPD(a *Matrix, b []float64) ([]float64, error) {
+	f, err := FactorizeCholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b)
 }

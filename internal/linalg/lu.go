@@ -154,16 +154,3 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	}
 	return inv, nil
 }
-
-// Residual returns the max-norm of A·x - b, used by solvers to verify their
-// own output.
-func Residual(a *Matrix, x, b []float64) float64 {
-	ax := a.MulVec(x)
-	var max float64
-	for i := range ax {
-		if d := math.Abs(ax[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}

@@ -28,22 +28,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixWithData wraps an existing slice as a rows×cols matrix without
-// copying; the caller keeps ownership of the backing array. len(data) must be
-// exactly rows*cols. The contents are taken as-is (not zeroed), so callers
-// reusing pooled buffers must clear or fully overwrite them. It exists so
-// repeated dense factorizations (the multigrid coarse solver) can recycle
-// their backing storage.
-func NewMatrixWithData(rows, cols int, data []float64) *Matrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("linalg: invalid matrix dimensions %dx%d", rows, cols))
-	}
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("linalg: NewMatrixWithData got %d elements for a %dx%d matrix", len(data), rows, cols))
-	}
-	return &Matrix{rows: rows, cols: cols, data: data}
-}
-
 // NewMatrixFromRows builds a matrix from row slices; all rows must have the
 // same length.
 func NewMatrixFromRows(rows [][]float64) *Matrix {

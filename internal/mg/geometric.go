@@ -1,20 +1,17 @@
 package mg
 
-// Geometric hierarchy construction, Build's choice for grids with 1–2 axes.
+// Re-discretized coarse levels, the construction both hierarchies share.
 //
-// The smoothed-aggregation path builds every coarse operator as a Galerkin
-// product Pᵀ·A·P — two sparse matrix-matrix products per level whose
-// append-grown CSRs dominate fresh-build wall time and memory. On the
-// axisymmetric finite-volume grid behind the reference solver none of that
-// machinery is needed: the matrix IS a 7-point conductance network with a
-// nonnegative grounding (the Dirichlet boundary terms), and a coarse grid is
-// just the same network with 2×-per-axis merged cells. Each coarse level is
-// therefore re-discretized directly:
+// The matrix of the finite-volume reference grid IS a 7-point conductance
+// network with a nonnegative grounding (the Dirichlet boundary terms), and a
+// coarse grid is just the same network with merged cells. Each coarse level
+// is therefore re-discretized directly from the finer level's coefficients
+// (coarsenGeom), merging cells 2× along every coarsened axis (an odd extent
+// leaves a final unpaired cell):
 //
-//   - Cells merge in 2×2×2 boxes (an odd extent leaves a final unpaired
-//     cell). The coarse coupling across a coarse face sums, over the fine
-//     cells of the face, the series collapse of the fine conductance chain
-//     from box center to box center:
+//   - The coarse coupling across a coarse face of a coarsened axis sums,
+//     over the fine cells of the face, the series collapse of the fine
+//     conductance chain from box center to box center:
 //
 //       g_chain = 1 / (0.5/g_in(I) + 1/g_cross + 0.5/g_in(J))
 //
@@ -23,7 +20,8 @@ package mg
 //     (the half terms vanish for unpaired single-cell boxes). On a uniform
 //     1-D grid this reduces to k·A/(2h) — exactly the conductance of a grid
 //     with doubled spacing, which is what plain aggregation (merged nodes,
-//     g_c = g_cross) gets wrong by 2×.
+//     g_c = g_cross) gets wrong by 2×. Along an axis that is not coarsened
+//     the merged cells' faces lie side by side, so their conductances sum.
 //   - The grounding σ_i = diag_i − Σ g (clamped at zero against floating-
 //     point cancellation on interior rows) sums over each box.
 //   - The coarse diagonal rebuilds as Σ adjacent g_c + σ_c, so every level
@@ -32,15 +30,15 @@ package mg
 //     the fine system was grounded.
 //
 // Each level stores four coefficient arrays (diagonal + one per axis) behind
-// a coefficient-backed sparse.Stencil — no coarse CSR exists at all. The
-// prolongation is the box injection smoothed by one damped-Jacobi pass,
-// P = (I − ω·D⁻¹A)·P_box, assembled directly from the stencil coefficients
-// in a single O(n) pass (see geomTransfer) and stored as raw CSR triples for
-// the transfer products (mulVecRaw). Because full 2×-per-axis
-// coarsening preserves anisotropy ratios level after level, the levels
-// smooth with the alternating-direction line smoother (linesmooth.go)
-// instead of point Chebyshev, and cycle as a truncated W-cycle (see
-// vcycle). The whole build is a handful of O(n) passes.
+// a coefficient-backed sparse.Stencil — no coarse CSR exists at all. On 1–2
+// axes every axis coarsens (boxFull); the prolongation is the box injection
+// smoothed by one damped-Jacobi pass, P = (I − ω·D⁻¹A)·P_box, assembled
+// directly from the stencil coefficients in a single O(n) pass (see
+// geomTransfer) and stored as raw CSR triples for the transfer products
+// (mulVecRaw). Because full coarsening preserves anisotropy ratios level
+// after level, those levels smooth with the alternating-direction line
+// smoother (linesmooth.go) and cycle as a truncated W-cycle (see vcycle). On
+// 3 axes only z coarsens (boxZ; see planes.go).
 
 import (
 	"fmt"
@@ -82,7 +80,7 @@ func (g *geomGrid) coord(i, d int) int {
 // coefficient arrays — aliased, not copied: the build only reads them — and
 // computes the grounding. The operator must be a conductance network: every
 // existing off-diagonal nonpositive.
-func geomFromStencil(a *sparse.Stencil, mem *arena) (*geomGrid, error) {
+func geomFromStencil(a *sparse.Stencil) (*geomGrid, error) {
 	g := &geomGrid{nd: [3]int{1, 1, 1}, n: a.Rows()}
 	for i, d := range a.Dims() {
 		g.nd[i] = d
@@ -91,12 +89,12 @@ func geomFromStencil(a *sparse.Stencil, mem *arena) (*geomGrid, error) {
 	for d := 0; d < 3; d++ {
 		for i := 0; i < g.n; i++ {
 			if g.coord(i, d)+1 < g.nd[d] && g.off[d][i] > 0 {
-				return nil, fmt.Errorf("mg: positive off-diagonal %g at (%d,%d); geometric hierarchy needs a conductance network",
+				return nil, fmt.Errorf("mg: positive off-diagonal %g at (%d,%d); multigrid needs a conductance network",
 					g.off[d][i], i, i+g.strides()[d])
 			}
 		}
 	}
-	g.sigma = mem.f64(g.n)
+	g.sigma = make([]float64, g.n)
 	g.fillSigma()
 	return g, nil
 }
@@ -142,44 +140,57 @@ func (g *geomGrid) fillSigma() {
 	}
 }
 
-// parent returns the coarse-cell index of fine cell i under 2× box
-// coarsening (coarse coordinate = fine coordinate / 2 on every axis; axes of
-// extent 1 stay at coordinate 0 either way).
-func (g *geomGrid) parent(i int, cs [3]int) int {
+// box is a coarsening's merge factor per axis: 2 along a coarsened axis, 1
+// along one that keeps its cells.
+type box [3]int
+
+var (
+	// boxFull coarsens every axis (1–2 axis grids; absent axes have extent
+	// 1 and stay that way).
+	boxFull = box{2, 2, 2}
+	// boxZ coarsens z only (3-axis grids).
+	boxZ = box{1, 1, 2}
+)
+
+// parent returns the coarse-cell index of fine cell i under the merge
+// factors m (coarse coordinate = fine coordinate / m per axis).
+func (g *geomGrid) parent(i int, cs [3]int, m box) int {
 	fx := i % g.nd[0]
 	rem := i / g.nd[0]
 	fy := rem % g.nd[1]
 	fz := rem / g.nd[1]
-	return fz/2*cs[2] + fy/2*cs[1] + fx/2
+	return fz/m[2]*cs[2] + fy/m[1]*cs[1] + fx/m[0]
 }
 
-// coarsenGeom re-discretizes the next-coarser grid: 2× box merging per axis,
-// series/parallel-collapsed face conductances, summed grounding, rebuilt
+// coarsenGeom re-discretizes the next-coarser grid: 2× box merging along
+// every axis m coarsens, series-collapsed face conductances along those
+// axes and summed ones across the others, summed grounding, rebuilt
 // diagonal. All passes are sequential over ascending cell indices, so the
-// result is deterministic (and a recycled rebuild bit-identical).
-func coarsenGeom(f *geomGrid, mem *arena) *geomGrid {
+// result is deterministic.
+func coarsenGeom(f *geomGrid, m box) *geomGrid {
 	c := &geomGrid{nd: [3]int{1, 1, 1}}
 	for d := 0; d < 3; d++ {
 		if f.nd[d] > 1 {
-			c.nd[d] = (f.nd[d] + 1) / 2
+			c.nd[d] = (f.nd[d] + m[d] - 1) / m[d]
 		}
 	}
 	c.n = c.nd[0] * c.nd[1] * c.nd[2]
-	c.diag = mem.f64(c.n)
-	c.sigma = mem.f64(c.n)
+	c.diag = make([]float64, c.n)
+	c.sigma = make([]float64, c.n)
 	for d := 0; d < 3; d++ {
 		if c.nd[d] > 1 {
-			c.off[d] = mem.f64(c.n)
+			c.off[d] = make([]float64, c.n)
 		}
 	}
 	fs := f.strides()
 	cs := c.strides()
 	// Grounding sums over each box, children in ascending fine order.
 	for i := 0; i < f.n; i++ {
-		c.sigma[f.parent(i, cs)] += f.sigma[i]
+		c.sigma[f.parent(i, cs, m)] += f.sigma[i]
 	}
-	// Face conductances: a coarse face along axis d sits between fine
-	// coordinates 2I+1 and 2I+2; walk the fine cells on its lower side.
+	// Face conductances: a coarse face along a coarsened axis d sits between
+	// fine coordinates 2I+1 and 2I+2; walk the fine cells on its lower side.
+	// Along an axis that keeps its cells every fine face is a coarse one.
 	for d := 0; d < 3; d++ {
 		if c.off[d] == nil {
 			continue
@@ -187,6 +198,12 @@ func coarsenGeom(f *geomGrid, mem *arena) *geomGrid {
 		off := f.off[d]
 		for i := 0; i < f.n; i++ {
 			fd := f.coord(i, d)
+			if m[d] == 1 {
+				if fd+1 < f.nd[d] {
+					c.off[d][f.parent(i, cs, m)] += off[i]
+				}
+				continue
+			}
 			if fd%2 != 1 || fd+1 >= f.nd[d] {
 				continue
 			}
@@ -206,7 +223,7 @@ func coarsenGeom(f *geomGrid, mem *arena) *geomGrid {
 				}
 				r += 0.5 / gj
 			}
-			c.off[d][f.parent(i, cs)] -= 1 / r
+			c.off[d][f.parent(i, cs, m)] -= 1 / r
 		}
 	}
 	// Diagonal: Σ adjacent conductances + grounding, in the stencil's
@@ -294,20 +311,20 @@ func geomLmax(g *geomGrid) float64 {
 // geomTransfer builds the transfer pair between a fine and its coarse grid
 // as raw CSR triples: the tentative prolongation injects each fine cell's
 // parent value, and one damped-Jacobi pass smooths it, P = (I − ω·D⁻¹A)·P_box
-// — the same approximation-property fix the smoothed-aggregation path applies,
-// but assembled directly from the stencil coefficients in one O(n) pass (no
-// sparse product). Each fine row holds its own parent plus at most one
+// — the smoothed-aggregation fix of the approximation property, assembled
+// directly from the stencil coefficients in one O(n) pass (no sparse
+// product). Each fine row holds its own parent plus at most one
 // neighboring parent per axis (the out-of-box neighbor), emitted in canonical
 // −z,−y,−x,center,+x,+y,+z column order, so the arrays are deterministic and
 // the counting-sort transpose lands sorted. Restriction is Pᵀ.
-func geomTransfer(f, c *geomGrid, mem *arena) *transfer {
+func geomTransfer(f, c *geomGrid) *transfer {
 	n, nc := f.n, c.n
 	cs := c.strides()
 	fs := f.strides()
 	omega := saOmega / geomLmax(f)
-	p := csrArrays{ptr: mem.i32(n + 1), col: mem.i32cap(4 * n), val: mem.f64cap(4 * n)}
+	p := csrArrays{ptr: make([]int32, n+1), col: make([]int32, 0, 4*n), val: make([]float64, 0, 4*n)}
 	for i := 0; i < n; i++ {
-		pc := f.parent(i, cs)
+		pc := f.parent(i, cs, boxFull)
 		s := omega / f.diag[i]
 		// center accumulates the damped diagonal plus every in-box coupling;
 		// lo/up[d] the couplings to the out-of-box parents pc ∓ cs[d].
@@ -352,66 +369,109 @@ func geomTransfer(f, c *geomGrid, mem *arena) *transfer {
 		}
 		p.ptr[i+1] = int32(len(p.col))
 	}
-	mem.adoptI32(p.col)
-	mem.adoptF64(p.val)
-	pt := transpose(p, nc, mem)
+	return newTransfer(p, nc)
+}
+
+// saOmega is the prolongation-smoothing damping 4/(3·λmax) applied to the
+// Jacobi-scaled operator — the standard smoothed-aggregation choice, which
+// damps the tentative prolongation's high-frequency content without
+// overshooting on the upper spectrum.
+const saOmega = 4.0 / 3.0
+
+// transfer is a level's prolongation P, stored twice in CSR layout: by fine
+// row (p*) for the prolongation x += P·e, and by coarse row (pt*) for the
+// restriction b_c = Pᵀ·r. Both products walk their output rows with a fixed
+// per-row summation order (see mulVecRaw).
+type transfer struct {
+	pPtr, pCol   []int32
+	pVal         []float64
+	ptPtr, ptCol []int32
+	ptVal        []float64
+}
+
+// csrArrays is an n×nc prolongation under assembly: row pointers, column
+// indices and values.
+type csrArrays struct {
+	ptr []int32
+	col []int32
+	val []float64
+}
+
+// newTransfer stores the assembled n×nc prolongation p with its transpose.
+func newTransfer(p csrArrays, nc int) *transfer {
+	pt := transpose(p, nc)
 	return &transfer{
 		pPtr: p.ptr, pCol: p.col, pVal: p.val,
 		ptPtr: pt.ptr, ptCol: pt.col, ptVal: pt.val,
 	}
 }
 
-// buildGeometric assembles the hierarchy's levels by repeated
-// re-discretization and factors the coarsest grid densely, with the same
-// stopping rules as the Galerkin builder.
-func (h *Hierarchy) buildGeometric(a *sparse.Stencil, mem *arena) error {
-	n := a.Rows()
-	g, err := geomFromStencil(a, mem)
-	if err != nil {
-		return err
+// transpose flips an n×nc CSR to nc×n by counting sort: scatter in fine-row
+// order lands every transposed row with ascending columns, no sort needed.
+func transpose(p csrArrays, nc int) csrArrays {
+	nnz := len(p.col)
+	pt := csrArrays{
+		ptr: make([]int32, nc+1),
+		col: make([]int32, nnz),
+		val: make([]float64, nnz),
 	}
-	lv, err := newLevel(a, mem)
-	if err != nil {
-		return err
+	for _, c := range p.col {
+		pt.ptr[c+1]++
 	}
-	// Every geometric level smooths by alternating-direction line relaxation
-	// (see linesmooth.go); the finest level's factors come from the same
+	for c := 0; c < nc; c++ {
+		pt.ptr[c+1] += pt.ptr[c]
+	}
+	next := make([]int32, nc)
+	copy(next, pt.ptr[:nc])
+	for i := 0; i < len(p.ptr)-1; i++ {
+		for k := p.ptr[i]; k < p.ptr[i+1]; k++ {
+			c := p.col[k]
+			pt.col[next[c]] = int32(i)
+			pt.val[next[c]] = p.val[k]
+			next[c]++
+		}
+	}
+	return pt
+}
+
+// buildFull assembles a fully coarsened hierarchy by repeated
+// re-discretization and factors the coarsest grid densely.
+func (h *Hierarchy) buildFull(a *sparse.Stencil, g *geomGrid) error {
+	// Every level smooths by alternating-direction line relaxation (see
+	// linesmooth.go); the finest level's factors come from the same
 	// coefficient arrays the coarsening consumes.
-	if lv.lines, err = factorLines(g, mem); err != nil {
+	lv := newLevel(a)
+	var err error
+	if lv.lines, err = factorLines(g); err != nil {
 		return err
 	}
 	h.levels = append(h.levels, lv)
 	for g.n > coarsestSize && len(h.levels) < maxLevels {
-		c := coarsenGeom(g, mem)
+		c := coarsenGeom(g, boxFull)
 		if c.n >= g.n {
 			break
 		}
-		h.levels[len(h.levels)-1].tr = geomTransfer(g, c, mem)
+		h.levels[len(h.levels)-1].tr = geomTransfer(g, c)
 		op, err := c.operator()
 		if err != nil {
 			return err
 		}
-		clv, err := newLevel(op, mem)
-		if err != nil {
-			return err
-		}
-		if clv.lines, err = factorLines(c, mem); err != nil {
+		clv := newLevel(op)
+		if clv.lines, err = factorLines(c); err != nil {
 			return err
 		}
 		// W-cycle recursion target: dedicated correction scratch (never the
 		// finest level, whose vectors belong to the caller).
-		clv.b2 = mem.f64(c.n)
-		clv.x2 = mem.f64(c.n)
+		clv.b2 = make([]float64, c.n)
+		clv.x2 = make([]float64, c.n)
 		h.levels = append(h.levels, clv)
 		g = c
 	}
 	if len(h.levels) < 2 {
-		return fmt.Errorf("mg: %d unknowns cannot coarsen (already at or below the coarse-solve size)", n)
+		return nil
 	}
 	// Direct coarse solve from the bottom grid's coefficients.
-	nb := g.n
-	chol, err := linalg.FactorizeCholeskyInto(denseFromGeom(g, mem),
-		linalg.NewMatrixWithData(nb, nb, mem.f64(nb*nb)))
+	chol, err := linalg.FactorizeCholesky(denseFromGeom(g))
 	if err != nil {
 		return fmt.Errorf("mg: coarse-grid factorization: %w", err)
 	}
@@ -421,8 +481,8 @@ func (h *Hierarchy) buildGeometric(a *sparse.Stencil, mem *arena) error {
 
 // denseFromGeom expands the coarsest grid's stencil into the dense matrix
 // the Cholesky factorization consumes.
-func denseFromGeom(g *geomGrid, mem *arena) *linalg.Matrix {
-	m := linalg.NewMatrixWithData(g.n, g.n, mem.f64(g.n*g.n))
+func denseFromGeom(g *geomGrid) *linalg.Matrix {
+	m := linalg.NewMatrix(g.n, g.n)
 	s := g.strides()
 	ix, iy, iz := 0, 0, 0
 	for i := 0; i < g.n; i++ {

@@ -2,17 +2,15 @@ package mg
 
 import "fmt"
 
-// Alternating-direction line smoother for the geometric hierarchy.
+// Alternating-direction line smoother for the fully coarsened hierarchy.
 //
-// The point Chebyshev smoother that serves the Galerkin levels fails on the
-// geometric ones: full 2×-per-axis coarsening preserves a grid's anisotropy
-// ratio level after level, and the layer stack's thin-layer/bulk cell aspect
-// ratios leave "characteristic" error modes — oscillatory across the weakly
-// coupled axis, smooth along the strong one — that a point smoother barely
-// damps (their Jacobi-scaled eigenvalues are tiny) and the coarsened grid
-// cannot represent. The smoothed-aggregation path sidesteps this by
-// semi-coarsening each region along its own strong direction; the geometric
-// path instead relaxes whole grid lines at once: solving the tridiagonal
+// A point smoother fails on fully coarsened levels: full 2×-per-axis
+// coarsening preserves a grid's anisotropy ratio level after level, and the
+// layer stack's thin-layer/bulk cell aspect ratios leave "characteristic"
+// error modes — oscillatory across the weakly coupled axis, smooth along the
+// strong one — that a point smoother barely damps (their Jacobi-scaled
+// eigenvalues are tiny) and the coarsened grid cannot represent. The
+// hierarchy instead relaxes whole grid lines at once: solving the tridiagonal
 // block of every line along an axis damps all modes oscillatory along that
 // axis regardless of its coupling strength, and sweeping each axis in turn
 // covers every direction the anisotropy can point. This is the classical
@@ -62,17 +60,16 @@ const lineOmega = 0.55
 // factorLines LDLᵀ-factors the tridiagonal line blocks of g along every axis
 // of extent > 1, in ascending axis order — the sweep order of the smoother —
 // and folds the lineOmega damping into the inverse pivots. One sequential
-// ascending pass per axis, so recycled rebuilds are bit-identical to fresh
-// ones.
-func factorLines(g *geomGrid, mem *arena) ([]lineAxis, error) {
+// ascending pass per axis.
+func factorLines(g *geomGrid) ([]lineAxis, error) {
 	var axes []lineAxis
 	s := g.strides()
 	for d := 0; d < 3; d++ {
 		if g.nd[d] <= 1 {
 			continue
 		}
-		l := mem.f64(g.n)
-		invc := mem.f64(g.n)
+		l := make([]float64, g.n)
+		invc := make([]float64, g.n)
 		sd := s[d]
 		off := g.off[d]
 		for i := 0; i < g.n; i++ {

@@ -1,10 +1,8 @@
-// Package sparse implements the linear algebra of the finite-volume
-// heat-conduction reference solver: the matrix-free Stencil its structured
-// grids fill directly, a banded Cholesky factorization of it, and Conjugate
-// Gradient with a multigrid hook for grids too large to factor. CSR holds
-// the multigrid hierarchy's coarse Galerkin operators and the tests'
-// reference matrices, which the COO builder assembles.
 package sparse
+
+// CSR is the tests' reference matrix: a plain compressed-sparse-row
+// implementation of Operator, assembled by the COO builder, against which
+// every Stencil kernel and whole CG solves are checked bit for bit.
 
 import (
 	"fmt"
@@ -99,11 +97,8 @@ type CSR struct {
 
 // NewCSRFromSorted wraps pre-compressed arrays as a CSR matrix without the
 // COO round-trip, for callers that assemble rows in order with sorted,
-// deduplicated columns (e.g. the multigrid Galerkin products, whose
-// accumulator already flushes that layout — re-sorting it through ToCSR
-// dominated hierarchy construction). The slices are adopted, not copied;
-// the caller must not modify them afterwards. The layout is validated in
-// one O(nnz) pass.
+// deduplicated columns. The slices are adopted, not copied; the caller must
+// not modify them afterwards. The layout is validated in one O(nnz) pass.
 func NewCSRFromSorted(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("sparse: invalid CSR dimensions %dx%d", rows, cols)
@@ -183,8 +178,7 @@ func (m *CSR) Diagonal() []float64 {
 }
 
 // DiagonalInto writes the main diagonal into d and returns it. d must have
-// min(rows, cols) elements; it lets repeated-build callers (the multigrid
-// hierarchy) extract diagonals without allocating.
+// min(rows, cols) elements.
 func (m *CSR) DiagonalInto(d []float64) []float64 {
 	n := m.rows
 	if m.cols < n {
@@ -225,4 +219,40 @@ func (m *CSR) Residual(x, b []float64) float64 {
 		}
 	}
 	return max
+}
+
+// SpanMulVec implements Operator.
+func (m *CSR) SpanMulVec(x, y []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var s float64
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			s += m.val[k] * x[m.colIdx[k]]
+		}
+		y[i] = s
+	}
+}
+
+// SpanMulVecDot implements Operator.
+func (m *CSR) SpanMulVecDot(x, y, w []float64, lo, hi int) float64 {
+	var s float64
+	for i := lo; i < hi; i++ {
+		var yi float64
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			yi += m.val[k] * x[m.colIdx[k]]
+		}
+		y[i] = yi
+		s += w[i] * yi
+	}
+	return s
+}
+
+// SpanResidual implements Operator.
+func (m *CSR) SpanResidual(x, b, r []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var s float64
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			s += m.val[k] * x[m.colIdx[k]]
+		}
+		r[i] = b[i] - s
+	}
 }

@@ -195,9 +195,10 @@ func ctxErr(ctx context.Context) error {
 
 // SolveCG solves the symmetric positive definite system A·x = b with the
 // preconditioned Conjugate Gradient method. The matrix is consumed through
-// the Operator interface: a *CSR, or a matrix-free Stencil for structured
-// grids — holding the same entries the two produce bit-identical iterates
-// (every kernel accumulates in ascending column order either way).
+// the Operator interface: the matrix-free Stencil of a structured grid, or
+// the tests' reference CSR — holding the same entries the two produce
+// bit-identical iterates (every kernel accumulates in ascending column order
+// either way).
 func SolveCG(a Operator, b []float64, opt Options) ([]float64, Stats, error) {
 	return SolveCGCtx(context.Background(), a, b, opt)
 }

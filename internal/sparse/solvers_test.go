@@ -46,8 +46,17 @@ func TestSolveCGLaplacian(t *testing.T) {
 // MGSolver contract requires.
 type jacobiCycle struct{ d []float64 }
 
-func newJacobiCycle(a Operator) jacobiCycle {
-	return jacobiCycle{d: a.DiagonalInto(make([]float64, a.Rows()))}
+func newJacobiCycle(a interface {
+	Rows() int
+	Each(fn func(i, j int, v float64))
+}) jacobiCycle {
+	d := make([]float64, a.Rows())
+	a.Each(func(i, j int, v float64) {
+		if i == j {
+			d[i] = v
+		}
+	})
+	return jacobiCycle{d: d}
 }
 
 func (j jacobiCycle) Cycle(z, r []float64) {

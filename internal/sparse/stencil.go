@@ -281,61 +281,3 @@ func (s *Stencil) MulVec(x, y []float64) []float64 {
 	s.SpanMulVec(x, y, 0, s.n)
 	return y
 }
-
-// DiagonalInto implements Operator.
-func (s *Stencil) DiagonalInto(d []float64) []float64 {
-	if len(d) != s.n {
-		panic("sparse: DiagonalInto length mismatch")
-	}
-	copy(d, s.diag)
-	return d
-}
-
-// AbsRowSumsInto implements Operator, accumulating each row's absolute sum
-// in the same ascending column order as the CSR walk.
-func (s *Stencil) AbsRowSumsInto(out []float64) []float64 {
-	if len(out) != s.n {
-		panic("sparse: AbsRowSumsInto length mismatch")
-	}
-	nx, ny, nz, nxy := s.nx, s.ny, s.nz, s.nxy
-	d, ox, oy, oz := s.diag, s.off[0], s.off[1], s.off[2]
-	ix, iy, iz := 0, 0, 0
-	for i := 0; i < s.n; i++ {
-		var acc float64
-		if iz > 0 {
-			acc += abs(oz[i-nxy])
-		}
-		if iy > 0 {
-			acc += abs(oy[i-nx])
-		}
-		if ix > 0 {
-			acc += abs(ox[i-1])
-		}
-		acc += abs(d[i])
-		if ix+1 < nx {
-			acc += abs(ox[i])
-		}
-		if iy+1 < ny {
-			acc += abs(oy[i])
-		}
-		if iz+1 < nz {
-			acc += abs(oz[i])
-		}
-		out[i] = acc
-		if ix++; ix == nx {
-			ix = 0
-			if iy++; iy == ny {
-				iy = 0
-				iz++
-			}
-		}
-	}
-	return out
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -121,18 +121,6 @@ func TestStencilMatchesCSRBitIdentical(t *testing.T) {
 			}
 		}
 
-		diagC := a.DiagonalInto(make([]float64, n))
-		diagS := st.DiagonalInto(make([]float64, n))
-		absC := a.AbsRowSumsInto(make([]float64, n))
-		absS := st.AbsRowSumsInto(make([]float64, n))
-		for i := 0; i < n; i++ {
-			if diagC[i] != diagS[i] {
-				t.Fatalf("dims %v: DiagonalInto differs at %d", dims, i)
-			}
-			if absC[i] != absS[i] {
-				t.Fatalf("dims %v: AbsRowSumsInto differs at %d: %x vs %x", dims, i, absC[i], absS[i])
-			}
-		}
 	}
 }
 

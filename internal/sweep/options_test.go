@@ -24,10 +24,8 @@ func TestRunRejectsWarmStartWithCache(t *testing.T) {
 		}
 	}
 
-	// NoReuse disables reuse entirely, so WarmStart is inert and the cache is
-	// safe again; each option alone is fine too.
+	// Each option alone is fine.
 	for _, opt := range []Options{
-		{WarmStart: true, NoReuse: true, Cache: NewCacheSize(8)},
 		{WarmStart: true},
 		{Cache: NewCacheSize(8)},
 	} {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/stack"
 	"repro/internal/units"
@@ -39,17 +40,28 @@ func maxDTs(t *testing.T, out []Outcome) []float64 {
 	return dts
 }
 
+// freshMaxDTs solves every job on its own through the model's stateless
+// SolveCtx — no worker, no reuse — and returns the max ΔT of each.
+func freshMaxDTs(t *testing.T, jobs []Job) []float64 {
+	t.Helper()
+	dts := make([]float64, len(jobs))
+	for i, j := range jobs {
+		res, err := j.Model.(core.ContextSolver).SolveCtx(context.Background(), j.Stack)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		dts[i] = res.MaxDT
+	}
+	return dts
+}
+
 // TestSweepReuseWorkerInvariance is the sweep-level reuse property: with
-// per-worker solver-state reuse (the default), results must be bit-identical
-// for any worker count and to a reuse-disabled run — reuse recycles memory,
+// per-worker solver-state reuse, results must be bit-identical for any
+// worker count and to per-job stateless solves — reuse recycles memory,
 // never numbers.
 func TestSweepReuseWorkerInvariance(t *testing.T) {
 	jobs := reuseJobs(t, 12)
-	base, err := Run(context.Background(), jobs, Options{Workers: 1, NoReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := maxDTs(t, base)
+	want := freshMaxDTs(t, jobs)
 	for _, workers := range []int{1, 2, 4, 8} {
 		out, err := Run(context.Background(), jobs, Options{Workers: workers})
 		if err != nil {
@@ -70,11 +82,7 @@ func TestSweepReuseWorkerInvariance(t *testing.T) {
 // the cold results.
 func TestSweepWarmStartWorkerInvariance(t *testing.T) {
 	jobs := reuseJobs(t, 20) // several warm chains
-	cold, err := Run(context.Background(), jobs, Options{Workers: 1, NoReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldDT := maxDTs(t, cold)
+	coldDT := freshMaxDTs(t, jobs)
 	var want []float64
 	for _, workers := range []int{1, 2, 4, 8} {
 		out, err := Run(context.Background(), jobs, Options{Workers: workers, WarmStart: true})

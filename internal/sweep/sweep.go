@@ -89,12 +89,6 @@ type Options struct {
 	// root span with a "sweep.job" child per job, under which the solver
 	// spans (fem.solve, sparse.cg) of context-aware models nest.
 	Trace *obs.Tracer
-	// NoReuse disables per-worker solver-state reuse for models implementing
-	// core.ReusableSolver; every job then solves from scratch. Reuse never
-	// changes results — a reusable instance is contractually bit-identical
-	// to the fresh path — so this switch exists for A/B comparison and as an
-	// escape hatch, not for correctness.
-	NoReuse bool
 	// WarmStart additionally seeds each reusable solve from the previous
 	// solution of the same system shape. Jobs are dispatched to workers as
 	// contiguous chains of warmChainLen batch indices — the caller's job
@@ -132,7 +126,7 @@ type Options struct {
 
 // validate rejects option combinations that would silently change results.
 func (o Options) validate() error {
-	if o.WarmStart && !o.NoReuse && o.Cache != nil {
+	if o.WarmStart && o.Cache != nil {
 		return fmt.Errorf("sweep: Options.WarmStart cannot be combined with a shared Cache: warm-started results depend on their chain order, so caching them under the (model, stack) key would leak order-dependent values into other batches (drop the cache or the warm start)")
 	}
 	return nil
@@ -222,7 +216,7 @@ func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outco
 	// chain-aligned by construction, so a sharded run walks the same chains
 	// as the unsharded one.
 	chain := 1
-	if opt.WarmStart && !opt.NoReuse {
+	if opt.WarmStart {
 		chain = warmChainLen
 	}
 	finish := func(k int, oc Outcome) {
@@ -240,7 +234,7 @@ func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outco
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			inst := &instances{warmStart: opt.WarmStart, disabled: opt.NoReuse}
+			inst := &instances{warmStart: opt.WarmStart}
 			defer inst.close()
 			for i := range idx {
 				end := min(i+chain, hi)
@@ -308,7 +302,6 @@ func chainJournaled(resume map[int]Outcome, i, end int) bool {
 // concurrent use, and reuse must not introduce cross-worker coupling.
 type instances struct {
 	warmStart bool
-	disabled  bool
 	m         map[core.Model]core.ReusableInstance
 }
 
@@ -317,7 +310,7 @@ type instances struct {
 // dynamic type is not comparable and so cannot key the map — get nil, which
 // routes the job down the stateless path.
 func (s *instances) instanceFor(mdl core.Model) core.ReusableInstance {
-	if s == nil || s.disabled {
+	if s == nil {
 		return nil
 	}
 	rs, ok := mdl.(core.ReusableSolver)

@@ -176,8 +176,8 @@ type (
 // grid rule: a banded Cholesky solve where unknowns × half-bandwidth² is
 // under a fixed budget (the default and 2× meshes), multigrid-preconditioned
 // CG above it. PrecondMG forces multigrid, which builds the hierarchy its
-// grid calls for: geometric on the axisymmetric reference,
-// smoothed-aggregation Galerkin on 3-D grids.
+// grid calls for: full coarsening with line relaxation on the axisymmetric
+// reference, z-semicoarsening with plane relaxation on 3-D grids.
 const (
 	PrecondAuto = sparse.PrecondDefault
 	PrecondMG   = sparse.PrecondMG
