@@ -19,14 +19,17 @@ test:
 # bit-identity, the reference-solve golden hashes, stencil kernels against
 # the CSR reference, deck and service goldens,
 # coalescing/admission/drain, and the sharded/resumable-sweep identities),
-# one pass over every benchmark so the harness itself cannot rot, and a
-# single-iteration smoke run of the bench-json pipeline.
+# one pass over every benchmark so the harness itself cannot rot, a
+# single-iteration smoke run of the bench-json pipeline, and the tests of
+# the separate bench module, which `./...` never builds: an internal API
+# change that breaks the benchmark fails here.
 verify:
 	$(GO) vet ./...
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(MAKE) bench-json BENCHTIME=1x BENCHCOUNT=1 BENCH_OUT=/dev/null
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -256,25 +256,39 @@ func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
 	}
 }
 
-// BenchmarkBandedSolve times the banded LU alone on a tridiagonal SPD system.
-func BenchmarkBandedSolve(b *testing.B) {
-	const n = 200
-	bd := linalg.NewBanded(n, 1)
-	rhs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		bd.Add(i, i, 4)
-		if i > 0 {
-			bd.Add(i, i-1, -1)
-			bd.Add(i-1, i, -1)
-		}
-		rhs[i] = float64(i % 7)
+// BenchmarkReferenceBandFactor times the shared banded LDLᵀ factor alone:
+// fill, factor and one solve of a 5-point stencil shaped like the default
+// axisymmetric mesh (nr × nz cells, half-bandwidth nr). The factor does not
+// pivot, so its cost follows from the shape alone; uniform conductances
+// stand in for the assembled ones.
+func BenchmarkReferenceBandFactor(b *testing.B) {
+	p, err := fem.BuildAxiProblem(mustFig4(b, 10), fem.DefaultResolution())
+	if err != nil {
+		b.Fatal(err)
 	}
+	dims := []int{len(p.REdges) - 1, len(p.ZEdges) - 1}
+	n := dims[0] * dims[1]
+	diag, offR, offZ, rhs := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range diag {
+		diag[i], offR[i], offZ[i], rhs[i] = 4.5, -1, -1, float64(i%7)
+	}
+	st, err := sparse.NewStencilCoeffs(dims, diag, [3][]float64{offR, offZ, nil})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]float64, sparse.CholeskyLen(st))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bd.SolveBanded(rhs); err != nil {
+		f, err := sparse.FactorCholesky(st, buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := sparse.SolveCholesky(context.Background(), st, f, rhs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(st.HalfBandwidth()), "halfband")
 }
 
 // BenchmarkModelAClosedForm times the literal transcription of the paper's
@@ -291,9 +305,8 @@ func BenchmarkModelAClosedForm(b *testing.B) {
 }
 
 // BenchmarkReferenceMG* measure the multigrid-preconditioned reference
-// solve against the single-level SSOR baseline as the mesh refines; the
-// "cgiters" metric is the CG iteration count of the last solve and
-// "mglevels" the hierarchy depth. Each iteration re-solves from scratch, so
+// solve as the mesh refines; the "cgiters" metric is the CG iteration
+// count of the last solve and "mglevels" the hierarchy depth. Each iteration re-solves from scratch, so
 // the multigrid timings include hierarchy construction — the honest
 // per-reference-point cost a sweep pays.
 func benchReferenceResolved(b *testing.B, refine int, p sparse.PrecondKind) {
@@ -367,22 +380,8 @@ func BenchmarkReferenceCartFig4(b *testing.B) {
 	b.ReportMetric(float64(st.Levels), "mglevels")
 }
 
-// Ablation: the SPD direct solver (Cholesky) versus general LU on a dense
-// tridiagonal conductance matrix; compare BenchmarkBandedSolve.
-func BenchmarkDenseCholesky(b *testing.B) {
-	a, rhs := spdBenchSystem(b, 200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c, err := linalg.FactorizeCholesky(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Solve(rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkDenseLU is the dense LU with partial pivoting behind
+// core.SolveThreePlaneEquations, on a tridiagonal conductance matrix.
 func BenchmarkDenseLU(b *testing.B) {
 	a, rhs := spdBenchSystem(b, 200)
 	b.ReportAllocs()

@@ -18,9 +18,10 @@ const sink = -1
 // liner rungs join them. Node 0 is T0; each rung appends its surroundings
 // node S and its via node M, so the order is T0, S₁, M₁, S₂, M₂, … Every
 // element joins nodes at most two apart in this order, so the nodal
-// conductance matrix G is banded with half-bandwidth 2 and factors in O(n).
+// conductance matrix G is symmetric with half-bandwidth 2: its lower band is
+// stamped directly and factors in O(n).
 type ladder struct {
-	g *linalg.Banded
+	g *linalg.Band
 	// q holds the heat injected at each node (W).
 	q []float64
 	// c holds the thermal mass of each node (J/K); it is nil in a steady
@@ -40,7 +41,7 @@ type ladder struct {
 // bulk substrate mass.
 func newLadder(s *stack.Stack, nodes int, rs float64, transient bool) *ladder {
 	l := &ladder{
-		g:    linalg.NewBanded(nodes, 2),
+		g:    linalg.NewBand(nodes, 2, nil),
 		q:    make([]float64, nodes),
 		next: 1,
 		tops: make([]int, 0, len(s.Planes)),
@@ -72,7 +73,6 @@ func (l *ladder) link(a, b int, r float64, plane int, elem string) {
 	}
 	l.g.Add(a, a, g)
 	l.g.Add(b, b, g)
-	l.g.Add(a, b, -g)
 	l.g.Add(b, a, -g)
 }
 
@@ -103,10 +103,20 @@ func (l *ladder) rung(plane int, rS, rM, rL, q, cS, cM float64) {
 	l.s, l.m, l.next = sn, mn, mn+1
 }
 
+// solve factors G in place and returns T = G⁻¹·q.
+func (l *ladder) solve() ([]float64, error) {
+	if err := l.g.Factor(); err != nil {
+		return nil, err
+	}
+	t := append([]float64(nil), l.q...)
+	l.g.Solve(t, t)
+	return t, nil
+}
+
 // steady solves G·T = q and reports T0, each plane's top node and the
 // maximum rise, which counts the sink at 0.
 func (l *ladder) steady(model string) (*Result, error) {
-	t, err := l.g.SolveBanded(l.q)
+	t, err := l.solve()
 	if err != nil {
 		return nil, fmt.Errorf("core: model %s solve: %w", model, err)
 	}
@@ -137,8 +147,7 @@ func (l *ladder) transient(model string, spec TransientSpec) (*TransientResult, 
 		cdt[i] = c / spec.Dt
 		l.g.Add(i, i, cdt[i])
 	}
-	lu, err := l.g.Factorize()
-	if err != nil {
+	if err := l.g.Factor(); err != nil {
 		return nil, fmt.Errorf("core: %s transient: %w", model, err)
 	}
 	top := l.tops[len(l.tops)-1]
@@ -148,14 +157,11 @@ func (l *ladder) transient(model string, spec TransientSpec) (*TransientResult, 
 		TopDT: make([]float64, spec.Steps),
 	}
 	x := make([]float64, len(l.q))
-	rhs := make([]float64, len(l.q))
 	for k := range out.Times {
-		for i := range rhs {
-			rhs[i] = l.q[i] + cdt[i]*x[i]
+		for i := range x {
+			x[i] = l.q[i] + cdt[i]*x[i]
 		}
-		if x, err = lu.Solve(rhs); err != nil {
-			return nil, fmt.Errorf("core: %s transient step %d: %w", model, k+1, err)
-		}
+		l.g.Solve(x, x)
 		out.Times[k] = float64(k+1) * spec.Dt
 		out.TopDT[k] = x[top]
 	}

@@ -140,7 +140,7 @@ func TestLadderMatchesDenseSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := l.g.SolveBanded(l.q)
+			got, err := l.solve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestLadderMatchesDenseSolve(t *testing.T) {
 // rcLadder is a single node with heat q, mass c and resistance r to the
 // sink: T(t) = qR(1 − exp(−t/RC)).
 func rcLadder(r, c, q float64) *ladder {
-	l := &ladder{g: linalg.NewBanded(1, 2), q: []float64{q}, c: []float64{c}, tops: []int{0}}
+	l := &ladder{g: linalg.NewBand(1, 2, nil), q: []float64{q}, c: []float64{c}, tops: []int{0}}
 	l.link(sink, 0, r, 1, "r")
 	return l
 }

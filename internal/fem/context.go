@@ -3,6 +3,7 @@ package fem
 import (
 	"sync"
 
+	"repro/internal/linalg"
 	"repro/internal/mg"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -10,7 +11,7 @@ import (
 
 // SolveContext carries reusable state across the repeated solves of a
 // parameter sweep: assemblies (stencil coefficient arrays refilled in
-// place), banded Cholesky factors, multigrid hierarchies, a scratch pool of
+// place), banded LDLᵀ factors, multigrid hierarchies, a scratch pool of
 // CG work vectors, and —
 // opt-in — the previous solution of each system shape for warm-starting CG.
 //
@@ -143,23 +144,23 @@ func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.Stencil) (*mg.Hierarc
 	return h, nil
 }
 
-// factorEntry is a cached banded Cholesky factor. buf, from the shared free
+// factorEntry is a cached banded LDLᵀ factor. buf, from the shared free
 // list, holds the factor's band followed by vals, the snapshot of the
 // coefficients it was computed from.
 type factorEntry struct {
-	f    *sparse.Cholesky
+	f    *linalg.Band
 	buf  []float64
 	vals []float64
 }
 
-// factorFor returns a banded Cholesky factor of the stencil a assembled
+// factorFor returns a banded LDLᵀ factor of the stencil a assembled
 // under key. A cached factor whose coefficient snapshot matches a bit for
 // bit is served untouched (reused); a changed operator is refactored into
 // the same storage. Without a context the factor's storage is borrowed from
 // the shared free list and returned as borrowed, which the caller releases
 // after the solve, error or not. The fem.direct.factors counter records
 // factorizations, fem.direct.reuse.hits the factors served from cache.
-func (sc *SolveContext) factorFor(key asmKey, a *sparse.Stencil) (f *sparse.Cholesky, reused bool, borrowed []float64, err error) {
+func (sc *SolveContext) factorFor(key asmKey, a *sparse.Stencil) (f *linalg.Band, reused bool, borrowed []float64, err error) {
 	band := sparse.CholeskyLen(a)
 	if sc == nil {
 		borrowed = grabBand(band)
@@ -184,8 +185,8 @@ func (sc *SolveContext) factorFor(key asmKey, a *sparse.Stencil) (f *sparse.Chol
 	return e.f, false, nil, nil
 }
 
-// factor runs one counted banded Cholesky factorization.
-func factor(a *sparse.Stencil, buf []float64) (*sparse.Cholesky, error) {
+// factor runs one counted banded LDLᵀ factorization.
+func factor(a *sparse.Stencil, buf []float64) (*linalg.Band, error) {
 	obs.Default().Counter("fem.direct.factors").Inc()
 	return sparse.FactorCholesky(a, buf)
 }

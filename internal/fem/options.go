@@ -39,7 +39,7 @@ func (e *ConvergenceError) Error() string {
 func (e *ConvergenceError) Unwrap() []error { return []error{ErrNotConverged, e.err} }
 
 // directBudget bounds the cost n·b² — unknowns times the squared half-
-// bandwidth; a banded Cholesky factorization takes about n·b²/2 multiply-
+// bandwidth; a banded LDLᵀ factorization takes about n·b²/2 multiply-
 // adds — of the grids solved direct. Grids at or above it get multigrid-
 // preconditioned CG. It sits between the axisymmetric grids where each
 // method wins fresh solves (EXPERIMENTS.md, "Direct or multigrid"): the
@@ -52,8 +52,8 @@ const directBudget = 5e7
 const mgMaxIter = 200
 
 // solveSystem solves a·x = b, assembled under key, by the one grid rule: a
-// grid with n·b² < directBudget by banded Cholesky, with the factor cached
-// in sc; any other grid, or an explicit PrecondMG request, by multigrid-
+// grid with n·b² < directBudget by the banded LDLᵀ factor, cached in sc;
+// any other grid, or an explicit PrecondMG request, by multigrid-
 // preconditioned CG with a hierarchy from sc's cache. A grid too small to
 // coarsen falls back to the factor. ctx is checked before factoring, before
 // the factor's sweeps and between CG iterations. An unset CG MaxIter

@@ -67,7 +67,7 @@ func (m ReferenceModel) solveWith(ctx context.Context, sc *SolveContext, s *stac
 
 // NewReusable implements core.ReusableSolver: the returned instance owns a
 // SolveContext, so consecutive solves share the assembly, the banded
-// Cholesky factor or multigrid hierarchy (reused outright when the operator
+// LDLᵀ factor or multigrid hierarchy (reused outright when the operator
 // is unchanged, refactored or rebuilt when it is not) and the CG scratch
 // pool.
 func (m ReferenceModel) NewReusable(warmStart bool) core.ReusableInstance {

@@ -29,13 +29,13 @@ type Resolution struct {
 	// Bulk is the cell count of the thick first-plane substrate (graded
 	// towards the via tip).
 	Bulk int
-	// Precond overrides the preconditioner for solves at this resolution.
-	// The zero value (sparse.PrecondDefault) auto-selects: multigrid at
-	// ~4k unknowns and above, SSOR below (see resolveSolver).
+	// Precond overrides the solver for solves at this resolution. The zero
+	// value (sparse.PrecondDefault) applies the grid rule of solveSystem:
+	// the banded LDLᵀ factor when unknowns × half-bandwidth² is under a
+	// fixed budget, multigrid-preconditioned CG at or above it.
 	// sparse.PrecondMG forces multigrid. Either way the hierarchy is built
-	// per solve from the assembled grid — the geometric one, since this
-	// grid has two axes (see mg.Build) — and a grid too small to coarsen
-	// falls back to the single-level default.
+	// per solve from the assembled grid (see mg.Build), and a grid too small
+	// to coarsen falls back to the factor.
 	Precond sparse.PrecondKind
 	// RefineFactor records how many times finer than the base mesh this
 	// resolution is (Refine maintains it). Graded mesh intervals raise

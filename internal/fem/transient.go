@@ -27,7 +27,7 @@ type AxiTransient struct {
 // SolveAxiTransient integrates the problem for steps·dt seconds. The problem
 // must supply a Cap function (volumetric heat capacity). Each implicit step
 // solves (M/dt + K)·T' = M/dt·T + q. The step operator is fixed, so the grid
-// rule is applied to it once: a banded Cholesky factor, formed once, makes
+// rule is applied to it once: a banded LDLᵀ factor, formed once, makes
 // every step two triangular sweeps; on a grid above the direct budget one
 // multigrid hierarchy serves CG at every step, warm-started from the
 // previous instant.

@@ -2,25 +2,32 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func randomBandedSystem(rng *rand.Rand, n, b int) (*Banded, *Matrix, []float64) {
-	bd := NewBanded(n, b)
+// randomBandedSystem returns a random diagonally dominant symmetric matrix
+// of half-bandwidth b as a Band and as a dense Matrix, with a right-hand
+// side.
+func randomBandedSystem(rng *rand.Rand, n, b int) (*Band, *Matrix, []float64) {
+	bd := NewBand(n, b, nil)
 	dense := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		var rowSum float64
-		for j := maxInt(0, i-b); j <= minInt(n-1, i+b); j++ {
-			if j == i {
-				continue
-			}
+		for j := max(0, i-b); j < i; j++ {
 			v := rng.Float64()*2 - 1
 			bd.Add(i, j, v)
 			dense.Set(i, j, v)
-			rowSum += math.Abs(v)
+			dense.Set(j, i, v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		var rowSum float64
+		for j := 0; j < n; j++ {
+			rowSum += math.Abs(dense.At(i, j))
 		}
 		d := rowSum + 0.5 + rng.Float64()
 		bd.Add(i, i, d)
@@ -33,18 +40,14 @@ func randomBandedSystem(rng *rand.Rand, n, b int) (*Banded, *Matrix, []float64) 
 	return bd, dense, rhs
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// solveBand factors m in place and returns its solution for rhs.
+func solveBand(m *Band, rhs []float64) ([]float64, error) {
+	if err := m.Factor(); err != nil {
+		return nil, err
 	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	x := make([]float64, len(rhs))
+	m.Solve(x, rhs)
+	return x, nil
 }
 
 func TestBandedSolveMatchesDense(t *testing.T) {
@@ -53,7 +56,7 @@ func TestBandedSolveMatchesDense(t *testing.T) {
 		n := 1 + rng.Intn(40)
 		b := rng.Intn(5)
 		bd, dense, rhs := randomBandedSystem(rng, n, b)
-		xb, err := bd.SolveBanded(rhs)
+		xb, err := solveBand(bd, rhs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -69,73 +72,62 @@ func TestBandedSolveMatchesDense(t *testing.T) {
 	}
 }
 
-func TestBandedAtAndMulVec(t *testing.T) {
-	bd := NewBanded(4, 1)
-	bd.Add(0, 0, 2)
-	bd.Add(0, 1, -1)
-	bd.Add(1, 0, -1)
-	bd.Add(1, 1, 2)
-	bd.Add(2, 2, 3)
-	bd.Add(3, 3, 4)
-	if bd.At(0, 1) != -1 || bd.At(0, 2) != 0 || bd.At(2, 2) != 3 {
-		t.Fatal("At wrong")
-	}
-	y := bd.MulVec([]float64{1, 1, 1, 1})
-	want := []float64{1, 1, 3, 4}
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-15 {
-			t.Fatalf("MulVec = %v", y)
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("no panic for %s", what)
 		}
-	}
+	}()
+	f()
 }
 
 func TestBandedOutsideBandPanics(t *testing.T) {
-	bd := NewBanded(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for out-of-band Add")
-		}
-	}()
-	bd.Add(0, 3, 1)
+	bd := NewBand(5, 1, nil)
+	mustPanic(t, "out-of-band Add", func() { bd.Add(0, 3, 1) })
+	mustPanic(t, "out-of-band Add below the diagonal", func() { bd.Add(3, 0, 1) })
 }
 
 func TestBandedIndexPanics(t *testing.T) {
-	bd := NewBanded(3, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for out-of-range index")
-		}
-	}()
-	bd.At(5, 0)
+	bd := NewBand(3, 1, nil)
+	mustPanic(t, "row past the end", func() { bd.Add(3, 2, 1) })
+	mustPanic(t, "negative column", func() { bd.Add(0, -1, 1) })
 }
 
+// A singular band is not positive definite: its factorization fails with
+// ErrNotSPD and names the row of the zero pivot.
 func TestBandedSingular(t *testing.T) {
-	bd := NewBanded(2, 0)
+	bd := NewBand(2, 0, nil)
 	bd.Add(0, 0, 1)
 	// Row 1 left zero.
-	if _, err := bd.SolveBanded([]float64{1, 1}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
+	if _, err := solveBand(bd, []float64{1, 1}); !errors.Is(err, ErrNotSPD) || !strings.Contains(err.Error(), "row 1 ") {
+		t.Fatalf("err = %v, want ErrNotSPD at row 1", err)
 	}
-	empty := NewBanded(2, 1)
-	if _, err := empty.SolveBanded([]float64{1, 1}); !errors.Is(err, ErrSingular) {
+	empty := NewBand(2, 1, nil)
+	if _, err := solveBand(empty, []float64{1, 1}); !errors.Is(err, ErrNotSPD) || !strings.Contains(err.Error(), "row 0 ") {
 		t.Fatalf("zero matrix err = %v", err)
 	}
 }
 
 func TestBandedDimensionChecks(t *testing.T) {
-	bd := NewBanded(3, 1)
-	if _, err := bd.SolveBanded([]float64{1}); err == nil {
-		t.Error("short rhs accepted")
-	}
-	func() {
-		defer func() { recover() }()
-		NewBanded(0, 1)
-		t.Error("NewBanded(0,1) did not panic")
-	}()
+	mustPanic(t, "NewBand(0, 1)", func() { NewBand(0, 1, nil) })
+	mustPanic(t, "NewBand(3, -1)", func() { NewBand(3, -1, nil) })
+	mustPanic(t, "a buffer shorter than n·(b+1)", func() { NewBand(3, 1, make([]float64, 5)) })
 	// Bandwidth clamps to n-1.
-	wide := NewBanded(3, 10)
-	if wide.Bandwidth() != 2 {
-		t.Errorf("bandwidth = %d", wide.Bandwidth())
+	wide := NewBand(3, 10, nil)
+	if wide.N() != 3 || wide.Bandwidth() != 2 {
+		t.Errorf("n, bandwidth = %d, %d", wide.N(), wide.Bandwidth())
+	}
+	// A band in an earlier band's buffer starts from zero.
+	buf := []float64{9, 9, 9, 9, 9, 9, 9}
+	again := NewBand(3, 1, buf)
+	again.Add(0, 0, 2)
+	again.Add(1, 1, 2)
+	again.Add(2, 2, 2)
+	x, err := solveBand(again, []float64{2, 4, 6})
+	if err != nil || x[0] != 1 || x[1] != 2 || x[2] != 3 || buf[6] != 9 {
+		t.Errorf("reused buffer: x = %v, err %v, buf %v", x, err, buf)
 	}
 }
 
@@ -144,12 +136,12 @@ func TestBandedResidualProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(60)
 		b := rng.Intn(4)
-		bd, _, rhs := randomBandedSystem(rng, n, b)
-		x, err := bd.SolveBanded(rhs)
+		bd, dense, rhs := randomBandedSystem(rng, n, b)
+		x, err := solveBand(bd, rhs)
 		if err != nil {
 			return false
 		}
-		ax := bd.MulVec(x)
+		ax := dense.MulVec(x)
 		for i := range ax {
 			if math.Abs(ax[i]-rhs[i]) > 1e-8*(1+math.Abs(rhs[i])) {
 				return false
@@ -164,7 +156,7 @@ func TestBandedResidualProperty(t *testing.T) {
 
 func TestBandedTridiagonalAgreesWithThomas(t *testing.T) {
 	n := 30
-	bd := NewBanded(n, 1)
+	bd := NewBand(n, 1, nil)
 	lower := make([]float64, n)
 	diag := make([]float64, n)
 	upper := make([]float64, n)
@@ -173,20 +165,17 @@ func TestBandedTridiagonalAgreesWithThomas(t *testing.T) {
 		diag[i] = 4
 		bd.Add(i, i, 4)
 		if i > 0 {
-			lower[i] = -1
-			bd.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			upper[i] = -1.2
-			bd.Add(i, i+1, -1.2)
+			lower[i] = -1 - 0.2*float64(i%2)
+			upper[i-1] = lower[i]
+			bd.Add(i, i-1, lower[i])
 		}
 		rhs[i] = float64(i%5) - 2
 	}
-	xb, err := bd.SolveBanded(rhs)
+	xb, err := solveBand(bd, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xt, err := SolveTridiag(lower, diag, upper, rhs)
+	xt, err := solveTridiag(lower, diag, upper, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,4 +184,111 @@ func TestBandedTridiagonalAgreesWithThomas(t *testing.T) {
 			t.Fatalf("banded vs Thomas at %d: %g vs %g", i, xb[i], xt[i])
 		}
 	}
+}
+
+func TestSolveTridiag(t *testing.T) {
+	// System:
+	// [ 2 -1  0] [x0]   [1]
+	// [-1  2 -1] [x1] = [0]
+	// [ 0 -1  2] [x2]   [1]
+	lower := []float64{0, -1, -1}
+	diag := []float64{2, 2, 2}
+	upper := []float64{-1, -1, 0}
+	rhs := []float64{1, 0, 1}
+	x, err := solveTridiag(lower, diag, upper, rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1, 1, 1}
+	for i := range want {
+		if math.Abs(x[i]-want[i]) > 1e-12 {
+			t.Fatalf("x = %v, want %v", x, want)
+		}
+	}
+}
+
+func TestSolveTridiagMatchesDense(t *testing.T) {
+	n := 25
+	lower := make([]float64, n)
+	diag := make([]float64, n)
+	upper := make([]float64, n)
+	rhs := make([]float64, n)
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		diag[i] = 4 + float64(i%3)
+		a.Set(i, i, diag[i])
+		if i > 0 {
+			lower[i] = -1 - 0.1*float64(i%2)
+			a.Set(i, i-1, lower[i])
+		}
+		if i < n-1 {
+			upper[i] = -1.5
+			a.Set(i, i+1, upper[i])
+		}
+		rhs[i] = float64(i) - 3
+	}
+	x, err := solveTridiag(lower, diag, upper, rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xd, err := Solve(a, rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if math.Abs(x[i]-xd[i]) > 1e-10 {
+			t.Fatalf("mismatch at %d: %g vs %g", i, x[i], xd[i])
+		}
+	}
+}
+
+func TestSolveTridiagErrors(t *testing.T) {
+	if _, err := solveTridiag(nil, nil, nil, nil); err == nil {
+		t.Error("empty system accepted")
+	}
+	if _, err := solveTridiag([]float64{0}, []float64{1, 2}, []float64{0}, []float64{1}); err == nil {
+		t.Error("inconsistent lengths accepted")
+	}
+	if _, err := solveTridiag([]float64{0}, []float64{0}, []float64{0}, []float64{1}); err == nil {
+		t.Error("zero pivot accepted")
+	}
+}
+
+// solveTridiag solves a tridiagonal system with the Thomas algorithm, the
+// reference the band factor is checked against:
+//
+//	lower[i]·x[i-1] + diag[i]·x[i] + upper[i]·x[i+1] = rhs[i]
+//
+// lower[0] and upper[n-1] are ignored. The inputs are not modified; a zero
+// pivot returns ErrSingular.
+func solveTridiag(lower, diag, upper, rhs []float64) ([]float64, error) {
+	n := len(diag)
+	if n == 0 {
+		return nil, fmt.Errorf("linalg: solveTridiag: empty system")
+	}
+	if len(lower) != n || len(upper) != n || len(rhs) != n {
+		return nil, fmt.Errorf("linalg: solveTridiag: inconsistent lengths (lower=%d diag=%d upper=%d rhs=%d)",
+			len(lower), n, len(upper), len(rhs))
+	}
+	cp := make([]float64, n) // modified upper coefficients
+	dp := make([]float64, n) // modified rhs
+	if diag[0] == 0 {
+		return nil, fmt.Errorf("%w: zero pivot at row 0", ErrSingular)
+	}
+	cp[0] = upper[0] / diag[0]
+	dp[0] = rhs[0] / diag[0]
+	for i := 1; i < n; i++ {
+		den := diag[i] - lower[i]*cp[i-1]
+		if den == 0 {
+			return nil, fmt.Errorf("%w: zero pivot at row %d", ErrSingular, i)
+		}
+		cp[i] = upper[i] / den
+		dp[i] = (rhs[i] - lower[i]*dp[i-1]) / den
+	}
+	x := make([]float64, n)
+	x[n-1] = dp[n-1]
+	for i := n - 2; i >= 0; i-- {
+		x[i] = dp[i] - cp[i]*x[i+1]
+	}
+	return x, nil
 }

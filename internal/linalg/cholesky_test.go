@@ -8,6 +8,9 @@ import (
 	"testing/quick"
 )
 
+// A dense SPD matrix is a band with b = n−1: these tests run the band
+// factor on full matrices against the dense LU.
+
 func spdTestMatrix() *Matrix {
 	return NewMatrixFromRows([][]float64{
 		{4, 1, 0},
@@ -78,53 +81,29 @@ func TestCholeskyRejectsSingular(t *testing.T) {
 		{1, 1},
 		{1, 1},
 	})
-	if _, err := FactorizeCholesky(a); !errors.Is(err, ErrNotSPD) {
+	if err := denseBand(a).Factor(); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("err = %v, want ErrNotSPD", err)
 	}
 }
 
-func TestCholeskyRejectsNonSquare(t *testing.T) {
-	if _, err := FactorizeCholesky(NewMatrix(2, 3)); err == nil {
-		t.Fatal("non-square accepted")
-	}
-}
-
 func TestCholeskySolveDimensionMismatch(t *testing.T) {
-	f, err := FactorizeCholesky(spdTestMatrix())
-	if err != nil {
+	f := denseBand(spdTestMatrix())
+	if err := f.Factor(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Solve([]float64{1}); err == nil {
-		t.Fatal("bad rhs accepted")
-	}
-}
-
-func TestCholeskyDet(t *testing.T) {
-	a := spdTestMatrix()
-	fc, err := FactorizeCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fc.Det()-fl.Det()) > 1e-10*math.Abs(fl.Det()) {
-		t.Fatalf("Cholesky det %g vs LU det %g", fc.Det(), fl.Det())
-	}
+	mustPanic(t, "a short rhs", func() { f.Solve(make([]float64, 3), []float64{1}) })
+	mustPanic(t, "a short solution vector", func() { f.Solve(make([]float64, 2), []float64{1, 2, 3}) })
 }
 
 func TestCholeskyReuse(t *testing.T) {
 	a := spdTestMatrix()
-	f, err := FactorizeCholesky(a)
-	if err != nil {
+	f := denseBand(a)
+	if err := f.Factor(); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range [][]float64{{1, 0, 0}, {0, 1, 0}, {3, -2, 5}} {
-		x, err := f.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := make([]float64, len(b))
+		f.Solve(x, b)
 		if r := residual(a, x, b); r > 1e-12 {
 			t.Fatalf("residual %g for rhs %v", r, b)
 		}
@@ -169,11 +148,20 @@ func TestCholeskyProperty(t *testing.T) {
 	}
 }
 
-// solveSPD solves A·x = b with a fresh Cholesky factorization.
-func solveSPD(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorizeCholesky(a)
-	if err != nil {
-		return nil, err
+// denseBand copies the lower triangle of the square matrix a into a band of
+// half-bandwidth n−1.
+func denseBand(a *Matrix) *Band {
+	n := a.Rows()
+	m := NewBand(n, n-1, nil)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			m.Add(i, j, a.At(i, j))
+		}
 	}
-	return f.Solve(b)
+	return m
+}
+
+// solveSPD solves A·x = b with a fresh band factorization of the dense a.
+func solveSPD(a *Matrix, b []float64) ([]float64, error) {
+	return solveBand(denseBand(a), b)
 }

@@ -1,11 +1,13 @@
-// Package linalg implements the dense linear algebra needed by the TTSV
-// thermal models: vectors, row-major matrices, LU factorization with partial
-// pivoting, and a tridiagonal (Thomas) solver.
+// Package linalg implements the linear algebra needed by the TTSV thermal
+// models: vectors, row-major matrices, LU factorization with partial
+// pivoting, and the banded LDLᵀ factor (band.go) that solves every
+// symmetric positive definite system in the repository — the Model A/B
+// ladders, the finite-volume grids solved direct, and the multigrid planes
+// and coarse grids.
 //
-// The systems solved here are small (Model A: a handful of nodes) to medium
-// (Model B with hundreds of segments); a straightforward, well-tested dense
-// implementation is preferable to pulling in a numerical library, and the
-// sparse package covers the genuinely large systems.
+// A straightforward, well-tested implementation is preferable to pulling in
+// a numerical library; the sparse package fills the band from its stencils
+// and covers the grids too large to factor.
 package linalg
 
 import (

@@ -84,71 +84,3 @@ func TestSum(t *testing.T) {
 		t.Fatalf("Sum = %g", got)
 	}
 }
-
-func TestSolveTridiag(t *testing.T) {
-	// System:
-	// [ 2 -1  0] [x0]   [1]
-	// [-1  2 -1] [x1] = [0]
-	// [ 0 -1  2] [x2]   [1]
-	lower := []float64{0, -1, -1}
-	diag := []float64{2, 2, 2}
-	upper := []float64{-1, -1, 0}
-	rhs := []float64{1, 0, 1}
-	x, err := SolveTridiag(lower, diag, upper, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1, 1}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-12 {
-			t.Fatalf("x = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestSolveTridiagMatchesDense(t *testing.T) {
-	n := 25
-	lower := make([]float64, n)
-	diag := make([]float64, n)
-	upper := make([]float64, n)
-	rhs := make([]float64, n)
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		diag[i] = 4 + float64(i%3)
-		a.Set(i, i, diag[i])
-		if i > 0 {
-			lower[i] = -1 - 0.1*float64(i%2)
-			a.Set(i, i-1, lower[i])
-		}
-		if i < n-1 {
-			upper[i] = -1.5
-			a.Set(i, i+1, upper[i])
-		}
-		rhs[i] = float64(i) - 3
-	}
-	x, err := SolveTridiag(lower, diag, upper, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xd, err := Solve(a, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xd[i]) > 1e-10 {
-			t.Fatalf("mismatch at %d: %g vs %g", i, x[i], xd[i])
-		}
-	}
-}
-
-func TestSolveTridiagErrors(t *testing.T) {
-	if _, err := SolveTridiag(nil, nil, nil, nil); err == nil {
-		t.Error("empty system accepted")
-	}
-	if _, err := SolveTridiag([]float64{0}, []float64{1, 2}, []float64{0}, []float64{1}); err == nil {
-		t.Error("inconsistent lengths accepted")
-	}
-	if _, err := SolveTridiag([]float64{0}, []float64{0}, []float64{0}, []float64{1}); err == nil {
-		t.Error("zero pivot accepted")
-	}
-}

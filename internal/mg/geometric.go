@@ -43,7 +43,6 @@ package mg
 import (
 	"fmt"
 
-	"repro/internal/linalg"
 	"repro/internal/sparse"
 )
 
@@ -435,7 +434,7 @@ func transpose(p csrArrays, nc int) csrArrays {
 }
 
 // buildFull assembles a fully coarsened hierarchy by repeated
-// re-discretization and factors the coarsest grid densely.
+// re-discretization and factors the coarsest grid directly.
 func (h *Hierarchy) buildFull(a *sparse.Stencil, g *geomGrid) error {
 	// Every level smooths by alternating-direction line relaxation (see
 	// linesmooth.go); the finest level's factors come from the same
@@ -470,42 +469,10 @@ func (h *Hierarchy) buildFull(a *sparse.Stencil, g *geomGrid) error {
 	if len(h.levels) < 2 {
 		return nil
 	}
-	// Direct coarse solve from the bottom grid's coefficients.
-	chol, err := linalg.FactorizeCholesky(denseFromGeom(g))
-	if err != nil {
+	// Direct coarse solve: the band factor of the bottom level's stencil.
+	op := h.levels[len(h.levels)-1].op
+	if h.coarse, err = sparse.FactorCholesky(op, make([]float64, sparse.CholeskyLen(op))); err != nil {
 		return fmt.Errorf("mg: coarse-grid factorization: %w", err)
 	}
-	h.coarse = chol
 	return nil
-}
-
-// denseFromGeom expands the coarsest grid's stencil into the dense matrix
-// the Cholesky factorization consumes.
-func denseFromGeom(g *geomGrid) *linalg.Matrix {
-	m := linalg.NewMatrix(g.n, g.n)
-	s := g.strides()
-	ix, iy, iz := 0, 0, 0
-	for i := 0; i < g.n; i++ {
-		m.Set(i, i, g.diag[i])
-		if ix+1 < g.nd[0] {
-			m.Set(i, i+1, g.off[0][i])
-			m.Set(i+1, i, g.off[0][i])
-		}
-		if iy+1 < g.nd[1] {
-			m.Set(i, i+s[1], g.off[1][i])
-			m.Set(i+s[1], i, g.off[1][i])
-		}
-		if iz+1 < g.nd[2] {
-			m.Set(i, i+s[2], g.off[2][i])
-			m.Set(i+s[2], i, g.off[2][i])
-		}
-		if ix++; ix == g.nd[0] {
-			ix = 0
-			if iy++; iy == g.nd[1] {
-				iy = 0
-				iz++
-			}
-		}
-	}
-	return m
 }

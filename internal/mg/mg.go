@@ -11,7 +11,7 @@
 //   - Grids with 1–2 axes (the axisymmetric reference and its transient)
 //     coarsen 2× along every axis, relax by alternating-direction lines
 //     (linesmooth.go), cycle as a truncated W-cycle and solve the coarsest
-//     level densely.
+//     level by its banded LDLᵀ factor.
 //   - 3-axis grids (the Cartesian block and the chip power map) coarsen z
 //     only and relax whole xy-planes exactly (planes.go), cycled as a
 //     V-cycle down to a single plane. The stacks are thin layers under a
@@ -38,7 +38,7 @@ import (
 
 const (
 	// coarsestSize stops full coarsening once a level has at most this many
-	// unknowns; that level is solved directly by dense Cholesky.
+	// unknowns; that level is solved directly by its band factor.
 	coarsestSize = 400
 	// maxLevels caps the depth of the fully coarsened hierarchy.
 	maxLevels = 24
@@ -84,7 +84,7 @@ type Hierarchy struct {
 	// coarse factors the coarsest fully coarsened level; nil on a
 	// semicoarsened hierarchy, whose single-plane coarsest level the plane
 	// smoother solves exactly.
-	coarse *linalg.Cholesky
+	coarse *linalg.Band
 
 	// Metric handles bound at Build time so cycling never takes the
 	// registry lock. Both are nil when the obs default registry is disabled,
@@ -198,11 +198,9 @@ func (h *Hierarchy) vcycle(k int, x, b []float64) {
 			lv.smooth(x, b, false)
 			return
 		}
-		// Dense Cholesky backsolve into the level's solution vector (the
+		// Band factor sweeps into the level's solution vector (the
 		// coarsest grid is a few hundred unknowns).
-		if err := h.coarse.SolveInto(x, b); err != nil {
-			panic(err) // unreachable: the factor and b share the level's size
-		}
+		h.coarse.Solve(x, b)
 		return
 	}
 	next := h.levels[k+1]

@@ -11,7 +11,7 @@ package mg
 // once: an exact plane solve damps every mode oscillatory in z, whatever the
 // in-plane coupling, and every in-plane mode keeps its resolution on the
 // coarse levels. The hierarchy ends at a single plane, which its plane
-// solve handles exactly, so no dense coarse solve is needed.
+// solve handles exactly, so no separate coarse factor is needed.
 //
 // The smoother is block Gauss–Seidel over the planes: a forward sweep
 // (ascending z) before the coarse correction and a backward one after — the
@@ -23,16 +23,17 @@ package mg
 import (
 	"fmt"
 
+	"repro/internal/linalg"
 	"repro/internal/sparse"
 )
 
-// planeAxis holds a level's plane solver: the banded Cholesky factor of each
+// planeAxis holds a level's plane solver: the banded LDLᵀ factor of each
 // xy-plane's block, ascending in z, and the z couplings between planes.
 type planeAxis struct {
 	nxy int
 	// offZ[i] = A[i, i+nxy], nil on a single plane.
 	offZ []float64
-	f    []*sparse.Cholesky
+	f    []*linalg.Band
 }
 
 // factorPlanes factors the plane blocks of g. Each block is g's diagonal
@@ -40,7 +41,7 @@ type planeAxis struct {
 // into a 2-D stencil — and all factors share one buffer.
 func factorPlanes(g *geomGrid) (*planeAxis, error) {
 	nxy, nz := g.nd[0]*g.nd[1], g.nd[2]
-	pa := &planeAxis{nxy: nxy, offZ: g.off[2], f: make([]*sparse.Cholesky, nz)}
+	pa := &planeAxis{nxy: nxy, offZ: g.off[2], f: make([]*linalg.Band, nz)}
 	var buf []float64
 	for p := range nz {
 		lo, hi := p*nxy, (p+1)*nxy

@@ -1,30 +1,20 @@
 package sparse
 
-// Banded Cholesky factorization of a stencil operator.
+// Banded factorization of a stencil operator.
 //
 // In the fem index order every neighbor of a cell lies within b rows of it,
 // where b is the stride of the slowest-varying axis with more than one cell
-// (nr on the axisymmetric grid, nx·ny on the 3-D one). The Cholesky factor
-// of such an SPD band matrix keeps the band — all fill-in stays inside it —
-// so it fits in n·(b+1) values, costs about n·b²/2 multiply-adds to form and
-// 2·n·b per solve. On grids where n·b² is small that beats any iteration.
+// (nr on the axisymmetric grid, nx·ny on the 3-D one). The operator is then
+// an SPD band matrix, which linalg.Band factors as L·D·Lᵀ inside the band.
+// On grids where n·b² is small that beats any iteration.
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/linalg"
 )
-
-// Cholesky is the banded Cholesky factor L of a stencil operator, A = L·Lᵀ.
-type Cholesky struct {
-	n, b int
-	// l holds row i of L, columns i−b … i, at l[i·(b+1):(i+1)·(b+1)]: the
-	// diagonal is the last entry, and columns left of 0 stay zero.
-	l []float64
-}
 
 // HalfBandwidth returns b, the largest distance between a row and a column
 // it couples to: the stride of the slowest-varying axis with more than one
@@ -41,82 +31,38 @@ func (s *Stencil) HalfBandwidth() int {
 	return 0
 }
 
-// CholeskyLen is the storage a banded Cholesky factor of s needs: n·(b+1).
+// CholeskyLen is the storage a banded factor of s needs: n·(b+1).
 func CholeskyLen(s *Stencil) int { return s.n * (s.HalfBandwidth() + 1) }
 
-// FactorCholesky factors a into buf, whose first CholeskyLen(a) values it
-// overwrites; the factor keeps buf, so refactoring a changed operator into
-// the same buffer reuses the storage. A pivot that is not positive fails
-// with an error wrapping linalg.ErrNotSPD and naming its row.
-func FactorCholesky(a *Stencil, buf []float64) (*Cholesky, error) {
-	n, b := a.n, a.HalfBandwidth()
-	w := b + 1
-	if len(buf) < n*w {
-		return nil, fmt.Errorf("sparse: Cholesky buffer holds %d values, want %d", len(buf), n*w)
+// FactorCholesky fills a's lower band into buf, whose first CholeskyLen(a)
+// values it overwrites, and factors it there; the factor keeps buf, so
+// refactoring a changed operator into the same buffer reuses the storage. A
+// pivot that is not positive fails with an error wrapping linalg.ErrNotSPD
+// and naming its row.
+func FactorCholesky(a *Stencil, buf []float64) (*linalg.Band, error) {
+	if len(buf) < CholeskyLen(a) {
+		return nil, fmt.Errorf("sparse: Cholesky buffer holds %d values, want %d", len(buf), CholeskyLen(a))
 	}
-	l := buf[:n*w]
-	clear(l)
+	f := linalg.NewBand(a.n, a.HalfBandwidth(), buf)
 	a.Each(func(i, j int, v float64) {
 		if j <= i {
-			l[i*w+j-i+b] = v
+			f.Add(i, j, v)
 		}
 	})
-	for i := 0; i < n; i++ {
-		j0 := max(0, i-b)
-		row := l[i*w+j0-i+b : (i+1)*w] // L[i, j0…i]
-		for j := j0; j <= i; j++ {
-			// Every row j ≥ j0 reaches back to column j0, so L[i,·] and
-			// L[j,·] overlap on columns j0 … j−1.
-			lj := l[j*w+j0-j+b : (j+1)*w]
-			s := row[j-j0]
-			for k, v := range row[:j-j0] {
-				s -= v * lj[k]
-			}
-			if j < i {
-				row[j-j0] = s / lj[j-j0]
-			} else if s > 0 {
-				row[j-j0] = math.Sqrt(s)
-			} else {
-				return nil, fmt.Errorf("sparse: banded Cholesky pivot of row %d is %g: %w", i, s, linalg.ErrNotSPD)
-			}
-		}
+	if err := f.Factor(); err != nil {
+		return nil, err
 	}
-	return &Cholesky{n: n, b: b, l: l}, nil
-}
-
-// Solve writes the solution of L·Lᵀ·x = rhs into x: a forward sweep with L,
-// then a backward sweep with Lᵀ that walks L by rows, subtracting each
-// finished unknown from the ones its row couples to.
-func (c *Cholesky) Solve(x, rhs []float64) {
-	b, w := c.b, c.b+1
-	for i := 0; i < c.n; i++ {
-		j0 := max(0, i-b)
-		row := c.l[i*w+j0-i+b : (i+1)*w]
-		s := rhs[i]
-		for k, v := range row[:i-j0] {
-			s -= v * x[j0+k]
-		}
-		x[i] = s / row[i-j0]
-	}
-	for i := c.n - 1; i >= 0; i-- {
-		j0 := max(0, i-b)
-		row := c.l[i*w+j0-i+b : (i+1)*w]
-		xi := x[i] / row[i-j0]
-		x[i] = xi
-		for k, v := range row[:i-j0] {
-			x[j0+k] -= v * xi
-		}
-	}
+	return f, nil
 }
 
 // SolveCholesky solves A·x = b with f, a factor of a: two triangular sweeps,
 // then one matvec into a vector from pl for the true relative residual
 // ‖b − A·x‖/‖b‖ that Stats reports. ctx is checked before the sweeps.
-func SolveCholesky(ctx context.Context, a *Stencil, f *Cholesky, b []float64, pl *Pool) ([]float64, Stats, error) {
+func SolveCholesky(ctx context.Context, a *Stencil, f *linalg.Band, b []float64, pl *Pool) ([]float64, Stats, error) {
 	start := time.Now()
-	st := Stats{Direct: true, Bandwidth: f.b}
-	if f.n != a.n || len(b) != a.n {
-		return nil, st, fmt.Errorf("sparse: Cholesky solve of %d unknowns with a %d-row factor and a %d-value rhs", a.n, f.n, len(b))
+	st := Stats{Direct: true, Bandwidth: f.Bandwidth()}
+	if f.N() != a.n || len(b) != a.n {
+		return nil, st, fmt.Errorf("sparse: Cholesky solve of %d unknowns with a %d-row factor and a %d-value rhs", a.n, f.N(), len(b))
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, st, fmt.Errorf("sparse: direct solve cancelled: %w", err)

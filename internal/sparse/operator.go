@@ -1,6 +1,6 @@
 // Package sparse implements the linear algebra of the finite-volume
 // heat-conduction reference solver: the matrix-free Stencil its structured
-// grids fill directly, a banded Cholesky factorization of it, and Conjugate
+// grids fill directly, its banded LDLᵀ factorization, and Conjugate
 // Gradient with a multigrid hook for grids too large to factor.
 package sparse
 

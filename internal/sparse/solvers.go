@@ -92,8 +92,8 @@ func ParsePrecond(s string) (PrecondKind, error) {
 	return PrecondDefault, fmt.Errorf("sparse: unknown preconditioner %q (want auto or mg)", s)
 }
 
-// Stats reports what a solve did: a CG iteration, or a direct banded
-// Cholesky solve (Direct).
+// Stats reports what a solve did: a CG iteration, or a direct solve by the
+// banded LDLᵀ factor (Direct).
 type Stats struct {
 	// Iterations actually performed.
 	Iterations int

@@ -173,7 +173,7 @@ type (
 )
 
 // Preconditioner choices for Resolution.Precond. PrecondAuto applies the
-// grid rule: a banded Cholesky solve where unknowns × half-bandwidth² is
+// grid rule: a banded LDLᵀ solve where unknowns × half-bandwidth² is
 // under a fixed budget (the default and 2× meshes), multigrid-preconditioned
 // CG above it. PrecondMG forces multigrid, which builds the hierarchy its
 // grid calls for: full coarsening with line relaxation on the axisymmetric
@@ -277,7 +277,7 @@ func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} 
 
 // NewSolveContext returns a reuse context for repeated reference solves
 // outside of Sweep (which manages contexts itself): assembly patterns,
-// banded Cholesky factors, multigrid hierarchies and solver scratch carry
+// banded LDLᵀ factors, multigrid hierarchies and solver scratch carry
 // over between solves through it. Reuse never changes results — a solve
 // through a context is bit-identical to one without — and Close drops the
 // held scratch vectors and factors.
