@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify race bench bench-json bench-compare profile profile-stencil profile-mgbuild fuzz loadsmoke sweepsmoke clean
+.PHONY: all build test verify race bench bench-json bench-compare profile profile-stencil profile-mgbuild fuzz clean
 
 all: build test
 
@@ -33,19 +33,6 @@ verify:
 
 race:
 	$(GO) test -race ./...
-
-# loadsmoke drives an in-process ttsvd with the hotspot key mix — a quick
-# end-to-end check that serving, coalescing and the warm pool hold up under
-# concurrent load — and reports req/s with p50/p99 latency.
-loadsmoke:
-	$(GO) run ./cmd/ttsvload -inproc -n 400 -c 8 -mix hotspot
-
-# sweepsmoke drives a small sharded sweep through an in-process ttsvd's
-# streaming /sweep endpoint — a quick end-to-end check that shard
-# partitioning and per-point NDJSON progress streaming jointly deliver every
-# sweep point exactly once.
-sweepsmoke:
-	$(GO) run ./cmd/ttsvload -inproc -sweep -points 12 -shards 2
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

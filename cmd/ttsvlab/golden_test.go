@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,5 +53,26 @@ func TestWorkersFlagGolden(t *testing.T) {
 			t.Errorf("-workers %s: rendered table differs from sequential run\nseq:\n%s\ngot:\n%s",
 				n, golden.table, got.table)
 		}
+	}
+}
+
+// TestCalibrateArchive pins the archived results/calibrate.csv to what
+// `ttsvlab -csv results calibrate` writes today. `ttsvlab all` does not
+// write that file, so without this check it can drift unnoticed.
+func TestCalibrateArchive(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(context.Background(), []string{"-csv", dir, "calibrate"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "calibrate.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "calibrate.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("calibrate.csv differs from results/calibrate.csv; regenerate it with `go run ./cmd/ttsvlab -csv results calibrate`\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -430,7 +430,7 @@ func (el *elements) lowerOp(c *Card, sc *Scenario) (Analysis, error) {
 		return Analysis{}, err
 	}
 	r := newReader(el.file, c)
-	models, err := el.readModels(r, "all", core.Coeffs{K1: 1.3, K2: 0.55, C1: 1})
+	models, err := el.readModels(r, "all", core.PaperBlockCoeffs())
 	if err != nil {
 		return Analysis{}, err
 	}
@@ -449,7 +449,7 @@ func (el *elements) lowerTran(c *Card, sc *Scenario) (Analysis, error) {
 		Dt:    r.require("dt", units.DimTime),
 		Steps: r.int("steps", 0),
 	}
-	models, err := el.readModels(r, "a", core.Coeffs{K1: 1.3, K2: 0.55, C1: 1})
+	models, err := el.readModels(r, "a", core.PaperBlockCoeffs())
 	if err != nil {
 		return Analysis{}, err
 	}
@@ -535,7 +535,7 @@ func (el *elements) lowerSweep(c *Card, sc *Scenario) (Analysis, error) {
 		}
 	}
 	r.take(0)
-	models, merr := el.readModels(r, "all", core.Coeffs{K1: 1.3, K2: 0.55, C1: 1})
+	models, merr := el.readModels(r, "all", core.PaperBlockCoeffs())
 	if merr != nil {
 		return Analysis{}, merr
 	}
@@ -619,7 +619,7 @@ func (el *elements) lowerPlan(c *Card) (Analysis, error) {
 	tileSide := r.require("tileside", units.DimLength)
 	maxDensity := r.float("maxdensity", units.DimNone, 0.10)
 	workers := r.int("workers", 0)
-	models, err := el.readModels(r, "a", core.Coeffs{K1: 1.6, K2: 0.8, C1: 3.5})
+	models, err := el.readModels(r, "a", core.PaperSystemCoeffs())
 	if err != nil {
 		return Analysis{}, err
 	}

@@ -16,8 +16,6 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	// signDet is +1 or -1 depending on the number of row swaps.
-	signDet float64
 }
 
 // Factorize computes the LU factorization of a. The input matrix is not
@@ -31,7 +29,6 @@ func Factorize(a *Matrix) (*LU, error) {
 	n := a.Rows()
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1.0
 	scale := lu.MaxAbs()
 	if scale == 0 {
 		return nil, fmt.Errorf("%w: zero matrix", ErrSingular)
@@ -53,7 +50,6 @@ func Factorize(a *Matrix) (*LU, error) {
 		}
 		if p != k {
 			swapRows(lu, p, k)
-			sign = -sign
 		}
 		pk := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -67,7 +63,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, signDet: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 func swapRows(m *Matrix, a, b int) {
@@ -111,15 +107,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := f.signDet
-	for i := 0; i < f.lu.Rows(); i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves A·x = b with a fresh LU factorization. Use Factorize + LU.Solve
 // to reuse the factorization across multiple right-hand sides.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
@@ -128,29 +115,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse returns A^-1 or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows()
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

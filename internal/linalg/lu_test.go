@@ -119,55 +119,6 @@ func TestLUReuseAcrossRHS(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-(-2)) > 1e-12 {
-		t.Fatalf("det = %g, want -2", d)
-	}
-	// Determinant of identity is 1, with or without pivoting.
-	fi, _ := Factorize(Identity(4))
-	if d := fi.Det(); math.Abs(d-1) > 1e-12 {
-		t.Fatalf("det(I) = %g", d)
-	}
-	// Row-swapped identity has determinant -1.
-	p := NewMatrixFromRows([][]float64{{0, 1}, {1, 0}})
-	fp, _ := Factorize(p)
-	if d := fp.Det(); math.Abs(d+1) > 1e-12 {
-		t.Fatalf("det(P) = %g, want -1", d)
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := a.Mul(inv)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(prod.At(i, j)-want) > 1e-12 {
-				t.Fatalf("A·A^-1 = %v", prod)
-			}
-		}
-	}
-}
-
-func TestInverseSingular(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := Inverse(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
 // Property: for any diagonally dominant matrix built from random data,
 // Solve produces a vector whose residual is tiny (quick-check form).
 func TestSolvePropertyResidual(t *testing.T) {

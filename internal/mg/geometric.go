@@ -34,8 +34,8 @@ package mg
 // axes every axis coarsens (boxFull); the prolongation is the box injection
 // smoothed by one damped-Jacobi pass, P = (I − ω·D⁻¹A)·P_box, assembled
 // directly from the stencil coefficients in a single O(n) pass (see
-// geomTransfer) and stored as raw CSR triples for the transfer products
-// (mulVecRaw). Because full coarsening preserves anisotropy ratios level
+// geomTransfer) and stored in CSR layout, which both the prolongation and
+// the restriction read (see transfer). Because full coarsening preserves anisotropy ratios level
 // after level, those levels smooth with the alternating-direction line
 // smoother (linesmooth.go) and cycle as a truncated W-cycle (see vcycle). On
 // 3 axes only z coarsens (boxZ; see planes.go).
@@ -307,21 +307,20 @@ func geomLmax(g *geomGrid) float64 {
 	return lmax
 }
 
-// geomTransfer builds the transfer pair between a fine and its coarse grid
-// as raw CSR triples: the tentative prolongation injects each fine cell's
-// parent value, and one damped-Jacobi pass smooths it, P = (I − ω·D⁻¹A)·P_box
-// — the smoothed-aggregation fix of the approximation property, assembled
-// directly from the stencil coefficients in one O(n) pass (no sparse
-// product). Each fine row holds its own parent plus at most one
-// neighboring parent per axis (the out-of-box neighbor), emitted in canonical
-// −z,−y,−x,center,+x,+y,+z column order, so the arrays are deterministic and
-// the counting-sort transpose lands sorted. Restriction is Pᵀ.
+// geomTransfer builds the prolongation from a fine to its coarse grid: the
+// tentative prolongation injects each fine cell's parent value, and one
+// damped-Jacobi pass smooths it, P = (I − ω·D⁻¹A)·P_box — the
+// smoothed-aggregation fix of the approximation property, assembled directly
+// from the stencil coefficients in one O(n) pass (no sparse product). Each
+// fine row holds its own parent plus at most one neighboring parent per axis
+// (the out-of-box neighbor), emitted in canonical −z,−y,−x,center,+x,+y,+z
+// column order, so the arrays are deterministic. Restriction is Pᵀ.
 func geomTransfer(f, c *geomGrid) *transfer {
-	n, nc := f.n, c.n
+	n := f.n
 	cs := c.strides()
 	fs := f.strides()
 	omega := saOmega / geomLmax(f)
-	p := csrArrays{ptr: make([]int32, n+1), col: make([]int32, 0, 4*n), val: make([]float64, 0, 4*n)}
+	p := &transfer{ptr: make([]int32, n+1), col: make([]int32, 0, 4*n), val: make([]float64, 0, 4*n)}
 	for i := 0; i < n; i++ {
 		pc := f.parent(i, cs, boxFull)
 		s := omega / f.diag[i]
@@ -368,7 +367,7 @@ func geomTransfer(f, c *geomGrid) *transfer {
 		}
 		p.ptr[i+1] = int32(len(p.col))
 	}
-	return newTransfer(p, nc)
+	return p
 }
 
 // saOmega is the prolongation-smoothing damping 4/(3·λmax) applied to the
@@ -377,60 +376,36 @@ func geomTransfer(f, c *geomGrid) *transfer {
 // overshooting on the upper spectrum.
 const saOmega = 4.0 / 3.0
 
-// transfer is a level's prolongation P, stored twice in CSR layout: by fine
-// row (p*) for the prolongation x += P·e, and by coarse row (pt*) for the
-// restriction b_c = Pᵀ·r. Both products walk their output rows with a fixed
-// per-row summation order (see mulVecRaw).
+// transfer is a level's n×nc prolongation P in CSR layout: row pointers,
+// column indices and values by fine row. The prolongation x += P·e and the
+// restriction b_c = Pᵀ·r both walk its rows in ascending fine order.
 type transfer struct {
-	pPtr, pCol   []int32
-	pVal         []float64
-	ptPtr, ptCol []int32
-	ptVal        []float64
-}
-
-// csrArrays is an n×nc prolongation under assembly: row pointers, column
-// indices and values.
-type csrArrays struct {
 	ptr []int32
 	col []int32
 	val []float64
 }
 
-// newTransfer stores the assembled n×nc prolongation p with its transpose.
-func newTransfer(p csrArrays, nc int) *transfer {
-	pt := transpose(p, nc)
-	return &transfer{
-		pPtr: p.ptr, pCol: p.col, pVal: p.val,
-		ptPtr: pt.ptr, ptCol: pt.col, ptVal: pt.val,
+// prolongAdd computes x += P·e. Each fine row sums in stored order.
+func (tr *transfer) prolongAdd(e, x []float64) {
+	for i := 0; i < len(tr.ptr)-1; i++ {
+		var s float64
+		for k := tr.ptr[i]; k < tr.ptr[i+1]; k++ {
+			s += tr.val[k] * e[tr.col[k]]
+		}
+		x[i] += s
 	}
 }
 
-// transpose flips an n×nc CSR to nc×n by counting sort: scatter in fine-row
-// order lands every transposed row with ascending columns, no sort needed.
-func transpose(p csrArrays, nc int) csrArrays {
-	nnz := len(p.col)
-	pt := csrArrays{
-		ptr: make([]int32, nc+1),
-		col: make([]int32, nnz),
-		val: make([]float64, nnz),
-	}
-	for _, c := range p.col {
-		pt.ptr[c+1]++
-	}
-	for c := 0; c < nc; c++ {
-		pt.ptr[c+1] += pt.ptr[c]
-	}
-	next := make([]int32, nc)
-	copy(next, pt.ptr[:nc])
-	for i := 0; i < len(p.ptr)-1; i++ {
-		for k := p.ptr[i]; k < p.ptr[i+1]; k++ {
-			c := p.col[k]
-			pt.col[next[c]] = int32(i)
-			pt.val[next[c]] = p.val[k]
-			next[c]++
+// restrict computes b = Pᵀ·r by scattering the fine rows in ascending order.
+// Every coarse sum starts from zero and adds its terms in ascending fine
+// index, the order a row of the transposed matrix would sum them in.
+func (tr *transfer) restrict(r, b []float64) {
+	clear(b)
+	for i := 0; i < len(tr.ptr)-1; i++ {
+		for k := tr.ptr[i]; k < tr.ptr[i+1]; k++ {
+			b[tr.col[k]] += tr.val[k] * r[i]
 		}
 	}
-	return pt
 }
 
 // buildFull assembles a fully coarsened hierarchy by repeated

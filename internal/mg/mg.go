@@ -210,10 +210,8 @@ func (h *Hierarchy) vcycle(k int, x, b []float64) {
 	// unfused matvec-then-subtract).
 	res := lv.res
 	lv.op.SpanResidual(x, b, res, 0, len(res))
-	// Restrict: b_c = Pᵀ·res, the summation order fixed by the transposed
-	// CSR layout.
-	tr := lv.tr
-	mulVecRaw(tr.ptPtr, tr.ptCol, tr.ptVal, res, next.b)
+	// Restrict: b_c = Pᵀ·res.
+	lv.tr.restrict(res, next.b)
 	h.vcycle(k+1, next.x, next.b)
 	if next.b2 != nil && k+1 < len(h.levels)-1 {
 		// Truncated W-cycle: revisit the coarse level once more, an additive
@@ -229,7 +227,7 @@ func (h *Hierarchy) vcycle(k int, x, b []float64) {
 		vecAdd(next.x, next.x2)
 	}
 	// Prolong and correct: x += P·e.
-	mulVecAddRaw(tr.pPtr, tr.pCol, tr.pVal, next.x, x)
+	lv.tr.prolongAdd(next.x, x)
 	// Post-smooth the correction: x += S'·(b - A·x) with S' the adjoint of
 	// the pre-smoother (the line sweep in reversed axis order, or the plane
 	// sweep in reversed plane order), keeping the cycle symmetric.
@@ -249,30 +247,6 @@ func (lv *level) smooth(z, r []float64, reverse bool) {
 		return
 	}
 	lv.smoothLines(z, r, reverse)
-}
-
-// mulVecRaw computes y = M·x for a raw CSR triple (row pointers, column
-// indices, values) — the layout the transfers store their prolongator and
-// its transpose in. Each row sums in index order.
-func mulVecRaw(ptr, col []int32, val, x, y []float64) {
-	for i := 0; i < len(ptr)-1; i++ {
-		var s float64
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			s += val[k] * x[col[k]]
-		}
-		y[i] = s
-	}
-}
-
-// mulVecAddRaw computes y += M·x for a raw CSR triple; see mulVecRaw.
-func mulVecAddRaw(ptr, col []int32, val, x, y []float64) {
-	for i := 0; i < len(ptr)-1; i++ {
-		var s float64
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			s += val[k] * x[col[k]]
-		}
-		y[i] += s
-	}
 }
 
 // vecAdd computes dst[i] += src[i].

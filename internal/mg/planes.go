@@ -95,15 +95,15 @@ func (lv *level) smoothPlanes(z, r []float64, reverse bool) {
 	}
 }
 
-// zTransfer builds the transfer pair for z-semicoarsening as raw CSR
-// triples: linear interpolation in z between a fine cell's own coarse cell
-// and the nearer neighboring one, weighted by resistance distance. A coarse
+// zTransfer builds the prolongation for z-semicoarsening: linear
+// interpolation in z between a fine cell's own coarse cell and the nearer
+// neighboring one, weighted by resistance distance. A coarse
 // cell sits at the resistance midpoint of its two fine cells, so a fine cell
 // lies 0.5/g_in from its own coarse cell and 1/g_cross + 0.5/g_in' from the
 // neighbor — the same chain whose series collapse is the coarse z
 // conductance. Unpaired cells and the outermost half-planes inject.
 // Restriction is Pᵀ.
-func zTransfer(f, c *geomGrid) *transfer {
+func zTransfer(f *geomGrid) *transfer {
 	n, nxy, nz := f.n, f.nd[0]*f.nd[1], f.nd[2]
 	off := f.off[2]
 	// half is the resistance from the fine cell i, the lower cell of the box
@@ -114,7 +114,7 @@ func zTransfer(f, c *geomGrid) *transfer {
 		}
 		return 0.5 / -off[i]
 	}
-	p := csrArrays{ptr: make([]int32, n+1), col: make([]int32, 0, 2*n), val: make([]float64, 0, 2*n)}
+	p := &transfer{ptr: make([]int32, n+1), col: make([]int32, 0, 2*n), val: make([]float64, 0, 2*n)}
 	for i := range n {
 		fz := i / nxy
 		pc := int32(i%nxy + fz/2*nxy)
@@ -145,7 +145,7 @@ func zTransfer(f, c *geomGrid) *transfer {
 		}
 		p.ptr[i+1] = int32(len(p.col))
 	}
-	return newTransfer(p, c.n)
+	return p
 }
 
 // buildPlanes assembles a z-semicoarsened hierarchy down to a single plane,
@@ -162,7 +162,7 @@ func (h *Hierarchy) buildPlanes(a *sparse.Stencil, g *geomGrid) error {
 			return nil
 		}
 		c := coarsenGeom(g, boxZ)
-		lv.tr = zTransfer(g, c)
+		lv.tr = zTransfer(g)
 		op, err := c.operator()
 		if err != nil {
 			return err

@@ -373,14 +373,6 @@ func textResponse(status int, msg string) response {
 	return response{status: status, contentType: "text/plain; charset=utf-8", body: []byte(msg)}
 }
 
-// opCoeffs and planCoeffs are the analysis-default Model A coefficients,
-// matching the deck lowering's defaults so JSON and deck requests build
-// value-identical models.
-var (
-	opCoeffs   = core.Coeffs{K1: 1.3, K2: 0.55, C1: 1}
-	planCoeffs = core.Coeffs{K1: 1.6, K2: 0.8, C1: 3.5}
-)
-
 // SolveRequest is the POST /solve body: one steady-state solve of a block.
 // Block starts from the paper's DefaultBlock, so the empty object solves the
 // baseline geometry; materials may be stock names ("Cu") or full objects.
@@ -446,7 +438,7 @@ func (s *Server) lowerSolve(body []byte) (*deck.Scenario, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	models, err := req.Models.Models("all", opCoeffs)
+	models, err := req.Models.Models("all", core.PaperBlockCoeffs())
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +462,7 @@ func (s *Server) lowerSweepRequest(body []byte) (SweepRequest, *deck.Scenario, s
 	if err != nil {
 		return req, nil, sweep.ShardSpec{}, err
 	}
-	models, err := req.Models.Models("all", opCoeffs)
+	models, err := req.Models.Models("all", core.PaperBlockCoeffs())
 	if err != nil {
 		return req, nil, sweep.ShardSpec{}, err
 	}
@@ -515,7 +507,7 @@ func (s *Server) lowerPlan(body []byte) (*deck.Scenario, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	models, err := req.Models.Models("a", planCoeffs)
+	models, err := req.Models.Models("a", core.PaperSystemCoeffs())
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,55 +43,65 @@ func sweepBody(t *testing.T, mutate func(*SweepRequest)) []byte {
 // records and the final record.
 func postStream(t *testing.T, url string, body []byte) ([]deck.SweepProgress, sweepStreamFinal) {
 	t.Helper()
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(body))
+	progress, final, err := streamSweep(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type %q, want application/x-ndjson", ct)
-	}
+	return progress, final
+}
+
+// streamSweep is postStream for any goroutine: it reports failures as an
+// error instead of through the test.
+func streamSweep(url string, body []byte) ([]deck.SweepProgress, sweepStreamFinal, error) {
 	var (
 		progress []deck.SweepProgress
 		final    sweepStreamFinal
 		sawFinal bool
 	)
+	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, final, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, final, fmt.Errorf("stream status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		return nil, final, fmt.Errorf("Content-Type %q, want application/x-ndjson", ct)
+	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if sawFinal {
-			t.Fatalf("record after the final one: %s", line)
+			return nil, final, fmt.Errorf("record after the final one: %s", line)
 		}
 		var probe struct {
 			Done bool `json:"done"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
+			return nil, final, fmt.Errorf("bad NDJSON line %q: %v", line, err)
 		}
 		if probe.Done {
 			if err := json.Unmarshal(line, &final); err != nil {
-				t.Fatal(err)
+				return nil, final, err
 			}
 			sawFinal = true
 			continue
 		}
 		var p deck.SweepProgress
 		if err := json.Unmarshal(line, &p); err != nil {
-			t.Fatal(err)
+			return nil, final, err
 		}
 		progress = append(progress, p)
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		return nil, final, err
 	}
 	if !sawFinal {
-		t.Fatal("stream ended without a final record")
+		return nil, final, fmt.Errorf("stream ended without a final record")
 	}
-	return progress, final
+	return progress, final, nil
 }
 
 // TestSweepStreamsNDJSONProgress: a streamed /sweep delivers one progress
@@ -139,29 +150,62 @@ func TestSweepStreamsNDJSONProgress(t *testing.T) {
 	}
 }
 
-// TestSweepStreamShard: a sharded stream reports exactly the shard's points
-// (global indices) and its report carries the shard header.
+// TestSweepStreamShard: two shards streamed concurrently each report
+// exactly their own points (global indices) under their shard header, and
+// together deliver every point exactly once.
 func TestSweepStreamShard(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{Workers: 2})
-	// 12 points × 1 model = 12 jobs; chains of 8 give shard 2/2 = [8, 12).
-	body := sweepBody(t, func(r *SweepRequest) { r.Points = 12; r.Shard = "2/2"; r.Stream = true })
-	progress, final := postStream(t, ts.URL, body)
-	if len(progress) != 4 {
-		t.Fatalf("shard 2/2 of 12 points streamed %d records, want 4", len(progress))
+	// 12 points × 1 model = 12 jobs; chains of 8 give shard 1/2 = [0, 8)
+	// and shard 2/2 = [8, 12).
+	shards := []struct {
+		spec, header string
+		lo, hi       int
+	}{
+		{"1/2", "shard: 1/2 (8 of 12 values)", 0, 8},
+		{"2/2", "shard: 2/2 (4 of 12 values)", 8, 12},
 	}
-	for _, p := range progress {
-		if p.Index < 8 || p.Index >= 12 {
-			t.Errorf("point %d outside shard range [8,12)", p.Index)
+	progress := make([][]deck.SweepProgress, len(shards))
+	finals := make([]sweepStreamFinal, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for s, sh := range shards {
+		body := sweepBody(t, func(r *SweepRequest) { r.Points = 12; r.Shard = sh.spec; r.Stream = true })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progress[s], finals[s], errs[s] = streamSweep(ts.URL, body)
+		}()
+	}
+	wg.Wait()
+
+	seen := make(map[int]int)
+	for s, sh := range shards {
+		if errs[s] != nil {
+			t.Fatalf("shard %s: %v", sh.spec, errs[s])
 		}
-		if p.Total != 12 {
-			t.Errorf("point %d: total %d, want 12", p.Index, p.Total)
+		if len(progress[s]) != sh.hi-sh.lo {
+			t.Errorf("shard %s of 12 points streamed %d records, want %d", sh.spec, len(progress[s]), sh.hi-sh.lo)
+		}
+		for _, p := range progress[s] {
+			seen[p.Index]++
+			if p.Index < sh.lo || p.Index >= sh.hi {
+				t.Errorf("shard %s: point %d outside shard range [%d,%d)", sh.spec, p.Index, sh.lo, sh.hi)
+			}
+			if p.Total != 12 {
+				t.Errorf("shard %s: point %d: total %d, want 12", sh.spec, p.Index, p.Total)
+			}
+		}
+		if finals[s].Err != "" {
+			t.Fatalf("shard %s: final record carries error: %s", sh.spec, finals[s].Err)
+		}
+		if !strings.Contains(finals[s].Report, sh.header) {
+			t.Errorf("shard %s report missing %q:\n%s", sh.spec, sh.header, finals[s].Report)
 		}
 	}
-	if final.Err != "" {
-		t.Fatalf("final record carries error: %s", final.Err)
-	}
-	if !strings.Contains(final.Report, "shard: 2/2 (4 of 12 values)") {
-		t.Errorf("shard report missing shard header:\n%s", final.Report)
+	for i := 0; i < 12; i++ {
+		if seen[i] != 1 {
+			t.Errorf("point %d streamed %d times across the shards, want exactly once", i, seen[i])
+		}
 	}
 }
 

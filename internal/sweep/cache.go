@@ -86,9 +86,6 @@ func NewCacheWithDisk(capacity int, disk *DiskCache) *Cache {
 	return c
 }
 
-// Disk returns the persistent tier, or nil for a memory-only cache.
-func (c *Cache) Disk() *DiskCache { return c.disk }
-
 // lookup returns the cached outcome for key, counting hit/miss and marking
 // the entry most recently used. Memory misses fall through to the disk tier
 // (outside the lock — disk lookups do file I/O) and promote hits.
