@@ -160,7 +160,10 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		}
 		fmt.Fprintf(out, "FVM reference: max ΔT = %.3f K (absolute %.2f °C)\n", dt, dt+s.SinkTemp)
 		if *verbose {
-			fmt.Fprintf(out, "solver: %s in %v\n", st, st.Wall.Round(time.Microsecond))
+			fmt.Fprintf(out, "solver: %s in %v\n", st, (st.Factor + st.Wall).Round(time.Microsecond))
+			if st.Direct {
+				fmt.Fprintf(out, "solver: factor %v, sweeps %v\n", st.Factor.Round(time.Microsecond), st.Wall.Round(time.Microsecond))
+			}
 		}
 		return nil
 	case "all":

@@ -89,15 +89,17 @@ func TestRunErrors(t *testing.T) {
 }
 
 // -v reports what the reference solve did: at the default mesh the grid
-// rule's banded Cholesky solve, with its half-bandwidth, a fresh factor and
-// the true residual.
+// rule's banded Cholesky solve, with its half-bandwidth, a fresh factor, the
+// true residual and the time split between factor and sweeps.
 func TestVerboseReportsDirectSolve(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-model", "ref", "-r", "10", "-v"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := "solver: direct (banded Cholesky, half-bandwidth 27, new factor), 0 iterations, residual "; !strings.Contains(buf.String(), want) {
-		t.Errorf("-v output lacks %q:\n%s", want, buf.String())
+	for _, want := range []string{"solver: direct (banded Cholesky, half-bandwidth 27, new factor), 0 iterations, residual ", "solver: factor ", ", sweeps "} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("-v output lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

@@ -15,12 +15,12 @@ import (
 	"repro/internal/units"
 )
 
-// stripWall zeroes the run-varying solver wall times so results compare by
-// value.
+// stripWall zeroes the run-varying solver wall times (solve and factor) so
+// results compare by value.
 func stripWall(r *Result) {
 	for i := range r.Analyses {
 		for _, op := range r.Analyses[i].Op {
-			op.Solver.Wall = 0
+			op.Solver.Wall, op.Solver.Factor = 0, 0
 		}
 	}
 }
@@ -86,7 +86,7 @@ func solveExact(t *testing.T, m core.Model, s *stack.Stack) *core.Result {
 	if err != nil {
 		t.Fatalf("model %s: %v", m.Name(), err)
 	}
-	r.Solver.Wall = 0
+	r.Solver.Wall, r.Solver.Factor = 0, 0
 	return r
 }
 

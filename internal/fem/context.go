@@ -195,7 +195,10 @@ func factor(a *sparse.Stencil, buf []float64) (*linalg.Band, error) {
 // (2.6 MB at twice the default mesh) and every context-free solve needs
 // one, so solves borrow and return them here, and contexts return theirs
 // on Close. They stay off the CG scratch pools, whose first-fit Grab would
-// hand a band to a CG vector. At most maxFreeBands buffers are kept.
+// hand a band to a CG vector. At most maxFreeBands buffers are kept, the
+// largest released: a full list trades its smallest for a larger one, so a
+// process that solved small grids first still recycles the bands of its
+// larger ones.
 var bands struct {
 	sync.Mutex
 	free [][]float64
@@ -225,7 +228,8 @@ func grabBand(n int) []float64 {
 }
 
 // releaseBand returns a buffer from grabBand to the free list; nil is a
-// no-op, and a full list drops the buffer for the GC.
+// no-op. A full list keeps the buffer in place of its smallest one if that
+// is smaller, and drops whichever is left for the GC.
 func releaseBand(b []float64) {
 	if b == nil {
 		return
@@ -234,6 +238,16 @@ func releaseBand(b []float64) {
 	defer bands.Unlock()
 	if len(bands.free) < maxFreeBands {
 		bands.free = append(bands.free, b[:cap(b)])
+		return
+	}
+	small := 0
+	for i, f := range bands.free {
+		if cap(f) < cap(bands.free[small]) {
+			small = i
+		}
+	}
+	if cap(b) > cap(bands.free[small]) {
+		bands.free[small] = b[:cap(b)]
 	}
 }
 

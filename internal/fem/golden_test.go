@@ -202,7 +202,7 @@ func TestDirectFactorCacheGolden(t *testing.T) {
 			if err != nil {
 				return 0, nil, err
 			}
-			if reuse != c.reuse || sol.Stats.Reused != (c.reuse == 1) || !sol.Stats.Direct {
+			if reuse != c.reuse || sol.Stats.Reused != (c.reuse == 1) || (sol.Stats.Factor > 0) != (c.reuse == 0) || !sol.Stats.Direct {
 				t.Errorf("%s: %d cache hits, stats %v", c.name, reuse, sol.Stats)
 			}
 			field := flatAxiT(sol.T)

@@ -161,8 +161,9 @@ func TestSolveStackCtxEmitsSpanChain(t *testing.T) {
 }
 
 // TestDirectSolveObservability: a direct solve runs inside its fem.precond
-// span, which carries the method, half-bandwidth, factor reuse and true
-// residual, and emits no sparse.cg span; Stats reports the same.
+// span, which carries the method, half-bandwidth, factor reuse, true
+// residual and the factor/sweeps split, and emits no sparse.cg span; Stats
+// reports the same.
 func TestDirectSolveObservability(t *testing.T) {
 	s := fig4(t, 10)
 	byName := tracedSpans(t, s, coarse())
@@ -178,7 +179,7 @@ func TestDirectSolveObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sol.Stats
-	if !st.Direct || st.Iterations != 0 || st.Bandwidth != len(sol.RCenters) || st.Reused || !(st.Residual > 0) {
+	if !st.Direct || st.Iterations != 0 || st.Bandwidth != len(sol.RCenters) || st.Reused || !(st.Residual > 0) || st.Factor <= 0 || st.Wall <= 0 {
 		t.Fatalf("direct stats %+v", st)
 	}
 	want := map[string]any{"precond": "direct", "iterations": 0.0, "half_bandwidth": float64(st.Bandwidth),
@@ -186,6 +187,11 @@ func TestDirectSolveObservability(t *testing.T) {
 	for k, v := range want {
 		if sp.Attrs[k] != v {
 			t.Errorf("fem.precond %s = %v, want %v", k, sp.Attrs[k], v)
+		}
+	}
+	for _, k := range []string{"factor_ms", "sweeps_ms"} {
+		if ms, ok := sp.Attrs[k].(float64); !ok || !(ms > 0) {
+			t.Errorf("fem.precond %s = %v, want a positive time", k, sp.Attrs[k])
 		}
 	}
 }

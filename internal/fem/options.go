@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -63,7 +64,8 @@ const mgMaxIter = 200
 // The "fem.precond" span covers the hierarchy build of a CG solve, whose
 // iteration gets its own "sparse.cg" span, and the whole of a direct solve,
 // so it carries what a direct solve did: method, half-bandwidth, factor
-// reuse and residual.
+// reuse, residual, and its split into factor_ms (zero when reused) and
+// sweeps_ms (the triangular sweeps and the residual check).
 func (sc *SolveContext) solveSystem(ctx context.Context, key asmKey, a *sparse.Stencil, b []float64, opt sparse.Options) ([]float64, sparse.Stats, error) {
 	_, sp := obs.StartSpan(ctx, "fem.precond")
 	defer sp.End()
@@ -90,18 +92,27 @@ func (sc *SolveContext) solveSystem(ctx context.Context, key asmKey, a *sparse.S
 	if err := ctx.Err(); err != nil {
 		return nil, sparse.Stats{}, err
 	}
+	start := time.Now()
 	f, reused, borrowed, err := sc.factorFor(key, a)
+	factorWall := time.Since(start)
 	defer releaseBand(borrowed)
 	if err != nil {
 		return nil, sparse.Stats{}, err
 	}
 	x, st, err := sparse.SolveCholesky(ctx, a, f, b, opt.Pool)
 	st.Reused = reused
-	sp.Set("precond", "direct")
-	sp.Set("iterations", 0)
-	sp.Set("half_bandwidth", st.Bandwidth)
-	sp.Set("reused", st.Reused)
-	sp.Set("residual", st.Residual)
+	if !reused {
+		st.Factor = factorWall
+	}
+	if sp != nil { // boxing the floats for an untraced solve would allocate
+		sp.Set("precond", "direct")
+		sp.Set("iterations", 0)
+		sp.Set("half_bandwidth", st.Bandwidth)
+		sp.Set("reused", st.Reused)
+		sp.Set("residual", st.Residual)
+		sp.Set("factor_ms", st.Factor.Seconds()*1e3)
+		sp.Set("sweeps_ms", st.Wall.Seconds()*1e3)
+	}
 	return x, st, err
 }
 

@@ -235,3 +235,29 @@ func TestWarmStartDeterministicAndConvergent(t *testing.T) {
 		}
 	}
 }
+
+// A full band free list keeps the largest buffers: after maxFreeBands small
+// releases, a larger band released once is recycled by every later grab of
+// its size instead of being dropped and reallocated.
+func TestBandFreeListKeepsLargest(t *testing.T) {
+	bands.Lock()
+	saved := bands.free
+	bands.free = nil
+	bands.Unlock()
+	defer func() {
+		bands.Lock()
+		bands.free = saved
+		bands.Unlock()
+	}()
+	for range maxFreeBands {
+		releaseBand(make([]float64, 64))
+	}
+	const large = 1 << 16
+	releaseBand(grabBand(large))
+	if allocs := testing.AllocsPerRun(10, func() { releaseBand(grabBand(large)) }); allocs != 0 {
+		t.Errorf("grab/release of a large band allocates %v times, want 0", allocs)
+	}
+	if len(bands.free) != maxFreeBands {
+		t.Errorf("free list holds %d bands, want %d", len(bands.free), maxFreeBands)
+	}
+}

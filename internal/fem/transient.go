@@ -93,9 +93,9 @@ func SolveAxiTransient(p *AxiProblem, dt float64, steps int, opt sparse.Options)
 			return nil, solveErr(fmt.Sprintf("transient step %d", k), n, st, err)
 		}
 		x = xNew
-		iters, wall := out.Stats.Iterations+st.Iterations, out.Stats.Wall+st.Wall
+		iters, wall, fac := out.Stats.Iterations+st.Iterations, out.Stats.Wall+st.Wall, out.Stats.Factor+st.Factor
 		out.Stats = st
-		out.Stats.Iterations, out.Stats.Wall = iters, wall
+		out.Stats.Iterations, out.Stats.Wall, out.Stats.Factor = iters, wall, fac
 		var max float64 = math.Inf(-1)
 		for _, v := range x {
 			if v > max {

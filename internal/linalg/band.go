@@ -47,6 +47,11 @@ func (m *Band) N() int { return m.n }
 // Bandwidth returns the half-bandwidth b.
 func (m *Band) Bandwidth() int { return m.b }
 
+// Row returns the storage of row i, columns i−b … i with the diagonal
+// last, for filling a band in place; entries of columns left of 0 must stay
+// zero. Before Factor it holds A's lower band, after it L's and D.
+func (m *Band) Row(i int) []float64 { return m.v[i*(m.b+1) : (i+1)*(m.b+1)] }
+
 // Add accumulates v into A[i][j] and, by symmetry, A[j][i]. It panics when
 // the entry lies outside the matrix or the band, which in assembly code
 // means a wrong bandwidth.
@@ -63,32 +68,59 @@ func (m *Band) Add(i, j int, v float64) {
 // Factor overwrites the band with L and D, A = L·D·Lᵀ, a row at a time. A
 // pivot that is not positive fails with an error wrapping ErrNotSPD and
 // naming its row.
+//
+// The dot products of a row run as independent chains: four consecutive
+// columns at once over their shared columns, each reading u[i,k] once,
+// after the few columns the blocks leave over, whose dots are the
+// shortest. Every entry still subtracts the same terms in ascending column
+// order, so the factor is bit for bit that of the one-column-at-a-time
+// loop.
 func (m *Band) Factor() error {
-	b, w := m.b, m.b+1
+	b, w, v := m.b, m.b+1, m.v
 	for i := 0; i < m.n; i++ {
 		j0 := max(0, i-b)
-		row := m.v[i*w+j0-i+b : (i+1)*w] // A[i, j0…i]
+		row := v[i*w+j0-i+b : (i+1)*w] // A[i, j0…i]
 		// First u[i,j] = L[i,j]·D[j] in place: every row j ≥ j0 reaches
 		// back to column j0, so rows i and j overlap on columns j0 … j−1.
-		for j := j0; j < i; j++ {
-			lj := m.v[j*w+j0-j+b : (j+1)*w]
-			s := row[j-j0]
-			for k, u := range row[:j-j0] {
-				s -= u * lj[k]
+		// From column j0 on, row j0+j starts at v[(j0+j)·b+j0+b]: rows lie
+		// b apart.
+		c := i - j0
+		j := 0
+		for ; j < c%4; j++ {
+			row[j] = subDot(row[j], v[(j0+j)*b+j0+b:][:j], row[:j])
+		}
+		for ; j < c; j += 4 {
+			l := v[(j0+j)*b+j0+b:]
+			u := row[:j]
+			l0, l1, l2, l3 := l[:len(u)], l[b:][:len(u)], l[2*b:][:len(u)], l[3*b:][:len(u)]
+			s0, s1, s2, s3 := row[j], row[j+1], row[j+2], row[j+3]
+			for k, uk := range u {
+				s0 -= uk * l0[k]
+				s1 -= uk * l1[k]
+				s2 -= uk * l2[k]
+				s3 -= uk * l3[k]
 			}
-			row[j-j0] = s
+			// The columns' own triangle: column j+t also needs u[i,j…j+t−1].
+			t1, t2, t3 := l[b+j:][:1], l[2*b+j:][:2], l[3*b+j:][:3]
+			s1 -= s0 * t1[0]
+			s2 -= s0 * t2[0]
+			s2 -= s1 * t2[1]
+			s3 -= s0 * t3[0]
+			s3 -= s1 * t3[1]
+			s3 -= s2 * t3[2]
+			row[j], row[j+1], row[j+2], row[j+3] = s0, s1, s2, s3
 		}
 		// Then L[i,j] = u[i,j]/D[j], and D[i] = A[i,i] − Σ u[i,j]·L[i,j].
-		d := row[i-j0]
-		for k, u := range row[:i-j0] {
-			l := u / m.v[(j0+k)*w+b]
+		d := row[c]
+		for k, u := range row[:c] {
+			l := u / v[(j0+k)*w+b]
 			d -= u * l
 			row[k] = l
 		}
 		if !(d > 0) {
 			return fmt.Errorf("linalg: band LDLᵀ pivot of row %d is %g: %w", i, d, ErrNotSPD)
 		}
-		row[i-j0] = d
+		row[c] = d
 	}
 	return nil
 }
@@ -98,27 +130,107 @@ func (m *Band) Factor() error {
 // that walks L by rows, subtracting each finished unknown from the ones its
 // row couples to. The band must be factored; vectors of another length
 // panic.
+//
+// Both sweeps take four rows at a time as independent chains. Forward, the
+// rows advance in lockstep over the columns they share, each taking its
+// own leading columns first and its coupling to the block's earlier rows
+// last; backward, each x[j] takes the four finished unknowns in descending
+// row order, read and written once per block. Every unknown still takes the
+// same terms in the same order as the row-at-a-time sweeps, so the solution
+// is bit for bit theirs.
 func (m *Band) Solve(x, rhs []float64) {
-	if len(x) != m.n || len(rhs) != m.n {
-		panic(fmt.Sprintf("linalg: band solve of %d unknowns into %d values from %d", m.n, len(x), len(rhs)))
+	n, b, w, v := m.n, m.b, m.b+1, m.v
+	if len(x) != n || len(rhs) != n {
+		panic(fmt.Sprintf("linalg: band solve of %d unknowns into %d values from %d", n, len(x), len(rhs)))
 	}
-	b, w := m.b, m.b+1
-	for i := 0; i < m.n; i++ {
-		j0 := max(0, i-b)
-		s := rhs[i]
-		for k, l := range m.v[i*w+j0-i+b : i*w+b] {
-			s -= l * x[j0+k]
+	// lower(i) is L's row i, columns max(0, i−b) … i−1; a block of four
+	// rows needs b ≥ 3 for its last row to reach its first.
+	lower := func(i int) []float64 { return v[i*w+max(0, i-b)-i+b : i*w+b] }
+	blocks := b >= 3
+	i := 0
+	for ; blocks && i+4 <= n; i += 4 {
+		// The rows share columns c … i−1.
+		c := max(0, i+3-b)
+		r0, r1, r2, r3 := lower(i), lower(i+1), lower(i+2), lower(i+3)
+		s0 := subDot(rhs[i], r0[:len(r0)-(i-c)], x[max(0, i-b):c])
+		s1 := subDot(rhs[i+1], r1[:len(r1)-(i-c)-1], x[max(0, i+1-b):c])
+		s2 := subDot(rhs[i+2], r2[:len(r2)-(i-c)-2], x[max(0, i+2-b):c])
+		s3 := rhs[i+3]
+		xs := x[c:i]
+		q0, q1 := r0[len(r0)-len(xs):], r1[len(r1)-len(xs)-1:][:len(xs)]
+		q2, q3 := r2[len(r2)-len(xs)-2:][:len(xs)], r3[:len(xs)]
+		for k, xk := range xs {
+			s0 -= q0[k] * xk
+			s1 -= q1[k] * xk
+			s2 -= q2[k] * xk
+			s3 -= q3[k] * xk
 		}
-		x[i] = s
+		t1, t2, t3 := r1[len(r1)-1:], r2[len(r2)-2:], r3[len(r3)-3:]
+		s1 -= t1[0] * s0
+		s2 -= t2[0] * s0
+		s2 -= t2[1] * s1
+		s3 -= t3[0] * s0
+		s3 -= t3[1] * s1
+		s3 -= t3[2] * s2
+		x[i], x[i+1], x[i+2], x[i+3] = s0, s1, s2, s3
 	}
-	for i := range m.n {
-		x[i] /= m.v[i*w+b]
+	for ; i < n; i++ {
+		x[i] = subDot(rhs[i], lower(i), x[max(0, i-b):i])
 	}
-	for i := m.n - 1; i >= 0; i-- {
-		j0 := max(0, i-b)
-		xi := x[i]
-		for k, l := range m.v[i*w+j0-i+b : i*w+b] {
-			x[j0+k] -= l * xi
+	for i := range n {
+		x[i] /= v[i*w+b]
+	}
+	h := n - 1
+	for ; blocks && h >= 3; h -= 4 {
+		// Rows h … h−3 share columns a … h−4.
+		a := max(0, h-b)
+		r0, r1, r2, r3 := lower(h), lower(h-1), lower(h-2), lower(h-3)
+		t0, t1, t2 := r0[len(r0)-3:], r1[len(r1)-2:], r2[len(r2)-1:]
+		x0 := x[h]
+		x1 := x[h-1]
+		x1 -= t0[2] * x0
+		x2 := x[h-2]
+		x2 -= t0[1] * x0
+		x2 -= t1[1] * x1
+		x3 := x[h-3]
+		x3 -= t0[0] * x0
+		x3 -= t1[0] * x1
+		x3 -= t2[0] * x2
+		x[h-1], x[h-2], x[h-3] = x1, x2, x3
+		xs := x[a : h-3]
+		q0, q1 := r0[:len(xs)], r1[len(r1)-len(xs)-2:][:len(xs)]
+		q2, q3 := r2[len(r2)-len(xs)-1:][:len(xs)], r3[len(r3)-len(xs):]
+		for k, t := range xs {
+			t -= q0[k] * x0
+			t -= q1[k] * x1
+			t -= q2[k] * x2
+			t -= q3[k] * x3
+			xs[k] = t
 		}
+		// The columns left of a that only the lower three rows reach.
+		axpySub(x[max(0, h-1-b):a], r1, x1)
+		axpySub(x[max(0, h-2-b):a], r2, x2)
+		axpySub(x[max(0, h-3-b):a], r3, x3)
+	}
+	for ; h >= 0; h-- {
+		axpySub(x[max(0, h-b):h], lower(h), x[h])
+	}
+}
+
+// subDot returns s − Σ l[k]·x[k], subtracting in ascending k; x holds at
+// least len(l) values.
+func subDot(s float64, l, x []float64) float64 {
+	x = x[:len(l)]
+	for k, lk := range l {
+		s -= lk * x[k]
+	}
+	return s
+}
+
+// axpySub subtracts l[k]·xi from each x[k]; l holds at least len(x) values.
+func axpySub(x, l []float64, xi float64) {
+	l = l[:len(x)]
+	for k, lk := range l {
+		x[k] -= lk * xi
 	}
 }

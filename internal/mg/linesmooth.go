@@ -103,6 +103,10 @@ func factorLines(g *geomGrid) ([]lineAxis, error) {
 // substitution (I+L)y = r, then x = (I+Lᵀ)⁻¹C⁻¹y walking back down the
 // line. x must not alias r.
 func (ax *lineAxis) solve(r, x []float64) {
+	if ax.axis == 1 {
+		ax.solveRows(r, x)
+		return
+	}
 	l, invc := ax.l, ax.invc
 	for t, lines := 0, len(r)/ax.nd[ax.axis]; t < lines; t++ {
 		i, s, length := lineBase(ax.nd, ax.axis, t)
@@ -115,6 +119,39 @@ func (ax *lineAxis) solve(r, x []float64) {
 		for k := length - 2; k >= 0; k-- {
 			i -= s
 			x[i] = x[i]*invc[i] - l[i+s]*x[i+s]
+		}
+	}
+}
+
+// solveRows is solve along axis 1, where a line's cells lie nx apart: it
+// advances all nx lines of each xy-plane in lockstep, one grid row at a
+// time, so every step streams a contiguous row instead of one cell per
+// line. Each line still runs its own recurrence step for step, so x is bit
+// for bit that of the line-at-a-time walk.
+func (ax *lineAxis) solveRows(r, x []float64) {
+	nx, nxy := ax.nd[0], ax.nd[0]*ax.nd[1]
+	l, invc := ax.l, ax.invc
+	for p := 0; p < len(r); p += nxy {
+		copy(x[p:p+nx], r[p:p+nx])
+		for i := p + nx; i < p+nxy; i += nx {
+			xi := x[i : i+nx]
+			ri, li, xp := r[i : i+nx][:len(xi)], l[i : i+nx][:len(xi)], x[i-nx : i][:len(xi)]
+			for k := range xi {
+				xi[k] = ri[k] - li[k]*xp[k]
+			}
+		}
+		last := p + nxy - nx
+		xl := x[last : last+nx]
+		cl := invc[last : last+nx][:len(xl)]
+		for k := range xl {
+			xl[k] *= cl[k]
+		}
+		for i := last - nx; i >= p; i -= nx {
+			xi := x[i : i+nx]
+			ci, ln, xn := invc[i : i+nx][:len(xi)], l[i+nx : i+2*nx][:len(xi)], x[i+nx : i+2*nx][:len(xi)]
+			for k := range xi {
+				xi[k] = xi[k]*ci[k] - ln[k]*xn[k]
+			}
 		}
 	}
 }

@@ -44,11 +44,33 @@ func FactorCholesky(a *Stencil, buf []float64) (*linalg.Band, error) {
 		return nil, fmt.Errorf("sparse: Cholesky buffer holds %d values, want %d", len(buf), CholeskyLen(a))
 	}
 	f := linalg.NewBand(a.n, a.HalfBandwidth(), buf)
-	a.Each(func(i, j int, v float64) {
-		if j <= i {
-			f.Add(i, j, v)
+	// Row i's lower couplings straight into the band. Each entry is stored
+	// as 0 + v, the sum Band.Add would leave in the zeroed band, so a −0
+	// coefficient lands as +0 all the same.
+	b := f.Bandwidth()
+	nx, ny, nxy := a.nx, a.ny, a.nxy
+	d, ox, oy, oz := a.diag, a.off[0], a.off[1], a.off[2]
+	ix, iy, iz := 0, 0, 0
+	for i := range a.n {
+		row := f.Row(i)
+		if iz > 0 {
+			row[b-nxy] = 0 + oz[i-nxy]
 		}
-	})
+		if iy > 0 {
+			row[b-nx] = 0 + oy[i-nx]
+		}
+		if ix > 0 {
+			row[b-1] = 0 + ox[i-1]
+		}
+		row[b] = 0 + d[i]
+		if ix++; ix == nx {
+			ix = 0
+			if iy++; iy == ny {
+				iy = 0
+				iz++
+			}
+		}
+	}
 	if err := f.Factor(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -173,5 +174,41 @@ func TestSolveCholeskyCancelled(t *testing.T) {
 	cancel()
 	if _, _, err := SolveCholesky(ctx, st, f, randomVec(st.Rows(), 1), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// FactorCholesky fills the band straight from the coefficient arrays with
+// exactly the bits Band.Add leaves from Each's entries — a −0 coupling
+// included — and so factors it bit for bit the same.
+func TestCholeskyFillMatchesEach(t *testing.T) {
+	for k, dims := range append(stencilDims, []int{1}, []int{12, 9, 4}, []int{1, 4, 5}, []int{3, 1, 4}) {
+		st := gridStencil(dims, int64(k))
+		_, off := st.Coeffs()
+		for d := range off {
+			if len(off[d]) > 1 {
+				off[d][0] = math.Copysign(0, -1)
+			}
+		}
+		want := linalg.NewBand(st.Rows(), st.HalfBandwidth(), nil)
+		st.Each(func(i, j int, v float64) {
+			if j <= i {
+				want.Add(i, j, v)
+			}
+		})
+		if err := want.Factor(); err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		got, err := FactorCholesky(st, make([]float64, CholeskyLen(st)))
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		for i := range st.Rows() {
+			g, w := got.Row(i), want.Row(i)
+			for j := range w {
+				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+					t.Fatalf("%v: factor row %d entry %d is %v, want %v", dims, i, j, g[j], w[j])
+				}
+			}
+		}
 	}
 }

@@ -103,8 +103,14 @@ type Stats struct {
 	// resolved to the concrete kind before the solve starts).
 	Precond PrecondKind
 	// Wall is the wall-clock duration of the solve (for a transient
-	// integration, the sum over all steps).
+	// integration, the sum over all steps). For a direct solve it covers
+	// the two triangular sweeps and the residual check, not the factor.
 	Wall time.Duration
+	// Factor is the wall-clock time a direct solve spent filling and
+	// factoring its band, zero when it served a reused factor (for a
+	// transient integration, the sum over all steps). String leaves it out,
+	// so the text stays deterministic.
+	Factor time.Duration
 	// Levels is the multigrid hierarchy depth when Precond is PrecondMG,
 	// zero otherwise.
 	Levels int

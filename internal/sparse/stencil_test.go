@@ -6,6 +6,45 @@ import (
 	"testing"
 )
 
+// Each calls fn for every stored entry — the diagonal and every existing
+// axis neighbor — row by row in ascending column order, the order a CSR
+// row walk takes. A CSR assembled from this walk holds the same entries in
+// the same order, so its kernels evaluate bit-identically to the stencil's;
+// it is the reference for every stencil kernel and for the band fill.
+func (s *Stencil) Each(fn func(i, j int, v float64)) {
+	nx, ny, nz, nxy := s.nx, s.ny, s.nz, s.nxy
+	d, ox, oy, oz := s.diag, s.off[0], s.off[1], s.off[2]
+	ix, iy, iz := 0, 0, 0
+	for i := 0; i < s.n; i++ {
+		if iz > 0 {
+			fn(i, i-nxy, oz[i-nxy])
+		}
+		if iy > 0 {
+			fn(i, i-nx, oy[i-nx])
+		}
+		if ix > 0 {
+			fn(i, i-1, ox[i-1])
+		}
+		fn(i, i, d[i])
+		if ix+1 < nx {
+			fn(i, i+1, ox[i])
+		}
+		if iy+1 < ny {
+			fn(i, i+nx, oy[i])
+		}
+		if iz+1 < nz {
+			fn(i, i+nxy, oz[i])
+		}
+		if ix++; ix == nx {
+			ix = 0
+			if iy++; iy == ny {
+				iy = 0
+				iz++
+			}
+		}
+	}
+}
+
 // gridStencil assembles a structured-grid conduction operator the way the
 // fem package does: one strictly positive conductance per axis-neighbor
 // pair, accumulated into both cells' diagonals, plus a positive

@@ -42,7 +42,7 @@ func normOutcome(oc Outcome) Outcome {
 	oc.Replayed = false
 	if oc.Result != nil {
 		r := *oc.Result
-		r.Solver.Wall = 0
+		r.Solver.Wall, r.Solver.Factor = 0, 0
 		oc.Result = &r
 	}
 	if oc.Err != nil {
