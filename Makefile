@@ -13,7 +13,8 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the pre-merge gate: static analysis, a short FuzzParseDeck
+# verify is the pre-merge gate: a gofmt check (it lists any unformatted
+# file and fails), static analysis, a short FuzzParseDeck
 # exploration on top of the checked-in seeds, the whole suite under the race
 # detector (it includes every determinism contract: reuse and warm-start
 # bit-identity, the reference-solve golden hashes, stencil kernels against
@@ -24,6 +25,7 @@ test:
 # the separate bench module, which `./...` never builds: an internal API
 # change that breaks the benchmark fails here.
 verify:
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { printf 'gofmt needed:\n%s\n' "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...

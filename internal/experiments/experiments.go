@@ -11,8 +11,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/obs"
@@ -27,6 +29,16 @@ import (
 const RefName = "FVM"
 
 // Config controls experiment fidelity.
+//
+// A Config made by Default or Quick carries a memo of the run's FVM
+// reference results, keyed like sweep.Cache by the canonical form of the
+// reference model (with its Resolution) and the stack. Copies of one Config
+// share it, so Calibrate, the figures, Table1 and Headline run on copies of
+// one Config solve each reference geometry once; a memo hit reports the
+// original solve's Runtime and Solver stats. Only the reference is
+// memoized: a canonical key costs about as much as ten Model A solves, and
+// the analytical models' runtimes are results of the paper. A Config
+// literal has no memo and solves every point.
 type Config struct {
 	// Ctx optionally bounds every experiment run: a cancelled context stops
 	// in-flight sweeps between solver iterations and the run returns the
@@ -58,16 +70,46 @@ type Config struct {
 	// "experiments.<id>" root per sweep with the batch engine's sweep.run /
 	// sweep.job spans and the reference solver's fem/sparse spans below it.
 	Trace *obs.Tracer
+
+	memo *refMemo
 }
 
-// Default returns the paper-faithful configuration.
+// Default returns the paper-faithful configuration with a fresh reference
+// memo.
 func Default() Config {
 	return Config{
 		Resolution:   fem.DefaultResolution(),
 		BlockCoeffs:  core.PaperBlockCoeffs(),
 		SystemCoeffs: core.PaperSystemCoeffs(),
 		SegmentsB:    100,
+		memo:         &refMemo{m: make(map[string]solved)},
 	}
+}
+
+// solved is one (point, model) result with the wall time of its solve.
+type solved struct {
+	res     *core.Result
+	runtime time.Duration
+}
+
+// refMemo holds the successful reference solves of the runs sharing one
+// Config; copies of the Config may run experiments concurrently.
+type refMemo struct {
+	mu sync.Mutex
+	m  map[string]solved
+}
+
+func (m *refMemo) get(key string) (solved, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.m[key]
+	return r, ok
+}
+
+func (m *refMemo) put(key string, r solved) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.m[key] = r
 }
 
 // Quick returns a thinned configuration for fast smoke runs.
@@ -128,12 +170,26 @@ func withReference(ms []namedModel, res fem.Resolution) []namedModel {
 
 // runSweepPoints evaluates every (point, model) pair of a sweep through the
 // batch engine — including the reference, which withReference adds as the
-// last model — and assembles the per-point rows. Job order is point-major,
-// so the engine's deterministic ordering maps back without bookkeeping.
+// last model — and assembles the per-point rows. A reference pair already in
+// cfg's memo is not solved again; the successful reference solves of the
+// batch are added to it.
 func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, ms []namedModel) error {
-	jobs := make(sweep.Batch, 0, len(stacks)*len(ms))
-	for _, s := range stacks {
-		for _, nm := range ms {
+	n := len(stacks) * len(ms)
+	pairs := make([]solved, n) // memo hits; the rest come from the batch
+	job := make([]int, n)      // batch index of each pair, -1 for a memo hit
+	keys := make([]string, n)  // memo key of each reference pair
+	jobs := make(sweep.Batch, 0, n)
+	for pi, s := range stacks {
+		for mi, nm := range ms {
+			i := pi*len(ms) + mi
+			if _, ref := nm.model.(fem.ReferenceModel); ref && cfg.memo != nil {
+				keys[i] = canon.String(nm.model, s)
+				if r, ok := cfg.memo.get(keys[i]); ok {
+					pairs[i], job[i] = r, -1
+					continue
+				}
+			}
+			job[i] = len(jobs)
 			jobs = jobs.Add(nm.name, s, nm.model)
 		}
 	}
@@ -149,6 +205,25 @@ func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, 
 	if err != nil {
 		return fmt.Errorf("experiments: %s: %w", sw.ID, err)
 	}
+	for i, j := range job {
+		if j < 0 {
+			continue
+		}
+		oc := outs[j]
+		if oc.Err != nil {
+			if err == nil {
+				err = fmt.Errorf("experiments: %s at x=%g: %w", ms[i%len(ms)].name, xs[i/len(ms)], oc.Err)
+			}
+			continue
+		}
+		pairs[i] = solved{oc.Result, oc.Runtime}
+		if keys[i] != "" {
+			cfg.memo.put(keys[i], pairs[i])
+		}
+	}
+	if err != nil {
+		return err
+	}
 	for pi := range stacks {
 		p := Point{
 			X:       xs[pi],
@@ -157,18 +232,10 @@ func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, 
 			Solver:  make(map[string]sparse.Stats),
 		}
 		for mi, nm := range ms {
-			oc := outs[pi*len(ms)+mi]
-			if oc.Err != nil {
-				return fmt.Errorf("experiments: %s at x=%g: %w", nm.name, xs[pi], oc.Err)
-			}
-			p.DT[nm.name] = oc.Result.MaxDT
-			if oc.FromCache {
-				// A cached outcome carries the original solve's stats; counting
-				// them again would double-book iterations and wall time.
-				continue
-			}
-			p.Runtime[nm.name] = oc.Runtime
-			p.Solver[nm.name] = oc.Result.Solver
+			r := pairs[pi*len(ms)+mi]
+			p.DT[nm.name] = r.res.MaxDT
+			p.Runtime[nm.name] = r.runtime
+			p.Solver[nm.name] = r.res.Solver
 		}
 		sw.Points = append(sw.Points, p)
 	}

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/stack"
 	"repro/internal/units"
 )
 
@@ -127,8 +130,32 @@ func TestTable1Ordering(t *testing.T) {
 	if !(b1.AvgErr > b20.AvgErr && b20.AvgErr > b100.AvgErr) {
 		t.Errorf("error not decreasing with segments: %.3f, %.3f, %.3f", b1.AvgErr, b20.AvgErr, b100.AvgErr)
 	}
-	if b100.AvgRuntime <= b1.AvgRuntime {
-		t.Errorf("runtime not increasing with segments: %v vs %v", b1.AvgRuntime, b100.AvgRuntime)
+	for _, r := range res.Rows {
+		if r.AvgRuntime <= 0 {
+			t.Errorf("%s: no runtime", r.Model)
+		}
+	}
+	// The table's runtimes are means over a few concurrent solves, so one
+	// GC pause or preemption can reorder them. Runtime growing with
+	// segments is checked on the fastest of several sequential solves of
+	// each model on the thickest liner instead.
+	s, err := stack.Fig5Block(units.UM(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastest := func(m core.Model) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 20; i++ {
+			t0 := time.Now()
+			if _, err := m.Solve(s); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(t0))
+		}
+		return best
+	}
+	if rt1, rt100 := fastest(core.NewModelB(1)), fastest(core.NewModelB(100)); rt100 <= rt1 {
+		t.Errorf("runtime not increasing with segments: B(1) %v vs B(100) %v", rt1, rt100)
 	}
 	// The 1-D model is the least accurate method in the lineup.
 	if oneD.AvgErr <= b100.AvgErr {

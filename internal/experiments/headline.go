@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fem"
 	"repro/internal/fit"
 	"repro/internal/report"
 	"repro/internal/stack"
@@ -123,40 +122,38 @@ type CalibrationResult struct {
 // small set of block geometries spanning all swept parameters — via radius,
 // liner thickness and substrate thickness — mirroring how the paper
 // obtained its fitting coefficients from FEM runs of representative blocks.
+// The reference solves run as one batch under an "experiments.calibrate"
+// span, on cfg.Workers and cfg.Ctx, through cfg's reference memo.
 func Calibrate(cfg Config) (*CalibrationResult, error) {
-	var geoms []func() (*stack.Stack, error)
-	mk := func(f func(float64) (*stack.Stack, error), v float64) func() (*stack.Stack, error) {
-		return func() (*stack.Stack, error) { return f(v) }
+	type geom struct {
+		block func(float64) (*stack.Stack, error)
+		um    float64
+	}
+	geoms := []geom{
+		{stack.Fig4Block, 3}, {stack.Fig4Block, 8}, {stack.Fig4Block, 16},
+		{stack.Fig5Block, 1}, {stack.Fig5Block, 3},
+		{stack.Fig6Block, 20}, {stack.Fig6Block, 60},
 	}
 	if cfg.Quick {
-		geoms = []func() (*stack.Stack, error){
-			mk(stack.Fig4Block, units.UM(5)),
-			mk(stack.Fig4Block, units.UM(12)),
-			mk(stack.Fig6Block, units.UM(20)),
-		}
-	} else {
-		geoms = []func() (*stack.Stack, error){
-			mk(stack.Fig4Block, units.UM(3)),
-			mk(stack.Fig4Block, units.UM(8)),
-			mk(stack.Fig4Block, units.UM(16)),
-			mk(stack.Fig5Block, units.UM(1)),
-			mk(stack.Fig5Block, units.UM(3)),
-			mk(stack.Fig6Block, units.UM(20)),
-			mk(stack.Fig6Block, units.UM(60)),
-		}
+		geoms = []geom{{stack.Fig4Block, 5}, {stack.Fig4Block, 12}, {stack.Fig6Block, 20}}
 	}
-	var points []fit.CalibrationPoint
+	xs := make([]float64, 0, len(geoms))
+	stacks := make([]*stack.Stack, 0, len(geoms))
 	for _, g := range geoms {
-		s, err := g()
+		s, err := g.block(units.UM(g.um))
 		if err != nil {
 			return nil, err
 		}
-		sol, err := fem.SolveStack(s, cfg.Resolution)
-		if err != nil {
-			return nil, err
-		}
-		ref, _, _ := sol.MaxT()
-		points = append(points, fit.CalibrationPoint{Stack: s, RefDT: ref})
+		xs = append(xs, g.um)
+		stacks = append(stacks, s)
+	}
+	sw := &Sweep{ID: "calibrate"}
+	if err := runSweepPoints(cfg, sw, xs, stacks, withReference(nil, cfg.Resolution)); err != nil {
+		return nil, err
+	}
+	points := make([]fit.CalibrationPoint, len(stacks))
+	for i, s := range stacks {
+		points[i] = fit.CalibrationPoint{Stack: s, RefDT: sw.Points[i].DT[RefName]}
 	}
 	coeffs, rms, err := fit.CalibrateModelA(points, core.UnitCoeffs())
 	if err != nil {

@@ -1,0 +1,245 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/report"
+)
+
+// factorsDuring returns how many banded factors fn added to the default
+// registry: one per reference solve on the quick mesh.
+func factorsDuring(t *testing.T, fn func()) int64 {
+	t.Helper()
+	c := obs.Default().Counter("fem.direct.factors")
+	before := c.Value()
+	fn()
+	return c.Value() - before
+}
+
+// paperSteps are the calls of one `ttsvlab all` after Calibrate, each
+// reduced to its table.
+var paperSteps = []struct {
+	name string
+	run  func(Config) (*report.Table, error)
+}{
+	{"fig4", sweepTable(Fig4)},
+	{"fig5", sweepTable(Fig5)},
+	{"fig6", sweepTable(Fig6)},
+	{"fig7", sweepTable(Fig7)},
+	{"table1", func(c Config) (*report.Table, error) {
+		r, err := Table1(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table(), nil
+	}},
+	{"headline", func(c Config) (*report.Table, error) {
+		r, err := Headline(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table(), nil
+	}},
+}
+
+func sweepTable(fn func(Config) (*Sweep, error)) func(Config) (*report.Table, error) {
+	return func(c Config) (*report.Table, error) {
+		sw, err := fn(c)
+		if err != nil {
+			return nil, err
+		}
+		return sw.Table(), nil
+	}
+}
+
+// TestMemoSharedAcrossRun runs Calibrate, Figs. 4–7, Table1 and Headline on
+// one Quick() Config and checks that the memo changes no result, only how
+// often the reference is solved.
+func TestMemoSharedAcrossRun(t *testing.T) {
+	cfg := Quick()
+	var cal *CalibrationResult
+	shared := make(map[string]*report.Table)
+	run := func(steps string) {
+		for _, st := range paperSteps {
+			if !strings.Contains(steps, st.name) {
+				continue
+			}
+			tb, err := st.run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			shared[st.name] = tb
+		}
+	}
+	first := factorsDuring(t, func() {
+		var err error
+		if cal, err = Calibrate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		cfg.CalibratedA = &cal.Coeffs
+		run("fig4 fig5 fig6 fig7")
+	})
+	if again := factorsDuring(t, func() { run("table1 headline") }); again != 0 {
+		t.Errorf("Table1 and Headline after Figs. 4-7 factored %d times, want 0", again)
+	}
+	// Quick() calibrates on Fig. 4 r = 5, 12 µm and Fig. 6 t = 20 µm; only
+	// r = 12 µm is not also a quick figure point (4 + 3 + 3 + 3 of them).
+	if want := 14; first != int64(want) || len(cfg.memo.m) != want {
+		t.Errorf("whole run factored %d times and memoized %d geometries, want %d distinct geometries", first, len(cfg.memo.m), want)
+	}
+
+	calFresh, err := Calibrate(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *cal != *calFresh {
+		t.Errorf("calibration %+v, fresh %+v", *cal, *calFresh)
+	}
+	for _, st := range paperSteps {
+		c := Quick()
+		c.CalibratedA = &calFresh.Coeffs
+		want, err := st.run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		got := shared[st.name]
+		if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: shape %q × %d, fresh %q × %d", st.name, got.Columns, len(got.Rows), want.Columns, len(want.Rows))
+		}
+		for i, row := range got.Rows {
+			for j, col := range got.Columns {
+				if !strings.Contains(col, "runtime") && row[j] != want.Rows[i][j] {
+					t.Errorf("%s row %d %q: %q, fresh %q", st.name, i+1, col, row[j], want.Rows[i][j])
+				}
+			}
+		}
+	}
+}
+
+func TestMemoHitKeepsOriginalSolve(t *testing.T) {
+	cfg := Quick()
+	first, err := Fig5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second *Sweep
+	if n := factorsDuring(t, func() {
+		if second, err = Fig5(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("repeated Fig. 5 factored %d times", n)
+	}
+	for i, p := range second.Points {
+		q := first.Points[i]
+		if p.Runtime[RefName] != q.Runtime[RefName] || p.Solver[RefName] != q.Solver[RefName] || p.DT[RefName] != q.DT[RefName] {
+			t.Errorf("x=%g: hit %v %v %g, original %v %v %g", p.X,
+				p.Runtime[RefName], p.Solver[RefName], p.DT[RefName],
+				q.Runtime[RefName], q.Solver[RefName], q.DT[RefName])
+		}
+		if p.Runtime[RefName] <= 0 || !p.Solver[RefName].Direct {
+			t.Errorf("x=%g: hit lost the solve's runtime or stats: %v %v", p.X, p.Runtime[RefName], p.Solver[RefName])
+		}
+	}
+}
+
+func TestMemoSharedByConcurrentCopies(t *testing.T) {
+	cfg := Quick()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, errs[0] = Fig5(cfg)
+	}()
+	go func() {
+		defer wg.Done()
+		_, errs[1] = Table1(cfg)
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(cfg.memo.m); n != 3 {
+		t.Errorf("memo holds %d geometries after Fig. 5 and Table I on the same 3 liners", n)
+	}
+}
+
+func TestConfigLiteralHasNoMemo(t *testing.T) {
+	q := Quick()
+	cfg := Config{Resolution: q.Resolution, BlockCoeffs: q.BlockCoeffs, SegmentsB: q.SegmentsB, Quick: true}
+	var points int
+	n := factorsDuring(t, func() {
+		for range 2 {
+			sw, err := Fig7(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points += len(sw.Points)
+		}
+	})
+	if n != int64(points) {
+		t.Errorf("two Fig. 7 runs of a Config literal factored %d times, want one per point (%d)", n, points)
+	}
+}
+
+func TestCalibrateHonoursContext(t *testing.T) {
+	cfg := Quick()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx = ctx
+	if _, err := Calibrate(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Calibrate under a cancelled context: %v, want context.Canceled", err)
+	}
+}
+
+func TestCalibrateTraced(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := Quick()
+	cfg.Trace = obs.NewTracer(&buf)
+	if _, err := Calibrate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		Span   string `json:"span"`
+		ID     int64  `json:"id"`
+		Parent int64  `json:"parent"`
+	}
+	byID := make(map[int64]span)
+	var root int64
+	var solves []span
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var s span
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		byID[s.ID] = s
+		switch s.Span {
+		case "experiments.calibrate":
+			root = s.ID
+		case "fem.solve":
+			solves = append(solves, s)
+		}
+	}
+	if root == 0 || len(solves) == 0 {
+		t.Fatalf("trace has no experiments.calibrate span (%d) or no fem.solve spans (%d):\n%s", root, len(solves), buf.String())
+	}
+	for _, s := range solves {
+		p := s
+		for p.Parent != 0 && p.ID != root {
+			p = byID[p.Parent]
+		}
+		if p.ID != root {
+			t.Errorf("fem.solve span %d is not below experiments.calibrate", s.ID)
+		}
+	}
+}

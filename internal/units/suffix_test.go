@@ -24,8 +24,8 @@ func TestParseValueScales(t *testing.T) {
 		{"300um", DimLength, UM(300)},
 		{"0.5um", DimLength, UM(0.5)},
 		{"1mm", DimLength, MM(1)},
-		{"1m", DimLength, 1},     // meter, not milli
-		{"1m", DimNone, 1 * milli}, // milli when dimensionless
+		{"1m", DimLength, 1},        // meter, not milli
+		{"1m", DimNone, 1 * milli},  // milli when dimensionless
 		{"25k", DimTemperature, 25}, // kelvin, not kilo
 		{"25k", DimNone, 25e3},
 		{"27c", DimTemperature, 27},
