@@ -42,7 +42,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request solve timeout (0 = none)")
 	rate := fs.Float64("rate", 0, "admitted solve requests per second (0 = unlimited)")
 	burst := fs.Int("burst", 0, "admission burst capacity (0 = ceil(rate))")
-	poolIdle := fs.Int("pool", 2, "warm solver-state entries kept per grid topology")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
 	tracePath := fs.String("trace", "", "write an NDJSON span trace to this file")
 	if err := fs.Parse(args); err != nil {
@@ -50,11 +49,10 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 
 	cfg := serve.Config{
-		Workers:  *workers,
-		Timeout:  *timeout,
-		Rate:     *rate,
-		Burst:    *burst,
-		PoolIdle: *poolIdle,
+		Workers: *workers,
+		Timeout: *timeout,
+		Rate:    *rate,
+		Burst:   *burst,
 	}
 	if *tracePath != "" {
 		fh, err := os.Create(*tracePath)

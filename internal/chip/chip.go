@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/fem"
 	"repro/internal/materials"
 	"repro/internal/obs"
 	"repro/internal/stack"
@@ -159,20 +158,4 @@ func (sys System) Analyze(m core.Model) (*core.Result, error) {
 		return nil, err
 	}
 	return m.Solve(cell)
-}
-
-// AnalyzeReference runs the FVM reference solver on the unit cell and
-// returns the maximum temperature rise.
-func (sys System) AnalyzeReference(res fem.Resolution) (float64, *fem.AxiSolution, error) {
-	obs.Default().Counter("chip.analyze.runs").Inc()
-	cell, err := sys.UnitCell()
-	if err != nil {
-		return 0, nil, err
-	}
-	sol, err := fem.SolveStack(cell, res)
-	if err != nil {
-		return 0, nil, err
-	}
-	max, _, _ := sol.MaxT()
-	return max, sol, nil
 }

@@ -57,10 +57,11 @@ func TestCaseStudyReproducesPaperShape(t *testing.T) {
 	// reference while the 1-D model overestimates by tens of percent
 	// (paper: A 12.8, B(1000) 13.9, FEM 12, 1-D 20 — 1-D is ~65% high).
 	sys := DRAMuP()
-	ref, _, err := sys.AnalyzeReference(fem.DefaultResolution())
+	refRes, err := sys.Analyze(fem.ReferenceModel{Res: fem.DefaultResolution()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := refRes.MaxDT
 	a, err := sys.Analyze(core.ModelA{Coeffs: core.PaperSystemCoeffs()})
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +135,8 @@ func TestUnitCellPropagatesValidation(t *testing.T) {
 	if _, err := sys.Analyze(core.Model1D{}); err == nil {
 		t.Error("Analyze on invalid system succeeded")
 	}
-	if _, _, err := sys.AnalyzeReference(fem.DefaultResolution()); err == nil {
-		t.Error("AnalyzeReference on invalid system succeeded")
+	if _, err := sys.Analyze(fem.ReferenceModel{Res: fem.DefaultResolution()}); err == nil {
+		t.Error("Analyze of the reference on invalid system succeeded")
 	}
 }
 

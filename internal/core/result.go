@@ -55,30 +55,29 @@ type ContextSolver interface {
 	SolveCtx(ctx context.Context, s *stack.Stack) (*Result, error)
 }
 
-// ReusableSolver is implemented by models that can amortize per-solve setup
-// (matrix sparsity patterns, preconditioner hierarchies, solver scratch)
-// across the many solves of a batch. Batch runners that hold an instance per
-// worker get the cross-solve reuse; callers that ignore the interface get
-// the plain Solve path — the results are identical either way, because
-// reusable state must never change what a solve computes, only what it
-// allocates. Warm starting (seeding an iterative solve from the previous
-// solution of the same system shape) is the one exception: it perturbs the
-// iterate sequence, so it is a separate opt-in at instance creation.
+// ReusableSolver is implemented by models whose solves can be warm started:
+// seeded from the previous solution of the same system shape, as the
+// solves along one chain of a warm-started sweep are. A warm start changes
+// the iterate sequence (the result converges to the same tolerance but is
+// not bit-identical to a cold solve), so it lives in an instance the caller
+// owns and resets at chain boundaries. Reuse that does not change results
+// needs no instance: a model keeps it behind its own Solve.
 type ReusableSolver interface {
 	Model
-	// NewReusable returns a fresh instance owning the reusable state.
-	// Instances are not safe for concurrent use: create one per worker.
-	NewReusable(warmStart bool) ReusableInstance
+	// NewReusable returns a fresh warm-starting instance. Instances are not
+	// safe for concurrent use: create one per worker.
+	NewReusable() ReusableInstance
 }
 
-// ReusableInstance is one worker's stateful handle on a ReusableSolver.
+// ReusableInstance is one worker's warm-start chain on a ReusableSolver.
 type ReusableInstance interface {
-	// SolveCtx is ContextSolver.SolveCtx drawing on the instance's cache.
+	// SolveCtx is ContextSolver.SolveCtx seeded from the chain's previous
+	// solve of the same system shape.
 	SolveCtx(ctx context.Context, s *stack.Stack) (*Result, error)
 	// ResetWarm forgets warm-start state, so the next solve of every system
-	// shape begins cold. A no-op for instances created without warm start.
+	// shape begins cold.
 	ResetWarm()
-	// Close releases held resources (e.g. worker pools). The instance must
+	// Close releases held resources (e.g. factor storage). The instance must
 	// not be used afterwards.
 	Close()
 }

@@ -15,14 +15,20 @@ import (
 	"repro/internal/units"
 )
 
-// stripWall zeroes the run-varying solver wall times (solve and factor) so
-// results compare by value.
+// stripWall zeroes what varies from run to run in a solve's stats — the
+// wall times (solve and factor) and whether the factor was reused from an
+// idle context of an earlier solve in the process — so results compare by
+// value.
 func stripWall(r *Result) {
 	for i := range r.Analyses {
 		for _, op := range r.Analyses[i].Op {
-			op.Solver.Wall, op.Solver.Factor = 0, 0
+			stripStats(op)
 		}
 	}
+}
+
+func stripStats(r *core.Result) {
+	r.Solver.Wall, r.Solver.Factor, r.Solver.Reused = 0, 0, false
 }
 
 // runCorpusDeck lowers and runs one corpus deck, returning the scenario too
@@ -79,14 +85,26 @@ func fig4(r float64) func() (*stack.Stack, error) {
 	return func() (*stack.Stack, error) { return stack.Fig4Block(r) }
 }
 
-// solveExact solves s with m and strips the wall time.
+// solveExact solves s with m and strips the run-varying stats. A model
+// with reusable state (the reference) solves on a new instance, whose first
+// solve starts from no state of any earlier solve.
 func solveExact(t *testing.T, m core.Model, s *stack.Stack) *core.Result {
 	t.Helper()
-	r, err := m.Solve(s)
+	var (
+		r   *core.Result
+		err error
+	)
+	if rs, ok := m.(core.ReusableSolver); ok {
+		inst := rs.NewReusable()
+		defer inst.Close()
+		r, err = inst.SolveCtx(context.Background(), s)
+	} else {
+		r, err = m.Solve(s)
+	}
 	if err != nil {
 		t.Fatalf("model %s: %v", m.Name(), err)
 	}
-	r.Solver.Wall, r.Solver.Factor = 0, 0
+	stripStats(r)
 	return r
 }
 

@@ -25,12 +25,6 @@ type Options struct {
 	Workers int
 	// Trace optionally records engine spans as NDJSON.
 	Trace *obs.Tracer
-	// Reuse optionally supplies reusable solver instances for .op solves —
-	// the solve service's warm pool hands each request the instances of
-	// previous requests with the same grid topology this way. Reuse never
-	// changes results (core.ReusableSolver contract); nil solves from
-	// scratch. The provider is consulted from the run's goroutine only.
-	Reuse ReuseProvider
 	// Sweep controls sharding, checkpoint journaling, resumption and
 	// merging of .sweep analyses; the zero value runs sweeps in-process
 	// with no journal, exactly as before.
@@ -93,14 +87,6 @@ type SweepProgress struct {
 	Replayed  bool `json:"replayed,omitempty"`
 	// RuntimeNS is the point's solve wall time (0 for cache hits/replays).
 	RuntimeNS int64 `json:"runtime_ns,omitempty"`
-}
-
-// ReuseProvider supplies per-model reusable solver instances to a run. A
-// returned instance must be exclusive to this run for its duration
-// (instances are not safe for concurrent use); nil means "solve this model
-// from scratch".
-type ReuseProvider interface {
-	InstanceFor(core.Model) core.ReusableInstance
 }
 
 // Result collects the outputs of every analysis card of a deck, in deck
@@ -172,7 +158,7 @@ func RunScenario(ctx context.Context, sc *Scenario, opt Options) (*Result, error
 func runAnalysis(ctx context.Context, sc *Scenario, a *Analysis, opt Options) (*AnalysisResult, error) {
 	switch a.Kind {
 	case "op":
-		return runOp(ctx, sc, a.Op, opt)
+		return runOp(ctx, sc, a.Op)
 	case "tran":
 		return runTran(sc, a.Tran)
 	case "sweep":
@@ -184,24 +170,16 @@ func runAnalysis(ctx context.Context, sc *Scenario, a *Analysis, opt Options) (*
 	}
 }
 
-// runOp solves the stack with each model sequentially. Solves route through
-// the reuse provider's instance when one is supplied, else through SolveCtx
-// when the model supports cancellation (the FVM reference); the numerical
-// path is identical every way.
-func runOp(ctx context.Context, sc *Scenario, op *OpAnalysis, opt Options) (*AnalysisResult, error) {
+// runOp solves the stack with each model sequentially, through SolveCtx
+// when the model supports cancellation (the FVM reference).
+func runOp(ctx context.Context, sc *Scenario, op *OpAnalysis) (*AnalysisResult, error) {
 	ar := &AnalysisResult{Kind: "op"}
 	for _, m := range op.Models {
 		var (
 			r   *core.Result
 			err error
 		)
-		var ri core.ReusableInstance
-		if opt.Reuse != nil {
-			ri = opt.Reuse.InstanceFor(m)
-		}
-		if ri != nil {
-			r, err = ri.SolveCtx(ctx, sc.Stack)
-		} else if cs, ok := m.(core.ContextSolver); ok {
+		if cs, ok := m.(core.ContextSolver); ok {
 			r, err = cs.SolveCtx(ctx, sc.Stack)
 		} else {
 			r, err = m.Solve(sc.Stack)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/stack"
 	"repro/internal/units"
 )
 
@@ -28,7 +29,10 @@ type CaseStudyResult struct {
 	Entries []CaseStudyEntry
 }
 
-// CaseStudy runs the paper's §IV-E analysis.
+// CaseStudy runs the paper's §IV-E analysis. The reference solve of the
+// system's unit cell runs like every other experiment's: on cfg.Ctx and
+// cfg.Trace (under an "experiments.casestudy" span) and through the run's
+// memo.
 func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	sys := chip.DRAMuP()
 	segments := 1000
@@ -37,12 +41,16 @@ func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	}
 	out := &CaseStudyResult{System: sys}
 
-	t0 := time.Now()
-	ref, _, err := sys.AnalyzeReference(cfg.Resolution)
+	cell, err := sys.UnitCell()
 	if err != nil {
 		return nil, err
 	}
-	refEntry := CaseStudyEntry{Method: RefName, MaxDT: ref, Runtime: time.Since(t0)}
+	sw := &Sweep{ID: "casestudy"}
+	if err := runSweepPoints(cfg, sw, []float64{0}, []*stack.Stack{cell}, withReference(nil, cfg.Resolution)); err != nil {
+		return nil, err
+	}
+	ref := sw.Points[0].DT[RefName]
+	refEntry := CaseStudyEntry{Method: RefName, MaxDT: ref, Runtime: sw.Points[0].Runtime[RefName]}
 
 	models := []namedModel{
 		{"A", core.ModelA{Coeffs: cfg.SystemCoeffs}},

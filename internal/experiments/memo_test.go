@@ -13,14 +13,15 @@ import (
 	"repro/internal/report"
 )
 
-// factorsDuring returns how many banded factors fn added to the default
-// registry: one per reference solve on the quick mesh.
-func factorsDuring(t *testing.T, fn func()) int64 {
+// solvesDuring returns how many direct reference solves fn ran, the quick
+// mesh's only kind: each either factors or, when an idle fem context
+// already holds the factor of the same operator, reuses it.
+func solvesDuring(t *testing.T, fn func()) int64 {
 	t.Helper()
-	c := obs.Default().Counter("fem.direct.factors")
-	before := c.Value()
+	factors, reused := obs.Default().Counter("fem.direct.factors"), obs.Default().Counter("fem.direct.reuse.hits")
+	before := factors.Value() + reused.Value()
 	fn()
-	return c.Value() - before
+	return factors.Value() + reused.Value() - before
 }
 
 // paperSteps are the calls of one `ttsvlab all` after Calibrate, each
@@ -78,7 +79,7 @@ func TestMemoSharedAcrossRun(t *testing.T) {
 			shared[st.name] = tb
 		}
 	}
-	first := factorsDuring(t, func() {
+	first := solvesDuring(t, func() {
 		var err error
 		if cal, err = Calibrate(cfg); err != nil {
 			t.Fatal(err)
@@ -86,13 +87,13 @@ func TestMemoSharedAcrossRun(t *testing.T) {
 		cfg.CalibratedA = &cal.Coeffs
 		run("fig4 fig5 fig6 fig7")
 	})
-	if again := factorsDuring(t, func() { run("table1 headline") }); again != 0 {
-		t.Errorf("Table1 and Headline after Figs. 4-7 factored %d times, want 0", again)
+	if again := solvesDuring(t, func() { run("table1 headline") }); again != 0 {
+		t.Errorf("Table1 and Headline after Figs. 4-7 solved %d times, want 0", again)
 	}
 	// Quick() calibrates on Fig. 4 r = 5, 12 µm and Fig. 6 t = 20 µm; only
 	// r = 12 µm is not also a quick figure point (4 + 3 + 3 + 3 of them).
 	if want := 14; first != int64(want) || len(cfg.memo.m) != want {
-		t.Errorf("whole run factored %d times and memoized %d geometries, want %d distinct geometries", first, len(cfg.memo.m), want)
+		t.Errorf("whole run solved %d times and memoized %d geometries, want %d distinct geometries", first, len(cfg.memo.m), want)
 	}
 
 	calFresh, err := Calibrate(Quick())
@@ -130,12 +131,12 @@ func TestMemoHitKeepsOriginalSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	var second *Sweep
-	if n := factorsDuring(t, func() {
+	if n := solvesDuring(t, func() {
 		if second, err = Fig5(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("repeated Fig. 5 factored %d times", n)
+		t.Errorf("repeated Fig. 5 solved %d times", n)
 	}
 	for i, p := range second.Points {
 		q := first.Points[i]
@@ -178,7 +179,7 @@ func TestConfigLiteralHasNoMemo(t *testing.T) {
 	q := Quick()
 	cfg := Config{Resolution: q.Resolution, BlockCoeffs: q.BlockCoeffs, SegmentsB: q.SegmentsB, Quick: true}
 	var points int
-	n := factorsDuring(t, func() {
+	n := solvesDuring(t, func() {
 		for range 2 {
 			sw, err := Fig7(cfg)
 			if err != nil {
@@ -188,7 +189,7 @@ func TestConfigLiteralHasNoMemo(t *testing.T) {
 		}
 	})
 	if n != int64(points) {
-		t.Errorf("two Fig. 7 runs of a Config literal factored %d times, want one per point (%d)", n, points)
+		t.Errorf("two Fig. 7 runs of a Config literal solved %d times, want one per point (%d)", n, points)
 	}
 }
 
@@ -209,6 +210,33 @@ func TestCalibrateTraced(t *testing.T) {
 	if _, err := Calibrate(cfg); err != nil {
 		t.Fatal(err)
 	}
+	wantSolvesUnder(t, buf.String(), "experiments.calibrate")
+}
+
+func TestCaseStudyHonoursContext(t *testing.T) {
+	cfg := Quick()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx = ctx
+	if _, err := CaseStudy(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CaseStudy under a cancelled context: %v, want context.Canceled", err)
+	}
+}
+
+func TestCaseStudyTraced(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := Quick()
+	cfg.Trace = obs.NewTracer(&buf)
+	if _, err := CaseStudy(cfg); err != nil {
+		t.Fatal(err)
+	}
+	wantSolvesUnder(t, buf.String(), "experiments.casestudy")
+}
+
+// wantSolvesUnder checks that an NDJSON trace has a root span and at least
+// one fem.solve span, and that every fem.solve span descends from the root.
+func wantSolvesUnder(t *testing.T, trace, rootSpan string) {
+	t.Helper()
 	type span struct {
 		Span   string `json:"span"`
 		ID     int64  `json:"id"`
@@ -217,21 +245,21 @@ func TestCalibrateTraced(t *testing.T) {
 	byID := make(map[int64]span)
 	var root int64
 	var solves []span
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(trace), "\n") {
 		var s span
 		if err := json.Unmarshal([]byte(line), &s); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
 		byID[s.ID] = s
 		switch s.Span {
-		case "experiments.calibrate":
+		case rootSpan:
 			root = s.ID
 		case "fem.solve":
 			solves = append(solves, s)
 		}
 	}
 	if root == 0 || len(solves) == 0 {
-		t.Fatalf("trace has no experiments.calibrate span (%d) or no fem.solve spans (%d):\n%s", root, len(solves), buf.String())
+		t.Fatalf("trace has no %s span (%d) or no fem.solve spans (%d):\n%s", rootSpan, root, len(solves), trace)
 	}
 	for _, s := range solves {
 		p := s
@@ -239,7 +267,7 @@ func TestCalibrateTraced(t *testing.T) {
 			p = byID[p.Parent]
 		}
 		if p.ID != root {
-			t.Errorf("fem.solve span %d is not below experiments.calibrate", s.ID)
+			t.Errorf("fem.solve span %d is not below %s", s.ID, rootSpan)
 		}
 	}
 }

@@ -9,11 +9,13 @@ import (
 	"repro/internal/sparse"
 )
 
-// SolveContext carries reusable state across the repeated solves of a
-// parameter sweep: assemblies (stencil coefficient arrays refilled in
-// place), banded LDLᵀ factors, multigrid hierarchies, a scratch pool of
-// CG work vectors, and —
-// opt-in — the previous solution of each system shape for warm-starting CG.
+// SolveContext carries reusable state across repeated solves: assemblies
+// (stencil coefficient arrays refilled in place), banded LDLᵀ factors,
+// multigrid hierarchies, a scratch pool of CG work vectors, and — opt-in —
+// the previous solution of each system shape for warm-starting CG.
+// ReferenceModel solves draw one from the package's bounded list of idle
+// contexts (see idle); callers that want to own the state, such as
+// warm-started sweep chains, pass their own to the *With functions.
 //
 // Everything except WarmStart is invisible in the results: a solve through a
 // context is bit-identical to the same solve without one, because the reuse
@@ -23,8 +25,8 @@ import (
 // separate switch rather than part of the default reuse.
 //
 // A SolveContext is not safe for concurrent use: it serves one solve at a
-// time. Sweep workers each own one. The zero value of the
-// pointer (nil) is valid everywhere and means "no reuse".
+// time. The zero value of the pointer (nil) is valid everywhere and means
+// "no reuse".
 type SolveContext struct {
 	// WarmStart seeds each solve's CG iteration with the previous solution
 	// of the same system shape. Off by default: it perturbs the iterate
@@ -249,6 +251,70 @@ func releaseBand(b []float64) {
 	if cap(b) > cap(bands.free[small]) {
 		bands.free[small] = b[:cap(b)]
 	}
+}
+
+// idle is the process-wide list of idle contexts that ReferenceModel's
+// Solve and SolveCtx draw on, so a process that re-solves a geometry, or
+// one of the same assembly shape, skips the allocations and, for an
+// unchanged operator, the factor or hierarchy build. Each entry serves one
+// asmKey, so a context only ever holds one shape's state. The list keeps
+// the most recently returned context last; a return to a full list closes
+// the oldest. The bound is fixed, not scaled with GOMAXPROCS: it caps what a
+// stream of distinct geometries (a daemon's requests) can keep alive, while
+// covering the few shapes one process interleaves. Taken contexts are
+// exclusive to their solve, so concurrent solves of one shape each get
+// their own. The fem.idle.hits, .misses and .evictions counters record it.
+var idle struct {
+	sync.Mutex
+	list []idleContext
+}
+
+type idleContext struct {
+	key asmKey
+	sc  *SolveContext
+}
+
+const maxIdleContexts = 8
+
+// takeIdle removes and returns the most recently returned idle context for
+// key, or a new one.
+func takeIdle(key asmKey) *SolveContext {
+	idle.Lock()
+	defer idle.Unlock()
+	for i := len(idle.list) - 1; i >= 0; i-- {
+		if idle.list[i].key == key {
+			sc := idle.list[i].sc
+			idle.list = removeIdle(idle.list, i)
+			obs.Default().Counter("fem.idle.hits").Inc()
+			return sc
+		}
+	}
+	obs.Default().Counter("fem.idle.misses").Inc()
+	return NewSolveContext()
+}
+
+// putIdle returns a context taken for key. A full list closes its oldest.
+func putIdle(key asmKey, sc *SolveContext) {
+	idle.Lock()
+	var evicted *SolveContext
+	if len(idle.list) == maxIdleContexts {
+		evicted = idle.list[0].sc
+		idle.list = removeIdle(idle.list, 0)
+	}
+	idle.list = append(idle.list, idleContext{key, sc})
+	idle.Unlock()
+	if evicted != nil {
+		evicted.Close()
+		obs.Default().Counter("fem.idle.evictions").Inc()
+	}
+}
+
+// removeIdle deletes entry i, keeping the order, and clears the vacated
+// last slot so the backing array does not keep its context alive.
+func removeIdle(l []idleContext, i int) []idleContext {
+	copy(l[i:], l[i+1:])
+	l[len(l)-1] = idleContext{}
+	return l[:len(l)-1]
 }
 
 // snapshot appends a's coefficient arrays end to end to dst — the layout

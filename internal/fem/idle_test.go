@@ -1,0 +1,194 @@
+package fem
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/stack"
+	"repro/internal/units"
+)
+
+// emptyIdle closes and forgets every idle context, so a test that counts
+// them starts from an empty list whatever ran before it.
+func emptyIdle(t *testing.T) {
+	t.Helper()
+	idle.Lock()
+	l := idle.list
+	idle.list = nil
+	idle.Unlock()
+	for _, e := range l {
+		e.sc.Close()
+	}
+}
+
+// idleKeys returns the keys of the idle list, oldest first, and checks that
+// no slot past its length still holds a context.
+func idleKeys(t *testing.T) []asmKey {
+	t.Helper()
+	idle.Lock()
+	defer idle.Unlock()
+	for i, e := range idle.list[len(idle.list):cap(idle.list)] {
+		if e.sc != nil {
+			t.Errorf("vacated idle slot %d still holds a context", len(idle.list)+i)
+		}
+	}
+	keys := make([]asmKey, len(idle.list))
+	for i, e := range idle.list {
+		keys[i] = e.key
+	}
+	return keys
+}
+
+func counter(name string) int64 { return obs.Default().Counter(name).Value() }
+
+// freshMaxDT solves s on a new SolveContext: no state from any earlier
+// solve, the baseline every idle-list solve must match bit for bit.
+func freshMaxDT(t *testing.T, s *stack.Stack, res Resolution) float64 {
+	t.Helper()
+	sc := NewSolveContext()
+	defer sc.Close()
+	sol, err := SolveStackWith(context.Background(), sc, s, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	max, _, _ := sol.MaxT()
+	return max
+}
+
+// TestIdleKeepsShapesApart: two stacks with equal plane counts but thin and
+// thick bond layers mesh to different assembly shapes (the bond spans fall
+// on either side of thinSpanMax). Both contexts stay idle side by side, a
+// re-solve of each hits its own, and every solve equals a fresh one.
+func TestIdleKeepsShapesApart(t *testing.T) {
+	emptyIdle(t)
+	thin, err := stack.DefaultBlock().Build() // t_b = 1 µm: thin bond spans
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stack.DefaultBlock()
+	cfg.TB = units.UM(3) // thick bond spans
+	thick, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(thin.Planes) != len(thick.Planes) {
+		t.Fatalf("premise broken: %d vs %d planes", len(thin.Planes), len(thick.Planes))
+	}
+	m := ReferenceModel{}
+	want := map[*stack.Stack]float64{thin: freshMaxDT(t, thin, m.resolution()), thick: freshMaxDT(t, thick, m.resolution())}
+	solve := func() {
+		t.Helper()
+		for _, s := range []*stack.Stack{thin, thick} {
+			r, err := m.Solve(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.MaxDT != want[s] {
+				t.Fatalf("idle-list solve %v differs from fresh %v", r.MaxDT, want[s])
+			}
+		}
+	}
+
+	solve()
+	keys := idleKeys(t)
+	if len(keys) != 2 || keys[0] == keys[1] {
+		t.Fatalf("idle keys after thin and thick solves = %v, want two distinct shapes", keys)
+	}
+	hits, misses := counter("fem.idle.hits"), counter("fem.idle.misses")
+	solve()
+	if got := counter("fem.idle.hits") - hits; got != 2 {
+		t.Errorf("re-solves hit %d idle contexts, want 2", got)
+	}
+	if got := counter("fem.idle.misses") - misses; got != 0 {
+		t.Errorf("re-solves missed %d times, want 0", got)
+	}
+	if got := idleKeys(t); len(got) != 2 {
+		t.Errorf("idle list holds %d contexts after the re-solves, want 2", len(got))
+	}
+
+	// A taken context leaves the list, and its slot keeps no reference.
+	sc := takeIdle(keys[0])
+	if got := idleKeys(t); len(got) != 1 || got[0] != keys[1] {
+		t.Errorf("idle keys with the thin context taken = %v, want [%v]", got, keys[1])
+	}
+	putIdle(keys[0], sc)
+}
+
+// TestIdleBounded solves more than twice the bound of distinct shapes: the
+// list never holds more than maxIdleContexts, the oldest go first, each
+// eviction is counted, and every solve equals a fresh one.
+func TestIdleBounded(t *testing.T) {
+	emptyIdle(t)
+	s := fig4(t, 10)
+	evictions := counter("fem.idle.evictions")
+	n := 2*maxIdleContexts + 3
+	var first asmKey
+	for i := 0; i < n; i++ {
+		res := Resolution{RadialVia: 2, RadialLiner: 1, RadialOuter: 2 + i, AxialPerLayer: 2, AxialMin: 1, Bulk: 3}
+		r, err := ReferenceModel{Res: res}.Solve(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := freshMaxDT(t, s, res); r.MaxDT != want {
+			t.Fatalf("shape %d: idle-list solve %v differs from fresh %v", i, r.MaxDT, want)
+		}
+		keys := idleKeys(t)
+		if want := min(i+1, maxIdleContexts); len(keys) != want {
+			t.Fatalf("after %d shapes the idle list holds %d contexts, want %d", i+1, len(keys), want)
+		}
+		if i == 0 {
+			first = keys[0]
+		}
+		if i == maxIdleContexts && keys[0] == first {
+			t.Fatalf("the oldest context survived a return to a full list")
+		}
+	}
+	if got, want := counter("fem.idle.evictions")-evictions, int64(n-maxIdleContexts); got != want {
+		t.Errorf("evictions = %d, want %d", got, want)
+	}
+}
+
+// TestIdleConcurrentSolvesBitIdentical runs one shape's solves on several
+// goroutines at once (each takes its own context, so the list may hold
+// several of one shape) and checks every result against a fresh solve.
+func TestIdleConcurrentSolvesBitIdentical(t *testing.T) {
+	res := coarse()
+	radii := []float64{4, 6, 8, 10, 12, 14, 16, 18}
+	want := make([]float64, len(radii))
+	for i, r := range radii {
+		want[i] = freshMaxDT(t, fig4(t, r), res)
+	}
+	errs := make(chan error, len(radii))
+	got := make([]float64, len(radii))
+	for i, r := range radii {
+		s := fig4(t, r)
+		go func() {
+			for k := 0; k < 3; k++ {
+				out, err := ReferenceModel{Res: res}.SolveCtx(context.Background(), s)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if k > 0 && out.MaxDT != got[i] {
+					t.Errorf("r=%g: repeat %d gave %v, first %v", r, k, out.MaxDT, got[i])
+				}
+				got[i] = out.MaxDT
+			}
+			errs <- nil
+		}()
+	}
+	for range radii {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range radii {
+		if got[i] != want[i] {
+			t.Errorf("r=%g: concurrent idle-list solve %v differs from fresh %v", radii[i], got[i], want[i])
+		}
+	}
+	if n := len(idleKeys(t)); n > maxIdleContexts {
+		t.Errorf("idle list holds %d contexts, bound %d", n, maxIdleContexts)
+	}
+}

@@ -10,7 +10,9 @@ import (
 // ReferenceModel adapts the finite-volume reference solver to the core.Model
 // interface, so the FVM column of the paper's figures can run through the
 // same batch-evaluation machinery (worker pools, memoization, error capture)
-// as the analytical models. The zero value uses DefaultResolution.
+// as the analytical models. Its solves keep their solver state in the
+// package's bounded idle list between calls, so no caller has to hold it.
+// The zero value uses DefaultResolution.
 type ReferenceModel struct {
 	// Res is the mesh density; the zero value selects DefaultResolution.
 	// Res.Precond alone (all mesh counts zero) keeps the default mesh but
@@ -43,15 +45,20 @@ func (m ReferenceModel) Solve(s *stack.Stack) (*core.Result, error) {
 	return m.SolveCtx(context.Background(), s)
 }
 
-// SolveCtx implements core.ContextSolver: the underlying conjugate-gradient
-// iteration checks ctx between iterations, so cancelling a sweep also stops
-// its in-flight finite-volume solves.
+// SolveCtx implements core.ContextSolver: a direct solve checks ctx before
+// factoring and before its sweeps, a CG iteration between iterations, so
+// cancelling a sweep also stops its in-flight finite-volume solves. The
+// solve runs through a context from the package's idle list (see idle), so
+// repeated solves of one assembly shape reuse its assembly, factor or
+// hierarchy and scratch; the result is bit-identical to a fresh solve.
 func (m ReferenceModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
 	return m.solveWith(ctx, nil, s)
 }
 
+// solveWith solves through sc, or through a context from the idle list
+// when sc is nil.
 func (m ReferenceModel) solveWith(ctx context.Context, sc *SolveContext, s *stack.Stack) (*core.Result, error) {
-	sol, err := SolveStackWith(ctx, sc, s, m.resolution())
+	sol, err := solveStack(ctx, sc, sc == nil, s, m.resolution())
 	if err != nil {
 		return nil, err
 	}
@@ -65,14 +72,14 @@ func (m ReferenceModel) solveWith(ctx context.Context, sc *SolveContext, s *stac
 	}, nil
 }
 
-// NewReusable implements core.ReusableSolver: the returned instance owns a
-// SolveContext, so consecutive solves share the assembly, the banded
-// LDLᵀ factor or multigrid hierarchy (reused outright when the operator
-// is unchanged, refactored or rebuilt when it is not) and the CG scratch
-// pool.
-func (m ReferenceModel) NewReusable(warmStart bool) core.ReusableInstance {
+// NewReusable implements core.ReusableSolver for warm-started chains: the
+// returned instance owns a SolveContext with WarmStart set, so each CG solve
+// starts from the previous solution of the same system shape, and
+// consecutive solves share the assembly, the factor or hierarchy and the
+// CG scratch pool.
+func (m ReferenceModel) NewReusable() core.ReusableInstance {
 	sc := NewSolveContext()
-	sc.WarmStart = warmStart
+	sc.WarmStart = true
 	return &reusableRef{m: m, sc: sc}
 }
 

@@ -103,6 +103,13 @@ type layerSpan struct {
 	inVia  bool    // whether the via traverses this span
 }
 
+// thinSpanMax is the span thickness below which the axial mesh falls back to
+// Resolution.AxialMin cells instead of AxialPerLayer: thin bond/liner-scale
+// layers would otherwise force needle cells. The threshold decides the cell
+// count of every span, so stacks on either side of it have different
+// assembly shapes even at equal plane counts.
+const thinSpanMax = 2e-6
+
 // BuildAxiProblem translates a stack into the axisymmetric unit-cell problem
 // the reference solver consumes. For a via cluster (Count > 1) the unit cell
 // is the symmetry cell of one via: footprint A0/n, via radius r_n, powers
@@ -317,6 +324,14 @@ func SolveStackCtx(ctx context.Context, s *stack.Stack, res Resolution) (*AxiSol
 // usually identical, so assembly patterns, multigrid hierarchies and solver
 // scratch carry over from one stack to the next.
 func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res Resolution) (*AxiSolution, error) {
+	return solveStack(ctx, sc, false, s, res)
+}
+
+// solveStack is SolveStackWith; with fromIdle it ignores sc and solves
+// through a context from the idle list, taken for the problem's assembly
+// shape and returned after the solve, error or not. A panicking solve
+// drops its context.
+func solveStack(ctx context.Context, sc *SolveContext, fromIdle bool, s *stack.Stack, res Resolution) (*AxiSolution, error) {
 	ctx, sp := obs.StartSpan(ctx, "fem.stack")
 	defer sp.End()
 	p, err := BuildAxiProblem(s, res)
@@ -325,5 +340,13 @@ func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res R
 		return nil, err
 	}
 	sp.Set("planes", len(s.Planes))
-	return SolveAxiWith(ctx, sc, p, sparse.Options{Precond: res.Precond})
+	opt := sparse.Options{Precond: res.Precond}
+	if !fromIdle {
+		return SolveAxiWith(ctx, sc, p, opt)
+	}
+	key := axiKey(len(p.REdges)-1, len(p.ZEdges)-1, p)
+	sc = takeIdle(key)
+	sol, err := SolveAxiWith(ctx, sc, p, opt)
+	putIdle(key, sc)
+	return sol, err
 }

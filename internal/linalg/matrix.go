@@ -1,5 +1,5 @@
 // Package linalg implements the linear algebra needed by the TTSV thermal
-// models: vectors, row-major matrices, LU factorization with partial
+// models: row-major matrices, LU factorization with partial
 // pivoting, and the banded LDLᵀ factor (band.go) that solves every
 // symmetric positive definite system in the repository — the Model A/B
 // ladders, the finite-volume grids solved direct, and the multigrid planes
@@ -28,31 +28,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid matrix dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFromRows builds a matrix from row slices; all rows must have the
-// same length.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: NewMatrixFromRows needs at least one non-empty row")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d entries, want %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -107,55 +82,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		y[i] = s
 	}
 	return y
-}
-
-// Mul returns the matrix product m · b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch: %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, v := range brow {
-				orow[j] += a * v
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// IsSymmetric reports whether the matrix is square and symmetric within the
-// given absolute tolerance.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // MaxAbs returns the largest absolute entry.

@@ -120,21 +120,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestIsSymmetric(t *testing.T) {
-	sym := NewMatrixFromRows([][]float64{{2, -1}, {-1, 2}})
-	if !sym.IsSymmetric(0) {
-		t.Error("symmetric matrix reported asymmetric")
-	}
-	asym := NewMatrixFromRows([][]float64{{2, -1}, {1, 2}})
-	if asym.IsSymmetric(1e-12) {
-		t.Error("asymmetric matrix reported symmetric")
-	}
-	rect := NewMatrix(2, 3)
-	if rect.IsSymmetric(1) {
-		t.Error("rectangular matrix reported symmetric")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
 	c := a.Clone()

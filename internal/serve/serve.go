@@ -9,7 +9,6 @@
 //
 //   - single-flight coalescing: identical in-flight requests (keyed by the
 //     canonical hash of the lowered scenario) share one solve;
-//   - a warm pool of reusable solver state keyed by grid topology;
 //   - token-bucket admission control (429 + Retry-After);
 //   - per-request timeouts and client-disconnect cancellation threaded into
 //     the iterative solvers;
@@ -33,7 +32,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/deck"
-	"repro/internal/fem"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stack"
@@ -59,9 +57,6 @@ type Config struct {
 	Rate float64
 	// Burst is the bucket capacity; <= 0 selects ceil(Rate).
 	Burst int
-	// PoolIdle caps the warm solver-state entries kept per grid topology;
-	// <= 0 selects 2.
-	PoolIdle int
 	// Registry receives the service metrics; nil selects obs.Default().
 	Registry *obs.Registry
 	// Trace optionally records per-request and solver spans as NDJSON.
@@ -69,11 +64,10 @@ type Config struct {
 }
 
 // Server is the solve service handler. Create it with New; it is safe for
-// concurrent use. Close releases the warm pool.
+// concurrent use.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	pool    *pool
 	flights flightGroup
 	bucket  *tokenBucket
 	reg     *obs.Registry
@@ -92,7 +86,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
-		pool:   newPool(cfg.PoolIdle),
 		bucket: newTokenBucket(cfg.Rate, cfg.Burst),
 		reg:    reg,
 	}
@@ -115,13 +108,6 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// Close releases the warm pool. In-flight requests finish their solves; new
-// requests still work but solve cold.
-func (s *Server) Close() error {
-	s.pool.close()
-	return nil
 }
 
 // handleRun wraps one solve endpoint: admission control, request lowering,
@@ -217,18 +203,6 @@ func (s *Server) execute(ctx context.Context, endpoint string, sc *deck.Scenario
 	}
 
 	opt := deck.Options{Workers: s.cfg.Workers, Trace: s.cfg.Trace, Sweep: sweepCtl}
-	if sc.Stack != nil {
-		key := poolKey(sc.Stack)
-		entry, warm := s.pool.checkout(key)
-		defer s.pool.checkin(key, entry)
-		if warm {
-			s.reg.Counter("serve.pool.hits").Inc()
-		} else {
-			s.reg.Counter("serve.pool.misses").Inc()
-		}
-		opt.Reuse = entry
-	}
-
 	res, err := deck.RunScenario(ctx, sc, opt)
 	if err != nil {
 		if sp != nil {
@@ -250,20 +224,6 @@ func (s *Server) execute(ctx context.Context, endpoint string, sc *deck.Scenario
 		return textResponse(http.StatusInternalServerError, err.Error()+"\n")
 	}
 	return response{status: http.StatusOK, contentType: "text/plain; charset=utf-8", body: buf.Bytes()}
-}
-
-// poolKey derives the warm-pool key from the stack's grid topology — the
-// same structural inputs that decide whether assembled solver state is
-// actually reusable. Keying on plane count alone made distinct topologies
-// with equal plane counts (e.g. differing bond-layer thickness classes)
-// share and thrash one pool entry. Stacks whose topology cannot be derived
-// (the reference solver would reject them anyway) fall back to the plane
-// count so they still pool somewhere.
-func poolKey(st *stack.Stack) string {
-	if sig, err := fem.GridTopology(st); err == nil {
-		return canon.Hash("topology", sig)
-	}
-	return canon.Hash("topology", len(st.Planes))
 }
 
 // handleSweep serves POST /sweep: admission, lowering, then either the
@@ -540,7 +500,6 @@ func lowerDeck(body []byte) (*deck.Scenario, error) {
 // may end in :0).
 func ListenAndServe(ctx context.Context, addr string, cfg Config, drain time.Duration, ready func(boundAddr string)) error {
 	s := New(cfg)
-	defer s.Close()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/canon"
+	"repro/internal/core"
 	"repro/internal/deck"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -42,10 +44,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *obs.Re
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts, cfg.Registry
 }
 
@@ -298,26 +297,136 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 	}
 }
 
+// freshReport renders the /solve report for body from solves that start
+// from no state of any earlier solve: a model with reusable state (the
+// reference) solves on a new instance, whose first solve is a fresh one.
+func freshReport(t *testing.T, s *Server, body []byte) []byte {
+	t.Helper()
+	sc, err := s.lowerSolve(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar := deck.AnalysisResult{Kind: "op"}
+	for _, m := range sc.Analyses[0].Op.Models {
+		var r *core.Result
+		if rs, ok := m.(core.ReusableSolver); ok {
+			inst := rs.NewReusable()
+			r, err = inst.SolveCtx(context.Background(), sc.Stack)
+			inst.Close()
+		} else {
+			r, err = m.Solve(sc.Stack)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar.Op = append(ar.Op, r)
+	}
+	var buf bytes.Buffer
+	if err := (&deck.Result{Title: sc.Title, Analyses: []deck.AnalysisResult{ar}}).WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestWarmPoolBitIdentical solves the reference model twice on one server:
-// the second solve reuses pooled solver state and must still produce the
-// exact same bytes as the cold one.
+// the second solve reuses an idle fem context, and both must produce the
+// exact bytes of a fresh solve.
 func TestWarmPoolBitIdentical(t *testing.T) {
-	_, ts, reg := newTestServer(t, Config{Workers: 1})
+	s, ts, _ := newTestServer(t, Config{Workers: 1})
 	body := []byte(`{"models": {"model": "ref"}}`)
-	status, cold := post(t, ts.URL+"/solve", body)
-	if status != http.StatusOK {
-		t.Fatalf("cold solve: status %d, body:\n%s", status, cold)
+	want := freshReport(t, s, body)
+	hits := obs.Default().Counter("fem.idle.hits").Value()
+	for _, pass := range []string{"first", "second"} {
+		status, got := post(t, ts.URL+"/solve", body)
+		if status != http.StatusOK {
+			t.Fatalf("%s solve: status %d, body:\n%s", pass, status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s solve differs from a fresh one:\n--- got ---\n%s\n--- fresh ---\n%s", pass, got, want)
+		}
 	}
-	status, warm := post(t, ts.URL+"/solve", body)
-	if status != http.StatusOK {
-		t.Fatalf("warm solve: status %d, body:\n%s", status, warm)
+	if got := obs.Default().Counter("fem.idle.hits").Value() - hits; got < 1 {
+		t.Errorf("fem.idle.hits rose by %d, want >= 1", got)
 	}
-	if !bytes.Equal(cold, warm) {
-		t.Errorf("warm solve differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+}
+
+// TestConcurrentRefSolvesMatchFresh sends reference solves of several
+// geometries of one grid shape concurrently, each three times: whichever
+// idle context a request draws, or a new one, every response must equal
+// the report of a fresh solve.
+func TestConcurrentRefSolvesMatchFresh(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{Workers: 1})
+	var bodies [][]byte
+	for r := 6; r <= 13; r++ {
+		bodies = append(bodies, []byte(fmt.Sprintf(`{"block": {"R": %de-6}, "models": {"model": "ref"}}`, r)))
 	}
-	if hits := reg.Counter("serve.pool.hits").Value(); hits < 1 {
-		t.Errorf("serve.pool.hits = %d, want >= 1", hits)
+	want := make([][]byte, len(bodies))
+	for i, b := range bodies {
+		want[i] = freshReport(t, s, b)
 	}
+	var wg sync.WaitGroup
+	for rep := 0; rep < 3; rep++ {
+		for i, b := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				status, got := post(t, ts.URL+"/solve", b)
+				if status != http.StatusOK {
+					t.Errorf("request %d: status %d", i, status)
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("request %d differs from a fresh solve:\n--- got ---\n%s\n--- fresh ---\n%s", i, got, want[i])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestIdleContextsBoundHeap sends 4x-refined reference solves of 13- down
+// to 2-plane blocks, each a grid shape of its own. The live heap after GC
+// grows while fem's idle list fills, and not once it is full: each later
+// request's context replaces an older, larger one. A pool that kept every
+// shape grew by a whole context per request.
+func TestIdleContextsBoundHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4x-refined solves")
+	}
+	_, ts, _ := newTestServer(t, Config{Workers: 1})
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	heap := []uint64{live()}
+	for planes := 13; planes >= 2; planes-- {
+		body := fmt.Sprintf(`{"block": {"NumPlanes": %d}, "models": {"model": "ref", "refine": 4}}`, planes)
+		if status, got := post(t, ts.URL+"/solve", []byte(body)); status != http.StatusOK {
+			t.Fatalf("%d planes: status %d, body:\n%s", planes, status, got)
+		}
+		heap = append(heap, live())
+	}
+	// The smallest shape's context: what a kept-everything pool adds at the
+	// very least with each request.
+	const full = 8 // fem's idle bound
+	small := (heap[full] - heap[0]) / full / 4
+	for k := full + 1; k < len(heap); k++ {
+		if heap[k] > heap[full]+small {
+			t.Errorf("live heap after request %d is %.1f MB, %.1f MB after request %d, when the idle list filled",
+				k, float64(heap[k])/1e6, float64(heap[full])/1e6, full)
+		}
+	}
+	t.Logf("live heap per request (MB): %v", mb(heap))
+}
+
+func mb(b []uint64) []string {
+	out := make([]string, len(b))
+	for i, v := range b {
+		out[i] = fmt.Sprintf("%.1f", float64(v)/1e6)
+	}
+	return out
 }
 
 // TestAdmissionControl: with a 1-token bucket and a negligible refill rate,

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/deck"
-	"repro/internal/fem"
 	"repro/internal/stack"
 	"repro/internal/units"
 )
@@ -250,68 +249,6 @@ func TestSweepShardPartitionsReport(t *testing.T) {
 	status, body := post(t, ts.URL+"/sweep", sweepBody(t, func(r *SweepRequest) { r.Shard = "5/2" }))
 	if status != http.StatusBadRequest {
 		t.Errorf("bad shard spec: status %d, want 400; body:\n%s", status, body)
-	}
-}
-
-// TestWarmPoolKeysOnGridTopology is the regression test for the warm-pool
-// key: two scenarios with the same plane count but different grid topologies
-// (thin vs thick bonding layers cross the fem thin-span threshold) must pool
-// under distinct keys and each get their own warm hits — under the old
-// plane-count key they shared one entry and evicted each other.
-func TestWarmPoolKeysOnGridTopology(t *testing.T) {
-	s, ts, reg := newTestServer(t, Config{Workers: 1})
-	thin := []byte(`{"models": {"model": "ref"}}`)                         // t_b = 1 µm: bond spans thin
-	thick := []byte(`{"block": {"TB": 3e-6}, "models": {"model": "ref"}}`) // t_b = 3 µm: bond spans normal
-
-	// The premise: equal plane counts, different topologies.
-	thinStack, err := stack.DefaultBlock().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := stack.DefaultBlock()
-	cfg.TB = units.UM(3)
-	thickStack, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(thinStack.Planes) != len(thickStack.Planes) {
-		t.Fatalf("premise broken: %d vs %d planes", len(thinStack.Planes), len(thickStack.Planes))
-	}
-	tt, err := fem.GridTopology(thinStack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := fem.GridTopology(thickStack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tt == tk {
-		t.Fatalf("premise broken: topologies equal (%s)", tt)
-	}
-
-	for _, body := range [][]byte{thin, thick} {
-		if status, got := post(t, ts.URL+"/solve", body); status != http.StatusOK {
-			t.Fatalf("cold solve: status %d, body:\n%s", status, got)
-		}
-	}
-	s.pool.mu.Lock()
-	keys := len(s.pool.idle)
-	s.pool.mu.Unlock()
-	if keys != 2 {
-		t.Fatalf("pool holds %d topology keys after two different-topology solves, want 2", keys)
-	}
-
-	cold := make(map[string][]byte)
-	hits0 := reg.Counter("serve.pool.hits").Value()
-	for name, body := range map[string][]byte{"thin": thin, "thick": thick} {
-		status, got := post(t, ts.URL+"/solve", body)
-		if status != http.StatusOK {
-			t.Fatalf("warm %s solve: status %d", name, status)
-		}
-		cold[name] = got
-	}
-	if hits := reg.Counter("serve.pool.hits").Value() - hits0; hits != 2 {
-		t.Errorf("warm hits = %d, want 2 (one per topology)", hits)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/stack"
 	"repro/internal/units"
@@ -40,25 +39,27 @@ func maxDTs(t *testing.T, out []Outcome) []float64 {
 	return dts
 }
 
-// freshMaxDTs solves every job on its own through the model's stateless
-// SolveCtx — no worker, no reuse — and returns the max ΔT of each.
+// freshMaxDTs solves every job on its own through a new SolveContext — no
+// worker, no state from any earlier solve — and returns the max ΔT of each.
 func freshMaxDTs(t *testing.T, jobs []Job) []float64 {
 	t.Helper()
 	dts := make([]float64, len(jobs))
 	for i, j := range jobs {
-		res, err := j.Model.(core.ContextSolver).SolveCtx(context.Background(), j.Stack)
+		sc := fem.NewSolveContext()
+		sol, err := fem.SolveStackWith(context.Background(), sc, j.Stack, j.Model.(fem.ReferenceModel).Res)
+		sc.Close()
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		dts[i] = res.MaxDT
+		dts[i], _, _ = sol.MaxT()
 	}
 	return dts
 }
 
 // TestSweepReuseWorkerInvariance is the sweep-level reuse property: with
-// per-worker solver-state reuse, results must be bit-identical for any
-// worker count and to per-job stateless solves — reuse recycles memory,
-// never numbers.
+// the reference model's solver state reused through fem's idle contexts,
+// results must be bit-identical for any worker count and to fresh per-job
+// solves — reuse recycles memory, never numbers.
 func TestSweepReuseWorkerInvariance(t *testing.T) {
 	jobs := reuseJobs(t, 12)
 	want := freshMaxDTs(t, jobs)

@@ -89,9 +89,10 @@ type Options struct {
 	// root span with a "sweep.job" child per job, under which the solver
 	// spans (fem.solve, sparse.cg) of context-aware models nest.
 	Trace *obs.Tracer
-	// WarmStart additionally seeds each reusable solve from the previous
-	// solution of the same system shape. Jobs are dispatched to workers as
-	// contiguous chains of warmChainLen batch indices — the caller's job
+	// WarmStart seeds each solve of a core.ReusableSolver model from the
+	// previous solution of the same system shape, through one instance per
+	// worker and model. Jobs are dispatched to workers as contiguous
+	// chains of warmChainLen batch indices — the caller's job
 	// order, which sweeps lay out along the swept axis, is the warm-start
 	// order — and warm state resets at every chain boundary, so results do
 	// not depend on the worker count. Warm-started solves converge to the
@@ -234,7 +235,10 @@ func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outco
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			inst := &instances{warmStart: opt.WarmStart}
+			var inst instances
+			if opt.WarmStart {
+				inst = make(instances)
+			}
 			defer inst.close()
 			for i := range idx {
 				end := min(i+chain, hi)
@@ -297,19 +301,17 @@ func chainJournaled(resume map[int]Outcome, i, end int) bool {
 	return true
 }
 
-// instances is one worker's set of reusable solver instances, keyed by
-// model value. Worker-local by design: instances are not safe for
-// concurrent use, and reuse must not introduce cross-worker coupling.
-type instances struct {
-	warmStart bool
-	m         map[core.Model]core.ReusableInstance
-}
+// instances is one warm-starting worker's set of reusable solver
+// instances, keyed by model value; nil for a sweep without WarmStart.
+// Worker-local by design: instances are not safe for concurrent use, and
+// warm chains must not couple workers.
+type instances map[core.Model]core.ReusableInstance
 
 // instanceFor returns the worker's instance for the model, creating one on
-// first sight. Models that do not implement core.ReusableSolver — or whose
-// dynamic type is not comparable and so cannot key the map — get nil, which
-// routes the job down the stateless path.
-func (s *instances) instanceFor(mdl core.Model) core.ReusableInstance {
+// first sight. A nil set, a model that does not implement
+// core.ReusableSolver, or one whose dynamic type is not comparable and so
+// cannot key the map gets nil, which routes the job down the plain path.
+func (s instances) instanceFor(mdl core.Model) core.ReusableInstance {
 	if s == nil {
 		return nil
 	}
@@ -317,27 +319,24 @@ func (s *instances) instanceFor(mdl core.Model) core.ReusableInstance {
 	if !ok || !reflect.TypeOf(mdl).Comparable() {
 		return nil
 	}
-	inst, ok := s.m[mdl]
+	inst, ok := s[mdl]
 	if !ok {
-		inst = rs.NewReusable(s.warmStart)
-		if s.m == nil {
-			s.m = make(map[core.Model]core.ReusableInstance)
-		}
-		s.m[mdl] = inst
+		inst = rs.NewReusable()
+		s[mdl] = inst
 	}
 	return inst
 }
 
 // resetWarm starts a fresh warm-start chain on every held instance.
-func (s *instances) resetWarm() {
-	for _, inst := range s.m {
+func (s instances) resetWarm() {
+	for _, inst := range s {
 		inst.ResetWarm()
 	}
 }
 
 // close releases every held instance.
-func (s *instances) close() {
-	for _, inst := range s.m {
+func (s instances) close() {
+	for _, inst := range s {
 		inst.Close()
 	}
 }
@@ -345,7 +344,7 @@ func (s *instances) close() {
 // evaluate runs one job, consulting the cache and converting panics of
 // misbehaving models into errors so a single bad geometry cannot kill the
 // whole sweep.
-func evaluate(ctx context.Context, j Job, c *Cache, inst *instances) Outcome {
+func evaluate(ctx context.Context, j Job, c *Cache, inst instances) Outcome {
 	oc := Outcome{Job: j}
 	if err := ctx.Err(); err != nil {
 		oc.Err = err
@@ -412,10 +411,10 @@ func wrapErr(j Job, err error) error {
 }
 
 // solve invokes the model with panic capture, preferring the worker's
-// reusable instance when the model offers one (cross-solve reuse), then the
-// cancellable entry point: a cancelled batch stops its in-flight solves
-// between solver iterations instead of running them to completion.
-func solve(ctx context.Context, j Job, inst *instances) (res *core.Result, err error) {
+// warm-start instance when the sweep warm starts and the model offers one,
+// then the cancellable entry point: a cancelled batch stops its in-flight
+// solves between solver iterations instead of running them to completion.
+func solve(ctx context.Context, j Job, inst instances) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("model panicked: %v", r)

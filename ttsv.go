@@ -270,13 +270,14 @@ func SolveReferenceStatsCtx(ctx context.Context, s *Stack, res Resolution) (floa
 // can join sweeps and planning runs next to the analytical models. The zero
 // Resolution selects DefaultResolution. The returned model supports sweep
 // cancellation (core.ContextSolver), so cancelling a Sweep stops its
-// in-flight reference solves, and cross-solve reuse
-// (core.ReusableSolver): Sweep workers automatically cache its assembly
-// patterns, factors, multigrid hierarchies and solver scratch across jobs.
+// in-flight reference solves. Its solves keep their assembly, factor or
+// multigrid hierarchy and solver scratch in a small process-wide set of
+// idle contexts, one per grid shape, so repeated solves of a shape skip
+// that setup with bit-identical results.
 func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} }
 
-// NewSolveContext returns a reuse context for repeated reference solves
-// outside of Sweep (which manages contexts itself): assembly patterns,
+// NewSolveContext returns a reuse context that the caller owns for the
+// repeated reference solves it drives itself: assembly patterns,
 // banded LDLᵀ factors, multigrid hierarchies and solver scratch carry
 // over between solves through it. Reuse never changes results — a solve
 // through a context is bit-identical to one without — and Close drops the
@@ -433,10 +434,9 @@ func VerifyPlan(f *Floorplan, tech Technology, counts [][]int, res PowerMapResol
 // NewServeHandler returns the solve service as an http.Handler: POST /solve,
 // /sweep, /plan and /deck run the library's analyses and respond with the
 // same deterministic text reports the CLIs print (byte-identical for equal
-// inputs), with single-flight coalescing of identical in-flight requests, a
-// warm solver-state pool, token-bucket admission control and /metrics,
-// /healthz, /debug/pprof/ on the same mux. Close the handler to release the
-// warm pool.
+// inputs), with single-flight coalescing of identical in-flight requests,
+// token-bucket admission control and /metrics, /healthz, /debug/pprof/ on
+// the same mux.
 func NewServeHandler(cfg ServeConfig) *ServeHandler { return serve.New(cfg) }
 
 // Serve runs the solve service on addr until ctx is cancelled, then drains
