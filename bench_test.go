@@ -12,9 +12,9 @@ package ttsv_test
 //   BenchmarkReference*      the FVM solve standing in for the paper's FEM
 //   BenchmarkSweep*          the batch engine: sequential vs parallel vs cached
 //
-// plus the ablations DESIGN.md calls out: dense vs sparse Model B solves,
-// FVM preconditioner choice, FVM mesh refinement, and the topological
-// network assembly vs the transcribed three-plane equations for Model A.
+// plus the FVM ablations DESIGN.md calls out: preconditioner choice and mesh
+// refinement. The transcribed three-plane equations for Model A are timed
+// next to their test fixture, by internal/core's BenchmarkModelAClosedForm.
 
 import (
 	"context"
@@ -24,7 +24,6 @@ import (
 	ttsv "repro"
 	"repro/internal/core"
 	"repro/internal/fem"
-	"repro/internal/linalg"
 	"repro/internal/sparse"
 	"repro/internal/units"
 )
@@ -306,19 +305,6 @@ func benchBandFactor(b *testing.B, refine int) {
 	b.ReportMetric(float64(n)*hb*hb/2*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
 }
 
-// BenchmarkModelAClosedForm times the literal transcription of the paper's
-// eqs. (1)-(6) as a dense 5×5 system; BenchmarkTable1ModelA times Model A
-// through its banded ladder.
-func BenchmarkModelAClosedForm(b *testing.B) {
-	s := mustFig4(b, 10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveThreePlaneEquations(s, core.PaperBlockCoeffs()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReferenceMG* measure the multigrid-preconditioned reference
 // solve as the mesh refines; the "cgiters" metric is the CG iteration
 // count of the last solve and "mglevels" the hierarchy depth. Each iteration re-solves from scratch, so
@@ -339,7 +325,7 @@ func benchReferenceResolved(b *testing.B, refine int, p sparse.PrecondKind) {
 	b.ResetTimer()
 	var st sparse.Stats
 	for i := 0; i < b.N; i++ {
-		sol, err := fem.SolveAxi(prob, sparse.Options{Tol: 1e-10, Precond: p})
+		sol, err := fem.SolveAxiWith(context.Background(), nil, prob, sparse.Options{Tol: 1e-10, Precond: p})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,33 +379,6 @@ func BenchmarkReferenceCartFig4(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Iterations), "cgiters")
 	b.ReportMetric(float64(st.Levels), "mglevels")
-}
-
-// BenchmarkDenseLU is the dense LU with partial pivoting behind
-// core.SolveThreePlaneEquations, on a tridiagonal conductance matrix.
-func BenchmarkDenseLU(b *testing.B) {
-	a, rhs := spdBenchSystem(b, 200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.Solve(a, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func spdBenchSystem(b *testing.B, n int) (*linalg.Matrix, []float64) {
-	b.Helper()
-	a := linalg.NewMatrix(n, n)
-	rhs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 4)
-		if i > 0 {
-			a.Set(i, i-1, -1)
-			a.Set(i-1, i, -1)
-		}
-		rhs[i] = float64(i % 7)
-	}
-	return a, rhs
 }
 
 // Extension benchmarks: transient step response and insertion planning.

@@ -14,7 +14,7 @@ func TestDRAMuPPaperParameters(t *testing.T) {
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Area(); !units.ApproxEqual(got, 1e-4, 1e-12) {
+	if got := sys.Area(); units.RelErr(got, 1e-4) > 1e-12 {
 		t.Errorf("area = %g, want 1e-4 m²", got)
 	}
 	if len(sys.PlanePowers) != 3 || sys.PlanePowers[0] != 70 || sys.PlanePowers[1] != 7 {

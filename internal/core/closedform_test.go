@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"testing"
 
 	"repro/internal/linalg"
 	"repro/internal/stack"
@@ -12,9 +13,8 @@ import (
 // linear system in T1..T5 (T0 follows directly from eq. (6)).
 //
 // It is an intentionally independent implementation of the same model as
-// ModelA.Solve — the latter stamps the network rung by rung — and exists
-// as a cross-check; library users should prefer ModelA, which handles any
-// plane count.
+// ModelA.Solve, which stamps the network rung by rung, and is the tests'
+// cross-check of it.
 func SolveThreePlaneEquations(s *stack.Stack, c Coeffs) (*Result, error) {
 	if len(s.Planes) != 3 {
 		return nil, fmt.Errorf("core: the transcribed equations cover exactly 3 planes, stack has %d", len(s.Planes))
@@ -87,4 +87,17 @@ func SolveThreePlaneEquations(s *stack.Stack, c Coeffs) (*Result, error) {
 		}
 	}
 	return out, nil
+}
+
+// BenchmarkModelAClosedForm times the literal transcription of the paper's
+// eqs. (1)-(6) as a dense 5×5 system; the root BenchmarkTable1ModelA times
+// Model A through its banded ladder.
+func BenchmarkModelAClosedForm(b *testing.B) {
+	s := fig4Stack(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveThreePlaneEquations(s, PaperBlockCoeffs()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // fig4Stack returns the Fig. 4 stack at r = 10 µm.
-func fig4Stack(t *testing.T) *stack.Stack {
+func fig4Stack(t testing.TB) *stack.Stack {
 	t.Helper()
 	s, err := stack.Fig4Block(units.UM(10))
 	if err != nil {

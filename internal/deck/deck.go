@@ -96,53 +96,6 @@ type Deck struct {
 	Cards []Card
 }
 
-// Equal reports whether two decks have the same title and card structure.
-// Positions and file names are ignored: a formatted-and-reparsed deck is
-// Equal to the original even though every token moved.
-func (d *Deck) Equal(o *Deck) bool {
-	if d == nil || o == nil {
-		return d == o
-	}
-	if d.Title != o.Title || len(d.Cards) != len(o.Cards) {
-		return false
-	}
-	for i := range d.Cards {
-		a, b := &d.Cards[i], &o.Cards[i]
-		if a.Name != b.Name || len(a.Fields) != len(b.Fields) {
-			return false
-		}
-		for j := range a.Fields {
-			if a.Fields[j].Key != b.Fields[j].Key || a.Fields[j].Value != b.Fields[j].Value {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Format renders the deck in canonical form: the title line followed by one
-// line per card, single-space separated. Parsing the result yields a deck
-// Equal to the receiver (the property FuzzParseDeck enforces).
-func (d *Deck) Format() string {
-	var b strings.Builder
-	b.WriteString(d.Title)
-	b.WriteByte('\n')
-	for i := range d.Cards {
-		c := &d.Cards[i]
-		b.WriteString(c.Name)
-		for _, f := range c.Fields {
-			b.WriteByte(' ')
-			if f.Key != "" {
-				b.WriteString(f.Key)
-				b.WriteByte('=')
-			}
-			b.WriteString(f.Value)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // maxLine bounds a single physical line; hostile input beyond it is an
 // error, not an allocation.
 const maxLine = 1 << 20

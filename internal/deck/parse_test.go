@@ -109,31 +109,31 @@ t00 0 0 0.5w
 .end
 `
 	d := parseString(t, src)
-	formatted := d.Format()
+	formatted := d.format()
 	d2, err := Parse("formatted.ttsv", strings.NewReader(formatted))
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, formatted)
 	}
-	if !d.Equal(d2) {
+	if !d.equal(d2) {
 		t.Errorf("round trip not equal:\noriginal:  %+v\nreparsed: %+v", d.Cards, d2.Cards)
 	}
-	if again := d2.Format(); again != formatted {
-		t.Errorf("Format not idempotent:\n%q\n%q", formatted, again)
+	if again := d2.format(); again != formatted {
+		t.Errorf("format not idempotent:\n%q\n%q", formatted, again)
 	}
 }
 
 func TestDeckEqual(t *testing.T) {
 	a := parseString(t, "t\nb1 side=1um\n.op\n")
 	b := parseString(t, "t\nb1 side=1um\n.op\n")
-	if !a.Equal(b) {
-		t.Error("identical decks not Equal")
+	if !a.equal(b) {
+		t.Error("identical decks not equal")
 	}
 	c := parseString(t, "t\nb1 side=2um\n.op\n")
-	if a.Equal(c) {
-		t.Error("different decks Equal")
+	if a.equal(c) {
+		t.Error("different decks equal")
 	}
 	var nilDeck *Deck
-	if a.Equal(nilDeck) || !nilDeck.Equal(nil) {
+	if a.equal(nilDeck) || !nilDeck.equal(nil) {
 		t.Error("nil handling wrong")
 	}
 }

@@ -74,16 +74,6 @@ func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	return out, nil
 }
 
-// Entry returns the named method's entry.
-func (c *CaseStudyResult) Entry(method string) (CaseStudyEntry, bool) {
-	for _, e := range c.Entries {
-		if e.Method == method {
-			return e, true
-		}
-	}
-	return CaseStudyEntry{}, false
-}
-
 // Table renders the case study results.
 func (c *CaseStudyResult) Table() *report.Table {
 	tb := report.NewTable(

@@ -173,18 +173,28 @@ func TestTable1Ordering(t *testing.T) {
 	}
 }
 
+// entry returns the named method's entry.
+func (c *CaseStudyResult) entry(method string) (CaseStudyEntry, bool) {
+	for _, e := range c.Entries {
+		if e.Method == method {
+			return e, true
+		}
+	}
+	return CaseStudyEntry{}, false
+}
+
 func TestCaseStudyShape(t *testing.T) {
 	res, err := CaseStudy(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, ok := res.Entry(RefName)
+	ref, ok := res.entry(RefName)
 	if !ok {
 		t.Fatal("no reference entry")
 	}
-	b, okB := res.Entry("B(200)")
-	a, okA := res.Entry("A")
-	d, okD := res.Entry("1D")
+	b, okB := res.entry("B(200)")
+	a, okA := res.entry("A")
+	d, okD := res.entry("1D")
 	if !okA || !okB || !okD {
 		t.Fatalf("entries = %+v", res.Entries)
 	}

@@ -4,11 +4,10 @@ package fem
 //
 // Both finite-volume discretizations in this package live on structured
 // grids, so an assembled system is a sparse.Stencil — one diagonal array
-// plus one off-diagonal array per axis — with its right-hand side (and, on
-// the axisymmetric grid, the cell volumes). The emitters below write each
-// face conductance g straight into those arrays: −g into the face's
-// off-diagonal slot, +g into both cells' diagonals. No sparsity pattern,
-// index array or slot map exists.
+// plus one off-diagonal array per axis — with its right-hand side. The
+// emitters below write each face conductance g straight into those arrays:
+// −g into the face's off-diagonal slot, +g into both cells' diagonals. No
+// sparsity pattern, index array or slot map exists.
 //
 // The arrays' shape depends only on an asmKey — the cell counts and
 // boundary kinds — never on the coefficient values, so a SolveContext keeps
@@ -45,7 +44,6 @@ type assembly struct {
 	key asmKey
 	op  *sparse.Stencil
 	rhs []float64
-	vol []float64 // axisymmetric: cell volumes
 	k   []float64 // cell conductivities, row-major like the unknowns
 	kz  []float64 // Cartesian: vertical conductivities (aliases k when isotropic)
 }
@@ -72,9 +70,6 @@ func newAssembly(key asmKey, dims []int) (*assembly, error) {
 	if key.aniso {
 		asm.kz = make([]float64, n)
 	}
-	if key.kind == 'a' {
-		asm.vol = make([]float64, n)
-	}
 	op, err := sparse.NewStencilCoeffs(dims, make([]float64, n), off)
 	if err != nil {
 		return nil, fmt.Errorf("fem: internal: %w", err)
@@ -85,9 +80,9 @@ func newAssembly(key asmKey, dims []int) (*assembly, error) {
 
 // assembleWith returns sc's cached assembly for key, or a new one, after
 // fill has (re)assembled the problem into it. The diagonal and right-hand
-// side accumulate, so they are zeroed first; the off-diagonals and volumes
-// are assigned outright by every fill. A new assembly is cached only once
-// its first fill succeeds.
+// side accumulate, so they are zeroed first; the off-diagonals are assigned
+// outright by every fill. A new assembly is cached only once its first fill
+// succeeds.
 func assembleWith(sc *SolveContext, key asmKey, dims []int, fill func(*assembly) error) (*assembly, error) {
 	asm := sc.cachedAssembly(key)
 	fresh := asm == nil
@@ -131,10 +126,10 @@ func fillAxiK(p *AxiProblem, nr, nz int, rc, zc, k []float64) error {
 
 // axiEmit walks the axisymmetric finite-volume discretization in a fixed
 // cell order, writing every face conductance into asm's stencil arrays and
-// the sources, boundary terms and cell volumes into its right-hand side and
-// volumes. The diagonal and asm.rhs must be zero on entry.
+// the sources and boundary terms into its right-hand side. The diagonal and
+// asm.rhs must be zero on entry.
 func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
-	k, rhs, vol := asm.k, asm.rhs, asm.vol
+	k, rhs := asm.k, asm.rhs
 	diag, off := asm.op.Coeffs()
 	offR, offZ := off[0], off[1]
 	// faceG computes the conductance between two cell centers through a
@@ -151,7 +146,7 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
 			ring := math.Pi * (re*re - rw*rw) // axial face area
 			row := j*nr + i
 			kc := k[row]
-			vol[row] = ring * dz
+			vol := ring * dz
 
 			// Volumetric source. Negative densities (cooling) are legal;
 			// non-finite values mean the problem definition is broken (e.g.
@@ -161,7 +156,7 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
 				if math.IsNaN(qv) || math.IsInf(qv, 0) {
 					return fmt.Errorf("fem: source density %g at (r=%g, z=%g) must be finite", qv, rc[i], zc[j])
 				}
-				rhs[row] += qv * vol[row]
+				rhs[row] += qv * vol
 			}
 
 			// East neighbor (radial outward).
@@ -225,7 +220,7 @@ func assembleAxiWith(sc *SolveContext, p *AxiProblem) (*axiSystem, error) {
 		return nil, err
 	}
 	// Unknown index = iz·nr + ir: the radial axis varies fastest.
-	return &axiSystem{nr: nr, nz: nz, rc: rc, zc: zc, op: asm.op, rhs: asm.rhs, volumes: asm.vol, key: asm.key}, nil
+	return &axiSystem{nr: nr, nz: nz, rc: rc, zc: zc, op: asm.op, rhs: asm.rhs, key: asm.key}, nil
 }
 
 // --- Cartesian --------------------------------------------------------------

@@ -21,9 +21,6 @@ type AxiProblem struct {
 	// Q returns the volumetric heat source (W/m³) at a cell center; may be
 	// nil for a source-free problem.
 	Q func(r, z float64) float64
-	// Cap returns the volumetric heat capacity (J/m³·K) at a cell center.
-	// It is only consulted by SolveAxiTransient and may be nil otherwise.
-	Cap func(r, z float64) float64
 	// Bottom, Top and Outer are the boundary conditions at z = ZEdges[0],
 	// z = ZEdges[end] and r = REdges[end]. At least one must be Dirichlet.
 	Bottom, Top, Outer BC
@@ -62,19 +59,11 @@ func (p *AxiProblem) Validate() error {
 
 // axiSystem is the assembled finite-volume system of an AxiProblem.
 type axiSystem struct {
-	nr, nz  int
-	rc, zc  []float64
-	op      *sparse.Stencil
-	rhs     []float64
-	volumes []float64 // cell volumes, row-major like the unknowns
-	key     asmKey
-}
-
-// assembleAxi discretizes the problem without a reuse context; shared by the
-// transient solver and tests. The discretization itself lives in assembly.go
-// (axiEmit), shared with the context-cached path.
-func assembleAxi(p *AxiProblem) (*axiSystem, error) {
-	return assembleAxiWith(nil, p)
+	nr, nz int
+	rc, zc []float64
+	op     *sparse.Stencil
+	rhs    []float64
+	key    asmKey
 }
 
 // fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. All rows
@@ -90,30 +79,21 @@ func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 	return t
 }
 
-// SolveAxi assembles and solves the finite-volume system. The zero Options
-// value selects defaults appropriate for the meshes in this repository.
-func SolveAxi(p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
-	return SolveAxiCtx(context.Background(), p, opt)
-}
-
-// SolveAxiCtx is SolveAxi honoring cancellation: a direct solve checks ctx
-// before factoring and before its sweeps, a CG solve between iterations, so
-// a cancelled caller (e.g. an aborted sweep) does not run an in-flight
-// solve to completion.
+// SolveAxiWith assembles and solves the finite-volume system through a
+// reuse context: assemblies, factors, multigrid hierarchies and CG scratch
+// cached in sc are recycled, and with sc.WarmStart a CG iteration starts
+// from the previous solution of the same system shape. A nil sc makes every
+// solve fresh; the results are bit-identical either way (warm starts
+// aside). The zero Options value selects defaults appropriate for the
+// meshes in this repository.
 //
-// When ctx carries an obs.Tracer the solve emits a "fem.solve" span with
-// "fem.assemble" and "fem.precond" children. A direct solve runs inside
-// "fem.precond"; a CG iteration's "sparse.cg" span follows it under
-// "fem.solve", giving the assembly → preconditioner → CG chain in the trace.
-func SolveAxiCtx(ctx context.Context, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
-	return SolveAxiWith(ctx, nil, p, opt)
-}
-
-// SolveAxiWith is SolveAxiCtx solving through a reuse context: assemblies,
-// factors, multigrid hierarchies and CG scratch cached in sc are recycled,
-// and with sc.WarmStart a CG iteration starts from the previous solution of
-// the same system shape. A nil sc makes every solve fresh; the results are
-// bit-identical either way (warm starts aside).
+// A direct solve checks ctx before factoring and before its sweeps, a CG
+// solve between iterations, so a cancelled caller (e.g. an aborted sweep)
+// does not run an in-flight solve to completion. When ctx carries an
+// obs.Tracer the solve emits a "fem.solve" span with "fem.assemble" and
+// "fem.precond" children. A direct solve runs inside "fem.precond"; a CG
+// iteration's "sparse.cg" span follows it under "fem.solve", giving the
+// assembly → preconditioner → CG chain in the trace.
 func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()

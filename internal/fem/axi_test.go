@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func TestAxiUniformSlabWithSource(t *testing.T) {
 	// bottom at 0 and top adiabatic: T(z) = (q/k)(H z - z²/2).
 	const k, q, h = 2.5, 1e6, 2e-3
 	p := uniformAxiProblem(t, 4, 60, k, q)
-	sol, err := SolveAxi(p, sparse.Options{Tol: 1e-12})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestAxiTwoLayerSlabSeriesResistance(t *testing.T) {
 		Top:    Insulated(),
 		Outer:  Insulated(),
 	}
-	sol, err := SolveAxi(p, sparse.Options{Tol: 1e-12})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestAxiRadialLogSolution(t *testing.T) {
 		Top:    Insulated(),
 		Outer:  Fixed(0),
 	}
-	sol, err := SolveAxi(p, sparse.Options{Tol: 1e-12})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestAxiRadialLogSolution(t *testing.T) {
 
 func TestAxiFluxBalance(t *testing.T) {
 	p := uniformAxiProblem(t, 8, 40, 10, 2e8)
-	sol, err := SolveAxi(p, sparse.Options{Tol: 1e-12})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestAxiFluxBalance(t *testing.T) {
 
 func TestAxiZeroSourceZeroField(t *testing.T) {
 	p := uniformAxiProblem(t, 5, 10, 1, 0)
-	sol, err := SolveAxi(p, sparse.Options{})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestAxiDirichletOffsets(t *testing.T) {
 	// With no source and bottom fixed at 27, the whole field must be 27.
 	p := uniformAxiProblem(t, 4, 10, 1, 0)
 	p.Bottom = Fixed(27)
-	sol, err := SolveAxi(p, sparse.Options{})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestAxiDirichletOffsets(t *testing.T) {
 
 func TestAxiAtLookup(t *testing.T) {
 	p := uniformAxiProblem(t, 4, 10, 1, 1e6)
-	sol, err := SolveAxi(p, sparse.Options{})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,22 +223,22 @@ func TestAxiValidation(t *testing.T) {
 	good := uniformAxiProblem(t, 4, 4, 1, 0)
 	bad := *good
 	bad.REdges = []float64{1e-4, 2e-4} // does not start at the axis
-	if _, err := SolveAxi(&bad, sparse.Options{}); err == nil {
+	if _, err := SolveAxiWith(context.Background(), nil, &bad, sparse.Options{}); err == nil {
 		t.Error("off-axis mesh accepted")
 	}
 	bad2 := *good
 	bad2.K = nil
-	if _, err := SolveAxi(&bad2, sparse.Options{}); err == nil {
+	if _, err := SolveAxiWith(context.Background(), nil, &bad2, sparse.Options{}); err == nil {
 		t.Error("nil conductivity accepted")
 	}
 	bad3 := *good
 	bad3.Bottom, bad3.Top, bad3.Outer = Insulated(), Insulated(), Insulated()
-	if _, err := SolveAxi(&bad3, sparse.Options{}); err == nil {
+	if _, err := SolveAxiWith(context.Background(), nil, &bad3, sparse.Options{}); err == nil {
 		t.Error("all-adiabatic problem accepted")
 	}
 	bad4 := *good
 	bad4.K = func(_, _ float64) float64 { return -1 }
-	if _, err := SolveAxi(&bad4, sparse.Options{}); err == nil {
+	if _, err := SolveAxiWith(context.Background(), nil, &bad4, sparse.Options{}); err == nil {
 		t.Error("negative conductivity accepted")
 	}
 }
@@ -257,7 +258,7 @@ func TestBoundaryOutflowTopAndOuter(t *testing.T) {
 	// top leaves the bottom).
 	p := uniformAxiProblem(t, 4, 20, 3, 0)
 	p.Top = Fixed(10)
-	sol, err := SolveAxi(p, sparse.Options{Tol: 1e-12})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestBoundaryOutflowTopAndOuter(t *testing.T) {
 	p2 := uniformAxiProblem(t, 10, 4, 3, 5e6)
 	p2.Bottom = Insulated()
 	p2.Outer = Fixed(0)
-	sol2, err := SolveAxi(p2, sparse.Options{Tol: 1e-12})
+	sol2, err := SolveAxiWith(context.Background(), nil, p2, sparse.Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,9 @@ func SolveCart(p *CartProblem, opt sparse.Options) (*CartSolution, error) {
 	return SolveCartCtx(context.Background(), p, opt)
 }
 
-// SolveCartCtx is SolveCart honoring cancellation as SolveAxiCtx does. Like
-// SolveAxiCtx it emits fem.solve/fem.assemble/fem.precond
-// spans when ctx carries an obs.Tracer.
+// SolveCartCtx is SolveCart honoring cancellation as SolveAxiWith does.
+// Like SolveAxiWith it emits fem.solve/fem.assemble/fem.precond spans when
+// ctx carries an obs.Tracer.
 func SolveCartCtx(ctx context.Context, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
 	return SolveCartWith(ctx, nil, p, opt)
 }
@@ -222,25 +222,9 @@ func BuildCartProblem(s *stack.Stack, res CartResolution) (*CartProblem, error) 
 	if err != nil {
 		return nil, err
 	}
-	var intervals []mesh.Interval
-	for i, sp := range spans {
-		cells := res.AxialPerLayer
-		ratio := 1.0
-		if i == 0 {
-			cells = res.Bulk
-			ratio = 0.75
-		}
-		if sp.hi-sp.lo < 2e-6 && i != 0 {
-			cells = res.AxialMin
-		}
-		intervals = append(intervals, mesh.Interval{Hi: sp.hi, Cells: cells, Ratio: ratio})
-	}
-	zEdges, err := mesh.Line(0, intervals)
+	zEdges, err := axialEdges(spans, zTop, res.AxialPerLayer, res.AxialMin, res.Bulk, bulkGrade)
 	if err != nil {
 		return nil, err
-	}
-	if !almostEqual(zTop, zEdges[len(zEdges)-1], 1e-9) {
-		return nil, fmt.Errorf("fem: internal inconsistency: stack height %g vs mesh top %g", zTop, zEdges[len(zEdges)-1])
 	}
 
 	rVia := s.Via.Radius
@@ -262,7 +246,7 @@ func BuildCartProblem(s *stack.Stack, res CartResolution) (*CartProblem, error) 
 				return kl
 			}
 		}
-		return sp.k
+		return sp.mat.K
 	}
 	qFn := func(x, y, z float64) float64 {
 		sp := locateSpan(spans, z)

@@ -1,7 +1,9 @@
 package fem
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mesh"
@@ -175,7 +177,7 @@ func TestAxisymmetricReductionValidatedIn3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	axi, err := SolveStack(s, DefaultResolution())
+	axi, err := SolveStackCtx(context.Background(), s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestAxisymmetricReductionValidatedIn3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	axi4, err := SolveStack(s4, DefaultResolution())
+	axi4, err := SolveStackCtx(context.Background(), s4, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,5 +291,26 @@ func TestBuildCartProblemRejectsBadResolution(t *testing.T) {
 	}
 	if _, err := BuildCartProblem(s, CartResolution{}); err == nil {
 		t.Error("zero resolution accepted")
+	}
+}
+
+// TestBuildersShareAxialMesh checks that the axisymmetric and the 3-D
+// builders mesh z by the one rule: at equal axial counts they return the
+// same z edges, bit for bit.
+func TestBuildersShareAxialMesh(t *testing.T) {
+	s := fig4(t, 10)
+	cres := DefaultCartResolution()
+	cart, err := BuildCartProblem(s, cres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := DefaultResolution()
+	res.AxialPerLayer, res.AxialMin, res.Bulk = cres.AxialPerLayer, cres.AxialMin, cres.Bulk
+	axi, err := BuildAxiProblem(s, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(axi.ZEdges, cart.ZEdges) {
+		t.Errorf("z edges differ:\naxi  %v\ncart %v", axi.ZEdges, cart.ZEdges)
 	}
 }

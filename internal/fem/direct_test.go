@@ -45,12 +45,12 @@ func TestDirectMatchesMGProperty(t *testing.T) {
 			}
 			for _, f := range []int{1, 2} {
 				res := DefaultResolution().Refine(f)
-				direct, err := SolveStack(s, res)
+				direct, err := SolveStackCtx(context.Background(), s, res)
 				if err != nil {
 					t.Fatalf("%s = %.3f µm at %d×: %v", fam.name, x, f, err)
 				}
 				res.Precond = sparse.PrecondMG
-				mg, err := SolveStack(s, res)
+				mg, err := SolveStackCtx(context.Background(), s, res)
 				if err != nil {
 					t.Fatalf("%s = %.3f µm at %d× (mg): %v", fam.name, x, f, err)
 				}
@@ -121,7 +121,7 @@ func TestConcurrentDirectSolvesShareFreeList(t *testing.T) {
 	radii := []float64{3, 8, 13, 18}
 	want := make([]string, len(radii))
 	for i, r := range radii {
-		sol, err := SolveStack(fig4(t, r), coarse())
+		sol, err := SolveStackCtx(context.Background(), fig4(t, r), coarse())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package fem
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -29,42 +28,4 @@ func (s *AxiSolution) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// AxialProfile returns the temperature along the axis (r = innermost cells)
-// as (z, T) pairs — the vertical heat-path profile through the via.
-func (s *AxiSolution) AxialProfile() (z, t []float64) {
-	z = make([]float64, len(s.ZCenters))
-	t = make([]float64, len(s.ZCenters))
-	copy(z, s.ZCenters)
-	for j := range s.ZCenters {
-		t[j] = s.T[j][0]
-	}
-	return z, t
-}
-
-// RadialProfile returns the temperature along the radius at the height
-// closest to z0 as (r, T) pairs.
-func (s *AxiSolution) RadialProfile(z0 float64) (r, t []float64, err error) {
-	if len(s.ZCenters) == 0 {
-		return nil, nil, fmt.Errorf("fem: empty solution")
-	}
-	best := 0
-	for j, z := range s.ZCenters {
-		if abs(z-z0) < abs(s.ZCenters[best]-z0) {
-			best = j
-		}
-	}
-	r = make([]float64, len(s.RCenters))
-	t = make([]float64, len(s.RCenters))
-	copy(r, s.RCenters)
-	copy(t, s.T[best])
-	return r, t, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

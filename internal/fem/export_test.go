@@ -2,6 +2,8 @@ package fem
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ func solvedFig4(t *testing.T) *AxiSolution {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveStack(s, coarse())
+	sol, err := SolveStackCtx(context.Background(), s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,61 +42,41 @@ func TestWriteCSVShape(t *testing.T) {
 	}
 }
 
+// TestAxialProfile reads the field along the axis (the innermost cells):
+// the temperature must rise monotonically with height, since heat flows
+// down through the via column.
 func TestAxialProfile(t *testing.T) {
 	sol := solvedFig4(t)
-	z, temp := sol.AxialProfile()
-	if len(z) != len(sol.ZCenters) || len(temp) != len(z) {
-		t.Fatalf("profile lengths %d, %d", len(z), len(temp))
-	}
-	// Temperature must rise monotonically along the axis (heat flows down
-	// through the via column).
-	for j := 1; j < len(temp); j++ {
-		if temp[j] < temp[j-1]-1e-9 {
-			t.Fatalf("axial profile not monotone at %d: %g then %g", j, temp[j-1], temp[j])
+	for j := 1; j < len(sol.T); j++ {
+		if sol.T[j][0] < sol.T[j-1][0]-1e-9 {
+			t.Fatalf("axial profile not monotone at %d: %g then %g", j, sol.T[j-1][0], sol.T[j][0])
 		}
 	}
-	// Mutating the returned slices must not corrupt the solution.
-	temp[0] = 1e9
-	if sol.T[0][0] == 1e9 {
-		t.Error("AxialProfile aliases internal storage")
-	}
 }
 
+// TestRadialProfile reads the top row of cells: the via region (small r)
+// is cooler than the far bulk, because the via drains heat down.
 func TestRadialProfile(t *testing.T) {
 	sol := solvedFig4(t)
-	top := sol.ZCenters[len(sol.ZCenters)-1]
-	r, temp, err := sol.RadialProfile(top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != len(sol.RCenters) {
-		t.Fatalf("radial profile length %d", len(r))
-	}
-	// Near the top, the via region (small r) is cooler than the far bulk:
-	// the via drains heat down. Compare innermost vs outermost.
-	if temp[0] >= temp[len(temp)-1] {
-		t.Errorf("via not cooler than surroundings at the top: %g vs %g", temp[0], temp[len(temp)-1])
-	}
-	// Out-of-range z0 snaps to the closest height rather than failing.
-	if _, _, err := sol.RadialProfile(1e9); err != nil {
-		t.Errorf("RadialProfile snap failed: %v", err)
+	top := sol.T[len(sol.T)-1]
+	if top[0] >= top[len(top)-1] {
+		t.Errorf("via not cooler than surroundings at the top: %g vs %g", top[0], top[len(top)-1])
 	}
 }
 
+// TestProfilesOnAnalyticSlab checks that every row of a uniform slab's
+// field is flat in r.
 func TestProfilesOnAnalyticSlab(t *testing.T) {
-	// Uniform slab: the radial profile must be flat.
 	p := uniformAxiProblem(t, 6, 20, 5, 1e7)
-	sol, err := SolveAxi(p, sparse.Options{Tol: 1e-11})
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, temp, err := sol.RadialProfile(1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(temp); i++ {
-		if abs(temp[i]-temp[0]) > 1e-9*(1+abs(temp[0])) {
-			t.Fatalf("radial profile of a uniform slab not flat: %v", temp)
+	for _, row := range sol.T {
+		for i := 1; i < len(row); i++ {
+			if math.Abs(row[i]-row[0]) > 1e-9*(1+math.Abs(row[0])) {
+				t.Fatalf("radial profile of a uniform slab not flat: %v", row)
+			}
 		}
 	}
 }

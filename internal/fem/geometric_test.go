@@ -38,7 +38,7 @@ func TestGeometricHierarchyMatchesPlaneHierarchy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("refine %d dims %v: %v", f, dims, err)
 			}
-			x, st, err := sparse.SolveCG(a, sys.rhs, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
+			x, st, err := sparse.SolveCGCtx(context.Background(), a, sys.rhs, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
 			if err != nil {
 				t.Fatalf("refine %d dims %v: %v", f, dims, err)
 			}
@@ -77,7 +77,7 @@ func TestGeometricContextCacheKeyedBySelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	cartOpt := sparse.Options{Precond: sparse.PrecondMG}
-	wantAxi, err := SolveStack(s, res)
+	wantAxi, err := SolveStackCtx(context.Background(), s, res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestSolveGolden(t *testing.T) {
 	axi := func(res Resolution, pc sparse.PrecondKind) func() (int, []float64, error) {
 		return func() (int, []float64, error) {
 			res.Precond = pc
-			sol, err := SolveStack(fig4(t, 10), res)
+			sol, err := SolveStackCtx(context.Background(), fig4(t, 10), res)
 			if err != nil {
 				return 0, nil, err
 			}
@@ -132,11 +132,12 @@ func TestSolveGolden(t *testing.T) {
 		}
 	}
 	transient := func() (int, []float64, error) {
-		p, err := BuildAxiProblem(fig4(t, 10), coarse().Refine(2))
+		s := fig4(t, 10)
+		p, err := BuildAxiProblem(s, coarse().Refine(2))
 		if err != nil {
 			return 0, nil, err
 		}
-		tr, err := SolveAxiTransient(p, 1e-4, 5, sparse.Options{Tol: 1e-11, Precond: sparse.PrecondMG})
+		tr, err := solveAxiTransient(p, stackCap(t, s), 1e-4, 5, sparse.Options{Tol: 1e-11, Precond: sparse.PrecondMG})
 		if err != nil {
 			return 0, nil, err
 		}
@@ -186,7 +187,7 @@ func TestDirectFactorCacheGolden(t *testing.T) {
 		factors, reuse int64
 	}{{"ctx-direct-first-r10", 10, 1, 0}, {"ctx-direct-hit-r10", 10, 0, 1}, {"ctx-direct-refactor-r20", 20, 1, 0}} {
 		cases = append(cases, goldenCase{c.name, func() (int, []float64, error) {
-			fresh, err := SolveStack(fig4(t, c.rUM), DefaultResolution())
+			fresh, err := SolveStackCtx(context.Background(), fig4(t, c.rUM), DefaultResolution())
 			if err != nil {
 				return 0, nil, err
 			}
@@ -223,7 +224,7 @@ func TestOperatorSolveBitIdenticalAxi(t *testing.T) {
 	res := coarse().Refine(2)
 	res.Precond = sparse.PrecondMG
 	checkGolden(t, []goldenCase{{"op-axi-2x-multigrid-w1", func() (int, []float64, error) {
-		sol, err := SolveStack(fig4(t, 10), res)
+		sol, err := SolveStackCtx(context.Background(), fig4(t, 10), res)
 		if err != nil {
 			return 0, nil, err
 		}

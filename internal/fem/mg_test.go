@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestMGIterationsMeshIndependent(t *testing.T) {
 	for _, f := range []int{2, 4, 8} {
 		res := DefaultResolution().Refine(f)
 		res.Precond = sparse.PrecondMG
-		sol, err := SolveStack(s, res)
+		sol, err := SolveStackCtx(context.Background(), s, res)
 		if err != nil {
 			t.Fatalf("refine %d: %v", f, err)
 		}
@@ -84,7 +85,7 @@ func TestMGAutoSelection(t *testing.T) {
 // axiStats solves s at f times the default mesh under the default rule.
 func axiStats(s *stack.Stack, f int) func() (sparse.Stats, error) {
 	return func() (sparse.Stats, error) {
-		sol, err := SolveStack(s, DefaultResolution().Refine(f))
+		sol, err := SolveStackCtx(context.Background(), s, DefaultResolution().Refine(f))
 		if err != nil {
 			return sparse.Stats{}, err
 		}
@@ -112,7 +113,7 @@ func TestMGExplicitFallsBackWhenTiny(t *testing.T) {
 	res.RadialVia, res.RadialLiner, res.RadialOuter = 1, 1, 2
 	res.AxialPerLayer, res.AxialMin, res.Bulk = 1, 1, 2
 	res.Precond = sparse.PrecondMG
-	sol, err := SolveStack(s, res)
+	sol, err := SolveStackCtx(context.Background(), s, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +136,16 @@ func TestTransientMGMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dt, steps = 1e-4, 20
-	mgTr, err := SolveAxiTransient(p, dt, steps, sparse.Options{Tol: 1e-11, Precond: sparse.PrecondMG})
+	mgTr, err := solveAxiTransient(p, stackCap(t, s), dt, steps, sparse.Options{Tol: 1e-11, Precond: sparse.PrecondMG})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mgTr.Stats.Precond != sparse.PrecondMG || mgTr.Stats.Levels < 2 {
 		t.Fatalf("transient stats %v: multigrid did not run", mgTr.Stats)
 	}
-	var directTr *AxiTransient
+	var directTr *axiTransient
 	factors := counterDelta("fem.direct.factors", func() {
-		directTr, err = SolveAxiTransient(p, dt, steps, sparse.Options{})
+		directTr, err = solveAxiTransient(p, stackCap(t, s), dt, steps, sparse.Options{})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestMGFallbackSelectsWorkingPrecondAndCounts(t *testing.T) {
 	var sol *AxiSolution
 	var err error
 	d := counterDelta("fem.mg.fallback", func() {
-		sol, err = SolveStack(s, res)
+		sol, err = SolveStackCtx(context.Background(), s, res)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestNotConvergedCarriesResidualAndCounts(t *testing.T) {
 	}
 	var solveErr error
 	d := counterDelta("fem.solve.notconverged", func() {
-		_, solveErr = SolveAxi(p, sparse.Options{MaxIter: 2, Precond: sparse.PrecondMG})
+		_, solveErr = SolveAxiWith(context.Background(), nil, p, sparse.Options{MaxIter: 2, Precond: sparse.PrecondMG})
 	})
 	if solveErr == nil {
 		t.Fatal("2-iteration budget converged; test cannot probe the failure path")
@@ -174,7 +174,7 @@ func TestDirectSolveObservability(t *testing.T) {
 	if !ok || sp.Parent != byName["fem.solve"].ID {
 		t.Fatalf("fem.precond missing or misparented: %+v", byName)
 	}
-	sol, err := SolveStack(s, coarse())
+	sol, err := SolveStackCtx(context.Background(), s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSolveRecordsMetrics(t *testing.T) {
 	res := coarse()
 	res.Precond = sparse.PrecondMG
 	before := obs.Default().Snapshot()
-	if _, err := SolveStack(s, res); err != nil {
+	if _, err := SolveStackCtx(context.Background(), s, res); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default().Snapshot()

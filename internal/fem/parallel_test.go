@@ -43,7 +43,7 @@ func TestProblemClosuresNaNOutsideLayerTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	zOut := axi.ZEdges[len(axi.ZEdges)-1] * 10
-	if !math.IsNaN(axi.K(0, zOut)) || !math.IsNaN(axi.Q(0, zOut)) || !math.IsNaN(axi.Cap(0, zOut)) {
+	if !math.IsNaN(axi.K(0, zOut)) || !math.IsNaN(axi.Q(0, zOut)) {
 		t.Error("axi closures did not return NaN outside the layer table")
 	}
 	cart, err := BuildCartProblem(s, DefaultCartResolution())
@@ -66,7 +66,7 @@ func TestAssemblyRejectsNonFiniteSource(t *testing.T) {
 		Q:      func(_, _ float64) float64 { return math.NaN() },
 		Bottom: Fixed(0), Top: Insulated(), Outer: Insulated(),
 	}
-	if _, err := SolveAxi(axi, sparse.Options{}); err == nil || !strings.Contains(err.Error(), "source density") {
+	if _, err := SolveAxiWith(context.Background(), nil, axi, sparse.Options{}); err == nil || !strings.Contains(err.Error(), "source density") {
 		t.Errorf("axi assembly accepted NaN source: %v", err)
 	}
 	x, _ := mesh.Uniform(0, 1e-4, 3)
@@ -81,7 +81,7 @@ func TestAssemblyRejectsNonFiniteSource(t *testing.T) {
 	}
 }
 
-// Regression: SolveAxiTransient used to discard the per-step CG statistics.
+// Regression: the transient solver used to discard the per-step CG statistics.
 // Multigrid is forced: the grid rule would solve this grid direct.
 func TestTransientAccumulatesStats(t *testing.T) {
 	r, _ := mesh.Uniform(0, 1e-4, 24)
@@ -89,12 +89,11 @@ func TestTransientAccumulatesStats(t *testing.T) {
 	p := &AxiProblem{
 		REdges: r, ZEdges: z,
 		K:      func(_, _ float64) float64 { return 10 },
-		Cap:    func(_, _ float64) float64 { return 2e6 },
 		Q:      func(_, _ float64) float64 { return 1e7 },
 		Bottom: Fixed(0), Top: Insulated(), Outer: Insulated(),
 	}
 	const steps = 5
-	tr, err := SolveAxiTransient(p, 1e-3, steps, sparse.Options{Tol: 1e-10, Precond: sparse.PrecondMG})
+	tr, err := solveAxiTransient(p, func(_, _ float64) float64 { return 2e6 }, 1e-3, steps, sparse.Options{Tol: 1e-10, Precond: sparse.PrecondMG})
 	if err != nil {
 		t.Fatal(err)
 	}

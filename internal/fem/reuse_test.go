@@ -72,7 +72,7 @@ func TestSolveContextMGReuse(t *testing.T) {
 	res := coarse()
 	res.Precond = sparse.PrecondMG
 	solveFresh := func(r float64) []float64 {
-		sol, err := SolveStack(fig4(t, r), res)
+		sol, err := SolveStackCtx(context.Background(), fig4(t, r), res)
 		if err != nil {
 			t.Fatalf("fresh MG solve r=%g: %v", r, err)
 		}
@@ -182,7 +182,7 @@ func TestSolveContextTopologyChange(t *testing.T) {
 	resB.Bulk += 2
 	for _, res := range []Resolution{resA, resB, resA} {
 		s := fig4(t, 10)
-		want, err := SolveStack(s, res)
+		want, err := SolveStackCtx(context.Background(), s, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestWarmStartDeterministicAndConvergent(t *testing.T) {
 		wantSameBits(t, "warm determinism", a[i], b[i])
 	}
 	for i, r := range radii {
-		sol, err := SolveStack(fig4(t, r), coarse())
+		sol, err := SolveStackCtx(context.Background(), fig4(t, r), coarse())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func fig4(t *testing.T, rUM float64) *stack.Stack {
 
 func TestSolveStackEnergyConservation(t *testing.T) {
 	s := fig4(t, 10)
-	sol, err := SolveStack(s, coarse())
+	sol, err := SolveStackCtx(context.Background(), s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSolveStackEnergyConservation(t *testing.T) {
 
 func TestSolveStackMaxAtTop(t *testing.T) {
 	s := fig4(t, 10)
-	sol, err := SolveStack(s, coarse())
+	sol, err := SolveStackCtx(context.Background(), s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func TestSolveStackMaxAtTop(t *testing.T) {
 
 func TestSolveStackGridConvergence(t *testing.T) {
 	s := fig4(t, 10)
-	c, err := SolveStack(s, coarse())
+	c, err := SolveStackCtx(context.Background(), s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := SolveStack(s, coarse().Refine(2))
+	f, err := SolveStackCtx(context.Background(), s, coarse().Refine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSolveStackAgreesWithModelB(t *testing.T) {
 	mb := core.NewModelB(100)
 	for _, r := range []float64{2, 5, 10, 16} {
 		s := fig4(t, r)
-		sol, err := SolveStack(s, DefaultResolution())
+		sol, err := SolveStackCtx(context.Background(), s, DefaultResolution())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestSolveStackNonMonotoneInTSi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveStack(s, coarse())
+		sol, err := SolveStackCtx(context.Background(), s, coarse())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestSolveStackClusterLowersTemperature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveStack(s, coarse())
+		sol, err := SolveStackCtx(context.Background(), s, coarse())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestSolveStackClusterLowersTemperature(t *testing.T) {
 
 func TestSolveStackLinearInPower(t *testing.T) {
 	s := fig4(t, 10)
-	sol1, err := SolveStack(s, coarse())
+	sol1, err := SolveStackCtx(context.Background(), s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestSolveStackLinearInPower(t *testing.T) {
 		s2.Planes[i].DevicePower *= 2
 		s2.Planes[i].ILDPower *= 2
 	}
-	sol2, err := SolveStack(s2, coarse())
+	sol2, err := SolveStackCtx(context.Background(), s2, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}

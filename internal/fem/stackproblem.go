@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/materials"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -97,10 +98,9 @@ func (r Resolution) validate() error {
 // layerSpan records one material layer of the unit cell in z.
 type layerSpan struct {
 	lo, hi float64
-	k      float64 // bulk conductivity outside the via
-	c      float64 // bulk volumetric heat capacity outside the via
-	q      float64 // volumetric source density (W/m³), applied across all r
-	inVia  bool    // whether the via traverses this span
+	mat    materials.Material // bulk material outside the via
+	q      float64            // volumetric source density (W/m³), applied across all r
+	inVia  bool               // whether the via traverses this span
 }
 
 // thinSpanMax is the span thickness below which the axial mesh falls back to
@@ -109,6 +109,38 @@ type layerSpan struct {
 // count of every span, so stacks on either side of it have different
 // assembly shapes even at equal plane counts.
 const thinSpanMax = 2e-6
+
+// bulkGrade is the base per-cell width ratio of the thick first-plane
+// substrate, finer towards its top (the via tip and the heat path).
+const bulkGrade = 0.75
+
+// axialEdges is the z mesh of both reference builders: perLayer cells per
+// span, thin cells for a span thinner than thinSpanMax, and bulk cells in
+// the first span graded by bulkRatio. zTop is the stack height the spans
+// add up to.
+func axialEdges(spans []layerSpan, zTop float64, perLayer, thin, bulk int, bulkRatio float64) ([]float64, error) {
+	var intervals []mesh.Interval
+	for i, sp := range spans {
+		cells := perLayer
+		ratio := 1.0
+		if i == 0 {
+			cells = bulk
+			ratio = bulkRatio
+		}
+		if sp.hi-sp.lo < thinSpanMax && i != 0 {
+			cells = thin
+		}
+		intervals = append(intervals, mesh.Interval{Hi: sp.hi, Cells: cells, Ratio: ratio})
+	}
+	zEdges, err := mesh.Line(0, intervals)
+	if err != nil {
+		return nil, err
+	}
+	if !almostEqual(zTop, zEdges[len(zEdges)-1], 1e-9) {
+		return nil, fmt.Errorf("fem: internal inconsistency: stack height %g vs mesh top %g", zTop, zEdges[len(zEdges)-1])
+	}
+	return zEdges, nil
+}
 
 // BuildAxiProblem translates a stack into the axisymmetric unit-cell problem
 // the reference solver consumes. For a via cluster (Count > 1) the unit cell
@@ -138,24 +170,9 @@ func BuildAxiProblem(s *stack.Stack, res Resolution) (*AxiProblem, error) {
 		return nil, err
 	}
 
-	// z mesh: per span, cell count proportional to the base with a minimum;
-	// the thick bulk substrate is graded towards the via tip.
-	var intervals []mesh.Interval
-	for i, sp := range spans {
-		cells := res.AxialPerLayer
-		ratio := 1.0
-		if i == 0 {
-			cells = res.Bulk
-			// Finer towards the top (the via tip / heat path); the ratio is
-			// relative to the base mesh so refinement keeps the envelope.
-			ratio = res.gradeRatio(0.75)
-		}
-		if sp.hi-sp.lo < thinSpanMax && i != 0 {
-			cells = res.AxialMin
-		}
-		intervals = append(intervals, mesh.Interval{Hi: sp.hi, Cells: cells, Ratio: ratio})
-	}
-	zEdges, err := mesh.Line(0, intervals)
+	// The bulk grading is relative to the base mesh, so refinement keeps
+	// its envelope.
+	zEdges, err := axialEdges(spans, zTop, res.AxialPerLayer, res.AxialMin, res.Bulk, res.gradeRatio(bulkGrade))
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +206,7 @@ func BuildAxiProblem(s *stack.Stack, res Resolution) (*AxiProblem, error) {
 				return kl
 			}
 		}
-		return sp.k
+		return sp.mat.K
 	}
 	qFn := func(r, z float64) float64 {
 		sp := locateSpan(spansCopy, z)
@@ -198,31 +215,11 @@ func BuildAxiProblem(s *stack.Stack, res Resolution) (*AxiProblem, error) {
 		}
 		return sp.q
 	}
-	cf, cl := s.Via.Fill.C, s.Via.Liner.C
-	capFn := func(r, z float64) float64 {
-		sp := locateSpan(spansCopy, z)
-		if sp == nil {
-			return math.NaN()
-		}
-		if sp.inVia {
-			if r < rVia {
-				return cf
-			}
-			if r < rLiner {
-				return cl
-			}
-		}
-		return sp.c
-	}
-	if !almostEqual(zTop, zEdges[len(zEdges)-1], 1e-9) {
-		return nil, fmt.Errorf("fem: internal inconsistency: stack height %g vs mesh top %g", zTop, zEdges[len(zEdges)-1])
-	}
 	return &AxiProblem{
 		REdges: rEdges,
 		ZEdges: zEdges,
 		K:      kFn,
 		Q:      qFn,
-		Cap:    capFn,
 		Bottom: Fixed(0),
 		Top:    Insulated(),
 		Outer:  Insulated(),
@@ -234,18 +231,17 @@ func BuildAxiProblem(s *stack.Stack, res Resolution) (*AxiProblem, error) {
 // volumetric densities (powers are divided by the via count with the area).
 func buildLayerSpans(s *stack.Stack, cellArea float64) ([]layerSpan, float64, error) {
 	frac := cellArea / s.Footprint // power share of the unit cell
-	var spans []layerSpan
+	// Every plane adds at most four spans.
+	spans := make([]layerSpan, 0, 4*len(s.Planes))
 	z := 0.0
-	add := func(t, k, c, q float64, inVia bool) {
+	add := func(t float64, mat materials.Material, q float64, inVia bool) {
 		if t <= 0 {
 			return
 		}
-		spans = append(spans, layerSpan{lo: z, hi: z + t, k: k, c: c, q: q, inVia: inVia})
+		spans = append(spans, layerSpan{lo: z, hi: z + t, mat: mat, q: q, inVia: inVia})
 		z += t
 	}
 	for i, p := range s.Planes {
-		kSi, kD := p.Si.K, p.ILD.K
-		cSi, cD := p.Si.C, p.ILD.C
 		tdev := p.DeviceLayerThickness
 		if tdev <= 0 {
 			// Keep the device power by folding it into the ILD source.
@@ -270,22 +266,21 @@ func buildLayerSpans(s *stack.Stack, cellArea float64) ([]layerSpan, float64, er
 			ext := s.Via.Extension
 			if tdev >= ext {
 				// Device layer spans the extension and dips into the bulk.
-				add(bulk-(tdev-ext), kSi, cSi, 0, false)
-				add(tdev-ext, kSi, cSi, devQ, false)
-				add(ext, kSi, cSi, devQ, ext > 0)
+				add(bulk-(tdev-ext), p.Si, 0, false)
+				add(tdev-ext, p.Si, devQ, false)
+				add(ext, p.Si, devQ, ext > 0)
 			} else {
-				add(bulk, kSi, cSi, 0, false)
-				add(ext-tdev, kSi, cSi, 0, ext-tdev > 0)
-				add(tdev, kSi, cSi, devQ, true)
+				add(bulk, p.Si, 0, false)
+				add(ext-tdev, p.Si, 0, ext-tdev > 0)
+				add(tdev, p.Si, devQ, true)
 			}
-			add(p.ILDThickness, kD, cD, ildQ, true)
+			add(p.ILDThickness, p.ILD, ildQ, true)
 			continue
 		}
-		kb, cb := p.Bond.K, p.Bond.C
-		add(p.BondThickness, kb, cb, 0, true)
-		add(p.SiThickness-tdev, kSi, cSi, 0, true)
-		add(tdev, kSi, cSi, devQ, true)
-		add(p.ILDThickness, kD, cD, ildQ, true)
+		add(p.BondThickness, p.Bond, 0, true)
+		add(p.SiThickness-tdev, p.Si, 0, true)
+		add(tdev, p.Si, devQ, true)
+		add(p.ILDThickness, p.ILD, ildQ, true)
 	}
 	if len(spans) == 0 {
 		return nil, 0, fmt.Errorf("fem: stack produced no layers")
@@ -307,14 +302,9 @@ func locateSpan(spans []layerSpan, z float64) *layerSpan {
 	return &spans[i]
 }
 
-// SolveStack builds and solves the axisymmetric reference problem for the
-// stack and reports the paper's quantity of interest: the maximum
-// temperature rise above the sink.
-func SolveStack(s *stack.Stack, res Resolution) (*AxiSolution, error) {
-	return SolveStackCtx(context.Background(), s, res)
-}
-
-// SolveStackCtx is SolveStack honoring cancellation.
+// SolveStackCtx builds and solves the axisymmetric reference problem for
+// the stack, honoring cancellation, and reports the paper's quantity of
+// interest: the maximum temperature rise above the sink.
 func SolveStackCtx(ctx context.Context, s *stack.Stack, res Resolution) (*AxiSolution, error) {
 	return SolveStackWith(ctx, nil, s, res)
 }

@@ -1,6 +1,7 @@
 package fit
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -150,7 +151,7 @@ func TestCalibrateModelAAgainstFVM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := fem.SolveStack(s, resolution)
+		sol, err := fem.SolveStackCtx(context.Background(), s, resolution)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestCalibrateModelAAgainstFVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := fem.SolveStack(s, resolution)
+	sol, err := fem.SolveStackCtx(context.Background(), s, resolution)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestGeometricHierarchyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := h.LevelSizes()
+	sizes := levelSizes(h)
 	want := []int{4096, 1024, 256}
 	if len(sizes) != len(want) {
 		t.Fatalf("level sizes %v, want %v", sizes, want)
@@ -229,7 +230,7 @@ func TestGeometricHierarchyProperty(t *testing.T) {
 			}
 			b := make([]float64, n)
 			fillRand(b, 77)
-			_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
+			_, st, err := sparse.SolveCGCtx(context.Background(), a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
 			if err != nil {
 				t.Fatalf("solve: %v", err)
 			}

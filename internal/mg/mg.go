@@ -164,16 +164,6 @@ func (h *Hierarchy) Levels() int { return len(h.levels) }
 // Size implements sparse.MGSolver.
 func (h *Hierarchy) Size() int { return h.levels[0].op.Rows() }
 
-// LevelSizes returns the unknown count per level, finest first —
-// diagnostics for tests and the verbose CLI paths.
-func (h *Hierarchy) LevelSizes() []int {
-	out := make([]int, len(h.levels))
-	for i, lv := range h.levels {
-		out[i] = lv.op.Rows()
-	}
-	return out
-}
-
 // Cycle implements sparse.MGSolver: z ← cycle(0, r), one symmetric cycle
 // with matching pre- and post-smoothing — a truncated W-cycle with line
 // smoothing on a fully coarsened hierarchy, a V-cycle with plane smoothing

@@ -1,6 +1,7 @@
 package mg
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -106,6 +107,15 @@ func TestBuildPicksHierarchyByAxes(t *testing.T) {
 	}
 }
 
+// levelSizes returns the unknown count per level, finest first.
+func levelSizes(h *Hierarchy) []int {
+	out := make([]int, len(h.levels))
+	for i, lv := range h.levels {
+		out[i] = lv.op.Rows()
+	}
+	return out
+}
+
 // The semicoarsened hierarchy halves z only, level after level, down to a
 // single plane, and its finest level runs on the caller's stencil;
 // TestGeometricHierarchyShape covers the fully coarsened one.
@@ -118,7 +128,7 @@ func TestHierarchyShape(t *testing.T) {
 	if h.Size() != a.Rows() {
 		t.Fatalf("Size = %d, want %d", h.Size(), a.Rows())
 	}
-	sizes := h.LevelSizes()
+	sizes := levelSizes(h)
 	want := []int{120 * 9, 120 * 5, 120 * 3, 120 * 2, 120}
 	if len(sizes) != len(want) || h.Levels() != len(want) {
 		t.Fatalf("Levels = %d, LevelSizes = %v, want %v", h.Levels(), sizes, want)
@@ -182,7 +192,7 @@ func TestWCycleIsSymmetricAndConverges(t *testing.T) {
 	checkSymmetricPositiveDefinite(t, h, a.Rows())
 	b := make([]float64, a.Rows())
 	fillRand(b, 11)
-	_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
+	_, st, err := sparse.SolveCGCtx(context.Background(), a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +255,7 @@ func TestCGIterationsMeshIndependent(t *testing.T) {
 		}
 		b := make([]float64, a.Rows())
 		fillRand(b, 9)
-		_, st, err := sparse.SolveCG(a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
+		_, st, err := sparse.SolveCGCtx(context.Background(), a, b, sparse.Options{Precond: sparse.PrecondMG, MG: h, Tol: 1e-10})
 		if err != nil {
 			t.Fatalf("%v: %v", a.Dims(), err)
 		}
@@ -267,7 +277,7 @@ func TestHierarchySizeMismatchRejected(t *testing.T) {
 	small := poisson2D(16, 16)
 	b := make([]float64, small.Rows())
 	b[0] = 1
-	if _, _, err := sparse.SolveCG(small, b, sparse.Options{Precond: sparse.PrecondMG, MG: h}); err == nil {
+	if _, _, err := sparse.SolveCGCtx(context.Background(), small, b, sparse.Options{Precond: sparse.PrecondMG, MG: h}); err == nil {
 		t.Fatal("SolveCG accepted a hierarchy built for a different matrix size")
 	}
 }

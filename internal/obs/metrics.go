@@ -220,19 +220,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Reset drops every metric. Snapshot handles taken before Reset keep
-// working but are no longer reachable through the registry.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.histograms = make(map[string]*Histogram)
-}
-
 // HistogramSnapshot is one histogram's frozen state.
 type HistogramSnapshot struct {
 	// Count and Sum aggregate all observations.

@@ -29,23 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row of formatted values: each argument is rendered with
-// %v except float64, which uses %.4g.
-func (t *Table) AddRowf(values ...interface{}) {
-	row := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", x)
-		case string:
-			row[i] = x
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // Render writes the table as aligned ASCII.
 func (t *Table) Render(w io.Writer) error {
 	ncol := len(t.Columns)

@@ -32,14 +32,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "a", "b", "c")
-	tb.AddRowf(1.23456789, "s", 42)
-	if tb.Rows[0][0] != "1.235" || tb.Rows[0][1] != "s" || tb.Rows[0][2] != "42" {
-		t.Errorf("AddRowf = %v", tb.Rows[0])
-	}
-}
-
 func TestTableRenderRejectsWideRows(t *testing.T) {
 	tb := NewTable("", "one")
 	tb.AddRow("a", "b")

@@ -84,7 +84,7 @@ func TestCholeskyMatchesCGProperty(t *testing.T) {
 		if err != nil || stats.Residual > 1e-12 {
 			return false
 		}
-		xc, _, err := SolveCG(st, b, Options{Tol: 1e-13})
+		xc, _, err := SolveCGCtx(context.Background(), st, b, Options{Tol: 1e-13})
 		if err != nil {
 			return false
 		}

@@ -199,20 +199,16 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// SolveCG solves the symmetric positive definite system A·x = b with the
+// SolveCGCtx solves the symmetric positive definite system A·x = b with the
 // preconditioned Conjugate Gradient method. The matrix is consumed through
 // the Operator interface: the matrix-free Stencil of a structured grid, or
 // the tests' reference CSR — holding the same entries the two produce
 // bit-identical iterates (every kernel accumulates in ascending column order
 // either way).
-func SolveCG(a Operator, b []float64, opt Options) ([]float64, Stats, error) {
-	return SolveCGCtx(context.Background(), a, b, opt)
-}
-
-// SolveCGCtx is SolveCG honoring cancellation: the context is checked
-// between iterations, and a cancelled solve returns promptly with the
-// iterate so far and an error wrapping ctx.Err(). The solve runs on the
-// calling goroutine.
+//
+// The context is checked between iterations, and a cancelled solve returns
+// promptly with the iterate so far and an error wrapping ctx.Err(). The
+// solve runs on the calling goroutine.
 //
 // Each solve emits a "sparse.cg" span when the context carries an
 // obs.Tracer, and records iteration/residual/wall histograms plus

@@ -31,7 +31,7 @@ func TestSolveCGLaplacian(t *testing.T) {
 		for i := range b {
 			b[i] = 1
 		}
-		x, st, err := SolveCG(a, b, Options{})
+		x, st, err := SolveCGCtx(context.Background(), a, b, Options{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -74,7 +74,7 @@ func TestSolveCGAllPreconditioners(t *testing.T) {
 		b[i] = math.Sin(float64(i))
 	}
 	for _, p := range []PrecondKind{PrecondDefault, PrecondMG} {
-		x, st, err := SolveCG(a, b, Options{Precond: p, MG: newJacobiCycle(a)})
+		x, st, err := SolveCGCtx(context.Background(), a, b, Options{Precond: p, MG: newJacobiCycle(a)})
 		if err != nil {
 			t.Fatalf("precond %v: %v", p, err)
 		}
@@ -85,17 +85,17 @@ func TestSolveCGAllPreconditioners(t *testing.T) {
 			t.Errorf("asked for %v, ran %v", p, st.Precond)
 		}
 	}
-	if _, _, err := SolveCG(a, b, Options{Precond: PrecondMG}); err == nil {
+	if _, _, err := SolveCGCtx(context.Background(), a, b, Options{Precond: PrecondMG}); err == nil {
 		t.Error("PrecondMG without a hierarchy accepted")
 	}
-	if _, _, err := SolveCG(a, b, Options{Precond: PrecondMG, MG: newJacobiCycle(laplacian1D(10))}); err == nil {
+	if _, _, err := SolveCGCtx(context.Background(), a, b, Options{Precond: PrecondMG, MG: newJacobiCycle(laplacian1D(10))}); err == nil {
 		t.Error("PrecondMG with a hierarchy of the wrong size accepted")
 	}
 }
 
 func TestSolveCGZeroRHS(t *testing.T) {
 	a := laplacian1D(10)
-	x, st, err := SolveCG(a, make([]float64, 10), Options{})
+	x, st, err := SolveCGCtx(context.Background(), a, make([]float64, 10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestSolveCGInitialGuess(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	exact, _, err := SolveCG(a, b, Options{})
+	exact, _, err := SolveCGCtx(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Starting from the exact solution should converge immediately.
-	_, st, err := SolveCG(a, b, Options{X0: exact})
+	_, st, err := SolveCGCtx(context.Background(), a, b, Options{X0: exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSolveCGNotSPD(t *testing.T) {
 	c := NewCOO(2, 2)
 	c.Add(0, 0, 1)
 	c.Add(1, 1, -1) // indefinite
-	_, _, err := SolveCG(c.ToCSR(), []float64{0, 1}, Options{})
+	_, _, err := SolveCGCtx(context.Background(), c.ToCSR(), []float64{0, 1}, Options{})
 	if err == nil {
 		t.Fatal("CG on indefinite matrix succeeded")
 	}
@@ -141,15 +141,15 @@ func TestSolveCGNotSPD(t *testing.T) {
 
 func TestSolveCGDimensionErrors(t *testing.T) {
 	a := laplacian1D(4)
-	if _, _, err := SolveCG(a, []float64{1, 2}, Options{}); err == nil {
+	if _, _, err := SolveCGCtx(context.Background(), a, []float64{1, 2}, Options{}); err == nil {
 		t.Error("bad rhs length accepted")
 	}
-	if _, _, err := SolveCG(a, make([]float64, 4), Options{X0: []float64{1}}); err == nil {
+	if _, _, err := SolveCGCtx(context.Background(), a, make([]float64, 4), Options{X0: []float64{1}}); err == nil {
 		t.Error("bad x0 length accepted")
 	}
 	rect := NewCOO(2, 3)
 	rect.Add(0, 0, 1)
-	if _, _, err := SolveCG(rect.ToCSR(), []float64{1, 2}, Options{}); err == nil {
+	if _, _, err := SolveCGCtx(context.Background(), rect.ToCSR(), []float64{1, 2}, Options{}); err == nil {
 		t.Error("rectangular matrix accepted")
 	}
 }
@@ -158,7 +158,7 @@ func TestSolveCGNotConverged(t *testing.T) {
 	a := laplacian1D(300)
 	b := make([]float64, 300)
 	b[0] = 1
-	_, _, err := SolveCG(a, b, Options{MaxIter: 2})
+	_, _, err := SolveCGCtx(context.Background(), a, b, Options{MaxIter: 2})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
@@ -178,9 +178,9 @@ func TestCGLinearityProperty(t *testing.T) {
 			sum[i] = b1[i] + b2[i]
 		}
 		opt := Options{Tol: 1e-12}
-		x1, _, err1 := SolveCG(a, b1, opt)
-		x2, _, err2 := SolveCG(a, b2, opt)
-		xs, _, err3 := SolveCG(a, sum, opt)
+		x1, _, err1 := SolveCGCtx(context.Background(), a, b1, opt)
+		x2, _, err2 := SolveCGCtx(context.Background(), a, b2, opt)
+		xs, _, err3 := SolveCGCtx(context.Background(), a, sum, opt)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -209,7 +209,7 @@ func TestSolveCGDefaultPrecondSelection(t *testing.T) {
 	a := laplacian1D(100)
 	b := make([]float64, 100)
 	b[0] = 1
-	_, st, err := SolveCG(a, b, Options{})
+	_, st, err := SolveCGCtx(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSolveCGStatsWall(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	_, st, err := SolveCG(a, b, Options{})
+	_, st, err := SolveCGCtx(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

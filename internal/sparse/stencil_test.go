@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -192,11 +193,11 @@ func TestSolveCGStencilMatchesCSR(t *testing.T) {
 	a := stencilCSR(st)
 	b := randomVec(a.Rows(), 11)
 	for _, p := range []PrecondKind{PrecondDefault, PrecondMG} {
-		xc, sc, err := SolveCG(a, b, Options{Precond: p, MG: newJacobiCycle(a)})
+		xc, sc, err := SolveCGCtx(context.Background(), a, b, Options{Precond: p, MG: newJacobiCycle(a)})
 		if err != nil {
 			t.Fatalf("%v csr: %v", p, err)
 		}
-		xs, ss, err := SolveCG(st, b, Options{Precond: p, MG: newJacobiCycle(st)})
+		xs, ss, err := SolveCGCtx(context.Background(), st, b, Options{Precond: p, MG: newJacobiCycle(st)})
 		if err != nil {
 			t.Fatalf("%v stencil: %v", p, err)
 		}

@@ -21,11 +21,3 @@ func LoadBlockConfig(r io.Reader) (BlockConfig, error) {
 	}
 	return cfg, nil
 }
-
-// SaveBlockConfig writes the configuration as indented JSON, usable as a
-// starting point for hand edits.
-func SaveBlockConfig(w io.Writer, cfg BlockConfig) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cfg)
-}

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestBlockConfigJSONRoundTrip(t *testing.T) {
 	orig.R = units.UM(7)
 	orig.ViaCount = 4
 	var buf bytes.Buffer
-	if err := SaveBlockConfig(&buf, orig); err != nil {
+	if err := json.NewEncoder(&buf).Encode(orig); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadBlockConfig(&buf)

@@ -2,7 +2,6 @@ package stack
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/materials"
 	"repro/internal/units"
@@ -185,10 +184,4 @@ func Fig7Block(n int) (*Stack, error) {
 	c.TSi = units.UM(20)
 	c.ViaCount = n
 	return c.Build()
-}
-
-// EqualAreaRadius maps the square block to the equal-area cylinder radius
-// R0 = sqrt(A0/π) used by the axisymmetric reference solver.
-func (s *Stack) EqualAreaRadius() float64 {
-	return math.Sqrt(s.Footprint / math.Pi)
 }

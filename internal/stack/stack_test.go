@@ -20,13 +20,13 @@ func validStack(t *testing.T) *Stack {
 
 func TestDefaultBlockPaperValues(t *testing.T) {
 	s := validStack(t)
-	if got := s.Footprint; !units.ApproxEqual(got, 1e-8, 1e-12) {
+	if got := s.Footprint; units.RelErr(got, 1e-8) > 1e-12 {
 		t.Errorf("A0 = %g m², want 1e-8 (100µm × 100µm)", got)
 	}
 	if s.NumPlanes() != 3 {
 		t.Errorf("planes = %d, want 3", s.NumPlanes())
 	}
-	if got := s.Planes[0].SiThickness; !units.ApproxEqual(got, 5e-4, 1e-12) {
+	if got := s.Planes[0].SiThickness; units.RelErr(got, 5e-4) > 1e-12 {
 		t.Errorf("t_Si1 = %g, want 500 µm", got)
 	}
 	if s.Planes[0].BondThickness != 0 {
@@ -36,14 +36,14 @@ func TestDefaultBlockPaperValues(t *testing.T) {
 		t.Errorf("t_b = %g", s.Planes[1].BondThickness)
 	}
 	// Device power: 700 W/mm³ × (100µm)² × 1µm = 7 mW.
-	if got := s.Planes[0].DevicePower; !units.ApproxEqual(got, 7e-3, 1e-9) {
+	if got := s.Planes[0].DevicePower; units.RelErr(got, 7e-3) > 1e-9 {
 		t.Errorf("device power = %g W, want 7e-3", got)
 	}
 	// ILD power: 70 W/mm³ × (100µm)² × 4µm = 2.8 mW.
-	if got := s.Planes[0].ILDPower; !units.ApproxEqual(got, 2.8e-3, 1e-9) {
+	if got := s.Planes[0].ILDPower; units.RelErr(got, 2.8e-3) > 1e-9 {
 		t.Errorf("ILD power = %g W, want 2.8e-3", got)
 	}
-	if got := s.TotalPower(); !units.ApproxEqual(got, 3*9.8e-3, 1e-9) {
+	if got := s.TotalPower(); units.RelErr(got, 3*9.8e-3) > 1e-9 {
 		t.Errorf("total power = %g W, want 29.4e-3", got)
 	}
 	if s.SinkTemp != 27 {
@@ -57,7 +57,7 @@ func TestDefaultBlockPaperValues(t *testing.T) {
 func TestSurroundArea(t *testing.T) {
 	s := validStack(t)
 	want := 1e-8 - math.Pi*math.Pow(units.UM(10.5), 2)
-	if got := s.SurroundArea(); !units.ApproxEqual(got, want, 1e-9) {
+	if got := s.SurroundArea(); units.RelErr(got, want) > 1e-9 {
 		t.Errorf("A = %g, want %g", got, want)
 	}
 }
@@ -65,15 +65,15 @@ func TestSurroundArea(t *testing.T) {
 func TestColumnHeight(t *testing.T) {
 	s := validStack(t)
 	// Plane 1: t_D + l_ext.
-	if got, want := s.ColumnHeight(0), units.UM(4+1); !units.ApproxEqual(got, want, 1e-12) {
+	if got, want := s.ColumnHeight(0), units.UM(4+1); units.RelErr(got, want) > 1e-12 {
 		t.Errorf("H1 = %g, want %g", got, want)
 	}
 	// Middle plane: t_D + t_Si + t_b.
-	if got, want := s.ColumnHeight(1), units.UM(4+45+1); !units.ApproxEqual(got, want, 1e-12) {
+	if got, want := s.ColumnHeight(1), units.UM(4+45+1); units.RelErr(got, want) > 1e-12 {
 		t.Errorf("H2 = %g, want %g", got, want)
 	}
 	// Top plane: t_Si + t_b (paper eq. (14) excludes the top ILD).
-	if got, want := s.ColumnHeight(2), units.UM(45+1); !units.ApproxEqual(got, want, 1e-12) {
+	if got, want := s.ColumnHeight(2), units.UM(45+1); units.RelErr(got, want) > 1e-12 {
 		t.Errorf("H3 = %g, want %g", got, want)
 	}
 }
@@ -84,7 +84,7 @@ func TestClusterGeometry(t *testing.T) {
 	if s4.Via.SplitRadius() != s.Via.Radius/2 {
 		t.Errorf("split radius = %g", s4.Via.SplitRadius())
 	}
-	if !units.ApproxEqual(s4.Via.MetalArea(), s.Via.MetalArea(), 1e-12) {
+	if units.RelErr(s4.Via.MetalArea(), s.Via.MetalArea()) > 1e-12 {
 		t.Error("cluster transform changed total metal area")
 	}
 	if s.Via.Count != 1 {
@@ -156,7 +156,7 @@ func TestAspectRatio(t *testing.T) {
 	}
 	// Via length: lext + ILD1 + (ILD+Si+b)*? — structural depth through all
 	// planes: 1 + 4 + (4+5+1) + (4+5+1) = 25 µm; diameter 10 µm => 2.5.
-	if got := s.AspectRatio(); !units.ApproxEqual(got, 2.5, 1e-9) {
+	if got := s.AspectRatio(); units.RelErr(got, 2.5) > 1e-9 {
 		t.Errorf("aspect ratio = %g, want 2.5", got)
 	}
 	if err := s.ValidateFabrication(); err != nil {
@@ -202,7 +202,7 @@ func TestFigureBlocks(t *testing.T) {
 		if s.Via.EffectiveCount() != 9 {
 			t.Error("Fig7Block count wrong")
 		}
-		if !units.ApproxEqual(s.Via.SplitRadius(), units.UM(10)/3, 1e-9) {
+		if units.RelErr(s.Via.SplitRadius(), units.UM(10)/3) > 1e-9 {
 			t.Errorf("Fig7Block split radius = %g", s.Via.SplitRadius())
 		}
 	}
@@ -221,14 +221,6 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestEqualAreaRadius(t *testing.T) {
-	s := validStack(t)
-	r0 := s.EqualAreaRadius()
-	if !units.ApproxEqual(math.Pi*r0*r0, s.Footprint, 1e-12) {
-		t.Errorf("equal-area radius %g does not reproduce footprint", r0)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	s := validStack(t)
 	c := s.Clone()
@@ -244,7 +236,7 @@ func TestPlaneHelpers(t *testing.T) {
 	if got := p.TotalPower(); got != 1.25 {
 		t.Errorf("TotalPower = %g", got)
 	}
-	if got := p.Height(); !units.ApproxEqual(got, 3.5e-6, 1e-12) {
+	if got := p.Height(); units.RelErr(got, 3.5e-6) > 1e-12 {
 		t.Errorf("Height = %g", got)
 	}
 }

@@ -152,9 +152,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Capacity returns the entry bound (0 = unbounded).
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Counters reports the lookup hit/miss totals and the number of entries
 // evicted by the capacity bound since creation.
 func (c *Cache) Counters() (hits, misses, evictions int) {

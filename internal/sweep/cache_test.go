@@ -99,8 +99,8 @@ func TestCacheUnboundedBackCompat(t *testing.T) {
 	if _, _, evictions := c.Counters(); evictions != 0 {
 		t.Fatalf("unbounded cache evicted %d entries", evictions)
 	}
-	if NewCache().Capacity() != DefaultCacheCapacity {
-		t.Errorf("NewCache capacity = %d, want %d", NewCache().Capacity(), DefaultCacheCapacity)
+	if NewCache().capacity != DefaultCacheCapacity {
+		t.Errorf("NewCache capacity = %d, want %d", NewCache().capacity, DefaultCacheCapacity)
 	}
 }
 

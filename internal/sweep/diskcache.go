@@ -84,9 +84,6 @@ func OpenDiskCache(dir string, maxEntries int) (*DiskCache, error) {
 	return d, nil
 }
 
-// Dir returns the cache directory.
-func (d *DiskCache) Dir() string { return d.dir }
-
 // Len returns the number of entries currently on disk.
 func (d *DiskCache) Len() int {
 	d.mu.Lock()

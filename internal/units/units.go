@@ -43,26 +43,6 @@ func ToUM(v float64) float64 { return v / Micrometer }
 // ToMM converts a length in meters to millimeters.
 func ToMM(v float64) float64 { return v / Millimeter }
 
-// DefaultTol is the default relative tolerance used by ApproxEqual.
-const DefaultTol = 1e-9
-
-// ApproxEqual reports whether a and b agree within relative tolerance tol
-// (falling back to absolute tolerance near zero). NaNs are never equal.
-func ApproxEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff <= tol
-	}
-	return diff <= tol*scale
-}
-
 // RelErr returns |got-want| / max(|want|, floor). A small floor avoids
 // division blow-up when want is (near) zero.
 func RelErr(got, want float64) float64 {
@@ -74,17 +54,6 @@ func RelErr(got, want float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(got-want) / denom
-}
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
@@ -100,11 +69,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	}
 	out[n-1] = hi
 	return out
-}
-
-// FormatKelvin renders a temperature rise in a compact human-readable form.
-func FormatKelvin(dt float64) string {
-	return fmt.Sprintf("%.2f °C", dt)
 }
 
 // FormatMeters renders a length choosing µm or mm as appropriate.

@@ -361,9 +361,6 @@ func TraceContext(ctx context.Context, t *Tracer) context.Context {
 // snapshot is safe to read and serialize while solves continue.
 func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 
-// ResetMetrics clears every metric series, e.g. between benchmark phases.
-func ResetMetrics() { obs.Default().Reset() }
-
 // DisableMetrics turns metric recording off process-wide; every record site
 // reduces to a nil check. EnableMetrics turns it back on (with a fresh
 // registry).
