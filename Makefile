@@ -14,7 +14,9 @@ test:
 	$(GO) test ./...
 
 # verify is the pre-merge gate: a gofmt check (it lists any unformatted
-# file and fails), static analysis, a short FuzzParseDeck
+# file and fails), static analysis, an arm64 build of everything (the
+# pure-Go fallback of the amd64 assembly must keep compiling; vet does not
+# notice a function left without a body there), a short FuzzParseDeck
 # exploration on top of the checked-in seeds, the whole suite under the race
 # detector (it includes every determinism contract: reuse and warm-start
 # bit-identity, the reference-solve golden hashes, stencil kernels against
@@ -29,6 +31,7 @@ test:
 verify:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { printf 'gofmt needed:\n%s\n' "$$unformatted"; exit 1; }
 	$(GO) vet ./...
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -shuffle=on ./internal/fem ./internal/sweep ./internal/serve ./internal/deck ./internal/experiments

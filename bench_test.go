@@ -256,18 +256,21 @@ func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
 }
 
 // BenchmarkReferenceBandFactor times the shared banded LDLᵀ factor alone:
-// fill, factor and one solve of a 5-point stencil shaped like the default
-// axisymmetric mesh (nr × nz cells, half-bandwidth nr). The factor does not
-// pivot, so its cost follows from the shape alone; uniform conductances
-// stand in for the assembled ones. One untimed round first maps and caches
-// the band's storage, as every solve after a process's first finds it.
-// Gmadd/s is the factor's n·b²/2 multiply-adds per second of the whole
-// fill, factor and solve.
+// fill and factor of a 5-point stencil shaped like the default axisymmetric
+// mesh (nr × nz cells, half-bandwidth nr). The factor does not pivot, so its
+// cost follows from the shape alone; uniform conductances stand in for the
+// assembled ones. One untimed factor and solve first checks the residual
+// and maps and caches the band's storage, as every solve after a process's
+// first finds it. Gmadd/s is the factor's n·b²/2 multiply-adds per second.
 func BenchmarkReferenceBandFactor(b *testing.B) { benchBandFactor(b, 1) }
 
 // BenchmarkReferenceBandFactor2x is the same on the 2× mesh (b = 54), the
 // factor every fresh 2× reference solve and every sweep point pays.
 func BenchmarkReferenceBandFactor2x(b *testing.B) { benchBandFactor(b, 2) }
+
+// BenchmarkReferenceBandFactor4x is the same on the 4× mesh (b = 108), the
+// size at which the direct/multigrid crossover is decided.
+func BenchmarkReferenceBandFactor4x(b *testing.B) { benchBandFactor(b, 4) }
 
 func benchBandFactor(b *testing.B, refine int) {
 	p, err := fem.BuildAxiProblem(mustFig4(b, 10), fem.DefaultResolution().Refine(refine))
@@ -285,20 +288,19 @@ func benchBandFactor(b *testing.B, refine int) {
 		b.Fatal(err)
 	}
 	buf := make([]float64, sparse.CholeskyLen(st))
-	round := func() {
-		f, err := sparse.FactorCholesky(st, buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := sparse.SolveCholesky(context.Background(), st, f, rhs, nil); err != nil {
-			b.Fatal(err)
-		}
+	f, err := sparse.FactorCholesky(st, buf)
+	if err != nil {
+		b.Fatal(err)
 	}
-	round()
+	if _, stats, err := sparse.SolveCholesky(context.Background(), st, f, rhs, nil); err != nil || stats.Residual > 1e-10 {
+		b.Fatalf("residual %g, err %v", stats.Residual, err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		round()
+		if _, err := sparse.FactorCholesky(st, buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 	hb := float64(st.HalfBandwidth())
 	b.ReportMetric(hb, "halfband")
@@ -371,7 +373,7 @@ func BenchmarkReferenceCartFig4(b *testing.B) {
 	b.ResetTimer()
 	var st sparse.Stats
 	for i := 0; i < b.N; i++ {
-		sol, err := fem.SolveCart(prob, sparse.Options{Tol: 1e-9})
+		sol, err := fem.SolveCartWith(context.Background(), nil, prob, sparse.Options{Tol: 1e-9})
 		if err != nil {
 			b.Fatal(err)
 		}

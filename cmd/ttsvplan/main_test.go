@@ -86,7 +86,7 @@ func TestPlanCLITraceAndMetrics(t *testing.T) {
 	path := writeFloorplan(t, demoFP)
 	trace := filepath.Join(t.TempDir(), "plan.ndjson")
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-floorplan", path, "-budget", "12", "-trace", trace, "-metrics"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-floorplan", path, "-budget", "12", "-verify", "-trace", trace, "-metrics"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(trace)
@@ -99,7 +99,7 @@ func TestPlanCLITraceAndMetrics(t *testing.T) {
 		Parent int64  `json:"parent"`
 	}
 	var runID int64
-	tiles := 0
+	tiles, solves := 0, 0
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		var r rec
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
@@ -110,10 +110,15 @@ func TestPlanCLITraceAndMetrics(t *testing.T) {
 			runID = r.ID
 		case "plan.tile":
 			tiles++
+		case "fem.solve":
+			solves++
 		}
 	}
 	if runID == 0 {
 		t.Error("no plan.run span")
+	}
+	if solves != 1 {
+		t.Errorf("got %d fem.solve spans, want the -verify solve's one", solves)
 	}
 	if tiles != 4 {
 		t.Errorf("got %d plan.tile spans for a 2×2 floorplan, want 4", tiles)

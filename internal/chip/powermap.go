@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -55,7 +56,10 @@ type PowerMapSolution struct {
 // non-uniform maps the 3-D solve adds what the planner's adiabatic tiles
 // ignore — tile-to-tile lateral coupling. This mirrors how the paper itself
 // calibrates simple structures against richer references.
-func SolvePowerMap(f *plan.Floorplan, tech plan.Technology, counts [][]int, res PowerMapResolution) (*PowerMapSolution, error) {
+//
+// The 3-D solve stops when ctx is cancelled and emits fem spans when ctx
+// carries an obs.Tracer.
+func SolvePowerMap(ctx context.Context, f *plan.Floorplan, tech plan.Technology, counts [][]int, res PowerMapResolution) (*PowerMapSolution, error) {
 	if r := obs.Default(); r != nil {
 		r.Counter("chip.powermap.solves").Inc()
 		t0 := time.Now()
@@ -239,7 +243,7 @@ func SolvePowerMap(f *plan.Floorplan, tech plan.Technology, counts [][]int, res 
 		Bottom: fem.Fixed(0),
 		Top:    fem.Insulated(),
 	}
-	sol, err := fem.SolveCart(prob, sparse.Options{Tol: 1e-8})
+	sol, err := fem.SolveCartWith(ctx, nil, prob, sparse.Options{Tol: 1e-8})
 	if err != nil {
 		return nil, err
 	}

@@ -78,20 +78,10 @@ func assembleCart(p *CartProblem) (*cartSystem, error) {
 	return assembleCartWith(nil, p)
 }
 
-// SolveCart assembles and solves the finite-volume system.
-func SolveCart(p *CartProblem, opt sparse.Options) (*CartSolution, error) {
-	return SolveCartCtx(context.Background(), p, opt)
-}
-
-// SolveCartCtx is SolveCart honoring cancellation as SolveAxiWith does.
-// Like SolveAxiWith it emits fem.solve/fem.assemble/fem.precond spans when
-// ctx carries an obs.Tracer.
-func SolveCartCtx(ctx context.Context, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
-	return SolveCartWith(ctx, nil, p, opt)
-}
-
-// SolveCartWith is SolveCartCtx solving through a reuse context; see
-// SolveAxiWith for the contract.
+// SolveCartWith assembles and solves the finite-volume system, through a
+// reuse context when sc is not nil. Like SolveAxiWith it stops when ctx is
+// cancelled and emits fem.solve/fem.assemble/fem.precond spans when ctx
+// carries an obs.Tracer; see SolveAxiWith for the reuse contract.
 func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()

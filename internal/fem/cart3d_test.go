@@ -12,6 +12,11 @@ import (
 	"repro/internal/units"
 )
 
+// solveCart solves p on a background context without a reuse context.
+func solveCart(p *CartProblem, opt sparse.Options) (*CartSolution, error) {
+	return SolveCartWith(context.Background(), nil, p, opt)
+}
+
 func TestCartUniformSlabWithSource(t *testing.T) {
 	// Same 1-D analytic check as the axisymmetric solver: T(z) =
 	// (q/k)(Hz - z²/2) for uniform source, bottom fixed, top adiabatic.
@@ -25,7 +30,7 @@ func TestCartUniformSlabWithSource(t *testing.T) {
 		Bottom: Fixed(0),
 		Top:    Insulated(),
 	}
-	sol, err := SolveCart(p, sparse.Options{Tol: 1e-12})
+	sol, err := solveCart(p, sparse.Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func TestCartLayeredSlabSeriesResistance(t *testing.T) {
 		Bottom: Fixed(0),
 		Top:    Insulated(),
 	}
-	sol, err := SolveCart(p, sparse.Options{Tol: 1e-13})
+	sol, err := solveCart(p, sparse.Options{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestCartTotalSource(t *testing.T) {
 		Bottom: Fixed(0),
 		Top:    Insulated(),
 	}
-	sol, err := SolveCart(p, sparse.Options{})
+	sol, err := solveCart(p, sparse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,22 +148,22 @@ func TestCartValidation(t *testing.T) {
 	}
 	bad := *good
 	bad.K = nil
-	if _, err := SolveCart(&bad, sparse.Options{}); err == nil {
+	if _, err := solveCart(&bad, sparse.Options{}); err == nil {
 		t.Error("nil K accepted")
 	}
 	bad2 := *good
 	bad2.Bottom, bad2.Top = Insulated(), Insulated()
-	if _, err := SolveCart(&bad2, sparse.Options{}); err == nil {
+	if _, err := solveCart(&bad2, sparse.Options{}); err == nil {
 		t.Error("no Dirichlet face accepted")
 	}
 	bad3 := *good
 	bad3.XEdges = []float64{1, 0}
-	if _, err := SolveCart(&bad3, sparse.Options{}); err == nil {
+	if _, err := solveCart(&bad3, sparse.Options{}); err == nil {
 		t.Error("decreasing edges accepted")
 	}
 	bad4 := *good
 	bad4.K = func(_, _, _ float64) float64 { return 0 }
-	if _, err := SolveCart(&bad4, sparse.Options{}); err == nil {
+	if _, err := solveCart(&bad4, sparse.Options{}); err == nil {
 		t.Error("zero conductivity accepted")
 	}
 }
@@ -187,7 +192,7 @@ func TestAxisymmetricReductionValidatedIn3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol3, err := SolveCart(p3, sparse.Options{Tol: 1e-9})
+	sol3, err := solveCart(p3, sparse.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +221,7 @@ func TestAxisymmetricReductionValidatedIn3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol4, err := SolveCart(p4, sparse.Options{Tol: 1e-9})
+	sol4, err := solveCart(p4, sparse.Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +270,7 @@ func TestCartMGIterations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveCart(p, sparse.Options{Tol: 1e-9})
+		sol, err := solveCart(p, sparse.Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("%s: %v", b.what, err)
 		}

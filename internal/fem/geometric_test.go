@@ -81,7 +81,7 @@ func TestGeometricContextCacheKeyedBySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCart, err := SolveCart(cart, cartOpt)
+	wantCart, err := solveCart(cart, cartOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

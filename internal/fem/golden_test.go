@@ -121,7 +121,7 @@ func TestSolveGolden(t *testing.T) {
 			if err != nil {
 				return 0, nil, err
 			}
-			sol, err := SolveCart(p, sparse.Options{Tol: 1e-9, Precond: pc})
+			sol, err := solveCart(p, sparse.Options{Tol: 1e-9, Precond: pc})
 			if err != nil {
 				return 0, nil, err
 			}
@@ -272,7 +272,7 @@ func TestOperatorSolveBitIdenticalCart(t *testing.T) {
 		}{{"multigrid-w1", sparse.PrecondMG}, {"direct", sparse.PrecondDefault}} {
 			pc := c.pc
 			cases = append(cases, goldenCase{fmt.Sprintf("op-cart-%s-%s", kind, c.name), func() (int, []float64, error) {
-				sol, err := SolveCart(p, sparse.Options{Precond: pc})
+				sol, err := solveCart(p, sparse.Options{Precond: pc})
 				if err != nil {
 					return 0, nil, err
 				}

@@ -96,7 +96,7 @@ func axiStats(s *stack.Stack, f int) func() (sparse.Stats, error) {
 // cartStats solves p under the default rule.
 func cartStats(p *CartProblem) func() (sparse.Stats, error) {
 	return func() (sparse.Stats, error) {
-		sol, err := SolveCart(p, sparse.Options{Tol: 1e-8})
+		sol, err := solveCart(p, sparse.Options{Tol: 1e-8})
 		if err != nil {
 			return sparse.Stats{}, err
 		}

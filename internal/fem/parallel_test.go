@@ -76,7 +76,7 @@ func TestAssemblyRejectsNonFiniteSource(t *testing.T) {
 		Q:      func(_, _, _ float64) float64 { return math.Inf(1) },
 		Bottom: Fixed(0), Top: Insulated(),
 	}
-	if _, err := SolveCart(cart, sparse.Options{}); err == nil || !strings.Contains(err.Error(), "source density") {
+	if _, err := solveCart(cart, sparse.Options{}); err == nil || !strings.Contains(err.Error(), "source density") {
 		t.Errorf("cart assembly accepted Inf source: %v", err)
 	}
 }

@@ -156,7 +156,7 @@ func TestSolveContextCartBitIdentical(t *testing.T) {
 		sc := NewSolveContext()
 		for i, k := range []float64{2.5, 7.0, 0.8} {
 			p := prob(k, kzOf(40*k))
-			want, err := SolveCart(p, sparse.Options{})
+			want, err := solveCart(p, sparse.Options{})
 			if err != nil {
 				t.Fatalf("fresh cart solve %d (aniso=%v): %v", i, aniso, err)
 			}

@@ -182,8 +182,10 @@ func TestSeriesAgainstFVM(t *testing.T) {
 	q := qv * math.Pi * a * a * sliver
 	rFVM := (tSum / aSum) / q
 	rSeries := tubeResistance(a, b, tt, k)
-	if e := math.Abs(rFVM-rSeries) / rSeries; e > 0.05 {
-		t.Errorf("FVM %g K/W vs series %g K/W (%.1f%%)", rFVM, rSeries, 100*e)
+	// They agree to 0.19%; the bound leaves room for rounding, not for a
+	// regression of the reference on this geometry.
+	if e := math.Abs(rFVM-rSeries) / rSeries; e > 0.005 {
+		t.Errorf("FVM %g K/W vs series %g K/W (%.2f%%)", rFVM, rSeries, 100*e)
 	}
 }
 

@@ -280,7 +280,8 @@ func TestAxiTransientMonotoneRise(t *testing.T) {
 
 func TestAxiTransientMatchesModelTimescale(t *testing.T) {
 	// The distributed model's settling time and the reference solver's must
-	// agree within a factor ~2 — the transient extension's key validation.
+	// agree within a factor ~1.6 (B(30) 10.5 ms against the FVM's 6.5 ms) —
+	// the transient extension's key validation.
 	if testing.Short() {
 		t.Skip("transient cross-validation is slow")
 	}
@@ -308,8 +309,8 @@ func TestAxiTransientMatchesModelTimescale(t *testing.T) {
 		t.Fatal("Model B did not settle")
 	}
 	ratio := mb.SettlingTime / refSettle
-	if ratio < 0.4 || ratio > 2.5 {
-		t.Errorf("settling times diverge: model %g s vs reference %g s", mb.SettlingTime, refSettle)
+	if ratio < 1.4 || ratio > 1.9 {
+		t.Errorf("settling times diverge: model %g s vs reference %g s (ratio %.3f, want 1.4–1.9)", mb.SettlingTime, refSettle, ratio)
 	}
 }
 

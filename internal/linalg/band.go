@@ -69,15 +69,36 @@ func (m *Band) Add(i, j int, v float64) {
 // pivot that is not positive fails with an error wrapping ErrNotSPD and
 // naming its row.
 //
+// On amd64 CPUs with AVX2, bands at least laneMinBand wide factor their
+// full-band rows four at a time, one row per lane of a 256-bit register
+// (band_amd64.go). Each lane runs the row loop's multiplies and
+// subtractions in the row loop's order, so the factor, its error and the
+// partial factor an error leaves are bit for bit the row loop's.
+func (m *Band) Factor() error {
+	i, err := m.factorLanes()
+	if err != nil {
+		return err
+	}
+	return m.factorRows(i, m.n)
+}
+
+// laneMinBand is the narrowest band whose rows factor in AVX2 lanes: below
+// it the row loop was as fast or faster. The first b rows, the (n−b) mod 4
+// rows after the last block of four and every row of a narrower band, the
+// Model A/B ladders' included, run the row loop.
+const laneMinBand = 8
+
+// factorRows factors rows from … to−1, whose earlier rows are factored.
+//
 // The dot products of a row run as independent chains: four consecutive
 // columns at once over their shared columns, each reading u[i,k] once,
 // after the few columns the blocks leave over, whose dots are the
 // shortest. Every entry still subtracts the same terms in ascending column
 // order, so the factor is bit for bit that of the one-column-at-a-time
 // loop.
-func (m *Band) Factor() error {
+func (m *Band) factorRows(from, to int) error {
 	b, w, v := m.b, m.b+1, m.v
-	for i := 0; i < m.n; i++ {
+	for i := from; i < to; i++ {
 		j0 := max(0, i-b)
 		row := v[i*w+j0-i+b : (i+1)*w] // A[i, j0…i]
 		// First u[i,j] = L[i,j]·D[j] in place: every row j ≥ j0 reaches

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -361,16 +364,24 @@ func sameBits(a, b []float64) int {
 // The blocked Factor and Solve reproduce the scalar loops bit for bit —
 // L·D, the solution (also in place over its right-hand side) and the row
 // an indefinite matrix fails at — for every bandwidth class the blocks
-// split differently: below, at and above one block, and n on each residue
-// mod 4, including n ≤ b.
+// split differently: below, at and above one block, just below, at and
+// above the lanes' narrowest band, one wider than the lanes' stack scratch
+// holds, and n on each residue mod 4, including n ≤ b and n around b+4, the
+// first lane block. From b+4 rows on, row b+1 holds a −0 in its first
+// column after a negative L[1,0]: a padded lane would subtract −0 from it
+// and store +0, where the row loop keeps −0.
 func TestBandedChainsMatchScalarBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, b := range []int{0, 1, 2, 3, 4, 5, 7, 8, 27, 54} {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, b, b + 1, b + 2, b + 3, 2*b + 4, 3*b + 5, 3*b + 6, 3*b + 7, 200, 201, 202, 203} {
+	for _, b := range []int{0, 1, 2, 3, 4, 5, 7, 8, laneMinBand - 1, laneMinBand, laneMinBand + 1, 27, 54, 81, 108, 144} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, b, b + 1, b + 2, b + 3, b + 4, b + 5, b + 6, b + 7, b + 8, 2*b + 4, 3*b + 5, 3*b + 6, 3*b + 7, 200, 201, 202, 203} {
 			if n < 1 {
 				continue
 			}
 			got, _, rhs := randomBandedSystem(rng, n, b)
+			if b >= 1 && n >= b+4 {
+				got.Row(1)[b-1] = -0.5
+				got.Row(b + 1)[0] = math.Copysign(0, -1)
+			}
 			want := &Band{n: got.n, b: got.b, v: append([]float64(nil), got.v...)}
 			if err := got.Factor(); err != nil {
 				t.Fatalf("n=%d b=%d: %v", n, b, err)
@@ -397,11 +408,13 @@ func TestBandedChainsMatchScalarBits(t *testing.T) {
 }
 
 // An indefinite band fails at the same row, with the same pivot, as the
-// scalar loop.
+// scalar loop, and leaves the same partial factor: before, inside and after
+// the first block of rows, in each lane of the first lane block (rows
+// b … b+3) and deep in the band.
 func TestBandedChainsNotSPDRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, b := range []int{1, 3, 4, 8, 27} {
-		for _, bad := range []int{0, 5, 17, 40} {
+		for _, bad := range []int{0, 5, 17, 40, b, b + 1, b + 2, b + 3, 57} {
 			n := 60
 			got, _, _ := randomBandedSystem(rng, n, b)
 			// Weaken one diagonal so its pivot turns negative.
@@ -415,5 +428,28 @@ func TestBandedChainsNotSPDRow(t *testing.T) {
 				t.Fatalf("b=%d bad=%d: partial factor differs at %d", b, bad, k)
 			}
 		}
+	}
+}
+
+// On an amd64 CPU that lists AVX2, a band as wide as the 2× mesh's factors
+// every full block of four rows after its first b rows in lanes.
+func TestBandedLanesRun(t *testing.T) {
+	cpuinfo, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no CPU flags to check against: %v", err)
+	}
+	onAVX2 := runtime.GOARCH == "amd64" && regexp.MustCompile(`(?m)^flags\s*:.* avx2( |$)`).Match(cpuinfo)
+	const n, b = 203, 54
+	m, _, _ := randomBandedSystem(rand.New(rand.NewSource(1)), n, b)
+	i, err := m.factorLanes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	if onAVX2 {
+		want = n - (n-b)%4
+	}
+	if i != want {
+		t.Fatalf("lane blocks factored up to row %d, want %d (AVX2 listed: %v)", i, want, onAVX2)
 	}
 }

@@ -423,9 +423,10 @@ func DefaultPowerMapResolution() PowerMapResolution { return chip.DefaultPowerMa
 // VerifyPlan runs the homogenized full-chip 3-D solve of a floorplan with a
 // per-tile via allocation, resolving the tile-to-tile lateral coupling the
 // planner's adiabatic-tile model ignores (§IV-E's model-embedding workflow
-// scaled to non-uniform power maps).
-func VerifyPlan(f *Floorplan, tech Technology, counts [][]int, res PowerMapResolution) (*PowerMapSolution, error) {
-	return chip.SolvePowerMap(f, tech, counts, res)
+// scaled to non-uniform power maps). The solve stops when ctx is cancelled
+// and records spans when ctx carries a tracer (TraceContext).
+func VerifyPlan(ctx context.Context, f *Floorplan, tech Technology, counts [][]int, res PowerMapResolution) (*PowerMapSolution, error) {
+	return chip.SolvePowerMap(ctx, f, tech, counts, res)
 }
 
 // NewServeHandler returns the solve service as an http.Handler: POST /solve,
