@@ -18,16 +18,17 @@ test:
 # pure-Go fallback of the amd64 assembly must keep compiling; vet does not
 # notice a function left without a body there), a short FuzzParseDeck
 # exploration on top of the checked-in seeds, the whole suite under the race
-# detector (it includes every determinism contract: reuse and warm-start
-# bit-identity, the reference-solve golden hashes, stencil kernels against
+# detector (it includes every determinism contract: reuse bit-identity,
+# the reference-solve golden hashes, stencil kernels against
 # the CSR reference, deck and service goldens,
 # coalescing/admission/drain, and the sharded/resumable-sweep identities),
 # three shuffled race passes over the packages that share fem's process-wide
 # idle solver contexts, so no test there depends on what ran before it,
 # one pass over every benchmark so the harness itself cannot rot, a
-# single-iteration smoke run of the bench-json pipeline, and the tests of
-# the separate bench module, which `./...` never builds: an internal API
-# change that breaks the benchmark fails here.
+# single-iteration smoke run of the bench-json pipeline, and vet plus the
+# tests of the separate bench module, which `./...` never builds (and
+# `go test` runs only part of vet): an internal API change that breaks the
+# benchmark fails here.
 verify:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { printf 'gofmt needed:\n%s\n' "$$unformatted"; exit 1; }
 	$(GO) vet ./...
@@ -37,6 +38,7 @@ verify:
 	$(GO) test -race -count=3 -shuffle=on ./internal/fem ./internal/sweep ./internal/serve ./internal/deck ./internal/experiments
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(MAKE) bench-json BENCHTIME=1x BENCHCOUNT=1 BENCH_OUT=/dev/null
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test ./...
 
 race:

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// shardDeck gives the sharding tests 12 sweep jobs: two 8-point engine
-// chains, so "-shard 1/2" and "-shard 2/2" split it [0,8) / [8,12).
+// shardDeck gives the sharding tests 12 sweep jobs, which "-shard 1/2" and
+// "-shard 2/2" split evenly into [0,6) / [6,12).
 const shardDeck = `Shard identity sweep
 b1 side=100um sink=27
 p1 tsi=500um td=4um
@@ -43,8 +43,8 @@ func TestDeckShardMergeIdentity(t *testing.T) {
 		if err := run(context.Background(), []string{"-deck", path, "-shard", spec, "-journal", jp}, &buf); err != nil {
 			t.Fatalf("shard %s: %v", spec, err)
 		}
-		if !strings.Contains(buf.String(), "shard: "+spec) {
-			t.Errorf("shard %s report lacks its shard header:\n%s", spec, buf.String())
+		if !strings.Contains(buf.String(), "shard: "+spec+" (6 of 12 values)") {
+			t.Errorf("shard %s report lacks its shard header of 6 of 12 values:\n%s", spec, buf.String())
 		}
 		journals = append(journals, jp)
 	}

@@ -32,7 +32,7 @@ type Flags struct {
 // lower with Control after parsing.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.shard, "shard", "", `run one chain-aligned slice of the deck's .sweep, as 1-based "i/n" (e.g. "2/5")`)
+	fs.StringVar(&f.shard, "shard", "", `run one contiguous slice of the deck's .sweep, as 1-based "i/n" (e.g. "2/5")`)
 	fs.StringVar(&f.journal, "journal", "", "checkpoint completed sweep points to this NDJSON file")
 	fs.BoolVar(&f.resume, "resume", false, "replay the -journal file's completed points instead of re-solving them")
 	fs.StringVar(&f.merge, "merge", "", "comma-separated shard journals to merge into the full report (no solving)")

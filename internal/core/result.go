@@ -54,30 +54,3 @@ type ContextSolver interface {
 	// ctx.Err() when interrupted.
 	SolveCtx(ctx context.Context, s *stack.Stack) (*Result, error)
 }
-
-// ReusableSolver is implemented by models whose solves can be warm started:
-// seeded from the previous solution of the same system shape, as the
-// solves along one chain of a warm-started sweep are. A warm start changes
-// the iterate sequence (the result converges to the same tolerance but is
-// not bit-identical to a cold solve), so it lives in an instance the caller
-// owns and resets at chain boundaries. Reuse that does not change results
-// needs no instance: a model keeps it behind its own Solve.
-type ReusableSolver interface {
-	Model
-	// NewReusable returns a fresh warm-starting instance. Instances are not
-	// safe for concurrent use: create one per worker.
-	NewReusable() ReusableInstance
-}
-
-// ReusableInstance is one worker's warm-start chain on a ReusableSolver.
-type ReusableInstance interface {
-	// SolveCtx is ContextSolver.SolveCtx seeded from the chain's previous
-	// solve of the same system shape.
-	SolveCtx(ctx context.Context, s *stack.Stack) (*Result, error)
-	// ResetWarm forgets warm-start state, so the next solve of every system
-	// shape begins cold.
-	ResetWarm()
-	// Close releases held resources (e.g. factor storage). The instance must
-	// not be used afterwards.
-	Close()
-}

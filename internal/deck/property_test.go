@@ -85,22 +85,10 @@ func fig4(r float64) func() (*stack.Stack, error) {
 	return func() (*stack.Stack, error) { return stack.Fig4Block(r) }
 }
 
-// solveExact solves s with m and strips the run-varying stats. A model
-// with reusable state (the reference) solves on a new instance, whose first
-// solve starts from no state of any earlier solve.
+// solveExact solves s with m and strips the run-varying stats.
 func solveExact(t *testing.T, m core.Model, s *stack.Stack) *core.Result {
 	t.Helper()
-	var (
-		r   *core.Result
-		err error
-	)
-	if rs, ok := m.(core.ReusableSolver); ok {
-		inst := rs.NewReusable()
-		defer inst.Close()
-		r, err = inst.SolveCtx(context.Background(), s)
-	} else {
-		r, err = m.Solve(s)
-	}
+	r, err := m.Solve(s)
 	if err != nil {
 		t.Fatalf("model %s: %v", m.Name(), err)
 	}

@@ -36,7 +36,7 @@ type Options struct {
 // therefore require the deck to contain exactly one analysis, a sweep
 // (RunScenario rejects anything else — a journal file checkpoints one batch).
 type SweepControl struct {
-	// Shard selects one chain-aligned slice of the sweep's job list; the
+	// Shard selects one contiguous slice of the sweep's job list; the
 	// zero spec runs the whole batch. The report then covers only the
 	// shard's fully-contained value rows and carries a shard header; the
 	// journal (not the shard report) is the merge artifact.
@@ -204,8 +204,8 @@ func runTran(sc *Scenario, tr *TranAnalysis) (*AnalysisResult, error) {
 // runSweep fans the value×model grid through the batch engine. The engine
 // guarantees bit-identical results for any worker count, so the deck layer
 // inherits worker invariance for free; sharding, journaling and resumption
-// ride on the engine's chain-aligned partition and checkpoint journal, so
-// they inherit the same identity guarantee.
+// ride on the engine's partition and checkpoint journal, whose points are
+// solved independently, so they inherit the same identity guarantee.
 func runSweep(ctx context.Context, sw *SweepAnalysis, opt Options) (*AnalysisResult, error) {
 	workers := opt.Workers
 	if sw.Workers > 0 {
@@ -337,7 +337,7 @@ func mergeJournalFiles(jobs []sweep.Job, paths []string) ([]sweep.Outcome, error
 // sweepResult renders outcomes covering batch indices [lo, lo+len(outcomes))
 // into the analysis result. Only value rows whose jobs all fall inside the
 // range are reported — a shard boundary can split a value's model row when
-// the models-per-value count does not divide the chain length — and a
+// the models-per-value count does not divide the shard's length — and a
 // sharded result is marked so the report says what it covers. An unsharded
 // result (zero spec, lo 0) reports every row, exactly as before.
 func sweepResult(sw *SweepAnalysis, outcomes []sweep.Outcome, lo int, spec sweep.ShardSpec) (*AnalysisResult, error) {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// shardDeck is a 12-point Model B radius sweep: 12 jobs, so the engine's
-// 8-point chains split it into two shards [0,8) and [8,12) at count 2.
+// shardDeck is a 12-point Model B radius sweep: 12 jobs, which two shards
+// split evenly into [0,6) and [6,12).
 const shardDeck = `Shard identity sweep
 b1 side=100um sink=27
 p1 tsi=500um td=4um
@@ -61,8 +61,8 @@ func TestDeckSweepShardMergeReportIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d/2: %v", i, err)
 		}
-		if !bytes.Contains(report, []byte("shard: "+spec.String())) {
-			t.Errorf("shard %d/2 report lacks its shard header:\n%s", i, report)
+		if !bytes.Contains(report, []byte("shard: "+spec.String()+" (6 of 12 values)")) {
+			t.Errorf("shard %d/2 report lacks its shard header of 6 of 12 values:\n%s", i, report)
 		}
 		journals = append(journals, jp)
 	}

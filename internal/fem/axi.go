@@ -81,11 +81,9 @@ func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 
 // SolveAxiWith assembles and solves the finite-volume system through a
 // reuse context: assemblies, factors, multigrid hierarchies and CG scratch
-// cached in sc are recycled, and with sc.WarmStart a CG iteration starts
-// from the previous solution of the same system shape. A nil sc makes every
-// solve fresh; the results are bit-identical either way (warm starts
-// aside). The zero Options value selects defaults appropriate for the
-// meshes in this repository.
+// cached in sc are recycled. A nil sc makes every solve fresh; the results
+// are bit-identical either way. The zero Options value selects defaults
+// appropriate for the meshes in this repository.
 //
 // A direct solve checks ctx before factoring and before its sweeps, a CG
 // solve between iterations, so a cancelled caller (e.g. an aborted sweep)
@@ -113,7 +111,6 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 		root.Set("error", err.Error())
 		return nil, solveErr("axisymmetric solve", len(sys.rhs), st, err)
 	}
-	sc.storeWarm(sys.key, x)
 	return &AxiSolution{p: p, RCenters: sys.rc, ZCenters: sys.zc, Stats: st, T: sys.fieldFrom(x)}, nil
 }
 

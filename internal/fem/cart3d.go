@@ -103,7 +103,6 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 		root.Set("error", err.Error())
 		return nil, solveErr("3-D solve", n, st, err)
 	}
-	sc.storeWarm(sys.key, x)
 	nx, ny, nz := sys.nx, sys.ny, sys.nz
 	sol := &CartSolution{p: p, XCenters: sys.xc, YCenters: sys.yc, ZCenters: sys.zc, Stats: st}
 	// x is laid out (l*ny+j)*nx + i, so the field rows can share one backing

@@ -11,32 +11,22 @@ import (
 
 // SolveContext carries reusable state across repeated solves: assemblies
 // (stencil coefficient arrays refilled in place), banded LDLᵀ factors,
-// multigrid hierarchies, a scratch pool of CG work vectors, and — opt-in —
-// the previous solution of each system shape for warm-starting CG.
+// multigrid hierarchies and a scratch pool of CG work vectors.
 // ReferenceModel solves draw one from the package's bounded list of idle
-// contexts (see idle); callers that want to own the state, such as
-// warm-started sweep chains, pass their own to the *With functions.
+// contexts (see idle); callers that want to own the state pass their own to
+// the *With functions.
 //
-// Everything except WarmStart is invisible in the results: a solve through a
-// context is bit-identical to the same solve without one, because the reuse
-// paths run the exact machinery of the fresh paths and only recycle memory.
-// WarmStart changes the CG starting point and therefore the iterate sequence
-// (the solution still converges to the same tolerance), which is why it is a
-// separate switch rather than part of the default reuse.
+// None of it is visible in the results: a solve through a context is
+// bit-identical to the same solve without one, because the reuse paths run
+// the exact machinery of the fresh paths and only recycle memory.
 //
 // A SolveContext is not safe for concurrent use: it serves one solve at a
 // time. The zero value of the pointer (nil) is valid everywhere and means
 // "no reuse".
 type SolveContext struct {
-	// WarmStart seeds each solve's CG iteration with the previous solution
-	// of the same system shape. Off by default: it perturbs the iterate
-	// sequence, so it is excluded from the bit-identity contract above.
-	WarmStart bool
-
 	assemblies map[asmKey]*assembly
 	factors    map[asmKey]*factorEntry
 	hier       map[asmKey]*hierEntry
-	warm       map[asmKey][]float64
 	pool       *sparse.Pool
 }
 
@@ -55,7 +45,6 @@ func NewSolveContext() *SolveContext {
 		assemblies: make(map[asmKey]*assembly),
 		factors:    make(map[asmKey]*factorEntry),
 		hier:       make(map[asmKey]*hierEntry),
-		warm:       make(map[asmKey][]float64),
 	}
 }
 
@@ -71,17 +60,6 @@ func (sc *SolveContext) Close() {
 		releaseBand(e.buf)
 		delete(sc.factors, key)
 	}
-}
-
-// ResetWarm forgets the stored previous solutions, so the next warm-started
-// solve of every shape begins cold. Sweep workers call it at warm-chain
-// boundaries to keep chains — and therefore results — independent of how
-// jobs were distributed over workers.
-func (sc *SolveContext) ResetWarm() {
-	if sc == nil {
-		return
-	}
-	clear(sc.warm)
 }
 
 // cachedAssembly returns the cached assembly for key, or nil when the
@@ -343,30 +321,4 @@ func sameCoeffs(snap []float64, a *sparse.Stencil) bool {
 		snap = snap[len(part):]
 	}
 	return len(snap) == 0
-}
-
-// warmX0 returns the stored previous solution for key, or nil for a cold
-// start. The sweep.warmstart.* counters make warm-start effectiveness
-// visible in metrics snapshots.
-func (sc *SolveContext) warmX0(key asmKey, n int) []float64 {
-	if sc == nil || !sc.WarmStart {
-		return nil
-	}
-	x := sc.warm[key]
-	if len(x) != n {
-		obs.Default().Counter("sweep.warmstart.resets").Inc()
-		return nil
-	}
-	obs.Default().Counter("sweep.warmstart.hits").Inc()
-	return x
-}
-
-// storeWarm retains a converged solution as the next warm start for key.
-// The solver treats X0 as read-only and every caller of the solve copies
-// the field out, so holding on to x is safe.
-func (sc *SolveContext) storeWarm(key asmKey, x []float64) {
-	if sc == nil || !sc.WarmStart {
-		return
-	}
-	sc.warm[key] = x
 }

@@ -58,8 +58,7 @@ const mgMaxIter = 200
 // preconditioned CG with a hierarchy from sc's cache. A grid too small to
 // coarsen falls back to the factor. ctx is checked before factoring, before
 // the factor's sweeps and between CG iterations. An unset CG MaxIter
-// becomes mgMaxIter, and sc.WarmStart seeds CG with the previous solution
-// of the same shape.
+// becomes mgMaxIter.
 //
 // The "fem.precond" span covers the hierarchy build of a CG solve, whose
 // iteration gets its own "sparse.cg" span, and the whole of a direct solve,
@@ -79,9 +78,6 @@ func (sc *SolveContext) solveSystem(ctx context.Context, key asmKey, a *sparse.S
 			opt.Precond, opt.MG = sparse.PrecondMG, h
 			if opt.MaxIter == 0 {
 				opt.MaxIter = mgMaxIter
-			}
-			if opt.X0 == nil {
-				opt.X0 = sc.warmX0(key, a.Rows())
 			}
 			sp.Set("precond", opt.Precond.String())
 			sp.End()

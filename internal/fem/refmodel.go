@@ -52,13 +52,7 @@ func (m ReferenceModel) Solve(s *stack.Stack) (*core.Result, error) {
 // repeated solves of one assembly shape reuse its assembly, factor or
 // hierarchy and scratch; the result is bit-identical to a fresh solve.
 func (m ReferenceModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
-	return m.solveWith(ctx, nil, s)
-}
-
-// solveWith solves through sc, or through a context from the idle list
-// when sc is nil.
-func (m ReferenceModel) solveWith(ctx context.Context, sc *SolveContext, s *stack.Stack) (*core.Result, error) {
-	sol, err := solveStack(ctx, sc, sc == nil, s, m.resolution())
+	sol, err := solveStack(ctx, nil, true, s, m.resolution())
 	if err != nil {
 		return nil, err
 	}
@@ -71,26 +65,3 @@ func (m ReferenceModel) solveWith(ctx context.Context, sc *SolveContext, s *stac
 		Solver:   sol.Stats,
 	}, nil
 }
-
-// NewReusable implements core.ReusableSolver for warm-started chains: the
-// returned instance owns a SolveContext with WarmStart set, so each CG solve
-// starts from the previous solution of the same system shape, and
-// consecutive solves share the assembly, the factor or hierarchy and the
-// CG scratch pool.
-func (m ReferenceModel) NewReusable() core.ReusableInstance {
-	sc := NewSolveContext()
-	sc.WarmStart = true
-	return &reusableRef{m: m, sc: sc}
-}
-
-type reusableRef struct {
-	m  ReferenceModel
-	sc *SolveContext
-}
-
-func (r *reusableRef) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
-	return r.m.solveWith(ctx, r.sc, s)
-}
-
-func (r *reusableRef) ResetWarm() { r.sc.ResetWarm() }
-func (r *reusableRef) Close()     { r.sc.Close() }

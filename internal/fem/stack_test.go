@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/materials"
 	"repro/internal/sparse"
 	"repro/internal/stack"
 	"repro/internal/units"
@@ -73,6 +74,31 @@ func TestSolveStackGridConvergence(t *testing.T) {
 	tf, _, _ := f.MaxT()
 	if units.RelErr(tc, tf) > 0.05 {
 		t.Errorf("coarse %g vs refined %g differ by more than 5%%", tc, tf)
+	}
+}
+
+// TestSolveStackHomogeneousColumnExact: with the ILD, bond, fill and liner
+// of the Fig. 4 block all made silicon the column is one material, and the
+// stack mesh rule then resolves it exactly: the max ΔT of the default mesh
+// equals that of the 4× refined mesh to solver precision. A scheme error
+// that depends on the mesh, not on material contrast, shows up here.
+func TestSolveStackHomogeneousColumnExact(t *testing.T) {
+	s := fig4(t, 10)
+	for i := range s.Planes {
+		s.Planes[i].ILD, s.Planes[i].Bond = materials.Silicon, materials.Silicon
+	}
+	s.Via.Fill, s.Via.Liner = materials.Silicon, materials.Silicon
+	maxDT := func(res Resolution) float64 {
+		sol, err := SolveStackCtx(context.Background(), s, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt, _, _ := sol.MaxT()
+		return dt
+	}
+	base, fine := maxDT(DefaultResolution()), maxDT(DefaultResolution().Refine(4))
+	if units.RelErr(base, fine) > 1e-9 {
+		t.Errorf("homogeneous column max ΔT %.15g at 1× vs %.15g at 4×, want agreement to 1e-9", base, fine)
 	}
 }
 

@@ -356,7 +356,7 @@ type SweepRequest struct {
 	Points int               `json:"points,omitempty"`
 	// Workers overrides the service's engine pool size for this request.
 	Workers int `json:"workers,omitempty"`
-	// Shard selects one chain-aligned slice of the sweep's job list, in the
+	// Shard selects one contiguous slice of the sweep's job list, in the
 	// 1-based "i/n" form (e.g. "2/5"); empty runs the whole batch. The
 	// response then covers only that shard's value rows and carries a shard
 	// header, letting N processes split one sweep and merge their journals.

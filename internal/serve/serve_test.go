@@ -22,6 +22,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/deck"
+	"repro/internal/fem"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stack"
@@ -298,8 +299,8 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 }
 
 // freshReport renders the /solve report for body from solves that start
-// from no state of any earlier solve: a model with reusable state (the
-// reference) solves on a new instance, whose first solve is a fresh one.
+// from no state of any earlier solve: the reference model solves without a
+// solver context, so nothing from fem's idle list is reused.
 func freshReport(t *testing.T, s *Server, body []byte) []byte {
 	t.Helper()
 	sc, err := s.lowerSolve(body)
@@ -309,10 +310,12 @@ func freshReport(t *testing.T, s *Server, body []byte) []byte {
 	ar := deck.AnalysisResult{Kind: "op"}
 	for _, m := range sc.Analyses[0].Op.Models {
 		var r *core.Result
-		if rs, ok := m.(core.ReusableSolver); ok {
-			inst := rs.NewReusable()
-			r, err = inst.SolveCtx(context.Background(), sc.Stack)
-			inst.Close()
+		if rm, ok := m.(fem.ReferenceModel); ok {
+			var sol *fem.AxiSolution
+			if sol, err = fem.SolveStackWith(context.Background(), nil, sc.Stack, rm.Res); err == nil {
+				maxDT, _, _ := sol.MaxT()
+				r = &core.Result{Model: rm.Name(), MaxDT: maxDT, Unknowns: len(sol.RCenters) * len(sol.ZCenters)}
+			}
 		} else {
 			r, err = m.Solve(sc.Stack)
 		}

@@ -154,14 +154,14 @@ func TestSweepStreamsNDJSONProgress(t *testing.T) {
 // together deliver every point exactly once.
 func TestSweepStreamShard(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{Workers: 2})
-	// 12 points × 1 model = 12 jobs; chains of 8 give shard 1/2 = [0, 8)
-	// and shard 2/2 = [8, 12).
+	// 12 points × 1 model = 12 jobs, split evenly: shard 1/2 = [0, 6) and
+	// shard 2/2 = [6, 12).
 	shards := []struct {
 		spec, header string
 		lo, hi       int
 	}{
-		{"1/2", "shard: 1/2 (8 of 12 values)", 0, 8},
-		{"2/2", "shard: 2/2 (4 of 12 values)", 8, 12},
+		{"1/2", "shard: 1/2 (6 of 12 values)", 0, 6},
+		{"2/2", "shard: 2/2 (6 of 12 values)", 6, 12},
 	}
 	progress := make([][]deck.SweepProgress, len(shards))
 	finals := make([]sweepStreamFinal, len(shards))

@@ -13,9 +13,9 @@ import (
 	"repro/internal/fem"
 )
 
-// cheapRef is the cheap FVM reference model used across the reuse tests:
-// small enough (a few hundred unknowns) to solve in milliseconds, real
-// enough to exercise reusable instances and warm-start chains.
+// cheapRef is a cheap FVM reference model: small enough (a few hundred
+// unknowns) to solve in milliseconds, real enough to run through fem's idle
+// solver contexts.
 func cheapRef() fem.ReferenceModel {
 	return fem.ReferenceModel{Res: fem.Resolution{
 		RadialVia: 4, RadialLiner: 2, RadialOuter: 8,
@@ -35,14 +35,16 @@ func resumeJobs(t *testing.T, m core.Model, n int) Batch {
 
 // normOutcome strips the fields that legitimately differ between a fresh
 // solve and a journal replay of the same point: wall times and provenance
-// flags. Everything numerical must match bit-for-bit.
+// flags, among them Solver.Reused, which says whether the idle solver
+// context a solve drew still held this operator's factor. Everything
+// numerical must match bit-for-bit.
 func normOutcome(oc Outcome) Outcome {
 	oc.Runtime = 0
 	oc.FromCache = false
 	oc.Replayed = false
 	if oc.Result != nil {
 		r := *oc.Result
-		r.Solver.Wall, r.Solver.Factor = 0, 0
+		r.Solver.Wall, r.Solver.Factor, r.Solver.Reused = 0, 0, false
 		oc.Result = &r
 	}
 	if oc.Err != nil {
@@ -144,91 +146,50 @@ func TestSweepJournalResumeIdentity(t *testing.T) {
 	}
 }
 
-// TestSweepJournalResumeIdentityWarmStart is the same property over
-// warm-start chains with the real FVM reference model: replay is
-// chain-granular, so a chain interrupted halfway re-solves from its boundary
-// and reproduces the exact warm-seeded iterate sequence.
-func TestSweepJournalResumeIdentityWarmStart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("FVM resume matrix in -short mode")
-	}
-	jobs := resumeJobs(t, cheapRef(), 24)
-	opt := Options{WarmStart: true}
-	base := opt
-	base.Workers = 1
-	baseline, err := Run(context.Background(), jobs, base)
+// TestSweepShardMergeIdentity: running every shard of a partition separately
+// (journaled) and merging the journals reproduces the single-process
+// outcomes exactly, for shard counts 1/2/5. 27 jobs do not split evenly,
+// so some shards are one job longer than others.
+func TestSweepShardMergeIdentity(t *testing.T) {
+	jobs := resumeJobs(t, core.Model1D{}, 27)
+	baseline, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, kill := range []int{3, 11} {
-			t.Run(fmt.Sprintf("workers=%d/kill=%d", workers, kill), func(t *testing.T) {
-				wopt := opt
-				wopt.Workers = workers
-				out, _ := killAndResume(t, jobs, wopt, kill)
-				requireSameOutcomes(t, out, baseline)
-			})
-		}
-	}
-}
-
-// TestSweepShardMergeIdentity: running every shard of a partition separately
-// (journaled) and merging the journals reproduces the single-process
-// outcomes exactly, for shard counts 1/2/5 with and without warm-start
-// chains. Shard boundaries are chain-aligned, so warm seeding inside each
-// shard replays the unsharded sequence.
-func TestSweepShardMergeIdentity(t *testing.T) {
-	for _, warm := range []bool{false, true} {
-		var m core.Model
-		var n int
-		if warm {
-			if testing.Short() {
-				continue
-			}
-			m, n = cheapRef(), 24
-		} else {
-			m, n = core.Model1D{}, 27 // not a chain multiple: exercises the ragged tail
-		}
-		jobs := resumeJobs(t, m, n)
-		baseline, err := Run(context.Background(), jobs, Options{Workers: 2, WarmStart: warm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{1, 2, 5} {
-			t.Run(fmt.Sprintf("warm=%v/shards=%d", warm, shards), func(t *testing.T) {
-				var concat []Outcome
-				readers := make([]*bytes.Buffer, shards)
-				for s := 0; s < shards; s++ {
-					spec := ShardSpec{Index: s, Count: shards}
-					readers[s] = &bytes.Buffer{}
-					j, err := NewJournal(readers[s], jobs, spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out, lo, err := RunShard(context.Background(), jobs, spec,
-						Options{Workers: 3, WarmStart: warm, Journal: j})
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantLo, wantHi := spec.Range(len(jobs))
-					if lo != wantLo || len(out) != wantHi-wantLo {
-						t.Fatalf("shard %s returned [%d,%d), want [%d,%d)",
-							spec.String(), lo, lo+len(out), wantLo, wantHi)
-					}
-					concat = append(concat, out...)
-				}
-				requireSameOutcomes(t, concat, baseline)
-
-				var ioReaders []io.Reader
-				for _, b := range readers {
-					ioReaders = append(ioReaders, bytes.NewReader(b.Bytes()))
-				}
-				merged, err := MergeJournals(jobs, ioReaders...)
+	for _, shards := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var concat []Outcome
+			readers := make([]*bytes.Buffer, shards)
+			for s := 0; s < shards; s++ {
+				spec := ShardSpec{Index: s, Count: shards}
+				readers[s] = &bytes.Buffer{}
+				j, err := NewJournal(readers[s], jobs, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameOutcomes(t, merged, baseline)
-			})
-		}
+				out, lo, err := RunShard(context.Background(), jobs, spec,
+					Options{Workers: 3, Journal: j})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLo, wantHi := spec.Range(len(jobs))
+				if lo != wantLo || len(out) != wantHi-wantLo {
+					t.Fatalf("shard %s returned [%d,%d), want [%d,%d)",
+						spec.String(), lo, lo+len(out), wantLo, wantHi)
+				}
+				concat = append(concat, out...)
+			}
+			requireSameOutcomes(t, concat, baseline)
+
+			var ioReaders []io.Reader
+			for _, b := range readers {
+				ioReaders = append(ioReaders, bytes.NewReader(b.Bytes()))
+			}
+			merged, err := MergeJournals(jobs, ioReaders...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameOutcomes(t, merged, baseline)
+		})
 	}
 }

@@ -7,12 +7,10 @@ import (
 )
 
 // ShardSpec selects one shard of a deterministically partitioned batch. A
-// batch of n jobs is split into Count contiguous index ranges whose
-// boundaries are aligned to warm-chain boundaries (multiples of
-// warmChainLen), so a warm-start chain never straddles two shards: every
-// shard solves exactly the chains a single-process run would have solved over
-// the same indices, which is what makes the merged outcomes bit-identical to
-// an unsharded run.
+// batch of n jobs is split into Count contiguous index ranges of as equal a
+// size as possible. Jobs are independent, so every shard solves its points
+// exactly as a single-process run would, which is what makes the merged
+// outcomes bit-identical to an unsharded run.
 //
 // The partition is a pure function of (n, Count): shards can be computed
 // independently by separate processes and are guaranteed disjoint and
@@ -80,31 +78,18 @@ func (sp ShardSpec) Validate() error {
 }
 
 // Range returns the half-open job-index range [lo, hi) of the shard for a
-// batch of n jobs. Boundaries fall on multiples of warmChainLen and chains
-// are distributed as evenly as possible (the first chains%Count shards get
-// one extra chain). The union of all shards' ranges is exactly [0, n) and
-// the ranges are pairwise disjoint.
+// batch of n jobs. Jobs are distributed as evenly as possible: the first
+// n%Count shards get one extra job. The union of all shards' ranges is
+// exactly [0, n) and the ranges are pairwise disjoint.
 func (sp ShardSpec) Range(n int) (lo, hi int) {
 	if sp.IsZero() {
 		return 0, n
 	}
-	chains := (n + warmChainLen - 1) / warmChainLen
-	per, rem := chains/sp.Count, chains%sp.Count
-	var cLo, cHi int
+	per, rem := n/sp.Count, n%sp.Count
+	lo = sp.Index*per + min(sp.Index, rem)
+	hi = lo + per
 	if sp.Index < rem {
-		cLo = sp.Index * (per + 1)
-		cHi = cLo + per + 1
-	} else {
-		cLo = rem*(per+1) + (sp.Index-rem)*per
-		cHi = cLo + per
-	}
-	lo = cLo * warmChainLen
-	hi = cHi * warmChainLen
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
+		hi++
 	}
 	return lo, hi
 }

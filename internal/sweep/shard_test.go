@@ -55,14 +55,13 @@ func TestShardSpecStringRoundTrip(t *testing.T) {
 }
 
 // TestShardSpecPartition: for every (n, count) the shard ranges are disjoint,
-// covering, in order, and every boundary except the batch ends falls on a
-// warm-chain multiple — the invariant that lets warm-start chains replay
-// identically inside each shard.
+// covering, in order, and even: their lengths differ by at most one.
 func TestShardSpecPartition(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 16, 24, 25, 63, 64, 65, 200} {
 		for _, count := range []int{1, 2, 3, 5, 8, 17} {
 			t.Run(fmt.Sprintf("n=%d/shards=%d", n, count), func(t *testing.T) {
 				next := 0
+				shortest, longest := n, 0
 				for idx := 0; idx < count; idx++ {
 					lo, hi := ShardSpec{Index: idx, Count: count}.Range(n)
 					if lo != next {
@@ -71,13 +70,14 @@ func TestShardSpecPartition(t *testing.T) {
 					if hi < lo {
 						t.Fatalf("shard %d has inverted range [%d,%d)", idx, lo, hi)
 					}
-					if lo%warmChainLen != 0 && lo != n {
-						t.Fatalf("shard %d boundary %d not chain-aligned", idx, lo)
-					}
+					shortest, longest = min(shortest, hi-lo), max(longest, hi-lo)
 					next = hi
 				}
 				if next != n {
 					t.Fatalf("shards cover [0,%d), want [0,%d)", next, n)
+				}
+				if longest-shortest > 1 {
+					t.Fatalf("shard lengths range over [%d,%d], want a spread of at most 1", shortest, longest)
 				}
 			})
 		}

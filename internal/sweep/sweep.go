@@ -17,7 +17,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"time"
@@ -89,20 +88,9 @@ type Options struct {
 	// root span with a "sweep.job" child per job, under which the solver
 	// spans (fem.solve, sparse.cg) of context-aware models nest.
 	Trace *obs.Tracer
-	// WarmStart seeds each solve of a core.ReusableSolver model from the
-	// previous solution of the same system shape, through one instance per
-	// worker and model. Jobs are dispatched to workers as contiguous
-	// chains of warmChainLen batch indices — the caller's job
-	// order, which sweeps lay out along the swept axis, is the warm-start
-	// order — and warm state resets at every chain boundary, so results do
-	// not depend on the worker count. Warm-started solves converge to the
-	// same tolerance as cold ones but through a different iterate sequence;
-	// see EXPERIMENTS.md for when that matters.
-	//
-	// WarmStart must not be combined with Cache: a warm-started result
-	// depends on which solves preceded it in its chain, so memoizing it
-	// under the (model, stack) key alone would replay chain-order-dependent
-	// values into unrelated batches. Run rejects the combination.
+	// Deprecated: WarmStart is ignored. Every point solves on its own, and
+	// a reference solve reuses memory only through fem's idle solver
+	// contexts, which never changes its result.
 	WarmStart bool
 	// Journal optionally checkpoints every completed point as one NDJSON
 	// record, so a killed run can be resumed (see ReadJournal and Resume).
@@ -112,11 +100,9 @@ type Options struct {
 	// failures never abort the sweep; check Journal.Err after the run.
 	Journal *Journal
 	// Resume replays previously completed outcomes (from ReadJournal) by
-	// global batch index instead of re-solving them. Replay is
-	// chain-granular: a warm-start chain is replayed only when every one of
-	// its points is present, otherwise the whole chain re-solves from its
-	// boundary — deterministically identical to the first attempt — so
-	// resumed results stay bit-identical to an uninterrupted run.
+	// global batch index instead of re-solving them; every point missing
+	// from it is solved. Points are independent, so resumed results are
+	// bit-identical to an uninterrupted run.
 	Resume map[int]Outcome
 	// Progress, when set, is called once per completed point with the global
 	// batch index. It is invoked concurrently from worker goroutines; the
@@ -124,20 +110,6 @@ type Options struct {
 	// (it runs on the solving goroutine).
 	Progress func(i int, oc Outcome)
 }
-
-// validate rejects option combinations that would silently change results.
-func (o Options) validate() error {
-	if o.WarmStart && o.Cache != nil {
-		return fmt.Errorf("sweep: Options.WarmStart cannot be combined with a shared Cache: warm-started results depend on their chain order, so caching them under the (model, stack) key would leak order-dependent values into other batches (drop the cache or the warm start)")
-	}
-	return nil
-}
-
-// warmChainLen is the fixed length of a warm-start job chain. Like
-// sparse's kernel chunk size it must not depend on the worker count: chain
-// boundaries decide which solves seed which, making them part of the
-// numerical contract of a warm-started sweep.
-const warmChainLen = 8
 
 // Batch is an ordered set of evaluation jobs.
 type Batch []Job
@@ -162,19 +134,15 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
 	return out, err
 }
 
-// RunShard evaluates one shard of the batch: the chain-aligned job-index
-// range spec.Range(len(jobs)). It returns one Outcome per shard job (the
-// slice covers [lo, lo+len(out)) of the batch) plus the shard's first global
+// RunShard evaluates one shard of the batch: the job-index range
+// spec.Range(len(jobs)). It returns one Outcome per shard job (the slice
+// covers [lo, lo+len(out)) of the batch) plus the shard's first global
 // index. The zero spec evaluates the whole batch, making Run a special case.
 //
-// Because shard boundaries coincide with warm-chain boundaries, running every
-// shard of a partition (in any number of processes) and concatenating the
-// outcomes in shard order yields exactly the outcomes of a single-process
-// Run over the same jobs.
+// Because jobs are independent, running every shard of a partition (in any
+// number of processes) and concatenating the outcomes in shard order yields
+// exactly the outcomes of a single-process Run over the same jobs.
 func RunShard(ctx context.Context, jobs []Job, spec ShardSpec, opt Options) ([]Outcome, int, error) {
-	if err := opt.validate(); err != nil {
-		return nil, 0, err
-	}
 	if err := spec.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -210,16 +178,6 @@ func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outco
 	}
 	busy := obs.Default().Gauge("sweep.workers.busy")
 
-	// Jobs are dispatched as contiguous chains of batch indices: length 1
-	// normally (identical to per-job dispatch), warmChainLen when warm
-	// starting, where the chain is the unit of warm-start seeding. Chain
-	// boundaries are anchored at index 0, not at lo; shard ranges are
-	// chain-aligned by construction, so a sharded run walks the same chains
-	// as the unsharded one.
-	chain := 1
-	if opt.WarmStart {
-		chain = warmChainLen
-	}
 	finish := func(k int, oc Outcome) {
 		out[k-lo] = oc
 		if opt.Journal != nil && !isCancellation(oc.Err) {
@@ -235,36 +193,21 @@ func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outco
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var inst instances
-			if opt.WarmStart {
-				inst = make(instances)
-			}
-			defer inst.close()
 			for i := range idx {
-				end := min(i+chain, hi)
-				// Replay the chain from the checkpoint journal only when it
-				// completed wholly; a partially journaled chain re-solves
-				// from its boundary so warm-start seeding replays the exact
-				// original sequence.
-				if chainJournaled(opt.Resume, i, end) {
-					for k := i; k < end; k++ {
-						finish(k, opt.Resume[k])
-					}
+				if oc, ok := opt.Resume[i]; ok {
+					finish(i, oc)
 					continue
 				}
-				inst.resetWarm()
-				for k := i; k < end; k++ {
-					busy.Add(1)
-					oc := evaluate(ctx, jobs[k], opt.Cache, inst)
-					busy.Add(-1)
-					finish(k, oc)
-				}
+				busy.Add(1)
+				oc := evaluate(ctx, jobs[i], opt.Cache)
+				busy.Add(-1)
+				finish(i, oc)
 			}
 		}()
 	}
 
 feed:
-	for i := lo; i < hi; i += chain {
+	for i := lo; i < hi; i++ {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -287,64 +230,10 @@ feed:
 	return out, nil
 }
 
-// chainJournaled reports whether every point of the chain [i, end) was
-// restored from a journal.
-func chainJournaled(resume map[int]Outcome, i, end int) bool {
-	if len(resume) == 0 {
-		return false
-	}
-	for k := i; k < end; k++ {
-		if _, ok := resume[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// instances is one warm-starting worker's set of reusable solver
-// instances, keyed by model value; nil for a sweep without WarmStart.
-// Worker-local by design: instances are not safe for concurrent use, and
-// warm chains must not couple workers.
-type instances map[core.Model]core.ReusableInstance
-
-// instanceFor returns the worker's instance for the model, creating one on
-// first sight. A nil set, a model that does not implement
-// core.ReusableSolver, or one whose dynamic type is not comparable and so
-// cannot key the map gets nil, which routes the job down the plain path.
-func (s instances) instanceFor(mdl core.Model) core.ReusableInstance {
-	if s == nil {
-		return nil
-	}
-	rs, ok := mdl.(core.ReusableSolver)
-	if !ok || !reflect.TypeOf(mdl).Comparable() {
-		return nil
-	}
-	inst, ok := s[mdl]
-	if !ok {
-		inst = rs.NewReusable()
-		s[mdl] = inst
-	}
-	return inst
-}
-
-// resetWarm starts a fresh warm-start chain on every held instance.
-func (s instances) resetWarm() {
-	for _, inst := range s {
-		inst.ResetWarm()
-	}
-}
-
-// close releases every held instance.
-func (s instances) close() {
-	for _, inst := range s {
-		inst.Close()
-	}
-}
-
 // evaluate runs one job, consulting the cache and converting panics of
 // misbehaving models into errors so a single bad geometry cannot kill the
 // whole sweep.
-func evaluate(ctx context.Context, j Job, c *Cache, inst instances) Outcome {
+func evaluate(ctx context.Context, j Job, c *Cache) Outcome {
 	oc := Outcome{Job: j}
 	if err := ctx.Err(); err != nil {
 		oc.Err = err
@@ -378,7 +267,7 @@ func evaluate(ctx context.Context, j Job, c *Cache, inst instances) Outcome {
 		}
 	}
 	t0 := time.Now()
-	res, err := solve(ctx, j, inst)
+	res, err := solve(ctx, j)
 	oc.Runtime = time.Since(t0)
 	recordJob(oc.Runtime, err)
 	if c != nil {
@@ -410,19 +299,16 @@ func wrapErr(j Job, err error) error {
 	return fmt.Errorf("sweep: job %q: %w", j.Name(), err)
 }
 
-// solve invokes the model with panic capture, preferring the worker's
-// warm-start instance when the sweep warm starts and the model offers one,
-// then the cancellable entry point: a cancelled batch stops its in-flight
-// solves between solver iterations instead of running them to completion.
-func solve(ctx context.Context, j Job, inst instances) (res *core.Result, err error) {
+// solve invokes the model with panic capture, preferring the cancellable
+// entry point: a cancelled batch stops its in-flight solves between solver
+// iterations instead of running them to completion.
+func solve(ctx context.Context, j Job) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("model panicked: %v", r)
 		}
 	}()
-	if ri := inst.instanceFor(j.Model); ri != nil {
-		res, err = ri.SolveCtx(ctx, j.Stack)
-	} else if cs, ok := j.Model.(core.ContextSolver); ok {
+	if cs, ok := j.Model.(core.ContextSolver); ok {
 		res, err = cs.SolveCtx(ctx, j.Stack)
 	} else {
 		res, err = j.Model.Solve(j.Stack)

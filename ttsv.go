@@ -121,7 +121,7 @@ type (
 	// SweepDiskCache is the persistent on-disk result cache behind
 	// SweepCache; see OpenSweepDiskCache.
 	SweepDiskCache = sweep.DiskCache
-	// SweepShardSpec selects one chain-aligned slice of a sweep batch; see
+	// SweepShardSpec selects one contiguous slice of a sweep batch; see
 	// ParseSweepShard and DeckSweepControl.Shard.
 	SweepShardSpec = sweep.ShardSpec
 	// SolverStats reports a reference linear solve (direct or CG: method,
@@ -282,10 +282,7 @@ func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} 
 // over between solves through it. Reuse never changes results — a solve
 // through a context is bit-identical to one without — and Close drops the
 // held scratch vectors and factors.
-// A context serves one solve at a time (use one per goroutine). Setting
-// WarmStart additionally seeds each solve from the previous solution of the
-// same system shape, which changes the CG iterate sequence but not the
-// converged tolerance.
+// A context serves one solve at a time (use one per goroutine).
 func NewSolveContext() *SolveContext { return fem.NewSolveContext() }
 
 // SolveReferenceStatsWith is SolveReferenceStatsCtx solving through a reuse
@@ -338,8 +335,9 @@ func NewSweepCacheWithDisk(capacity int, disk *SweepDiskCache) *SweepCache {
 
 // ParseSweepShard parses a 1-based "i/n" shard spec ("2/5" = the second of
 // five shards); the empty string selects the whole batch. Shards partition a
-// sweep on the engine's warm-chain boundaries, so per-shard results — and
-// merged reports — are bit-identical to a single-process run.
+// sweep into contiguous slices of nearly equal size, and every point solves
+// on its own, so per-shard results — and merged reports — are bit-identical
+// to a single-process run.
 func ParseSweepShard(s string) (SweepShardSpec, error) { return sweep.ParseShardSpec(s) }
 
 // NewTracer returns a span tracer writing NDJSON records (one JSON object
