@@ -22,8 +22,9 @@ test:
 # the reference-solve golden hashes, stencil kernels against
 # the CSR reference, deck and service goldens,
 # coalescing/admission/drain, and the sharded/resumable-sweep identities),
-# three shuffled race passes over the packages that share fem's process-wide
-# idle solver contexts, so no test there depends on what ran before it,
+# three shuffled race passes over the packages whose tests reach fem's
+# process-wide idle solver contexts (every solve given a nil context does),
+# so no test there depends on what ran before it,
 # one pass over every benchmark so the harness itself cannot rot, a
 # single-iteration smoke run of the bench-json pipeline, and vet plus the
 # tests of the separate bench module, which `./...` never builds (and
@@ -35,7 +36,7 @@ verify:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -shuffle=on ./internal/fem ./internal/sweep ./internal/serve ./internal/deck ./internal/experiments
+	$(GO) test -race -count=3 -shuffle=on . ./internal/fem ./internal/sweep ./internal/serve ./internal/deck ./internal/experiments ./internal/chip ./internal/fit
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(MAKE) bench-json BENCHTIME=1x BENCHCOUNT=1 BENCH_OUT=/dev/null
 	cd bench && $(GO) vet ./...

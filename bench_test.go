@@ -189,6 +189,18 @@ func BenchmarkCaseStudyModelA(b *testing.B) {
 func BenchmarkCaseStudyModelB1000(b *testing.B) { benchCaseStudy(b, ttsv.NewModelB(1000)) }
 func BenchmarkCaseStudyModel1D(b *testing.B)    { benchCaseStudy(b, ttsv.Model1D{}) }
 
+// solveCold runs one reference solve through a new context, closed after:
+// the cold cost, untouched by earlier solves (a nil context would draw on
+// the process-wide idle contexts).
+func solveCold(b *testing.B, s *ttsv.Stack, res ttsv.Resolution) {
+	sc := ttsv.NewSolveContext()
+	_, _, err := ttsv.SolveReferenceStatsWith(context.Background(), sc, s, res)
+	sc.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkCaseStudyReference(b *testing.B) {
 	sys := ttsv.DRAMuP()
 	cell, err := sys.UnitCell()
@@ -197,9 +209,7 @@ func BenchmarkCaseStudyReference(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ttsv.SolveReference(cell, ttsv.DefaultResolution()); err != nil {
-			b.Fatal(err)
-		}
+		solveCold(b, cell, ttsv.DefaultResolution())
 	}
 }
 
@@ -209,9 +219,7 @@ func BenchmarkReferenceSolveDefault(b *testing.B) {
 	s := mustFig4(b, 10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ttsv.SolveReference(s, ttsv.DefaultResolution()); err != nil {
-			b.Fatal(err)
-		}
+		solveCold(b, s, ttsv.DefaultResolution())
 	}
 }
 
@@ -249,9 +257,7 @@ func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
 	res := ttsv.DefaultResolution().Refine(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ttsv.SolveReference(s, res); err != nil {
-			b.Fatal(err)
-		}
+		solveCold(b, s, res)
 	}
 }
 
@@ -327,7 +333,9 @@ func benchReferenceResolved(b *testing.B, refine int, p sparse.PrecondKind) {
 	b.ResetTimer()
 	var st sparse.Stats
 	for i := 0; i < b.N; i++ {
-		sol, err := fem.SolveAxiWith(context.Background(), nil, prob, sparse.Options{Tol: 1e-10, Precond: p})
+		sc := fem.NewSolveContext()
+		sol, err := fem.SolveAxiWith(context.Background(), sc, prob, sparse.Options{Tol: 1e-10, Precond: p})
+		sc.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,7 +381,9 @@ func BenchmarkReferenceCartFig4(b *testing.B) {
 	b.ResetTimer()
 	var st sparse.Stats
 	for i := 0; i < b.N; i++ {
-		sol, err := fem.SolveCartWith(context.Background(), nil, prob, sparse.Options{Tol: 1e-9})
+		sc := fem.NewSolveContext()
+		sol, err := fem.SolveCartWith(context.Background(), sc, prob, sparse.Options{Tol: 1e-9})
+		sc.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

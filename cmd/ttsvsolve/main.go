@@ -154,7 +154,11 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			return err
 		}
 		ctx := ttsv.TraceContext(ctx, tracer)
-		dt, st, err := ttsv.SolveReferenceStatsCtx(ctx, s, res)
+		// The run's one solve gets a context of its own, so what -v reports
+		// never depends on solves an embedding process ran before.
+		sc := ttsv.NewSolveContext()
+		defer sc.Close()
+		dt, st, err := ttsv.SolveReferenceStatsWith(ctx, sc, s, res)
 		if err != nil {
 			return err
 		}

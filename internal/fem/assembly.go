@@ -11,7 +11,7 @@ package fem
 //
 // The arrays' shape depends only on an asmKey — the cell counts and
 // boundary kinds — never on the coefficient values, so a SolveContext keeps
-// one assembly per key and every later solve of a parameter sweep refills
+// the assembly of its key and every later solve of a parameter sweep refills
 // it in place. Every fill zeroes the accumulated arrays and walks the cells
 // in the same fixed order, adding to each diagonal in the same sequence, so
 // a refilled system is bit-identical to a fresh one: reuse changes where
@@ -41,7 +41,6 @@ type asmKey struct {
 // sampled conductivities — all refilled in place for each problem with the
 // same key.
 type assembly struct {
-	key asmKey
 	op  *sparse.Stencil
 	rhs []float64
 	k   []float64 // cell conductivities, row-major like the unknowns
@@ -56,7 +55,6 @@ func newAssembly(key asmKey, dims []int) (*assembly, error) {
 		n *= d
 	}
 	asm := &assembly{
-		key: key,
 		rhs: make([]float64, n),
 		k:   make([]float64, n),
 	}
@@ -78,36 +76,10 @@ func newAssembly(key asmKey, dims []int) (*assembly, error) {
 	return asm, nil
 }
 
-// assembleWith returns sc's cached assembly for key, or a new one, after
-// fill has (re)assembled the problem into it. The diagonal and right-hand
-// side accumulate, so they are zeroed first; the off-diagonals are assigned
-// outright by every fill. A new assembly is cached only once its first fill
-// succeeds.
-func assembleWith(sc *SolveContext, key asmKey, dims []int, fill func(*assembly) error) (*assembly, error) {
-	asm := sc.cachedAssembly(key)
-	fresh := asm == nil
-	if fresh {
-		var err error
-		if asm, err = newAssembly(key, dims); err != nil {
-			return nil, err
-		}
-	}
-	diag, _ := asm.op.Coeffs()
-	clear(diag)
-	clear(asm.rhs)
-	if err := fill(asm); err != nil {
-		return nil, err
-	}
-	if fresh {
-		sc.storeAssembly(asm)
-	}
-	return asm, nil
-}
-
 // --- axisymmetric -----------------------------------------------------------
 
-func axiKey(nr, nz int, p *AxiProblem) asmKey {
-	return asmKey{kind: 'a', d0: nr, d1: nz, bottom: p.Bottom.Kind, top: p.Top.Kind, outer: p.Outer.Kind}
+func axiKey(p *AxiProblem) asmKey {
+	return asmKey{kind: 'a', d0: len(p.REdges) - 1, d1: len(p.ZEdges) - 1, bottom: p.Bottom.Kind, top: p.Top.Kind, outer: p.Outer.Kind}
 }
 
 // fillAxiK samples and validates the cell conductivities into k[j*nr+i].
@@ -199,9 +171,9 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
 	return nil
 }
 
-// assembleAxiWith discretizes the problem into sc's cached assembly for its
-// key, or a new one. With a nil (or reuse-disabled) context every solve
-// assembles fresh; the system is bit-identical either way.
+// assembleAxiWith discretizes the problem into sc's assembly, refilled when
+// sc holds the problem's shape and new otherwise; the system is
+// bit-identical either way.
 func assembleAxiWith(sc *SolveContext, p *AxiProblem) (*axiSystem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -210,7 +182,7 @@ func assembleAxiWith(sc *SolveContext, p *AxiProblem) (*axiSystem, error) {
 	nz := len(p.ZEdges) - 1
 	rc := mesh.Centers(p.REdges)
 	zc := mesh.Centers(p.ZEdges)
-	asm, err := assembleWith(sc, axiKey(nr, nz, p), []int{nr, nz}, func(asm *assembly) error {
+	asm, err := sc.assemble(axiKey(p), []int{nr, nz}, func(asm *assembly) error {
 		if err := fillAxiK(p, nr, nz, rc, zc, asm.k); err != nil {
 			return err
 		}
@@ -220,13 +192,13 @@ func assembleAxiWith(sc *SolveContext, p *AxiProblem) (*axiSystem, error) {
 		return nil, err
 	}
 	// Unknown index = iz·nr + ir: the radial axis varies fastest.
-	return &axiSystem{nr: nr, nz: nz, rc: rc, zc: zc, op: asm.op, rhs: asm.rhs, key: asm.key}, nil
+	return &axiSystem{nr: nr, nz: nz, rc: rc, zc: zc, op: asm.op, rhs: asm.rhs}, nil
 }
 
 // --- Cartesian --------------------------------------------------------------
 
-func cartKey(nx, ny, nz int, p *CartProblem) asmKey {
-	return asmKey{kind: 'c', d0: nx, d1: ny, d2: nz, bottom: p.Bottom.Kind, top: p.Top.Kind, aniso: p.KZ != nil}
+func cartKey(p *CartProblem) asmKey {
+	return asmKey{kind: 'c', d0: len(p.XEdges) - 1, d1: len(p.YEdges) - 1, d2: len(p.ZEdges) - 1, bottom: p.Bottom.Kind, top: p.Top.Kind, aniso: p.KZ != nil}
 }
 
 // fillCartK samples and validates the cell conductivities (and, for an
@@ -327,7 +299,7 @@ func assembleCartWith(sc *SolveContext, p *CartProblem) (*cartSystem, error) {
 	xc := mesh.Centers(p.XEdges)
 	yc := mesh.Centers(p.YEdges)
 	zc := mesh.Centers(p.ZEdges)
-	asm, err := assembleWith(sc, cartKey(nx, ny, nz, p), []int{nx, ny, nz}, func(asm *assembly) error {
+	asm, err := sc.assemble(cartKey(p), []int{nx, ny, nz}, func(asm *assembly) error {
 		if err := fillCartK(p, nx, ny, nz, xc, yc, zc, asm.k, asm.kz); err != nil {
 			return err
 		}
@@ -337,5 +309,5 @@ func assembleCartWith(sc *SolveContext, p *CartProblem) (*cartSystem, error) {
 		return nil, err
 	}
 	// Unknown index = (iz·ny + iy)·nx + ix: x varies fastest, then y, z.
-	return &cartSystem{nx: nx, ny: ny, nz: nz, xc: xc, yc: yc, zc: zc, op: asm.op, rhs: asm.rhs, key: asm.key}, nil
+	return &cartSystem{nx: nx, ny: ny, nz: nz, xc: xc, yc: yc, zc: zc, op: asm.op, rhs: asm.rhs}, nil
 }

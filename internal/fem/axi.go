@@ -63,7 +63,6 @@ type axiSystem struct {
 	rc, zc []float64
 	op     *sparse.Stencil
 	rhs    []float64
-	key    asmKey
 }
 
 // fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. All rows
@@ -80,10 +79,12 @@ func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 }
 
 // SolveAxiWith assembles and solves the finite-volume system through a
-// reuse context: assemblies, factors, multigrid hierarchies and CG scratch
-// cached in sc are recycled. A nil sc makes every solve fresh; the results
-// are bit-identical either way. The zero Options value selects defaults
-// appropriate for the meshes in this repository.
+// reuse context: the assembly, factor or multigrid hierarchy and CG scratch
+// that sc holds for the problem's shape are recycled. A nil sc means a
+// context from the idle list, taken for the problem's shape and returned
+// after the solve, error or not; the results are bit-identical to a solve
+// through a new context either way. The zero Options value selects
+// defaults appropriate for the meshes in this repository.
 //
 // A direct solve checks ctx before factoring and before its sweeps, a CG
 // solve between iterations, so a cancelled caller (e.g. an aborted sweep)
@@ -93,6 +94,12 @@ func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 // iteration's "sparse.cg" span follows it under "fem.solve", giving the
 // assembly → preconditioner → CG chain in the trace.
 func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
+	if sc == nil {
+		sc = takeIdle(axiKey(p))
+		sol, err := SolveAxiWith(ctx, sc, p, opt)
+		putIdle(sc) // not deferred: a panicking solve drops its context
+		return sol, err
+	}
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()
 	_, asp := obs.StartSpan(ctx, "fem.assemble")
@@ -106,7 +113,7 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 	if opt.Tol == 0 {
 		opt.Tol = 1e-10
 	}
-	x, st, err := sc.solveSystem(ctx, sys.key, sys.op, sys.rhs, opt)
+	x, st, err := sc.solveSystem(ctx, sys.op, sys.rhs, opt)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, solveErr("axisymmetric solve", len(sys.rhs), st, err)

@@ -68,21 +68,20 @@ type cartSystem struct {
 	xc, yc, zc []float64
 	op         *sparse.Stencil
 	rhs        []float64
-	key        asmKey
 }
 
-// assembleCart discretizes the problem without a reuse context. The
-// discretization itself lives in assembly.go (cartEmit), shared with the
-// context-cached path.
-func assembleCart(p *CartProblem) (*cartSystem, error) {
-	return assembleCartWith(nil, p)
-}
-
-// SolveCartWith assembles and solves the finite-volume system, through a
-// reuse context when sc is not nil. Like SolveAxiWith it stops when ctx is
-// cancelled and emits fem.solve/fem.assemble/fem.precond spans when ctx
-// carries an obs.Tracer; see SolveAxiWith for the reuse contract.
+// SolveCartWith assembles and solves the finite-volume system through the
+// reuse context sc, or a context from the idle list when sc is nil. Like
+// SolveAxiWith it stops when ctx is cancelled and emits
+// fem.solve/fem.assemble/fem.precond spans when ctx carries an obs.Tracer;
+// see SolveAxiWith for the reuse contract.
 func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
+	if sc == nil {
+		sc = takeIdle(cartKey(p))
+		sol, err := SolveCartWith(ctx, sc, p, opt)
+		putIdle(sc)
+		return sol, err
+	}
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()
 	_, asp := obs.StartSpan(ctx, "fem.assemble")
@@ -98,7 +97,7 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 	}
 	n := sys.nx * sys.ny * sys.nz
 	root.Set("unknowns", n)
-	x, st, err := sc.solveSystem(ctx, sys.key, sys.op, sys.rhs, o)
+	x, st, err := sc.solveSystem(ctx, sys.op, sys.rhs, o)
 	if err != nil {
 		root.Set("error", err.Error())
 		return nil, solveErr("3-D solve", n, st, err)

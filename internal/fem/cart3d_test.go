@@ -182,7 +182,7 @@ func TestAxisymmetricReductionValidatedIn3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	axi, err := SolveStackCtx(context.Background(), s, DefaultResolution())
+	axi, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestAxisymmetricReductionValidatedIn3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	axi4, err := SolveStackCtx(context.Background(), s4, DefaultResolution())
+	axi4, err := SolveStackWith(context.Background(), nil, s4, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}

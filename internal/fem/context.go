@@ -9,173 +9,132 @@ import (
 	"repro/internal/sparse"
 )
 
-// SolveContext carries reusable state across repeated solves: assemblies
-// (stencil coefficient arrays refilled in place), banded LDLᵀ factors,
-// multigrid hierarchies and a scratch pool of CG work vectors.
-// ReferenceModel solves draw one from the package's bounded list of idle
-// contexts (see idle); callers that want to own the state pass their own to
-// the *With functions.
+// SolveContext carries the reusable state of one assembly shape (see
+// asmKey) across repeated solves: its assembly (stencil coefficient arrays
+// refilled in place), either a banded LDLᵀ factor or a multigrid hierarchy
+// together with a snapshot of the coefficients it was built from, and a
+// scratch pool of CG work vectors. A solve of another shape drops that state
+// and re-keys the context. Callers that want to own the state pass a context
+// to the *With functions; a nil context there means the package's bounded
+// list of idle contexts (see idle), one taken for the problem's shape and
+// returned after the solve.
 //
 // None of it is visible in the results: a solve through a context is
-// bit-identical to the same solve without one, because the reuse paths run
-// the exact machinery of the fresh paths and only recycle memory.
+// bit-identical to the same solve through a new one, because the reuse paths
+// run the exact machinery of the fresh paths and only recycle memory.
 //
 // A SolveContext is not safe for concurrent use: it serves one solve at a
-// time. The zero value of the pointer (nil) is valid everywhere and means
-// "no reuse".
+// time.
 type SolveContext struct {
-	assemblies map[asmKey]*assembly
-	factors    map[asmKey]*factorEntry
-	hier       map[asmKey]*hierEntry
-	pool       *sparse.Pool
-}
-
-// hierEntry pairs a multigrid hierarchy with a snapshot of the stencil
-// coefficients it was built from (the diagonal and each axis's off-
-// diagonals, end to end), so hierarchyFor can prove the operator unchanged
-// before serving the hierarchy again.
-type hierEntry struct {
+	key  asmKey
+	asm  *assembly
+	f    *linalg.Band
 	h    *mg.Hierarchy
-	vals []float64
+	buf  []float64 // storage from the free list: f's band, if any, then vals
+	vals []float64 // the coefficients f or h was built from, end to end
+	pool sparse.Pool
 }
 
 // NewSolveContext returns an empty context ready for reuse.
-func NewSolveContext() *SolveContext {
-	return &SolveContext{
-		assemblies: make(map[asmKey]*assembly),
-		factors:    make(map[asmKey]*factorEntry),
-		hier:       make(map[asmKey]*hierEntry),
-	}
-}
+func NewSolveContext() *SolveContext { return &SolveContext{} }
 
-// Close drops the context's pooled scratch vectors and returns its factors'
-// storage to the shared free list. The context remains usable; a later
-// solve simply re-creates the pool and refactors.
+// Close empties the context and returns its factor storage to the shared
+// free list. The context remains usable; a later solve starts cold.
 func (sc *SolveContext) Close() {
 	if sc == nil {
 		return
 	}
-	sc.pool = nil
-	for key, e := range sc.factors {
-		releaseBand(e.buf)
-		delete(sc.factors, key)
-	}
+	releaseBand(sc.buf)
+	*sc = SolveContext{}
 }
 
-// cachedAssembly returns the cached assembly for key, or nil when the
-// caller must allocate one. The fem.assemble.pattern.* counters record
-// refills (hits) against fresh allocations (misses).
-func (sc *SolveContext) cachedAssembly(key asmKey) *assembly {
-	if sc == nil {
-		return nil
-	}
-	asm := sc.assemblies[key]
-	if asm != nil {
+// assemble returns the context's assembly after fill has (re)assembled the
+// problem into it, first re-keying the context to key when it holds
+// another shape or none. The diagonal and right-hand side accumulate, so
+// they are zeroed first; the off-diagonals are assigned outright by every
+// fill. A new assembly is kept only once its first fill succeeds. The
+// fem.assemble.pattern.* counters record refills (hits) against fresh
+// allocations (misses).
+func (sc *SolveContext) assemble(key asmKey, dims []int, fill func(*assembly) error) (*assembly, error) {
+	asm := sc.asm
+	if asm != nil && sc.key == key {
 		obs.Default().Counter("fem.assemble.pattern.hits").Inc()
 	} else {
 		obs.Default().Counter("fem.assemble.pattern.misses").Inc()
+		sc.Close()
+		sc.key = key
+		var err error
+		if asm, err = newAssembly(key, dims); err != nil {
+			return nil, err
+		}
 	}
-	return asm
+	diag, _ := asm.op.Coeffs()
+	clear(diag)
+	clear(asm.rhs)
+	if err := fill(asm); err != nil {
+		return nil, err
+	}
+	sc.asm = asm
+	return asm, nil
 }
 
-func (sc *SolveContext) storeAssembly(asm *assembly) {
-	if sc == nil {
-		return
-	}
-	sc.assemblies[asm.key] = asm
-}
-
-// scratch returns the context's scratch pool, which lets consecutive solves
-// share their CG work vectors. Returns nil when the context is nil (each
-// solve then allocates its own).
-func (sc *SolveContext) scratch() *sparse.Pool {
-	if sc == nil {
-		return nil
-	}
-	if sc.pool == nil {
-		sc.pool = &sparse.Pool{}
-	}
-	return sc.pool
-}
-
-// hierarchyFor returns a multigrid hierarchy for the stencil a assembled
-// under key: the cached one when its coefficient snapshot matches a bit for
-// bit (repeated solves of one design point), a fresh build otherwise.
-func (sc *SolveContext) hierarchyFor(key asmKey, a *sparse.Stencil) (*mg.Hierarchy, error) {
-	if sc == nil {
-		return mg.Build(a)
-	}
-	e := sc.hier[key]
-	if e != nil && sameCoeffs(e.vals, a) {
+// hierarchyFor returns a multigrid hierarchy for the context's stencil a:
+// the held one when its coefficient snapshot matches a bit for bit
+// (repeated solves of one design point), a fresh build otherwise, which
+// replaces a held factor.
+func (sc *SolveContext) hierarchyFor(a *sparse.Stencil) (*mg.Hierarchy, error) {
+	if sc.h != nil && sameCoeffs(sc.vals, a) {
 		obs.Default().Counter("fem.mg.reuse.hits").Inc()
-		return e.h, nil
+		return sc.h, nil
 	}
 	h, err := mg.Build(a)
 	if err != nil {
-		delete(sc.hier, key)
 		return nil, err
 	}
-	if e == nil {
-		e = &hierEntry{}
-		sc.hier[key] = e
-	}
-	e.h = h
-	e.vals = snapshot(e.vals[:0], a)
+	sc.f = nil
+	sc.reserve(snapshotLen(a))
+	sc.h, sc.vals = h, snapshot(sc.buf[:0], a)
 	return h, nil
 }
 
-// factorEntry is a cached banded LDLᵀ factor. buf, from the shared free
-// list, holds the factor's band followed by vals, the snapshot of the
-// coefficients it was computed from.
-type factorEntry struct {
-	f    *linalg.Band
-	buf  []float64
-	vals []float64
-}
-
-// factorFor returns a banded LDLᵀ factor of the stencil a assembled
-// under key. A cached factor whose coefficient snapshot matches a bit for
-// bit is served untouched (reused); a changed operator is refactored into
-// the same storage. Without a context the factor's storage is borrowed from
-// the shared free list and returned as borrowed, which the caller releases
-// after the solve, error or not. The fem.direct.factors counter records
-// factorizations, fem.direct.reuse.hits the factors served from cache.
-func (sc *SolveContext) factorFor(key asmKey, a *sparse.Stencil) (f *linalg.Band, reused bool, borrowed []float64, err error) {
-	band := sparse.CholeskyLen(a)
-	if sc == nil {
-		borrowed = grabBand(band)
-		f, err = factor(a, borrowed)
-		return f, false, borrowed, err
-	}
-	e := sc.factors[key]
-	if e != nil && sameCoeffs(e.vals, a) {
+// factorFor returns a banded LDLᵀ factor of the context's stencil a. A held
+// factor whose coefficient snapshot matches a bit for bit is served
+// untouched (reused); a changed operator is refactored into the same
+// storage, which replaces a held hierarchy. The fem.direct.factors counter
+// records factorizations, fem.direct.reuse.hits the factors served again.
+func (sc *SolveContext) factorFor(a *sparse.Stencil) (f *linalg.Band, reused bool, err error) {
+	if sc.f != nil && sameCoeffs(sc.vals, a) {
 		obs.Default().Counter("fem.direct.reuse.hits").Inc()
-		return e.f, true, nil, nil
+		return sc.f, true, nil
 	}
-	if e == nil {
-		e = &factorEntry{buf: grabBand(band + a.Rows()*(1+len(a.Dims())))}
-		sc.factors[key] = e
-	}
-	if e.f, err = factor(a, e.buf[:band]); err != nil {
-		releaseBand(e.buf)
-		delete(sc.factors, key)
-		return nil, false, nil, err
-	}
-	e.vals = snapshot(e.buf[band:band], a)
-	return e.f, false, nil, nil
-}
-
-// factor runs one counted banded LDLᵀ factorization.
-func factor(a *sparse.Stencil, buf []float64) (*linalg.Band, error) {
+	band := sparse.CholeskyLen(a)
+	sc.h = nil
+	sc.reserve(band + snapshotLen(a))
 	obs.Default().Counter("fem.direct.factors").Inc()
-	return sparse.FactorCholesky(a, buf)
+	if sc.f, err = sparse.FactorCholesky(a, sc.buf[:band]); err != nil {
+		sc.f = nil
+		return nil, false, err
+	}
+	sc.vals = snapshot(sc.buf[band:band], a)
+	return sc.f, false, nil
 }
 
-// bands is the process-wide free list of factor storage. Factors are large
-// (2.6 MB at twice the default mesh) and every context-free solve needs
-// one, so solves borrow and return them here, and contexts return theirs
-// on Close. They stay off the CG scratch pools, whose first-fit Grab would
-// hand a band to a CG vector. At most maxFreeBands buffers are kept, the
+// reserve makes the context's free-list storage n floats long, trading it
+// for a larger buffer from the list when it is too short. Its contents are
+// undefined.
+func (sc *SolveContext) reserve(n int) {
+	if cap(sc.buf) < n {
+		releaseBand(sc.buf)
+		sc.buf = grabBand(n)
+	}
+	sc.buf = sc.buf[:n]
+}
+
+// bands is the process-wide free list of the contexts' factor and snapshot
+// storage. Factors are large (2.6 MB at twice the default mesh), so a
+// context returns its buffer here when it is closed or re-keyed, and the
+// next context to factor takes it over. They stay off the CG scratch pools,
+// whose first-fit Grab would hand a band to a CG vector. At most maxFreeBands buffers are kept, the
 // largest released: a full list trades its smallest for a larger one, so a
 // process that solved small grids first still recycles the bands of its
 // larger ones.
@@ -231,55 +190,50 @@ func releaseBand(b []float64) {
 	}
 }
 
-// idle is the process-wide list of idle contexts that ReferenceModel's
-// Solve and SolveCtx draw on, so a process that re-solves a geometry, or
-// one of the same assembly shape, skips the allocations and, for an
-// unchanged operator, the factor or hierarchy build. Each entry serves one
-// asmKey, so a context only ever holds one shape's state. The list keeps
-// the most recently returned context last; a return to a full list closes
-// the oldest. The bound is fixed, not scaled with GOMAXPROCS: it caps what a
-// stream of distinct geometries (a daemon's requests) can keep alive, while
-// covering the few shapes one process interleaves. Taken contexts are
-// exclusive to their solve, so concurrent solves of one shape each get
-// their own. The fem.idle.hits, .misses and .evictions counters record it.
+// idle is the process-wide list of idle contexts that every solve given a
+// nil context draws on, ReferenceModel's among them, so a process that
+// re-solves a geometry, or one of the same assembly shape, skips the
+// allocations and, for an unchanged operator, the factor or hierarchy
+// build. The list keeps the most recently returned context last; a return
+// to a full list closes the oldest. The bound is fixed, not scaled with
+// GOMAXPROCS: it caps what a stream of distinct geometries (a daemon's
+// requests) can keep alive, while covering the few shapes one process
+// interleaves. Taken contexts are exclusive to their solve, so concurrent
+// solves of one shape each get their own. The fem.idle.hits, .misses and
+// .evictions counters record it.
 var idle struct {
 	sync.Mutex
-	list []idleContext
-}
-
-type idleContext struct {
-	key asmKey
-	sc  *SolveContext
+	list []*SolveContext
 }
 
 const maxIdleContexts = 8
 
 // takeIdle removes and returns the most recently returned idle context for
-// key, or a new one.
+// key, or a new one keyed to it.
 func takeIdle(key asmKey) *SolveContext {
 	idle.Lock()
 	defer idle.Unlock()
 	for i := len(idle.list) - 1; i >= 0; i-- {
-		if idle.list[i].key == key {
-			sc := idle.list[i].sc
+		if sc := idle.list[i]; sc.key == key {
 			idle.list = removeIdle(idle.list, i)
 			obs.Default().Counter("fem.idle.hits").Inc()
 			return sc
 		}
 	}
 	obs.Default().Counter("fem.idle.misses").Inc()
-	return NewSolveContext()
+	return &SolveContext{key: key}
 }
 
-// putIdle returns a context taken for key. A full list closes its oldest.
-func putIdle(key asmKey, sc *SolveContext) {
+// putIdle returns a taken context under its key. A full list closes its
+// oldest.
+func putIdle(sc *SolveContext) {
 	idle.Lock()
 	var evicted *SolveContext
 	if len(idle.list) == maxIdleContexts {
-		evicted = idle.list[0].sc
+		evicted = idle.list[0]
 		idle.list = removeIdle(idle.list, 0)
 	}
-	idle.list = append(idle.list, idleContext{key, sc})
+	idle.list = append(idle.list, sc)
 	idle.Unlock()
 	if evicted != nil {
 		evicted.Close()
@@ -289,11 +243,14 @@ func putIdle(key asmKey, sc *SolveContext) {
 
 // removeIdle deletes entry i, keeping the order, and clears the vacated
 // last slot so the backing array does not keep its context alive.
-func removeIdle(l []idleContext, i int) []idleContext {
+func removeIdle(l []*SolveContext, i int) []*SolveContext {
 	copy(l[i:], l[i+1:])
-	l[len(l)-1] = idleContext{}
+	l[len(l)-1] = nil
 	return l[:len(l)-1]
 }
+
+// snapshotLen is the length of a's coefficient snapshot.
+func snapshotLen(a *sparse.Stencil) int { return a.Rows() * (1 + len(a.Dims())) }
 
 // snapshot appends a's coefficient arrays end to end to dst — the layout
 // sameCoeffs compares against.

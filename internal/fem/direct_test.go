@@ -45,12 +45,12 @@ func TestDirectMatchesMGProperty(t *testing.T) {
 			}
 			for _, f := range []int{1, 2} {
 				res := DefaultResolution().Refine(f)
-				direct, err := SolveStackCtx(context.Background(), s, res)
+				direct, err := SolveStackWith(context.Background(), nil, s, res)
 				if err != nil {
 					t.Fatalf("%s = %.3f µm at %d×: %v", fam.name, x, f, err)
 				}
 				res.Precond = sparse.PrecondMG
-				mg, err := SolveStackCtx(context.Background(), s, res)
+				mg, err := SolveStackWith(context.Background(), nil, s, res)
 				if err != nil {
 					t.Fatalf("%s = %.3f µm at %d× (mg): %v", fam.name, x, f, err)
 				}
@@ -113,15 +113,16 @@ func backwardErrors(t *testing.T, s *stack.Stack, res Resolution, x []float64) (
 	return eps * math.Sqrt(axNorm/bNorm), componentwise
 }
 
-// Factor storage is one process-wide free list: context-free solves borrow
-// and return bands, and contexts return theirs on Close. Solves running on
-// several goroutines at once must never share a band, so each must match
-// the same solve run alone bit for bit.
+// Factor storage is one process-wide free list: contexts take their bands
+// from it and return them on Close, re-keying or eviction from the idle
+// list. Solves running on several goroutines at once, through idle or
+// caller-owned contexts, must never share a band, so each must match the
+// same solve run alone bit for bit.
 func TestConcurrentDirectSolvesShareFreeList(t *testing.T) {
 	radii := []float64{3, 8, 13, 18}
 	want := make([]string, len(radii))
 	for i, r := range radii {
-		sol, err := SolveStackCtx(context.Background(), fig4(t, r), coarse())
+		sol, err := SolveStackWith(context.Background(), nil, fig4(t, r), coarse())
 		if err != nil {
 			t.Fatal(err)
 		}

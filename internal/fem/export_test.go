@@ -16,7 +16,7 @@ func solvedFig4(t *testing.T) *AxiSolution {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveStackCtx(context.Background(), s, coarse())
+	sol, err := SolveStackWith(context.Background(), nil, s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,11 @@ func TestGeometricHierarchyMatchesPlaneHierarchy(t *testing.T) {
 	}
 }
 
-// TestGeometricContextCacheKeyedBySelection: one SolveContext serving an
+// TestGeometricContextCacheKeyedBySelection: nil-context solves of an
 // axisymmetric stack (fully coarsened hierarchy) and a 3-D block (plane
-// hierarchy) in turn must keep each grid's hierarchy for that grid — the
-// second round is served from the cache — and every solve must match a
-// context-free solve bit for bit.
+// hierarchy) in turn must keep each grid's hierarchy for that grid — each
+// shape has its own idle context, so the second round is served from them —
+// and every solve must match a solve through a new context bit for bit.
 func TestGeometricContextCacheKeyedBySelection(t *testing.T) {
 	s := fig4(t, 10)
 	res := DefaultResolution().Refine(2)
@@ -77,11 +77,10 @@ func TestGeometricContextCacheKeyedBySelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	cartOpt := sparse.Options{Precond: sparse.PrecondMG}
-	wantAxi, err := SolveStackCtx(context.Background(), s, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCart, err := solveCart(cart, cartOpt)
+	wantAxi := freshSolve(t, s, res)
+	fresh := NewSolveContext()
+	wantCart, err := SolveCartWith(context.Background(), fresh, cart, cartOpt)
+	fresh.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +88,15 @@ func TestGeometricContextCacheKeyedBySelection(t *testing.T) {
 		t.Fatalf("ran %v (axi) and %v (cart), want multigrid for both", wantAxi.Stats.Precond, wantCart.Stats.Precond)
 	}
 
-	sc := NewSolveContext()
-	defer sc.Close()
+	emptyIdle(t)
 	var roundHits []int64
 	for round := 0; round < 2; round++ {
 		var axi *AxiSolution
 		var c *CartSolution
 		var err, errC error
 		roundHits = append(roundHits, counterDelta("fem.mg.reuse.hits", func() {
-			axi, err = SolveStackWith(context.Background(), sc, s, res)
-			c, errC = SolveCartWith(context.Background(), sc, cart, cartOpt)
+			axi, err = SolveStackWith(context.Background(), nil, s, res)
+			c, errC = SolveCartWith(context.Background(), nil, cart, cartOpt)
 		}))
 		if err != nil || errC != nil {
 			t.Fatal(err, errC)

@@ -102,7 +102,7 @@ func TestSolveGolden(t *testing.T) {
 	axi := func(res Resolution, pc sparse.PrecondKind) func() (int, []float64, error) {
 		return func() (int, []float64, error) {
 			res.Precond = pc
-			sol, err := SolveStackCtx(context.Background(), fig4(t, 10), res)
+			sol, err := SolveStackWith(context.Background(), nil, fig4(t, 10), res)
 			if err != nil {
 				return 0, nil, err
 			}
@@ -175,8 +175,8 @@ func TestSolveGolden(t *testing.T) {
 // default mesh, in the order of the ctx-* lines: a first solve through a
 // context (factor), the same operator again (served from cache, no
 // factorization) and a new radius on the same topology (refactored into the
-// cached storage). Each field must also hash-match a context-free solve of
-// the same stack.
+// cached storage). Each field must also hash-match a solve of the same
+// stack through a new context.
 func TestDirectFactorCacheGolden(t *testing.T) {
 	sc := NewSolveContext()
 	defer sc.Close()
@@ -187,11 +187,9 @@ func TestDirectFactorCacheGolden(t *testing.T) {
 		factors, reuse int64
 	}{{"ctx-direct-first-r10", 10, 1, 0}, {"ctx-direct-hit-r10", 10, 0, 1}, {"ctx-direct-refactor-r20", 20, 1, 0}} {
 		cases = append(cases, goldenCase{c.name, func() (int, []float64, error) {
-			fresh, err := SolveStackCtx(context.Background(), fig4(t, c.rUM), DefaultResolution())
-			if err != nil {
-				return 0, nil, err
-			}
+			fresh := freshSolve(t, fig4(t, c.rUM), DefaultResolution())
 			var sol *AxiSolution
+			var err error
 			reuse := counterDelta("fem.direct.reuse.hits", func() {
 				factors := counterDelta("fem.direct.factors", func() {
 					sol, err = SolveStackWith(context.Background(), sc, fig4(t, c.rUM), DefaultResolution())
@@ -208,7 +206,7 @@ func TestDirectFactorCacheGolden(t *testing.T) {
 			}
 			field := flatAxiT(sol.T)
 			if got, want := fieldHash(field), fieldHash(flatAxiT(fresh.T)); got != want {
-				t.Errorf("%s: context solve %s, context-free solve %s", c.name, got, want)
+				t.Errorf("%s: context solve %s, new-context solve %s", c.name, got, want)
 			}
 			return sol.Stats.Iterations, field, nil
 		}})
@@ -224,7 +222,7 @@ func TestOperatorSolveBitIdenticalAxi(t *testing.T) {
 	res := coarse().Refine(2)
 	res.Precond = sparse.PrecondMG
 	checkGolden(t, []goldenCase{{"op-axi-2x-multigrid-w1", func() (int, []float64, error) {
-		sol, err := SolveStackCtx(context.Background(), fig4(t, 10), res)
+		sol, err := SolveStackWith(context.Background(), nil, fig4(t, 10), res)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -18,7 +19,7 @@ func emptyIdle(t *testing.T) {
 	idle.list = nil
 	idle.Unlock()
 	for _, e := range l {
-		e.sc.Close()
+		e.Close()
 	}
 }
 
@@ -29,7 +30,7 @@ func idleKeys(t *testing.T) []asmKey {
 	idle.Lock()
 	defer idle.Unlock()
 	for i, e := range idle.list[len(idle.list):cap(idle.list)] {
-		if e.sc != nil {
+		if e != nil {
 			t.Errorf("vacated idle slot %d still holds a context", len(idle.list)+i)
 		}
 	}
@@ -42,9 +43,9 @@ func idleKeys(t *testing.T) []asmKey {
 
 func counter(name string) int64 { return obs.Default().Counter(name).Value() }
 
-// freshMaxDT solves s on a new SolveContext: no state from any earlier
-// solve, the baseline every idle-list solve must match bit for bit.
-func freshMaxDT(t *testing.T, s *stack.Stack, res Resolution) float64 {
+// freshSolve solves s on a new SolveContext: no state from any earlier
+// solve, the baseline every reuse path must match bit for bit.
+func freshSolve(t *testing.T, s *stack.Stack, res Resolution) *AxiSolution {
 	t.Helper()
 	sc := NewSolveContext()
 	defer sc.Close()
@@ -52,7 +53,13 @@ func freshMaxDT(t *testing.T, s *stack.Stack, res Resolution) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max, _, _ := sol.MaxT()
+	return sol
+}
+
+// freshMaxDT is freshSolve's maximum temperature rise.
+func freshMaxDT(t *testing.T, s *stack.Stack, res Resolution) float64 {
+	t.Helper()
+	max, _, _ := freshSolve(t, s, res).MaxT()
 	return max
 }
 
@@ -112,7 +119,7 @@ func TestIdleKeepsShapesApart(t *testing.T) {
 	if got := idleKeys(t); len(got) != 1 || got[0] != keys[1] {
 		t.Errorf("idle keys with the thin context taken = %v, want [%v]", got, keys[1])
 	}
-	putIdle(keys[0], sc)
+	putIdle(sc)
 }
 
 // TestIdleBounded solves more than twice the bound of distinct shapes: the
@@ -190,5 +197,51 @@ func TestIdleConcurrentSolvesBitIdentical(t *testing.T) {
 	}
 	if n := len(idleKeys(t)); n > maxIdleContexts {
 		t.Errorf("idle list holds %d contexts, bound %d", n, maxIdleContexts)
+	}
+}
+
+// TestNilContextUsesIdleList: a nil context means the idle list, so a
+// second nil-context solve of one operator takes back the context the first
+// returned and serves its factor again, bit for bit.
+func TestNilContextUsesIdleList(t *testing.T) {
+	emptyIdle(t)
+	s := fig4(t, 10)
+	var sols []*AxiSolution
+	for k := 0; k < 2; k++ {
+		hits := counter("fem.idle.hits")
+		sol, err := SolveStackWith(context.Background(), nil, s, coarse())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := counter("fem.idle.hits") - hits; got != int64(k) {
+			t.Errorf("solve %d raised fem.idle.hits by %d, want %d", k, got, k)
+		}
+		if sol.Stats.Reused != (k == 1) {
+			t.Errorf("solve %d: Stats.Reused = %v, want %v", k, sol.Stats.Reused, k == 1)
+		}
+		sols = append(sols, sol)
+	}
+	wantSameBits(t, "idle-list re-solve", flatAxiT(sols[1].T), flatAxiT(sols[0].T))
+}
+
+// TestSolveContextAlternatesShapes: one caller-owned context alternating
+// Fig. 4 between the default mesh and twice it holds one shape at a time,
+// so every solve re-keys it and factors afresh, and each is bit-identical
+// to a solve through a new context.
+func TestSolveContextAlternatesShapes(t *testing.T) {
+	sc := NewSolveContext()
+	defer sc.Close()
+	s := fig4(t, 10)
+	for i, f := range []int{1, 2, 1, 2} {
+		res := DefaultResolution().Refine(f)
+		want := freshSolve(t, s, res)
+		got, err := SolveStackWith(context.Background(), sc, s, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.Reused {
+			t.Errorf("solve %d at %d×: served a factor of the other shape", i, f)
+		}
+		wantSameBits(t, fmt.Sprintf("solve %d at %d×", i, f), flatAxiT(got.T), flatAxiT(want.T))
 	}
 }

@@ -20,7 +20,7 @@ func TestMGIterationsMeshIndependent(t *testing.T) {
 	for _, f := range []int{2, 4, 8} {
 		res := DefaultResolution().Refine(f)
 		res.Precond = sparse.PrecondMG
-		sol, err := SolveStackCtx(context.Background(), s, res)
+		sol, err := SolveStackWith(context.Background(), nil, s, res)
 		if err != nil {
 			t.Fatalf("refine %d: %v", f, err)
 		}
@@ -85,7 +85,7 @@ func TestMGAutoSelection(t *testing.T) {
 // axiStats solves s at f times the default mesh under the default rule.
 func axiStats(s *stack.Stack, f int) func() (sparse.Stats, error) {
 	return func() (sparse.Stats, error) {
-		sol, err := SolveStackCtx(context.Background(), s, DefaultResolution().Refine(f))
+		sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution().Refine(f))
 		if err != nil {
 			return sparse.Stats{}, err
 		}
@@ -113,7 +113,7 @@ func TestMGExplicitFallsBackWhenTiny(t *testing.T) {
 	res.RadialVia, res.RadialLiner, res.RadialOuter = 1, 1, 2
 	res.AxialPerLayer, res.AxialMin, res.Bulk = 1, 1, 2
 	res.Precond = sparse.PrecondMG
-	sol, err := SolveStackCtx(context.Background(), s, res)
+	sol, err := SolveStackWith(context.Background(), nil, s, res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestMGFallbackSelectsWorkingPrecondAndCounts(t *testing.T) {
 	var sol *AxiSolution
 	var err error
 	d := counterDelta("fem.mg.fallback", func() {
-		sol, err = SolveStackCtx(context.Background(), s, res)
+		sol, err = SolveStackWith(context.Background(), nil, s, res)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,9 @@ func tracedSpans(t *testing.T, s *stack.Stack, res Resolution) map[string]spanRe
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
 	ctx := obs.ContextWithTracer(context.Background(), tr)
-	if _, err := SolveStackCtx(ctx, s, res); err != nil {
+	sc := NewSolveContext()
+	defer sc.Close()
+	if _, err := SolveStackWith(ctx, sc, s, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Err(); err != nil {
@@ -174,10 +176,7 @@ func TestDirectSolveObservability(t *testing.T) {
 	if !ok || sp.Parent != byName["fem.solve"].ID {
 		t.Fatalf("fem.precond missing or misparented: %+v", byName)
 	}
-	sol, err := SolveStackCtx(context.Background(), s, coarse())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := freshSolve(t, s, coarse())
 	st := sol.Stats
 	if !st.Direct || st.Iterations != 0 || st.Bandwidth != len(sol.RCenters) || st.Reused || !(st.Residual > 0) || st.Factor <= 0 || st.Wall <= 0 {
 		t.Fatalf("direct stats %+v", st)
@@ -203,7 +202,7 @@ func TestSolveRecordsMetrics(t *testing.T) {
 	res := coarse()
 	res.Precond = sparse.PrecondMG
 	before := obs.Default().Snapshot()
-	if _, err := SolveStackCtx(context.Background(), s, res); err != nil {
+	if _, err := SolveStackWith(context.Background(), nil, s, res); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default().Snapshot()

@@ -52,10 +52,10 @@ const directBudget = 5e7
 // solve did not converge, caught early instead of after the 10·n default.
 const mgMaxIter = 200
 
-// solveSystem solves a·x = b, assembled under key, by the one grid rule: a
-// grid with n·b² < directBudget by the banded LDLᵀ factor, cached in sc;
+// solveSystem solves a·x = b, assembled into sc, by the one grid rule: a
+// grid with n·b² < directBudget by the banded LDLᵀ factor sc holds;
 // any other grid, or an explicit PrecondMG request, by multigrid-
-// preconditioned CG with a hierarchy from sc's cache. A grid too small to
+// preconditioned CG with the hierarchy sc holds. A grid too small to
 // coarsen falls back to the factor. ctx is checked before factoring, before
 // the factor's sweeps and between CG iterations. An unset CG MaxIter
 // becomes mgMaxIter.
@@ -65,15 +65,15 @@ const mgMaxIter = 200
 // so it carries what a direct solve did: method, half-bandwidth, factor
 // reuse, residual, and its split into factor_ms (zero when reused) and
 // sweeps_ms (the triangular sweeps and the residual check).
-func (sc *SolveContext) solveSystem(ctx context.Context, key asmKey, a *sparse.Stencil, b []float64, opt sparse.Options) ([]float64, sparse.Stats, error) {
+func (sc *SolveContext) solveSystem(ctx context.Context, a *sparse.Stencil, b []float64, opt sparse.Options) ([]float64, sparse.Stats, error) {
 	_, sp := obs.StartSpan(ctx, "fem.precond")
 	defer sp.End()
 	if opt.Pool == nil {
-		opt.Pool = sc.scratch()
+		opt.Pool = &sc.pool
 	}
 	n, bw := float64(a.Rows()), float64(a.HalfBandwidth())
 	if opt.Precond == sparse.PrecondMG || n*bw*bw >= directBudget {
-		h, err := sc.hierarchyFor(key, a)
+		h, err := sc.hierarchyFor(a)
 		if err == nil {
 			opt.Precond, opt.MG = sparse.PrecondMG, h
 			if opt.MaxIter == 0 {
@@ -89,9 +89,8 @@ func (sc *SolveContext) solveSystem(ctx context.Context, key asmKey, a *sparse.S
 		return nil, sparse.Stats{}, err
 	}
 	start := time.Now()
-	f, reused, borrowed, err := sc.factorFor(key, a)
+	f, reused, err := sc.factorFor(a)
 	factorWall := time.Since(start)
-	defer releaseBand(borrowed)
 	if err != nil {
 		return nil, sparse.Stats{}, err
 	}

@@ -118,7 +118,7 @@ func TestSolveStackCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveStackCtx(ctx, s, coarse()); !errors.Is(err, context.Canceled) {
+	if _, err := SolveStackWith(ctx, nil, s, coarse()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

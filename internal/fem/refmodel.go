@@ -52,7 +52,7 @@ func (m ReferenceModel) Solve(s *stack.Stack) (*core.Result, error) {
 // repeated solves of one assembly shape reuse its assembly, factor or
 // hierarchy and scratch; the result is bit-identical to a fresh solve.
 func (m ReferenceModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
-	sol, err := solveStack(ctx, nil, true, s, m.resolution())
+	sol, err := SolveStackWith(ctx, nil, s, m.resolution())
 	if err != nil {
 		return nil, err
 	}

@@ -42,24 +42,25 @@ func wantSameBits(t *testing.T, what string, got, want []float64) {
 // TestSolveContextBitIdentical is the tentpole reuse property: a radius
 // sweep solved through one shared SolveContext (assembly refills, pooled
 // scratch from the second point on) must reproduce the per-point solves
-// through a nil context — no reuse at all — bit for bit.
+// through a new context each — no reuse at all — bit for bit.
 func TestSolveContextBitIdentical(t *testing.T) {
 	sc := NewSolveContext()
 	defer sc.Close()
+	var first *assembly
 	for _, r := range []float64{5, 10, 20} {
 		s := fig4(t, r)
-		fresh, err := SolveStackWith(context.Background(), nil, s, coarse())
-		if err != nil {
-			t.Fatalf("nil-context solve r=%g: %v", r, err)
-		}
+		fresh := freshSolve(t, s, coarse())
 		sol, err := SolveStackWith(context.Background(), sc, s, coarse())
 		if err != nil {
 			t.Fatalf("context solve r=%g: %v", r, err)
 		}
-		wantSameBits(t, "context vs nil context", flatAxiT(sol.T), flatAxiT(fresh.T))
-	}
-	if wantPat := 1; len(sc.assemblies) != wantPat {
-		t.Fatalf("context cached %d assemblies, want %d (one topology for the whole sweep)", len(sc.assemblies), wantPat)
+		wantSameBits(t, "context vs new context", flatAxiT(sol.T), flatAxiT(fresh.T))
+		if first == nil {
+			first = sc.asm
+		}
+		if sc.asm != first {
+			t.Fatalf("r=%g: the sweep's one shape got a new assembly instead of a refill", r)
+		}
 	}
 }
 
@@ -70,13 +71,7 @@ func TestSolveContextBitIdentical(t *testing.T) {
 func TestSolveContextMGReuse(t *testing.T) {
 	res := coarse()
 	res.Precond = sparse.PrecondMG
-	solveFresh := func(r float64) []float64 {
-		sol, err := SolveStackCtx(context.Background(), fig4(t, r), res)
-		if err != nil {
-			t.Fatalf("fresh MG solve r=%g: %v", r, err)
-		}
-		return flatAxiT(sol.T)
-	}
+	solveFresh := func(r float64) []float64 { return flatAxiT(freshSolve(t, fig4(t, r), res).T) }
 
 	sc := NewSolveContext()
 	defer sc.Close()
@@ -89,27 +84,20 @@ func TestSolveContextMGReuse(t *testing.T) {
 	}
 
 	wantSameBits(t, "mg reuse r=10 first", solveWith(10), solveFresh(10))
-	if len(sc.hier) != 1 {
-		t.Fatalf("hierarchy cache holds %d entries, want 1", len(sc.hier))
+	h0 := sc.h
+	if h0 == nil || sc.f != nil {
+		t.Fatalf("context holds hierarchy %v and factor %v, want a hierarchy only", h0, sc.f)
 	}
-	var h0 interface{ Levels() int }
-	for _, e := range sc.hier {
-		h0 = e.h
-	}
-	// Same operator again: the cached hierarchy must be served untouched.
+	// Same operator again: the held hierarchy must be served untouched.
 	wantSameBits(t, "mg reuse r=10 repeat", solveWith(10), solveFresh(10))
-	for _, e := range sc.hier {
-		if e.h != h0 {
-			t.Fatal("unchanged operator did not reuse the cached hierarchy")
-		}
+	if sc.h != h0 {
+		t.Fatal("unchanged operator did not reuse the held hierarchy")
 	}
 	// New radius, same topology: values move, hierarchy must be rebuilt —
 	// and still match the fresh build bit for bit.
 	wantSameBits(t, "mg rebuild r=20", solveWith(20), solveFresh(20))
-	for _, e := range sc.hier {
-		if e.h == h0 {
-			t.Fatal("changed operator kept the stale hierarchy")
-		}
+	if sc.h == h0 {
+		t.Fatal("changed operator kept the stale hierarchy")
 	}
 }
 
@@ -155,7 +143,9 @@ func TestSolveContextCartBitIdentical(t *testing.T) {
 		sc := NewSolveContext()
 		for i, k := range []float64{2.5, 7.0, 0.8} {
 			p := prob(k, kzOf(40*k))
-			want, err := solveCart(p, sparse.Options{})
+			fresh := NewSolveContext()
+			want, err := SolveCartWith(context.Background(), fresh, p, sparse.Options{})
+			fresh.Close()
 			if err != nil {
 				t.Fatalf("fresh cart solve %d (aniso=%v): %v", i, aniso, err)
 			}
@@ -170,8 +160,9 @@ func TestSolveContextCartBitIdentical(t *testing.T) {
 }
 
 // TestSolveContextTopologyChange solves two different mesh sizes through one
-// context: each topology gets its own pattern and both keep matching fresh
-// solves, so a context survives resolution changes mid-stream.
+// context: each change of topology re-keys it to the new shape with a new
+// assembly, and every solve keeps matching a fresh one, so a context
+// survives resolution changes mid-stream.
 func TestSolveContextTopologyChange(t *testing.T) {
 	sc := NewSolveContext()
 	defer sc.Close()
@@ -179,20 +170,19 @@ func TestSolveContextTopologyChange(t *testing.T) {
 	resB := coarse()
 	resB.RadialOuter += 3
 	resB.Bulk += 2
+	var last *assembly
 	for _, res := range []Resolution{resA, resB, resA} {
 		s := fig4(t, 10)
-		want, err := SolveStackCtx(context.Background(), s, res)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := freshSolve(t, s, res)
 		got, err := SolveStackWith(context.Background(), sc, s, res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantSameBits(t, "topology change", flatAxiT(got.T), flatAxiT(want.T))
-	}
-	if len(sc.assemblies) != 2 {
-		t.Fatalf("context cached %d assemblies, want 2 (one per topology)", len(sc.assemblies))
+		if sc.asm == last || sc.key.d0 != len(got.RCenters) || sc.key.d1 != len(got.ZCenters) {
+			t.Fatalf("context holds shape %+v with the previous assembly %v, want a new one of %d×%d", sc.key, sc.asm == last, len(got.RCenters), len(got.ZCenters))
+		}
+		last = sc.asm
 	}
 }
 

@@ -28,7 +28,7 @@ func fig4(t *testing.T, rUM float64) *stack.Stack {
 
 func TestSolveStackEnergyConservation(t *testing.T) {
 	s := fig4(t, 10)
-	sol, err := SolveStackCtx(context.Background(), s, coarse())
+	sol, err := SolveStackWith(context.Background(), nil, s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSolveStackEnergyConservation(t *testing.T) {
 
 func TestSolveStackMaxAtTop(t *testing.T) {
 	s := fig4(t, 10)
-	sol, err := SolveStackCtx(context.Background(), s, coarse())
+	sol, err := SolveStackWith(context.Background(), nil, s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestSolveStackMaxAtTop(t *testing.T) {
 
 func TestSolveStackGridConvergence(t *testing.T) {
 	s := fig4(t, 10)
-	c, err := SolveStackCtx(context.Background(), s, coarse())
+	c, err := SolveStackWith(context.Background(), nil, s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := SolveStackCtx(context.Background(), s, coarse().Refine(2))
+	f, err := SolveStackWith(context.Background(), nil, s, coarse().Refine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSolveStackHomogeneousColumnExact(t *testing.T) {
 	}
 	s.Via.Fill, s.Via.Liner = materials.Silicon, materials.Silicon
 	maxDT := func(res Resolution) float64 {
-		sol, err := SolveStackCtx(context.Background(), s, res)
+		sol, err := SolveStackWith(context.Background(), nil, s, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestSolveStackAgreesWithModelB(t *testing.T) {
 	mb := core.NewModelB(100)
 	for _, r := range []float64{2, 5, 10, 16} {
 		s := fig4(t, r)
-		sol, err := SolveStackCtx(context.Background(), s, DefaultResolution())
+		sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestSolveStackNonMonotoneInTSi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveStackCtx(context.Background(), s, coarse())
+		sol, err := SolveStackWith(context.Background(), nil, s, coarse())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestSolveStackClusterLowersTemperature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveStackCtx(context.Background(), s, coarse())
+		sol, err := SolveStackWith(context.Background(), nil, s, coarse())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestSolveStackClusterLowersTemperature(t *testing.T) {
 
 func TestSolveStackLinearInPower(t *testing.T) {
 	s := fig4(t, 10)
-	sol1, err := SolveStackCtx(context.Background(), s, coarse())
+	sol1, err := SolveStackWith(context.Background(), nil, s, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSolveStackLinearInPower(t *testing.T) {
 		s2.Planes[i].DevicePower *= 2
 		s2.Planes[i].ILDPower *= 2
 	}
-	sol2, err := SolveStackCtx(context.Background(), s2, coarse())
+	sol2, err := SolveStackWith(context.Background(), nil, s2, coarse())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,26 +302,12 @@ func locateSpan(spans []layerSpan, z float64) *layerSpan {
 	return &spans[i]
 }
 
-// SolveStackCtx builds and solves the axisymmetric reference problem for
-// the stack, honoring cancellation, and reports the paper's quantity of
-// interest: the maximum temperature rise above the sink.
-func SolveStackCtx(ctx context.Context, s *stack.Stack, res Resolution) (*AxiSolution, error) {
-	return SolveStackWith(ctx, nil, s, res)
-}
-
-// SolveStackWith is SolveStackCtx solving through a reuse context (see
-// SolveAxiWith): across the stacks of a parameter sweep the mesh topology is
-// usually identical, so assembly patterns, multigrid hierarchies and solver
-// scratch carry over from one stack to the next.
+// SolveStackWith builds and solves the axisymmetric reference problem for
+// the stack, honoring cancellation, through the reuse context sc, or a
+// context from the idle list when sc is nil (see SolveAxiWith). Across the
+// stacks of a parameter sweep the mesh shape is usually identical, so the
+// assembly and solver scratch carry over from one stack to the next.
 func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res Resolution) (*AxiSolution, error) {
-	return solveStack(ctx, sc, false, s, res)
-}
-
-// solveStack is SolveStackWith; with fromIdle it ignores sc and solves
-// through a context from the idle list, taken for the problem's assembly
-// shape and returned after the solve, error or not. A panicking solve
-// drops its context.
-func solveStack(ctx context.Context, sc *SolveContext, fromIdle bool, s *stack.Stack, res Resolution) (*AxiSolution, error) {
 	ctx, sp := obs.StartSpan(ctx, "fem.stack")
 	defer sp.End()
 	p, err := BuildAxiProblem(s, res)
@@ -330,13 +316,5 @@ func solveStack(ctx context.Context, sc *SolveContext, fromIdle bool, s *stack.S
 		return nil, err
 	}
 	sp.Set("planes", len(s.Planes))
-	opt := sparse.Options{Precond: res.Precond}
-	if !fromIdle {
-		return SolveAxiWith(ctx, sc, p, opt)
-	}
-	key := axiKey(len(p.REdges)-1, len(p.ZEdges)-1, p)
-	sc = takeIdle(key)
-	sol, err := SolveAxiWith(ctx, sc, p, opt)
-	putIdle(key, sc)
-	return sol, err
+	return SolveAxiWith(ctx, sc, p, sparse.Options{Precond: res.Precond})
 }

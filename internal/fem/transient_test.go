@@ -18,9 +18,9 @@ import (
 // (TestAxiTransientMatchesModelTimescale). The program's transient analysis
 // runs the models' ladders only.
 
-// assembleAxi discretizes the problem without a reuse context.
+// assembleAxi discretizes the problem into a new context of its own.
 func assembleAxi(p *AxiProblem) (*axiSystem, error) {
-	return assembleAxiWith(nil, p)
+	return assembleAxiWith(NewSolveContext(), p)
 }
 
 // axiTransient is a transient finite-volume simulation: the stack starts at
@@ -105,7 +105,7 @@ func solveAxiTransient(p *AxiProblem, capFn func(r, z float64) float64, dt float
 			rhs[i] = sys.rhs[i] + mOverDt[i]*x[i]
 		}
 		o.X0 = x
-		xNew, st, err := sc.solveSystem(ctx, asmKey{}, stepOp, rhs, o)
+		xNew, st, err := sc.solveSystem(ctx, stepOp, rhs, o)
 		if err != nil {
 			return nil, solveErr(fmt.Sprintf("transient step %d", k), n, st, err)
 		}

@@ -151,7 +151,7 @@ func TestCalibrateModelAAgainstFVM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := fem.SolveStackCtx(context.Background(), s, resolution)
+		sol, err := fem.SolveStackWith(context.Background(), nil, s, resolution)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestCalibrateModelAAgainstFVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := fem.SolveStackCtx(context.Background(), s, resolution)
+	sol, err := fem.SolveStackWith(context.Background(), nil, s, resolution)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,8 +299,8 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 }
 
 // freshReport renders the /solve report for body from solves that start
-// from no state of any earlier solve: the reference model solves without a
-// solver context, so nothing from fem's idle list is reused.
+// from no state of any earlier solve: the reference model solves through a
+// new solver context, so nothing from fem's idle list is reused.
 func freshReport(t *testing.T, s *Server, body []byte) []byte {
 	t.Helper()
 	sc, err := s.lowerSolve(body)
@@ -312,7 +312,10 @@ func freshReport(t *testing.T, s *Server, body []byte) []byte {
 		var r *core.Result
 		if rm, ok := m.(fem.ReferenceModel); ok {
 			var sol *fem.AxiSolution
-			if sol, err = fem.SolveStackWith(context.Background(), nil, sc.Stack, rm.Res); err == nil {
+			fresh := fem.NewSolveContext()
+			sol, err = fem.SolveStackWith(context.Background(), fresh, sc.Stack, rm.Res)
+			fresh.Close()
+			if err == nil {
 				maxDT, _, _ := sol.MaxT()
 				r = &core.Result{Model: rm.Name(), MaxDT: maxDT, Unknowns: len(sol.RCenters) * len(sol.ZCenters)}
 			}

@@ -84,9 +84,9 @@ type (
 	System = chip.System
 	// Resolution controls the reference solver's mesh density.
 	Resolution = fem.Resolution
-	// SolveContext carries reusable solver state (assembly patterns,
-	// multigrid hierarchies, scratch pools) across repeated reference
-	// solves; see NewSolveContext.
+	// SolveContext carries one grid shape's reusable solver state
+	// (assembly, factor or multigrid hierarchy, scratch) across repeated
+	// reference solves; see NewSolveContext.
 	SolveContext = fem.SolveContext
 	// CalibrationPoint pairs a geometry with a reference temperature.
 	CalibrationPoint = fit.CalibrationPoint
@@ -256,14 +256,10 @@ func SolveReferenceStats(s *Stack, res Resolution) (float64, SolverStats, error)
 
 // SolveReferenceStatsCtx is SolveReferenceStats honoring cancellation: the
 // solver checks ctx before factoring, before a direct solve's sweeps and
-// between conjugate-gradient iterations.
+// between conjugate-gradient iterations. Its solver state comes from the
+// process-wide idle contexts, as ReferenceModel's does.
 func SolveReferenceStatsCtx(ctx context.Context, s *Stack, res Resolution) (float64, SolverStats, error) {
-	sol, err := fem.SolveStackCtx(ctx, s, res)
-	if err != nil {
-		return 0, SolverStats{}, err
-	}
-	max, _, _ := sol.MaxT()
-	return max, sol.Stats, nil
+	return SolveReferenceStatsWith(ctx, nil, s, res)
 }
 
 // ReferenceModel wraps the finite-volume reference solver as a Model so it
@@ -277,18 +273,18 @@ func SolveReferenceStatsCtx(ctx context.Context, s *Stack, res Resolution) (floa
 func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} }
 
 // NewSolveContext returns a reuse context that the caller owns for the
-// repeated reference solves it drives itself: assembly patterns,
-// banded LDLᵀ factors, multigrid hierarchies and solver scratch carry
-// over between solves through it. Reuse never changes results — a solve
-// through a context is bit-identical to one without — and Close drops the
-// held scratch vectors and factors.
+// repeated reference solves it drives itself. It holds one grid shape's
+// assembly, banded LDLᵀ factor or multigrid hierarchy, and solver scratch;
+// a solve of another shape drops them and re-keys it. Reuse never changes
+// results — a solve through a context is bit-identical to one through a new
+// context — and Close empties it, returning the factor's storage.
 // A context serves one solve at a time (use one per goroutine).
 func NewSolveContext() *SolveContext { return fem.NewSolveContext() }
 
 // SolveReferenceStatsWith is SolveReferenceStatsCtx solving through a reuse
-// context; pass the same non-nil sc across a parameter sweep's solves to
-// skip re-deriving the sparsity pattern, factor and multigrid hierarchy each
-// time.
+// context; pass the same sc across a parameter sweep's solves to skip
+// re-deriving the assembly, factor and multigrid hierarchy each time. A nil
+// sc means a context from the process-wide idle list.
 func SolveReferenceStatsWith(ctx context.Context, sc *SolveContext, s *Stack, res Resolution) (float64, SolverStats, error) {
 	sol, err := fem.SolveStackWith(ctx, sc, s, res)
 	if err != nil {
