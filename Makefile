@@ -16,7 +16,10 @@ test:
 # verify is the pre-merge gate: a gofmt check (it lists any unformatted
 # file and fails), static analysis, an arm64 build of everything (the
 # pure-Go fallback of the amd64 assembly must keep compiling; vet does not
-# notice a function left without a body there), a short FuzzParseDeck
+# notice a function left without a body there), a check that the arm64
+# compiler fused no multiply-add in internal/linalg (its factors and
+# sweeps round every product on its own, as amd64 does, so both give the
+# same bits), a short FuzzParseDeck
 # exploration on top of the checked-in seeds, the whole suite under the race
 # detector (it includes every determinism contract: reuse bit-identity,
 # the reference-solve golden hashes, stencil kernels against
@@ -34,6 +37,10 @@ verify:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { printf 'gofmt needed:\n%s\n' "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	@asm=$$(GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/linalg 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+	case "$$asm" in *STEXT*) ;; *) echo 'no arm64 assembly listing of internal/linalg to check'; exit 1;; esac; \
+	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]'); \
+	test -z "$$fused" || { printf 'fused multiply-add in the arm64 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -shuffle=on . ./internal/fem ./internal/sweep ./internal/serve ./internal/deck ./internal/experiments ./internal/chip ./internal/fit

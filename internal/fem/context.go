@@ -130,20 +130,47 @@ func (sc *SolveContext) reserve(n int) {
 	sc.buf = sc.buf[:n]
 }
 
-// bands is the process-wide free list of the contexts' factor and snapshot
-// storage. Factors are large (2.6 MB at twice the default mesh), so a
-// context returns its buffer here when it is closed or re-keyed, and the
-// next context to factor takes it over. They stay off the CG scratch pools,
-// whose first-fit Grab would hand a band to a CG vector. At most maxFreeBands buffers are kept, the
-// largest released: a full list trades its smallest for a larger one, so a
-// process that solved small grids first still recycles the bands of its
-// larger ones.
-var bands struct {
-	sync.Mutex
-	free [][]float64
+// size estimates the bytes sc keeps alive: its free-list storage exactly,
+// plus 8 floats per unknown for the assembly and the CG scratch, and with a
+// multigrid hierarchy 24 more for its levels and, on a 3-D grid, 2·(nx+1)
+// for the xy-plane factors of its z-semicoarsened levels. On the
+// axisymmetric 1×–8× meshes and the 6×6×26 to 34×34×40 chip grids it is
+// within 10% of the live heap a context holds. An idle context does not
+// change, so neither does its size.
+func (sc *SolveContext) size() int {
+	floats := cap(sc.buf)
+	if sc.asm != nil {
+		n := sc.asm.op.Rows()
+		floats += 8 * n
+		if sc.h != nil {
+			floats += 24 * n
+			if dims := sc.asm.op.Dims(); len(dims) == 3 {
+				floats += 2 * n * (dims[0] + 1)
+			}
+		}
+	}
+	return 8 * floats
 }
 
-const maxFreeBands = 4
+// bands is the process-wide free list of the contexts' factor and snapshot
+// storage. Factors are large (21 MB at four times the default mesh), so a
+// context returns its buffer here when it is closed or re-keyed, and the
+// next context to factor takes it over. They stay off the CG scratch pools,
+// whose first-fit Grab would hand a band to a CG vector. The list holds at
+// most maxFreeBytes, the largest buffers released: a release that
+// overfills it drops its smallest buffers, the new one included if it is
+// the smallest, so a process that solved small grids first still recycles
+// the bands of its larger ones. A buffer larger than the bound is never
+// kept.
+var bands struct {
+	sync.Mutex
+	free  [][]float64
+	bytes int // the sum of the free buffers' capacities, in bytes
+}
+
+// maxFreeBytes bounds the free list. It holds the 21 MB band and snapshot
+// of a 4× axisymmetric reference, so cold 4× solves recycle it.
+const maxFreeBytes = 32 << 20
 
 // grabBand returns a length-n buffer from the free list — the smallest that
 // fits — or a new one. Its contents are undefined.
@@ -159,35 +186,40 @@ func grabBand(n int) []float64 {
 	if best < 0 {
 		return make([]float64, n)
 	}
-	b := bands.free[best]
-	last := len(bands.free) - 1
-	bands.free[best], bands.free[last] = bands.free[last], nil
-	bands.free = bands.free[:last]
-	return b[:n]
+	return removeBand(best)[:n]
 }
 
 // releaseBand returns a buffer from grabBand to the free list; nil is a
-// no-op. A full list keeps the buffer in place of its smallest one if that
-// is smaller, and drops whichever is left for the GC.
+// no-op. A list over maxFreeBytes drops its smallest buffers for the GC
+// until it fits.
 func releaseBand(b []float64) {
-	if b == nil {
+	if b == nil || 8*cap(b) > maxFreeBytes {
 		return
 	}
 	bands.Lock()
 	defer bands.Unlock()
-	if len(bands.free) < maxFreeBands {
-		bands.free = append(bands.free, b[:cap(b)])
-		return
-	}
-	small := 0
-	for i, f := range bands.free {
-		if cap(f) < cap(bands.free[small]) {
-			small = i
+	bands.free = append(bands.free, b[:cap(b)])
+	bands.bytes += 8 * cap(b)
+	for bands.bytes > maxFreeBytes {
+		small := 0
+		for i, f := range bands.free {
+			if cap(f) < cap(bands.free[small]) {
+				small = i
+			}
 		}
+		removeBand(small)
 	}
-	if cap(b) > cap(bands.free[small]) {
-		bands.free[small] = b[:cap(b)]
-	}
+}
+
+// removeBand deletes and returns free buffer i, moving the last into its
+// slot, and takes its bytes off the list's total. The caller holds bands.
+func removeBand(i int) []float64 {
+	l := bands.free
+	b, last := l[i], len(l)-1
+	l[i], l[last] = l[last], nil
+	bands.free = l[:last]
+	bands.bytes -= 8 * cap(b)
+	return b
 }
 
 // idle is the process-wide list of idle contexts that every solve given a
@@ -195,18 +227,23 @@ func releaseBand(b []float64) {
 // re-solves a geometry, or one of the same assembly shape, skips the
 // allocations and, for an unchanged operator, the factor or hierarchy
 // build. The list keeps the most recently returned context last; a return
-// to a full list closes the oldest. The bound is fixed, not scaled with
-// GOMAXPROCS: it caps what a stream of distinct geometries (a daemon's
-// requests) can keep alive, while covering the few shapes one process
-// interleaves. Taken contexts are exclusive to their solve, so concurrent
-// solves of one shape each get their own. The fem.idle.hits, .misses and
-// .evictions counters record it.
+// that would take the contexts' sizes past maxIdleBytes closes the oldest
+// until it fits, and a context larger than the bound is closed at once.
+// The bound is fixed, not scaled with GOMAXPROCS: it caps what a stream of
+// distinct geometries (a daemon's requests) can keep alive, while covering
+// the few shapes one process interleaves. Taken contexts are exclusive to
+// their solve, so concurrent solves of one shape each get their own. The
+// fem.idle.hits, .misses and .evictions counters record it.
 var idle struct {
 	sync.Mutex
-	list []*SolveContext
+	list  []*SolveContext
+	bytes int // the sum of the listed contexts' sizes
 }
 
-const maxIdleContexts = 8
+// maxIdleBytes bounds the idle list: two contexts of the 4× axisymmetric
+// reference (22 MB each with their factor), or a few dozen of the 1× and
+// 2× grids.
+const maxIdleBytes = 64 << 20
 
 // takeIdle removes and returns the most recently returned idle context for
 // key, or a new one keyed to it.
@@ -214,39 +251,51 @@ func takeIdle(key asmKey) *SolveContext {
 	idle.Lock()
 	defer idle.Unlock()
 	for i := len(idle.list) - 1; i >= 0; i-- {
-		if sc := idle.list[i]; sc.key == key {
-			idle.list = removeIdle(idle.list, i)
+		if idle.list[i].key == key {
 			obs.Default().Counter("fem.idle.hits").Inc()
-			return sc
+			return removeIdle(i)
 		}
 	}
 	obs.Default().Counter("fem.idle.misses").Inc()
 	return &SolveContext{key: key}
 }
 
-// putIdle returns a taken context under its key. A full list closes its
-// oldest.
+// putIdle returns a taken context under its key, closing the oldest idle
+// contexts until its size fits under maxIdleBytes, or the context itself
+// when it is larger than the bound.
 func putIdle(sc *SolveContext) {
+	size := sc.size()
 	idle.Lock()
-	var evicted *SolveContext
-	if len(idle.list) == maxIdleContexts {
-		evicted = idle.list[0]
-		idle.list = removeIdle(idle.list, 0)
+	defer idle.Unlock()
+	if size > maxIdleBytes {
+		evict(sc)
+		return
+	}
+	for idle.bytes+size > maxIdleBytes {
+		evict(removeIdle(0))
 	}
 	idle.list = append(idle.list, sc)
-	idle.Unlock()
-	if evicted != nil {
-		evicted.Close()
-		obs.Default().Counter("fem.idle.evictions").Inc()
-	}
+	idle.bytes += size
 }
 
-// removeIdle deletes entry i, keeping the order, and clears the vacated
-// last slot so the backing array does not keep its context alive.
-func removeIdle(l []*SolveContext, i int) []*SolveContext {
+// evict closes an idle context, returning its storage to the free list,
+// and counts it.
+func evict(sc *SolveContext) {
+	sc.Close()
+	obs.Default().Counter("fem.idle.evictions").Inc()
+}
+
+// removeIdle deletes and returns entry i, keeping the order, takes its
+// size off the list's total and clears the vacated last slot so the
+// backing array does not keep its context alive. The caller holds idle.
+func removeIdle(i int) *SolveContext {
+	l := idle.list
+	sc := l[i]
 	copy(l[i:], l[i+1:])
 	l[len(l)-1] = nil
-	return l[:len(l)-1]
+	idle.list = l[:len(l)-1]
+	idle.bytes -= sc.size()
+	return sc
 }
 
 // snapshotLen is the length of a's coefficient snapshot.

@@ -16,7 +16,7 @@ func emptyIdle(t *testing.T) {
 	t.Helper()
 	idle.Lock()
 	l := idle.list
-	idle.list = nil
+	idle.list, idle.bytes = nil, 0
 	idle.Unlock()
 	for _, e := range l {
 		e.Close()
@@ -24,7 +24,8 @@ func emptyIdle(t *testing.T) {
 }
 
 // idleKeys returns the keys of the idle list, oldest first, and checks that
-// no slot past its length still holds a context.
+// no slot past its length still holds a context and that the list's byte
+// total is its contexts' sizes, within maxIdleBytes.
 func idleKeys(t *testing.T) []asmKey {
 	t.Helper()
 	idle.Lock()
@@ -35,8 +36,13 @@ func idleKeys(t *testing.T) []asmKey {
 		}
 	}
 	keys := make([]asmKey, len(idle.list))
+	bytes := 0
 	for i, e := range idle.list {
 		keys[i] = e.key
+		bytes += e.size()
+	}
+	if bytes != idle.bytes || bytes > maxIdleBytes {
+		t.Errorf("idle list holds %d bytes of contexts, counts %d, bound %d", bytes, idle.bytes, maxIdleBytes)
 	}
 	return keys
 }
@@ -122,16 +128,18 @@ func TestIdleKeepsShapesApart(t *testing.T) {
 	putIdle(sc)
 }
 
-// TestIdleBounded solves more than twice the bound of distinct shapes: the
-// list never holds more than maxIdleContexts, the oldest go first, each
-// eviction is counted, and every solve equals a fresh one.
+// TestIdleBounded: every solve through the idle list equals a fresh one,
+// and the list holds its contexts' sizes within maxIdleBytes. Contexts a
+// third of the bound each (a free-list buffer, no solve) show the policy:
+// a return to a full list closes the oldest, each eviction is counted, and
+// a context larger than the bound is closed at once.
 func TestIdleBounded(t *testing.T) {
 	emptyIdle(t)
+	emptyBands(t)
+	defer emptyIdle(t)
 	s := fig4(t, 10)
-	evictions := counter("fem.idle.evictions")
-	n := 2*maxIdleContexts + 3
-	var first asmKey
-	for i := 0; i < n; i++ {
+	const shapes = 5
+	for i := 0; i < shapes; i++ {
 		res := Resolution{RadialVia: 2, RadialLiner: 1, RadialOuter: 2 + i, AxialPerLayer: 2, AxialMin: 1, Bulk: 3}
 		r, err := ReferenceModel{Res: res}.Solve(s)
 		if err != nil {
@@ -140,19 +148,37 @@ func TestIdleBounded(t *testing.T) {
 		if want := freshMaxDT(t, s, res); r.MaxDT != want {
 			t.Fatalf("shape %d: idle-list solve %v differs from fresh %v", i, r.MaxDT, want)
 		}
+	}
+	if keys := idleKeys(t); len(keys) != shapes {
+		t.Fatalf("after %d small shapes the idle list holds %d contexts, want all", shapes, len(keys))
+	}
+
+	emptyIdle(t)
+	sized := func(i, bytes int) *SolveContext {
+		return &SolveContext{key: asmKey{kind: 'a', d0: -1 - i}, buf: make([]float64, bytes/8)}
+	}
+	evictions := counter("fem.idle.evictions")
+	const n, fit = 7, 3
+	var put []asmKey
+	for i := 0; i < n; i++ {
+		sc := sized(i, maxIdleBytes/fit)
+		putIdle(sc)
+		put = append(put, sc.key)
 		keys := idleKeys(t)
-		if want := min(i+1, maxIdleContexts); len(keys) != want {
-			t.Fatalf("after %d shapes the idle list holds %d contexts, want %d", i+1, len(keys), want)
-		}
-		if i == 0 {
-			first = keys[0]
-		}
-		if i == maxIdleContexts && keys[0] == first {
-			t.Fatalf("the oldest context survived a return to a full list")
+		if want := put[max(0, len(put)-fit):]; fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("after %d returns the idle keys are %v, want the newest %v", i+1, keys, want)
 		}
 	}
-	if got, want := counter("fem.idle.evictions")-evictions, int64(n-maxIdleContexts); got != want {
+	if got, want := counter("fem.idle.evictions")-evictions, int64(n-fit); got != want {
 		t.Errorf("evictions = %d, want %d", got, want)
+	}
+	big := sized(n, maxIdleBytes+8)
+	putIdle(big)
+	if keys := idleKeys(t); len(keys) != fit || keys[fit-1] == big.key || big.buf != nil {
+		t.Errorf("a context over the bound was kept: idle keys %v", keys)
+	}
+	if got, want := counter("fem.idle.evictions")-evictions, int64(n-fit+1); got != want {
+		t.Errorf("evictions = %d after the oversized return, want %d", got, want)
 	}
 }
 
@@ -195,9 +221,7 @@ func TestIdleConcurrentSolvesBitIdentical(t *testing.T) {
 			t.Errorf("r=%g: concurrent idle-list solve %v differs from fresh %v", radii[i], got[i], want[i])
 		}
 	}
-	if n := len(idleKeys(t)); n > maxIdleContexts {
-		t.Errorf("idle list holds %d contexts, bound %d", n, maxIdleContexts)
-	}
+	idleKeys(t) // checks the byte bound
 }
 
 // TestNilContextUsesIdleList: a nil context means the idle list, so a

@@ -38,10 +38,12 @@ func TestMGIterationsMeshIndependent(t *testing.T) {
 }
 
 // TestMGAutoSelection pins the one grid rule on the grids this repository
-// solves: the banded Cholesky factor where n·b² < directBudget (the 1× and
-// 2× axisymmetric Fig. 4 meshes, the 6×6×26 chip power-map grid) and
-// multigrid above it (the 4× mesh, the 12×12×35 chip grid). The chip grids
-// are built here with their dims, since the rule reads only the shape.
+// solves: the banded LDLᵀ factor where n·b² < directBudget (the 1× to 4×
+// axisymmetric Fig. 4 meshes, the 6×6×26 and 12×12×35 chip power-map
+// grids) and multigrid above it (the 16×16×35 chip grid, the 8× mesh). The
+// chip grids are built here with their dims, since the rule reads only the
+// shape. The 8× mesh is only built, not solved: its shape is checked
+// against the budget, and TestMGIterationsMeshIndependent solves it.
 func TestMGAutoSelection(t *testing.T) {
 	s := fig4(t, 10)
 	cartOf := func(nx, nz int) *CartProblem {
@@ -56,18 +58,31 @@ func TestMGAutoSelection(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		grid   string
-		solve  func() (sparse.Stats, error)
+		solve  func() (sparse.Stats, error) // nil: check the shape only
 		n, b   int
 		direct bool
 	}{
 		{"axi 1x", axiStats(s, 1), 1458, 27, true},
 		{"axi 2x", axiStats(s, 2), 5832, 54, true},
-		{"axi 4x", axiStats(s, 4), 23328, 108, false},
+		{"axi 3x", axiStats(s, 3), 13122, 81, true},
+		{"axi 4x", axiStats(s, 4), 23328, 108, true},
+		{"axi 8x", nil, 93312, 216, false},
 		{"cart 6x6x26", cartStats(cartOf(6, 26)), 936, 36, true},
-		{"cart 12x12x35", cartStats(cartOf(12, 35)), 5040, 144, false},
+		{"cart 12x12x35", cartStats(cartOf(12, 35)), 5040, 144, true},
+		{"cart 16x16x35", cartStats(cartOf(16, 35)), 8960, 256, false},
 	} {
 		if nb2 := float64(tc.n) * float64(tc.b) * float64(tc.b); (nb2 < directBudget) != tc.direct {
 			t.Fatalf("%s: n·b² = %.3g does not probe the %.3g budget as intended", tc.grid, nb2, float64(directBudget))
+		}
+		if tc.solve == nil {
+			p, err := BuildAxiProblem(s, DefaultResolution().Refine(8))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.grid, err)
+			}
+			if nr, nz := len(p.REdges)-1, len(p.ZEdges)-1; nr*nz != tc.n || nr != tc.b {
+				t.Errorf("%s: %d×%d cells, want n = %d with half-bandwidth %d", tc.grid, nr, nz, tc.n, tc.b)
+			}
+			continue
 		}
 		st, err := tc.solve()
 		if err != nil {

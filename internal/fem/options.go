@@ -42,10 +42,15 @@ func (e *ConvergenceError) Unwrap() []error { return []error{ErrNotConverged, e.
 // directBudget bounds the cost n·b² — unknowns times the squared half-
 // bandwidth; a banded LDLᵀ factorization takes about n·b²/2 multiply-
 // adds — of the grids solved direct. Grids at or above it get multigrid-
-// preconditioned CG. It sits between the axisymmetric grids where each
-// method wins fresh solves (EXPERIMENTS.md, "Direct or multigrid"): the
-// factor at 2× the default mesh (n·b² = 1.7e7), multigrid from 3× (8.6e7).
-const directBudget = 5e7
+// preconditioned CG. It sits at the crossover of fresh solves with the
+// AVX2 lane factor (EXPERIMENTS.md, "Direct or multigrid"): the factor
+// wins through 4× the default mesh (n·b² = 2.72e8) and the 12×12×35 chip
+// grid (1.0e8), multigrid at 16×16×35 (5.9e8) and 8× (4.4e9). It is the
+// same on every host: without AVX2 the row loop is about 15% slower than
+// multigrid on a fresh 4× solve, but 7–9× faster on a warm re-solve, which
+// the idle list serves. A factor, which ctx cannot interrupt, thus runs at
+// most 1.5e8 multiply-adds.
+const directBudget = 3e8
 
 // mgMaxIter budgets multigrid-preconditioned CG, which converges in a
 // mesh-independent 10–20 iterations on these grids: reaching it means the

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/mesh"
@@ -186,28 +187,125 @@ func TestSolveContextTopologyChange(t *testing.T) {
 	}
 }
 
-// A full band free list keeps the largest buffers: after maxFreeBands small
-// releases, a larger band released once is recycled by every later grab of
-// its size instead of being dropped and reallocated.
-func TestBandFreeListKeepsLargest(t *testing.T) {
+// emptyBands empties the band free list for the test and restores it
+// afterwards, so buffers a test releases do not outlive it.
+func emptyBands(t *testing.T) {
 	bands.Lock()
-	saved := bands.free
-	bands.free = nil
+	saved, savedBytes := bands.free, bands.bytes
+	bands.free, bands.bytes = nil, 0
 	bands.Unlock()
-	defer func() {
+	t.Cleanup(func() {
 		bands.Lock()
-		bands.free = saved
+		bands.free, bands.bytes = saved, savedBytes
 		bands.Unlock()
-	}()
-	for range maxFreeBands {
-		releaseBand(make([]float64, 64))
+	})
+}
+
+// freeBytes checks the free list's byte total against its buffers and the
+// bound, and returns it.
+func freeBytes(t *testing.T) int {
+	t.Helper()
+	bands.Lock()
+	defer bands.Unlock()
+	sum := 0
+	for _, b := range bands.free {
+		sum += 8 * cap(b)
 	}
-	const large = 1 << 16
+	if sum != bands.bytes || sum > maxFreeBytes {
+		t.Errorf("free list holds %d bytes, counts %d, bound %d", sum, bands.bytes, maxFreeBytes)
+	}
+	return sum
+}
+
+// A full band free list keeps the largest buffers: after small releases
+// fill it, a larger band released once is recycled by every later grab of
+// its size instead of being dropped and reallocated. A band larger than
+// the bound is never kept, and the 4× reference's band and snapshot fit.
+func TestBandFreeListKeepsLargest(t *testing.T) {
+	emptyBands(t)
+	const small = maxFreeBytes / 8 / 16
+	for range 16 {
+		releaseBand(make([]float64, small))
+	}
+	if got := freeBytes(t); got != maxFreeBytes {
+		t.Fatalf("16 bands of a sixteenth of the bound fill %d bytes, want %d", got, maxFreeBytes)
+	}
+	const large = maxFreeBytes / 8 / 2
 	releaseBand(grabBand(large))
 	if allocs := testing.AllocsPerRun(10, func() { releaseBand(grabBand(large)) }); allocs != 0 {
 		t.Errorf("grab/release of a large band allocates %v times, want 0", allocs)
 	}
-	if len(bands.free) != maxFreeBands {
-		t.Errorf("free list holds %d bands, want %d", len(bands.free), maxFreeBands)
+	if got, want := len(bands.free), 9; got != want || freeBytes(t) != maxFreeBytes {
+		t.Errorf("free list holds %d bands, want the large one and 8 small", got)
+	}
+	releaseBand(make([]float64, maxFreeBytes/8+1))
+	if got := freeBytes(t); got != maxFreeBytes {
+		t.Errorf("a band over the bound changed the free list to %d bytes", got)
+	}
+	const ref4x = 23328*109 + 23328*3 // the 4× reference's band and snapshot
+	if 8*ref4x > maxFreeBytes {
+		t.Errorf("the 4× reference's %d-byte band does not fit the %d-byte free list", 8*ref4x, maxFreeBytes)
+	}
+}
+
+// TestContextSizeEstimate checks SolveContext.size, which the idle list's
+// byte bound counts, against the live heap a context holds after a solve:
+// a direct and a multigrid context on the 2× axisymmetric mesh and on chip
+// grids.
+func TestContextSizeEstimate(t *testing.T) {
+	emptyBands(t)
+	s := fig4(t, 10)
+	cart := func(nx, nz int) *CartProblem {
+		x, _ := mesh.Uniform(0, 1.5e-3, nx)
+		z, _ := mesh.Uniform(0, 2e-4, nz)
+		return &CartProblem{
+			XEdges: x, YEdges: x, ZEdges: z,
+			K:      func(_, _, _ float64) float64 { return 130 },
+			Q:      func(_, _, _ float64) float64 { return 1e9 },
+			Bottom: Fixed(0), Top: Insulated(),
+		}
+	}
+	axi := func(p sparse.PrecondKind) func(*SolveContext) error {
+		return func(sc *SolveContext) error {
+			res := DefaultResolution().Refine(2)
+			res.Precond = p
+			_, err := SolveStackWith(context.Background(), sc, s, res)
+			return err
+		}
+	}
+	cartSolve := func(p *CartProblem) func(*SolveContext) error {
+		return func(sc *SolveContext) error {
+			_, err := SolveCartWith(context.Background(), sc, p, sparse.Options{Tol: 1e-8})
+			return err
+		}
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, tc := range []struct {
+		grid  string
+		solve func(*SolveContext) error
+	}{
+		{"axi 2x direct", axi(sparse.PrecondDefault)},
+		{"axi 2x multigrid", axi(sparse.PrecondMG)},
+		{"cart 12x12x35 direct", cartSolve(cart(12, 35))},
+		{"cart 16x16x35 multigrid", cartSolve(cart(16, 35))},
+	} {
+		before := live()
+		sc := NewSolveContext()
+		if err := tc.solve(sc); err != nil {
+			t.Fatalf("%s: %v", tc.grid, err)
+		}
+		held := live() - before
+		if est := int64(sc.size()); est < held*85/100 || est > held*115/100 {
+			t.Errorf("%s: size estimate %d bytes, the context holds %d", tc.grid, est, held)
+		}
+		sc.Close()
+		bands.Lock()
+		bands.free, bands.bytes = nil, 0 // the next case allocates its own
+		bands.Unlock()
 	}
 }

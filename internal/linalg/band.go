@@ -17,6 +17,12 @@ var ErrNotSPD = errors.New("linalg: matrix is not symmetric positive definite")
 // keeps the band — all fill-in stays inside it — so it costs about n·b²/2
 // multiply-adds to form and 2·n·b per solve. It takes no square roots, so a
 // lone node of conductance g solves to exactly q/g.
+//
+// Every product the factor and the sweeps subtract is written float64(a*b),
+// which rounds it before the subtraction: without it the arm64 compiler
+// fuses the two into one multiply-add of one rounding, and an arm64 host
+// would get other bits than an amd64 one. `make verify` fails if the arm64
+// build of this package holds a fused multiply-add.
 type Band struct {
 	n, b int
 	// v holds row i, columns i−b … i, at v[i·(b+1):(i+1)·(b+1)]: the
@@ -116,26 +122,26 @@ func (m *Band) factorRows(from, to int) error {
 			l0, l1, l2, l3 := l[:len(u)], l[b:][:len(u)], l[2*b:][:len(u)], l[3*b:][:len(u)]
 			s0, s1, s2, s3 := row[j], row[j+1], row[j+2], row[j+3]
 			for k, uk := range u {
-				s0 -= uk * l0[k]
-				s1 -= uk * l1[k]
-				s2 -= uk * l2[k]
-				s3 -= uk * l3[k]
+				s0 -= float64(uk * l0[k])
+				s1 -= float64(uk * l1[k])
+				s2 -= float64(uk * l2[k])
+				s3 -= float64(uk * l3[k])
 			}
 			// The columns' own triangle: column j+t also needs u[i,j…j+t−1].
 			t1, t2, t3 := l[b+j:][:1], l[2*b+j:][:2], l[3*b+j:][:3]
-			s1 -= s0 * t1[0]
-			s2 -= s0 * t2[0]
-			s2 -= s1 * t2[1]
-			s3 -= s0 * t3[0]
-			s3 -= s1 * t3[1]
-			s3 -= s2 * t3[2]
+			s1 -= float64(s0 * t1[0])
+			s2 -= float64(s0 * t2[0])
+			s2 -= float64(s1 * t2[1])
+			s3 -= float64(s0 * t3[0])
+			s3 -= float64(s1 * t3[1])
+			s3 -= float64(s2 * t3[2])
 			row[j], row[j+1], row[j+2], row[j+3] = s0, s1, s2, s3
 		}
 		// Then L[i,j] = u[i,j]/D[j], and D[i] = A[i,i] − Σ u[i,j]·L[i,j].
 		d := row[c]
 		for k, u := range row[:c] {
 			l := u / v[(j0+k)*w+b]
-			d -= u * l
+			d -= float64(u * l)
 			row[k] = l
 		}
 		if !(d > 0) {
@@ -181,18 +187,18 @@ func (m *Band) Solve(x, rhs []float64) {
 		q0, q1 := r0[len(r0)-len(xs):], r1[len(r1)-len(xs)-1:][:len(xs)]
 		q2, q3 := r2[len(r2)-len(xs)-2:][:len(xs)], r3[:len(xs)]
 		for k, xk := range xs {
-			s0 -= q0[k] * xk
-			s1 -= q1[k] * xk
-			s2 -= q2[k] * xk
-			s3 -= q3[k] * xk
+			s0 -= float64(q0[k] * xk)
+			s1 -= float64(q1[k] * xk)
+			s2 -= float64(q2[k] * xk)
+			s3 -= float64(q3[k] * xk)
 		}
 		t1, t2, t3 := r1[len(r1)-1:], r2[len(r2)-2:], r3[len(r3)-3:]
-		s1 -= t1[0] * s0
-		s2 -= t2[0] * s0
-		s2 -= t2[1] * s1
-		s3 -= t3[0] * s0
-		s3 -= t3[1] * s1
-		s3 -= t3[2] * s2
+		s1 -= float64(t1[0] * s0)
+		s2 -= float64(t2[0] * s0)
+		s2 -= float64(t2[1] * s1)
+		s3 -= float64(t3[0] * s0)
+		s3 -= float64(t3[1] * s1)
+		s3 -= float64(t3[2] * s2)
 		x[i], x[i+1], x[i+2], x[i+3] = s0, s1, s2, s3
 	}
 	for ; i < n; i++ {
@@ -209,23 +215,23 @@ func (m *Band) Solve(x, rhs []float64) {
 		t0, t1, t2 := r0[len(r0)-3:], r1[len(r1)-2:], r2[len(r2)-1:]
 		x0 := x[h]
 		x1 := x[h-1]
-		x1 -= t0[2] * x0
+		x1 -= float64(t0[2] * x0)
 		x2 := x[h-2]
-		x2 -= t0[1] * x0
-		x2 -= t1[1] * x1
+		x2 -= float64(t0[1] * x0)
+		x2 -= float64(t1[1] * x1)
 		x3 := x[h-3]
-		x3 -= t0[0] * x0
-		x3 -= t1[0] * x1
-		x3 -= t2[0] * x2
+		x3 -= float64(t0[0] * x0)
+		x3 -= float64(t1[0] * x1)
+		x3 -= float64(t2[0] * x2)
 		x[h-1], x[h-2], x[h-3] = x1, x2, x3
 		xs := x[a : h-3]
 		q0, q1 := r0[:len(xs)], r1[len(r1)-len(xs)-2:][:len(xs)]
 		q2, q3 := r2[len(r2)-len(xs)-1:][:len(xs)], r3[len(r3)-len(xs):]
 		for k, t := range xs {
-			t -= q0[k] * x0
-			t -= q1[k] * x1
-			t -= q2[k] * x2
-			t -= q3[k] * x3
+			t -= float64(q0[k] * x0)
+			t -= float64(q1[k] * x1)
+			t -= float64(q2[k] * x2)
+			t -= float64(q3[k] * x3)
 			xs[k] = t
 		}
 		// The columns left of a that only the lower three rows reach.
@@ -243,7 +249,7 @@ func (m *Band) Solve(x, rhs []float64) {
 func subDot(s float64, l, x []float64) float64 {
 	x = x[:len(l)]
 	for k, lk := range l {
-		s -= lk * x[k]
+		s -= float64(lk * x[k])
 	}
 	return s
 }
@@ -252,6 +258,6 @@ func subDot(s float64, l, x []float64) float64 {
 func axpySub(x, l []float64, xi float64) {
 	l = l[:len(x)]
 	for k, lk := range l {
-		x[k] -= lk * xi
+		x[k] -= float64(lk * xi)
 	}
 }

@@ -59,7 +59,7 @@ func Factorize(a *Matrix) (*LU, error) {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.Add(i, j, -m*lu.At(k, j))
+				lu.Add(i, j, float64(-m*lu.At(k, j)))
 			}
 		}
 	}
@@ -93,14 +93,14 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	// Forward-substitute the unit-lower-triangular L.
 	for k := 0; k < n; k++ {
 		for i := k + 1; i < n; i++ {
-			x[i] -= f.lu.At(i, k) * x[k]
+			x[i] -= float64(f.lu.At(i, k) * x[k])
 		}
 	}
 	// Back-substitute U.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= f.lu.At(i, j) * x[j]
+			s -= float64(f.lu.At(i, j) * x[j])
 		}
 		x[i] = s / f.lu.At(i, i)
 	}

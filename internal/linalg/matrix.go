@@ -77,7 +77,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		y[i] = s
 	}

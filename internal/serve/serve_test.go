@@ -390,15 +390,19 @@ func TestConcurrentRefSolvesMatchFresh(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIdleContextsBoundHeap sends 4x-refined reference solves of 13- down
-// to 2-plane blocks, each a grid shape of its own. The live heap after GC
-// grows while fem's idle list fills, and not once it is full: each later
-// request's context replaces an older, larger one. A pool that kept every
-// shape grew by a whole context per request.
+// TestIdleContextsBoundHeap sends a stream of large distinct grid shapes:
+// 1×-refined blocks of 260 down to 120 planes, each factored direct into a
+// 16–35 MB context, then 4×-refined blocks of 13 down to 2 planes. fem keeps
+// its idle contexts within maxIdleBytes and its free factor storage within
+// maxFreeBytes, so the live heap after GC never exceeds what it was before
+// the stream by more than those two bounds and one context, taken as the
+// largest rise of the live heap over one request. A list bounded by count,
+// not bytes, kept eight of the large contexts, over 200 MB.
 func TestIdleContextsBoundHeap(t *testing.T) {
 	if testing.Short() {
-		t.Skip("4x-refined solves")
+		t.Skip("large reference solves")
 	}
+	const idleCap, freeCap = 64 << 20, 32 << 20 // fem's maxIdleBytes and maxFreeBytes
 	_, ts, _ := newTestServer(t, Config{Workers: 1})
 	live := func() uint64 {
 		runtime.GC()
@@ -406,22 +410,30 @@ func TestIdleContextsBoundHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	heap := []uint64{live()}
+	var bodies []string
+	for planes := 260; planes >= 120; planes -= 20 {
+		bodies = append(bodies, fmt.Sprintf(`{"block": {"NumPlanes": %d}, "models": {"model": "ref"}}`, planes))
+	}
 	for planes := 13; planes >= 2; planes-- {
-		body := fmt.Sprintf(`{"block": {"NumPlanes": %d}, "models": {"model": "ref", "refine": 4}}`, planes)
+		bodies = append(bodies, fmt.Sprintf(`{"block": {"NumPlanes": %d}, "models": {"model": "ref", "refine": 4}}`, planes))
+	}
+	heap := []uint64{live()}
+	for _, body := range bodies {
 		if status, got := post(t, ts.URL+"/solve", []byte(body)); status != http.StatusOK {
-			t.Fatalf("%d planes: status %d, body:\n%s", planes, status, got)
+			t.Fatalf("%s: status %d, body:\n%s", body, status, got)
 		}
 		heap = append(heap, live())
 	}
-	// The smallest shape's context: what a kept-everything pool adds at the
-	// very least with each request.
-	const full = 8 // fem's idle bound
-	small := (heap[full] - heap[0]) / full / 4
-	for k := full + 1; k < len(heap); k++ {
-		if heap[k] > heap[full]+small {
-			t.Errorf("live heap after request %d is %.1f MB, %.1f MB after request %d, when the idle list filled",
-				k, float64(heap[k])/1e6, float64(heap[full])/1e6, full)
+	var one uint64
+	for k := 1; k < len(heap); k++ {
+		if heap[k] > heap[k-1] {
+			one = max(one, heap[k]-heap[k-1])
+		}
+	}
+	for k := 1; k < len(heap); k++ {
+		if heap[k] > heap[0]+idleCap+freeCap+one {
+			t.Errorf("live heap after request %d is %.1f MB, over %.1f MB before the stream plus the %.1f MB idle and free bounds and one %.1f MB context",
+				k, float64(heap[k])/1e6, float64(heap[0])/1e6, float64(idleCap+freeCap)/1e6, float64(one)/1e6)
 		}
 	}
 	t.Logf("live heap per request (MB): %v", mb(heap))

@@ -84,10 +84,11 @@ func TestSweepCancellationStopsInFlightSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 4x-refined mesh makes each solve take long enough (over a hundred
-	// milliseconds) that the cancellation below lands mid-solve; a 2x solve
-	// can finish inside the 30 ms before it.
-	m := ttsv.ReferenceModel(ttsv.DefaultResolution().Refine(4))
+	// An 8x-refined mesh runs multigrid-preconditioned CG, and each solve
+	// takes long enough (several hundred milliseconds) that the cancellation
+	// below lands mid-iteration; a 4x grid or smaller is factored direct,
+	// which checks the context only before its factor and before its sweeps.
+	m := ttsv.ReferenceModel(ttsv.DefaultResolution().Refine(8))
 	var jobs ttsv.Batch
 	for i := 0; i < 4; i++ {
 		jobs = jobs.Add("", s, m)
