@@ -16,10 +16,11 @@ test:
 # verify is the pre-merge gate: a gofmt check (it lists any unformatted
 # file and fails), static analysis, an arm64 build of everything (the
 # pure-Go fallback of the amd64 assembly must keep compiling; vet does not
-# notice a function left without a body there), a check that the arm64
-# compiler fused no multiply-add in internal/linalg (its factors and
-# sweeps round every product on its own, as amd64 does, so both give the
-# same bits), a short FuzzParseDeck
+# notice a function left without a body there), a check that neither the
+# arm64 compiler nor the amd64 one at GOAMD64=v3 fused a multiply-add in
+# internal/linalg (its factors and sweeps round every product on its own,
+# as the baseline amd64 build does, so all give the same bits), a short
+# FuzzParseDeck
 # exploration on top of the checked-in seeds, the whole suite under the race
 # detector (it includes every determinism contract: reuse bit-identity,
 # the reference-solve golden hashes, stencil kernels against
@@ -41,6 +42,10 @@ verify:
 	case "$$asm" in *STEXT*) ;; *) echo 'no arm64 assembly listing of internal/linalg to check'; exit 1;; esac; \
 	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]'); \
 	test -z "$$fused" || { printf 'fused multiply-add in the arm64 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
+	@asm=$$(GOAMD64=v3 $(GO) build -gcflags=-S ./internal/linalg 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+	case "$$asm" in *STEXT*) ;; *) echo 'no GOAMD64=v3 assembly listing of internal/linalg to check'; exit 1;; esac; \
+	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]VFN?M(ADD|SUB)[[:alnum:]]*[[:space:]]'); \
+	test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -shuffle=on . ./internal/fem ./internal/sweep ./internal/serve ./internal/deck ./internal/experiments ./internal/chip ./internal/fit

@@ -18,9 +18,9 @@
 //	-workers N   solve sweep points on N parallel workers (0 = all CPUs);
 //	             output tables are identical for any worker count
 //	-deck FILE   run a .ttsv scenario deck instead of a named experiment;
-//	             -shard i/n, -journal FILE, -resume, -merge F1,F2,...,
-//	             -cache-dir DIR and -progress shard, checkpoint, resume and
-//	             merge its .sweep (see README "Sharded & resumable sweeps")
+//	             -shard i/n, -journal FILE, -resume, -merge F1,F2,... and
+//	             -progress shard, checkpoint, resume and merge its .sweep
+//	             (see README "Sharded & resumable sweeps")
 package main
 
 import (
@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	sweepf := clideck.Register(fs)
 	obsf := cliobs.Register(fs)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: ttsvlab [-quick] [-plot] [-csv DIR] [-workers N] [-precond KIND] [-trace FILE] [-metrics] [-pprof ADDR] [-deck FILE [-shard I/N] [-journal FILE] [-resume] [-merge F1,F2,...] [-cache-dir DIR] [-progress]] {fig4|fig5|fig6|fig7|table1|casestudy|calibrate|planes|transient|all}")
+		fmt.Fprintln(fs.Output(), "usage: ttsvlab [-quick] [-plot] [-csv DIR] [-workers N] [-precond KIND] [-trace FILE] [-metrics] [-pprof ADDR] [-deck FILE [-shard I/N] [-journal FILE] [-resume] [-merge F1,F2,...] [-progress]] {fig4|fig5|fig6|fig7|table1|casestudy|calibrate|planes|transient|all}")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return fmt.Errorf("exactly one experiment required")
 	}
 	if *deckPath == "" && sweepf.Set() {
-		return fmt.Errorf("-shard/-journal/-resume/-merge/-cache-dir/-progress control a deck's .sweep and require -deck")
+		return fmt.Errorf("-shard/-journal/-resume/-merge/-progress control a deck's .sweep and require -deck")
 	}
 	tracer, err := obsf.Start(out)
 	if err != nil {

@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return err
 	}
 	if *deckPath == "" && sweepf.Set() {
-		return fmt.Errorf("-shard/-journal/-resume/-merge/-cache-dir/-progress control a deck's .sweep and require -deck")
+		return fmt.Errorf("-shard/-journal/-resume/-merge/-progress control a deck's .sweep and require -deck")
 	}
 	tracer, err := obsf.Start(out)
 	if err != nil {

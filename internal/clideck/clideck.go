@@ -1,9 +1,8 @@
 // Package clideck wires the deck-sweep sharding flags shared by the ttsv
-// command-line tools' -deck paths: -shard, -journal, -resume, -merge,
-// -cache-dir and -progress. The flags lower into deck.SweepControl, so a
-// sweep deck can be split across processes, checkpointed, killed, resumed
-// and merged — with the merged report byte-identical to one uninterrupted
-// run.
+// command-line tools' -deck paths: -shard, -journal, -resume, -merge and
+// -progress. The flags lower into deck.SweepControl, so a sweep deck can be
+// split across processes, checkpointed, killed, resumed and merged — with
+// the merged report byte-identical to one uninterrupted run.
 package clideck
 
 import (
@@ -24,7 +23,6 @@ type Flags struct {
 	journal  string
 	resume   bool
 	merge    string
-	cacheDir string
 	progress bool
 }
 
@@ -36,7 +34,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.journal, "journal", "", "checkpoint completed sweep points to this NDJSON file")
 	fs.BoolVar(&f.resume, "resume", false, "replay the -journal file's completed points instead of re-solving them")
 	fs.StringVar(&f.merge, "merge", "", "comma-separated shard journals to merge into the full report (no solving)")
-	fs.StringVar(&f.cacheDir, "cache-dir", "", "persistent on-disk sweep result cache directory (shareable across runs and shards)")
 	fs.BoolVar(&f.progress, "progress", false, "stream per-point NDJSON progress records to stderr")
 	return f
 }
@@ -44,7 +41,7 @@ func Register(fs *flag.FlagSet) *Flags {
 // Set reports whether any sweep-control flag was given. The controls apply
 // to a deck's .sweep analysis only, so commands reject them without -deck.
 func (f *Flags) Set() bool {
-	return f.shard != "" || f.journal != "" || f.resume || f.merge != "" || f.cacheDir != "" || f.progress
+	return f.shard != "" || f.journal != "" || f.resume || f.merge != "" || f.progress
 }
 
 // Control lowers the parsed flags into the deck run's sweep controls.
@@ -62,7 +59,6 @@ func (f *Flags) Control(w io.Writer) (deck.SweepControl, error) {
 		Shard:       spec,
 		JournalPath: f.journal,
 		Resume:      f.resume,
-		CacheDir:    f.cacheDir,
 	}
 	if f.merge != "" {
 		for _, p := range strings.Split(f.merge, ",") {

@@ -53,11 +53,6 @@ type SweepControl struct {
 	// report is rendered from the replayed outcomes — byte-identical to a
 	// single-process run of the same deck. Exclusive with Shard/JournalPath.
 	MergePaths []string
-	// CacheDir, when set, backs the sweep with a persistent on-disk result
-	// cache (sweep.OpenDiskCache) behind the in-memory LRU, so points
-	// solved by earlier runs — or concurrent shards sharing the directory —
-	// are replayed from disk.
-	CacheDir string
 	// Progress, when set, is called once per completed point. Calls arrive
 	// concurrently from worker goroutines; the callback must be safe for
 	// concurrent use.
@@ -81,11 +76,11 @@ type SweepProgress struct {
 	MaxDT float64 `json:"max_dt"`
 	// Err carries the point's failure, empty on success.
 	Err string `json:"error,omitempty"`
-	// FromCache and Replayed report result provenance: memoization cache
-	// hit, or replay from a checkpoint journal.
-	FromCache bool `json:"from_cache,omitempty"`
-	Replayed  bool `json:"replayed,omitempty"`
-	// RuntimeNS is the point's solve wall time (0 for cache hits/replays).
+	// Replayed reports that the point was replayed from a checkpoint
+	// journal instead of solved.
+	Replayed bool `json:"replayed,omitempty"`
+	// RuntimeNS is the point's solve wall time; a replayed point reports
+	// the time of the solve that journaled it.
 	RuntimeNS int64 `json:"runtime_ns,omitempty"`
 }
 
@@ -228,13 +223,6 @@ func runSweep(ctx context.Context, sw *SweepAnalysis, opt Options) (*AnalysisRes
 	}
 
 	sopt := sweep.Options{Workers: workers, Trace: opt.Trace}
-	if ctl.CacheDir != "" {
-		disk, err := sweep.OpenDiskCache(ctl.CacheDir, 0)
-		if err != nil {
-			return nil, fmt.Errorf("deck: .sweep cache: %w", err)
-		}
-		sopt.Cache = sweep.NewCacheWithDisk(sweep.DefaultCacheCapacity, disk)
-	}
 	if ctl.Progress != nil {
 		total := len(jobs)
 		sopt.Progress = func(i int, oc sweep.Outcome) {
@@ -242,7 +230,6 @@ func runSweep(ctx context.Context, sw *SweepAnalysis, opt Options) (*AnalysisRes
 				Index:     i,
 				Total:     total,
 				Label:     oc.Job.Name(),
-				FromCache: oc.FromCache,
 				Replayed:  oc.Replayed,
 				RuntimeNS: oc.Runtime.Nanoseconds(),
 			}

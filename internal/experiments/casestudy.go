@@ -32,7 +32,7 @@ type CaseStudyResult struct {
 // CaseStudy runs the paper's §IV-E analysis. The reference solve of the
 // system's unit cell runs like every other experiment's: on cfg.Ctx and
 // cfg.Trace (under an "experiments.casestudy" span) and through the run's
-// memo.
+// reference cache.
 func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	sys := chip.DRAMuP()
 	segments := 1000

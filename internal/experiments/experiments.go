@@ -11,10 +11,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
-	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/obs"
@@ -30,15 +28,15 @@ const RefName = "FVM"
 
 // Config controls experiment fidelity.
 //
-// A Config made by Default or Quick carries a memo of the run's FVM
-// reference results, keyed like sweep.Cache by the canonical form of the
-// reference model (with its Resolution) and the stack. Copies of one Config
-// share it, so Calibrate, the figures, Table1 and Headline run on copies of
-// one Config solve each reference geometry once; a memo hit reports the
-// original solve's Runtime and Solver stats. Only the reference is
-// memoized: a canonical key costs about as much as ten Model A solves, and
-// the analytical models' runtimes are results of the paper. A Config
-// literal has no memo and solves every point.
+// A Config made by Default or Quick carries a sweep.Cache of the run's FVM
+// reference results, keyed by the canonical form of the reference model
+// (with its Resolution) and the stack. Copies of one Config share it, so
+// Calibrate, the figures, Table1 and Headline run on copies of one Config
+// solve each reference geometry once; a cache hit reports the original
+// solve's Runtime and Solver stats. Only the reference is cached: a
+// canonical key costs about as much as ten Model A solves, and the
+// analytical models' runtimes are results of the paper. A Config literal
+// has no cache and solves every point.
 type Config struct {
 	// Ctx optionally bounds every experiment run: a cancelled context stops
 	// in-flight sweeps between solver iterations and the run returns the
@@ -71,45 +69,19 @@ type Config struct {
 	// sweep.job spans and the reference solver's fem/sparse spans below it.
 	Trace *obs.Tracer
 
-	memo *refMemo
+	cache *sweep.Cache
 }
 
 // Default returns the paper-faithful configuration with a fresh reference
-// memo.
+// cache.
 func Default() Config {
 	return Config{
 		Resolution:   fem.DefaultResolution(),
 		BlockCoeffs:  core.PaperBlockCoeffs(),
 		SystemCoeffs: core.PaperSystemCoeffs(),
 		SegmentsB:    100,
-		memo:         &refMemo{m: make(map[string]solved)},
+		cache:        sweep.NewCache(),
 	}
-}
-
-// solved is one (point, model) result with the wall time of its solve.
-type solved struct {
-	res     *core.Result
-	runtime time.Duration
-}
-
-// refMemo holds the successful reference solves of the runs sharing one
-// Config; copies of the Config may run experiments concurrently.
-type refMemo struct {
-	mu sync.Mutex
-	m  map[string]solved
-}
-
-func (m *refMemo) get(key string) (solved, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.m[key]
-	return r, ok
-}
-
-func (m *refMemo) put(key string, r solved) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.m[key] = r
 }
 
 // Quick returns a thinned configuration for fast smoke runs.
@@ -169,28 +141,26 @@ func withReference(ms []namedModel, res fem.Resolution) []namedModel {
 }
 
 // runSweepPoints evaluates every (point, model) pair of a sweep through the
-// batch engine — including the reference, which withReference adds as the
-// last model — and assembles the per-point rows. A reference pair already in
-// cfg's memo is not solved again; the successful reference solves of the
-// batch are added to it.
+// batch engine and assembles the per-point rows. The reference pairs run as
+// one batch through cfg's cache, so a geometry an earlier run on cfg solved
+// is not solved again; the analytical pairs run as a second batch without
+// it.
 func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, ms []namedModel) error {
-	n := len(stacks) * len(ms)
-	pairs := make([]solved, n) // memo hits; the rest come from the batch
-	job := make([]int, n)      // batch index of each pair, -1 for a memo hit
-	keys := make([]string, n)  // memo key of each reference pair
-	jobs := make(sweep.Batch, 0, n)
-	for pi, s := range stacks {
-		for mi, nm := range ms {
-			i := pi*len(ms) + mi
-			if _, ref := nm.model.(fem.ReferenceModel); ref && cfg.memo != nil {
-				keys[i] = canon.String(nm.model, s)
-				if r, ok := cfg.memo.get(keys[i]); ok {
-					pairs[i], job[i] = r, -1
-					continue
-				}
-			}
-			job[i] = len(jobs)
-			jobs = jobs.Add(nm.name, s, nm.model)
+	var refs, analytic []namedModel
+	for _, nm := range ms {
+		if _, ok := nm.model.(fem.ReferenceModel); ok {
+			refs = append(refs, nm)
+		} else {
+			analytic = append(analytic, nm)
+		}
+	}
+	points := make([]Point, len(stacks))
+	for pi := range points {
+		points[pi] = Point{
+			X:       xs[pi],
+			DT:      make(map[string]float64),
+			Runtime: make(map[string]time.Duration),
+			Solver:  make(map[string]sparse.Stats),
 		}
 	}
 	ctx := cfg.Ctx
@@ -201,44 +171,35 @@ func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, 
 	ctx, sp := obs.StartSpan(ctx, "experiments."+sw.ID)
 	defer sp.End()
 	obs.Default().Counter("experiments.runs").Inc()
-	outs, err := sweep.Run(ctx, jobs, sweep.Options{Workers: cfg.Workers})
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", sw.ID, err)
-	}
-	for i, j := range job {
-		if j < 0 {
-			continue
-		}
-		oc := outs[j]
-		if oc.Err != nil {
-			if err == nil {
-				err = fmt.Errorf("experiments: %s at x=%g: %w", ms[i%len(ms)].name, xs[i/len(ms)], oc.Err)
+	run := func(models []namedModel, cache *sweep.Cache) error {
+		jobs := make(sweep.Batch, 0, len(stacks)*len(models))
+		for _, s := range stacks {
+			for _, nm := range models {
+				jobs = jobs.Add(nm.name, s, nm.model)
 			}
-			continue
 		}
-		pairs[i] = solved{oc.Result, oc.Runtime}
-		if keys[i] != "" {
-			cfg.memo.put(keys[i], pairs[i])
+		outs, err := sweep.Run(ctx, jobs, sweep.Options{Workers: cfg.Workers, Cache: cache})
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", sw.ID, err)
 		}
+		for i, oc := range outs {
+			p := &points[i/len(models)]
+			if oc.Err != nil {
+				return fmt.Errorf("experiments: %s at x=%g: %w", oc.Job.Label, p.X, oc.Err)
+			}
+			p.DT[oc.Job.Label] = oc.Result.MaxDT
+			p.Runtime[oc.Job.Label] = oc.Runtime
+			p.Solver[oc.Job.Label] = oc.Result.Solver
+		}
+		return nil
 	}
-	if err != nil {
+	if err := run(refs, cfg.cache); err != nil {
 		return err
 	}
-	for pi := range stacks {
-		p := Point{
-			X:       xs[pi],
-			DT:      make(map[string]float64),
-			Runtime: make(map[string]time.Duration),
-			Solver:  make(map[string]sparse.Stats),
-		}
-		for mi, nm := range ms {
-			r := pairs[pi*len(ms)+mi]
-			p.DT[nm.name] = r.res.MaxDT
-			p.Runtime[nm.name] = r.runtime
-			p.Solver[nm.name] = r.res.Solver
-		}
-		sw.Points = append(sw.Points, p)
+	if err := run(analytic, nil); err != nil {
+		return err
 	}
+	sw.Points = append(sw.Points, points...)
 	return nil
 }
 

@@ -123,7 +123,7 @@ type CalibrationResult struct {
 // liner thickness and substrate thickness — mirroring how the paper
 // obtained its fitting coefficients from FEM runs of representative blocks.
 // The reference solves run as one batch under an "experiments.calibrate"
-// span, on cfg.Workers and cfg.Ctx, through cfg's reference memo.
+// span, on cfg.Workers and cfg.Ctx, through cfg's reference cache.
 func Calibrate(cfg Config) (*CalibrationResult, error) {
 	type geom struct {
 		block func(float64) (*stack.Stack, error)

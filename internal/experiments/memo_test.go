@@ -92,8 +92,8 @@ func TestMemoSharedAcrossRun(t *testing.T) {
 	}
 	// Quick() calibrates on Fig. 4 r = 5, 12 µm and Fig. 6 t = 20 µm; only
 	// r = 12 µm is not also a quick figure point (4 + 3 + 3 + 3 of them).
-	if want := 14; first != int64(want) || len(cfg.memo.m) != want {
-		t.Errorf("whole run solved %d times and memoized %d geometries, want %d distinct geometries", first, len(cfg.memo.m), want)
+	if want := 14; first != int64(want) || cfg.cache.Len() != want {
+		t.Errorf("whole run solved %d times and memoized %d geometries, want %d distinct geometries", first, cfg.cache.Len(), want)
 	}
 
 	calFresh, err := Calibrate(Quick())
@@ -170,7 +170,7 @@ func TestMemoSharedByConcurrentCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(cfg.memo.m); n != 3 {
+	if n := cfg.cache.Len(); n != 3 {
 		t.Errorf("memo holds %d geometries after Fig. 5 and Table I on the same 3 liners", n)
 	}
 }

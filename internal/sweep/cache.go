@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"sync"
+	"time"
 
 	"repro/internal/canon"
 	"repro/internal/core"
@@ -27,6 +28,9 @@ const DefaultCacheCapacity = 1 << 16
 // many entries were evicted, and the same counts feed the obs default
 // registry as sweep.cache.{hits,misses,evictions}.
 //
+// A hit reports the wall time of the solve that produced it (see
+// Outcome.Runtime) and its Result carries that solve's Solver stats.
+//
 // A Cache is safe for concurrent use, and a Cached model solves each point
 // once: callers asking for a point that is still being solved wait for it.
 // Cached *core.Result values are shared between all callers and must be
@@ -36,17 +40,20 @@ type Cache struct {
 	capacity  int
 	entries   map[string]*list.Element
 	order     *list.List // front = most recently used
-	disk      *DiskCache // optional persistent tier behind the LRU
 	inflight  map[string]*flight
 	hits      int
 	misses    int
 	evictions int
 }
 
+// cacheEntry is one memoized outcome: the solve's result or raw error and
+// the wall time it took, which a hit reports as its own. Entries are never
+// mutated once stored.
 type cacheEntry struct {
-	key string
-	res *core.Result
-	err error
+	key     string
+	res     *core.Result
+	err     error
+	runtime time.Duration
 }
 
 // flight is one in-progress solve of a key that Cached models are waiting on.
@@ -75,67 +82,42 @@ func NewCacheSize(capacity int) *Cache {
 	}
 }
 
-// NewCacheWithDisk returns a two-tier cache: the in-memory LRU in front of a
-// persistent DiskCache. Lookups consult memory first and fall through to
-// disk on a miss, promoting disk hits into memory; successful results are
-// stored in both tiers, failures only in memory (see DiskCache). A nil disk
-// degrades to NewCacheSize.
-func NewCacheWithDisk(capacity int, disk *DiskCache) *Cache {
-	c := NewCacheSize(capacity)
-	c.disk = disk
-	return c
-}
-
 // lookup returns the cached outcome for key, counting hit/miss and marking
-// the entry most recently used. Memory misses fall through to the disk tier
-// (outside the lock — disk lookups do file I/O) and promote hits.
-func (c *Cache) lookup(key string) (*core.Result, error, bool) {
+// the entry most recently used.
+func (c *Cache) lookup(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.order.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
+	el, ok := c.entries[key]
+	if !ok {
+		c.misses++
 		c.mu.Unlock()
-		obs.Default().Counter("sweep.cache.hits").Inc()
-		return e.res, e.err, true
+		obs.Default().Counter("sweep.cache.misses").Inc()
+		return nil, false
 	}
+	c.hits++
+	c.order.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
 	c.mu.Unlock()
-	if res, ok := c.disk.lookup(key); ok {
-		c.storeMem(key, res, nil)
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
-		obs.Default().Counter("sweep.cache.hits").Inc()
-		return res, nil, true
-	}
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	obs.Default().Counter("sweep.cache.misses").Inc()
-	return nil, nil, false
+	obs.Default().Counter("sweep.cache.hits").Inc()
+	return e, true
 }
 
-// store records an outcome in both tiers (failures stay memory-only).
-func (c *Cache) store(key string, res *core.Result, err error) {
-	c.storeMem(key, res, err)
-	if err == nil {
-		c.disk.store(key, res)
+// store records an outcome, failures included, so repeatedly-invalid
+// geometries fail fast, and evicts the least-recently-used entry when the
+// capacity is exceeded. A cancelled solve is not an outcome of its point
+// and is not stored, the rule the journal follows.
+func (c *Cache) store(e *cacheEntry) {
+	if isCancellation(e.err) {
+		return
 	}
-}
-
-// storeMem records an outcome in the in-memory LRU (including failures, so
-// repeatedly-invalid geometries fail fast), evicting the least-recently-used
-// entry when the capacity is exceeded.
-func (c *Cache) storeMem(key string, res *core.Result, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[e.key]; ok {
 		// Concurrent workers may race to solve the same point; keep one.
-		el.Value = &cacheEntry{key: key, res: res, err: err}
+		el.Value = e
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res, err: err})
+	c.entries[e.key] = c.order.PushFront(e)
 	if c.capacity > 0 && c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -217,12 +199,13 @@ func (c *Cache) do(key string, solve func() (*core.Result, error)) (*core.Result
 		c.mu.Unlock()
 		close(f.done)
 	}()
-	if res, err, ok := c.lookup(key); ok {
-		f.res, f.err = res, err
-		return res, err
+	if e, ok := c.lookup(key); ok {
+		f.res, f.err = e.res, e.err
+		return e.res, e.err
 	}
+	t0 := time.Now()
 	res, err := solve()
-	c.store(key, res, err)
+	c.store(&cacheEntry{key: key, res: res, err: err, runtime: time.Since(t0)})
 	f.res, f.err = res, err
 	return res, err
 }

@@ -61,23 +61,23 @@ func TestCacheKeyDistinguishesNaNField(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCacheSize(2)
 	r := &core.Result{}
-	c.store("k1", r, nil)
-	c.store("k2", r, nil)
+	c.store(&cacheEntry{key: "k1", res: r})
+	c.store(&cacheEntry{key: "k2", res: r})
 	// Touch k1 so k2 becomes the LRU entry.
-	if _, _, ok := c.lookup("k1"); !ok {
+	if _, ok := c.lookup("k1"); !ok {
 		t.Fatal("k1 missing before eviction")
 	}
-	c.store("k3", r, nil)
+	c.store(&cacheEntry{key: "k3", res: r})
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	if _, _, ok := c.lookup("k2"); ok {
+	if _, ok := c.lookup("k2"); ok {
 		t.Error("LRU entry k2 survived eviction")
 	}
-	if _, _, ok := c.lookup("k1"); !ok {
+	if _, ok := c.lookup("k1"); !ok {
 		t.Error("recently-used k1 was evicted")
 	}
-	if _, _, ok := c.lookup("k3"); !ok {
+	if _, ok := c.lookup("k3"); !ok {
 		t.Error("newest entry k3 was evicted")
 	}
 	_, _, evictions := c.Counters()
@@ -91,7 +91,7 @@ func TestCacheUnboundedBackCompat(t *testing.T) {
 	c := NewCacheSize(0)
 	r := &core.Result{}
 	for i := 0; i < 1000; i++ {
-		c.store(fmt.Sprintf("k%d", i), r, nil)
+		c.store(&cacheEntry{key: fmt.Sprintf("k%d", i), res: r})
 	}
 	if c.Len() != 1000 {
 		t.Fatalf("unbounded cache holds %d entries, want 1000", c.Len())
@@ -109,8 +109,8 @@ func TestCacheUnboundedBackCompat(t *testing.T) {
 func TestCacheStoreIdempotentUnderRace(t *testing.T) {
 	c := NewCacheSize(4)
 	r := &core.Result{}
-	c.store("k", r, nil)
-	c.store("k", r, nil)
+	c.store(&cacheEntry{key: "k", res: r})
+	c.store(&cacheEntry{key: "k", res: r})
 	if c.Len() != 1 {
 		t.Fatalf("duplicate store left %d entries", c.Len())
 	}

@@ -60,12 +60,13 @@ type Outcome struct {
 	// Err captures the job's failure; one failing geometry does not abort
 	// the batch.
 	Err error
-	// Runtime is the wall-clock time of this job's solve. Zero for cache
-	// hits, which perform no solve.
+	// Runtime is the wall-clock time of this job's solve. A cache hit
+	// performs no solve and reports the Runtime of the solve that produced
+	// the cached result.
 	Runtime time.Duration
 	// FromCache reports whether the result came from the memoization cache.
-	// A cached Result carries the Solver stats of the original solve, so
-	// stats aggregation must skip outcomes with FromCache set or it
+	// A cached outcome carries the Runtime and Solver stats of the original
+	// solve, so aggregation must skip outcomes with FromCache set or it
 	// double-counts iterations and wall time.
 	FromCache bool
 	// Replayed reports that the outcome was restored from a checkpoint
@@ -261,8 +262,8 @@ func evaluate(ctx context.Context, j Job, c *Cache) Outcome {
 	var key string
 	if c != nil {
 		key = cacheKey(j.Model, j.Stack)
-		if res, err, ok := c.lookup(key); ok {
-			oc.Result, oc.Err, oc.FromCache = res, wrapErr(j, err), true
+		if e, ok := c.lookup(key); ok {
+			oc.Result, oc.Err, oc.Runtime, oc.FromCache = e.res, wrapErr(j, e.err), e.runtime, true
 			return oc
 		}
 	}
@@ -272,7 +273,7 @@ func evaluate(ctx context.Context, j Job, c *Cache) Outcome {
 	recordJob(oc.Runtime, err)
 	if c != nil {
 		// Raw errors are cached so each job wraps them with its own label.
-		c.store(key, res, err)
+		c.store(&cacheEntry{key: key, res: res, err: err, runtime: oc.Runtime})
 	}
 	oc.Result, oc.Err = res, wrapErr(j, err)
 	return oc

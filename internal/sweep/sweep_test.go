@@ -3,10 +3,12 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stack"
 	"repro/internal/units"
 )
@@ -167,6 +169,87 @@ func TestCacheHits(t *testing.T) {
 		if outs[i].Result != outs[0].Result {
 			t.Errorf("job %d did not reuse the cached result", i)
 		}
+	}
+}
+
+// TestCacheHitKeepsOriginalSolve: a batch re-run on a shared Cache solves
+// nothing, and each hit reports the first run's Runtime and Solver stats.
+func TestCacheHitKeepsOriginalSolve(t *testing.T) {
+	jobs := reuseJobs(t, 3)
+	cache := NewCache()
+	first, err := Run(context.Background(), jobs, Options{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := obs.Default().Counter("sweep.jobs")
+	before := solved.Value()
+	second, err := Run(context.Background(), jobs, Options{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := solved.Value() - before; n != 0 {
+		t.Errorf("re-run on a shared cache counted %d sweep.jobs, want 0", n)
+	}
+	for i, oc := range second {
+		f := first[i]
+		if oc.Err != nil || f.Err != nil {
+			t.Fatalf("job %d: %v / %v", i, f.Err, oc.Err)
+		}
+		if f.FromCache || !oc.FromCache {
+			t.Errorf("job %d: FromCache %v then %v, want false then true", i, f.FromCache, oc.FromCache)
+		}
+		if oc.Runtime != f.Runtime || oc.Runtime <= 0 {
+			t.Errorf("job %d: hit Runtime %v, original %v", i, oc.Runtime, f.Runtime)
+		}
+		if oc.Result.Solver != f.Result.Solver || !oc.Result.Solver.Direct {
+			t.Errorf("job %d: hit Solver %+v, original %+v", i, oc.Result.Solver, f.Result.Solver)
+		}
+	}
+}
+
+// interruptModel cancels its sweep from inside the solve when interrupt is
+// set, the way a caller's cancellation lands mid-solve, and otherwise
+// solves. The state is package-level because the cache key encodes the
+// model's fields.
+type interruptModel struct{}
+
+var interrupt context.CancelFunc
+
+func (interruptModel) Name() string { return "interrupt" }
+func (m interruptModel) Solve(s *stack.Stack) (*core.Result, error) {
+	return m.SolveCtx(context.Background(), s)
+}
+func (interruptModel) SolveCtx(ctx context.Context, _ *stack.Stack) (*core.Result, error) {
+	if interrupt != nil {
+		interrupt()
+		return nil, fmt.Errorf("interrupted: %w", ctx.Err())
+	}
+	return &core.Result{MaxDT: 1}, nil
+}
+
+// TestCacheSkipsCancelledSolves: a point cancelled mid-solve is not an
+// outcome, so a later run on the same Cache under a live context solves it
+// instead of replaying the cancellation.
+func TestCacheSkipsCancelledSolves(t *testing.T) {
+	s := fig4Stack(t, 10)
+	cache := NewCache()
+	jobs := Batch{}.Add("p", s, interruptModel{})
+	ctx, cancel := context.WithCancel(context.Background())
+	interrupt = cancel
+	outs, err := Run(ctx, jobs, Options{Workers: 1, Cache: cache})
+	interrupt = nil
+	if !errors.Is(err, context.Canceled) || !errors.Is(outs[0].Err, context.Canceled) {
+		t.Fatalf("interrupted run: %v / %v, want context.Canceled", err, outs[0].Err)
+	}
+	if cache.Len() != 0 {
+		t.Errorf("cache holds %d entries after a cancelled solve, want 0", cache.Len())
+	}
+	outs, err = Run(context.Background(), jobs, Options{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oc := outs[0]; oc.Err != nil || oc.FromCache || oc.Result.MaxDT != 1 {
+		t.Errorf("re-run after cancellation: err %v, FromCache %v, want a fresh solve", oc.Err, oc.FromCache)
 	}
 }
 

@@ -118,9 +118,6 @@ type (
 	SweepOptions = sweep.Options
 	// SweepCache memoizes solves keyed on geometry+model across sweeps.
 	SweepCache = sweep.Cache
-	// SweepDiskCache is the persistent on-disk result cache behind
-	// SweepCache; see OpenSweepDiskCache.
-	SweepDiskCache = sweep.DiskCache
 	// SweepShardSpec selects one contiguous slice of a sweep batch; see
 	// ParseSweepShard and DeckSweepControl.Shard.
 	SweepShardSpec = sweep.ShardSpec
@@ -307,27 +304,15 @@ func Sweep(ctx context.Context, jobs Batch, opt SweepOptions) ([]SweepOutcome, e
 
 // NewSweepCache returns an empty memoization cache for SweepOptions.Cache or
 // PlanOptions.Cache; it is safe for concurrent use and may be shared across
-// batches. The cache is bounded (LRU eviction beyond a generous default
-// capacity); use NewSweepCacheSize(0) for the unbounded behavior.
+// batches. A hit reports the Runtime and Solver stats of the solve that
+// produced it, and a cancelled solve is never cached. The cache is bounded
+// (LRU eviction beyond a generous default capacity); use
+// NewSweepCacheSize(0) for the unbounded behavior.
 func NewSweepCache() *SweepCache { return sweep.NewCache() }
 
 // NewSweepCacheSize returns a memoization cache holding at most capacity
 // entries with least-recently-used eviction; capacity <= 0 means unbounded.
 func NewSweepCacheSize(capacity int) *SweepCache { return sweep.NewCacheSize(capacity) }
-
-// OpenSweepDiskCache opens (creating the directory if needed) a persistent
-// sweep result cache holding at most maxEntries results (<= 0 selects a
-// generous default), evicting least-recently-hit entries. Concurrent
-// processes — e.g. shards of one sweep — may share a directory.
-func OpenSweepDiskCache(dir string, maxEntries int) (*SweepDiskCache, error) {
-	return sweep.OpenDiskCache(dir, maxEntries)
-}
-
-// NewSweepCacheWithDisk layers the in-memory LRU (capacity <= 0 means
-// unbounded) over a persistent disk cache; disk may be nil.
-func NewSweepCacheWithDisk(capacity int, disk *SweepDiskCache) *SweepCache {
-	return sweep.NewCacheWithDisk(capacity, disk)
-}
 
 // ParseSweepShard parses a 1-based "i/n" shard spec ("2/5" = the second of
 // five shards); the empty string selects the whole batch. Shards partition a
