@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/linalg"
 	"repro/internal/stack"
 )
 
@@ -35,7 +34,7 @@ func SolveThreePlaneEquations(s *stack.Stack, c Coeffs) (*Result, error) {
 	t0 := rs * (q1 + q2 + q3)
 
 	// Unknown vector x = [T1, T2, T3, T4, T5].
-	g := linalg.NewMatrix(5, 5)
+	g := newDense(5)
 	b := make([]float64, 5)
 
 	// Eq. (4): q1 + (T3-T1)/R4 = (T1-T2)/R3 + (T1-T0)/R1
@@ -70,7 +69,7 @@ func SolveThreePlaneEquations(s *stack.Stack, c Coeffs) (*Result, error) {
 	g.Add(4, 3, -1/r89)
 	b[4] = q3
 
-	x, err := linalg.Solve(g, b)
+	x, err := g.solve(b)
 	if err != nil {
 		return nil, fmt.Errorf("core: three-plane equations: %w", err)
 	}

@@ -148,7 +148,7 @@ func TestLadderMatchesDenseSolve(t *testing.T) {
 			if len(q) != len(got) {
 				t.Fatalf("ladder has %d nodes, transcription %d", len(got), len(q))
 			}
-			g := linalg.NewMatrix(len(q), len(q))
+			g := newDense(len(q))
 			for _, e := range els {
 				cond := 1 / e.r
 				g.Add(e.b, e.b, cond)
@@ -158,7 +158,7 @@ func TestLadderMatchesDenseSolve(t *testing.T) {
 					g.Add(e.b, e.a, -cond)
 				}
 			}
-			want, err := linalg.Solve(g, q)
+			want, err := g.solve(q)
 			if err != nil {
 				t.Fatal(err)
 			}

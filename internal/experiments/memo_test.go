@@ -151,20 +151,25 @@ func TestMemoHitKeepsOriginalSolve(t *testing.T) {
 	}
 }
 
+// TestMemoSharedByConcurrentCopies runs Fig. 5 and Table I at once on
+// copies of one Config: the 3 liners they share are solved once each, by
+// whichever run asks first, however the two interleave.
 func TestMemoSharedByConcurrentCopies(t *testing.T) {
 	cfg := Quick()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, errs[0] = Fig5(cfg)
-	}()
-	go func() {
-		defer wg.Done()
-		_, errs[1] = Table1(cfg)
-	}()
-	wg.Wait()
+	solves := solvesDuring(t, func() {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, errs[0] = Fig5(cfg)
+		}()
+		go func() {
+			defer wg.Done()
+			_, errs[1] = Table1(cfg)
+		}()
+		wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -172,6 +177,9 @@ func TestMemoSharedByConcurrentCopies(t *testing.T) {
 	}
 	if n := cfg.cache.Len(); n != 3 {
 		t.Errorf("memo holds %d geometries after Fig. 5 and Table I on the same 3 liners", n)
+	}
+	if solves != 3 {
+		t.Errorf("Fig. 5 and Table I at once solved the reference %d times, want once per liner (3)", solves)
 	}
 }
 

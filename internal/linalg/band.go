@@ -1,3 +1,11 @@
+// Package linalg implements the banded LDLᵀ factor that solves every
+// symmetric positive definite system in the repository — the Model A/B
+// ladders, the finite-volume grids solved direct, and the multigrid planes
+// and coarse grids.
+//
+// A straightforward, well-tested implementation is preferable to pulling in
+// a numerical library; the sparse package fills the band from its stencils
+// and covers the grids too large to factor.
 package linalg
 
 import (

@@ -186,7 +186,9 @@ func PlanWith(f *Floorplan, tech Technology, budget float64, m core.Model, opt O
 	if cache == nil {
 		cache = sweep.NewCache()
 	}
-	m = sweep.Cached(m, cache)
+	// The cached wrapper implements core.ContextSolver, so every tile solve
+	// honours the tile's context.
+	solver := sweep.Cached(m, cache).(core.ContextSolver)
 
 	rows, cols := f.Rows(), f.Cols()
 	workers := opt.Workers
@@ -225,9 +227,9 @@ func PlanWith(f *Floorplan, tech Technology, budget float64, m core.Model, opt O
 					continue // drain; the cancelled run discards the plan
 				}
 				r, c := i/cols, i%cols
-				_, sp := obs.StartSpan(ctx, "plan.tile")
+				tctx, sp := obs.StartSpan(ctx, "plan.tile")
 				t0 := time.Now()
-				count, dt, err := planTile(f.PlanePowers[r][c], tileArea, tech, budget, m, maxCount)
+				count, dt, err := planTile(tctx, f.PlanePowers[r][c], tileArea, tech, budget, solver, maxCount)
 				tileCounter.Inc()
 				tileWall.Observe(time.Since(t0).Seconds())
 				if sp != nil {
@@ -286,8 +288,9 @@ feed:
 }
 
 // planTile finds the smallest count meeting the budget by bisection over
-// [0, maxCount]; ΔT is monotone non-increasing in the via count.
-func planTile(powers []float64, tileArea float64, tech Technology, budget float64, m core.Model, maxCount int) (int, float64, error) {
+// [0, maxCount]; ΔT is monotone non-increasing in the via count. It stops
+// with ctx.Err() as soon as ctx ends, mid-solve or between solves.
+func planTile(ctx context.Context, powers []float64, tileArea float64, tech Technology, budget float64, m core.ContextSolver, maxCount int) (int, float64, error) {
 	dt0, err := noViaDT(powers, tileArea, tech)
 	if err != nil {
 		return 0, 0, err
@@ -296,11 +299,14 @@ func planTile(powers []float64, tileArea float64, tech Technology, budget float6
 		return 0, dt0, nil
 	}
 	dtAt := func(n int) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		s, err := TileStack(powers, tileArea, tech, n)
 		if err != nil {
 			return 0, err
 		}
-		res, err := m.Solve(s)
+		res, err := m.SolveCtx(ctx, s)
 		if err != nil {
 			return 0, err
 		}

@@ -1,12 +1,21 @@
 package plan
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fem"
+	"repro/internal/obs"
+	"repro/internal/stack"
 	"repro/internal/sweep"
 )
 
@@ -271,6 +280,114 @@ func TestPlanWithDeterministicError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "tile (0,1)") {
 			t.Errorf("workers=%d: error %q does not name the row-major first failing tile", workers, err)
+		}
+	}
+}
+
+// tileModel answers ΔT = 100/(n+1) K for a tile of n vias. Its solve number
+// tileStopAt cancels the plan, the way a caller's cancellation lands
+// mid-tile; with tileBlock set it then waits until its own context ends (or
+// tileRelease closes), as a solver notices cancellation between
+// iterations. The state is package-level because the cache key encodes the
+// model's fields.
+type tileModel struct{}
+
+var (
+	tileSolves  atomic.Int32
+	tileStopAt  int32
+	tileBlock   bool
+	tileCancel  context.CancelFunc
+	tileRelease chan struct{}
+)
+
+func (m tileModel) Name() string { return "tile" }
+func (m tileModel) Solve(s *stack.Stack) (*core.Result, error) {
+	return m.SolveCtx(context.Background(), s)
+}
+func (tileModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
+	if tileSolves.Add(1) == tileStopAt {
+		block, release := tileBlock, tileRelease // read before the test can move on
+		tileCancel()
+		if block {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-release:
+			}
+		}
+	}
+	return &core.Result{MaxDT: 100 / float64(s.Via.Count+1)}, nil
+}
+
+// TestPlanTileHonoursContext cancels a multi-tile plan during the third
+// solve of its first tile, in the middle of the bisection. The plan must
+// return context.Canceled promptly, and no solve may start after the
+// cancel: not while the cancelled solve runs, and not as a further
+// bisection step once a solve that ignores its context has answered.
+func TestPlanTileHonoursContext(t *testing.T) {
+	for _, block := range []bool{true, false} {
+		f := uniformFloorplan(2, 2, 0.75e-3, 84.0/169)
+		ctx, cancel := context.WithCancel(context.Background())
+		tileSolves.Store(0)
+		tileStopAt, tileBlock, tileCancel = 3, block, cancel
+		tileRelease = make(chan struct{})
+		errc := make(chan error, 1)
+		go func() {
+			_, err := PlanWith(f, DefaultTechnology(), 13.0, tileModel{}, Options{Workers: 1, Ctx: ctx})
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("block=%v: plan returned %v, want context.Canceled", block, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("block=%v: plan still running 2 s after its context was cancelled", block)
+		}
+		close(tileRelease)
+		if n := tileSolves.Load(); n != tileStopAt {
+			t.Errorf("block=%v: %d solves ran, want %d: solves started after the cancel", block, n, tileStopAt)
+		}
+		cancel()
+	}
+}
+
+// TestPlanTileSpansHoldTheirSolves: a traced reference-model plan nests
+// every fem.solve span under the plan.tile span of the tile that asked for
+// it.
+func TestPlanTileSpansHoldTheirSolves(t *testing.T) {
+	var buf bytes.Buffer
+	f := uniformFloorplan(1, 2, 0.75e-3, 84.0/169)
+	if _, err := PlanWith(f, DefaultTechnology(), 13.0, fem.ReferenceModel{}, Options{Workers: 2, Trace: obs.NewTracer(&buf)}); err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		Span   string `json:"span"`
+		ID     int64  `json:"id"`
+		Parent int64  `json:"parent"`
+	}
+	spans := make(map[int64]rec)
+	var solves []rec
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var r rec
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		spans[r.ID] = r
+		if r.Span == "fem.solve" {
+			solves = append(solves, r)
+		}
+	}
+	if len(solves) == 0 {
+		t.Fatalf("no fem.solve spans in the trace:\n%s", buf.String())
+	}
+	for _, r := range solves {
+		p := r
+		for p.Parent != 0 && p.Span != "plan.tile" {
+			p = spans[p.Parent]
+		}
+		if p.Span != "plan.tile" {
+			t.Errorf("fem.solve span %d is not below a plan.tile span", r.ID)
 		}
 	}
 }

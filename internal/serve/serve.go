@@ -8,7 +8,9 @@
 // Around that deterministic core the service adds the serving machinery:
 //
 //   - single-flight coalescing: identical in-flight requests (keyed by the
-//     canonical hash of the lowered scenario) share one solve;
+//     canonical hash of the lowered scenario) share one solve through the
+//     flight group the sweep cache uses too; each request waits on its own
+//     context, and the solve stops only when the last one has left;
 //   - token-bucket admission control (429 + Retry-After);
 //   - per-request timeouts and client-disconnect cancellation threaded into
 //     the iterative solvers;
@@ -32,6 +34,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/deck"
+	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stack"
@@ -68,7 +71,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	flights flightGroup
+	flights flight.Group[response]
 	bucket  *tokenBucket
 	reg     *obs.Registry
 
@@ -163,11 +166,19 @@ func (s *Server) reject(w http.ResponseWriter, msg string, status int) {
 	http.Error(w, msg, status)
 }
 
+// response is one finished execution, shared verbatim by every request that
+// coalesced onto it.
+type response struct {
+	status      int
+	contentType string
+	body        []byte
+}
+
 // coalesced runs fn under the single-flight group and writes the shared
-// response.
+// response; a request whose client disconnects leaves, writing nothing.
 func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, endpoint, key string, fn func(context.Context) response) {
 	t0 := time.Now()
-	resp, shared, err := s.flights.do(r.Context(), key, fn)
+	resp, shared, err := s.flights.Do(r.Context(), key, fn)
 	s.reg.Histogram("serve.request.seconds", obs.ExpBuckets(1e-6, 4, 13)).Observe(time.Since(t0).Seconds())
 	if err != nil {
 		// Client is gone; there is nobody to write to.

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deck"
 	"repro/internal/fem"
+	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stack"
@@ -271,10 +272,7 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 	// so none of them can arrive after the leader finished and start a
 	// second execution.
 	waitFor(t, "all requests to join the flight", func() bool {
-		s.flights.mu.Lock()
-		defer s.flights.mu.Unlock()
-		c := s.flights.m[key]
-		return c != nil && c.waiters == n
+		return s.flights.Waiters(key) == n
 	})
 	close(release)
 	wg.Wait()
@@ -600,14 +598,14 @@ func TestHealthMetricsAndPprof(t *testing.T) {
 // TestFlightLastWaiterCancels: when the only client waiting on a flight
 // disconnects, the execution context must be cancelled so the solve stops.
 func TestFlightLastWaiterCancels(t *testing.T) {
-	var g flightGroup
+	var g flight.Group[response]
 	started := make(chan struct{})
 	cancelled := make(chan struct{})
 	rctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := g.do(rctx, "k", func(ctx context.Context) response {
+		_, _, err := g.Do(rctx, "k", func(ctx context.Context) response {
 			close(started)
 			<-ctx.Done()
 			close(cancelled)
@@ -617,8 +615,8 @@ func TestFlightLastWaiterCancels(t *testing.T) {
 	}()
 	<-started
 	cancel()
-	if err := <-errc; err != errClientGone {
-		t.Fatalf("do returned %v, want errClientGone", err)
+	if err := <-errc; err != context.Canceled {
+		t.Fatalf("Do returned %v, want the waiter's own context.Canceled", err)
 	}
 	select {
 	case <-cancelled:

@@ -2,12 +2,13 @@ package sweep
 
 import (
 	"container/list"
-	"errors"
+	"context"
 	"sync"
 	"time"
 
 	"repro/internal/canon"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/stack"
 )
@@ -31,16 +32,19 @@ const DefaultCacheCapacity = 1 << 16
 // A hit reports the wall time of the solve that produced it (see
 // Outcome.Runtime) and its Result carries that solve's Solver stats.
 //
-// A Cache is safe for concurrent use, and a Cached model solves each point
-// once: callers asking for a point that is still being solved wait for it.
-// Cached *core.Result values are shared between all callers and must be
-// treated as read-only.
+// A Cache is safe for concurrent use, and every caller through it (Run with
+// Options.Cache, a Cached model) solves each point once: a caller asking
+// for a point that is still being solved joins that solve and counts as a
+// hit. A caller waits on its own context and leaves alone when it ends; the
+// solve stops only when no caller waits on it, and a cancelled solve is not
+// stored. Cached *core.Result values are shared between all callers and
+// must be treated as read-only.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
 	entries   map[string]*list.Element
 	order     *list.List // front = most recently used
-	inflight  map[string]*flight
+	flights   flight.Group[*cacheEntry]
 	hits      int
 	misses    int
 	evictions int
@@ -56,17 +60,6 @@ type cacheEntry struct {
 	runtime time.Duration
 }
 
-// flight is one in-progress solve of a key that Cached models are waiting on.
-type flight struct {
-	done chan struct{}
-	res  *core.Result
-	err  error
-}
-
-// errFlightAborted is what waiters get when the solve they waited on
-// panicked instead of returning.
-var errFlightAborted = errors.New("sweep: the concurrent solve of this point did not finish")
-
 // NewCache returns an empty cache bounded at DefaultCacheCapacity entries.
 func NewCache() *Cache { return NewCacheSize(DefaultCacheCapacity) }
 
@@ -77,28 +70,35 @@ func NewCacheSize(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
 		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
 		order:    list.New(),
 	}
 }
 
-// lookup returns the cached outcome for key, counting hit/miss and marking
-// the entry most recently used.
+// lookup returns the cached outcome for key and marks it most recently
+// used.
 func (c *Cache) lookup(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
-		c.mu.Unlock()
-		obs.Default().Counter("sweep.cache.misses").Inc()
 		return nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
+	return el.Value.(*cacheEntry), true
+}
+
+// count records one hit or one miss.
+func (c *Cache) count(hit bool) {
+	c.mu.Lock()
+	name := "sweep.cache.misses"
+	if hit {
+		c.hits++
+		name = "sweep.cache.hits"
+	} else {
+		c.misses++
+	}
 	c.mu.Unlock()
-	obs.Default().Counter("sweep.cache.hits").Inc()
-	return e, true
+	obs.Default().Counter(name).Inc()
 }
 
 // store records an outcome, failures included, so repeatedly-invalid
@@ -152,9 +152,10 @@ func cacheKey(m core.Model, s *stack.Stack) string {
 	return canon.String(m, s)
 }
 
-// Cached wraps a model so every Solve is memoized in c. The wrapper
+// Cached wraps a model so every solve is memoized in c. The wrapper
 // preserves the model's name, making it a drop-in replacement anywhere a
-// core.Model is consumed (e.g. plan.Plan, which re-solves identical tiles).
+// core.Model is consumed (e.g. plan.Plan, which re-solves identical tiles),
+// and implements core.ContextSolver whatever the model does.
 func Cached(m core.Model, c *Cache) core.Model {
 	if c == nil {
 		return m
@@ -173,39 +174,58 @@ func (cm cachedModel) Name() string { return cm.m.Name() }
 // Solve implements core.Model with memoization. Returned results are shared
 // and must be treated as read-only.
 func (cm cachedModel) Solve(s *stack.Stack) (*core.Result, error) {
-	return cm.c.do(cacheKey(cm.m, s), func() (*core.Result, error) { return cm.m.Solve(s) })
+	return cm.SolveCtx(context.Background(), s)
 }
 
-// do returns key's cached outcome, or runs solve for it once: a caller that
-// asks for a key another caller is solving waits for that solve and counts
-// as a hit, so each distinct point is solved (and missed) exactly once.
-func (c *Cache) do(key string, solve func() (*core.Result, error)) (*core.Result, error) {
-	c.mu.Lock()
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		<-f.done
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
-		obs.Default().Counter("sweep.cache.hits").Inc()
-		return f.res, f.err
+// SolveCtx implements core.ContextSolver: Solve that returns ctx.Err() as
+// soon as ctx ends, leaving the point's solve to any other caller waiting
+// on it.
+func (cm cachedModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
+	e, _, err := cm.c.do(ctx, cm.m, s)
+	if err != nil {
+		return nil, err
 	}
-	f := &flight{done: make(chan struct{}), err: errFlightAborted}
-	c.inflight[key] = f
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(f.done)
-	}()
+	return e.res, e.err
+}
+
+// do returns the outcome of solving s with m and whether it came from the
+// cache: the stored entry (a hit), or the entry of the one solve that runs
+// the point while any caller waits on it. The solve counts the miss; a
+// caller that joins it counts a hit. A caller whose ctx ends first gets
+// ctx.Err() and no entry. The solve stores its outcome before the flight
+// ends, so a caller arriving later finds it. A nil Cache just solves.
+func (c *Cache) do(ctx context.Context, m core.Model, s *stack.Stack) (cacheEntry, bool, error) {
+	if c == nil {
+		return timedSolve(ctx, "", m, s), false, nil
+	}
+	key := cacheKey(m, s)
 	if e, ok := c.lookup(key); ok {
-		f.res, f.err = e.res, e.err
-		return e.res, e.err
+		c.count(true)
+		return *e, true, nil
 	}
+	var solved *cacheEntry
+	e, _, err := c.flights.Do(ctx, key, func(ctx context.Context) *cacheEntry {
+		if e, ok := c.lookup(key); ok {
+			return e // stored by a flight that ended after the lookup above
+		}
+		c.count(false)
+		e := timedSolve(ctx, key, m, s)
+		solved = &e
+		c.store(solved)
+		return solved
+	})
+	if err != nil {
+		return cacheEntry{}, false, err
+	}
+	if e != solved {
+		c.count(true)
+	}
+	return *e, e != solved, nil
+}
+
+// timedSolve solves s with m into an entry keyed key, timing the solve.
+func timedSolve(ctx context.Context, key string, m core.Model, s *stack.Stack) cacheEntry {
 	t0 := time.Now()
-	res, err := solve()
-	c.store(&cacheEntry{key: key, res: res, err: err, runtime: time.Since(t0)})
-	f.res, f.err = res, err
-	return res, err
+	res, err := solve(ctx, m, s)
+	return cacheEntry{key: key, res: res, err: err, runtime: time.Since(t0)}
 }

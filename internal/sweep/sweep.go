@@ -83,7 +83,8 @@ type Options struct {
 	Workers int
 	// Cache optionally memoizes results keyed on geometry+model, making
 	// repeated points (common in planning loops) free. The same Cache may
-	// be shared across batches and is safe for concurrent use.
+	// be shared across batches, at once or not, and each point is solved
+	// once through it (see Cache).
 	Cache *Cache
 	// Trace optionally records the batch as NDJSON spans: one "sweep.run"
 	// root span with a "sweep.job" child per job, under which the solver
@@ -231,9 +232,9 @@ feed:
 	return out, nil
 }
 
-// evaluate runs one job, consulting the cache and converting panics of
-// misbehaving models into errors so a single bad geometry cannot kill the
-// whole sweep.
+// evaluate runs one job through the cache (or straight to the model when c
+// is nil), converting panics of misbehaving models into errors so a single
+// bad geometry cannot kill the whole sweep.
 func evaluate(ctx context.Context, j Job, c *Cache) Outcome {
 	oc := Outcome{Job: j}
 	if err := ctx.Err(); err != nil {
@@ -259,23 +260,16 @@ func evaluate(ctx context.Context, j Job, c *Cache) Outcome {
 			sp.End()
 		}()
 	}
-	var key string
-	if c != nil {
-		key = cacheKey(j.Model, j.Stack)
-		if e, ok := c.lookup(key); ok {
-			oc.Result, oc.Err, oc.Runtime, oc.FromCache = e.res, wrapErr(j, e.err), e.runtime, true
-			return oc
-		}
+	e, hit, err := c.do(ctx, j.Model, j.Stack)
+	if err != nil {
+		oc.Err = wrapErr(j, err)
+		return oc
 	}
-	t0 := time.Now()
-	res, err := solve(ctx, j)
-	oc.Runtime = time.Since(t0)
-	recordJob(oc.Runtime, err)
-	if c != nil {
-		// Raw errors are cached so each job wraps them with its own label.
-		c.store(&cacheEntry{key: key, res: res, err: err, runtime: oc.Runtime})
+	if !hit {
+		recordJob(e.runtime, e.err)
 	}
-	oc.Result, oc.Err = res, wrapErr(j, err)
+	// Raw errors are cached so each job wraps them with its own label.
+	oc.Result, oc.Err, oc.Runtime, oc.FromCache = e.res, wrapErr(j, e.err), e.runtime, hit
 	return oc
 }
 
@@ -303,16 +297,16 @@ func wrapErr(j Job, err error) error {
 // solve invokes the model with panic capture, preferring the cancellable
 // entry point: a cancelled batch stops its in-flight solves between solver
 // iterations instead of running them to completion.
-func solve(ctx context.Context, j Job) (res *core.Result, err error) {
+func solve(ctx context.Context, m core.Model, s *stack.Stack) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("model panicked: %v", r)
 		}
 	}()
-	if cs, ok := j.Model.(core.ContextSolver); ok {
-		res, err = cs.SolveCtx(ctx, j.Stack)
+	if cs, ok := m.(core.ContextSolver); ok {
+		res, err = cs.SolveCtx(ctx, s)
 	} else {
-		res, err = j.Model.Solve(j.Stack)
+		res, err = m.Solve(s)
 	}
 	if err != nil {
 		return nil, err

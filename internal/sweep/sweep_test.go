@@ -208,9 +208,10 @@ func TestCacheHitKeepsOriginalSolve(t *testing.T) {
 }
 
 // interruptModel cancels its sweep from inside the solve when interrupt is
-// set, the way a caller's cancellation lands mid-solve, and otherwise
-// solves. The state is package-level because the cache key encodes the
-// model's fields.
+// set, the way a caller's cancellation lands mid-solve, and then stops when
+// its own context ends, as a solver notices cancellation between
+// iterations; otherwise it solves. The state is package-level because the
+// cache key encodes the model's fields.
 type interruptModel struct{}
 
 var interrupt context.CancelFunc
@@ -222,6 +223,7 @@ func (m interruptModel) Solve(s *stack.Stack) (*core.Result, error) {
 func (interruptModel) SolveCtx(ctx context.Context, _ *stack.Stack) (*core.Result, error) {
 	if interrupt != nil {
 		interrupt()
+		<-ctx.Done()
 		return nil, fmt.Errorf("interrupted: %w", ctx.Err())
 	}
 	return &core.Result{MaxDT: 1}, nil

@@ -116,7 +116,8 @@ type (
 	SweepOutcome = sweep.Outcome
 	// SweepOptions controls worker count and memoization of a sweep.
 	SweepOptions = sweep.Options
-	// SweepCache memoizes solves keyed on geometry+model across sweeps.
+	// SweepCache memoizes solves keyed on geometry+model across sweeps and
+	// plans; every caller through one cache solves each point once.
 	SweepCache = sweep.Cache
 	// SweepShardSpec selects one contiguous slice of a sweep batch; see
 	// ParseSweepShard and DeckSweepControl.Shard.
@@ -304,8 +305,11 @@ func Sweep(ctx context.Context, jobs Batch, opt SweepOptions) ([]SweepOutcome, e
 
 // NewSweepCache returns an empty memoization cache for SweepOptions.Cache or
 // PlanOptions.Cache; it is safe for concurrent use and may be shared across
-// batches. A hit reports the Runtime and Solver stats of the solve that
-// produced it, and a cancelled solve is never cached. The cache is bounded
+// batches and plans. Every caller through it solves each point once: one
+// asking for a point another is still solving joins that solve, waits on
+// its own context and leaves alone when it ends; the solve stops only when
+// no caller waits on it. A hit reports the Runtime and Solver stats of the
+// solve that produced it, and a cancelled solve is never cached. The cache is bounded
 // (LRU eviction beyond a generous default capacity); use
 // NewSweepCacheSize(0) for the unbounded behavior.
 func NewSweepCache() *SweepCache { return sweep.NewCache() }
