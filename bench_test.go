@@ -361,7 +361,7 @@ func BenchmarkReferenceMGRefined4(b *testing.B) {
 
 // BenchmarkReferenceMGRefined8 is the deep-refinement probe: ~93k unknowns,
 // 64× the default mesh. Grading-preserving refinement
-// (Resolution.RefineFactor) keeps the mesh family nested, so the iteration
+// (Resolution.Refine, mesh.Regrade) keeps the mesh family nested, so the iteration
 // count should sit in the same band as the 2x and 4x benchmarks.
 func BenchmarkReferenceMGRefined8(b *testing.B) {
 	benchReferenceResolved(b, 8, sparse.PrecondMG)

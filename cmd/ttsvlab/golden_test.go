@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -74,5 +76,61 @@ func TestCalibrateArchive(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("calibrate.csv differs from results/calibrate.csv; regenerate it with `go run ./cmd/ttsvlab -csv results calibrate`\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestAllArchive pins the archived results/*.csv to what `ttsvlab -csv DIR
+// all` writes today, cell by cell, except the columns whose header names a
+// runtime (wall-clock times vary run to run). calibrate.csv, which `all`
+// does not write, is TestCalibrateArchive's.
+func TestAllArchive(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(context.Background(), []string{"-csv", dir, "all"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	archive := filepath.Join("..", "..", "results")
+	want, err := filepath.Glob(filepath.Join(archive, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want)-1 {
+		t.Errorf("all wrote %d CSV files, the archive holds %d besides calibrate.csv", len(got), len(want)-1)
+	}
+	read := func(path string) [][]string {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rows, err := csv.NewReader(f).ReadAll()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return rows
+	}
+	for _, path := range want {
+		name := filepath.Base(path)
+		if name == "calibrate.csv" {
+			continue
+		}
+		w, g := read(path), read(filepath.Join(dir, name))
+		if len(g) != len(w) || len(g) == 0 || len(g[0]) != len(w[0]) {
+			t.Errorf("%s: %d rows, archive %d, or the columns differ", name, len(g), len(w))
+			continue
+		}
+		for r := range w {
+			for c, header := range w[0] {
+				if strings.Contains(header, "runtime") {
+					continue
+				}
+				if g[r][c] != w[r][c] {
+					t.Errorf("%s row %d column %q: %q, archive %q; regenerate with `go run ./cmd/ttsvlab -csv results all`", name, r, header, g[r][c], w[r][c])
+				}
+			}
+		}
 	}
 }

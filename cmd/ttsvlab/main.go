@@ -12,7 +12,7 @@
 //
 // Flags:
 //
-//	-quick       thin sweeps and coarser reference mesh (fast smoke run)
+//	-quick       thin sweeps on the default reference mesh (fast smoke run)
 //	-plot        also draw ASCII figures for the sweeps
 //	-csv DIR     write each table as CSV into DIR
 //	-workers N   solve sweep points on N parallel workers (0 = all CPUs);
@@ -57,7 +57,7 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("ttsvlab", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "thin sweeps and a coarser reference mesh")
+	quick := fs.Bool("quick", false, "thin sweeps on the default reference mesh")
 	plot := fs.Bool("plot", false, "draw ASCII figures for the sweeps")
 	csvDir := fs.String("csv", "", "write tables as CSV into this directory")
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all CPUs); tables are identical for any count")

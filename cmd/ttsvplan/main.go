@@ -121,7 +121,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		fmt.Fprintln(out)
 	}
 	if *verify {
-		full, err := ttsv.VerifyPlan(ttsv.TraceContext(ctx, tracer), f, tech, res.Counts, ttsv.DefaultPowerMapResolution())
+		full, err := ttsv.VerifyPlan(ttsv.TraceContext(ctx, tracer), f, tech, res.Counts)
 		if err != nil {
 			return err
 		}

@@ -66,7 +66,7 @@ func main() {
 	// Verify Model A's plan with the full-chip 3-D solve: unlike the
 	// planner's adiabatic tiles, it resolves lateral heat sharing between
 	// tiles, so the true peak should come in at or under the plan's claim.
-	full, err := ttsv.VerifyPlan(context.Background(), f, tech, planA.Counts, ttsv.DefaultPowerMapResolution())
+	full, err := ttsv.VerifyPlan(context.Background(), f, tech, planA.Counts)
 	if err != nil {
 		log.Fatal(err)
 	}

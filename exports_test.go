@@ -21,7 +21,6 @@ import (
 var testOnlyExports = map[string]string{
 	"repro/internal/fem.BuildCartProblem":             "test reference: the 3-D block that validates the axisymmetric reduction",
 	"repro/internal/fem.DefaultCartResolution":        "test reference: the 3-D block's mesh",
-	"repro/internal/fem.AxiSolution.At":               "test reference: the point probe of a solved field; linalg's dense Matrix.At hid it from this scan until that matrix moved into linalg's tests",
 	"repro/internal/fem.ConvergenceError.Unwrap":      "interface method: errors.Is and errors.As unwrap through it",
 	"repro/internal/flight.Group.Waiters":             "test accessor: the flight, sweep and serve tests wait until every caller has joined an execution before releasing it",
 	"repro/internal/materials.Material.UnmarshalJSON": "interface method: json.Unmarshaler",

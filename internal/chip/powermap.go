@@ -14,18 +14,15 @@ import (
 	"repro/internal/sparse"
 )
 
-// PowerMapResolution controls the full-chip 3-D mesh density.
-type PowerMapResolution struct {
-	// CellsPerTile is the lateral cell count per tile edge.
-	CellsPerTile int
-	// AxialPerLayer, AxialMin and Bulk mirror fem.Resolution.
-	AxialPerLayer, AxialMin, Bulk int
-}
-
-// DefaultPowerMapResolution keeps a ~6×6-tile chip under ~50k cells.
-func DefaultPowerMapResolution() PowerMapResolution {
-	return PowerMapResolution{CellsPerTile: 4, AxialPerLayer: 3, AxialMin: 2, Bulk: 8}
-}
+// The full-chip mesh keeps a ~6×6-tile chip under ~50k cells: cellsPerTile
+// lateral cells per tile edge, and in z the shared layer rule (mesh.Layers)
+// with these per-layer, thin-layer and bulk counts.
+const (
+	cellsPerTile = 4
+	axialLayer   = 3
+	axialThin    = 2
+	axialBulk    = 8
+)
 
 // PowerMapSolution is a solved full-chip temperature field.
 type PowerMapSolution struct {
@@ -57,9 +54,11 @@ type PowerMapSolution struct {
 // ignore — tile-to-tile lateral coupling. This mirrors how the paper itself
 // calibrates simple structures against richer references.
 //
-// The 3-D solve stops when ctx is cancelled and emits fem spans when ctx
-// carries an obs.Tracer.
-func SolvePowerMap(ctx context.Context, f *plan.Floorplan, tech plan.Technology, counts [][]int, res PowerMapResolution) (*PowerMapSolution, error) {
+// The z mesh follows the reference builders' layer rule (mesh.Layers), so a
+// layer thinner than 2 µm gets the thin cell count. The 3-D
+// solve stops when ctx is cancelled and emits fem spans when ctx carries an
+// obs.Tracer.
+func SolvePowerMap(ctx context.Context, f *plan.Floorplan, tech plan.Technology, counts [][]int) (*PowerMapSolution, error) {
 	if r := obs.Default(); r != nil {
 		r.Counter("chip.powermap.solves").Inc()
 		t0 := time.Now()
@@ -69,9 +68,6 @@ func SolvePowerMap(ctx context.Context, f *plan.Floorplan, tech plan.Technology,
 	}
 	if err := f.Validate(tech); err != nil {
 		return nil, err
-	}
-	if res.CellsPerTile < 1 || res.AxialPerLayer < 1 || res.AxialMin < 1 || res.Bulk < 1 {
-		return nil, fmt.Errorf("chip: invalid power-map resolution %+v", res)
 	}
 	rows, cols := f.Rows(), f.Cols()
 	if len(counts) != rows {
@@ -157,29 +153,20 @@ func SolvePowerMap(ctx context.Context, f *plan.Floorplan, tech plan.Technology,
 		}
 	}
 
-	var zIntervals []mesh.Interval
+	tops := make([]float64, len(spans))
 	for i, sp := range spans {
-		cells := res.AxialPerLayer
-		ratio := 1.0
-		if i == 0 {
-			cells = res.Bulk
-			ratio = 0.75
-		}
-		if sp.hi-sp.lo < 3e-6 && i != 0 {
-			cells = res.AxialMin
-		}
-		zIntervals = append(zIntervals, mesh.Interval{Hi: sp.hi, Cells: cells, Ratio: ratio})
+		tops[i] = sp.hi
 	}
-	zEdges, err := mesh.Line(0, zIntervals)
+	zEdges, err := mesh.Layers(tops, axialLayer, axialThin, axialBulk, 1)
 	if err != nil {
 		return nil, err
 	}
 	var xIntervals, yIntervals []mesh.Interval
 	for c := 0; c < cols; c++ {
-		xIntervals = append(xIntervals, mesh.Interval{Hi: float64(c+1) * f.TileSide, Cells: res.CellsPerTile})
+		xIntervals = append(xIntervals, mesh.Interval{Hi: float64(c+1) * f.TileSide, Cells: cellsPerTile})
 	}
 	for r := 0; r < rows; r++ {
-		yIntervals = append(yIntervals, mesh.Interval{Hi: float64(r+1) * f.TileSide, Cells: res.CellsPerTile})
+		yIntervals = append(yIntervals, mesh.Interval{Hi: float64(r+1) * f.TileSide, Cells: cellsPerTile})
 	}
 	xEdges, err := mesh.Line(0, xIntervals)
 	if err != nil {

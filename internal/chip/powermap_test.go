@@ -44,7 +44,7 @@ func TestPowerMapUniformMatchesUnitCell(t *testing.T) {
 	const watts = 84.0 / 169
 	f := demoFloorplan(4, 4, watts)
 	counts := uniformCounts(4, 4, 2)
-	sol, err := SolvePowerMap(context.Background(), f, tech, counts, DefaultPowerMapResolution())
+	sol, err := SolvePowerMap(context.Background(), f, tech, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPowerMapHotspotCoupling(t *testing.T) {
 		f.PlanePowers[1][1][p] *= 4
 	}
 	counts := uniformCounts(3, 3, 1)
-	coupled, err := SolvePowerMap(context.Background(), f, tech, counts, DefaultPowerMapResolution())
+	coupled, err := SolvePowerMap(context.Background(), f, tech, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,11 @@ func TestPowerMapMoreViasCooler(t *testing.T) {
 	}
 	tech := plan.DefaultTechnology()
 	f := demoFloorplan(2, 2, 0.4)
-	res := PowerMapResolution{CellsPerTile: 3, AxialPerLayer: 2, AxialMin: 2, Bulk: 6}
-	sparse1, err := SolvePowerMap(context.Background(), f, tech, uniformCounts(2, 2, 1), res)
+	sparse1, err := SolvePowerMap(context.Background(), f, tech, uniformCounts(2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense4, err := SolvePowerMap(context.Background(), f, tech, uniformCounts(2, 2, 4), res)
+	dense4, err := SolvePowerMap(context.Background(), f, tech, uniformCounts(2, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,29 +126,25 @@ func TestPowerMapMoreViasCooler(t *testing.T) {
 func TestPowerMapValidation(t *testing.T) {
 	tech := plan.DefaultTechnology()
 	f := demoFloorplan(2, 2, 0.4)
-	res := DefaultPowerMapResolution()
-	if _, err := SolvePowerMap(context.Background(), f, tech, uniformCounts(1, 2, 1), res); err == nil {
+	if _, err := SolvePowerMap(context.Background(), f, tech, uniformCounts(1, 2, 1)); err == nil {
 		t.Error("wrong counts rows accepted")
 	}
-	if _, err := SolvePowerMap(context.Background(), f, tech, [][]int{{1, 1}, {1}}, res); err == nil {
+	if _, err := SolvePowerMap(context.Background(), f, tech, [][]int{{1, 1}, {1}}); err == nil {
 		t.Error("ragged counts accepted")
 	}
 	bad := uniformCounts(2, 2, 1)
 	bad[0][0] = -1
-	if _, err := SolvePowerMap(context.Background(), f, tech, bad, res); err == nil {
+	if _, err := SolvePowerMap(context.Background(), f, tech, bad); err == nil {
 		t.Error("negative count accepted")
 	}
 	over := uniformCounts(2, 2, 1)
 	over[0][0] = 1000 // via area exceeds the tile
-	if _, err := SolvePowerMap(context.Background(), f, tech, over, res); err == nil {
+	if _, err := SolvePowerMap(context.Background(), f, tech, over); err == nil {
 		t.Error("over-dense tile accepted")
-	}
-	if _, err := SolvePowerMap(context.Background(), f, tech, uniformCounts(2, 2, 1), PowerMapResolution{}); err == nil {
-		t.Error("zero resolution accepted")
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolvePowerMap(cancelled, f, tech, uniformCounts(2, 2, 1), res); !errors.Is(err, context.Canceled) {
+	if _, err := SolvePowerMap(cancelled, f, tech, uniformCounts(2, 2, 1)); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled solve: err = %v, want context.Canceled", err)
 	}
 }

@@ -105,10 +105,7 @@ func (sp ModelSpec) build() ([]core.Model, error) {
 	if sp.Refine < 1 || sp.Refine > MaxRefine {
 		return nil, &specError{"refine", fmt.Sprintf("refine must be in [1, %d], got %d", MaxRefine, sp.Refine)}
 	}
-	res := fem.DefaultResolution()
-	if sp.Refine > 1 {
-		res = res.Refine(sp.Refine)
-	}
+	res := fem.DefaultResolution().Refine(sp.Refine)
 	pk, err := sparse.ParsePrecond(sp.Precond)
 	if err != nil {
 		return nil, &specError{"precond", err.Error()}

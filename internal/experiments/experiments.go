@@ -84,11 +84,11 @@ func Default() Config {
 	}
 }
 
-// Quick returns a thinned configuration for fast smoke runs.
+// Quick returns a thinned configuration for fast smoke runs: fewer sweep
+// points, the same reference mesh.
 func Quick() Config {
 	c := Default()
 	c.Quick = true
-	c.Resolution = fem.Resolution{RadialVia: 4, RadialLiner: 2, RadialOuter: 12, AxialPerLayer: 4, AxialMin: 2, Bulk: 10}
 	return c
 }
 

@@ -87,13 +87,3 @@ func (t *Table1Result) Table() *report.Table {
 	}
 	return tb
 }
-
-// Row returns the row for the named model.
-func (t *Table1Result) Row(model string) (Table1Row, bool) {
-	for _, r := range t.Rows {
-		if r.Model == model {
-			return r, true
-		}
-	}
-	return Table1Row{}, false
-}

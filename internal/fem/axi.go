@@ -134,16 +134,6 @@ func (s *AxiSolution) MaxT() (tmax, r, z float64) {
 	return tmax, r, z
 }
 
-// At returns the temperature of the cell containing (r, z).
-func (s *AxiSolution) At(r, z float64) (float64, error) {
-	i := mesh.Locate(s.p.REdges, r)
-	j := mesh.Locate(s.p.ZEdges, z)
-	if i < 0 || j < 0 {
-		return 0, fmt.Errorf("fem: point (r=%g, z=%g) outside mesh", r, z)
-	}
-	return s.T[j][i], nil
-}
-
 // TotalSource integrates the volumetric source over the mesh (W).
 func (s *AxiSolution) TotalSource() float64 {
 	if s.p.Q == nil {

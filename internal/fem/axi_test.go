@@ -205,20 +205,6 @@ func TestAxiDirichletOffsets(t *testing.T) {
 	}
 }
 
-func TestAxiAtLookup(t *testing.T) {
-	p := uniformAxiProblem(t, 4, 10, 1, 1e6)
-	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sol.At(0.5e-3, 1e-3); err != nil {
-		t.Errorf("At inside mesh failed: %v", err)
-	}
-	if _, err := sol.At(2e-3, 1e-3); err == nil {
-		t.Error("At outside mesh succeeded")
-	}
-}
-
 func TestAxiValidation(t *testing.T) {
 	good := uniformAxiProblem(t, 4, 4, 1, 0)
 	bad := *good
@@ -287,5 +273,57 @@ func TestBoundaryOutflowTopAndOuter(t *testing.T) {
 func TestBCStringUnknownKind(t *testing.T) {
 	if s := (BC{Kind: BCKind(9)}).String(); !strings.Contains(s, "9") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+func solvedFig4(t *testing.T) *AxiSolution {
+	t.Helper()
+	s, err := fig4At(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol
+}
+
+// TestAxialProfile reads the field along the axis (the innermost cells):
+// the temperature must rise monotonically with height, since heat flows
+// down through the via column.
+func TestAxialProfile(t *testing.T) {
+	sol := solvedFig4(t)
+	for j := 1; j < len(sol.T); j++ {
+		if sol.T[j][0] < sol.T[j-1][0]-1e-9 {
+			t.Fatalf("axial profile not monotone at %d: %g then %g", j, sol.T[j-1][0], sol.T[j][0])
+		}
+	}
+}
+
+// TestRadialProfile reads the top row of cells: the via region (small r)
+// is cooler than the far bulk, because the via drains heat down.
+func TestRadialProfile(t *testing.T) {
+	sol := solvedFig4(t)
+	top := sol.T[len(sol.T)-1]
+	if top[0] >= top[len(top)-1] {
+		t.Errorf("via not cooler than surroundings at the top: %g vs %g", top[0], top[len(top)-1])
+	}
+}
+
+// TestProfilesOnAnalyticSlab checks that every row of a uniform slab's
+// field is flat in r.
+func TestProfilesOnAnalyticSlab(t *testing.T) {
+	p := uniformAxiProblem(t, 6, 20, 5, 1e7)
+	sol, err := SolveAxiWith(context.Background(), nil, p, sparse.Options{Tol: 1e-11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range sol.T {
+		for i := 1; i < len(row); i++ {
+			if math.Abs(row[i]-row[0]) > 1e-9*(1+math.Abs(row[0])) {
+				t.Fatalf("radial profile of a uniform slab not flat: %v", row)
+			}
+		}
 	}
 }

@@ -34,7 +34,6 @@ type CartProblem struct {
 
 // CartSolution is a solved 3-D temperature field.
 type CartSolution struct {
-	p *CartProblem
 	// T holds cell temperatures indexed [iz][iy][ix].
 	T [][][]float64
 	// XCenters, YCenters, ZCenters are the cell centers.
@@ -103,7 +102,7 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 		return nil, solveErr("3-D solve", n, st, err)
 	}
 	nx, ny, nz := sys.nx, sys.ny, sys.nz
-	sol := &CartSolution{p: p, XCenters: sys.xc, YCenters: sys.yc, ZCenters: sys.zc, Stats: st}
+	sol := &CartSolution{XCenters: sys.xc, YCenters: sys.yc, ZCenters: sys.zc, Stats: st}
 	// x is laid out (l*ny+j)*nx + i, so the field rows can share one backing
 	// array instead of allocating nz*ny separate slices.
 	backing := make([]float64, nz*ny*nx)
@@ -120,40 +119,6 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 	return sol, nil
 }
 
-// MaxT returns the maximum cell temperature.
-func (s *CartSolution) MaxT() float64 {
-	max := math.Inf(-1)
-	for _, plane := range s.T {
-		for _, row := range plane {
-			for _, t := range row {
-				if t > max {
-					max = t
-				}
-			}
-		}
-	}
-	return max
-}
-
-// TotalSource integrates the volumetric source (W).
-func (s *CartSolution) TotalSource() float64 {
-	if s.p.Q == nil {
-		return 0
-	}
-	var q float64
-	for l := range s.T {
-		dz := s.p.ZEdges[l+1] - s.p.ZEdges[l]
-		for j := range s.T[l] {
-			dy := s.p.YEdges[j+1] - s.p.YEdges[j]
-			for i := range s.T[l][j] {
-				dx := s.p.XEdges[i+1] - s.p.XEdges[i]
-				q += s.p.Q(s.XCenters[i], s.YCenters[j], s.ZCenters[l]) * dx * dy * dz
-			}
-		}
-	}
-	return q
-}
-
 // CartResolution controls BuildCartProblem's mesh density.
 type CartResolution struct {
 	// LateralVia is the cell count across the via diameter (per axis).
@@ -165,7 +130,8 @@ type CartResolution struct {
 	LateralLiner int
 	// LateralOuter is the cell count from the via to each block edge.
 	LateralOuter int
-	// AxialPerLayer, AxialMin and Bulk mirror Resolution.
+	// AxialPerLayer, AxialMin and Bulk are the per-layer, thin-layer and
+	// bulk cell counts of mesh.Layers, the z rule every builder shares.
 	AxialPerLayer, AxialMin, Bulk int
 }
 
@@ -206,11 +172,11 @@ func BuildCartProblem(s *stack.Stack, res CartResolution) (*CartProblem, error) 
 		return nil, err
 	}
 
-	spans, zTop, err := buildLayerSpans(s, s.Footprint)
+	spans, err := buildLayerSpans(s, s.Footprint)
 	if err != nil {
 		return nil, err
 	}
-	zEdges, err := axialEdges(spans, zTop, res.AxialPerLayer, res.AxialMin, res.Bulk, bulkGrade)
+	zEdges, err := mesh.Layers(spanTops(spans), res.AxialPerLayer, res.AxialMin, res.Bulk, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -122,7 +122,7 @@ func TestConcurrentDirectSolvesShareFreeList(t *testing.T) {
 	radii := []float64{3, 8, 13, 18}
 	want := make([]string, len(radii))
 	for i, r := range radii {
-		sol, err := SolveStackWith(context.Background(), nil, fig4(t, r), coarse())
+		sol, err := SolveStackWith(context.Background(), nil, fig4(t, r), DefaultResolution())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestConcurrentDirectSolvesShareFreeList(t *testing.T) {
 				if k%2 == 1 {
 					sc = NewSolveContext()
 				}
-				sol, err := SolveStackWith(context.Background(), sc, s, coarse())
+				sol, err := SolveStackWith(context.Background(), sc, s, DefaultResolution())
 				sc.Close()
 				if err != nil {
 					t.Error(err)

@@ -133,7 +133,7 @@ func TestSolveGolden(t *testing.T) {
 	}
 	transient := func() (int, []float64, error) {
 		s := fig4(t, 10)
-		p, err := BuildAxiProblem(s, coarse().Refine(2))
+		p, err := BuildAxiProblem(s, DefaultResolution().Refine(2))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -150,7 +150,7 @@ func TestSolveGolden(t *testing.T) {
 	defer sc.Close()
 	viaContext := func(rUM float64) func() (int, []float64, error) {
 		return func() (int, []float64, error) {
-			res := coarse().Refine(2)
+			res := DefaultResolution().Refine(2)
 			res.Precond = sparse.PrecondMG
 			sol, err := SolveStackWith(context.Background(), sc, fig4(t, rUM), res)
 			if err != nil {
@@ -160,8 +160,8 @@ func TestSolveGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, []goldenCase{
-		{"axi-coarse-direct", axi(coarse(), sparse.PrecondDefault)},
-		{"axi-2x-mg-w1", axi(coarse().Refine(2), sparse.PrecondMG)},
+		{"axi-1x-direct", axi(DefaultResolution(), sparse.PrecondDefault)},
+		{"axi-2x-mg-w1", axi(DefaultResolution().Refine(2), sparse.PrecondMG)},
 		{"cart-fig4-mg", cart(4, sparse.PrecondMG)},
 		{"cart-fig4-direct", cart(2, sparse.PrecondDefault)},
 		{"axi-2x-transient-mg", transient},
@@ -219,7 +219,7 @@ func TestDirectFactorCacheGolden(t *testing.T) {
 // must match the golden line written when the solve still ran against an
 // assembled CSR.
 func TestOperatorSolveBitIdenticalAxi(t *testing.T) {
-	res := coarse().Refine(2)
+	res := DefaultResolution().Refine(2)
 	res.Precond = sparse.PrecondMG
 	checkGolden(t, []goldenCase{{"op-axi-2x-multigrid-w1", func() (int, []float64, error) {
 		sol, err := SolveStackWith(context.Background(), nil, fig4(t, 10), res)

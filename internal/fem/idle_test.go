@@ -71,7 +71,7 @@ func freshMaxDT(t *testing.T, s *stack.Stack, res Resolution) float64 {
 
 // TestIdleKeepsShapesApart: two stacks with equal plane counts but thin and
 // thick bond layers mesh to different assembly shapes (the bond spans fall
-// on either side of thinSpanMax). Both contexts stay idle side by side, a
+// on either side of mesh.Layers' 2 µm threshold). Both contexts stay idle side by side, a
 // re-solve of each hits its own, and every solve equals a fresh one.
 func TestIdleKeepsShapesApart(t *testing.T) {
 	emptyIdle(t)
@@ -89,7 +89,7 @@ func TestIdleKeepsShapesApart(t *testing.T) {
 		t.Fatalf("premise broken: %d vs %d planes", len(thin.Planes), len(thick.Planes))
 	}
 	m := ReferenceModel{}
-	want := map[*stack.Stack]float64{thin: freshMaxDT(t, thin, m.resolution()), thick: freshMaxDT(t, thick, m.resolution())}
+	want := map[*stack.Stack]float64{thin: freshMaxDT(t, thin, m.Res), thick: freshMaxDT(t, thick, m.Res)}
 	solve := func() {
 		t.Helper()
 		for _, s := range []*stack.Stack{thin, thick} {
@@ -137,15 +137,20 @@ func TestIdleBounded(t *testing.T) {
 	emptyIdle(t)
 	emptyBands(t)
 	defer emptyIdle(t)
-	s := fig4(t, 10)
+	// Each plane count meshes to its own shape.
 	const shapes = 5
 	for i := 0; i < shapes; i++ {
-		res := Resolution{RadialVia: 2, RadialLiner: 1, RadialOuter: 2 + i, AxialPerLayer: 2, AxialMin: 1, Bulk: 3}
-		r, err := ReferenceModel{Res: res}.Solve(s)
+		cfg := stack.DefaultBlock()
+		cfg.NumPlanes = 2 + i
+		s, err := cfg.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := freshMaxDT(t, s, res); r.MaxDT != want {
+		r, err := ReferenceModel{}.Solve(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := freshMaxDT(t, s, DefaultResolution()); r.MaxDT != want {
 			t.Fatalf("shape %d: idle-list solve %v differs from fresh %v", i, r.MaxDT, want)
 		}
 	}
@@ -186,7 +191,7 @@ func TestIdleBounded(t *testing.T) {
 // goroutines at once (each takes its own context, so the list may hold
 // several of one shape) and checks every result against a fresh solve.
 func TestIdleConcurrentSolvesBitIdentical(t *testing.T) {
-	res := coarse()
+	res := DefaultResolution()
 	radii := []float64{4, 6, 8, 10, 12, 14, 16, 18}
 	want := make([]float64, len(radii))
 	for i, r := range radii {
@@ -233,7 +238,7 @@ func TestNilContextUsesIdleList(t *testing.T) {
 	var sols []*AxiSolution
 	for k := 0; k < 2; k++ {
 		hits := counter("fem.idle.hits")
-		sol, err := SolveStackWith(context.Background(), nil, s, coarse())
+		sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 		if err != nil {
 			t.Fatal(err)
 		}

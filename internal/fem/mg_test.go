@@ -13,11 +13,11 @@ import (
 // TestMGIterationsMeshIndependent asserts the point of the multigrid
 // preconditioner: CG iteration counts stay within a constant band as the
 // reference grid refines, instead of growing with the mesh. The geometric
-// hierarchy the axisymmetric grid gets takes 13/14/14 iterations at
-// 2×/4×/8×; 16 is the band.
+// hierarchy the axisymmetric grid gets takes 13–14 iterations from 1× to
+// 8×; 16 is the band.
 func TestMGIterationsMeshIndependent(t *testing.T) {
 	s := fig4(t, 10)
-	for _, f := range []int{2, 4, 8} {
+	for _, f := range []int{1, 2, 4, 8} {
 		res := DefaultResolution().Refine(f)
 		res.Precond = sparse.PrecondMG
 		sol, err := SolveStackWith(context.Background(), nil, s, res)
@@ -119,21 +119,33 @@ func cartStats(p *CartProblem) func() (sparse.Stats, error) {
 	}
 }
 
-// TestMGExplicitFallsBackWhenTiny: an explicit multigrid request on a grid
-// too small to coarsen falls back to the banded Cholesky factor instead of
-// failing the solve.
-func TestMGExplicitFallsBackWhenTiny(t *testing.T) {
+// TestMGSmallestStackCoarsens: every mesh the builders make coarsens, so a
+// forced multigrid solve never meets a grid too small for a hierarchy. The
+// smallest is the base mesh of the smallest stack Validate accepts: two
+// planes, no via extension and no device layer, every layer but the bulk
+// thinner than 2 µm, so each meshes to the thin count (mesh.Layers).
+func TestMGSmallestStackCoarsens(t *testing.T) {
 	s := fig4(t, 10)
-	res := coarse()
-	res.RadialVia, res.RadialLiner, res.RadialOuter = 1, 1, 2
-	res.AxialPerLayer, res.AxialMin, res.Bulk = 1, 1, 2
+	s.Planes = s.Planes[:2]
+	s.Via.Extension = 0
+	for i := range s.Planes {
+		p := &s.Planes[i]
+		p.DeviceLayerThickness, p.ILDThickness = 0, 1e-6
+		if i > 0 {
+			p.SiThickness, p.BondThickness = 1e-6, 1e-6
+		}
+	}
+	res := DefaultResolution()
 	res.Precond = sparse.PrecondMG
 	sol, err := SolveStackWith(context.Background(), nil, s, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Stats.Precond == sparse.PrecondMG || !sol.Stats.Direct {
-		t.Errorf("tiny grid ran %v, want the direct fallback", sol.Stats)
+	if nr, nz := len(sol.RCenters), len(sol.ZCenters); nr != radialVia+radialLiner+radialOuter || nz != axialBulk+4*axialThin {
+		t.Fatalf("mesh %d×%d is not the smallest the builder makes", nr, nz)
+	}
+	if sol.Stats.Precond != sparse.PrecondMG || sol.Stats.Levels < 2 {
+		t.Errorf("smallest stack ran %v, want a multigrid hierarchy of at least 2 levels", sol.Stats)
 	}
 }
 
@@ -146,7 +158,7 @@ func TestTransientMGMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildAxiProblem(s, coarse().Refine(2))
+	p, err := BuildAxiProblem(s, DefaultResolution().Refine(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,46 +22,13 @@ func counterDelta(name string, fn func()) int64 {
 	return obs.Default().Counter(name).Value() - before
 }
 
-// TestMGFallbackSelectsWorkingPrecondAndCounts: an explicit multigrid
-// request on a grid too small to coarsen must fall back to the banded
-// Cholesky factor, and the fallback must be visible in the metrics
-// registry.
-func TestMGFallbackSelectsWorkingPrecondAndCounts(t *testing.T) {
-	s := fig4(t, 10)
-	res := coarse()
-	res.RadialVia, res.RadialLiner, res.RadialOuter = 1, 1, 2
-	res.AxialPerLayer, res.AxialMin, res.Bulk = 1, 1, 2
-	res.Precond = sparse.PrecondMG
-
-	var sol *AxiSolution
-	var err error
-	d := counterDelta("fem.mg.fallback", func() {
-		sol, err = SolveStackWith(context.Background(), nil, s, res)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 1 {
-		t.Errorf("fem.mg.fallback moved by %d, want >= 1", d)
-	}
-	if sol.Stats.Precond == sparse.PrecondMG || !sol.Stats.Direct {
-		t.Errorf("fallback ran %v, want the direct solve", sol.Stats)
-	}
-	if sol.Stats.Levels != 0 {
-		t.Errorf("fallback reports %d multigrid levels, want 0", sol.Stats.Levels)
-	}
-	if sol.Stats.Residual > 1e-12 {
-		t.Errorf("fallback direct solve reports residual %g", sol.Stats.Residual)
-	}
-}
-
 // TestNotConvergedCarriesResidualAndCounts starves a multigrid-
 // preconditioned CG solve of iterations and asserts the structured error: it matches both ErrNotConverged
 // sentinels, exposes the achieved residual via ConvergenceError, and bumps
 // the not-converged counter.
 func TestNotConvergedCarriesResidualAndCounts(t *testing.T) {
 	s := fig4(t, 10)
-	p, err := BuildAxiProblem(s, coarse())
+	p, err := BuildAxiProblem(s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +105,7 @@ func tracedSpans(t *testing.T, s *stack.Stack, res Resolution) map[string]spanRe
 // fem.solve → {fem.assemble, fem.precond, sparse.cg} chain with correct
 // parent links.
 func TestSolveStackCtxEmitsSpanChain(t *testing.T) {
-	res := coarse()
+	res := DefaultResolution()
 	res.Precond = sparse.PrecondMG
 	byName := tracedSpans(t, fig4(t, 10), res)
 	for _, want := range []string{"fem.stack", "fem.solve", "fem.assemble", "fem.precond", "sparse.cg"} {
@@ -168,7 +135,7 @@ func TestSolveStackCtxEmitsSpanChain(t *testing.T) {
 // reports the same.
 func TestDirectSolveObservability(t *testing.T) {
 	s := fig4(t, 10)
-	byName := tracedSpans(t, s, coarse())
+	byName := tracedSpans(t, s, DefaultResolution())
 	if _, ok := byName["sparse.cg"]; ok {
 		t.Error("direct solve emitted a sparse.cg span")
 	}
@@ -176,7 +143,7 @@ func TestDirectSolveObservability(t *testing.T) {
 	if !ok || sp.Parent != byName["fem.solve"].ID {
 		t.Fatalf("fem.precond missing or misparented: %+v", byName)
 	}
-	sol := freshSolve(t, s, coarse())
+	sol := freshSolve(t, s, DefaultResolution())
 	st := sol.Stats
 	if !st.Direct || st.Iterations != 0 || st.Bandwidth != len(sol.RCenters) || st.Reused || !(st.Residual > 0) || st.Factor <= 0 || st.Wall <= 0 {
 		t.Fatalf("direct stats %+v", st)
@@ -199,7 +166,7 @@ func TestDirectSolveObservability(t *testing.T) {
 // solve feeds the CG series of the default registry.
 func TestSolveRecordsMetrics(t *testing.T) {
 	s := fig4(t, 10)
-	res := coarse()
+	res := DefaultResolution()
 	res.Precond = sparse.PrecondMG
 	before := obs.Default().Snapshot()
 	if _, err := SolveStackWith(context.Background(), nil, s, res); err != nil {

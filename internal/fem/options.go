@@ -60,8 +60,8 @@ const mgMaxIter = 200
 // solveSystem solves a·x = b, assembled into sc, by the one grid rule: a
 // grid with n·b² < directBudget by the banded LDLᵀ factor sc holds;
 // any other grid, or an explicit PrecondMG request, by multigrid-
-// preconditioned CG with the hierarchy sc holds. A grid too small to
-// coarsen falls back to the factor. ctx is checked before factoring, before
+// preconditioned CG with the hierarchy sc holds; a grid mg.Build cannot
+// coarsen is an error. ctx is checked before factoring, before
 // the factor's sweeps and between CG iterations. An unset CG MaxIter
 // becomes mgMaxIter.
 //
@@ -79,16 +79,16 @@ func (sc *SolveContext) solveSystem(ctx context.Context, a *sparse.Stencil, b []
 	n, bw := float64(a.Rows()), float64(a.HalfBandwidth())
 	if opt.Precond == sparse.PrecondMG || n*bw*bw >= directBudget {
 		h, err := sc.hierarchyFor(a)
-		if err == nil {
-			opt.Precond, opt.MG = sparse.PrecondMG, h
-			if opt.MaxIter == 0 {
-				opt.MaxIter = mgMaxIter
-			}
-			sp.Set("precond", opt.Precond.String())
-			sp.End()
-			return sparse.SolveCGCtx(ctx, a, b, opt)
+		if err != nil {
+			return nil, sparse.Stats{}, err
 		}
-		obs.Default().Counter("fem.mg.fallback").Inc()
+		opt.Precond, opt.MG = sparse.PrecondMG, h
+		if opt.MaxIter == 0 {
+			opt.MaxIter = mgMaxIter
+		}
+		sp.Set("precond", opt.Precond.String())
+		sp.End()
+		return sparse.SolveCGCtx(ctx, a, b, opt)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, sparse.Stats{}, err
@@ -125,28 +125,4 @@ func solveErr(what string, n int, st sparse.Stats, err error) error {
 		return &ConvergenceError{What: what, Cells: n, Stats: st, err: err}
 	}
 	return fmt.Errorf("fem: %s (%d cells): %w", what, n, err)
-}
-
-// almostEqual reports whether a and b agree to within rtol relatively (or
-// exactly, for zero values). Mesh construction accumulates layer
-// thicknesses in floating point, so consistency checks between a summed
-// height and a mesh endpoint must not use exact equality.
-func almostEqual(a, b, rtol float64) bool {
-	if a == b {
-		return true
-	}
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	max := a
-	if max < 0 {
-		max = -max
-	}
-	if b > max {
-		max = b
-	} else if -b > max {
-		max = -b
-	}
-	return diff <= rtol*max
 }

@@ -11,25 +11,6 @@ import (
 	"repro/internal/sparse"
 )
 
-func TestAlmostEqual(t *testing.T) {
-	for _, tc := range []struct {
-		a, b, rtol float64
-		want       bool
-	}{
-		{1, 1, 1e-9, true},
-		{0, 0, 1e-9, true},
-		{1, 1 + 1e-12, 1e-9, true},
-		{1, 1 + 1e-6, 1e-9, false},
-		{-2e-3, -2e-3 * (1 + 1e-12), 1e-9, true},
-		{1e-300, 2e-300, 1e-9, false},
-		{0, 1e-12, 1e-9, false},
-	} {
-		if got := almostEqual(tc.a, tc.b, tc.rtol); got != tc.want {
-			t.Errorf("almostEqual(%g, %g, %g) = %v, want %v", tc.a, tc.b, tc.rtol, got, tc.want)
-		}
-	}
-}
-
 // Regression: the stack-to-problem closures used to return silently-plausible
 // fallbacks (k = 1, q = 0) when z missed the layer table; now they return NaN
 // so assembly surfaces the bookkeeping bug as an error.
@@ -38,7 +19,7 @@ func TestProblemClosuresNaNOutsideLayerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	axi, err := BuildAxiProblem(s, coarse())
+	axi, err := BuildAxiProblem(s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,21 +99,23 @@ func TestSolveStackCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveStackWith(ctx, nil, s, coarse()); !errors.Is(err, context.Canceled) {
+	if _, err := SolveStackWith(ctx, nil, s, DefaultResolution()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// A Precond-only Resolution keeps the default mesh.
+// A Precond-only Resolution solves the base mesh with that preconditioner.
 func TestReferenceModelPrecondOnlyResolution(t *testing.T) {
-	m := ReferenceModel{Res: Resolution{Precond: sparse.PrecondMG}}
-	got := m.resolution()
-	want := DefaultResolution()
-	want.Precond = sparse.PrecondMG
-	if got != want {
-		t.Errorf("resolution() = %+v, want %+v", got, want)
+	s := fig4(t, 10)
+	r, err := ReferenceModel{Res: Resolution{Precond: sparse.PrecondMG}}.Solve(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r := (ReferenceModel{}).resolution(); r != DefaultResolution() {
-		t.Errorf("zero model resolution = %+v", r)
+	base, err := ReferenceModel{}.Solve(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Unknowns != base.Unknowns || r.Solver.Precond != sparse.PrecondMG || !base.Solver.Direct {
+		t.Errorf("Precond-only model: %d unknowns by %v, base %d unknowns by %v", r.Unknowns, r.Solver, base.Unknowns, base.Solver)
 	}
 }

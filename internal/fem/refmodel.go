@@ -12,11 +12,9 @@ import (
 // same batch-evaluation machinery (worker pools, memoization, error capture)
 // as the analytical models. Its solves keep their solver state in the
 // package's bounded idle list between calls, so no caller has to hold it.
-// The zero value uses DefaultResolution.
+// The zero value solves the base mesh under the default solver rule.
 type ReferenceModel struct {
-	// Res is the mesh density; the zero value selects DefaultResolution.
-	// Res.Precond alone (all mesh counts zero) keeps the default mesh but
-	// picks the preconditioner.
+	// Res is the mesh level and solver choice.
 	Res Resolution
 }
 
@@ -26,17 +24,6 @@ const RefModelName = "FVM"
 
 // Name implements core.Model.
 func (ReferenceModel) Name() string { return RefModelName }
-
-// resolution returns the effective mesh density: a Resolution whose mesh
-// counts are all zero keeps the default mesh, with Precond carried over.
-func (m ReferenceModel) resolution() Resolution {
-	if m.Res == (Resolution{Precond: m.Res.Precond}) {
-		r := DefaultResolution()
-		r.Precond = m.Res.Precond
-		return r
-	}
-	return m.Res
-}
 
 // Solve implements core.Model by running the axisymmetric finite-volume
 // solve. PlaneDT is left nil: the cell field does not attribute temperatures
@@ -52,7 +39,7 @@ func (m ReferenceModel) Solve(s *stack.Stack) (*core.Result, error) {
 // repeated solves of one assembly shape reuse its assembly, factor or
 // hierarchy and scratch; the result is bit-identical to a fresh solve.
 func (m ReferenceModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
-	sol, err := SolveStackWith(ctx, nil, s, m.resolution())
+	sol, err := SolveStackWith(ctx, nil, s, m.Res)
 	if err != nil {
 		return nil, err
 	}

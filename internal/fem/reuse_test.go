@@ -50,8 +50,8 @@ func TestSolveContextBitIdentical(t *testing.T) {
 	var first *assembly
 	for _, r := range []float64{5, 10, 20} {
 		s := fig4(t, r)
-		fresh := freshSolve(t, s, coarse())
-		sol, err := SolveStackWith(context.Background(), sc, s, coarse())
+		fresh := freshSolve(t, s, DefaultResolution())
+		sol, err := SolveStackWith(context.Background(), sc, s, DefaultResolution())
 		if err != nil {
 			t.Fatalf("context solve r=%g: %v", r, err)
 		}
@@ -70,7 +70,7 @@ func TestSolveContextBitIdentical(t *testing.T) {
 // pointer-identical hierarchy when the operator is unchanged, and a fresh
 // build when the radius (and therefore the operator values) moves.
 func TestSolveContextMGReuse(t *testing.T) {
-	res := coarse()
+	res := DefaultResolution()
 	res.Precond = sparse.PrecondMG
 	solveFresh := func(r float64) []float64 { return flatAxiT(freshSolve(t, fig4(t, r), res).T) }
 
@@ -167,10 +167,8 @@ func TestSolveContextCartBitIdentical(t *testing.T) {
 func TestSolveContextTopologyChange(t *testing.T) {
 	sc := NewSolveContext()
 	defer sc.Close()
-	resA := coarse()
-	resB := coarse()
-	resB.RadialOuter += 3
-	resB.Bulk += 2
+	resA := DefaultResolution()
+	resB := DefaultResolution().Refine(2)
 	var last *assembly
 	for _, res := range []Resolution{resA, resB, resA} {
 		s := fig4(t, 10)

@@ -12,11 +12,6 @@ import (
 	"repro/internal/units"
 )
 
-func coarse() Resolution {
-	// Keep unit tests fast; accuracy-sensitive tests refine explicitly.
-	return Resolution{RadialVia: 4, RadialLiner: 2, RadialOuter: 12, AxialPerLayer: 4, AxialMin: 2, Bulk: 10}
-}
-
 func fig4(t *testing.T, rUM float64) *stack.Stack {
 	t.Helper()
 	s, err := stack.Fig4Block(units.UM(rUM))
@@ -28,7 +23,7 @@ func fig4(t *testing.T, rUM float64) *stack.Stack {
 
 func TestSolveStackEnergyConservation(t *testing.T) {
 	s := fig4(t, 10)
-	sol, err := SolveStackWith(context.Background(), nil, s, coarse())
+	sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +39,7 @@ func TestSolveStackEnergyConservation(t *testing.T) {
 
 func TestSolveStackMaxAtTop(t *testing.T) {
 	s := fig4(t, 10)
-	sol, err := SolveStackWith(context.Background(), nil, s, coarse())
+	sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +57,11 @@ func TestSolveStackMaxAtTop(t *testing.T) {
 
 func TestSolveStackGridConvergence(t *testing.T) {
 	s := fig4(t, 10)
-	c, err := SolveStackWith(context.Background(), nil, s, coarse())
+	c, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := SolveStackWith(context.Background(), nil, s, coarse().Refine(2))
+	f, err := SolveStackWith(context.Background(), nil, s, DefaultResolution().Refine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +125,7 @@ func TestSolveStackNonMonotoneInTSi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveStackWith(context.Background(), nil, s, coarse())
+		sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +144,7 @@ func TestSolveStackClusterLowersTemperature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := SolveStackWith(context.Background(), nil, s, coarse())
+		sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +163,7 @@ func TestSolveStackClusterLowersTemperature(t *testing.T) {
 
 func TestSolveStackLinearInPower(t *testing.T) {
 	s := fig4(t, 10)
-	sol1, err := SolveStackWith(context.Background(), nil, s, coarse())
+	sol1, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +172,7 @@ func TestSolveStackLinearInPower(t *testing.T) {
 		s2.Planes[i].DevicePower *= 2
 		s2.Planes[i].ILDPower *= 2
 	}
-	sol2, err := SolveStackWith(context.Background(), nil, s2, coarse())
+	sol2, err := SolveStackWith(context.Background(), nil, s2, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +185,12 @@ func TestSolveStackLinearInPower(t *testing.T) {
 
 func TestBuildAxiProblemValidation(t *testing.T) {
 	s := fig4(t, 10)
-	if _, err := BuildAxiProblem(s, Resolution{}); err == nil {
-		t.Error("zero resolution accepted")
+	if _, err := BuildAxiProblem(s, DefaultResolution().Refine(-1)); err == nil {
+		t.Error("negative refinement accepted")
 	}
 	bad := s.Clone()
 	bad.Via.Radius = -1
-	if _, err := BuildAxiProblem(bad, coarse()); err == nil {
+	if _, err := BuildAxiProblem(bad, DefaultResolution()); err == nil {
 		t.Error("invalid stack accepted")
 	}
 	// Via cluster so dense the vias no longer fit the footprint; per-via
@@ -206,14 +201,14 @@ func TestBuildAxiProblemValidation(t *testing.T) {
 	tight.Via.Count = 25
 	tight.Via.LinerThickness = units.UM(3)
 	tight.Via.Radius = units.UM(45)
-	if _, err := BuildAxiProblem(tight, coarse()); err == nil {
+	if _, err := BuildAxiProblem(tight, DefaultResolution()); err == nil {
 		t.Error("via larger than unit cell accepted")
 	}
 }
 
 func TestBuildAxiProblemRegionClassification(t *testing.T) {
 	s := fig4(t, 10)
-	p, err := BuildAxiProblem(s, coarse())
+	p, err := BuildAxiProblem(s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,28 +253,40 @@ func TestBuildAxiProblemRegionClassification(t *testing.T) {
 	}
 }
 
+// TestResolutionRefine: Refine(f) sets the mesh level, f times the base
+// mesh's cells along each axis; Refine(1) is the zero value, and a factor
+// below 1 does not build.
 func TestResolutionRefine(t *testing.T) {
-	r := DefaultResolution().Refine(2)
-	d := DefaultResolution()
-	if r.RadialVia != 2*d.RadialVia || r.Bulk != 2*d.Bulk || r.AxialPerLayer != 2*d.AxialPerLayer {
-		t.Errorf("Refine(2) = %+v", r)
+	s := fig4(t, 10)
+	dims := func(res Resolution) (int, int) {
+		p, err := BuildAxiProblem(s, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(p.REdges) - 1, len(p.ZEdges) - 1
+	}
+	nr, nz := dims(DefaultResolution())
+	if r2, z2 := dims(DefaultResolution().Refine(2)); r2 != 2*nr || z2 != 2*nz {
+		t.Errorf("Refine(2) mesh %d×%d, want twice %d×%d", r2, z2, nr, nz)
+	}
+	if r := DefaultResolution().Refine(1); r != (Resolution{}) {
+		t.Errorf("Refine(1) = %+v, want the zero value", r)
+	}
+	if r := DefaultResolution().Refine(4).Refine(2); r != DefaultResolution().Refine(2) {
+		t.Errorf("Refine(4).Refine(2) = %+v, want Refine(2)", r)
+	}
+	if _, err := BuildAxiProblem(s, DefaultResolution().Refine(0)); err == nil {
+		t.Error("refinement factor 0 accepted")
 	}
 }
 
-// TestOperatorRefineCarriesSolverKnobs: Refine scales mesh counts and the
-// grading exponent but must pass the solver knobs through untouched.
+// TestOperatorRefineCarriesSolverKnobs: Refine sets the mesh level but must
+// pass the solver knobs through untouched.
 func TestOperatorRefineCarriesSolverKnobs(t *testing.T) {
 	r := DefaultResolution()
 	r.Precond = sparse.PrecondMG
-	r2 := r.Refine(2)
-	if r2.Precond != sparse.PrecondMG {
-		t.Fatalf("Refine dropped solver knobs: %+v", r2)
-	}
-	if r2.RefineFactor != 2 {
-		t.Fatalf("Refine(2).RefineFactor = %d, want 2", r2.RefineFactor)
-	}
-	if r4 := r2.Refine(2); r4.RefineFactor != 4 || r4.Bulk != 4*r.Bulk {
-		t.Fatalf("Refine(2).Refine(2) = %+v, want factor 4 and 4x counts", r4)
+	if r2 := r.Refine(2); r2.Precond != sparse.PrecondMG || r2.factor() != 2 {
+		t.Fatalf("Refine(2) = %+v, want factor 2 with the multigrid knob", r2)
 	}
 }
 
@@ -294,9 +301,9 @@ func TestRefineKeepsGradingEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first res.Bulk cells of the z mesh are the graded substrate.
+		// The first axialBulk·f cells of the z mesh are the graded substrate.
 		wMax, wMin := 0.0, 1e300
-		for i := 0; i < res.Bulk; i++ {
+		for i := 0; i < axialBulk*res.factor(); i++ {
 			w := p.ZEdges[i+1] - p.ZEdges[i]
 			if w > wMax {
 				wMax = w

@@ -13,87 +13,51 @@ import (
 	"repro/internal/stack"
 )
 
-// Resolution controls the mesh density of the stack-to-problem translation.
+// Resolution selects the reference mesh and solver. The mesh is one nested
+// family indexed by a refinement level: the zero value (and
+// DefaultResolution) is the base mesh, and Refine(f) is f times finer along
+// both axes, with graded intervals subdivided rather than regraded (see
+// mesh.Regrade).
 type Resolution struct {
-	// RadialVia is the cell count across the via fill radius.
-	RadialVia int
-	// RadialLiner is the cell count across the liner annulus.
-	RadialLiner int
-	// RadialOuter is the cell count from the liner to the outer radius
-	// (geometrically graded outward).
-	RadialOuter int
-	// AxialPerLayer is the base cell count per geometric layer; thin layers
-	// (device layers, bonds) get at least AxialMin cells.
-	AxialPerLayer int
-	// AxialMin is the minimum cell count of any layer.
-	AxialMin int
-	// Bulk is the cell count of the thick first-plane substrate (graded
-	// towards the via tip).
-	Bulk int
+	// refine is the refinement factor less one, so the zero value is the
+	// base mesh and equal meshes compare (and key caches) equal.
+	refine int
 	// Precond overrides the solver for solves at this resolution. The zero
 	// value (sparse.PrecondDefault) applies the grid rule of solveSystem:
 	// the banded LDLᵀ factor when unknowns × half-bandwidth² is under a
 	// fixed budget, multigrid-preconditioned CG at or above it.
 	// sparse.PrecondMG forces multigrid. Either way the hierarchy is built
-	// per solve from the assembled grid (see mg.Build), and a grid too small
-	// to coarsen falls back to the factor.
+	// per solve from the assembled grid (see mg.Build); every mesh of the
+	// family coarsens at least once.
 	Precond sparse.PrecondKind
-	// RefineFactor records how many times finer than the base mesh this
-	// resolution is (Refine maintains it). Graded mesh intervals raise
-	// their per-cell ratio to the 1/RefineFactor power, keeping the total
-	// first-to-last width ratio of each interval fixed under refinement:
-	// refined meshes form a nested family of the same graded mesh instead
-	// of compounding the per-cell ratio, which would make the width spread
-	// grow exponentially with refinement (and the linear systems
-	// correspondingly ill-conditioned). Values <= 1 leave ratios as
-	// written.
-	RefineFactor int
 }
 
-// DefaultResolution returns a resolution that keeps the block experiments
-// under ~10k cells while resolving every interface.
-func DefaultResolution() Resolution {
-	return Resolution{RadialVia: 6, RadialLiner: 3, RadialOuter: 18, AxialPerLayer: 6, AxialMin: 2, Bulk: 14}
-}
+// Cell counts of the base mesh, which keeps the block experiments under
+// ~10k cells while resolving every interface. Refine scales each by its
+// factor.
+const (
+	radialVia   = 6  // across the via fill radius
+	radialLiner = 3  // across the liner annulus
+	radialOuter = 18 // from the liner to the unit-cell radius, graded outward
+	axialLayer  = 6  // per layer of the stack (mesh.Layers)
+	axialThin   = 2  // per layer thinner than 2 µm (mesh.Layers)
+	axialBulk   = 14 // in the thick bottom substrate, graded towards its top
+)
 
-// Refine returns a resolution with every count scaled by f (≥ 1), used for
-// grid-convergence tests. The returned resolution's RefineFactor scales by
-// the same f, so graded intervals keep their total grading envelope (see
-// RefineFactor) and successive refinements stay a nested mesh family.
+// DefaultResolution returns the base mesh under the default solver rule: the
+// zero Resolution.
+func DefaultResolution() Resolution { return Resolution{} }
+
+// Refine returns r with a mesh f (≥ 1) times finer than the base mesh along
+// each axis, keeping Precond. It sets the level rather than compounding it:
+// Refine(2).Refine(4) is Refine(4).
 func (r Resolution) Refine(f int) Resolution {
-	rf := r.RefineFactor
-	if rf < 1 {
-		rf = 1
-	}
-	return Resolution{
-		RadialVia:     r.RadialVia * f,
-		RadialLiner:   r.RadialLiner * f,
-		RadialOuter:   r.RadialOuter * f,
-		AxialPerLayer: r.AxialPerLayer * f,
-		AxialMin:      r.AxialMin * f,
-		Bulk:          r.Bulk * f,
-		Precond:       r.Precond,
-		RefineFactor:  rf * f,
-	}
+	r.refine = f - 1
+	return r
 }
 
-// gradeRatio adapts a per-cell grading ratio to the resolution's refinement
-// factor: ratio^(1/f) applied over f× the cells spans the same total ratio
-// as the base mesh, so refinement subdivides the graded mesh instead of
-// re-grading it more steeply.
-func (r Resolution) gradeRatio(ratio float64) float64 {
-	if r.RefineFactor > 1 && ratio != 1 {
-		return math.Pow(ratio, 1/float64(r.RefineFactor))
-	}
-	return ratio
-}
-
-func (r Resolution) validate() error {
-	if r.RadialVia < 1 || r.RadialLiner < 1 || r.RadialOuter < 1 || r.AxialPerLayer < 1 || r.AxialMin < 1 || r.Bulk < 1 {
-		return fmt.Errorf("fem: resolution fields must all be >= 1: %+v", r)
-	}
-	return nil
-}
+// factor is the refinement factor of r.
+func (r Resolution) factor() int { return r.refine + 1 }
 
 // layerSpan records one material layer of the unit cell in z.
 type layerSpan struct {
@@ -103,43 +67,13 @@ type layerSpan struct {
 	inVia  bool               // whether the via traverses this span
 }
 
-// thinSpanMax is the span thickness below which the axial mesh falls back to
-// Resolution.AxialMin cells instead of AxialPerLayer: thin bond/liner-scale
-// layers would otherwise force needle cells. The threshold decides the cell
-// count of every span, so stacks on either side of it have different
-// assembly shapes even at equal plane counts.
-const thinSpanMax = 2e-6
-
-// bulkGrade is the base per-cell width ratio of the thick first-plane
-// substrate, finer towards its top (the via tip and the heat path).
-const bulkGrade = 0.75
-
-// axialEdges is the z mesh of both reference builders: perLayer cells per
-// span, thin cells for a span thinner than thinSpanMax, and bulk cells in
-// the first span graded by bulkRatio. zTop is the stack height the spans
-// add up to.
-func axialEdges(spans []layerSpan, zTop float64, perLayer, thin, bulk int, bulkRatio float64) ([]float64, error) {
-	var intervals []mesh.Interval
+// spanTops lists the tops of spans, bottom-up, for mesh.Layers.
+func spanTops(spans []layerSpan) []float64 {
+	tops := make([]float64, len(spans))
 	for i, sp := range spans {
-		cells := perLayer
-		ratio := 1.0
-		if i == 0 {
-			cells = bulk
-			ratio = bulkRatio
-		}
-		if sp.hi-sp.lo < thinSpanMax && i != 0 {
-			cells = thin
-		}
-		intervals = append(intervals, mesh.Interval{Hi: sp.hi, Cells: cells, Ratio: ratio})
+		tops[i] = sp.hi
 	}
-	zEdges, err := mesh.Line(0, intervals)
-	if err != nil {
-		return nil, err
-	}
-	if !almostEqual(zTop, zEdges[len(zEdges)-1], 1e-9) {
-		return nil, fmt.Errorf("fem: internal inconsistency: stack height %g vs mesh top %g", zTop, zEdges[len(zEdges)-1])
-	}
-	return zEdges, nil
+	return tops
 }
 
 // BuildAxiProblem translates a stack into the axisymmetric unit-cell problem
@@ -152,8 +86,9 @@ func BuildAxiProblem(s *stack.Stack, res Resolution) (*AxiProblem, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if err := res.validate(); err != nil {
-		return nil, err
+	f := res.factor()
+	if f < 1 {
+		return nil, fmt.Errorf("fem: refinement factor %d must be >= 1", f)
 	}
 	n := float64(s.Via.EffectiveCount())
 	rVia := s.Via.SplitRadius()
@@ -165,22 +100,18 @@ func BuildAxiProblem(s *stack.Stack, res Resolution) (*AxiProblem, error) {
 	}
 
 	// Assemble the layer spans bottom-up and the z breakpoints.
-	spans, zTop, err := buildLayerSpans(s, cellArea)
+	spans, err := buildLayerSpans(s, cellArea)
 	if err != nil {
 		return nil, err
 	}
-
-	// The bulk grading is relative to the base mesh, so refinement keeps
-	// its envelope.
-	zEdges, err := axialEdges(spans, zTop, res.AxialPerLayer, res.AxialMin, res.Bulk, res.gradeRatio(bulkGrade))
+	zEdges, err := mesh.Layers(spanTops(spans), f*axialLayer, f*axialThin, f*axialBulk, f)
 	if err != nil {
 		return nil, err
 	}
-
 	rEdges, err := mesh.Line(0, []mesh.Interval{
-		{Hi: rVia, Cells: res.RadialVia},
-		{Hi: rLiner, Cells: res.RadialLiner},
-		{Hi: rOuter, Cells: res.RadialOuter, Ratio: res.gradeRatio(1.2)},
+		{Hi: rVia, Cells: f * radialVia},
+		{Hi: rLiner, Cells: f * radialLiner},
+		{Hi: rOuter, Cells: f * radialOuter, Ratio: mesh.Regrade(1.2, f)},
 	})
 	if err != nil {
 		return nil, err
@@ -229,7 +160,7 @@ func BuildAxiProblem(s *stack.Stack, res Resolution) (*AxiProblem, error) {
 // buildLayerSpans lists the z-spans of the unit cell bottom-up with their
 // material and source density. cellArea scales the per-plane powers into
 // volumetric densities (powers are divided by the via count with the area).
-func buildLayerSpans(s *stack.Stack, cellArea float64) ([]layerSpan, float64, error) {
+func buildLayerSpans(s *stack.Stack, cellArea float64) ([]layerSpan, error) {
 	frac := cellArea / s.Footprint // power share of the unit cell
 	// Every plane adds at most four spans.
 	spans := make([]layerSpan, 0, 4*len(s.Planes))
@@ -283,9 +214,9 @@ func buildLayerSpans(s *stack.Stack, cellArea float64) ([]layerSpan, float64, er
 		add(p.ILDThickness, p.ILD, ildQ, true)
 	}
 	if len(spans) == 0 {
-		return nil, 0, fmt.Errorf("fem: stack produced no layers")
+		return nil, fmt.Errorf("fem: stack produced no layers")
 	}
-	return spans, z, nil
+	return spans, nil
 }
 
 func locateSpan(spans []layerSpan, z float64) *layerSpan {

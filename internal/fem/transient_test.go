@@ -43,8 +43,7 @@ type axiTransient struct {
 // step solves (M/dt + K)·T' = M/dt·T + q. The step operator is fixed, so the
 // grid rule is applied to it once: a banded LDLᵀ factor, formed once, makes
 // every step two triangular sweeps; on a grid above the direct budget one
-// multigrid hierarchy serves CG at every step, warm-started from the
-// previous instant.
+// multigrid hierarchy serves CG at every step, each started from zero.
 func solveAxiTransient(p *AxiProblem, capFn func(r, z float64) float64, dt float64, steps int, opt sparse.Options) (*axiTransient, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return nil, fmt.Errorf("fem: transient step %g must be positive and finite", dt)
@@ -104,7 +103,6 @@ func solveAxiTransient(p *AxiProblem, capFn func(r, z float64) float64, dt float
 		for i := range rhs {
 			rhs[i] = sys.rhs[i] + mOverDt[i]*x[i]
 		}
-		o.X0 = x
 		xNew, st, err := sc.solveSystem(ctx, stepOp, rhs, o)
 		if err != nil {
 			return nil, solveErr(fmt.Sprintf("transient step %d", k), n, st, err)
@@ -155,7 +153,7 @@ func stackCap(t testing.TB, s *stack.Stack) func(r, z float64) float64 {
 	t.Helper()
 	rVia := s.Via.SplitRadius()
 	rLiner := rVia + s.Via.LinerThickness
-	spans, _, err := buildLayerSpans(s, s.Footprint/float64(s.Via.EffectiveCount()))
+	spans, err := buildLayerSpans(s, s.Footprint/float64(s.Via.EffectiveCount()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func TestAxiTransientConvergesToSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildAxiProblem(s, coarse())
+	p, err := BuildAxiProblem(s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +259,7 @@ func TestAxiTransientMonotoneRise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildAxiProblem(s, coarse())
+	p, err := BuildAxiProblem(s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +287,7 @@ func TestAxiTransientMatchesModelTimescale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildAxiProblem(s, coarse())
+	p, err := BuildAxiProblem(s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +317,7 @@ func TestAxiTransientValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildAxiProblem(s, coarse())
+	p, err := BuildAxiProblem(s, DefaultResolution())
 	if err != nil {
 		t.Fatal(err)
 	}

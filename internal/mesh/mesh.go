@@ -7,7 +7,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Uniform subdivides [lo, hi] into n equal cells and returns the n+1 edges.
@@ -116,18 +115,49 @@ func Validate(edges []float64) error {
 	return nil
 }
 
-// Locate returns the index of the cell containing x (edges[i] <= x <
-// edges[i+1]); x exactly at the last edge maps to the last cell. It returns
-// -1 when x lies outside the mesh.
-func Locate(edges []float64, x float64) int {
-	n := len(edges)
-	if n < 2 || x < edges[0] || x > edges[n-1] {
-		return -1
+// thinLayer is the layer thickness below which Layers meshes a layer with
+// its thin cell count: bond, device and liner-scale layers would otherwise
+// force needle cells. The threshold decides the cell count of every layer,
+// so stacks on either side of it mesh to different shapes even at equal
+// layer counts.
+const thinLayer = 2e-6
+
+// bulkGrade is the per-cell width ratio of the thick bottom layer at the
+// base refinement, finer towards its top (the via tip and the heat path).
+const bulkGrade = 0.75
+
+// Layers is the z mesh of a layered stack, bottom-up: tops[i] is the top of
+// layer i, and layer 0, the thick bulk, starts at 0. The bulk gets bulk
+// cells graded finer towards its top by Regrade(0.75, refine); any other
+// layer gets perLayer cells, or thin cells when it is thinner than 2 µm.
+// refine is how many times finer than the base mesh the counts are, so a
+// refined mesh keeps the base bulk's grading envelope.
+func Layers(tops []float64, perLayer, thin, bulk, refine int) ([]float64, error) {
+	intervals := make([]Interval, len(tops))
+	lo := 0.0
+	for i, hi := range tops {
+		iv := Interval{Hi: hi, Cells: perLayer, Ratio: 1}
+		switch {
+		case i == 0:
+			iv.Cells, iv.Ratio = bulk, Regrade(bulkGrade, refine)
+		case hi-lo < thinLayer:
+			iv.Cells = thin
+		}
+		intervals[i] = iv
+		lo = hi
 	}
-	if x == edges[n-1] {
-		return n - 2
+	return Line(0, intervals)
+}
+
+// Regrade adapts a per-cell grading ratio to a mesh refine times finer than
+// the one it was written for: ratio^(1/refine) over refine× the cells spans
+// the same first-to-last width ratio, so refinement subdivides a graded
+// interval instead of grading it more steeply (which would make the width
+// spread, and the conditioning of the linear system, grow exponentially).
+// refine <= 1 leaves the ratio as written.
+func Regrade(ratio float64, refine int) float64 {
+	if refine > 1 && ratio != 1 {
+		return math.Pow(ratio, 1/float64(refine))
 	}
-	// Find the first edge strictly greater than x; the cell is just below it.
-	i := sort.Search(n, func(k int) bool { return edges[k] > x })
-	return i - 1
+	return ratio
 }

@@ -154,40 +154,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestLocate(t *testing.T) {
-	e := []float64{0, 1, 2.5, 4}
-	cases := []struct {
-		x    float64
-		want int
-	}{
-		{-0.1, -1}, {0, 0}, {0.5, 0}, {1, 1}, {2.4, 1}, {2.5, 2}, {3.9, 2}, {4, 2}, {4.1, -1},
-	}
-	for _, c := range cases {
-		if got := Locate(e, c.x); got != c.want {
-			t.Errorf("Locate(%g) = %d, want %d", c.x, got, c.want)
-		}
-	}
-}
-
-// Property: Locate is consistent with the edge array for random points.
-func TestLocateProperty(t *testing.T) {
-	e, err := Line(0, []Interval{{Hi: 1, Cells: 7}, {Hi: 2, Cells: 3, Ratio: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(raw float64) bool {
-		x := math.Mod(math.Abs(raw), 2)
-		i := Locate(e, x)
-		if i < 0 || i >= len(e)-1 {
-			return false
-		}
-		return e[i] <= x && (x < e[i+1] || (x == e[len(e)-1] && i == len(e)-2))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGradedTotalLengthProperty(t *testing.T) {
 	f := func(seedN uint8, seedR uint8) bool {
 		n := 1 + int(seedN)%20
@@ -203,5 +169,54 @@ func TestGradedTotalLengthProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLayers: the bulk gets its count graded finer towards its top, a layer
+// thinner than thinLayer the thin count, every other layer perLayer, and
+// every layer top is an edge.
+func TestLayers(t *testing.T) {
+	tops := []float64{100e-6, 101e-6, 121e-6, 123.5e-6}
+	e, err := Layers(tops, 4, 2, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 5 + 2 + 4 + 4 + 1; len(e) != want {
+		t.Fatalf("%d edges, want %d", len(e), want)
+	}
+	for i, at := range []int{5, 7, 11, 15} {
+		if e[at] != tops[i] {
+			t.Errorf("edge %d = %g, want layer top %g", at, e[at], tops[i])
+		}
+	}
+	for i := 1; i < 5; i++ {
+		if w, prev := e[i+1]-e[i], e[i]-e[i-1]; math.Abs(w/prev-0.75) > 1e-9 {
+			t.Errorf("bulk cell %d is %g of the one below, want 0.75", i, w/prev)
+		}
+	}
+	fine, err := Layers(tops, 8, 4, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fine)-1 != 2*(len(e)-1) {
+		t.Errorf("refined mesh has %d cells, want twice %d", len(fine)-1, len(e)-1)
+	}
+	if r := (fine[2] - fine[1]) / (fine[1] - fine[0]); math.Abs(r-math.Sqrt(0.75)) > 1e-9 {
+		t.Errorf("refined bulk ratio %g, want sqrt(0.75)", r)
+	}
+	if _, err := Layers(tops, 0, 2, 5, 1); err == nil {
+		t.Error("zero cells per layer accepted")
+	}
+}
+
+func TestRegrade(t *testing.T) {
+	if got := Regrade(1.2, 1); got != 1.2 {
+		t.Errorf("Regrade(1.2, 1) = %g", got)
+	}
+	if got := Regrade(1.2, 0); got != 1.2 {
+		t.Errorf("Regrade(1.2, 0) = %g", got)
+	}
+	if got := Regrade(1.2, 4); math.Abs(math.Pow(got, 4)-1.2) > 1e-12 {
+		t.Errorf("Regrade(1.2, 4)^4 = %g, want 1.2", math.Pow(got, 4))
 	}
 }

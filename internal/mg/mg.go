@@ -96,9 +96,8 @@ type Hierarchy struct {
 // Build constructs a hierarchy for the structured-grid operator a. The
 // number of grid axes picks the coarsening (see the package comment): full
 // for 1–2, z only for 3. The operator must be a conductance network —
-// symmetric positive definite with nonpositive off-diagonals; Build fails —
-// and the caller falls back to a direct solve — when it is not, or when it
-// cannot coarsen. The hierarchy's finest level runs on a itself, so a must
+// symmetric positive definite with nonpositive off-diagonals; Build fails
+// when it is not, or when it cannot coarsen. The hierarchy's finest level runs on a itself, so a must
 // not change while the hierarchy is in use.
 func Build(a *sparse.Stencil) (*Hierarchy, error) {
 	buildStart := time.Now()

@@ -6,6 +6,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/deck"
 	"repro/internal/fem"
+	"repro/internal/stack"
+	"repro/internal/units"
 )
 
 // FuzzServeJSON feeds arbitrary bodies to the /solve, /sweep and /plan
@@ -77,8 +79,8 @@ func checkCaps(t *testing.T, sc *deck.Scenario) {
 		for _, m := range models {
 			switch m := m.(type) {
 			case fem.ReferenceModel:
-				if m.Res.RefineFactor > deck.MaxRefine {
-					t.Fatalf("accepted refine %d", m.Res.RefineFactor)
+				if n, max := refCells(t, m.Res), refCells(t, fem.DefaultResolution().Refine(deck.MaxRefine)); n > max {
+					t.Fatalf("accepted a reference mesh of %d cells, more than refine %d's %d", n, deck.MaxRefine, max)
 				}
 			case core.ModelB:
 				if m.PlaneSegments > deck.MaxSegments {
@@ -87,4 +89,19 @@ func checkCaps(t *testing.T, sc *deck.Scenario) {
 			}
 		}
 	}
+}
+
+// refCells is the cell count of res's reference mesh of the Fig. 4 block:
+// the mesh a ref model of the scenario would solve, up to its geometry.
+func refCells(t *testing.T, res fem.Resolution) int {
+	t.Helper()
+	s, err := stack.Fig4Block(units.UM(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := fem.BuildAxiProblem(s, res)
+	if err != nil {
+		t.Fatalf("accepted an unbuildable resolution: %v", err)
+	}
+	return (len(p.REdges) - 1) * (len(p.ZEdges) - 1)
 }

@@ -246,7 +246,7 @@ func (m *CSR) SpanMulVecDot(x, y, w []float64, lo, hi int) float64 {
 	return s
 }
 
-// SpanResidual implements Operator.
+// SpanResidual mirrors Stencil.SpanResidual.
 func (m *CSR) SpanResidual(x, b, r []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var s float64

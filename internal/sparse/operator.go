@@ -22,6 +22,4 @@ type Operator interface {
 	// partial dot product Σ w[i]·y[i] over the span, accumulated in row
 	// order — the fused kernel at the heart of every CG iteration.
 	SpanMulVecDot(x, y, w []float64, lo, hi int) float64
-	// SpanResidual writes r[i] = b[i] - (A·x)[i] for lo <= i < hi.
-	SpanResidual(x, b, r []float64, lo, hi int)
 }

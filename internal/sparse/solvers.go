@@ -24,8 +24,6 @@ type Options struct {
 	// Precond selects the preconditioner for PCG. The zero value
 	// (PrecondDefault) runs plain CG.
 	Precond PrecondKind
-	// X0 optionally supplies an initial guess (copied, not modified).
-	X0 []float64
 	// Pool optionally supplies a scratch pool shared across solves, e.g. the
 	// many linear solves of a transient integration, so they reuse their
 	// work vectors.
@@ -263,21 +261,10 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 	x := make([]float64, n)
 	r, z, p, ap := pl.Grab(n), pl.Grab(n), pl.Grab(n), pl.Grab(n)
 	defer pl.Release(r, z, p, ap)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, stats(0, 0, kind), fmt.Errorf("sparse: CG initial guess length %d, want %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-		a.SpanResidual(x, b, r, 0, n)
-	} else {
-		copy(r, b)
-	}
+	copy(r, b)
 	bnorm := norm2(b)
 	if bnorm == 0 {
-		// The unique SPD solution for b = 0 is x = 0.
-		for i := range x {
-			x[i] = 0
-		}
+		// The unique SPD solution for b = 0 is x = 0, where CG starts.
 		return x, stats(0, 0, kind), nil
 	}
 	tol := opt.tol()

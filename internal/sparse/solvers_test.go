@@ -109,26 +109,6 @@ func TestSolveCGZeroRHS(t *testing.T) {
 	}
 }
 
-func TestSolveCGInitialGuess(t *testing.T) {
-	a := laplacian1D(50)
-	b := make([]float64, 50)
-	for i := range b {
-		b[i] = 1
-	}
-	exact, _, err := SolveCGCtx(context.Background(), a, b, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Starting from the exact solution should converge immediately.
-	_, st, err := SolveCGCtx(context.Background(), a, b, Options{X0: exact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations > 1 {
-		t.Errorf("warm start took %d iterations", st.Iterations)
-	}
-}
-
 func TestSolveCGNotSPD(t *testing.T) {
 	c := NewCOO(2, 2)
 	c.Add(0, 0, 1)
@@ -143,9 +123,6 @@ func TestSolveCGDimensionErrors(t *testing.T) {
 	a := laplacian1D(4)
 	if _, _, err := SolveCGCtx(context.Background(), a, []float64{1, 2}, Options{}); err == nil {
 		t.Error("bad rhs length accepted")
-	}
-	if _, _, err := SolveCGCtx(context.Background(), a, make([]float64, 4), Options{X0: []float64{1}}); err == nil {
-		t.Error("bad x0 length accepted")
 	}
 	rect := NewCOO(2, 3)
 	rect.Add(0, 0, 1)

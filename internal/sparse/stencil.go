@@ -194,7 +194,8 @@ func (s *Stencil) SpanMulVecDot(x, y, w []float64, lo, hi int) float64 {
 	return sum
 }
 
-// SpanResidual implements Operator: r[i] = b[i] - (A·x)[i] for lo <= i < hi.
+// SpanResidual writes r[i] = b[i] - (A·x)[i] for lo <= i < hi: the
+// residual of the multigrid levels and of the direct solve's check.
 func (s *Stencil) SpanResidual(x, b, r []float64, lo, hi int) {
 	nx, ny, nz, nxy := s.nx, s.ny, s.nz, s.nxy
 	d, ox, oy, oz := s.diag, s.off[0], s.off[1], s.off[2]

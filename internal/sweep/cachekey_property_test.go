@@ -108,3 +108,30 @@ func TestCacheKeyHandlesPointerFields(t *testing.T) {
 		t.Fatal("nil pointer configuration aliases a non-nil one")
 	}
 }
+
+// TestReferenceModelKeysByMesh: a reference model's key names its mesh
+// level, not how the level was written. The zero Resolution,
+// DefaultResolution and DefaultResolution().Refine(1) are one model (one
+// cache slot, one ttsvd coalescing key), and Refine(2) is another; through
+// one Cache the three solve once.
+func TestReferenceModelKeysByMesh(t *testing.T) {
+	s := fig4Stack(t, 10)
+	same := []fem.Resolution{{}, fem.DefaultResolution(), fem.DefaultResolution().Refine(1)}
+	for _, res := range same[1:] {
+		if a, b := cacheKey(fem.ReferenceModel{Res: res}, s), cacheKey(fem.ReferenceModel{}, s); a != b {
+			t.Errorf("key of %+v differs from the zero model's:\n%s\n%s", res, a, b)
+		}
+	}
+	if cacheKey(fem.ReferenceModel{Res: fem.DefaultResolution().Refine(2)}, s) == cacheKey(fem.ReferenceModel{}, s) {
+		t.Error("Refine(2) shares the base mesh's key")
+	}
+	c := NewCache()
+	for _, res := range same {
+		if _, err := Cached(fem.ReferenceModel{Res: res}, c).Solve(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses, _ := c.Counters(); misses != 1 || hits != 2 {
+		t.Errorf("three spellings of the base mesh: %d misses, %d hits, want 1 and 2", misses, hits)
+	}
+}

@@ -13,14 +13,11 @@ import (
 	"repro/internal/fem"
 )
 
-// cheapRef is a cheap FVM reference model: small enough (a few hundred
-// unknowns) to solve in milliseconds, real enough to run through fem's idle
-// solver contexts.
+// cheapRef is a cheap FVM reference model: the base mesh (1458 unknowns)
+// solves in about a millisecond and runs through fem's idle solver
+// contexts.
 func cheapRef() fem.ReferenceModel {
-	return fem.ReferenceModel{Res: fem.Resolution{
-		RadialVia: 4, RadialLiner: 2, RadialOuter: 8,
-		AxialPerLayer: 3, AxialMin: 2, Bulk: 6,
-	}}
+	return fem.ReferenceModel{}
 }
 
 func resumeJobs(t *testing.T, m core.Model, n int) Batch {

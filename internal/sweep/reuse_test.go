@@ -13,8 +13,7 @@ import (
 // shared by all jobs, so sweep workers cache its patterns and hierarchies.
 func reuseJobs(t *testing.T, n int) []Job {
 	t.Helper()
-	res := fem.Resolution{RadialVia: 4, RadialLiner: 2, RadialOuter: 8, AxialPerLayer: 3, AxialMin: 2, Bulk: 6}
-	m := fem.ReferenceModel{Res: res}
+	m := fem.ReferenceModel{}
 	jobs := make([]Job, n)
 	for i := range jobs {
 		s, err := stack.Fig4Block(units.UM(4 + 2*float64(i)))

@@ -82,7 +82,8 @@ type (
 
 	// System is a full chip with a uniformly distributed TTSV array.
 	System = chip.System
-	// Resolution controls the reference solver's mesh density.
+	// Resolution selects the reference solver's mesh level (the zero value
+	// is the base mesh; see Resolution.Refine) and preconditioner.
 	Resolution = fem.Resolution
 	// SolveContext carries one grid shape's reusable solver state
 	// (assembly, factor or multigrid hierarchy, scratch) across repeated
@@ -103,8 +104,6 @@ type (
 	Floorplan = plan.Floorplan
 	// PlanResult is a completed TTSV insertion plan.
 	PlanResult = plan.Result
-	// PowerMapResolution controls the full-chip 3-D verification mesh.
-	PowerMapResolution = chip.PowerMapResolution
 	// PowerMapSolution is a solved full-chip temperature field.
 	PowerMapSolution = chip.PowerMapSolution
 
@@ -234,7 +233,8 @@ func Resistances(s *Stack, c Coeffs) ([]PlaneResistances, float64, error) {
 // DRAMuP returns the paper's §IV-E DRAM-on-µP case-study system.
 func DRAMuP() System { return chip.DRAMuP() }
 
-// DefaultResolution returns the reference solver's default mesh density.
+// DefaultResolution returns the reference solver's base mesh under the
+// default solver rule: the zero Resolution.
 func DefaultResolution() Resolution { return fem.DefaultResolution() }
 
 // SolveReference runs the finite-volume reference solver (the COMSOL
@@ -262,7 +262,7 @@ func SolveReferenceStatsCtx(ctx context.Context, s *Stack, res Resolution) (floa
 
 // ReferenceModel wraps the finite-volume reference solver as a Model so it
 // can join sweeps and planning runs next to the analytical models. The zero
-// Resolution selects DefaultResolution. The returned model supports sweep
+// Resolution is DefaultResolution. The returned model supports sweep
 // cancellation (core.ContextSolver), so cancelling a Sweep stops its
 // in-flight reference solves. Its solves keep their assembly, factor or
 // multigrid hierarchy and solver scratch in a small process-wide set of
@@ -400,16 +400,13 @@ func RunDeck(ctx context.Context, d *Deck, opt DeckOptions) (*DeckResult, error)
 	return deck.Run(ctx, d, opt)
 }
 
-// DefaultPowerMapResolution returns the full-chip verification mesh density.
-func DefaultPowerMapResolution() PowerMapResolution { return chip.DefaultPowerMapResolution() }
-
 // VerifyPlan runs the homogenized full-chip 3-D solve of a floorplan with a
 // per-tile via allocation, resolving the tile-to-tile lateral coupling the
 // planner's adiabatic-tile model ignores (§IV-E's model-embedding workflow
 // scaled to non-uniform power maps). The solve stops when ctx is cancelled
 // and records spans when ctx carries a tracer (TraceContext).
-func VerifyPlan(ctx context.Context, f *Floorplan, tech Technology, counts [][]int, res PowerMapResolution) (*PowerMapSolution, error) {
-	return chip.SolvePowerMap(ctx, f, tech, counts, res)
+func VerifyPlan(ctx context.Context, f *Floorplan, tech Technology, counts [][]int) (*PowerMapSolution, error) {
+	return chip.SolvePowerMap(ctx, f, tech, counts)
 }
 
 // NewServeHandler returns the solve service as an http.Handler: POST /solve,

@@ -160,8 +160,8 @@ func TestFigureBuildersThroughFacade(t *testing.T) {
 	if _, err := ttsv.Fig7Block(9); err != nil {
 		t.Error(err)
 	}
-	if ttsv.DefaultResolution().RadialVia < 1 {
-		t.Error("default resolution invalid")
+	if ttsv.DefaultResolution() != (ttsv.Resolution{}) {
+		t.Error("default resolution is not the zero value")
 	}
 }
 
