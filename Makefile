@@ -27,7 +27,8 @@ test:
 # the CSR reference, deck and service goldens,
 # coalescing/admission/drain, and the sharded/resumable-sweep identities),
 # three shuffled race passes over the packages whose tests reach fem's
-# process-wide idle solver contexts (every solve given a nil context does),
+# process-wide idle solver contexts (every solve given a nil context does)
+# or core's pool of ladder scratch (every analytic solve does),
 # so no test there depends on what ran before it, and over the flight group
 # and the packages whose concurrency runs through it (sweep's cache, serve's
 # coalescing, plan's tiles),
@@ -50,7 +51,7 @@ verify:
 	test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -shuffle=on . ./internal/fem ./internal/flight ./internal/sweep ./internal/serve ./internal/plan ./internal/deck ./internal/experiments ./internal/chip ./internal/fit
+	$(GO) test -race -count=3 -shuffle=on . ./internal/core ./internal/fem ./internal/flight ./internal/sweep ./internal/serve ./internal/plan ./internal/deck ./internal/experiments ./internal/chip ./internal/fit
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(MAKE) bench-json BENCHTIME=1x BENCHCOUNT=1 BENCH_OUT=/dev/null
 	cd bench && $(GO) vet ./...

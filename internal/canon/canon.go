@@ -20,12 +20,13 @@
 package canon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
+	"sync"
 )
 
 // String returns the canonical encoding of vs, "|"-separated. It is
@@ -33,135 +34,180 @@ import (
 // types used as cache keys in this repository (structs of scalars, strings,
 // slices, maps and pointers thereto, without function or channel fields).
 func String(vs ...any) string {
-	var b strings.Builder
-	for i, v := range vs {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		enc(&b, reflect.ValueOf(v), make(map[uintptr]bool))
-	}
-	return b.String()
+	e := encode(vs)
+	defer e.release()
+	return string(e.b)
 }
 
 // Hash returns a fixed-length hex digest of String(vs...), suitable as a
-// compact coalescing or sharding key.
+// compact coalescing or sharding key. It digests the encoding's bytes
+// without making a string of them.
 func Hash(vs ...any) string {
-	sum := sha256.Sum256([]byte(String(vs...)))
+	e := encode(vs)
+	defer e.release()
+	sum := sha256.Sum256(e.b)
 	return hex.EncodeToString(sum[:])
 }
 
-// enc writes one value. active guards against pointer cycles: a pointer
-// already being encoded on this path writes a marker instead of recursing.
-func enc(b *strings.Builder, v reflect.Value, active map[uintptr]bool) {
+// maxPooledBytes caps the buffer a released encoder keeps; the keys of this
+// repository encode to a few KB.
+const maxPooledBytes = 64 << 10
+
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// encode returns a pooled encoder holding the "|"-separated encoding of vs;
+// release it when done with its bytes.
+func encode(vs []any) *encoder {
+	e := encoders.Get().(*encoder)
+	e.b = e.b[:0]
+	for i, v := range vs {
+		if i > 0 {
+			e.b = append(e.b, '|')
+		}
+		e.enc(reflect.ValueOf(v))
+	}
+	return e
+}
+
+// release returns e to the pool unless its buffer outgrew maxPooledBytes.
+func (e *encoder) release() {
+	if cap(e.b) <= maxPooledBytes {
+		encoders.Put(e)
+	}
+}
+
+// encoder appends encodings to b. active guards against pointer cycles: a
+// pointer already being encoded on this path writes a marker instead of
+// recursing. It is made at the first pointer, so a key without pointers
+// costs no map, and it is empty again after every value.
+type encoder struct {
+	b      []byte
+	active map[uintptr]bool
+}
+
+// enc appends one value.
+func (e *encoder) enc(v reflect.Value) {
 	if !v.IsValid() {
-		b.WriteString("nil")
+		e.b = append(e.b, "nil"...)
 		return
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		b.WriteString(strconv.FormatBool(v.Bool()))
+		e.b = strconv.AppendBool(e.b, v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
+		e.b = strconv.AppendInt(e.b, v.Int(), 10)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		b.WriteString(strconv.FormatUint(v.Uint(), 10))
+		e.b = strconv.AppendUint(e.b, v.Uint(), 10)
 	case reflect.Float32:
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 32))
+		e.b = strconv.AppendFloat(e.b, v.Float(), 'g', -1, 32)
 	case reflect.Float64:
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
+		e.b = strconv.AppendFloat(e.b, v.Float(), 'g', -1, 64)
 	case reflect.Complex64, reflect.Complex128:
 		c := v.Complex()
-		b.WriteByte('(')
-		b.WriteString(strconv.FormatFloat(real(c), 'g', -1, 64))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatFloat(imag(c), 'g', -1, 64))
-		b.WriteByte(')')
+		e.b = append(e.b, '(')
+		e.b = strconv.AppendFloat(e.b, real(c), 'g', -1, 64)
+		e.b = append(e.b, ',')
+		e.b = strconv.AppendFloat(e.b, imag(c), 'g', -1, 64)
+		e.b = append(e.b, ')')
 	case reflect.String:
-		b.WriteString(strconv.Quote(v.String()))
+		e.b = strconv.AppendQuote(e.b, v.String())
 	case reflect.Pointer:
 		if v.IsNil() {
-			b.WriteString("nil")
+			e.b = append(e.b, "nil"...)
 			return
 		}
 		addr := v.Pointer()
-		if active[addr] {
-			b.WriteString("&cycle")
+		if e.active[addr] {
+			e.b = append(e.b, "&cycle"...)
 			return
 		}
-		active[addr] = true
-		b.WriteByte('&')
-		enc(b, v.Elem(), active)
-		delete(active, addr)
+		if e.active == nil {
+			e.active = make(map[uintptr]bool)
+		}
+		e.active[addr] = true
+		e.b = append(e.b, '&')
+		e.enc(v.Elem())
+		delete(e.active, addr)
 	case reflect.Interface:
 		if v.IsNil() {
-			b.WriteString("nil")
+			e.b = append(e.b, "nil"...)
 			return
 		}
-		enc(b, v.Elem(), active)
+		e.enc(v.Elem())
 	case reflect.Struct:
 		t := v.Type()
-		b.WriteString(t.String())
-		b.WriteByte('{')
+		e.b = append(e.b, t.String()...)
+		e.b = append(e.b, '{')
 		for i := 0; i < t.NumField(); i++ {
 			if i > 0 {
-				b.WriteByte(',')
+				e.b = append(e.b, ',')
 			}
-			b.WriteString(t.Field(i).Name)
-			b.WriteByte(':')
-			enc(b, v.Field(i), active)
+			e.b = append(e.b, t.Field(i).Name...)
+			e.b = append(e.b, ':')
+			e.enc(v.Field(i))
 		}
-		b.WriteByte('}')
+		e.b = append(e.b, '}')
 	case reflect.Slice:
 		if v.IsNil() {
-			b.WriteString(v.Type().String())
-			b.WriteString("(nil)")
+			e.b = append(e.b, v.Type().String()...)
+			e.b = append(e.b, "(nil)"...)
 			return
 		}
-		encSeq(b, v, active)
+		e.encSeq(v)
 	case reflect.Array:
-		encSeq(b, v, active)
+		e.encSeq(v)
 	case reflect.Map:
-		t := v.Type()
-		b.WriteString(t.String())
+		e.b = append(e.b, v.Type().String()...)
 		if v.IsNil() {
-			b.WriteString("(nil)")
+			e.b = append(e.b, "(nil)"...)
 			return
 		}
-		// Entries sorted by their encoded key: map iteration order is
-		// random, the encoding must not be.
-		entries := make([]string, 0, v.Len())
-		iter := v.MapRange()
-		for iter.Next() {
-			var e strings.Builder
-			enc(&e, iter.Key(), active)
-			e.WriteByte(':')
-			enc(&e, iter.Value(), active)
-			entries = append(entries, e.String())
-		}
-		sort.Strings(entries)
-		b.WriteByte('{')
-		for i, e := range entries {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(e)
-		}
-		b.WriteByte('}')
+		e.encMap(v)
 	default:
 		// Func, Chan, UnsafePointer: no portable value identity. Encode the
 		// type alone; see the package comment for the collision caveat.
-		b.WriteString(v.Type().String())
+		e.b = append(e.b, v.Type().String()...)
 	}
 }
 
-// encSeq writes a slice or array body.
-func encSeq(b *strings.Builder, v reflect.Value, active map[uintptr]bool) {
-	b.WriteString(v.Type().String())
-	b.WriteByte('[')
+// encSeq appends a slice or array body.
+func (e *encoder) encSeq(v reflect.Value) {
+	e.b = append(e.b, v.Type().String()...)
+	e.b = append(e.b, '[')
 	for i := 0; i < v.Len(); i++ {
 		if i > 0 {
-			b.WriteByte(',')
+			e.b = append(e.b, ',')
 		}
-		enc(b, v.Index(i), active)
+		e.enc(v.Index(i))
 	}
-	b.WriteByte(']')
+	e.b = append(e.b, ']')
+}
+
+// encMap appends a non-nil map's entries, sorted by their encoding: map
+// iteration order is random, the encoding must not be. Each "key:value"
+// entry is encoded in place, then the entries are rewritten in order.
+func (e *encoder) encMap(v reflect.Value) {
+	e.b = append(e.b, '{')
+	start := len(e.b)
+	spans := make([][2]int, 0, v.Len())
+	iter := v.MapRange()
+	for iter.Next() {
+		from := len(e.b)
+		e.enc(iter.Key())
+		e.b = append(e.b, ':')
+		e.enc(iter.Value())
+		spans = append(spans, [2]int{from - start, len(e.b) - start})
+	}
+	entries := append([]byte(nil), e.b[start:]...)
+	slices.SortFunc(spans, func(x, y [2]int) int {
+		return bytes.Compare(entries[x[0]:x[1]], entries[y[0]:y[1]])
+	})
+	e.b = e.b[:start]
+	for i, sp := range spans {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.b = append(e.b, entries[sp[0]:sp[1]]...)
+	}
+	e.b = append(e.b, '}')
 }

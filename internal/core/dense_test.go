@@ -39,6 +39,12 @@ func (g dense) solve(b []float64) ([]float64, error) {
 		g[k], g[p] = g[p], g[k]
 		x[k], x[p] = x[p], x[k]
 		for i := k + 1; i < n; i++ {
+			if g[i][k] == 0 {
+				// Nothing to eliminate: the update would subtract exact
+				// zeros. Skipping it keeps a banded network's elimination
+				// O(n²), which B(500)'s 2 101 nodes need under -race.
+				continue
+			}
 			m := g[i][k] / g[k][k]
 			for j := k; j < n; j++ {
 				g[i][j] -= m * g[k][j]

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/stack"
@@ -21,8 +22,10 @@ const sink = -1
 // conductance matrix G is symmetric with half-bandwidth 2: its lower band is
 // stamped directly and factors in O(n).
 type ladder struct {
-	g *linalg.Band
-	// q holds the heat injected at each node (W).
+	// g is held by value, so a pooled ladder's band costs no allocation.
+	g linalg.Band
+	// q holds the heat injected at each node (W); solve overwrites it with
+	// the temperatures.
 	q []float64
 	// c holds the thermal mass of each node (J/K); it is nil in a steady
 	// ladder, which ignores masses.
@@ -34,25 +37,81 @@ type ladder struct {
 	tops []int
 	// err is the first invalid element value; later stamps are skipped.
 	err error
+	// buf backs g, q and, in a transient ladder, c and the time-stepping
+	// state; it outlives the solve in the pool.
+	buf []float64
 }
+
+// maxPooledBytes caps the scratch a released ladder keeps in the pool.
+// Every ladder of the paper's figures and tables fits (B(1000) on a
+// three-plane block has 4 201 nodes, 134 KB of steady scratch); a larger
+// one, up to the ~650 MB of a Model B request at the service's segment and
+// plane caps, is left to the GC rather than pinned for the life of the
+// process.
+const maxPooledBytes = 1 << 20
+
+// ladders recycles ladders and their scratch across solves, so a steady
+// solve allocates little beyond its Result. It is the ladders' own pool,
+// not fem's band free list: that list hands out its smallest buffer that
+// fits, which for a ladder of a few nodes can be a reference mesh's band.
+var ladders = sync.Pool{New: func() any { return new(ladder) }}
 
 // newLadder returns a ladder of the given node count whose T0 drains to the
 // sink through R_s (eq. (6)) and, when transient, carries the first plane's
 // bulk substrate mass.
 func newLadder(s *stack.Stack, nodes int, rs float64, transient bool) *ladder {
-	l := &ladder{
-		g:    linalg.NewBand(nodes, 2, nil),
-		q:    make([]float64, nodes),
-		next: 1,
-		tops: make([]int, 0, len(s.Planes)),
-	}
-	if transient {
-		l.c = make([]float64, nodes)
-	}
+	l := pooledLadder(nodes, transient)
 	l.link(sink, 0, rs, 1, "substrate")
 	p0 := s.Planes[0]
 	l.mass(0, (p0.SiThickness-s.Via.Extension)*s.Footprint*p0.Si.C, 1, "substrate")
 	return l
+}
+
+// pooledLadder returns an empty ladder of the given node count from the
+// pool. One buffer backs its band (3·nodes) and q, and in a transient
+// ladder also c and the stepped temperatures; it grows only when too short.
+// steady and transient release the ladder.
+func pooledLadder(nodes int, transient bool) *ladder {
+	width := 4 * nodes
+	if transient {
+		width += 2 * nodes
+	}
+	l := ladders.Get().(*ladder)
+	if cap(l.buf) < width {
+		l.buf = make([]float64, width)
+	}
+	buf := l.buf[:width]
+	l.g = *linalg.NewBand(nodes, 2, buf[:3*nodes])
+	l.q = buf[3*nodes : 4*nodes]
+	clear(l.q)
+	l.c = nil
+	if transient {
+		l.c = buf[4*nodes : 5*nodes]
+		clear(l.c)
+	}
+	l.s, l.m, l.next, l.err = 0, 0, 1, nil
+	l.tops = l.tops[:0]
+	return l
+}
+
+// release returns l to the pool unless its scratch is over maxPooledBytes.
+// Nothing may use l, or a slice of its scratch, afterwards.
+func (l *ladder) release() {
+	if 8*cap(l.buf) > maxPooledBytes {
+		return
+	}
+	l.g, l.q, l.c = linalg.Band{}, nil, nil
+	ladders.Put(l)
+}
+
+// built returns the assembled ladder, or releases it and returns the first
+// invalid element value.
+func (l *ladder) built() (*ladder, error) {
+	if err := l.err; err != nil {
+		l.release()
+		return nil, err
+	}
+	return l, nil
 }
 
 // link stamps a thermal resistance r (K/W) of plane's element elem between
@@ -103,19 +162,20 @@ func (l *ladder) rung(plane int, rS, rM, rL, q, cS, cM float64) {
 	l.s, l.m, l.next = sn, mn, mn+1
 }
 
-// solve factors G in place and returns T = G⁻¹·q.
+// solve factors G and solves G·T = q, both in place: it returns T in q's
+// storage.
 func (l *ladder) solve() ([]float64, error) {
 	if err := l.g.Factor(); err != nil {
 		return nil, err
 	}
-	t := append([]float64(nil), l.q...)
-	l.g.Solve(t, t)
-	return t, nil
+	l.g.Solve(l.q, l.q)
+	return l.q, nil
 }
 
 // steady solves G·T = q and reports T0, each plane's top node and the
-// maximum rise, which counts the sink at 0.
+// maximum rise, which counts the sink at 0. It releases l.
 func (l *ladder) steady(model string) (*Result, error) {
+	defer l.release()
 	t, err := l.solve()
 	if err != nil {
 		return nil, fmt.Errorf("core: model %s solve: %w", model, err)
@@ -140,9 +200,11 @@ func (l *ladder) steady(model string) (*Result, error) {
 // transient integrates C·dT/dt = q − G·T with backward Euler from ΔT = 0,
 // the sources switched on at t = 0, and reports the top plane's trace.
 // G + C/dt is factored once, so each step is two band sweeps. Backward
-// Euler is unconditionally stable and first-order accurate in dt.
+// Euler is unconditionally stable and first-order accurate in dt. It
+// releases l.
 func (l *ladder) transient(model string, spec TransientSpec) (*TransientResult, error) {
-	cdt := make([]float64, len(l.c))
+	defer l.release()
+	cdt := l.c // C/dt overwrites C, which nothing reads again
 	for i, c := range l.c {
 		cdt[i] = c / spec.Dt
 		l.g.Add(i, i, cdt[i])
@@ -156,7 +218,9 @@ func (l *ladder) transient(model string, spec TransientSpec) (*TransientResult, 
 		Times: make([]float64, spec.Steps),
 		TopDT: make([]float64, spec.Steps),
 	}
-	x := make([]float64, len(l.q))
+	n := len(l.q)
+	x := l.buf[5*n : 6*n]
+	clear(x)
 	for k := range out.Times {
 		for i := range x {
 			x[i] = l.q[i] + cdt[i]*x[i]

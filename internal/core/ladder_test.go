@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/linalg"
 	"repro/internal/stack"
 )
 
@@ -203,7 +202,9 @@ func TestLadderMatchesDenseSolve(t *testing.T) {
 // rcLadder is a single node with heat q, mass c and resistance r to the
 // sink: T(t) = qR(1 − exp(−t/RC)).
 func rcLadder(r, c, q float64) *ladder {
-	l := &ladder{g: linalg.NewBand(1, 2, nil), q: []float64{q}, c: []float64{c}, tops: []int{0}}
+	l := pooledLadder(1, true)
+	l.q[0], l.c[0] = q, c
+	l.tops = append(l.tops, 0)
 	l.link(sink, 0, r, 1, "r")
 	return l
 }

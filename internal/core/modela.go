@@ -68,5 +68,5 @@ func (m ModelA) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 		}
 		l.tops = append(l.tops, l.s)
 	}
-	return l, l.err
+	return l.built()
 }

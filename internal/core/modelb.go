@@ -158,5 +158,5 @@ func (m ModelB) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 		}
 		l.tops = append(l.tops, l.s)
 	}
-	return l, l.err
+	return l.built()
 }

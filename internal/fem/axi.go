@@ -65,15 +65,13 @@ type axiSystem struct {
 	rhs    []float64
 }
 
-// fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. All rows
-// share one backing array, so the reshape costs two allocations instead of
-// one per z-plane.
+// fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. The rows
+// are slices of x itself, which the field then owns: every solver returns a
+// new x, so the reshape allocates only the row headers.
 func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 	t := make([][]float64, sys.nz)
-	backing := make([]float64, sys.nz*sys.nr)
-	copy(backing, x)
 	for j := 0; j < sys.nz; j++ {
-		t[j] = backing[j*sys.nr : (j+1)*sys.nr : (j+1)*sys.nr]
+		t[j] = x[j*sys.nr : (j+1)*sys.nr : (j+1)*sys.nr]
 	}
 	return t
 }

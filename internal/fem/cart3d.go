@@ -103,17 +103,15 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 	}
 	nx, ny, nz := sys.nx, sys.ny, sys.nz
 	sol := &CartSolution{XCenters: sys.xc, YCenters: sys.yc, ZCenters: sys.zc, Stats: st}
-	// x is laid out (l*ny+j)*nx + i, so the field rows can share one backing
-	// array instead of allocating nz*ny separate slices.
-	backing := make([]float64, nz*ny*nx)
-	copy(backing, x)
+	// x is laid out (l*ny+j)*nx + i, and the solver returned it new, so the
+	// field rows are slices of x itself.
 	sol.T = make([][][]float64, nz)
 	rows := make([][]float64, nz*ny)
 	for l := 0; l < nz; l++ {
 		sol.T[l] = rows[l*ny : (l+1)*ny : (l+1)*ny]
 		for j := 0; j < ny; j++ {
 			at := (l*ny + j) * nx
-			sol.T[l][j] = backing[at : at+nx : at+nx]
+			sol.T[l][j] = x[at : at+nx : at+nx]
 		}
 	}
 	return sol, nil

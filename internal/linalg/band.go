@@ -43,6 +43,15 @@ type Band struct {
 // the first n·(b+1) values of buf, or in new storage when buf is nil; a
 // factor in a buffer of an earlier one reuses its storage.
 func NewBand(n, b int, buf []float64) *Band {
+	m := new(Band)
+	m.init(n, b, buf)
+	return m
+}
+
+// init makes m the zeroed band NewBand describes. NewBand is only this
+// call, so it inlines, and a caller that copies its result into a Band
+// value allocates nothing for the header.
+func (m *Band) init(n, b int, buf []float64) {
 	if n <= 0 || b < 0 {
 		panic(fmt.Sprintf("linalg: invalid band dimensions n=%d b=%d", n, b))
 	}
@@ -50,9 +59,8 @@ func NewBand(n, b int, buf []float64) *Band {
 	if buf == nil {
 		buf = make([]float64, n*(b+1))
 	}
-	v := buf[:n*(b+1)]
-	clear(v)
-	return &Band{n: n, b: b, v: v}
+	m.n, m.b, m.v = n, b, buf[:n*(b+1)]
+	clear(m.v)
 }
 
 // N returns the matrix dimension.

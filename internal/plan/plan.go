@@ -163,6 +163,9 @@ func Plan(f *Floorplan, tech Technology, budget float64, m core.Model) (*Result,
 	return PlanWith(f, tech, budget, m, Options{})
 }
 
+// tileSecondsBounds are the bucket bounds of plan.tile.seconds.
+var tileSecondsBounds = obs.ExpBuckets(1e-6, 4, 13)
+
 // PlanWith is Plan with explicit concurrency and memoization control. Tiles
 // are planned in parallel across opt.Workers workers; the result (including
 // which error is reported on failure) is byte-identical to a sequential
@@ -211,7 +214,7 @@ func PlanWith(f *Floorplan, tech Technology, budget float64, m core.Model, opt O
 		defer run.End()
 	}
 	tileCounter := obs.Default().Counter("plan.tiles")
-	tileWall := obs.Default().Histogram("plan.tile.seconds", obs.ExpBuckets(1e-6, 4, 13))
+	tileWall := obs.Default().Histogram("plan.tile.seconds", tileSecondsBounds)
 
 	counts := make([]int, rows*cols)
 	dts := make([]float64, rows*cols)

@@ -174,12 +174,15 @@ type response struct {
 	body        []byte
 }
 
+// requestSecondsBounds are the bucket bounds of serve.request.seconds.
+var requestSecondsBounds = obs.ExpBuckets(1e-6, 4, 13)
+
 // coalesced runs fn under the single-flight group and writes the shared
 // response; a request whose client disconnects leaves, writing nothing.
 func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, endpoint, key string, fn func(context.Context) response) {
 	t0 := time.Now()
 	resp, shared, err := s.flights.Do(r.Context(), key, fn)
-	s.reg.Histogram("serve.request.seconds", obs.ExpBuckets(1e-6, 4, 13)).Observe(time.Since(t0).Seconds())
+	s.reg.Histogram("serve.request.seconds", requestSecondsBounds).Observe(time.Since(t0).Seconds())
 	if err != nil {
 		// Client is gone; there is nobody to write to.
 		s.reg.Counter("serve.abandoned").Inc()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -687,5 +688,32 @@ func TestListenAndServeDrains(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not drain after cancellation")
+	}
+}
+
+var updateKey = flag.Bool("update", false, "rewrite the solve key golden file")
+
+// TestSolveKeyGolden pins the exact canonical encoding and the coalescing
+// key of one lowered /solve request, so a rewrite of the encoder cannot
+// move the keys that concurrent and repeated requests share.
+func TestSolveKeyGolden(t *testing.T) {
+	s := New(Config{Registry: obs.NewRegistry()})
+	sc, err := s.lowerSolve([]byte(`{"block": {"R": 8e-6, "NumPlanes": 4}, "models": {"model": "all", "segments": 50}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := canon.String("solve", sc) + "\n" + canon.Hash("solve", sc) + "\n"
+	const path = "testdata/solve_key.golden"
+	if *updateKey {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("/solve key changed:\ngot  %s\nwant %s", got, want)
 	}
 }

@@ -12,6 +12,26 @@ const (
 	metricWallSeconds = "sparse.cg.wall_seconds"
 )
 
+// The bucket bounds of the solve histograms and the names of the
+// per-preconditioner counters, made once rather than at every solve.
+var (
+	iterationBounds = obs.ExpBuckets(1, 2, 14)
+	residualBounds  = obs.ExpBuckets(1e-16, 10, 15)
+	wallBounds      = obs.ExpBuckets(1e-6, 4, 13)
+	precondCounters = [...]string{
+		PrecondDefault: "sparse.cg.precond." + PrecondDefault.String(),
+		PrecondMG:      "sparse.cg.precond." + PrecondMG.String(),
+	}
+)
+
+// precondCounter names the counter of solves preconditioned by p.
+func precondCounter(p PrecondKind) string {
+	if p >= 0 && int(p) < len(precondCounters) {
+		return precondCounters[p]
+	}
+	return "sparse.cg.precond." + p.String()
+}
+
 // recordSolve feeds one finished CG solve into the obs default registry.
 // With the registry disabled (obs.SetDefault(nil)) this is a single pointer
 // load and a return.
@@ -21,11 +41,11 @@ func recordSolve(st Stats, err error) {
 		return
 	}
 	r.Counter(metricSolves).Inc()
-	r.Counter("sparse.cg.precond." + st.Precond.String()).Inc()
+	r.Counter(precondCounter(st.Precond)).Inc()
 	if err != nil {
 		r.Counter(metricFailures).Inc()
 	}
-	r.Histogram(metricIterations, obs.ExpBuckets(1, 2, 14)).Observe(float64(st.Iterations))
-	r.Histogram(metricResidual, obs.ExpBuckets(1e-16, 10, 15)).Observe(st.Residual)
-	r.Histogram(metricWallSeconds, obs.ExpBuckets(1e-6, 4, 13)).Observe(st.Wall.Seconds())
+	r.Histogram(metricIterations, iterationBounds).Observe(float64(st.Iterations))
+	r.Histogram(metricResidual, residualBounds).Observe(st.Residual)
+	r.Histogram(metricWallSeconds, wallBounds).Observe(st.Wall.Seconds())
 }

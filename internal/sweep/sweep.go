@@ -273,6 +273,9 @@ func evaluate(ctx context.Context, j Job, c *Cache) Outcome {
 	return oc
 }
 
+// jobSecondsBounds are the bucket bounds of sweep.job.seconds.
+var jobSecondsBounds = obs.ExpBuckets(1e-6, 4, 13)
+
 // recordJob feeds one solved (non-cached) job into the obs default registry.
 func recordJob(d time.Duration, err error) {
 	r := obs.Default()
@@ -283,7 +286,7 @@ func recordJob(d time.Duration, err error) {
 	if err != nil {
 		r.Counter("sweep.job.failures").Inc()
 	}
-	r.Histogram("sweep.job.seconds", obs.ExpBuckets(1e-6, 4, 13)).Observe(d.Seconds())
+	r.Histogram("sweep.job.seconds", jobSecondsBounds).Observe(d.Seconds())
 }
 
 // wrapErr labels a job's failure with the job name.
