@@ -20,8 +20,8 @@ test:
 # arm64 compiler nor the amd64 one at GOAMD64=v3 fused a multiply-add in
 # internal/linalg (its factors and sweeps round every product on its own,
 # as the baseline amd64 build does, so all give the same bits), a short
-# FuzzParseDeck
-# exploration on top of the checked-in seeds, the whole suite under the race
+# FuzzParseDeck and FuzzServeJSON (the JSON lowerings whose scenarios key
+# ttsvd's coalescing) exploration on top of the checked-in seeds, the whole suite under the race
 # detector (it includes every determinism contract: reuse bit-identity,
 # the reference-solve golden hashes, stencil kernels against
 # the CSR reference, deck and service goldens,
@@ -50,6 +50,7 @@ verify:
 	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]VFN?M(ADD|SUB)[[:alnum:]]*[[:space:]]'); \
 	test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
+	$(GO) test -fuzz '^FuzzServeJSON$$' -fuzztime 10s -run '^FuzzServeJSON$$' ./internal/serve
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -shuffle=on . ./internal/core ./internal/fem ./internal/flight ./internal/sweep ./internal/serve ./internal/plan ./internal/deck ./internal/experiments ./internal/chip ./internal/fit
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

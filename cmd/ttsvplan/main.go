@@ -33,6 +33,7 @@ import (
 
 	ttsv "repro"
 	"repro/internal/cliobs"
+	"repro/internal/deck"
 )
 
 func main() {
@@ -53,7 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fpPath := fs.String("floorplan", "", "JSON floorplan file (required unless -deck is given)")
 	deckPath := fs.String("deck", "", ".ttsv scenario deck file; runs its analysis cards instead of -floorplan")
 	budget := fs.Float64("budget", 15, "maximum allowed temperature rise [K]")
-	model := fs.String("model", "A", "thermal model: A, B or 1D")
+	model := fs.String("model", "A", "thermal model: A, B, 1D or ref")
 	segments := fs.Int("segments", 100, "Model B segments per plane")
 	k1 := fs.Float64("k1", 1.6, "Model A coefficient k1 (system default)")
 	k2 := fs.Float64("k2", 0.8, "Model A coefficient k2 (system default)")
@@ -94,17 +95,17 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return err
 	}
 
-	var m ttsv.Model
-	switch *model {
-	case "A":
-		m = ttsv.ModelA{Coeffs: ttsv.Coeffs{K1: *k1, K2: *k2, C1: *c1}}
-	case "B":
-		m = ttsv.NewModelB(*segments)
-	case "1D":
-		m = ttsv.Model1D{}
-	default:
-		return fmt.Errorf("unknown model %q (want A, B or 1D)", *model)
+	// The model comes from the spec decks and ttsvd lower to, under the
+	// same checks; a plan takes one, as /plan does.
+	spec := deck.ModelSpec{Model: *model, Segments: *segments}
+	models, err := spec.Models("a", ttsv.Coeffs{K1: *k1, K2: *k2, C1: *c1})
+	if err != nil {
+		return err
 	}
+	if len(models) != 1 {
+		return fmt.Errorf("plan takes exactly one model, got %d", len(models))
+	}
+	m := models[0]
 
 	tech := ttsv.DefaultTechnology()
 	res, err := ttsv.PlanInsertionWith(f, tech, *budget, m, ttsv.PlanOptions{Ctx: ctx, Workers: *workers, Trace: tracer})

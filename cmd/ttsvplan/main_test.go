@@ -147,4 +147,12 @@ func TestPlanCLIErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-floorplan", path, "-budget", "0.01"}, &buf); err == nil {
 		t.Error("impossible budget accepted")
 	}
+	err := run(context.Background(), []string{"-floorplan", path, "-model", "B", "-segments", "10001"}, &buf)
+	if err == nil || err.Error() != "segments must be in [1, 10000], got 10001" {
+		t.Errorf("-segments 10001: %v, want the spec's segments error", err)
+	}
+	err = run(context.Background(), []string{"-floorplan", path, "-model", "all"}, &buf)
+	if err == nil || err.Error() != "plan takes exactly one model, got 3" {
+		t.Errorf("-model all: %v, want a one-model error", err)
+	}
 }

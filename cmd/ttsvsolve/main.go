@@ -21,6 +21,8 @@ import (
 	ttsv "repro"
 	"repro/internal/clideck"
 	"repro/internal/cliobs"
+	"repro/internal/deck"
+	"repro/internal/fem"
 	"repro/internal/stack"
 	"repro/internal/units"
 )
@@ -138,27 +140,20 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "warning: %v\n", err)
 	}
 
-	coeffs := ttsv.Coeffs{K1: *k1, K2: *k2, C1: 1}
-	var models []ttsv.Model
-	switch *model {
-	case "A":
-		models = []ttsv.Model{ttsv.ModelA{Coeffs: coeffs}}
-	case "B":
-		models = []ttsv.Model{ttsv.NewModelB(*segments)}
-	case "1D":
-		models = []ttsv.Model{ttsv.Model1D{}}
-	case "ref":
-		res := ttsv.DefaultResolution()
-		res.Precond, err = ttsv.ParsePrecond(*precond)
-		if err != nil {
-			return err
-		}
+	// Models come from the spec decks and ttsvd lower to, under the same
+	// checks (Model B's segments at most deck.MaxSegments among them).
+	spec := deck.ModelSpec{Model: *model, Segments: *segments, Precond: *precond}
+	models, err := spec.Models("all", ttsv.Coeffs{K1: *k1, K2: *k2, C1: 1})
+	if err != nil {
+		return err
+	}
+	if ref, ok := models[0].(fem.ReferenceModel); ok && len(models) == 1 {
 		ctx := ttsv.TraceContext(ctx, tracer)
 		// The run's one solve gets a context of its own, so what -v reports
 		// never depends on solves an embedding process ran before.
 		sc := ttsv.NewSolveContext()
 		defer sc.Close()
-		dt, st, err := ttsv.SolveReferenceStatsWith(ctx, sc, s, res)
+		dt, st, err := ttsv.SolveReferenceStatsWith(ctx, sc, s, ref.Res)
 		if err != nil {
 			return err
 		}
@@ -170,14 +165,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			}
 		}
 		return nil
-	case "all":
-		models = []ttsv.Model{
-			ttsv.ModelA{Coeffs: coeffs},
-			ttsv.NewModelB(*segments),
-			ttsv.Model1D{},
-		}
-	default:
-		return fmt.Errorf("unknown model %q (want A, B, 1D, ref or all)", *model)
 	}
 	for _, m := range models {
 		res, err := m.Solve(s)

@@ -88,6 +88,17 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestModelSpecChecks: the CLI builds its models through deck.ModelSpec, so
+// a Model B ladder past deck.MaxSegments fails with the spec's error before
+// anything is allocated, as it does in a deck or a ttsvd request.
+func TestModelSpecChecks(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{"-model", "B", "-segments", "10001"}, &buf)
+	if err == nil || err.Error() != "segments must be in [1, 10000], got 10001" {
+		t.Errorf("-segments 10001: %v, want the spec's segments error", err)
+	}
+}
+
 // -v reports what the reference solve did: at the default mesh the grid
 // rule's banded Cholesky solve, with its half-bandwidth, a fresh factor, the
 // true residual and the time split between factor and sweeps.

@@ -1,12 +1,20 @@
 package ttsv_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,11 +22,18 @@ import (
 )
 
 // testOnlyExports lists the exported funcs and methods under internal/ that
-// no non-test Go file of the module or of bench/ names, each with why it
+// no non-test Go file of the module or of bench/ uses, each with why it
 // stays. TestNoTestOnlyExports keeps the scan equal to this list, so code
 // that only tests reach cannot come back unnoticed: delete it, move it into
 // a _test.go file, or add it here with its reason.
 var testOnlyExports = map[string]string{
+	"repro/internal/canon.String":                     "the readable encoding: the key goldens pin it beside canon.Sum's digest",
+	"repro/internal/core.Result.String":               "fmt.Stringer: readable test and debugging output; no non-test file formats a Result",
+	"repro/internal/fem.BC.String":                    "fmt.Stringer: readable test and debugging output; no non-test file formats a BC",
+	"repro/internal/materials.Material.String":        "fmt.Stringer: readable test and debugging output; no non-test file formats a Material",
+	"repro/internal/serve.Server.ServeHTTP":           "interface method: http.Handler, through which http.Server serves ttsvd",
+	"repro/internal/sweep.Cache.Counters":             "reached through the ttsv.SweepCache alias: a caller's view of what its cache saved",
+	"repro/internal/sweep.Cache.Len":                  "reached through the ttsv.SweepCache alias",
 	"repro/internal/fem.BuildCartProblem":             "test reference: the 3-D block that validates the axisymmetric reduction",
 	"repro/internal/fem.DefaultCartResolution":        "test reference: the 3-D block's mesh",
 	"repro/internal/fem.ConvergenceError.Unwrap":      "interface method: errors.Is and errors.As unwrap through it",
@@ -30,20 +45,17 @@ var testOnlyExports = map[string]string{
 	"repro/internal/sweep.Batch.Run":                  "reached through the ttsv.Batch alias",
 }
 
-// TestNoTestOnlyExports scans every non-test Go file in the repository,
-// bench/ included, and lists the exported funcs and methods declared under
-// internal/ that none of them references by name. A package-level func
-// counts as referenced when some file names it as pkg.Name through an
-// import of its package, or as Name inside its own package; a method counts
-// when any selector anywhere uses its name. The scan is syntactic (go/parser
-// and go/ast only), so it over-counts references rather than missing one.
+// TestNoTestOnlyExports type-checks every non-test Go package of the module
+// and of bench/ (for this host's GOOS and GOARCH) and lists the exported
+// funcs and methods declared under internal/ that none of them uses, by
+// go/types' resolution of each identifier (types.Info.Uses). A method also
+// counts as used when a call through an interface method reaches it (some
+// non-test file uses that interface method, and the method's type
+// implements the interface), and a String method when a value of its type
+// is an argument of a fmt call.
 func TestNoTestOnlyExports(t *testing.T) {
-	const module = "repro"
-	type decl struct{ key, pkg, name string }
-	var decls []decl
-	funcRefs := map[string]bool{} // "import/path.Name"
-	methodRefs := map[string]bool{}
 	fset := token.NewFileSet()
+	dirs := map[string][]*ast.File{} // import path -> non-test files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -54,112 +66,209 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		dir, name := filepath.Split(p)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		pkg := module
-		if dir != "." {
-			pkg = path.Join(module, dir)
-		}
-		imports := map[string]string{} // local name -> import path
-		for _, im := range f.Imports {
-			ip, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(ip)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = ip
-		}
-		for _, dcl := range f.Decls {
-			fd, ok := dcl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
-				continue
-			}
-			if fd.Recv == nil {
-				decls = append(decls, decl{pkg + "." + fd.Name.Name, pkg, fd.Name.Name})
-			} else {
-				decls = append(decls, decl{pkg + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name, "", fd.Name.Name})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				// A declaration's own name is not a reference; walk the rest.
-				if n.Recv != nil {
-					ast.Inspect(n.Recv, visitRefs(pkg, imports, funcRefs, methodRefs))
-				}
-				ast.Inspect(n.Type, visitRefs(pkg, imports, funcRefs, methodRefs))
-				if n.Body != nil {
-					ast.Inspect(n.Body, visitRefs(pkg, imports, funcRefs, methodRefs))
-				}
-				return false
-			}
-			return visitRefs(pkg, imports, funcRefs, methodRefs)(n)
-		})
+		ip := path.Join("repro", filepath.ToSlash(filepath.Dir(p)))
+		dirs[ip] = append(dirs[ip], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unreferenced []string
-	for _, d := range decls {
-		if d.pkg != "" && !funcRefs[d.pkg+"."+d.name] || d.pkg == "" && !methodRefs[d.name] {
-			unreferenced = append(unreferenced, d.key)
+
+	std, err := stdImporter(fset, dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	imp := &moduleImporter{fset: fset, files: dirs, info: info, std: std, pkgs: map[string]*types.Package{}}
+	for ip := range dirs {
+		if _, err := imp.Import(ip); err != nil {
+			t.Fatal(err)
 		}
+	}
+
+	used := map[*types.Func]bool{}
+	ifaceMethods := map[*types.Func]bool{}
+	for _, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		used[fn] = true
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceMethods[fn] = true
+		}
+	}
+	// fmt calls String on the arguments it formats.
+	for _, fs := range dirs {
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if obj := info.Uses[sel.Sel]; obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "fmt" {
+					return true
+				}
+				for _, arg := range call.Args {
+					if fn, ok := lookupMethod(info.Types[arg].Type, "String"); ok {
+						used[fn.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	reached := func(fn *types.Func) bool {
+		if used[fn] {
+			return true
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		named := recv.Type()
+		if p, ok := named.(*types.Pointer); ok {
+			named = p.Elem()
+		}
+		if n, ok := named.(*types.Named); ok && n.TypeParams().Len() > 0 {
+			return false // Implements is unspecified for a generic type
+		}
+		for im := range ifaceMethods {
+			if im.Name() != fn.Name() {
+				continue
+			}
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var unreferenced []string
+	for id, obj := range info.Defs {
+		fn, ok := obj.(*types.Func)
+		if !ok || !id.IsExported() || !strings.HasPrefix(fn.Pkg().Path(), "repro/internal/") || reached(fn) {
+			continue
+		}
+		key := fn.Pkg().Path() + "." + fn.Name()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if types.IsInterface(recv.Type()) {
+				continue // an interface's method set, not a declaration
+			}
+			key = fn.Pkg().Path() + "." + recvName(recv.Type()) + "." + fn.Name()
+		}
+		unreferenced = append(unreferenced, key)
 	}
 	sort.Strings(unreferenced)
 	for _, k := range unreferenced {
 		if _, ok := testOnlyExports[k]; !ok {
-			t.Errorf("%s: exported, but no non-test file references it; delete it, move it into a _test.go file, or list it in testOnlyExports with its reason", k)
+			t.Errorf("%s: exported, but no non-test file uses it; delete it, move it into a _test.go file, or list it in testOnlyExports with its reason", k)
 		}
 	}
 	for k := range testOnlyExports {
 		if i := sort.SearchStrings(unreferenced, k); i == len(unreferenced) || unreferenced[i] != k {
-			t.Errorf("%s: listed in testOnlyExports, but it is gone or now referenced; drop the entry", k)
+			t.Errorf("%s: listed in testOnlyExports, but it is gone or now used; drop the entry", k)
 		}
 	}
 }
 
-// visitRefs records, for one file, every pkg.Name selector through an
-// import, every bare identifier (a same-package func reference) and every
-// selector's name (a possible method reference).
-func visitRefs(pkg string, imports map[string]string, funcRefs, methodRefs map[string]bool) func(ast.Node) bool {
-	return func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if ip, ok := imports[x.Name]; ok {
-					funcRefs[ip+"."+n.Sel.Name] = true
-					return false
+// moduleImporter type-checks the module's packages (and bench/'s, whose
+// module is repro/bench) from their parsed files into one types.Info, each
+// once, and imports the standard library from export data.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	pkgs  map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(ip string) (*types.Package, error) {
+	if p, ok := m.pkgs[ip]; ok {
+		return p, nil
+	}
+	files, ok := m.files[ip]
+	if !ok {
+		return m.std.Import(ip)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(ip, m.fset, files, m.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", ip, err)
+	}
+	m.pkgs[ip] = p
+	return p, nil
+}
+
+// stdImporter imports the packages that files import from outside the
+// module from their compiled export data, located by one go list run.
+func stdImporter(fset *token.FileSet, files map[string][]*ast.File) (types.Importer, error) {
+	args := []string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"}
+	seen := map[string]bool{}
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, im := range f.Imports {
+				ip, _ := strconv.Unquote(im.Path.Value)
+				if _, ours := files[ip]; !ours && !seen[ip] {
+					seen[ip] = true
+					args = append(args, ip)
 				}
 			}
-			methodRefs[n.Sel.Name] = true
-			ast.Inspect(n.X, visitRefs(pkg, imports, funcRefs, methodRefs))
-			return false
-		case *ast.Ident:
-			funcRefs[pkg+"."+n.Name] = true
 		}
-		return true
 	}
+	out, err := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		ip, file, _ := strings.Cut(line, "=")
+		exports[ip] = file
+	}
+	return importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
+		file, ok := exports[ip]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", ip)
+		}
+		return os.Open(file)
+	}), nil
+}
+
+// lookupMethod returns t's method name, if t has one.
+func lookupMethod(t types.Type, name string) (*types.Func, bool) {
+	if t == nil {
+		return nil, false
+	}
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
+	fn, ok := obj.(*types.Func)
+	return fn, ok
 }
 
 // recvName is the receiver's base type name, without pointer or type
-// parameters.
-func recvName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return recvName(e.X)
-	case *ast.IndexExpr:
-		return recvName(e.X)
-	case *ast.IndexListExpr:
-		return recvName(e.X)
-	case *ast.Ident:
-		return e.Name
+// arguments.
+func recvName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
 	}
 	return "?"
 }

@@ -1,18 +1,22 @@
-// Package canon produces deterministic canonical encodings of Go values for
-// use as cache and coalescing keys. It exists because fmt's %#v is not a
+// Package canon produces deterministic canonical encodings of Go values and
+// the keys derived from them. It exists because fmt's %#v is not a
 // serialization: it renders pointer fields as addresses (different on every
 // run and every process) and map fields in random order, so any key built
 // from it silently stops deduplicating the moment a keyed type grows a
 // pointer or map — and it can never coordinate work across processes.
 //
-// String walks a value by reflection and writes a complete, deterministic
-// rendering: concrete type names, struct fields in declaration order,
-// pointers dereferenced (never printed as addresses), map entries sorted by
-// their encoded key, floats in Go's shortest round-trip form, strings
-// quoted. Two values of the same printable shape encode equally if and only
-// if they are structurally equal, which makes the encoding usable as an
-// exact memoization key both within a process (internal/sweep's result
-// cache) and across processes (the solve daemon's request coalescing).
+// The encoding walks a value by reflection and writes a complete,
+// deterministic rendering: concrete type names, struct fields in declaration
+// order, pointers dereferenced (never printed as addresses), map entries
+// sorted by their encoded key, floats in Go's shortest round-trip form,
+// strings quoted. Two values of the same printable shape encode equally if
+// and only if they are structurally equal.
+//
+// Sum, the encoding's SHA-256, is the one key of a memoized or coalesced
+// solve: internal/sweep's result cache and batch journals, and the solve
+// daemon's request coalescing, all identify a point by it, and trust digest
+// equality for encoding equality. String is the readable encoding itself,
+// which the key goldens pin byte for byte.
 //
 // Functions, channels and unsafe pointers have no meaningful value identity;
 // they encode as their type name only, so keys over values containing them
@@ -22,7 +26,6 @@ package canon
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"reflect"
 	"slices"
 	"strconv"
@@ -39,14 +42,13 @@ func String(vs ...any) string {
 	return string(e.b)
 }
 
-// Hash returns a fixed-length hex digest of String(vs...), suitable as a
-// compact coalescing or sharding key. It digests the encoding's bytes
-// without making a string of them.
-func Hash(vs ...any) string {
+// Sum returns the SHA-256 digest of String(vs...): the fixed-size key
+// every memoized or coalesced solve in this repository is identified by.
+// It digests the encoding's bytes without making a string of them.
+func Sum(vs ...any) [32]byte {
 	e := encode(vs)
 	defer e.release()
-	sum := sha256.Sum256(e.b)
-	return hex.EncodeToString(sum[:])
+	return sha256.Sum256(e.b)
 }
 
 // maxPooledBytes caps the buffer a released encoder keeps; the keys of this

@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"crypto/sha256"
 	"math"
 	"strings"
 	"testing"
@@ -128,15 +129,15 @@ func TestMapOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestHashStable(t *testing.T) {
-	h := Hash("solve", inner{1, "x"})
-	if len(h) != 64 {
-		t.Fatalf("hash length %d, want 64 hex chars", len(h))
+func TestSumStable(t *testing.T) {
+	h := Sum("solve", inner{1, "x"})
+	if h != sha256.Sum256([]byte(String("solve", inner{1, "x"}))) {
+		t.Fatal("sum is not the SHA-256 of the encoding")
 	}
-	if h != Hash("solve", inner{1, "x"}) {
-		t.Fatal("hash not deterministic")
+	if h != Sum("solve", inner{1, "x"}) {
+		t.Fatal("sum not deterministic")
 	}
-	if h == Hash("sweep", inner{1, "x"}) {
+	if h == Sum("sweep", inner{1, "x"}) {
 		t.Fatal("distinct inputs collide")
 	}
 }

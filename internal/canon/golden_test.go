@@ -1,6 +1,7 @@
 package canon_test
 
 import (
+	"encoding/hex"
 	"flag"
 	"math"
 	"os"
@@ -34,8 +35,8 @@ type kinds struct {
 	Fn   func()
 }
 
-// TestKeyGolden pins the exact encoding and digest of a reference-solve
-// cache key (the reference model and a Fig. 4 stack, as sweep.Cache keys
+// TestKeyGolden pins the exact encoding and digest (canon.Sum, in hex) of a
+// reference-solve cache key (the reference model and a Fig. 4 stack, as sweep.Cache keys
 // them) and of a value with a field of every kind. A change to either
 // changes cache and coalescing keys, so the encoder may only be rewritten
 // byte for byte.
@@ -58,7 +59,8 @@ func TestKeyGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, vs := range [][]any{{fem.ReferenceModel{}, s}, {"solve", mixed, nil}} {
-		b.WriteString(canon.String(vs...) + "\n" + canon.Hash(vs...) + "\n")
+		sum := canon.Sum(vs...)
+		b.WriteString(canon.String(vs...) + "\n" + hex.EncodeToString(sum[:]) + "\n")
 	}
 	got := b.String()
 	const path = "testdata/keys.golden"

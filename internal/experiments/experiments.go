@@ -17,7 +17,6 @@ import (
 	"repro/internal/fem"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/sparse"
 	"repro/internal/stack"
 	"repro/internal/sweep"
 	"repro/internal/units"
@@ -33,8 +32,8 @@ const RefName = "FVM"
 // (with its Resolution) and the stack. Copies of one Config share it, so
 // Calibrate, the figures, Table1 and Headline run on copies of one Config
 // solve each reference geometry once; a cache hit reports the original
-// solve's Runtime and Solver stats. Only the reference is cached: a
-// canonical key costs about as much as ten Model A solves, and the
+// solve's Runtime. Only the reference is cached: a key (canon.Sum of the
+// model and the stack) costs about as much as ten Model A solves, and the
 // analytical models' runtimes are results of the paper. A Config literal
 // has no cache and solves every point.
 type Config struct {
@@ -101,9 +100,6 @@ type Point struct {
 	DT map[string]float64
 	// Runtime maps model name to its solve wall time.
 	Runtime map[string]time.Duration
-	// Solver maps model name to the iterative-solve statistics of the run
-	// (zero for models that solved directly).
-	Solver map[string]sparse.Stats
 }
 
 // Sweep is one figure-shaped experiment result.
@@ -160,7 +156,6 @@ func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, 
 			X:       xs[pi],
 			DT:      make(map[string]float64),
 			Runtime: make(map[string]time.Duration),
-			Solver:  make(map[string]sparse.Stats),
 		}
 	}
 	ctx := cfg.Ctx
@@ -189,7 +184,6 @@ func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, 
 			}
 			p.DT[oc.Job.Label] = oc.Result.MaxDT
 			p.Runtime[oc.Job.Label] = oc.Runtime
-			p.Solver[oc.Job.Label] = oc.Result.Solver
 		}
 		return nil
 	}

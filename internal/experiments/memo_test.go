@@ -140,13 +140,12 @@ func TestMemoHitKeepsOriginalSolve(t *testing.T) {
 	}
 	for i, p := range second.Points {
 		q := first.Points[i]
-		if p.Runtime[RefName] != q.Runtime[RefName] || p.Solver[RefName] != q.Solver[RefName] || p.DT[RefName] != q.DT[RefName] {
-			t.Errorf("x=%g: hit %v %v %g, original %v %v %g", p.X,
-				p.Runtime[RefName], p.Solver[RefName], p.DT[RefName],
-				q.Runtime[RefName], q.Solver[RefName], q.DT[RefName])
+		if p.Runtime[RefName] != q.Runtime[RefName] || p.DT[RefName] != q.DT[RefName] {
+			t.Errorf("x=%g: hit %v %g, original %v %g", p.X,
+				p.Runtime[RefName], p.DT[RefName], q.Runtime[RefName], q.DT[RefName])
 		}
-		if p.Runtime[RefName] <= 0 || !p.Solver[RefName].Direct {
-			t.Errorf("x=%g: hit lost the solve's runtime or stats: %v %v", p.X, p.Runtime[RefName], p.Solver[RefName])
+		if p.Runtime[RefName] <= 0 {
+			t.Errorf("x=%g: hit lost the solve's runtime: %v", p.X, p.Runtime[RefName])
 		}
 	}
 }

@@ -1,4 +1,5 @@
-// Package flight coalesces concurrent executions of the same key into one,
+// Package flight coalesces concurrent executions of the same key (a
+// canon.Sum digest) into one,
 // in the spirit of x/sync/singleflight (hand-rolled: the repository is
 // stdlib-only). The solve daemon coalesces identical requests through it,
 // and the sweep result cache solves each missing point through it.
@@ -13,7 +14,7 @@ import (
 // is ready to use; a Group must not be copied after first use.
 type Group[V any] struct {
 	mu sync.Mutex
-	m  map[string]*call[V]
+	m  map[[32]byte]*call[V]
 }
 
 // call is one execution and the callers waiting on it.
@@ -36,10 +37,10 @@ type call[V any] struct {
 // starts afresh: no caller receives a value cancelled under another
 // caller's context. An execution every caller left runs until fn returns,
 // so fn should return soon after its context ends. fn must not panic.
-func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) V) (v V, shared bool, err error) {
+func (g *Group[V]) Do(ctx context.Context, key [32]byte, fn func(context.Context) V) (v V, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*call[V])
+		g.m = make(map[[32]byte]*call[V])
 	}
 	c, shared := g.m[key]
 	if !shared {
@@ -74,7 +75,7 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 
 // Waiters reports how many callers wait on key's execution, zero when none
 // runs.
-func (g *Group[V]) Waiters(key string) int {
+func (g *Group[V]) Waiters(key [32]byte) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c := g.m[key]; c != nil {
@@ -85,7 +86,7 @@ func (g *Group[V]) Waiters(key string) int {
 
 // retire removes c from the group if it still holds key. The caller holds
 // g.mu.
-func (g *Group[V]) retire(key string, c *call[V]) {
+func (g *Group[V]) retire(key [32]byte, c *call[V]) {
 	if g.m[key] == c {
 		delete(g.m, key)
 	}

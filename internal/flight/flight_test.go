@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// k is the key every test's calls share.
+var k = [32]byte{'k'}
+
 // waitFor polls cond until it holds or 10 s pass.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -35,7 +38,7 @@ func TestDoCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			vals[i], shared[i], err = g.Do(context.Background(), "k", func(context.Context) int {
+			vals[i], shared[i], err = g.Do(context.Background(), k, func(context.Context) int {
 				execs++
 				<-release
 				return 42
@@ -45,7 +48,7 @@ func TestDoCoalesces(t *testing.T) {
 			}
 		}(i)
 	}
-	waitFor(t, "every caller to join", func() bool { return g.Waiters("k") == n })
+	waitFor(t, "every caller to join", func() bool { return g.Waiters(k) == n })
 	close(release)
 	wg.Wait()
 	if execs != 1 {
@@ -63,7 +66,7 @@ func TestDoCoalesces(t *testing.T) {
 	if joined != n-1 {
 		t.Errorf("%d callers joined, want %d", joined, n-1)
 	}
-	if w := g.Waiters("k"); w != 0 || len(g.m) != 0 {
+	if w := g.Waiters(k); w != 0 || len(g.m) != 0 {
 		t.Errorf("finished execution left %d waiters, %d keys", w, len(g.m))
 	}
 }
@@ -84,7 +87,7 @@ func TestDoWaiterLeavesAlone(t *testing.T) {
 	}
 	leaver, stayer := make(chan result, 1), make(chan result, 1)
 	go func() {
-		v, _, err := g.Do(first, "k", func(ctx context.Context) string {
+		v, _, err := g.Do(first, k, func(ctx context.Context) string {
 			<-release
 			if ctx.Err() != nil {
 				return "cancelled"
@@ -93,12 +96,12 @@ func TestDoWaiterLeavesAlone(t *testing.T) {
 		})
 		leaver <- result{v, err}
 	}()
-	waitFor(t, "the first caller", func() bool { return g.Waiters("k") == 1 })
+	waitFor(t, "the first caller", func() bool { return g.Waiters(k) == 1 })
 	go func() {
-		v, _, err := g.Do(context.Background(), "k", func(context.Context) string { return "second execution" })
+		v, _, err := g.Do(context.Background(), k, func(context.Context) string { return "second execution" })
 		stayer <- result{v, err}
 	}()
-	waitFor(t, "the second caller", func() bool { return g.Waiters("k") == 2 })
+	waitFor(t, "the second caller", func() bool { return g.Waiters(k) == 2 })
 	cancel()
 	if r := <-leaver; !errors.Is(r.err, context.Canceled) {
 		t.Errorf("cancelled caller: %q, %v; want context.Canceled", r.v, r.err)
@@ -118,14 +121,14 @@ func TestDoLastWaiterCancels(t *testing.T) {
 	stopped := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(ctx, "k", func(ctx context.Context) string {
+		_, _, err := g.Do(ctx, k, func(ctx context.Context) string {
 			<-ctx.Done()
 			close(stopped)
 			return "cancelled"
 		})
 		errc <- err
 	}()
-	waitFor(t, "the caller", func() bool { return g.Waiters("k") == 1 })
+	waitFor(t, "the caller", func() bool { return g.Waiters(k) == 1 })
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Do returned %v, want context.Canceled", err)
@@ -135,7 +138,7 @@ func TestDoLastWaiterCancels(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("execution context was not cancelled after the last caller left")
 	}
-	v, shared, err := g.Do(context.Background(), "k", func(context.Context) string { return "fresh" })
+	v, shared, err := g.Do(context.Background(), k, func(context.Context) string { return "fresh" })
 	if v != "fresh" || shared || err != nil {
 		t.Errorf("next caller: %q shared=%v err=%v, want a fresh execution", v, shared, err)
 	}

@@ -131,10 +131,10 @@ func (s *Server) handleRun(endpoint string, lower func(body []byte) (*deck.Scena
 			s.reject(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		// The coalescing key is the canonical encoding of the *lowered*
-		// scenario, not the raw bytes: two requests that differ only in
-		// whitespace or field order still share one solve.
-		key := canon.Hash(endpoint, sc)
+		// The coalescing key is the digest of the *lowered* scenario, not
+		// the raw bytes: two requests that differ only in whitespace or
+		// field order still share one solve.
+		key := canon.Sum(endpoint, sc)
 		s.coalesced(w, r, endpoint, key, func(ctx context.Context) response {
 			return s.execute(ctx, endpoint, sc, deck.SweepControl{})
 		})
@@ -179,7 +179,7 @@ var requestSecondsBounds = obs.ExpBuckets(1e-6, 4, 13)
 
 // coalesced runs fn under the single-flight group and writes the shared
 // response; a request whose client disconnects leaves, writing nothing.
-func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, endpoint, key string, fn func(context.Context) response) {
+func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, endpoint string, key [32]byte, fn func(context.Context) response) {
 	t0 := time.Now()
 	resp, shared, err := s.flights.Do(r.Context(), key, fn)
 	s.reg.Histogram("serve.request.seconds", requestSecondsBounds).Observe(time.Since(t0).Seconds())
@@ -262,7 +262,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctl := deck.SweepControl{Shard: spec}
 	if !req.Stream {
-		key := canon.Hash("sweep", spec.String(), sc)
+		key := canon.Sum("sweep", spec.String(), sc)
 		s.coalesced(w, r, "sweep", key, func(ctx context.Context) response {
 			return s.execute(ctx, "sweep", sc, ctl)
 		})

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -251,7 +252,7 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := canon.Hash("solve", sc)
+	key := canon.Sum("solve", sc)
 
 	var wg sync.WaitGroup
 	bodies := make([][]byte, n)
@@ -606,7 +607,7 @@ func TestFlightLastWaiterCancels(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(rctx, "k", func(ctx context.Context) response {
+		_, _, err := g.Do(rctx, [32]byte{'k'}, func(ctx context.Context) response {
 			close(started)
 			<-ctx.Done()
 			close(cancelled)
@@ -702,7 +703,8 @@ func TestSolveKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := canon.String("solve", sc) + "\n" + canon.Hash("solve", sc) + "\n"
+	key := canon.Sum("solve", sc)
+	got := canon.String("solve", sc) + "\n" + hex.EncodeToString(key[:]) + "\n"
 	const path = "testdata/solve_key.golden"
 	if *updateKey {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

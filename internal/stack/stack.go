@@ -103,9 +103,6 @@ type Stack struct {
 	SinkTemp float64
 }
 
-// NumPlanes returns the number of planes.
-func (s *Stack) NumPlanes() int { return len(s.Planes) }
-
 // SurroundArea returns A = A_0 − π(r+t_L)², the footprint left to the
 // surroundings of the (equivalent single) via — paper eq. (7).
 func (s *Stack) SurroundArea() float64 {

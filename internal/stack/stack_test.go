@@ -23,8 +23,8 @@ func TestDefaultBlockPaperValues(t *testing.T) {
 	if got := s.Footprint; units.RelErr(got, 1e-8) > 1e-12 {
 		t.Errorf("A0 = %g m², want 1e-8 (100µm × 100µm)", got)
 	}
-	if s.NumPlanes() != 3 {
-		t.Errorf("planes = %d, want 3", s.NumPlanes())
+	if len(s.Planes) != 3 {
+		t.Errorf("planes = %d, want 3", len(s.Planes))
 	}
 	if got := s.Planes[0].SiThickness; units.RelErr(got, 5e-4) > 1e-12 {
 		t.Errorf("t_Si1 = %g, want 500 µm", got)

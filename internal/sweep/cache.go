@@ -13,21 +13,24 @@ import (
 	"repro/internal/stack"
 )
 
-// DefaultCacheCapacity bounds NewCache: generous enough that every sweep and
-// planning run in this repository fits with room to spare, small enough that
-// a long-lived process hammering the solve path (a design-planning loop
-// bisecting across a large floorplan) cannot hold every point it ever solved.
+// DefaultCacheCapacity bounds every Cache: generous enough that every sweep
+// and planning run in this repository fits with room to spare, small enough
+// that a long-lived process hammering the solve path (a design-planning loop
+// bisecting across a large floorplan) cannot hold every point it ever
+// solved.
 const DefaultCacheCapacity = 1 << 16
 
-// Cache memoizes solve results keyed on the full geometry and model
-// configuration. Planning loops (plan.Plan bisections, calibration,
-// design-space search) revisit identical (stack, model) points constantly;
-// with a cache those repeats cost a map lookup instead of a solve.
+// Cache memoizes solve results keyed on the canon.Sum digest of the model
+// and the stack, the key ttsvd's coalescing and the journals' fingerprint
+// use too: like them, it trusts SHA-256 equality for encoding equality.
+// Planning loops (plan.Plan bisections, calibration, design-space search)
+// revisit identical (stack, model) points constantly; with a cache those
+// repeats cost a map lookup instead of a solve.
 //
-// The cache holds at most its capacity and evicts least-recently-used
-// entries beyond it; Counters reports how many lookups hit, missed and how
-// many entries were evicted, and the same counts feed the obs default
-// registry as sweep.cache.{hits,misses,evictions}.
+// The cache holds at most DefaultCacheCapacity entries and evicts
+// least-recently-used ones beyond it; Counters reports how many lookups
+// hit, missed and how many entries were evicted, and the same counts feed
+// the obs default registry as sweep.cache.{hits,misses,evictions}.
 //
 // A hit reports the wall time of the solve that produced it (see
 // Outcome.Runtime) and its Result carries that solve's Solver stats.
@@ -41,8 +44,8 @@ const DefaultCacheCapacity = 1 << 16
 // must be treated as read-only.
 type Cache struct {
 	mu        sync.Mutex
-	capacity  int
-	entries   map[string]*list.Element
+	capacity  int // DefaultCacheCapacity; tests shrink it
+	entries   map[[32]byte]*list.Element
 	order     *list.List // front = most recently used
 	flights   flight.Group[*cacheEntry]
 	hits      int
@@ -54,29 +57,24 @@ type Cache struct {
 // the wall time it took, which a hit reports as its own. Entries are never
 // mutated once stored.
 type cacheEntry struct {
-	key     string
+	key     [32]byte
 	res     *core.Result
 	err     error
 	runtime time.Duration
 }
 
 // NewCache returns an empty cache bounded at DefaultCacheCapacity entries.
-func NewCache() *Cache { return NewCacheSize(DefaultCacheCapacity) }
-
-// NewCacheSize returns an empty cache holding at most capacity entries,
-// evicting least-recently-used ones beyond that. capacity <= 0 means
-// unbounded (the historical behavior).
-func NewCacheSize(capacity int) *Cache {
+func NewCache() *Cache {
 	return &Cache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
+		capacity: DefaultCacheCapacity,
+		entries:  make(map[[32]byte]*list.Element),
 		order:    list.New(),
 	}
 }
 
 // lookup returns the cached outcome for key and marks it most recently
 // used.
-func (c *Cache) lookup(key string) (*cacheEntry, bool) {
+func (c *Cache) lookup(key [32]byte) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -118,7 +116,7 @@ func (c *Cache) store(e *cacheEntry) {
 		return
 	}
 	c.entries[e.key] = c.order.PushFront(e)
-	if c.capacity > 0 && c.order.Len() > c.capacity {
+	if c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
@@ -142,14 +140,13 @@ func (c *Cache) Counters() (hits, misses, evictions int) {
 	return c.hits, c.misses, c.evictions
 }
 
-// cacheKey fingerprints a (model, stack) pair through the canonical
-// deterministic encoder. Unlike the %#v rendering it replaces, the canonical
-// form never prints pointer addresses (a model gaining a pointer or map
-// field keeps deduplicating instead of silently keying every solve apart)
-// and is stable across processes, so the same key space serves both this
-// in-process memoization and the solve daemon's cross-request coalescing.
-func cacheKey(m core.Model, s *stack.Stack) string {
-	return canon.String(m, s)
+// cacheKey is the digest of a (model, stack) pair's canonical encoding.
+// Unlike a %#v rendering, the encoding never prints pointer addresses (a
+// model gaining a pointer or map field keeps deduplicating instead of
+// silently keying every solve apart) and is stable across processes. A
+// lookup hashes the encoding in a pooled buffer, so it builds no string.
+func cacheKey(m core.Model, s *stack.Stack) [32]byte {
+	return canon.Sum(m, s)
 }
 
 // Cached wraps a model so every solve is memoized in c. The wrapper
@@ -196,7 +193,7 @@ func (cm cachedModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Resul
 // ends, so a caller arriving later finds it. A nil Cache just solves.
 func (c *Cache) do(ctx context.Context, m core.Model, s *stack.Stack) (cacheEntry, bool, error) {
 	if c == nil {
-		return timedSolve(ctx, "", m, s), false, nil
+		return timedSolve(ctx, [32]byte{}, m, s), false, nil
 	}
 	key := cacheKey(m, s)
 	if e, ok := c.lookup(key); ok {
@@ -224,7 +221,7 @@ func (c *Cache) do(ctx context.Context, m core.Model, s *stack.Stack) (cacheEntr
 }
 
 // timedSolve solves s with m into an entry keyed key, timing the solve.
-func timedSolve(ctx context.Context, key string, m core.Model, s *stack.Stack) cacheEntry {
+func timedSolve(ctx context.Context, key [32]byte, m core.Model, s *stack.Stack) cacheEntry {
 	t0 := time.Now()
 	res, err := solve(ctx, m, s)
 	return cacheEntry{key: key, res: res, err: err, runtime: time.Since(t0)}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fem"
 	"repro/internal/stack"
 )
 
@@ -33,7 +34,7 @@ func TestCacheKeyDistinguishesCollidingRenderings(t *testing.T) {
 	}
 	k1, k2 := cacheKey(m1, s), cacheKey(m2, s)
 	if k1 == k2 {
-		t.Fatalf("colliding renderings share a cache key:\n%s", k1)
+		t.Fatalf("colliding renderings share a cache key %x", k1)
 	}
 }
 
@@ -56,28 +57,41 @@ func TestCacheKeyDistinguishesNaNField(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction fills a capacity-2 cache with three points and
-// asserts the least-recently-used entry is the one that left.
+// cacheOf returns an empty cache bounded at capacity entries instead of
+// DefaultCacheCapacity.
+func cacheOf(capacity int) *Cache {
+	c := NewCache()
+	c.capacity = capacity
+	return c
+}
+
+// TestCacheLRUEviction fills a cache shrunk to capacity 2 with three points
+// and asserts the least-recently-used entry is the one that left.
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCacheSize(2)
+	c := NewCache()
+	if c.capacity != DefaultCacheCapacity {
+		t.Errorf("NewCache capacity = %d, want %d", c.capacity, DefaultCacheCapacity)
+	}
+	c = cacheOf(2)
 	r := &core.Result{}
-	c.store(&cacheEntry{key: "k1", res: r})
-	c.store(&cacheEntry{key: "k2", res: r})
+	k1, k2, k3 := [32]byte{1}, [32]byte{2}, [32]byte{3}
+	c.store(&cacheEntry{key: k1, res: r})
+	c.store(&cacheEntry{key: k2, res: r})
 	// Touch k1 so k2 becomes the LRU entry.
-	if _, ok := c.lookup("k1"); !ok {
+	if _, ok := c.lookup(k1); !ok {
 		t.Fatal("k1 missing before eviction")
 	}
-	c.store(&cacheEntry{key: "k3", res: r})
+	c.store(&cacheEntry{key: k3, res: r})
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	if _, ok := c.lookup("k2"); ok {
+	if _, ok := c.lookup(k2); ok {
 		t.Error("LRU entry k2 survived eviction")
 	}
-	if _, ok := c.lookup("k1"); !ok {
+	if _, ok := c.lookup(k1); !ok {
 		t.Error("recently-used k1 was evicted")
 	}
-	if _, ok := c.lookup("k3"); !ok {
+	if _, ok := c.lookup(k3); !ok {
 		t.Error("newest entry k3 was evicted")
 	}
 	_, _, evictions := c.Counters()
@@ -86,36 +100,48 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheUnboundedBackCompat: capacity 0 disables eviction.
-func TestCacheUnboundedBackCompat(t *testing.T) {
-	c := NewCacheSize(0)
-	r := &core.Result{}
-	for i := 0; i < 1000; i++ {
-		c.store(&cacheEntry{key: fmt.Sprintf("k%d", i), res: r})
-	}
-	if c.Len() != 1000 {
-		t.Fatalf("unbounded cache holds %d entries, want 1000", c.Len())
-	}
-	if _, _, evictions := c.Counters(); evictions != 0 {
-		t.Fatalf("unbounded cache evicted %d entries", evictions)
-	}
-	if NewCache().capacity != DefaultCacheCapacity {
-		t.Errorf("NewCache capacity = %d, want %d", NewCache().capacity, DefaultCacheCapacity)
-	}
-}
-
 // TestCacheStoreIdempotentUnderRace: two workers racing to store the same
 // key must leave one entry and no leaked list nodes.
 func TestCacheStoreIdempotentUnderRace(t *testing.T) {
-	c := NewCacheSize(4)
+	c := NewCache()
 	r := &core.Result{}
-	c.store(&cacheEntry{key: "k", res: r})
-	c.store(&cacheEntry{key: "k", res: r})
+	c.store(&cacheEntry{key: [32]byte{'k'}, res: r})
+	c.store(&cacheEntry{key: [32]byte{'k'}, res: r})
 	if c.Len() != 1 {
 		t.Fatalf("duplicate store left %d entries", c.Len())
 	}
 	if c.order.Len() != 1 {
 		t.Fatalf("duplicate store leaked list nodes: %d", c.order.Len())
+	}
+}
+
+// TestCacheHitAllocs: a warm hit on a Fig. 4 reference point hashes its key
+// in canon's pooled buffer and builds no string of the ~1.7 KB encoding.
+func TestCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops puts at random")
+	}
+	s := fig4Stack(t, 10)
+	c := NewCache()
+	m := Cached(fem.ReferenceModel{}, c)
+	if _, err := m.Solve(s); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := m.Solve(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perHit := (after.TotalAlloc - before.TotalAlloc) / runs; perHit >= 256 {
+		t.Errorf("a warm hit allocates %d B, want under 256", perHit)
+	}
+	if hits, misses, _ := c.Counters(); hits != runs || misses != 1 {
+		t.Errorf("hits=%d misses=%d, want %d/1", hits, misses, runs)
 	}
 }
 

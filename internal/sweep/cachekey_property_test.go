@@ -97,7 +97,7 @@ func TestCacheKeyHandlesPointerFields(t *testing.T) {
 	c2 := core.PaperBlockCoeffs()
 	m1, m2 := pointerModel{&c1}, pointerModel{&c2}
 	if cacheKey(m1, s) != cacheKey(m2, s) {
-		t.Fatalf("equal configurations behind distinct pointers do not share a key:\n%s\nvs\n%s",
+		t.Fatalf("equal configurations behind distinct pointers do not share a key: %x vs %x",
 			cacheKey(m1, s), cacheKey(m2, s))
 	}
 	c3 := core.PaperSystemCoeffs()
@@ -119,7 +119,7 @@ func TestReferenceModelKeysByMesh(t *testing.T) {
 	same := []fem.Resolution{{}, fem.DefaultResolution(), fem.DefaultResolution().Refine(1)}
 	for _, res := range same[1:] {
 		if a, b := cacheKey(fem.ReferenceModel{Res: res}, s), cacheKey(fem.ReferenceModel{}, s); a != b {
-			t.Errorf("key of %+v differs from the zero model's:\n%s\n%s", res, a, b)
+			t.Errorf("key of %+v differs from the zero model's: %x vs %x", res, a, b)
 		}
 	}
 	if cacheKey(fem.ReferenceModel{Res: fem.DefaultResolution().Refine(2)}, s) == cacheKey(fem.ReferenceModel{}, s) {

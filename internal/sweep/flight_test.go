@@ -93,7 +93,7 @@ func within(t *testing.T, what string, r <-chan runResult) runResult {
 func TestConcurrentRunsSolveEachPointOnce(t *testing.T) {
 	resetGate()
 	var jobs Batch
-	var keys []string
+	var keys [][32]byte
 	for r := 2; r < 10; r++ {
 		s := fig4Stack(t, float64(r))
 		jobs = jobs.Add("", s, gateModel{})

@@ -15,25 +15,25 @@ import (
 	"repro/internal/core"
 )
 
-// journalVersion is bumped when the record layout changes incompatibly.
-const journalVersion = 1
+// journalVersion is bumped when the record layout or the batch fingerprint
+// changes incompatibly. Version 2 fingerprints each job's 32-byte key.
+const journalVersion = 2
 
 // maxJournalLine bounds one journal record; results with large PlaneDT
 // arrays stay far below this.
 const maxJournalLine = 16 << 20
 
-// BatchFingerprint returns a digest of the batch's jobs — labels, models and
-// stacks through the canonical encoder — used by journals to refuse replay
-// against a different job list. It is deterministic across processes, so a
+// BatchFingerprint returns a digest of the batch's jobs — each label and the
+// job's cache key, the canon.Sum of its model and stack — used by journals
+// to refuse replay against a different job list. It is deterministic across processes, so a
 // shard's journal written on one machine validates against the same deck
 // lowered on another.
 func BatchFingerprint(jobs []Job) string {
 	h := sha256.New()
 	for _, j := range jobs {
-		io.WriteString(h, j.Label)
-		io.WriteString(h, "\x00")
-		io.WriteString(h, cacheKey(j.Model, j.Stack))
-		io.WriteString(h, "\x01")
+		io.WriteString(h, j.Label+"\x00")
+		key := cacheKey(j.Model, j.Stack)
+		h.Write(key[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -3,10 +3,14 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 )
 
@@ -108,6 +112,22 @@ func TestSweepJournalRejectsMismatch(t *testing.T) {
 		t.Fatal("journal replayed into a batch with different geometry")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("unhelpful fingerprint error: %v", err)
+	}
+}
+
+// TestJournalRefusesVersion1: a journal written before the fingerprint
+// hashed 32-byte keys (version 1: each job's full canonical string) fails on
+// its version, not on a fingerprint mismatch that would blame the geometry.
+func TestJournalRefusesVersion1(t *testing.T) {
+	jobs := journalJobs(t, 2, 5)
+	h := sha256.New()
+	for _, j := range jobs {
+		io.WriteString(h, j.Label+"\x00"+canon.String(j.Model, j.Stack)+"\x01")
+	}
+	header := fmt.Sprintf(`{"kind":"header","version":1,"jobs":2,"batch":"%x"}`+"\n", h.Sum(nil))
+	_, _, err := ReadJournal(strings.NewReader(header), jobs)
+	if err == nil || !strings.Contains(err.Error(), "journal version 1, want 2") {
+		t.Fatalf("version-1 journal: %v, want a version error", err)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestWarmStartIgnoredAndResumePerPoint(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, opt := range []Options{
 			{Workers: workers},
-			{Workers: workers, WarmStart: true, Cache: NewCacheSize(8)},
+			{Workers: workers, WarmStart: true, Cache: cacheOf(8)},
 		} {
 			t.Run(fmt.Sprintf("workers=%d/warm=%v", workers, opt.WarmStart), func(t *testing.T) {
 				out, err := Run(context.Background(), jobs, opt)

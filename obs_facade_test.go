@@ -105,25 +105,3 @@ func TestDisableMetricsStopsRecording(t *testing.T) {
 		t.Errorf("re-enabled registry counted %d solves, want 1", ttsv.Metrics().Counters["sparse.cg.solves"])
 	}
 }
-
-func TestBoundedSweepCacheThroughFacade(t *testing.T) {
-	c := ttsv.NewSweepCacheSize(1)
-	s, err := ttsv.Fig4Block(10e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := ttsv.Batch{}.
-		Add("a", s, ttsv.ModelA{Coeffs: ttsv.PaperBlockCoeffs()}).
-		Add("b", s, ttsv.Model1D{}).
-		Add("a2", s, ttsv.ModelA{Coeffs: ttsv.PaperBlockCoeffs()})
-	if _, err := ttsv.Sweep(context.Background(), jobs, ttsv.SweepOptions{Workers: 1, Cache: c}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 {
-		t.Errorf("capacity-1 cache holds %d entries", c.Len())
-	}
-	_, _, ev := c.Counters()
-	if ev == 0 {
-		t.Error("capacity-1 cache over 2 distinct jobs reported no evictions")
-	}
-}

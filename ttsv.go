@@ -309,14 +309,10 @@ func Sweep(ctx context.Context, jobs Batch, opt SweepOptions) ([]SweepOutcome, e
 // asking for a point another is still solving joins that solve, waits on
 // its own context and leaves alone when it ends; the solve stops only when
 // no caller waits on it. A hit reports the Runtime and Solver stats of the
-// solve that produced it, and a cancelled solve is never cached. The cache is bounded
-// (LRU eviction beyond a generous default capacity); use
-// NewSweepCacheSize(0) for the unbounded behavior.
+// solve that produced it, and a cancelled solve is never cached. The cache
+// holds at most 65 536 points and evicts the least recently used beyond
+// that.
 func NewSweepCache() *SweepCache { return sweep.NewCache() }
-
-// NewSweepCacheSize returns a memoization cache holding at most capacity
-// entries with least-recently-used eviction; capacity <= 0 means unbounded.
-func NewSweepCacheSize(capacity int) *SweepCache { return sweep.NewCacheSize(capacity) }
 
 // ParseSweepShard parses a 1-based "i/n" shard spec ("2/5" = the second of
 // five shards); the empty string selects the whole batch. Shards partition a
