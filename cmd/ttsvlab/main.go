@@ -88,6 +88,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			err = ferr
 		}
 	}()
+	ctx = ttsv.TraceContext(ctx, tracer)
 	if *deckPath != "" {
 		ctl, err := sweepf.Control(os.Stderr)
 		if err != nil {
@@ -97,8 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		ctx := ttsv.TraceContext(ctx, tracer)
-		res, err := ttsv.RunDeck(ctx, d, ttsv.DeckOptions{Workers: *workers, Trace: tracer, Sweep: ctl})
+		res, err := ttsv.RunDeck(ctx, d, ttsv.DeckOptions{Workers: *workers, Sweep: ctl})
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		cfg = experiments.Quick()
 	}
 	cfg.Ctx = ctx
-	cfg.Trace = tracer
 	cfg.Workers = *workers
 	pk, err := sparse.ParsePrecond(*precond)
 	if err != nil {

@@ -78,13 +78,13 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			err = ferr
 		}
 	}()
+	ctx = ttsv.TraceContext(ctx, tracer)
 	if *deckPath != "" {
 		d, err := ttsv.ParseDeckFile(*deckPath)
 		if err != nil {
 			return err
 		}
-		ctx := ttsv.TraceContext(ctx, tracer)
-		res, err := ttsv.RunDeck(ctx, d, ttsv.DeckOptions{Workers: *workers, Trace: tracer})
+		res, err := ttsv.RunDeck(ctx, d, ttsv.DeckOptions{Workers: *workers})
 		if err != nil {
 			return err
 		}
@@ -108,7 +108,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	m := models[0]
 
 	tech := ttsv.DefaultTechnology()
-	res, err := ttsv.PlanInsertionWith(f, tech, *budget, m, ttsv.PlanOptions{Ctx: ctx, Workers: *workers, Trace: tracer})
+	res, err := ttsv.PlanInsertionWith(f, tech, *budget, m, ttsv.PlanOptions{Ctx: ctx, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		fmt.Fprintln(out)
 	}
 	if *verify {
-		full, err := ttsv.VerifyPlan(ttsv.TraceContext(ctx, tracer), f, tech, res.Counts)
+		full, err := ttsv.VerifyPlan(ctx, f, tech, res.Counts)
 		if err != nil {
 			return err
 		}

@@ -79,6 +79,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			err = ferr
 		}
 	}()
+	ctx = ttsv.TraceContext(ctx, tracer)
 
 	if *deckPath != "" {
 		ctl, err := sweepf.Control(os.Stderr)
@@ -89,8 +90,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		ctx := ttsv.TraceContext(ctx, tracer)
-		res, err := ttsv.RunDeck(ctx, d, ttsv.DeckOptions{Workers: *workers, Trace: tracer, Sweep: ctl})
+		res, err := ttsv.RunDeck(ctx, d, ttsv.DeckOptions{Workers: *workers, Sweep: ctl})
 		if err != nil {
 			return err
 		}
@@ -148,7 +148,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return err
 	}
 	if ref, ok := models[0].(fem.ReferenceModel); ok && len(models) == 1 {
-		ctx := ttsv.TraceContext(ctx, tracer)
 		// The run's one solve gets a context of its own, so what -v reports
 		// never depends on solves an embedding process ran before.
 		sc := ttsv.NewSolveContext()

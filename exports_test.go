@@ -28,9 +28,6 @@ import (
 // a _test.go file, or add it here with its reason.
 var testOnlyExports = map[string]string{
 	"repro/internal/canon.String":                     "the readable encoding: the key goldens pin it beside canon.Sum's digest",
-	"repro/internal/core.Result.String":               "fmt.Stringer: readable test and debugging output; no non-test file formats a Result",
-	"repro/internal/fem.BC.String":                    "fmt.Stringer: readable test and debugging output; no non-test file formats a BC",
-	"repro/internal/materials.Material.String":        "fmt.Stringer: readable test and debugging output; no non-test file formats a Material",
 	"repro/internal/serve.Server.ServeHTTP":           "interface method: http.Handler, through which http.Server serves ttsvd",
 	"repro/internal/sweep.Cache.Counters":             "reached through the ttsv.SweepCache alias: a caller's view of what its cache saved",
 	"repro/internal/sweep.Cache.Len":                  "reached through the ttsv.SweepCache alias",
@@ -42,7 +39,6 @@ var testOnlyExports = map[string]string{
 	"repro/internal/sparse.Stencil.MulVec":            "test reference: the sequential matvec that sparse, mg and fem tests check kernels against",
 	"repro/internal/stack.Plane.Height":               "reached through the ttsv.Plane alias",
 	"repro/internal/stack.Stack.WithViaCount":         "reached through the ttsv.Stack alias: the cluster transform of the package doc",
-	"repro/internal/sweep.Batch.Run":                  "reached through the ttsv.Batch alias",
 }
 
 // TestNoTestOnlyExports type-checks every non-test Go package of the module
@@ -185,6 +181,118 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for k := range testOnlyExports {
 		if i := sort.SearchStrings(unreferenced, k); i == len(unreferenced) || unreferenced[i] != k {
 			t.Errorf("%s: listed in testOnlyExports, but it is gone or now used; drop the entry", k)
+		}
+	}
+}
+
+// tracerFields lists the exported struct fields of type *obs.Tracer under
+// internal/ that stay, each with why. A tracer rides the context
+// (obs.ContextWithTracer), where every span finds it; a field beside it is
+// a second path that obs.StartSpan ignores once the context carries a span.
+// TestNoTracerFields keeps the scan equal to this list.
+var tracerFields = map[string]string{
+	"repro/internal/serve.Config.Trace": "ttsvd's deployment setting: the service puts it into the context of every request it executes",
+}
+
+// TestNoTracerFields parses every non-test Go file under internal/ and
+// lists the exported fields of type *obs.Tracer in its struct types,
+// anonymous structs nested in a named type included.
+func TestNoTracerFields(t *testing.T) {
+	const obsPath = "repro/internal/obs"
+	fset := token.NewFileSet()
+	found := map[string]bool{}
+	err := filepath.WalkDir("internal", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ip := path.Join("repro", filepath.ToSlash(filepath.Dir(p)))
+		// isTracer reports whether a field type spells *obs.Tracer in f.
+		isTracer := func(e ast.Expr) bool {
+			star, ok := e.(*ast.StarExpr)
+			if !ok {
+				return false
+			}
+			if id, ok := star.X.(*ast.Ident); ok {
+				return ip == obsPath && id.Name == "Tracer"
+			}
+			sel, ok := star.X.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Tracer" {
+				return false
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return false
+			}
+			for _, im := range f.Imports {
+				if v, _ := strconv.Unquote(im.Path.Value); v == obsPath {
+					name := path.Base(obsPath)
+					if im.Name != nil {
+						name = im.Name.Name
+					}
+					return pkg.Name == name
+				}
+			}
+			return false
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				ast.Inspect(ts.Type, func(n ast.Node) bool {
+					st, ok := n.(*ast.StructType)
+					if !ok {
+						return true
+					}
+					for _, field := range st.Fields.List {
+						if !isTracer(field.Type) {
+							continue
+						}
+						names := []string{"Tracer"} // an embedded *obs.Tracer
+						if len(field.Names) > 0 {
+							names = names[:0]
+							for _, id := range field.Names {
+								names = append(names, id.Name)
+							}
+						}
+						for _, name := range names {
+							if ast.IsExported(name) {
+								found[ip+"."+ts.Name.Name+"."+name] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range found {
+		if _, ok := tracerFields[k]; !ok {
+			t.Errorf("%s: exported *obs.Tracer field; take the tracer from the context (obs.ContextWithTracer) instead, or list it in tracerFields with its reason", k)
+		}
+	}
+	for k := range tracerFields {
+		if !found[k] {
+			t.Errorf("%s: listed in tracerFields, but it is gone; drop the entry", k)
 		}
 	}
 }

@@ -308,11 +308,3 @@ func TestModelAEquationsAgreementProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestResultString(t *testing.T) {
-	r := solveA(t, fig4Stack(t))
-	s := r.String()
-	if s == "" || len(s) < 10 {
-		t.Errorf("String() = %q", s)
-	}
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/sparse"
 	"repro/internal/stack"
@@ -31,11 +30,6 @@ type Result struct {
 	Solver sparse.Stats
 }
 
-func (r *Result) String() string {
-	return fmt.Sprintf("%s: maxΔT = %.3f K (planes %v, base %.3f K, %d unknowns)",
-		r.Model, r.MaxDT, r.PlaneDT, r.BaseDT, r.Unknowns)
-}
-
 // Model is a TTSV thermal model: given a stack it produces temperatures.
 type Model interface {
 	// Name identifies the model in tables and figures.
@@ -53,4 +47,13 @@ type ContextSolver interface {
 	// SolveCtx is Solve honoring cancellation; it returns an error wrapping
 	// ctx.Err() when interrupted.
 	SolveCtx(ctx context.Context, s *stack.Stack) (*Result, error)
+}
+
+// Solve solves s with m, through SolveCtx when m is a ContextSolver so ctx
+// can stop the solve mid-flight, and through Solve otherwise.
+func Solve(ctx context.Context, m Model, s *stack.Stack) (*Result, error) {
+	if cs, ok := m.(ContextSolver); ok {
+		return cs.SolveCtx(ctx, s)
+	}
+	return m.Solve(s)
 }

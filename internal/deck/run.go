@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sweep"
 )
@@ -23,8 +22,6 @@ type Options struct {
 	// values < 1 select GOMAXPROCS. A workers= parameter on the analysis
 	// card overrides it.
 	Workers int
-	// Trace optionally records engine spans as NDJSON.
-	Trace *obs.Tracer
 	// Sweep controls sharding, checkpoint journaling, resumption and
 	// merging of .sweep analyses; the zero value runs sweeps in-process
 	// with no journal, exactly as before.
@@ -119,7 +116,8 @@ type AnalysisResult struct {
 	PlanBudget float64
 }
 
-// Run lowers the deck and executes every analysis in order.
+// Run lowers the deck and executes every analysis in order. The engines
+// record their spans into ctx's tracer, if any (obs.ContextWithTracer).
 func Run(ctx context.Context, d *Deck, opt Options) (*Result, error) {
 	sc, err := d.Lower()
 	if err != nil {
@@ -165,20 +163,12 @@ func runAnalysis(ctx context.Context, sc *Scenario, a *Analysis, opt Options) (*
 	}
 }
 
-// runOp solves the stack with each model sequentially, through SolveCtx
-// when the model supports cancellation (the FVM reference).
+// runOp solves the stack with each model sequentially through core.Solve,
+// so ctx stops the models that support cancellation (the FVM reference).
 func runOp(ctx context.Context, sc *Scenario, op *OpAnalysis) (*AnalysisResult, error) {
 	ar := &AnalysisResult{Kind: "op"}
 	for _, m := range op.Models {
-		var (
-			r   *core.Result
-			err error
-		)
-		if cs, ok := m.(core.ContextSolver); ok {
-			r, err = cs.SolveCtx(ctx, sc.Stack)
-		} else {
-			r, err = m.Solve(sc.Stack)
-		}
+		r, err := core.Solve(ctx, m, sc.Stack)
 		if err != nil {
 			return nil, fmt.Errorf("deck: .op model %s: %w", m.Name(), err)
 		}
@@ -222,7 +212,7 @@ func runSweep(ctx context.Context, sw *SweepAnalysis, opt Options) (*AnalysisRes
 		return sweepResult(sw, outcomes, 0, sweep.ShardSpec{})
 	}
 
-	sopt := sweep.Options{Workers: workers, Trace: opt.Trace}
+	sopt := sweep.Options{Workers: workers}
 	if ctl.Progress != nil {
 		total := len(jobs)
 		sopt.Progress = func(i int, oc sweep.Outcome) {
@@ -361,7 +351,7 @@ func runPlan(ctx context.Context, pa *PlanAnalysis, opt Options) (*AnalysisResul
 	if pa.Workers > 0 {
 		workers = pa.Workers
 	}
-	r, err := plan.PlanWith(pa.Floor, pa.Tech, pa.Budget, pa.Model, plan.Options{Ctx: ctx, Workers: workers, Trace: opt.Trace})
+	r, err := plan.PlanWith(pa.Floor, pa.Tech, pa.Budget, pa.Model, plan.Options{Ctx: ctx, Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("deck: .plan: %w", err)
 	}

@@ -30,9 +30,9 @@ type CaseStudyResult struct {
 }
 
 // CaseStudy runs the paper's §IV-E analysis. The reference solve of the
-// system's unit cell runs like every other experiment's: on cfg.Ctx and
-// cfg.Trace (under an "experiments.casestudy" span) and through the run's
-// reference cache.
+// system's unit cell runs like every other experiment's: on cfg.Ctx (under
+// an "experiments.casestudy" span when it carries a tracer) and through the
+// run's reference cache.
 func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	sys := chip.DRAMuP()
 	segments := 1000
@@ -53,7 +53,7 @@ func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	refEntry := CaseStudyEntry{Method: RefName, MaxDT: ref, Runtime: sw.Points[0].Runtime[RefName]}
 
 	models := []namedModel{
-		{"A", core.ModelA{Coeffs: cfg.SystemCoeffs}},
+		{"A", core.ModelA{Coeffs: core.PaperSystemCoeffs()}},
 		{fmt.Sprintf("B(%d)", segments), core.NewModelB(segments)},
 		{"1D", core.Model1D{}},
 	}

@@ -25,7 +25,10 @@ import (
 // RefName is the reference column's model name in sweeps.
 const RefName = "FVM"
 
-// Config controls experiment fidelity.
+// Config controls experiment fidelity. The experiments run the paper's
+// models: Model A with core.PaperBlockCoeffs (core.PaperSystemCoeffs in the
+// case study) and Model B with 100 segments per plane ("Model B (100)" in
+// the figures).
 //
 // A Config made by Default or Quick carries a sweep.Cache of the run's FVM
 // reference results, keyed by the canonical form of the reference model
@@ -39,19 +42,14 @@ const RefName = "FVM"
 type Config struct {
 	// Ctx optionally bounds every experiment run: a cancelled context stops
 	// in-flight sweeps between solver iterations and the run returns the
-	// context error. Nil means context.Background().
+	// context error. Nil means context.Background(). When it carries a
+	// tracer (obs.ContextWithTracer), every experiment records one
+	// "experiments.<id>" root span per sweep with the batch engine's
+	// sweep.run / sweep.job spans and the reference solver's fem/sparse
+	// spans below it.
 	Ctx context.Context
 	// Resolution is the reference solver mesh density.
 	Resolution fem.Resolution
-	// BlockCoeffs are Model A's coefficients for the block experiments
-	// (the paper's k1 = 1.3, k2 = 0.55 by default).
-	BlockCoeffs core.Coeffs
-	// SystemCoeffs are the case-study coefficients (k1 = 1.6, k2 = 0.8,
-	// c_{1,2} = 3.5 by default).
-	SystemCoeffs core.Coeffs
-	// SegmentsB is the per-plane segment count of the headline Model B runs
-	// ("Model B (100)" in the figures).
-	SegmentsB int
 	// CalibratedA optionally adds a second Model A column, "A(cal)", run
 	// with these coefficients — typically the output of Calibrate, i.e.
 	// Model A fitted to this repository's own reference the way the paper's
@@ -63,10 +61,6 @@ type Config struct {
 	// Workers is the concurrency of the batch evaluation engine; values
 	// < 1 select GOMAXPROCS. Results are identical for any worker count.
 	Workers int
-	// Trace optionally records every experiment as NDJSON spans: one
-	// "experiments.<id>" root per sweep with the batch engine's sweep.run /
-	// sweep.job spans and the reference solver's fem/sparse spans below it.
-	Trace *obs.Tracer
 
 	cache *sweep.Cache
 }
@@ -75,11 +69,8 @@ type Config struct {
 // cache.
 func Default() Config {
 	return Config{
-		Resolution:   fem.DefaultResolution(),
-		BlockCoeffs:  core.PaperBlockCoeffs(),
-		SystemCoeffs: core.PaperSystemCoeffs(),
-		SegmentsB:    100,
-		cache:        sweep.NewCache(),
+		Resolution: fem.DefaultResolution(),
+		cache:      sweep.NewCache(),
 	}
 }
 
@@ -162,7 +153,6 @@ func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx = obs.ContextWithTracer(ctx, cfg.Trace)
 	ctx, sp := obs.StartSpan(ctx, "experiments."+sw.ID)
 	defer sp.End()
 	obs.Default().Counter("experiments.runs").Inc()
@@ -201,13 +191,14 @@ func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, 
 // plus the re-calibrated Model A when configured.
 func standardModels(cfg Config) []namedModel {
 	ms := []namedModel{
-		{"A", core.ModelA{Coeffs: cfg.BlockCoeffs}},
+		{"A", core.ModelA{Coeffs: core.PaperBlockCoeffs()}},
 	}
 	if cfg.CalibratedA != nil {
 		ms = append(ms, namedModel{"A(cal)", core.ModelA{Coeffs: *cfg.CalibratedA}})
 	}
+	b := core.NewModelB(100)
 	return append(ms,
-		namedModel{fmt.Sprintf("B(%d)", cfg.SegmentsB), core.NewModelB(cfg.SegmentsB)},
+		namedModel{b.Name(), b},
 		namedModel{"1D", core.Model1D{}},
 	)
 }
@@ -254,7 +245,7 @@ func Fig5(cfg Config) (*Sweep, error) {
 		liners = []float64{0.5, 1.5, 3}
 		segments = []int{1, 20, 100}
 	}
-	ms := []namedModel{{"A", core.ModelA{Coeffs: cfg.BlockCoeffs}}}
+	ms := []namedModel{{"A", core.ModelA{Coeffs: core.PaperBlockCoeffs()}}}
 	for _, n := range segments {
 		m := core.NewModelB(n)
 		ms = append(ms, namedModel{m.Name(), m})

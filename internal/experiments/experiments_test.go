@@ -329,7 +329,7 @@ func TestErrorStatsRuntimes(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := fastest(func() error {
-			_, err := core.ModelA{Coeffs: cfg.BlockCoeffs}.Solve(s)
+			_, err := core.ModelA{Coeffs: core.PaperBlockCoeffs()}.Solve(s)
 			return err
 		})
 		ref := fastest(func() error {

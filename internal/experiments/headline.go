@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -61,7 +62,7 @@ func (h *HeadlineResult) Table() *report.Table {
 		if !ok {
 			continue
 		}
-		for _, model := range sortedModelNames(stats) {
+		for _, model := range sortedKeys(stats) {
 			if model == RefName {
 				st := stats[model]
 				tb.AddRow(id, model, "-", "-", st.AvgRuntime.Round(time.Microsecond).String())
@@ -80,30 +81,14 @@ func (h *HeadlineResult) Table() *report.Table {
 	return tb
 }
 
-func sortedModelNames(m map[string]ErrStat) []string {
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	return keys
-}
-
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	return keys
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // CalibrationResult reports the re-derived Model A coefficients (§II's

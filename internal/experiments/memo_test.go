@@ -184,7 +184,7 @@ func TestMemoSharedByConcurrentCopies(t *testing.T) {
 
 func TestConfigLiteralHasNoMemo(t *testing.T) {
 	q := Quick()
-	cfg := Config{Resolution: q.Resolution, BlockCoeffs: q.BlockCoeffs, SegmentsB: q.SegmentsB, Quick: true}
+	cfg := Config{Resolution: q.Resolution, Quick: true}
 	var points int
 	n := solvesDuring(t, func() {
 		for range 2 {
@@ -213,7 +213,7 @@ func TestCalibrateHonoursContext(t *testing.T) {
 func TestCalibrateTraced(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Quick()
-	cfg.Trace = obs.NewTracer(&buf)
+	cfg.Ctx = obs.ContextWithTracer(context.Background(), obs.NewTracer(&buf))
 	if _, err := Calibrate(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCaseStudyHonoursContext(t *testing.T) {
 func TestCaseStudyTraced(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Quick()
-	cfg.Trace = obs.NewTracer(&buf)
+	cfg.Ctx = obs.ContextWithTracer(context.Background(), obs.NewTracer(&buf))
 	if _, err := CaseStudy(cfg); err != nil {
 		t.Fatal(err)
 	}

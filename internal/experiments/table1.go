@@ -42,7 +42,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 		ms = append(ms, namedModel{m.Name(), m})
 	}
 	ms = append(ms,
-		namedModel{"A", core.ModelA{Coeffs: cfg.BlockCoeffs}},
+		namedModel{"A", core.ModelA{Coeffs: core.PaperBlockCoeffs()}},
 		namedModel{"1D", core.Model1D{}},
 	)
 

@@ -3,7 +3,6 @@ package fem
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/mesh"
@@ -229,15 +228,6 @@ func TestAxiValidation(t *testing.T) {
 	}
 }
 
-func TestBCString(t *testing.T) {
-	if Insulated().String() != "adiabatic" {
-		t.Error("Insulated string")
-	}
-	if Fixed(3).String() != "T=3" {
-		t.Error("Fixed string")
-	}
-}
-
 func TestBoundaryOutflowTopAndOuter(t *testing.T) {
 	// Source-free problems with different Dirichlet faces: with bottom at 0
 	// and top at 10 the outflow through each must balance (what goes in the
@@ -267,12 +257,6 @@ func TestBoundaryOutflowTopAndOuter(t *testing.T) {
 	// FluxBalanceError with zero source returns the absolute outflow.
 	if fb := sol.FluxBalanceError(); fb > 1e-9 {
 		t.Errorf("source-free FluxBalanceError = %g", fb)
-	}
-}
-
-func TestBCStringUnknownKind(t *testing.T) {
-	if s := (BC{Kind: BCKind(9)}).String(); !strings.Contains(s, "9") {
-		t.Errorf("String = %q", s)
 	}
 }
 

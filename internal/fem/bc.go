@@ -12,8 +12,6 @@
 // gradients.
 package fem
 
-import "fmt"
-
 // BCKind selects the boundary condition type on one boundary face.
 type BCKind int
 
@@ -36,14 +34,3 @@ func Fixed(t float64) BC { return BC{Kind: Dirichlet, Temp: t} }
 
 // Insulated returns an adiabatic boundary condition.
 func Insulated() BC { return BC{Kind: Adiabatic} }
-
-func (b BC) String() string {
-	switch b.Kind {
-	case Adiabatic:
-		return "adiabatic"
-	case Dirichlet:
-		return fmt.Sprintf("T=%g", b.Temp)
-	default:
-		return fmt.Sprintf("BC(%d)", int(b.Kind))
-	}
-}

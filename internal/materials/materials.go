@@ -56,10 +56,6 @@ func (m Material) Validate() error {
 	return nil
 }
 
-func (m Material) String() string {
-	return fmt.Sprintf("%s (k=%g W/m·K)", m.Name, m.K)
-}
-
 // Stock materials with the conductivities used in the paper (§IV) and common
 // handbook values for the rest. All at ~27 °C.
 var (

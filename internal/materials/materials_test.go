@@ -114,10 +114,3 @@ func TestWithConductivity(t *testing.T) {
 		t.Error("WithConductivity mutated the original")
 	}
 }
-
-func TestString(t *testing.T) {
-	s := Silicon.String()
-	if !strings.Contains(s, "Si") || !strings.Contains(s, "130") {
-		t.Errorf("String() = %q", s)
-	}
-}

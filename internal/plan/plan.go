@@ -16,8 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -144,14 +142,6 @@ type Options struct {
 	// Workers is the number of tiles planned concurrently; values < 1
 	// select runtime.GOMAXPROCS(0).
 	Workers int
-	// Cache optionally memoizes per-(geometry, model) solves. Floorplans
-	// routinely repeat tile power vectors, and the bisection in every such
-	// tile then re-walks identical via counts; a shared cache makes the
-	// repeats free. Nil creates a fresh cache per call.
-	Cache *sweep.Cache
-	// Trace optionally records the planning run as NDJSON spans: one
-	// "plan.run" root with a "plan.tile" child per tile.
-	Trace *obs.Tracer
 }
 
 // Plan assigns the minimum via count per tile keeping every tile's maximum
@@ -166,11 +156,16 @@ func Plan(f *Floorplan, tech Technology, budget float64, m core.Model) (*Result,
 // tileSecondsBounds are the bucket bounds of plan.tile.seconds.
 var tileSecondsBounds = obs.ExpBuckets(1e-6, 4, 13)
 
-// PlanWith is Plan with explicit concurrency and memoization control. Tiles
-// are planned in parallel across opt.Workers workers; the result (including
-// which error is reported on failure) is byte-identical to a sequential
-// row-major pass. The model must be safe for concurrent use; all models in
-// this repository are stateless values and qualify.
+// PlanWith is Plan with explicit cancellation and concurrency control. Tiles
+// are planned in parallel on sweep's pool of opt.Workers workers; the
+// result (including which error is reported on failure) is byte-identical
+// to a sequential row-major pass. Every plan memoizes its solves in its own
+// sweep.Cache: floorplans routinely repeat tile power vectors, and the
+// bisection in every such tile then re-walks identical via counts, which
+// the cache makes free. When opt.Ctx carries a tracer
+// (obs.ContextWithTracer), the run records one "plan.run" span with a
+// "plan.tile" child per tile. The model must be safe for concurrent use;
+// all models in this repository are stateless values and qualify.
 func PlanWith(f *Floorplan, tech Technology, budget float64, m core.Model, opt Options) (*Result, error) {
 	if err := f.Validate(tech); err != nil {
 		return nil, err
@@ -185,28 +180,14 @@ func PlanWith(f *Floorplan, tech Technology, budget float64, m core.Model, opt O
 		return nil, fmt.Errorf("plan: tile side %g too small for even one via at density cap %g",
 			f.TileSide, tech.MaxDensity)
 	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = sweep.NewCache()
-	}
-	// The cached wrapper implements core.ContextSolver, so every tile solve
-	// honours the tile's context.
-	solver := sweep.Cached(m, cache).(core.ContextSolver)
+	solver := sweep.Cached(m, sweep.NewCache())
 
 	rows, cols := f.Rows(), f.Cols()
-	workers := opt.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > rows*cols {
-		workers = rows * cols
-	}
-
+	workers := sweep.Workers(opt.Workers, rows*cols)
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx = obs.ContextWithTracer(ctx, opt.Trace)
 	ctx, run := obs.StartSpan(ctx, "plan.run")
 	if run != nil {
 		run.Set("tiles", rows*cols)
@@ -219,48 +200,30 @@ func PlanWith(f *Floorplan, tech Technology, budget float64, m core.Model, opt O
 	counts := make([]int, rows*cols)
 	dts := make([]float64, rows*cols)
 	errs := make([]error, rows*cols)
-	tiles := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range tiles {
-				if ctx.Err() != nil {
-					continue // drain; the cancelled run discards the plan
-				}
-				r, c := i/cols, i%cols
-				tctx, sp := obs.StartSpan(ctx, "plan.tile")
-				t0 := time.Now()
-				count, dt, err := planTile(tctx, f.PlanePowers[r][c], tileArea, tech, budget, solver, maxCount)
-				tileCounter.Inc()
-				tileWall.Observe(time.Since(t0).Seconds())
-				if sp != nil {
-					sp.Set("tile", fmt.Sprintf("%d,%d", r, c))
-					sp.Set("vias", count)
-					if err != nil {
-						sp.Set("error", err.Error())
-					}
-					sp.End()
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("plan: tile (%d,%d): %w", r, c, err)
-					continue
-				}
-				counts[i], dts[i] = count, dt
-			}
-		}()
-	}
-feed:
-	for i := 0; i < rows*cols; i++ {
-		select {
-		case tiles <- i:
-		case <-ctx.Done():
-			break feed
+	sweep.Each(ctx, workers, 0, rows*cols, func(i int) {
+		if ctx.Err() != nil {
+			return // the cancelled run discards the plan
 		}
-	}
-	close(tiles)
-	wg.Wait()
+		r, c := i/cols, i%cols
+		tctx, sp := obs.StartSpan(ctx, "plan.tile")
+		t0 := time.Now()
+		count, dt, err := planTile(tctx, f.PlanePowers[r][c], tileArea, tech, budget, solver, maxCount)
+		tileCounter.Inc()
+		tileWall.Observe(time.Since(t0).Seconds())
+		if sp != nil {
+			sp.Set("tile", fmt.Sprintf("%d,%d", r, c))
+			sp.Set("vias", count)
+			if err != nil {
+				sp.Set("error", err.Error())
+			}
+			sp.End()
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("plan: tile (%d,%d): %w", r, c, err)
+			return
+		}
+		counts[i], dts[i] = count, dt
+	})
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
@@ -293,7 +256,7 @@ feed:
 // planTile finds the smallest count meeting the budget by bisection over
 // [0, maxCount]; ΔT is monotone non-increasing in the via count. It stops
 // with ctx.Err() as soon as ctx ends, mid-solve or between solves.
-func planTile(ctx context.Context, powers []float64, tileArea float64, tech Technology, budget float64, m core.ContextSolver, maxCount int) (int, float64, error) {
+func planTile(ctx context.Context, powers []float64, tileArea float64, tech Technology, budget float64, m core.Model, maxCount int) (int, float64, error) {
 	dt0, err := noViaDT(powers, tileArea, tech)
 	if err != nil {
 		return 0, 0, err
@@ -309,7 +272,7 @@ func planTile(ctx context.Context, powers []float64, tileArea float64, tech Tech
 		if err != nil {
 			return 0, err
 		}
-		res, err := m.SolveCtx(ctx, s)
+		res, err := core.Solve(ctx, m, s)
 		if err != nil {
 			return 0, err
 		}

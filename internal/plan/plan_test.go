@@ -16,7 +16,6 @@ import (
 	"repro/internal/fem"
 	"repro/internal/obs"
 	"repro/internal/stack"
-	"repro/internal/sweep"
 )
 
 // uniformFloorplan builds rows×cols tiles, each dissipating watts split as
@@ -239,28 +238,37 @@ func TestPlanWithMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPlanWithSharedCacheCollapsesRepeatedTiles: the tiles of one plan
+// share its cache, so identical tiles solve each via count once.
 func TestPlanWithSharedCacheCollapsesRepeatedTiles(t *testing.T) {
-	f := uniformFloorplan(4, 4, 0.75e-3, 84.0/169)
-	cache := sweep.NewCache()
-	res, err := PlanWith(f, DefaultTechnology(), 13.0, modelA(), Options{Workers: 2, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+	reg := obs.Default()
+	hits, misses := reg.Counter("sweep.cache.hits"), reg.Counter("sweep.cache.misses")
+	planCounts := func(f *Floorplan, workers int) (res *Result, h, m int64) {
+		t.Helper()
+		h0, m0 := hits.Value(), misses.Value()
+		res, err := PlanWith(f, DefaultTechnology(), 13.0, modelA(), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, hits.Value() - h0, misses.Value() - m0
 	}
-	plain, err := Plan(f, DefaultTechnology(), 13.0, modelA())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, plain) {
-		t.Error("cached plan differs from uncached plan")
-	}
-	hits, misses, _ := cache.Counters()
+	one, _, oneTile := planCounts(uniformFloorplan(1, 1, 0.75e-3, 84.0/169), 1)
+	res, h, m := planCounts(uniformFloorplan(4, 4, 0.75e-3, 84.0/169), 2)
 	// 16 identical tiles bisect over identical via counts: every solve after
 	// the first pass over the distinct counts must be a cache hit.
-	if hits == 0 {
-		t.Errorf("shared cache saw no hits (hits=%d misses=%d)", hits, misses)
+	if h == 0 {
+		t.Errorf("plan cache saw no hits (hits=%d misses=%d)", h, m)
 	}
-	if misses != cache.Len() {
-		t.Errorf("misses=%d but cache holds %d entries", misses, cache.Len())
+	if m != oneTile {
+		t.Errorf("16 identical tiles missed %d times, one tile alone %d", m, oneTile)
+	}
+	for r := range res.Counts {
+		for c := range res.Counts[r] {
+			if res.Counts[r][c] != one.Counts[0][0] || res.TileDT[r][c] != one.TileDT[0][0] {
+				t.Fatalf("tile (%d,%d) planned %d vias at %g K, a lone tile %d at %g K",
+					r, c, res.Counts[r][c], res.TileDT[r][c], one.Counts[0][0], one.TileDT[0][0])
+			}
+		}
 	}
 }
 
@@ -358,7 +366,8 @@ func TestPlanTileHonoursContext(t *testing.T) {
 func TestPlanTileSpansHoldTheirSolves(t *testing.T) {
 	var buf bytes.Buffer
 	f := uniformFloorplan(1, 2, 0.75e-3, 84.0/169)
-	if _, err := PlanWith(f, DefaultTechnology(), 13.0, fem.ReferenceModel{}, Options{Workers: 2, Trace: obs.NewTracer(&buf)}); err != nil {
+	ctx := obs.ContextWithTracer(context.Background(), obs.NewTracer(&buf))
+	if _, err := PlanWith(f, DefaultTechnology(), 13.0, fem.ReferenceModel{}, Options{Workers: 2, Ctx: ctx}); err != nil {
 		t.Fatal(err)
 	}
 	type rec struct {

@@ -47,7 +47,8 @@ import (
 const maxBodyBytes = 1 << 20
 
 // Config configures the service. The zero value serves with GOMAXPROCS
-// engine workers, no admission limit, no timeout and the default registry.
+// engine workers, no admission limit and no timeout. The service records
+// its metrics into obs.Default(), as every package does.
 type Config struct {
 	// Workers is the engine pool size for sweep and plan analyses; values
 	// < 1 select GOMAXPROCS. Per-request workers= overrides still apply.
@@ -60,8 +61,6 @@ type Config struct {
 	Rate float64
 	// Burst is the bucket capacity; <= 0 selects ceil(Rate).
 	Burst int
-	// Registry receives the service metrics; nil selects obs.Default().
-	Registry *obs.Registry
 	// Trace optionally records per-request and solver spans as NDJSON.
 	Trace *obs.Tracer
 }
@@ -73,7 +72,6 @@ type Server struct {
 	mux     *http.ServeMux
 	flights flight.Group[response]
 	bucket  *tokenBucket
-	reg     *obs.Registry
 
 	// solveGate, when set (tests only), runs at the start of every
 	// coalesced execution, before any solving.
@@ -82,15 +80,10 @@ type Server struct {
 
 // New returns a ready-to-serve handler for cfg.
 func New(cfg Config) *Server {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.Default()
-	}
 	s := &Server{
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
 		bucket: newTokenBucket(cfg.Rate, cfg.Burst),
-		reg:    reg,
 	}
 	s.mux.HandleFunc("POST /solve", s.handleRun("solve", s.lowerSolve))
 	s.mux.HandleFunc("POST /sweep", s.handleSweep)
@@ -98,7 +91,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /deck", s.handleRun("deck", lowerDeck))
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, s.reg.Snapshot().String())
+		io.WriteString(w, obs.Default().Snapshot().String())
 	})
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -117,7 +110,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // single-flight coalescing, execution, response sharing.
 func (s *Server) handleRun(endpoint string, lower func(body []byte) (*deck.Scenario, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("serve." + endpoint + ".requests").Inc()
+		obs.Default().Counter("serve." + endpoint + ".requests").Inc()
 		if ok, retry := s.bucket.take(); !ok {
 			s.rateLimited(w, retry)
 			return
@@ -162,7 +155,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 // admission token back.
 func (s *Server) reject(w http.ResponseWriter, msg string, status int) {
 	s.bucket.refund()
-	s.reg.Counter("serve.refunded").Inc()
+	obs.Default().Counter("serve.refunded").Inc()
 	http.Error(w, msg, status)
 }
 
@@ -182,14 +175,14 @@ var requestSecondsBounds = obs.ExpBuckets(1e-6, 4, 13)
 func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, endpoint string, key [32]byte, fn func(context.Context) response) {
 	t0 := time.Now()
 	resp, shared, err := s.flights.Do(r.Context(), key, fn)
-	s.reg.Histogram("serve.request.seconds", requestSecondsBounds).Observe(time.Since(t0).Seconds())
+	obs.Default().Histogram("serve.request.seconds", requestSecondsBounds).Observe(time.Since(t0).Seconds())
 	if err != nil {
 		// Client is gone; there is nobody to write to.
-		s.reg.Counter("serve.abandoned").Inc()
+		obs.Default().Counter("serve.abandoned").Inc()
 		return
 	}
 	if shared {
-		s.reg.Counter("serve.coalesced").Inc()
+		obs.Default().Counter("serve.coalesced").Inc()
 	}
 	w.Header().Set("Content-Type", resp.contentType)
 	w.WriteHeader(resp.status)
@@ -216,13 +209,13 @@ func (s *Server) execute(ctx context.Context, endpoint string, sc *deck.Scenario
 		defer sp.End()
 	}
 
-	opt := deck.Options{Workers: s.cfg.Workers, Trace: s.cfg.Trace, Sweep: sweepCtl}
+	opt := deck.Options{Workers: s.cfg.Workers, Sweep: sweepCtl}
 	res, err := deck.RunScenario(ctx, sc, opt)
 	if err != nil {
 		if sp != nil {
 			sp.Set("error", err.Error())
 		}
-		s.reg.Counter("serve.errors").Inc()
+		obs.Default().Counter("serve.errors").Inc()
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			return textResponse(http.StatusGatewayTimeout, fmt.Sprintf("solve timed out after %v\n", s.cfg.Timeout))
@@ -234,7 +227,7 @@ func (s *Server) execute(ctx context.Context, endpoint string, sc *deck.Scenario
 	}
 	var buf bytes.Buffer
 	if err := res.WriteText(&buf); err != nil {
-		s.reg.Counter("serve.errors").Inc()
+		obs.Default().Counter("serve.errors").Inc()
 		return textResponse(http.StatusInternalServerError, err.Error()+"\n")
 	}
 	return response{status: http.StatusOK, contentType: "text/plain; charset=utf-8", body: buf.Bytes()}
@@ -246,7 +239,7 @@ func (s *Server) execute(ctx context.Context, endpoint string, sc *deck.Scenario
 // "stream" — a per-point NDJSON progress stream that bypasses coalescing,
 // since each client gets its own live stream.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("serve.sweep.requests").Inc()
+	obs.Default().Counter("serve.sweep.requests").Inc()
 	if ok, retry := s.bucket.take(); !ok {
 		s.rateLimited(w, retry)
 		return
@@ -277,7 +270,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // before solving starts, so failures surface in the final record, not the
 // status line.
 func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, sc *deck.Scenario, ctl deck.SweepControl) {
-	s.reg.Counter("serve.sweep.streams").Inc()
+	obs.Default().Counter("serve.sweep.streams").Inc()
 	ctx := r.Context()
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -305,11 +298,11 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, sc *deck.Sc
 	}
 	ctl.Progress = func(p deck.SweepProgress) { emit(p) }
 
-	opt := deck.Options{Workers: s.cfg.Workers, Trace: s.cfg.Trace, Sweep: ctl}
+	opt := deck.Options{Workers: s.cfg.Workers, Sweep: ctl}
 	res, err := deck.RunScenario(ctx, sc, opt)
 	final := sweepStreamFinal{Done: true}
 	if err != nil {
-		s.reg.Counter("serve.errors").Inc()
+		obs.Default().Counter("serve.errors").Inc()
 		if sp != nil {
 			sp.Set("error", err.Error())
 		}
@@ -334,7 +327,7 @@ type sweepStreamFinal struct {
 
 // rateLimited answers a request rejected by the admission bucket.
 func (s *Server) rateLimited(w http.ResponseWriter, retry time.Duration) {
-	s.reg.Counter("serve.rejected").Inc()
+	obs.Default().Counter("serve.rejected").Inc()
 	secs := int(math.Ceil(retry.Seconds()))
 	if secs < 1 {
 		secs = 1

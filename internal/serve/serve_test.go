@@ -39,17 +39,18 @@ const (
 	goldenDir = "../../testdata/decks/golden"
 )
 
-// newTestServer builds a Server on its own registry (so counters are not
-// polluted across tests) behind an httptest listener.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *obs.Registry) {
+// newTestServer builds a Server behind an httptest listener. The returned
+// function reports how much a counter of the default registry, which the
+// server records into, has grown since the server was built.
+func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func(name string) int64) {
 	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
+	before := obs.Default().Snapshot().Counters
 	s := New(cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	return s, ts, cfg.Registry
+	return s, ts, func(name string) int64 {
+		return obs.Default().Counter(name).Value() - before[name]
+	}
 }
 
 // post sends one request and returns status and body.
@@ -238,7 +239,7 @@ func TestPlanMatchesDeck(t *testing.T) {
 // execution must run and the other N-1 requests must share its bytes.
 func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 	const n = 8
-	s, ts, reg := newTestServer(t, Config{Workers: 1})
+	s, ts, counted := newTestServer(t, Config{Workers: 1})
 	var execs atomic.Int32
 	release := make(chan struct{})
 	s.solveGate = func(string) {
@@ -282,7 +283,7 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 	if got := execs.Load(); got != 1 {
 		t.Errorf("coalesced batch ran %d executions, want 1", got)
 	}
-	if got := reg.Counter("serve.coalesced").Value(); got != n-1 {
+	if got := counted("serve.coalesced"); got != n-1 {
 		t.Errorf("serve.coalesced = %d, want %d", got, n-1)
 	}
 	for i := 0; i < n; i++ {
@@ -450,7 +451,7 @@ func mb(b []uint64) []string {
 // TestAdmissionControl: with a 1-token bucket and a negligible refill rate,
 // the second request must get 429 with a Retry-After hint.
 func TestAdmissionControl(t *testing.T) {
-	_, ts, reg := newTestServer(t, Config{Workers: 1, Rate: 1e-4, Burst: 1})
+	_, ts, counted := newTestServer(t, Config{Workers: 1, Rate: 1e-4, Burst: 1})
 	status, body := post(t, ts.URL+"/solve", []byte(`{"models": {"model": "a"}}`))
 	if status != http.StatusOK {
 		t.Fatalf("first request: status %d, body:\n%s", status, body)
@@ -467,7 +468,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err != nil || retry < 1 {
 		t.Errorf("Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
 	}
-	if got := reg.Counter("serve.rejected").Value(); got != 1 {
+	if got := counted("serve.rejected"); got != 1 {
 		t.Errorf("serve.rejected = %d, want 1", got)
 	}
 }
@@ -663,7 +664,7 @@ func TestListenAndServeDrains(t *testing.T) {
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- ListenAndServe(ctx, "127.0.0.1:0", Config{Registry: obs.NewRegistry()}, time.Second, func(addr string) {
+		errc <- ListenAndServe(ctx, "127.0.0.1:0", Config{}, time.Second, func(addr string) {
 			ready <- addr
 		})
 	}()
@@ -698,7 +699,7 @@ var updateKey = flag.Bool("update", false, "rewrite the solve key golden file")
 // key of one lowered /solve request, so a rewrite of the encoder cannot
 // move the keys that concurrent and repeated requests share.
 func TestSolveKeyGolden(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry()})
+	s := New(Config{})
 	sc, err := s.lowerSolve([]byte(`{"block": {"R": 8e-6, "NumPlanes": 4}, "models": {"model": "all", "segments": 50}}`))
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ func streamSweep(url string, body []byte) ([]deck.SweepProgress, sweepStreamFina
 // record per point and a final record whose embedded report is byte-identical
 // to the non-streamed response for the same request.
 func TestSweepStreamsNDJSONProgress(t *testing.T) {
-	_, ts, reg := newTestServer(t, Config{Workers: 2})
+	_, ts, counted := newTestServer(t, Config{Workers: 2})
 	progress, final := postStream(t, ts.URL, sweepBody(t, func(r *SweepRequest) { r.Stream = true }))
 	if len(progress) != 6 {
 		t.Fatalf("got %d progress records, want 6", len(progress))
@@ -144,7 +144,7 @@ func TestSweepStreamsNDJSONProgress(t *testing.T) {
 	if final.Report != string(plain) {
 		t.Errorf("streamed report differs from one-shot response:\n--- stream ---\n%s\n--- plain ---\n%s", final.Report, plain)
 	}
-	if got := reg.Counter("serve.sweep.streams").Value(); got != 1 {
+	if got := counted("serve.sweep.streams"); got != 1 {
 		t.Errorf("serve.sweep.streams = %d, want 1", got)
 	}
 }
@@ -257,7 +257,7 @@ func TestSweepShardPartitionsReport(t *testing.T) {
 // frozen 1-token bucket a valid solve still goes through after a burst of
 // garbage — and the bucket is empty afterwards.
 func TestRejectedRequestRefundsAdmissionToken(t *testing.T) {
-	s, ts, reg := newTestServer(t, Config{Workers: 1, Rate: 1e-4, Burst: 1})
+	s, ts, counted := newTestServer(t, Config{Workers: 1, Rate: 1e-4, Burst: 1})
 	base := time.Now()
 	s.bucket.now = func() time.Time { return base } // frozen: no refill, ever
 
@@ -267,7 +267,7 @@ func TestRejectedRequestRefundsAdmissionToken(t *testing.T) {
 	if status, _ := post(t, ts.URL+"/deck", bytes.Repeat([]byte("*"), maxBodyBytes+1)); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", status)
 	}
-	if got := reg.Counter("serve.refunded").Value(); got != 2 {
+	if got := counted("serve.refunded"); got != 2 {
 		t.Errorf("serve.refunded = %d, want 2", got)
 	}
 

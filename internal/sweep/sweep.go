@@ -86,10 +86,6 @@ type Options struct {
 	// be shared across batches, at once or not, and each point is solved
 	// once through it (see Cache).
 	Cache *Cache
-	// Trace optionally records the batch as NDJSON spans: one "sweep.run"
-	// root span with a "sweep.job" child per job, under which the solver
-	// spans (fem.solve, sparse.cg) of context-aware models nest.
-	Trace *obs.Tracer
 	// Deprecated: WarmStart is ignored. Every point solves on its own, and
 	// a reference solve reuses memory only through fem's idle solver
 	// contexts, which never changes its result.
@@ -121,16 +117,14 @@ func (b Batch) Add(label string, s *stack.Stack, m core.Model) Batch {
 	return append(b, Job{Label: label, Stack: s, Model: m})
 }
 
-// Run evaluates the batch; see the package-level Run.
-func (b Batch) Run(ctx context.Context, opt Options) ([]Outcome, error) {
-	return Run(ctx, b, opt)
-}
-
 // Run evaluates all jobs across opt.Workers workers and returns one Outcome
 // per job in job order (out[i] belongs to jobs[i], regardless of worker
 // scheduling). Per-job failures are captured in Outcome.Err; Run itself only
 // returns an error when ctx is cancelled, in which case the outcomes of jobs
-// that never started carry the context error.
+// that never started carry the context error. When ctx carries a tracer
+// (obs.ContextWithTracer), the batch records one "sweep.run" span with a
+// "sweep.job" child per job, under which the solver spans (fem.solve,
+// sparse.cg) of context-aware models nest.
 func Run(ctx context.Context, jobs []Job, opt Options) ([]Outcome, error) {
 	out, _, err := RunShard(ctx, jobs, ShardSpec{}, opt)
 	return out, err
@@ -156,18 +150,51 @@ func RunShard(ctx context.Context, jobs []Job, spec ShardSpec, opt Options) ([]O
 	return out, lo, err
 }
 
-// runRange is the worker-pool core shared by Run and RunShard: it evaluates
-// jobs[lo:hi] and returns their outcomes (out[0] belongs to jobs[lo]).
-func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outcome, error) {
-	ctx = obs.ContextWithTracer(ctx, opt.Trace)
-	n := hi - lo
-	workers := opt.Workers
+// Workers is the size of the pool that runs n tasks when workers are
+// asked for: runtime.GOMAXPROCS(0) when workers < 1, and never more than
+// one worker per task.
+func Workers(workers, n int) int {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	return min(workers, n)
+}
+
+// Each calls do(i) for every i in [lo, hi) on Workers(workers, hi-lo)
+// goroutines. It hands the indices out in order and stops handing them out
+// once ctx ends; it returns when every call it started has returned. Calls
+// run concurrently, so do must be safe for concurrent use.
+func Each(ctx context.Context, workers, lo, hi int, do func(i int)) {
+	workers = Workers(workers, hi-lo)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				do(i)
+			}
+		}()
 	}
+feed:
+	for i := lo; i < hi; i++ {
+		select {
+		case idx <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// runRange is the batch core shared by Run and RunShard: it evaluates
+// jobs[lo:hi] on the Each pool and returns their outcomes (out[0] belongs
+// to jobs[lo]).
+func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outcome, error) {
+	n := hi - lo
+	workers := Workers(opt.Workers, n)
 	out := make([]Outcome, n)
 	if n == 0 {
 		return out, ctx.Err()
@@ -189,35 +216,16 @@ func runRange(ctx context.Context, jobs []Job, lo, hi int, opt Options) ([]Outco
 			opt.Progress(k, oc)
 		}
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if oc, ok := opt.Resume[i]; ok {
-					finish(i, oc)
-					continue
-				}
-				busy.Add(1)
-				oc := evaluate(ctx, jobs[i], opt.Cache)
-				busy.Add(-1)
-				finish(i, oc)
-			}
-		}()
-	}
-
-feed:
-	for i := lo; i < hi; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+	Each(ctx, workers, lo, hi, func(i int) {
+		if oc, ok := opt.Resume[i]; ok {
+			finish(i, oc)
+			return
 		}
-	}
-	close(idx)
-	wg.Wait()
+		busy.Add(1)
+		oc := evaluate(ctx, jobs[i], opt.Cache)
+		busy.Add(-1)
+		finish(i, oc)
+	})
 
 	if err := ctx.Err(); err != nil {
 		// Mark the jobs that never ran (their zero Outcome has neither a
@@ -297,20 +305,16 @@ func wrapErr(j Job, err error) error {
 	return fmt.Errorf("sweep: job %q: %w", j.Name(), err)
 }
 
-// solve invokes the model with panic capture, preferring the cancellable
-// entry point: a cancelled batch stops its in-flight solves between solver
-// iterations instead of running them to completion.
+// solve invokes the model through core.Solve with panic capture: a
+// cancelled batch stops its in-flight solves between solver iterations
+// instead of running them to completion.
 func solve(ctx context.Context, m core.Model, s *stack.Stack) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("model panicked: %v", r)
 		}
 	}()
-	if cs, ok := m.(core.ContextSolver); ok {
-		res, err = cs.SolveCtx(ctx, s)
-	} else {
-		res, err = m.Solve(s)
-	}
+	res, err = core.Solve(ctx, m, s)
 	if err != nil {
 		return nil, err
 	}

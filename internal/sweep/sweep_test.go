@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -43,7 +46,7 @@ func TestRunOrderAndResults(t *testing.T) {
 	for _, r := range radii {
 		jobs = jobs.Add("", fig4Stack(t, r), m)
 	}
-	outs, err := jobs.Run(context.Background(), Options{Workers: 3})
+	outs, err := Run(context.Background(), jobs, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +146,32 @@ func TestRunEmptyBatch(t *testing.T) {
 	outs, err := Run(context.Background(), nil, Options{})
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("empty batch: outs=%v err=%v", outs, err)
+	}
+}
+
+// TestEachCoversRangeOnce: Each calls do exactly once per index of its
+// range for any worker request, and one worker sees the indices in order.
+func TestEachCoversRangeOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 100} {
+		var mu sync.Mutex
+		var got []int
+		Each(context.Background(), workers, 5, 12, func(i int) {
+			mu.Lock()
+			got = append(got, i)
+			mu.Unlock()
+		})
+		if workers != 1 {
+			slices.Sort(got)
+		}
+		if want := []int{5, 6, 7, 8, 9, 10, 11}; !slices.Equal(got, want) {
+			t.Errorf("workers=%d: do saw %v, want %v", workers, got, want)
+		}
+	}
+	if w := Workers(100, 3); w != 3 {
+		t.Errorf("Workers(100, 3) = %d, want one per task", w)
+	}
+	if w := Workers(0, 1<<20); w != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(0, 1<<20) = %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
 	}
 }
 

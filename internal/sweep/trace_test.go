@@ -19,7 +19,7 @@ func TestRunEmitsSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
 	jobs := Batch{}.Add("a", s, m).Add("b", s, m)
-	if _, err := Run(context.Background(), jobs, Options{Workers: 1, Cache: NewCache(), Trace: tr}); err != nil {
+	if _, err := Run(obs.ContextWithTracer(context.Background(), tr), jobs, Options{Workers: 1, Cache: NewCache()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Err(); err != nil {

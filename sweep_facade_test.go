@@ -183,11 +183,11 @@ func TestPlanInsertionWithThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ttsv.PlanInsertionWith(f, tech, 13.0, m, ttsv.PlanOptions{Workers: 4, Cache: ttsv.NewSweepCache()})
+	got, err := ttsv.PlanInsertionWith(f, tech, 13.0, m, ttsv.PlanOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parallel cached plan differs from sequential: %+v vs %+v", got, want)
+		t.Errorf("parallel plan differs from sequential: %+v vs %+v", got, want)
 	}
 }

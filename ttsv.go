@@ -115,8 +115,8 @@ type (
 	SweepOutcome = sweep.Outcome
 	// SweepOptions controls worker count and memoization of a sweep.
 	SweepOptions = sweep.Options
-	// SweepCache memoizes solves keyed on geometry+model across sweeps and
-	// plans; every caller through one cache solves each point once.
+	// SweepCache memoizes solves keyed on geometry+model across sweeps;
+	// every caller through one cache solves each point once.
 	SweepCache = sweep.Cache
 	// SweepShardSpec selects one contiguous slice of a sweep batch; see
 	// ParseSweepShard and DeckSweepControl.Shard.
@@ -127,7 +127,7 @@ type (
 	// PrecondKind selects the reference solver's preconditioner; see
 	// Resolution.Precond and the Precond* constants.
 	PrecondKind = sparse.PrecondKind
-	// PlanOptions controls worker count and memoization of insertion
+	// PlanOptions controls cancellation and worker count of insertion
 	// planning.
 	PlanOptions = plan.Options
 
@@ -138,7 +138,8 @@ type (
 	// DeckResult collects the outputs of a deck's analysis cards; its
 	// WriteText renders the deterministic text report the CLIs print.
 	DeckResult = deck.Result
-	// DeckOptions controls a deck run's engine worker pools and tracing.
+	// DeckOptions controls a deck run's engine worker pools and sweep
+	// sharding, journaling and merging.
 	DeckOptions = deck.Options
 	// DeckSweepControl shards, journals, resumes and merges a deck's .sweep
 	// analysis (DeckOptions.Sweep); the zero value changes nothing.
@@ -303,9 +304,9 @@ func Sweep(ctx context.Context, jobs Batch, opt SweepOptions) ([]SweepOutcome, e
 	return sweep.Run(ctx, jobs, opt)
 }
 
-// NewSweepCache returns an empty memoization cache for SweepOptions.Cache or
-// PlanOptions.Cache; it is safe for concurrent use and may be shared across
-// batches and plans. Every caller through it solves each point once: one
+// NewSweepCache returns an empty memoization cache for SweepOptions.Cache
+// (every insertion plan memoizes its solves in a cache of its own); it is
+// safe for concurrent use and may be shared across batches. Every caller through it solves each point once: one
 // asking for a point another is still solving joins that solve, waits on
 // its own context and leaves alone when it ends; the solve stops only when
 // no caller waits on it. A hit reports the Runtime and Solver stats of the
@@ -322,14 +323,14 @@ func NewSweepCache() *SweepCache { return sweep.NewCache() }
 func ParseSweepShard(s string) (SweepShardSpec, error) { return sweep.ParseShardSpec(s) }
 
 // NewTracer returns a span tracer writing NDJSON records (one JSON object
-// per line) to w. Attach it to SweepOptions.Trace or PlanOptions.Trace, or
-// thread it through a context with TraceContext to record individual
-// reference solves.
+// per line) to w. Thread it through a context with TraceContext to record
+// sweeps, insertion plans, deck runs and reference solves.
 func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
 
-// TraceContext returns a context carrying t, so context-threaded solves
-// (SolveReferenceStatsCtx, Sweep) emit spans into it. A nil tracer returns
-// ctx unchanged.
+// TraceContext returns a context carrying t, so everything run on it emits
+// spans into t: Sweep, RunDeck, PlanInsertionWith through PlanOptions.Ctx,
+// and the context-threaded reference solves (SolveReferenceStatsCtx). A
+// nil tracer returns ctx unchanged.
 func TraceContext(ctx context.Context, t *Tracer) context.Context {
 	return obs.ContextWithTracer(ctx, t)
 }
@@ -373,8 +374,8 @@ func PlanInsertion(f *Floorplan, tech Technology, budget float64, m Model) (*Pla
 	return plan.Plan(f, tech, budget, m)
 }
 
-// PlanInsertionWith is PlanInsertion with explicit concurrency and
-// memoization control; the plan is identical for any worker count.
+// PlanInsertionWith is PlanInsertion with explicit cancellation and
+// concurrency control; the plan is identical for any worker count.
 func PlanInsertionWith(f *Floorplan, tech Technology, budget float64, m Model, opt PlanOptions) (*PlanResult, error) {
 	return plan.PlanWith(f, tech, budget, m, opt)
 }
