@@ -25,7 +25,8 @@ test:
 # detector (it includes every determinism contract: reuse bit-identity,
 # the reference-solve golden hashes, stencil kernels against
 # the CSR reference, deck and service goldens,
-# coalescing/admission/drain, and the sharded/resumable-sweep identities),
+# coalescing/admission/drain, and the sharded/resumable-sweep identities;
+# it fails if a test skips there that RACE_SKIPS does not list),
 # three shuffled race passes over the packages whose tests reach fem's
 # process-wide idle solver contexts (every solve given a nil context does)
 # or core's pool of ladder scratch (every analytic solve does),
@@ -37,6 +38,19 @@ test:
 # tests of the separate bench module, which `./...` never builds (and
 # `go test` runs only part of vet): an internal API change that breaks the
 # benchmark fails here.
+# The tests the race pass may skip, as package.Test, each for its reason:
+# core's TestSteadySolveAllocs and sweep's TestCacheHitAllocs count the
+# allocations sync.Pool saves, and the race detector's pool drops puts at
+# random; linalg's TestBandedLanesRun skips on a host that exposes no CPU
+# flags (/proc/cpuinfo) to check the AVX2 lanes against.
+RACE_SKIPS = \
+	repro/internal/core.TestSteadySolveAllocs \
+	repro/internal/sweep.TestCacheHitAllocs \
+	repro/internal/linalg.TestBandedLanesRun
+# TEST_OUTPUT prints the Output text of `go test -json` events.
+TEST_OUTPUT = grep '"Output":' | sed -e 's/^{.*"Output":"\(.*\)"}$$/\1/' -e 's/\\n$$//' -e 's/\\t/\t/g' \
+	-e 's/\\"/"/g' -e 's/\\u003c/</g' -e 's/\\u003e/>/g' -e 's/\\u0026/\&/g' -e 's/\\\\/\\/g'
+
 verify:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { printf 'gofmt needed:\n%s\n' "$$unformatted"; exit 1; }
 	$(GO) vet ./...
@@ -51,7 +65,11 @@ verify:
 	test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -fuzz '^FuzzServeJSON$$' -fuzztime 10s -run '^FuzzServeJSON$$' ./internal/serve
-	$(GO) test -race ./...
+	@out=$$($(GO) test -race -json ./... 2>&1); status=$$?; \
+	if [ $$status -ne 0 ]; then printf '%s\n' "$$out" | grep -v '^{' ; printf '%s\n' "$$out" | $(TEST_OUTPUT); exit $$status; fi; \
+	printf '%s\n' "$$out" | grep -v -e '"Test":' -e '"Output":"PASS\\n"' | $(TEST_OUTPUT); \
+	skips=$$(printf '%s\n' "$$out" | sed -n 's/.*"Action":"skip","Package":"\([^"]*\)","Test":"\([^"]*\)".*/\1.\2/p' | grep -vxF $(RACE_SKIPS:%=-e %)); \
+	test -z "$$skips" || { printf 'tests skipped in the race pass that RACE_SKIPS does not allow:\n%s\n' "$$skips"; exit 1; }
 	$(GO) test -race -count=3 -shuffle=on . ./internal/core ./internal/fem ./internal/flight ./internal/sweep ./internal/serve ./internal/plan ./internal/deck ./internal/experiments ./internal/chip ./internal/fit
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(MAKE) bench-json BENCHTIME=1x BENCHCOUNT=1 BENCH_OUT=/dev/null

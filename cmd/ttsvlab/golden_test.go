@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestWorkersFlagGolden locks in the sweep engine's determinism guarantee at
@@ -82,11 +84,34 @@ func TestCalibrateArchive(t *testing.T) {
 // TestAllArchive pins the archived results/*.csv to what `ttsvlab -csv DIR
 // all` writes today, cell by cell, except the columns whose header names a
 // runtime (wall-clock times vary run to run). calibrate.csv, which `all`
-// does not write, is TestCalibrateArchive's.
+// does not write, is TestCalibrateArchive's. It pins the run's work too:
+// 367 solved jobs, and each of the 35 reference geometries solved once
+// through the run's cache (35 misses, 47 hits). A direct solve either
+// factors or reuses the factor an idle fem context of an earlier solve in
+// the process holds, so the two counters are checked as one sum.
 func TestAllArchive(t *testing.T) {
+	names := []string{"sweep.jobs", "sweep.cache.misses", "sweep.cache.hits", "fem.direct.factors", "fem.direct.reuse.hits"}
+	before := make(map[string]int64)
+	for _, name := range names {
+		before[name] = obs.Default().Counter(name).Value()
+	}
 	dir := t.TempDir()
 	if err := run(context.Background(), []string{"-csv", dir, "all"}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+	delta := func(name string) int64 { return obs.Default().Counter(name).Value() - before[name] }
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"sweep.jobs", delta("sweep.jobs"), 367},
+		{"sweep.cache.misses", delta("sweep.cache.misses"), 35},
+		{"sweep.cache.hits", delta("sweep.cache.hits"), 47},
+		{"fem.direct.factors + fem.direct.reuse.hits", delta("fem.direct.factors") + delta("fem.direct.reuse.hits"), 35},
+	} {
+		if c.got != c.want {
+			t.Errorf("all: %s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 	archive := filepath.Join("..", "..", "results")
 	want, err := filepath.Glob(filepath.Join(archive, "*.csv"))

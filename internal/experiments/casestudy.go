@@ -45,12 +45,13 @@ func CaseStudy(cfg Config) (*CaseStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := &Sweep{ID: "casestudy"}
-	if err := runSweepPoints(cfg, sw, []float64{0}, []*stack.Stack{cell}, withReference(nil, cfg.Resolution)); err != nil {
+	// The reference is the sweep's only column.
+	sw, err := evaluate(cfg, "casestudy", []float64{0}, []*stack.Stack{cell}, nil)
+	if err != nil {
 		return nil, err
 	}
-	ref := sw.Points[0].DT[RefName]
-	refEntry := CaseStudyEntry{Method: RefName, MaxDT: ref, Runtime: sw.Points[0].Runtime[RefName]}
+	ref := sw.Points[0].DT[0]
+	refEntry := CaseStudyEntry{Method: RefName, MaxDT: ref, Runtime: sw.Points[0].Runtime[0]}
 
 	models := []namedModel{
 		{"A", core.ModelA{Coeffs: core.PaperSystemCoeffs()}},

@@ -5,6 +5,14 @@
 // (Fig. 7) and the 3-D DRAM-µP case study (§IV-E). Each experiment runs the
 // analytical models against the finite-volume reference solver and reports
 // the same rows/series as the paper.
+//
+// Every sweep is one model-by-point table (Sweep): each Point holds one
+// value per model, in Sweep.Models order with the reference last. A figure
+// is a description — id, title, x label, the paper's x values and their
+// Quick thinning, a stack builder and a model lineup — and one runner
+// evaluates Figs. 4–7 and PlaneScaling from theirs. Table I is Fig. 5's
+// sweep run under its own id and read off its ErrorStats; Calibrate and
+// CaseStudy evaluate the reference alone.
 package experiments
 
 import (
@@ -82,18 +90,19 @@ func Quick() Config {
 	return c
 }
 
-// Point is one sweep sample: the sweep variable plus each model's result.
+// Point is one sweep sample: the sweep variable plus each model's result,
+// indexed like the sweep's Models.
 type Point struct {
 	// X is the sweep variable in display units (µm for lengths, count for
 	// cluster size).
 	X float64
-	// DT maps model name to maximum temperature rise (K).
-	DT map[string]float64
-	// Runtime maps model name to its solve wall time.
-	Runtime map[string]time.Duration
+	// DT is each model's maximum temperature rise (K).
+	DT []float64
+	// Runtime is each model's solve wall time.
+	Runtime []time.Duration
 }
 
-// Sweep is one figure-shaped experiment result.
+// Sweep is one figure-shaped experiment result: a model-by-point table.
 type Sweep struct {
 	// ID is the experiment identifier ("fig4", ...).
 	ID string
@@ -101,7 +110,8 @@ type Sweep struct {
 	Title string
 	// XLabel names the sweep variable.
 	XLabel string
-	// Models lists the model names in display order (reference last).
+	// Models lists the model names in display order, the reference
+	// (RefName) last; every Point's values follow this order.
 	Models []string
 	// Points are the sweep samples in X order.
 	Points []Point
@@ -116,75 +126,71 @@ type ErrStat struct {
 	AvgRuntime time.Duration
 }
 
-// models bundles a named solver.
+// namedModel is a solver with its column name.
 type namedModel struct {
 	name  string
 	model core.Model
 }
 
-// withReference appends the FVM reference solver to a model lineup.
-func withReference(ms []namedModel, res fem.Resolution) []namedModel {
-	return append(ms, namedModel{RefName, fem.ReferenceModel{Res: res}})
+// figure describes one sweep of the evaluation: the paper's sample values
+// and their Quick thinning, how a value becomes a stack, and the analytical
+// lineup run against the reference at every value.
+type figure struct {
+	id, title, xLabel string
+	xs, quickXs       []float64
+	block             func(x float64) (*stack.Stack, error)
+	lineup            func(Config) []namedModel
 }
 
-// runSweepPoints evaluates every (point, model) pair of a sweep through the
-// batch engine and assembles the per-point rows. The reference pairs run as
-// one batch through cfg's cache, so a geometry an earlier run on cfg solved
-// is not solved again; the analytical pairs run as a second batch without
-// it.
-func runSweepPoints(cfg Config, sw *Sweep, xs []float64, stacks []*stack.Stack, ms []namedModel) error {
-	var refs, analytic []namedModel
-	for _, nm := range ms {
-		if _, ok := nm.model.(fem.ReferenceModel); ok {
-			refs = append(refs, nm)
-		} else {
-			analytic = append(analytic, nm)
-		}
+// Fig4 sweeps the TTSV radius from 1 µm to 20 µm (paper Fig. 4): ΔT falls
+// with the radius; the substrate thickness switches at r = 5 µm to respect
+// the aspect-ratio limit.
+func Fig4(cfg Config) (*Sweep, error) { return fig4.run(cfg) }
+
+// Fig5 sweeps the liner thickness from 0.5 µm to 3 µm (paper Fig. 5),
+// running Model B at every segmentation of Table I alongside Model A and
+// the 1-D model.
+func Fig5(cfg Config) (*Sweep, error) { return fig5.run(cfg) }
+
+// Fig6 sweeps the upper-plane substrate thickness from 5 µm to 80 µm (paper
+// Fig. 6), the sweep exposing the non-monotonic ΔT the 1-D model misses.
+func Fig6(cfg Config) (*Sweep, error) { return fig6.run(cfg) }
+
+// Fig7 sweeps the number of equal-total-metal-area TTSVs the original via is
+// divided into (paper Fig. 7, §IV-D): n = 1, 2, 4, 9, 16.
+func Fig7(cfg Config) (*Sweep, error) { return fig7.run(cfg) }
+
+var (
+	fig4 = figure{
+		id: "fig4", title: "Fig. 4: max ΔT vs TTSV radius", xLabel: "r [µm]",
+		xs:      []float64{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20},
+		quickXs: []float64{1, 5, 10, 20},
+		block:   microns(stack.Fig4Block), lineup: standardModels,
 	}
-	points := make([]Point, len(stacks))
-	for pi := range points {
-		points[pi] = Point{
-			X:       xs[pi],
-			DT:      make(map[string]float64),
-			Runtime: make(map[string]time.Duration),
-		}
+	fig5 = figure{
+		id: "fig5", title: "Fig. 5: max ΔT vs liner thickness", xLabel: "t_L [µm]",
+		xs:      []float64{0.5, 1, 1.5, 2, 2.5, 3},
+		quickXs: []float64{0.5, 1.5, 3},
+		block:   microns(stack.Fig5Block), lineup: segmentModels,
 	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	fig6 = figure{
+		id: "fig6", title: "Fig. 6: max ΔT vs substrate thickness", xLabel: "t_Si2,3 [µm]",
+		xs:      []float64{5, 10, 15, 20, 30, 40, 50, 60, 70, 80},
+		quickXs: []float64{5, 20, 80},
+		block:   microns(stack.Fig6Block), lineup: standardModels,
 	}
-	ctx, sp := obs.StartSpan(ctx, "experiments."+sw.ID)
-	defer sp.End()
-	obs.Default().Counter("experiments.runs").Inc()
-	run := func(models []namedModel, cache *sweep.Cache) error {
-		jobs := make(sweep.Batch, 0, len(stacks)*len(models))
-		for _, s := range stacks {
-			for _, nm := range models {
-				jobs = jobs.Add(nm.name, s, nm.model)
-			}
-		}
-		outs, err := sweep.Run(ctx, jobs, sweep.Options{Workers: cfg.Workers, Cache: cache})
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", sw.ID, err)
-		}
-		for i, oc := range outs {
-			p := &points[i/len(models)]
-			if oc.Err != nil {
-				return fmt.Errorf("experiments: %s at x=%g: %w", oc.Job.Label, p.X, oc.Err)
-			}
-			p.DT[oc.Job.Label] = oc.Result.MaxDT
-			p.Runtime[oc.Job.Label] = oc.Runtime
-		}
-		return nil
+	fig7 = figure{
+		id: "fig7", title: "Fig. 7: max ΔT vs number of TTSVs", xLabel: "n",
+		xs:      []float64{1, 2, 4, 9, 16},
+		quickXs: []float64{1, 4, 16},
+		block:   func(n float64) (*stack.Stack, error) { return stack.Fig7Block(int(n)) },
+		lineup:  standardModels,
 	}
-	if err := run(refs, cfg.cache); err != nil {
-		return err
-	}
-	if err := run(analytic, nil); err != nil {
-		return err
-	}
-	sw.Points = append(sw.Points, points...)
-	return nil
+)
+
+// microns adapts a block builder taking metres to sweep values in µm.
+func microns(block func(float64) (*stack.Stack, error)) func(float64) (*stack.Stack, error) {
+	return func(um float64) (*stack.Stack, error) { return block(units.UM(um)) }
 }
 
 // standardModels returns the figure lineup: Model A (fitted), Model B, 1-D,
@@ -203,112 +209,97 @@ func standardModels(cfg Config) []namedModel {
 	)
 }
 
-func modelNames(ms []namedModel) []string {
-	names := make([]string, 0, len(ms)+1)
-	for _, m := range ms {
-		names = append(names, m.name)
-	}
-	return append(names, RefName)
-}
-
-// Fig4 sweeps the TTSV radius from 1 µm to 20 µm (paper Fig. 4): ΔT falls
-// with the radius; the substrate thickness switches at r = 5 µm to respect
-// the aspect-ratio limit.
-func Fig4(cfg Config) (*Sweep, error) {
-	radii := []float64{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20}
-	if cfg.Quick {
-		radii = []float64{1, 5, 10, 20}
-	}
-	ms := standardModels(cfg)
-	sw := &Sweep{ID: "fig4", Title: "Fig. 4: max ΔT vs TTSV radius", XLabel: "r [µm]", Models: modelNames(ms)}
-	stacks := make([]*stack.Stack, 0, len(radii))
-	for _, r := range radii {
-		s, err := stack.Fig4Block(units.UM(r))
-		if err != nil {
-			return nil, err
-		}
-		stacks = append(stacks, s)
-	}
-	if err := runSweepPoints(cfg, sw, radii, stacks, withReference(ms, cfg.Resolution)); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// Fig5 sweeps the liner thickness from 0.5 µm to 3 µm (paper Fig. 5),
-// running Model B at every segmentation of Table I alongside Model A and
-// the 1-D model.
-func Fig5(cfg Config) (*Sweep, error) {
-	liners := []float64{0.5, 1, 1.5, 2, 2.5, 3}
+// segmentModels returns the Fig. 5 and Table I lineup: Model A, Model B at
+// each of Table I's segmentations — (1, 1), (2, 20), (10, 100), (50, 500);
+// Quick drops the last — and the 1-D model.
+func segmentModels(cfg Config) []namedModel {
 	segments := []int{1, 20, 100, 500}
 	if cfg.Quick {
-		liners = []float64{0.5, 1.5, 3}
-		segments = []int{1, 20, 100}
+		segments = segments[:3]
 	}
 	ms := []namedModel{{"A", core.ModelA{Coeffs: core.PaperBlockCoeffs()}}}
 	for _, n := range segments {
 		m := core.NewModelB(n)
 		ms = append(ms, namedModel{m.Name(), m})
 	}
-	ms = append(ms, namedModel{"1D", core.Model1D{}})
-	sw := &Sweep{ID: "fig5", Title: "Fig. 5: max ΔT vs liner thickness", XLabel: "t_L [µm]", Models: modelNames(ms)}
-	stacks := make([]*stack.Stack, 0, len(liners))
-	for _, tl := range liners {
-		s, err := stack.Fig5Block(units.UM(tl))
+	return append(ms, namedModel{"1D", core.Model1D{}})
+}
+
+// run builds the figure's stacks and evaluates its lineup and the
+// reference at each.
+func (f figure) run(cfg Config) (*Sweep, error) {
+	xs := f.xs
+	if cfg.Quick {
+		xs = f.quickXs
+	}
+	stacks := make([]*stack.Stack, len(xs))
+	for i, x := range xs {
+		s, err := f.block(x)
 		if err != nil {
 			return nil, err
 		}
-		stacks = append(stacks, s)
+		stacks[i] = s
 	}
-	if err := runSweepPoints(cfg, sw, liners, stacks, withReference(ms, cfg.Resolution)); err != nil {
+	sw, err := evaluate(cfg, f.id, xs, stacks, f.lineup(cfg))
+	if err != nil {
 		return nil, err
 	}
+	sw.Title, sw.XLabel = f.title, f.xLabel
 	return sw, nil
 }
 
-// Fig6 sweeps the upper-plane substrate thickness from 5 µm to 80 µm (paper
-// Fig. 6), the sweep exposing the non-monotonic ΔT the 1-D model misses.
-func Fig6(cfg Config) (*Sweep, error) {
-	thicknesses := []float64{5, 10, 15, 20, 30, 40, 50, 60, 70, 80}
-	if cfg.Quick {
-		thicknesses = []float64{5, 20, 80}
+// evaluate solves the lineup ms and then the FVM reference at every stack
+// through the batch engine, under an "experiments.<id>" span, and returns
+// the model-by-point table. The reference solves run as one batch through
+// cfg's cache, so a geometry an earlier run on cfg solved is not solved
+// again; the analytical ones run as a second batch without it.
+func evaluate(cfg Config, id string, xs []float64, stacks []*stack.Stack, ms []namedModel) (*Sweep, error) {
+	ms = append(ms[:len(ms):len(ms)], namedModel{RefName, fem.ReferenceModel{Res: cfg.Resolution}})
+	n := len(ms)
+	sw := &Sweep{ID: id, Models: make([]string, n), Points: make([]Point, len(stacks))}
+	for m, nm := range ms {
+		sw.Models[m] = nm.name
 	}
-	ms := standardModels(cfg)
-	sw := &Sweep{ID: "fig6", Title: "Fig. 6: max ΔT vs substrate thickness", XLabel: "t_Si2,3 [µm]", Models: modelNames(ms)}
-	stacks := make([]*stack.Stack, 0, len(thicknesses))
-	for _, tsi := range thicknesses {
-		s, err := stack.Fig6Block(units.UM(tsi))
-		if err != nil {
-			return nil, err
+	dts := make([]float64, len(stacks)*n)
+	runtimes := make([]time.Duration, len(stacks)*n)
+	for i := range sw.Points {
+		lo, hi := i*n, (i+1)*n
+		sw.Points[i] = Point{X: xs[i], DT: dts[lo:hi:hi], Runtime: runtimes[lo:hi:hi]}
+	}
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, sp := obs.StartSpan(ctx, "experiments."+id)
+	defer sp.End()
+	obs.Default().Counter("experiments.runs").Inc()
+	// run solves models [lo, hi) of the lineup at every stack as one batch.
+	run := func(lo, hi int, cache *sweep.Cache) error {
+		width := hi - lo
+		jobs := make(sweep.Batch, 0, len(stacks)*width)
+		for _, s := range stacks {
+			for _, nm := range ms[lo:hi] {
+				jobs = jobs.Add(nm.name, s, nm.model)
+			}
 		}
-		stacks = append(stacks, s)
+		outs, err := sweep.Run(ctx, jobs, sweep.Options{Workers: cfg.Workers, Cache: cache})
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", id, err)
+		}
+		for i, oc := range outs {
+			p := &sw.Points[i/width]
+			if oc.Err != nil {
+				return fmt.Errorf("experiments: %s at x=%g: %w", oc.Job.Label, p.X, oc.Err)
+			}
+			m := lo + i%width
+			p.DT[m], p.Runtime[m] = oc.Result.MaxDT, oc.Runtime
+		}
+		return nil
 	}
-	if err := runSweepPoints(cfg, sw, thicknesses, stacks, withReference(ms, cfg.Resolution)); err != nil {
+	if err := run(n-1, n, cfg.cache); err != nil {
 		return nil, err
 	}
-	return sw, nil
-}
-
-// Fig7 sweeps the number of equal-total-metal-area TTSVs the original via is
-// divided into (paper Fig. 7, §IV-D): n = 1, 2, 4, 9, 16.
-func Fig7(cfg Config) (*Sweep, error) {
-	counts := []int{1, 2, 4, 9, 16}
-	if cfg.Quick {
-		counts = []int{1, 4, 16}
-	}
-	ms := standardModels(cfg)
-	sw := &Sweep{ID: "fig7", Title: "Fig. 7: max ΔT vs number of TTSVs", XLabel: "n", Models: modelNames(ms)}
-	xs := make([]float64, 0, len(counts))
-	stacks := make([]*stack.Stack, 0, len(counts))
-	for _, n := range counts {
-		s, err := stack.Fig7Block(n)
-		if err != nil {
-			return nil, err
-		}
-		xs = append(xs, float64(n))
-		stacks = append(stacks, s)
-	}
-	if err := runSweepPoints(cfg, sw, xs, stacks, withReference(ms, cfg.Resolution)); err != nil {
+	if err := run(0, n-1, nil); err != nil {
 		return nil, err
 	}
 	return sw, nil
@@ -317,30 +308,18 @@ func Fig7(cfg Config) (*Sweep, error) {
 // ErrorStats computes each model's max/avg relative error against the
 // sweep's reference column, plus mean runtimes.
 func (sw *Sweep) ErrorStats() map[string]ErrStat {
-	out := make(map[string]ErrStat)
-	for _, name := range sw.Models {
+	out := make(map[string]ErrStat, len(sw.Models))
+	ref := len(sw.Models) - 1
+	for m, name := range sw.Models {
 		var stat ErrStat
-		var n int
 		var totalRT time.Duration
 		for _, p := range sw.Points {
-			ref, okRef := p.DT[RefName]
-			got, ok := p.DT[name]
-			if !ok || !okRef {
-				continue
-			}
-			totalRT += p.Runtime[name]
-			if name == RefName {
-				n++
-				continue
-			}
-			e := units.RelErr(got, ref)
+			totalRT += p.Runtime[m]
+			e := units.RelErr(p.DT[m], p.DT[ref])
 			stat.Avg += e
-			if e > stat.Max {
-				stat.Max = e
-			}
-			n++
+			stat.Max = max(stat.Max, e)
 		}
-		if n > 0 {
+		if n := len(sw.Points); n > 0 {
 			stat.Avg /= float64(n)
 			stat.AvgRuntime = totalRT / time.Duration(n)
 		}
@@ -351,13 +330,12 @@ func (sw *Sweep) ErrorStats() map[string]ErrStat {
 
 // Table renders the sweep as a table with one column per model.
 func (sw *Sweep) Table() *report.Table {
-	cols := append([]string{sw.XLabel}, sw.Models...)
-	t := report.NewTable(sw.Title, cols...)
+	t := report.NewTable(sw.Title, append([]string{sw.XLabel}, sw.Models...)...)
 	for _, p := range sw.Points {
-		row := make([]string, 0, len(cols))
+		row := make([]string, 0, 1+len(p.DT))
 		row = append(row, trimFloat(p.X))
-		for _, m := range sw.Models {
-			row = append(row, fmt.Sprintf("%.2f", p.DT[m]))
+		for _, dt := range p.DT {
+			row = append(row, fmt.Sprintf("%.2f", dt))
 		}
 		t.AddRow(row...)
 	}
@@ -367,13 +345,11 @@ func (sw *Sweep) Table() *report.Table {
 // Plot renders the sweep as an ASCII figure.
 func (sw *Sweep) Plot() *report.Plot {
 	pl := &report.Plot{Title: sw.Title, XLabel: sw.XLabel, YLabel: "max ΔT [°C]"}
-	for _, m := range sw.Models {
-		s := report.Series{Name: m}
+	for m, name := range sw.Models {
+		s := report.Series{Name: name}
 		for _, p := range sw.Points {
-			if dt, ok := p.DT[m]; ok {
-				s.X = append(s.X, p.X)
-				s.Y = append(s.Y, dt)
-			}
+			s.X = append(s.X, p.X)
+			s.Y = append(s.Y, p.DT[m])
 		}
 		pl.Series = append(pl.Series, s)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,11 @@ import (
 	"repro/internal/stack"
 	"repro/internal/units"
 )
+
+// dt returns the named model's ΔT at the sweep's i-th point.
+func dt(sw *Sweep, i int, model string) float64 {
+	return sw.Points[i].DT[slices.Index(sw.Models, model)]
+}
 
 // All experiment tests run the Quick configuration: thinner sweeps, coarser
 // reference mesh — the assertions are about shape, not absolute values.
@@ -26,19 +32,18 @@ func TestFig4Shape(t *testing.T) {
 		t.Fatalf("sweep = %+v", sw)
 	}
 	// ΔT decreases with radius for every method, including the reference.
-	for _, m := range sw.Models {
+	for m, name := range sw.Models {
 		first := sw.Points[0].DT[m]
 		last := sw.Points[len(sw.Points)-1].DT[m]
 		if last >= first {
 			t.Errorf("%s: ΔT did not fall from r=%g (%g) to r=%g (%g)",
-				m, sw.Points[0].X, first, sw.Points[len(sw.Points)-1].X, last)
+				name, sw.Points[0].X, first, sw.Points[len(sw.Points)-1].X, last)
 		}
 	}
 	// Models A and B track the reference far better than the 1-D model at
 	// the high-aspect-ratio end (r = 1 µm), the paper's Fig. 4 observation.
-	p0 := sw.Points[0]
-	ref := p0.DT[RefName]
-	if e1d, eb := units.RelErr(p0.DT["1D"], ref), units.RelErr(p0.DT["B(100)"], ref); e1d <= eb {
+	ref := dt(sw, 0, RefName)
+	if e1d, eb := units.RelErr(dt(sw, 0, "1D"), ref), units.RelErr(dt(sw, 0, "B(100)"), ref); e1d <= eb {
 		t.Errorf("at r=1µm the 1-D error (%.1f%%) should exceed Model B's (%.1f%%)", 100*e1d, 100*eb)
 	}
 }
@@ -50,24 +55,24 @@ func TestFig5Shape(t *testing.T) {
 	}
 	// The reference and Models A/B increase with liner thickness; the 1-D
 	// model stays flat (relative change under 2%).
-	for _, m := range sw.Models {
+	for m, name := range sw.Models {
 		first := sw.Points[0].DT[m]
 		last := sw.Points[len(sw.Points)-1].DT[m]
-		if m == "1D" {
+		if name == "1D" {
 			if units.RelErr(first, last) > 0.02 {
 				t.Errorf("1-D model not flat vs liner: %g -> %g", first, last)
 			}
 			continue
 		}
 		if last <= first {
-			t.Errorf("%s: ΔT did not rise with liner thickness (%g -> %g)", m, first, last)
+			t.Errorf("%s: ΔT did not rise with liner thickness (%g -> %g)", name, first, last)
 		}
 	}
 	// Model B's accuracy improves with segments at the thickest liner.
-	pLast := sw.Points[len(sw.Points)-1]
-	ref := pLast.DT[RefName]
-	e1 := units.RelErr(pLast.DT["B(1)"], ref)
-	e100 := units.RelErr(pLast.DT["B(100)"], ref)
+	last := len(sw.Points) - 1
+	ref := dt(sw, last, RefName)
+	e1 := units.RelErr(dt(sw, last, "B(1)"), ref)
+	e100 := units.RelErr(dt(sw, last, "B(100)"), ref)
 	if e100 >= e1 {
 		t.Errorf("B(100) error %.1f%% not below B(1) error %.1f%%", 100*e100, 100*e1)
 	}
@@ -81,7 +86,7 @@ func TestFig6Shape(t *testing.T) {
 	// Quick() samples t_Si = 5, 20, 80: the reference, A and B must all dip
 	// at 20 µm; the 1-D model must rise monotonically.
 	get := func(m string) (a, b, c float64) {
-		return sw.Points[0].DT[m], sw.Points[1].DT[m], sw.Points[2].DT[m]
+		return dt(sw, 0, m), dt(sw, 1, m), dt(sw, 2, m)
 	}
 	for _, m := range []string{"A", "B(100)", RefName} {
 		lo, mid, hi := get(m)
@@ -100,17 +105,17 @@ func TestFig7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range sw.Models {
+	for m, name := range sw.Models {
 		first := sw.Points[0].DT[m]
 		last := sw.Points[len(sw.Points)-1].DT[m]
-		if m == "1D" {
+		if name == "1D" {
 			if units.RelErr(first, last) > 1e-9 {
 				t.Errorf("1-D model sensitive to cluster count: %g vs %g", first, last)
 			}
 			continue
 		}
 		if last >= first {
-			t.Errorf("%s: ΔT did not fall with cluster count (%g -> %g)", m, first, last)
+			t.Errorf("%s: ΔT did not fall with cluster count (%g -> %g)", name, first, last)
 		}
 	}
 }
@@ -355,7 +360,7 @@ func TestPlaneScalingGrowsSuperlinearly(t *testing.T) {
 	if sw.ID != "planes" || len(sw.Points) < 3 {
 		t.Fatalf("sweep = %+v", sw)
 	}
-	for _, m := range sw.Models {
+	for m, name := range sw.Models {
 		dts := make([]float64, len(sw.Points))
 		for i, p := range sw.Points {
 			dts[i] = p.DT[m]
@@ -363,7 +368,7 @@ func TestPlaneScalingGrowsSuperlinearly(t *testing.T) {
 		// Monotone growth with plane count.
 		for i := 1; i < len(dts); i++ {
 			if dts[i] <= dts[i-1] {
-				t.Fatalf("%s: ΔT not growing with planes: %v", m, dts)
+				t.Fatalf("%s: ΔT not growing with planes: %v", name, dts)
 			}
 		}
 		// Superlinear: the last step (4->6 planes) adds more per plane than
@@ -371,12 +376,12 @@ func TestPlaneScalingGrowsSuperlinearly(t *testing.T) {
 		perPlaneFirst := (dts[1] - dts[0]) / (sw.Points[1].X - sw.Points[0].X)
 		perPlaneLast := (dts[2] - dts[1]) / (sw.Points[2].X - sw.Points[1].X)
 		if perPlaneLast <= perPlaneFirst {
-			t.Errorf("%s: growth not superlinear: %g then %g per plane", m, perPlaneFirst, perPlaneLast)
+			t.Errorf("%s: growth not superlinear: %g then %g per plane", name, perPlaneFirst, perPlaneLast)
 		}
 	}
 	// Model B tracks the reference within 10% even at 6 planes.
-	last := sw.Points[len(sw.Points)-1]
-	if e := units.RelErr(last.DT["B(100)"], last.DT[RefName]); e > 0.10 {
+	last := len(sw.Points) - 1
+	if e := units.RelErr(dt(sw, last, "B(100)"), dt(sw, last, RefName)); e > 0.10 {
 		t.Errorf("B(100) at 6 planes off by %.0f%%", 100*e)
 	}
 }

@@ -15,35 +15,19 @@ import (
 // experiment exercises the extension and validates it against the
 // reference). Every plane added stacks another heat source on the same
 // sink, so ΔT grows superlinearly.
-func PlaneScaling(cfg Config) (*Sweep, error) {
-	counts := []int{2, 3, 4, 5, 6, 8}
-	if cfg.Quick {
-		counts = []int{2, 4, 6}
-	}
-	ms := standardModels(cfg)
-	sw := &Sweep{
-		ID:     "planes",
-		Title:  "Extension: max ΔT vs number of planes (Fig. 4 block, r = 10 µm)",
-		XLabel: "planes",
-		Models: modelNames(ms),
-	}
-	xs := make([]float64, 0, len(counts))
-	stacks := make([]*stack.Stack, 0, len(counts))
-	for _, n := range counts {
+func PlaneScaling(cfg Config) (*Sweep, error) { return planes.run(cfg) }
+
+var planes = figure{
+	id: "planes", title: "Extension: max ΔT vs number of planes (Fig. 4 block, r = 10 µm)", xLabel: "planes",
+	xs:      []float64{2, 3, 4, 5, 6, 8},
+	quickXs: []float64{2, 4, 6},
+	block: func(n float64) (*stack.Stack, error) {
 		c := stack.DefaultBlock()
-		c.NumPlanes = n
+		c.NumPlanes = int(n)
 		c.R = units.UM(10)
-		s, err := c.Build()
-		if err != nil {
-			return nil, err
-		}
-		xs = append(xs, float64(n))
-		stacks = append(stacks, s)
-	}
-	if err := runSweepPoints(cfg, sw, xs, stacks, withReference(ms, cfg.Resolution)); err != nil {
-		return nil, err
-	}
-	return sw, nil
+		return c.Build()
+	},
+	lineup: standardModels,
 }
 
 // TransientEntry is one radius's step-response summary.

@@ -132,13 +132,14 @@ func Calibrate(cfg Config) (*CalibrationResult, error) {
 		xs = append(xs, g.um)
 		stacks = append(stacks, s)
 	}
-	sw := &Sweep{ID: "calibrate"}
-	if err := runSweepPoints(cfg, sw, xs, stacks, withReference(nil, cfg.Resolution)); err != nil {
+	// The reference is the sweep's only column.
+	sw, err := evaluate(cfg, "calibrate", xs, stacks, nil)
+	if err != nil {
 		return nil, err
 	}
 	points := make([]fit.CalibrationPoint, len(stacks))
 	for i, s := range stacks {
-		points[i] = fit.CalibrationPoint{Stack: s, RefDT: sw.Points[i].DT[RefName]}
+		points[i] = fit.CalibrationPoint{Stack: s, RefDT: sw.Points[i].DT[0]}
 	}
 	coeffs, rms, err := fit.CalibrateModelA(points, core.UnitCoeffs())
 	if err != nil {

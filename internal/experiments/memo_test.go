@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -138,14 +139,15 @@ func TestMemoHitKeepsOriginalSolve(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("repeated Fig. 5 solved %d times", n)
 	}
+	ref := slices.Index(second.Models, RefName)
 	for i, p := range second.Points {
 		q := first.Points[i]
-		if p.Runtime[RefName] != q.Runtime[RefName] || p.DT[RefName] != q.DT[RefName] {
+		if p.Runtime[ref] != q.Runtime[ref] || p.DT[ref] != q.DT[ref] {
 			t.Errorf("x=%g: hit %v %g, original %v %g", p.X,
-				p.Runtime[RefName], p.DT[RefName], q.Runtime[RefName], q.DT[RefName])
+				p.Runtime[ref], p.DT[ref], q.Runtime[ref], q.DT[ref])
 		}
-		if p.Runtime[RefName] <= 0 {
-			t.Errorf("x=%g: hit lost the solve's runtime: %v", p.X, p.Runtime[RefName])
+		if p.Runtime[ref] <= 0 {
+			t.Errorf("x=%g: hit lost the solve's runtime: %v", p.X, p.Runtime[ref])
 		}
 	}
 }

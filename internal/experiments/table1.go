@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/stack"
-	"repro/internal/units"
 )
 
 // Table1Row is one column of the paper's Table I transposed into a row:
@@ -25,51 +23,35 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// Table1 runs the Fig. 5 liner sweep for Model B at the paper's four
-// segmentations — (1, 1), (2, 20), (10, 100), (50, 500) — plus Model A and
-// the 1-D baseline, and reports max/avg error versus the reference solver
-// and the average solve runtime (paper Table I).
+// Table1 runs Fig. 5's liner sweep under its own id and reports each
+// model's max/avg error versus the reference solver and its average solve
+// runtime (paper Table I): Model B at the paper's four segmentations, then
+// Model A and the 1-D baseline for context.
 func Table1(cfg Config) (*Table1Result, error) {
-	liners := []float64{0.5, 1, 1.5, 2, 2.5, 3}
-	segments := []int{1, 20, 100, 500}
-	if cfg.Quick {
-		liners = []float64{0.5, 1.5, 3}
-		segments = []int{1, 20, 100}
-	}
-	ms := make([]namedModel, 0, len(segments)+2)
-	for _, n := range segments {
-		m := core.NewModelB(n)
-		ms = append(ms, namedModel{m.Name(), m})
-	}
-	ms = append(ms,
-		namedModel{"A", core.ModelA{Coeffs: core.PaperBlockCoeffs()}},
-		namedModel{"1D", core.Model1D{}},
-	)
-
-	// The whole table — every (liner, model) pair plus the per-liner
-	// reference solves — is one batch through the sweep engine.
-	sw := &Sweep{ID: "table1", Models: modelNames(ms)}
-	stacks := make([]*stack.Stack, 0, len(liners))
-	for _, tl := range liners {
-		s, err := stack.Fig5Block(units.UM(tl))
-		if err != nil {
-			return nil, err
-		}
-		stacks = append(stacks, s)
-	}
-	if err := runSweepPoints(cfg, sw, liners, stacks, withReference(ms, cfg.Resolution)); err != nil {
+	f := fig5
+	f.id = "table1"
+	sw, err := f.run(cfg)
+	if err != nil {
 		return nil, err
 	}
 	out := &Table1Result{}
 	stats := sw.ErrorStats()
-	for _, nm := range ms {
-		st := stats[nm.name]
-		out.Rows = append(out.Rows, Table1Row{
-			Model:      nm.name,
-			MaxErr:     st.Max,
-			AvgErr:     st.Avg,
-			AvgRuntime: st.AvgRuntime,
-		})
+	// Table I's rows are Model B's columns first, then the others of the
+	// lineup in its order; the reference (last) has none.
+	analytic := sw.Models[:len(sw.Models)-1]
+	for _, modelB := range []bool{true, false} {
+		for _, m := range analytic {
+			if strings.HasPrefix(m, "B(") != modelB {
+				continue
+			}
+			st := stats[m]
+			out.Rows = append(out.Rows, Table1Row{
+				Model:      m,
+				MaxErr:     st.Max,
+				AvgErr:     st.Avg,
+				AvgRuntime: st.AvgRuntime,
+			})
+		}
 	}
 	return out, nil
 }
