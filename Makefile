@@ -18,8 +18,8 @@ test:
 # pure-Go fallback of the amd64 assembly must keep compiling; vet does not
 # notice a function left without a body there), a check that neither the
 # arm64 compiler nor the amd64 one at GOAMD64=v3 fused a multiply-add in
-# internal/linalg (its factors and sweeps round every product on its own,
-# as the baseline amd64 build does, so all give the same bits), a short
+# the packages of FMA_PKGS (they round every product on its own, as the
+# baseline amd64 build does, so all give the same bits), a short
 # FuzzParseDeck and FuzzServeJSON (the JSON lowerings whose scenarios key
 # ttsvd's coalescing) exploration on top of the checked-in seeds, the whole suite under the race
 # detector (it includes every determinism contract: reuse bit-identity,
@@ -39,14 +39,19 @@ test:
 # `go test` runs only part of vet): an internal API change that breaks the
 # benchmark fails here.
 # The tests the race pass may skip, as package.Test, each for its reason:
-# core's TestSteadySolveAllocs and sweep's TestCacheHitAllocs count the
-# allocations sync.Pool saves, and the race detector's pool drops puts at
+# core's TestSteadySolveAllocs and TestModelAMaxDTAllocs and sweep's
+# TestCacheHitAllocs count the allocations sync.Pool saves, and the race detector's pool drops puts at
 # random; linalg's TestBandedLanesRun skips on a host that exposes no CPU
 # flags (/proc/cpuinfo) to check the AVX2 lanes against.
 RACE_SKIPS = \
 	repro/internal/core.TestSteadySolveAllocs \
+	repro/internal/core.TestModelAMaxDTAllocs \
 	repro/internal/sweep.TestCacheHitAllocs \
 	repro/internal/linalg.TestBandedLanesRun
+# FMA_PKGS are the packages whose arm64 and GOAMD64=v3 listings must hold no
+# fused multiply-add: linalg's factors and sweeps, and the analytic models
+# and their calibration (with what they inline from stack and materials).
+FMA_PKGS = ./internal/linalg ./internal/core ./internal/fit
 # TEST_OUTPUT prints the Output text of `go test -json` events.
 TEST_OUTPUT = grep '"Output":' | sed -e 's/^{.*"Output":"\(.*\)"}$$/\1/' -e 's/\\n$$//' -e 's/\\t/\t/g' \
 	-e 's/\\"/"/g' -e 's/\\u003c/</g' -e 's/\\u003e/>/g' -e 's/\\u0026/\&/g' -e 's/\\\\/\\/g'
@@ -55,14 +60,14 @@ verify:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { printf 'gofmt needed:\n%s\n' "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
-	@asm=$$(GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/linalg 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
-	case "$$asm" in *STEXT*) ;; *) echo 'no arm64 assembly listing of internal/linalg to check'; exit 1;; esac; \
+	@asm=$$(GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+	for p in $(FMA_PKGS:./%=%); do case "$$asm" in *"# repro/$$p"*STEXT*) ;; *) echo "no arm64 assembly listing of $$p to check"; exit 1;; esac; done; \
 	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]'); \
-	test -z "$$fused" || { printf 'fused multiply-add in the arm64 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
-	@asm=$$(GOAMD64=v3 $(GO) build -gcflags=-S ./internal/linalg 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
-	case "$$asm" in *STEXT*) ;; *) echo 'no GOAMD64=v3 assembly listing of internal/linalg to check'; exit 1;; esac; \
+	test -z "$$fused" || { printf 'fused multiply-add in the arm64 build of $(FMA_PKGS) (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
+	@asm=$$(GOAMD64=v3 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+	for p in $(FMA_PKGS:./%=%); do case "$$asm" in *"# repro/$$p"*STEXT*) ;; *) echo "no GOAMD64=v3 assembly listing of $$p to check"; exit 1;; esac; done; \
 	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]VFN?M(ADD|SUB)[[:alnum:]]*[[:space:]]'); \
-	test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of internal/linalg (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
+	test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of $(FMA_PKGS) (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -fuzz '^FuzzServeJSON$$' -fuzztime 10s -run '^FuzzServeJSON$$' ./internal/serve
 	@out=$$($(GO) test -race -json ./... 2>&1); status=$$?; \

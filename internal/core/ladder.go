@@ -164,9 +164,9 @@ func (l *ladder) rung(plane int, rS, rM, rL, q, cS, cM float64) {
 
 // solve factors G and solves G·T = q, both in place: it returns T in q's
 // storage.
-func (l *ladder) solve() ([]float64, error) {
+func (l *ladder) solve(model string) ([]float64, error) {
 	if err := l.g.Factor(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: model %s solve: %w", model, err)
 	}
 	l.g.Solve(l.q, l.q)
 	return l.q, nil
@@ -176,9 +176,9 @@ func (l *ladder) solve() ([]float64, error) {
 // maximum rise, which counts the sink at 0. It releases l.
 func (l *ladder) steady(model string) (*Result, error) {
 	defer l.release()
-	t, err := l.solve()
+	t, err := l.solve(model)
 	if err != nil {
-		return nil, fmt.Errorf("core: model %s solve: %w", model, err)
+		return nil, err
 	}
 	out := &Result{
 		Model:    model,
@@ -189,12 +189,19 @@ func (l *ladder) steady(model string) (*Result, error) {
 	for i, k := range l.tops {
 		out.PlaneDT[i] = t[k]
 	}
+	out.MaxDT = maxRise(t)
+	return out, nil
+}
+
+// maxRise returns the largest of the node rises t and the sink's 0.
+func maxRise(t []float64) float64 {
+	var hi float64
 	for _, v := range t {
-		if v > out.MaxDT {
-			out.MaxDT = v
+		if v > hi {
+			hi = v
 		}
 	}
-	return out, nil
+	return hi
 }
 
 // transient integrates C·dT/dt = q − G·T with backward Euler from ΔT = 0,
@@ -223,7 +230,7 @@ func (l *ladder) transient(model string, spec TransientSpec) (*TransientResult, 
 	clear(x)
 	for k := range out.Times {
 		for i := range x {
-			x[i] = l.q[i] + cdt[i]*x[i]
+			x[i] = l.q[i] + float64(cdt[i]*x[i])
 		}
 		l.g.Solve(x, x)
 		out.Times[k] = float64(k+1) * spec.Dt
@@ -257,6 +264,6 @@ func columnHeatCap(s *stack.Stack) float64 {
 	v := s.Via
 	metalArea := v.MetalArea()
 	rl := v.SplitRadius() + v.LinerThickness
-	linerArea := float64(v.EffectiveCount())*math.Pi*rl*rl - metalArea
-	return metalArea*v.Fill.C + linerArea*v.Liner.C
+	linerArea := float64(float64(v.EffectiveCount())*math.Pi*rl*rl) - metalArea
+	return float64(metalArea*v.Fill.C) + float64(linerArea*v.Liner.C)
 }

@@ -139,7 +139,7 @@ func TestLadderMatchesDenseSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := l.solve()
+			got, err := l.solve(c.name)
 			if err != nil {
 				t.Fatal(err)
 			}

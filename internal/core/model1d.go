@@ -27,7 +27,7 @@ func (Model1D) Name() string { return "1D" }
 //
 //	ΔT_i = R_s·Σq + Σ_{j ≤ i} parallel(R_surr_j, R_metal_j) · Σ_{k ≥ j} q_k.
 func (Model1D) Solve(s *stack.Stack) (*Result, error) {
-	res, rs, err := Resistances(s, UnitCoeffs())
+	rs, err := substrateResistance(s, UnitCoeffs())
 	if err != nil {
 		return nil, err
 	}
@@ -47,8 +47,8 @@ func (Model1D) Solve(s *stack.Stack) (*Result, error) {
 	}
 	t := out.BaseDT
 	for j := 0; j < n; j++ {
-		rPar := parallelR(res[j].Surround, res[j].Metal)
-		t += rPar * crossing[j]
+		r := planeResistances(s, UnitCoeffs(), j)
+		t += float64(parallelR(r.Surround, r.Metal) * crossing[j])
 		out.PlaneDT[j] = t
 	}
 	out.MaxDT = out.PlaneDT[n-1]

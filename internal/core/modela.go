@@ -29,6 +29,22 @@ func (m ModelA) Solve(s *stack.Stack) (*Result, error) {
 	return l.steady(m.Name())
 }
 
+// MaxDT returns Solve(s).MaxDT, bit for bit, without building a Result: it
+// solves the pooled ladder and allocates nothing, for callers such as a
+// calibration objective that read only the maximum rise.
+func (m ModelA) MaxDT(s *stack.Stack) (float64, error) {
+	l, err := m.ladder(s, false)
+	if err != nil {
+		return 0, err
+	}
+	defer l.release()
+	t, err := l.solve(m.Name())
+	if err != nil {
+		return 0, err
+	}
+	return maxRise(t), nil
+}
+
 // ladder assembles the Fig. 2 network for any plane count. Every plane
 // below the top is one rung (R1-R3, R4-R6, ...) whose node S is the plane
 // temperature T1, T3, ... and whose node M is the via temperature T2, T4,
@@ -38,7 +54,7 @@ func (m ModelA) Solve(s *stack.Stack) (*Result, error) {
 // S, its fill and liner column onto M, and the top plane's whole mass onto
 // its one node.
 func (m ModelA) ladder(s *stack.Stack, transient bool) (*ladder, error) {
-	res, rs, err := Resistances(s, m.Coeffs)
+	rs, err := substrateResistance(s, m.Coeffs)
 	if err != nil {
 		return nil, err
 	}
@@ -50,12 +66,12 @@ func (m ModelA) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 		var surrCap float64
 		switch i {
 		case 0:
-			surrCap = area * (p.ILDThickness*p.ILD.C + s.Via.Extension*p.Si.C)
+			surrCap = area * (float64(p.ILDThickness*p.ILD.C) + float64(s.Via.Extension*p.Si.C))
 		default:
-			surrCap = area * (p.ILDThickness*p.ILD.C + p.SiThickness*p.Si.C + p.BondThickness*p.Bond.C)
+			surrCap = area * (float64(p.ILDThickness*p.ILD.C) + float64(p.SiThickness*p.Si.C) + float64(p.BondThickness*p.Bond.C))
 		}
-		viaCap := s.ColumnHeight(i) * colCap
-		r, q := res[i], p.TotalPower()
+		viaCap := float64(s.ColumnHeight(i) * colCap)
+		r, q := planeResistances(s, m.Coeffs, i), p.TotalPower()
 		if i < n-1 {
 			l.rung(i+1, r.Surround, r.Metal, r.Liner, q, surrCap, viaCap)
 		} else {

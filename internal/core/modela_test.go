@@ -308,3 +308,77 @@ func TestModelAEquationsAgreementProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// figureStacks returns every block of the paper's Figs. 4–7 sweeps.
+func figureStacks(t *testing.T) []*stack.Stack {
+	t.Helper()
+	var out []*stack.Stack
+	add := func(s *stack.Stack, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	for _, r := range []float64{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20} {
+		add(stack.Fig4Block(units.UM(r)))
+	}
+	for _, tl := range []float64{0.5, 1, 1.5, 2, 2.5, 3} {
+		add(stack.Fig5Block(units.UM(tl)))
+	}
+	for _, tsi := range []float64{5, 10, 15, 20, 30, 40, 50, 60, 70, 80} {
+		add(stack.Fig6Block(units.UM(tsi)))
+	}
+	for _, n := range []int{1, 2, 4, 9, 16} {
+		add(stack.Fig7Block(n))
+	}
+	return out
+}
+
+// TestModelAMaxDTMatchesSolve: MaxDT is Solve's MaxDT bit for bit on every
+// figure block, at the paper's and at random valid coefficients on random
+// blocks, and fails where Solve fails.
+func TestModelAMaxDTMatchesSolve(t *testing.T) {
+	same := func(m ModelA, s *stack.Stack) bool {
+		r, err := m.Solve(s)
+		dt, errDT := m.MaxDT(s)
+		if err != nil || errDT != nil {
+			return err != nil && errDT != nil && err.Error() == errDT.Error()
+		}
+		return math.Float64bits(dt) == math.Float64bits(r.MaxDT)
+	}
+	paper := ModelA{Coeffs: PaperBlockCoeffs()}
+	for i, s := range figureStacks(t) {
+		if !same(paper, s) {
+			t.Errorf("figure block %d: MaxDT differs from Solve(s).MaxDT", i)
+		}
+	}
+	f := func(seed int64, k1, k2, c1 uint16) bool {
+		s, ok := randomBlock(seed)
+		if !ok {
+			return true
+		}
+		coeff := func(u uint16) float64 { return 0.05 + 4*float64(u)/math.MaxUint16 }
+		return same(ModelA{Coeffs: Coeffs{K1: coeff(k1), K2: coeff(k2), C1: coeff(c1)}}, s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if !same(ModelA{}, figureStacks(t)[0]) {
+		t.Error("zero coefficients: MaxDT and Solve disagree on the error")
+	}
+}
+
+// TestModelAMaxDTAllocs: MaxDT solves in the pool's scratch and allocates
+// nothing.
+func TestModelAMaxDTAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops puts at random")
+	}
+	m, s := ModelA{Coeffs: PaperBlockCoeffs()}, fig4Stack(t)
+	if _, err := m.MaxDT(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { m.MaxDT(s) }); got != 0 {
+		t.Errorf("MaxDT makes %v allocations per call, want 0", got)
+	}
+}

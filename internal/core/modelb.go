@@ -83,7 +83,7 @@ func (m ModelB) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 			m.Plane1Segments, m.PlaneSegments)
 	}
 	// Element values follow the Model A formulas with k1 = k2 = 1 (§III).
-	res, rs, err := Resistances(s, UnitCoeffs())
+	rs, err := substrateResistance(s, UnitCoeffs())
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +100,9 @@ func (m ModelB) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 			seg = splitSegments(m.PlaneSegments, p.ILDThickness, p.SiThickness)
 		}
 		nj := seg.nILD + seg.nSi
-		metalSeg := res[i].Metal / float64(nj) // R_M/n_j, eq. (21)
-		linerSeg := res[i].Liner * float64(nj) // n_j·R_L, eq. (21)
+		r := planeResistances(s, UnitCoeffs(), i)
+		metalSeg := r.Metal / float64(nj) // R_M/n_j, eq. (21)
+		linerSeg := r.Liner * float64(nj) // n_j·R_L, eq. (21)
 
 		// Vertical surroundings resistances of the sub-layers (no k1).
 		var rILDseg, rSiSeg, rBond float64
@@ -129,7 +130,7 @@ func (m ModelB) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 		metalCap := s.ColumnHeight(i) / float64(nj) * colCap
 		var ildSurrCap, siSurrCap, bondCap float64
 		if i == 0 {
-			ildSurrCap = area * (p.ILDThickness*p.ILD.C + s.Via.Extension*p.Si.C) / float64(seg.nILD)
+			ildSurrCap = area * (float64(p.ILDThickness*p.ILD.C) + float64(s.Via.Extension*p.Si.C)) / float64(seg.nILD)
 		} else {
 			ildSurrCap = area * p.ILDThickness * p.ILD.C / float64(seg.nILD)
 			bondCap = area * p.BondThickness * p.Bond.C
@@ -138,7 +139,7 @@ func (m ModelB) ladder(s *stack.Stack, transient bool) (*ladder, error) {
 			} else {
 				// Single-segment plane: silicon and bond mass fold into the
 				// one ILD segment like their resistances do.
-				ildSurrCap += area * (p.SiThickness*p.Si.C + p.BondThickness*p.Bond.C)
+				ildSurrCap += float64(area * (float64(p.SiThickness*p.Si.C) + float64(p.BondThickness*p.Bond.C)))
 				bondCap = 0
 			}
 		}

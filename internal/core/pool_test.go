@@ -21,9 +21,10 @@ func fig5Stack(t testing.TB) *stack.Stack {
 }
 
 // TestSteadySolveAllocs checks that a steady solve takes its ladder's band
-// and vectors from the pool: after a warm-up, Model A allocates only its
-// Result, the plane rises and the resistance table, Model B(500) also its
-// name, far under one B(500) ladder's 67 KB of scratch.
+// and vectors from the pool and reads each plane's resistances without a
+// table: after a warm-up, Model A allocates only its Result and the plane
+// rises, Model B(500) also its name, far under one B(500) ladder's 67 KB
+// of scratch.
 func TestSteadySolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops puts at random")
@@ -32,7 +33,7 @@ func TestSteadySolveAllocs(t *testing.T) {
 	for _, c := range []struct {
 		m   Model
 		max float64
-	}{{NewModelB(500), 5}, {ModelA{Coeffs: PaperBlockCoeffs()}, 3}} {
+	}{{NewModelB(500), 4}, {ModelA{Coeffs: PaperBlockCoeffs()}, 2}} {
 		if _, err := c.m.Solve(s); err != nil {
 			t.Fatal(err)
 		}

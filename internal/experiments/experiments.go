@@ -10,19 +10,23 @@
 // value per model, in Sweep.Models order with the reference last. A figure
 // is a description — id, title, x label, the paper's x values and their
 // Quick thinning, a stack builder and a model lineup — and one runner
-// evaluates Figs. 4–7 and PlaneScaling from theirs. Table I is Fig. 5's
-// sweep run under its own id and read off its ErrorStats; Calibrate and
-// CaseStudy evaluate the reference alone.
+// evaluates Figs. 4–7 and PlaneScaling from theirs. Table I is read off
+// Fig. 5's sweep and the headline off those of Figs. 4–7, so a run that
+// has drawn the figures computes neither again; Calibrate and CaseStudy
+// evaluate the reference alone.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/fem"
+	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/stack"
@@ -38,15 +42,15 @@ const RefName = "FVM"
 // case study) and Model B with 100 segments per plane ("Model B (100)" in
 // the figures).
 //
-// A Config made by Default or Quick carries a sweep.Cache of the run's FVM
-// reference results, keyed by the canonical form of the reference model
-// (with its Resolution) and the stack. Copies of one Config share it, so
-// Calibrate, the figures, Table1 and Headline run on copies of one Config
-// solve each reference geometry once; a cache hit reports the original
-// solve's Runtime. Only the reference is cached: a key (canon.Sum of the
-// model and the stack) costs about as much as ten Model A solves, and the
-// analytical models' runtimes are results of the paper. A Config literal
-// has no cache and solves every point.
+// A Config made by Default or Quick carries two memos for the run, which
+// its copies share. One is a sweep.Cache of FVM reference results, keyed by
+// the canonical form of the reference model (with its Resolution) and the
+// stack, so Calibrate, the figures and the case study solve each reference
+// geometry once; a cache hit reports the original solve's Runtime. The
+// other holds whole figure sweeps, keyed by the figure and the Config's
+// Quick, Resolution and CalibratedA, so Table1 and Headline read the
+// sweeps the figures already drew, runtimes included. A Config literal has
+// neither and solves every point.
 type Config struct {
 	// Ctx optionally bounds every experiment run: a cancelled context stops
 	// in-flight sweeps between solver iterations and the run returns the
@@ -70,15 +74,17 @@ type Config struct {
 	// < 1 select GOMAXPROCS. Results are identical for any worker count.
 	Workers int
 
-	cache *sweep.Cache
+	cache   *sweep.Cache
+	figures *figureMemo
 }
 
 // Default returns the paper-faithful configuration with a fresh reference
-// cache.
+// cache and figure memo.
 func Default() Config {
 	return Config{
 		Resolution: fem.DefaultResolution(),
 		cache:      sweep.NewCache(),
+		figures:    &figureMemo{sweeps: make(map[string]memoSweep)},
 	}
 }
 
@@ -102,7 +108,9 @@ type Point struct {
 	Runtime []time.Duration
 }
 
-// Sweep is one figure-shaped experiment result: a model-by-point table.
+// Sweep is one figure-shaped experiment result: a model-by-point table. A
+// sweep from a Default or Quick Config is shared by every later call for
+// the same figure on it, so callers must not modify it.
 type Sweep struct {
 	// ID is the experiment identifier ("fig4", ...).
 	ID string
@@ -225,9 +233,84 @@ func segmentModels(cfg Config) []namedModel {
 	return append(ms, namedModel{"1D", core.Model1D{}})
 }
 
-// run builds the figure's stacks and evaluates its lineup and the
-// reference at each.
+// run returns the figure's sweep from cfg's memo, evaluating it first when
+// the memo lacks it.
 func (f figure) run(cfg Config) (*Sweep, error) {
+	if cfg.figures == nil {
+		return f.evaluate(cfg)
+	}
+	return cfg.figures.sweep(cfg, f)
+}
+
+// figureMemo holds a run's figure sweeps: at most one per figure id, under
+// the key of the Config that drew it, which a sweep under a new key
+// replaces. Calls that arrive together evaluate once, and only a sweep
+// that succeeded is kept.
+type figureMemo struct {
+	mu     sync.Mutex
+	sweeps map[string]memoSweep
+	flight flight.Group[memoSweep]
+}
+
+// memoSweep is one evaluated sweep with its key, or the error of an
+// evaluation.
+type memoSweep struct {
+	key [32]byte
+	sw  *Sweep
+	err error
+}
+
+// sweep returns f's sweep under cfg from the memo, or evaluates it through
+// the single-flight group and keeps it if it succeeded.
+func (m *figureMemo) sweep(cfg Config, f figure) (*Sweep, error) {
+	key := canon.Sum(f.id, cfg.Quick, cfg.Resolution, cfg.CalibratedA)
+	if sw := m.lookup(f.id, key); sw != nil {
+		return sw, nil
+	}
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// A caller whose context has ended starts no evaluation.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", f.id, err)
+	}
+	r, _, err := m.flight.Do(ctx, key, func(ctx context.Context) memoSweep {
+		// A caller that looked before the last evaluation was kept must not
+		// start another.
+		if sw := m.lookup(f.id, key); sw != nil {
+			return memoSweep{key: key, sw: sw}
+		}
+		c := cfg
+		c.Ctx = ctx
+		sw, err := f.evaluate(c)
+		r := memoSweep{key: key, sw: sw, err: err}
+		if err == nil {
+			m.mu.Lock()
+			m.sweeps[f.id] = r
+			m.mu.Unlock()
+		}
+		return r
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", f.id, err)
+	}
+	return r.sw, r.err
+}
+
+// lookup returns the memoized sweep of figure id under key, or nil.
+func (m *figureMemo) lookup(id string, key [32]byte) *Sweep {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r := m.sweeps[id]; r.key == key {
+		return r.sw
+	}
+	return nil
+}
+
+// evaluate builds the figure's stacks and evaluates its lineup and the
+// reference at each.
+func (f figure) evaluate(cfg Config) (*Sweep, error) {
 	xs := f.xs
 	if cfg.Quick {
 		xs = f.quickXs

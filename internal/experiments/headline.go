@@ -24,7 +24,8 @@ type HeadlineResult struct {
 	Overall map[string]float64
 }
 
-// Headline runs Figs. 4-7 and aggregates the error statistics.
+// Headline aggregates the error statistics of Figs. 4-7, read from cfg's
+// memo when figure runs on cfg already drew them.
 func Headline(cfg Config) (*HeadlineResult, error) {
 	sweeps := []func(Config) (*Sweep, error){Fig4, Fig5, Fig6, Fig7}
 	out := &HeadlineResult{

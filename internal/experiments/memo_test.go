@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -19,10 +20,21 @@ import (
 // already holds the factor of the same operator, reuses it.
 func solvesDuring(t *testing.T, fn func()) int64 {
 	t.Helper()
-	factors, reused := obs.Default().Counter("fem.direct.factors"), obs.Default().Counter("fem.direct.reuse.hits")
-	before := factors.Value() + reused.Value()
+	return countDuring(fn, "fem.direct.factors", "fem.direct.reuse.hits")
+}
+
+// countDuring returns how much the sum of the named obs counters grew
+// while fn ran.
+func countDuring(fn func(), names ...string) int64 {
+	sum := func() (n int64) {
+		for _, name := range names {
+			n += obs.Default().Counter(name).Value()
+		}
+		return n
+	}
+	before := sum()
 	fn()
-	return factors.Value() + reused.Value() - before
+	return sum() - before
 }
 
 // paperSteps are the calls of one `ttsvlab all` after Calibrate, each
@@ -62,8 +74,9 @@ func sweepTable(fn func(Config) (*Sweep, error)) func(Config) (*report.Table, er
 }
 
 // TestMemoSharedAcrossRun runs Calibrate, Figs. 4–7, Table1 and Headline on
-// one Quick() Config and checks that the memo changes no result, only how
-// often the reference is solved.
+// one Quick() Config and checks that the memos change no result, only how
+// much is solved: Table1 and Headline read the figures' sweeps and solve
+// nothing.
 func TestMemoSharedAcrossRun(t *testing.T) {
 	cfg := Quick()
 	var cal *CalibrationResult
@@ -88,8 +101,8 @@ func TestMemoSharedAcrossRun(t *testing.T) {
 		cfg.CalibratedA = &cal.Coeffs
 		run("fig4 fig5 fig6 fig7")
 	})
-	if again := solvesDuring(t, func() { run("table1 headline") }); again != 0 {
-		t.Errorf("Table1 and Headline after Figs. 4-7 solved %d times, want 0", again)
+	if jobs := countDuring(func() { run("table1 headline") }, "sweep.jobs", "experiments.runs"); jobs != 0 {
+		t.Errorf("Table1 and Headline after Figs. 4-7 ran %d sweep jobs and evaluations, want 0", jobs)
 	}
 	// Quick() calibrates on Fig. 4 r = 5, 12 µm and Fig. 6 t = 20 µm; only
 	// r = 12 µm is not also a quick figure point (4 + 3 + 3 + 3 of them).
@@ -153,24 +166,28 @@ func TestMemoHitKeepsOriginalSolve(t *testing.T) {
 }
 
 // TestMemoSharedByConcurrentCopies runs Fig. 5 and Table I at once on
-// copies of one Config: the 3 liners they share are solved once each, by
-// whichever run asks first, however the two interleave.
+// copies of one Config: they evaluate Fig. 5's sweep once, whichever asks
+// first, however the two interleave, so each of its 3 liners is solved
+// once.
 func TestMemoSharedByConcurrentCopies(t *testing.T) {
 	cfg := Quick()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
-	solves := solvesDuring(t, func() {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			_, errs[0] = Fig5(cfg)
-		}()
-		go func() {
-			defer wg.Done()
-			_, errs[1] = Table1(cfg)
-		}()
-		wg.Wait()
-	})
+	var solves int64
+	runs := countDuring(func() {
+		solves = solvesDuring(t, func() {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				_, errs[0] = Fig5(cfg)
+			}()
+			go func() {
+				defer wg.Done()
+				_, errs[1] = Table1(cfg)
+			}()
+			wg.Wait()
+		})
+	}, "experiments.runs")
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -182,6 +199,120 @@ func TestMemoSharedByConcurrentCopies(t *testing.T) {
 	if solves != 3 {
 		t.Errorf("Fig. 5 and Table I at once solved the reference %d times, want once per liner (3)", solves)
 	}
+	if runs != 1 {
+		t.Errorf("Fig. 5 and Table I at once evaluated %d sweeps, want 1", runs)
+	}
+}
+
+// TestMemoKeyedByConfig: a copy of a Config with another CalibratedA or
+// Quick evaluates its own sweep, which then replaces the figure's old one.
+func TestMemoKeyedByConfig(t *testing.T) {
+	cfg := Quick()
+	evaluations := func(c Config) (*Sweep, int64) {
+		t.Helper()
+		var sw *Sweep
+		n := countDuring(func() {
+			var err error
+			if sw, err = Fig7(c); err != nil {
+				t.Fatal(err)
+			}
+		}, "experiments.runs")
+		return sw, n
+	}
+	first, n := evaluations(cfg)
+	if n != 1 {
+		t.Fatalf("first Fig. 7 evaluated %d sweeps", n)
+	}
+	if again, n := evaluations(cfg); n != 0 || again != first {
+		t.Errorf("repeated Fig. 7 evaluated %d sweeps (same sweep: %v), want the memoized one", n, again == first)
+	}
+	cal := cfg
+	cal.CalibratedA = &core.Coeffs{K1: 1.2, K2: 0.5, C1: 1}
+	if sw, n := evaluations(cal); n != 1 || !slices.Contains(sw.Models, "A(cal)") {
+		t.Errorf("Fig. 7 with CalibratedA evaluated %d sweeps, models %q", n, sw.Models)
+	}
+	full := cfg
+	full.Quick = false
+	if sw, n := evaluations(full); n != 1 || len(sw.Points) != len(fig7.xs) {
+		t.Errorf("Fig. 7 without Quick evaluated %d sweeps of %d points", n, len(sw.Points))
+	}
+	if sw, n := evaluations(cfg); n != 1 || len(sw.Points) != len(first.Points) {
+		t.Errorf("Fig. 7 after two other keys evaluated %d sweeps, want 1 (a new key replaces the old)", n)
+	}
+	if n := len(cfg.figures.sweeps); n != 1 {
+		t.Errorf("memo holds %d sweeps of one figure, want 1", n)
+	}
+}
+
+// TestMemoKeepsOnlySuccess: a sweep that fails or is cancelled is not
+// memoized, and the next call on a live context evaluates and succeeds.
+func TestMemoKeepsOnlySuccess(t *testing.T) {
+	cfg := Quick()
+	broken := true
+	f := fig7
+	f.lineup = func(c Config) []namedModel {
+		if broken {
+			return []namedModel{{"A", core.ModelA{}}} // zero coefficients fail
+		}
+		return standardModels(c)
+	}
+	if _, err := f.run(cfg); err == nil {
+		t.Fatal("a lineup with invalid coefficients succeeded")
+	}
+	broken = false
+	// recovers runs f on c and wants one evaluation that succeeds.
+	recovers := func(what string, c Config) {
+		t.Helper()
+		var err error
+		if n := countDuring(func() { _, err = f.run(c) }, "experiments.runs"); err != nil || n != 1 {
+			t.Errorf("after a %s sweep: %d evaluations, err %v; want 1 that succeeds", what, n, err)
+		}
+	}
+	recovers("failed", cfg)
+
+	cfg = Quick()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := cfg
+	c.Ctx = ctx
+	if _, err := f.run(c); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig. 7 under a cancelled context: %v, want context.Canceled", err)
+	}
+	recovers("cancelled", cfg)
+
+	// Cancel while the sweep runs: the first span to end cancels the
+	// caller's context and holds the evaluation until the caller has left,
+	// so the evaluation sees its own context end before it can finish.
+	cfg = Quick()
+	ctx, cancel = context.WithCancel(context.Background())
+	left, ended := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	tracer := obs.NewTracer(writerFunc(func(p []byte) {
+		once.Do(func() {
+			cancel()
+			<-left
+		})
+		if bytes.Contains(p, []byte(`"span":"experiments.fig7"`)) {
+			close(ended)
+		}
+	}))
+	c = cfg
+	c.Ctx = obs.ContextWithTracer(ctx, tracer)
+	_, err := f.run(c)
+	close(left)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig. 7 cancelled mid-sweep: %v, want context.Canceled", err)
+	}
+	<-ended
+	recovers("mid-sweep cancelled", cfg)
+}
+
+// writerFunc is an io.Writer that hands every write to a function.
+type writerFunc func(p []byte)
+
+func (w writerFunc) Write(p []byte) (int, error) {
+	w(p)
+	return len(p), nil
 }
 
 func TestConfigLiteralHasNoMemo(t *testing.T) {

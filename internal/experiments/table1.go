@@ -23,14 +23,13 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// Table1 runs Fig. 5's liner sweep under its own id and reports each
-// model's max/avg error versus the reference solver and its average solve
-// runtime (paper Table I): Model B at the paper's four segmentations, then
-// Model A and the 1-D baseline for context.
+// Table1 reads Fig. 5's liner sweep — from cfg's memo when a figure run
+// on cfg already drew it — and reports each model's max/avg error versus
+// the reference solver and its average solve runtime (paper Table I):
+// Model B at the paper's four segmentations, then Model A and the 1-D
+// baseline for context.
 func Table1(cfg Config) (*Table1Result, error) {
-	f := fig5
-	f.id = "table1"
-	sw, err := f.run(cfg)
+	sw, err := Fig5(cfg)
 	if err != nil {
 		return nil, err
 	}

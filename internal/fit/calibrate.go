@@ -44,12 +44,12 @@ func CalibrateModelA(points []CalibrationPoint, start core.Coeffs) (core.Coeffs,
 		m := core.ModelA{Coeffs: c}
 		var sse float64
 		for _, p := range points {
-			r, err := m.Solve(p.Stack)
+			dt, err := m.MaxDT(p.Stack)
 			if err != nil {
 				return math.Inf(1)
 			}
-			e := units.RelErr(r.MaxDT, p.RefDT)
-			sse += e * e
+			e := units.RelErr(dt, p.RefDT)
+			sse += float64(e * e)
 		}
 		return sse / float64(len(points))
 	}

@@ -141,7 +141,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt Options) ([]float64
 		default:
 			// Contract (inside).
 			for j := range xc {
-				xc[j] = centroid[j] + rho*(worst.x[j]-centroid[j])
+				xc[j] = centroid[j] + float64(rho*(worst.x[j]-centroid[j]))
 			}
 			if vc := eval(xc); vc < worst.v {
 				simplex[n] = vertex{x: append([]float64(nil), xc...), v: vc}
@@ -149,7 +149,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt Options) ([]float64
 				// Shrink towards the best vertex.
 				for i := 1; i <= n; i++ {
 					for j := range simplex[i].x {
-						simplex[i].x[j] = best.x[j] + sigma*(simplex[i].x[j]-best.x[j])
+						simplex[i].x[j] = best.x[j] + float64(sigma*(simplex[i].x[j]-best.x[j]))
 					}
 					simplex[i].v = eval(simplex[i].x)
 				}

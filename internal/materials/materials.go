@@ -36,7 +36,7 @@ func (m Material) Conductivity(t float64) float64 {
 	if m.TempCoeff == 0 {
 		return m.K
 	}
-	k := m.K * (1 + m.TempCoeff*(t-m.RefTemp))
+	k := m.K * (1 + float64(m.TempCoeff*(t-m.RefTemp)))
 	if k <= 0 {
 		// A linearised fit can go negative far outside its validity range;
 		// clamp to a small positive value to keep solvers well-posed.

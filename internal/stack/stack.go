@@ -86,7 +86,7 @@ func (v TTSV) SplitRadius() float64 {
 
 // MetalArea returns the total via fill cross-section π·r², which the cluster
 // transform keeps invariant.
-func (v TTSV) MetalArea() float64 { return math.Pi * v.Radius * v.Radius }
+func (v TTSV) MetalArea() float64 { return float64(math.Pi * v.Radius * v.Radius) }
 
 // Stack is a complete description of the analyzed 3-D circuit segment.
 type Stack struct {
@@ -107,7 +107,7 @@ type Stack struct {
 // surroundings of the (equivalent single) via — paper eq. (7).
 func (s *Stack) SurroundArea() float64 {
 	rr := s.Via.Radius + s.Via.LinerThickness
-	return s.Footprint - math.Pi*rr*rr
+	return s.Footprint - float64(math.Pi*rr*rr)
 }
 
 // TotalPower returns Σ q_i over all planes (W).
