@@ -60,14 +60,16 @@ verify:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { printf 'gofmt needed:\n%s\n' "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
-	@asm=$$(GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
-	for p in $(FMA_PKGS:./%=%); do case "$$asm" in *"# repro/$$p"*STEXT*) ;; *) echo "no arm64 assembly listing of $$p to check"; exit 1;; esac; done; \
-	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]'); \
-	test -z "$$fused" || { printf 'fused multiply-add in the arm64 build of $(FMA_PKGS) (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
-	@asm=$$(GOAMD64=v3 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
-	for p in $(FMA_PKGS:./%=%); do case "$$asm" in *"# repro/$$p"*STEXT*) ;; *) echo "no GOAMD64=v3 assembly listing of $$p to check"; exit 1;; esac; done; \
-	fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]VFN?M(ADD|SUB)[[:alnum:]]*[[:space:]]'); \
-	test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of $(FMA_PKGS) (write the product as float64(a*b)):\n%s\n' "$$fused"; exit 1; }
+	@for p in $(FMA_PKGS); do \
+		asm=$$(GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S $$p 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+		case "$$asm" in *STEXT*) ;; *) echo "no arm64 assembly listing of $$p to check"; exit 1;; esac; \
+		fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS][[:space:]]'); \
+		test -z "$$fused" || { printf 'fused multiply-add in the arm64 build of %s (write the product as float64(a*b)):\n%s\n' "$$p" "$$fused"; exit 1; }; \
+		asm=$$(GOAMD64=v3 $(GO) build -gcflags=-S $$p 2>&1) || { printf '%s\n' "$$asm"; exit 1; }; \
+		case "$$asm" in *STEXT*) ;; *) echo "no GOAMD64=v3 assembly listing of $$p to check"; exit 1;; esac; \
+		fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]VFN?M(ADD|SUB)[[:alnum:]]*[[:space:]]'); \
+		test -z "$$fused" || { printf 'fused multiply-add in the GOAMD64=v3 build of %s (write the product as float64(a*b)):\n%s\n' "$$p" "$$fused"; exit 1; }; \
+	done
 	$(GO) test -fuzz '^FuzzParseDeck$$' -fuzztime 10s -run '^FuzzParseDeck$$' ./internal/deck
 	$(GO) test -fuzz '^FuzzServeJSON$$' -fuzztime 10s -run '^FuzzServeJSON$$' ./internal/serve
 	@out=$$($(GO) test -race -json ./... 2>&1); status=$$?; \

@@ -26,7 +26,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/fem"
-	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/stack"
@@ -244,68 +243,38 @@ func (f figure) run(cfg Config) (*Sweep, error) {
 
 // figureMemo holds a run's figure sweeps: at most one per figure id, under
 // the key of the Config that drew it, which a sweep under a new key
-// replaces. Calls that arrive together evaluate once, and only a sweep
-// that succeeded is kept.
+// replaces. Only a sweep that succeeded is kept.
 type figureMemo struct {
 	mu     sync.Mutex
 	sweeps map[string]memoSweep
-	flight flight.Group[memoSweep]
 }
 
-// memoSweep is one evaluated sweep with its key, or the error of an
-// evaluation.
+// memoSweep is one evaluated sweep with its key.
 type memoSweep struct {
 	key [32]byte
 	sw  *Sweep
-	err error
 }
 
-// sweep returns f's sweep under cfg from the memo, or evaluates it through
-// the single-flight group and keeps it if it succeeded.
+// sweep returns f's sweep under cfg from the memo, or evaluates it and
+// keeps it if it succeeded. Copies of a Config that ask for one sweep at
+// the same time may each evaluate it; their reference solves still run
+// once each through the shared sweep.Cache.
 func (m *figureMemo) sweep(cfg Config, f figure) (*Sweep, error) {
 	key := canon.Sum(f.id, cfg.Quick, cfg.Resolution, cfg.CalibratedA)
-	if sw := m.lookup(f.id, key); sw != nil {
-		return sw, nil
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// A caller whose context has ended starts no evaluation.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", f.id, err)
-	}
-	r, _, err := m.flight.Do(ctx, key, func(ctx context.Context) memoSweep {
-		// A caller that looked before the last evaluation was kept must not
-		// start another.
-		if sw := m.lookup(f.id, key); sw != nil {
-			return memoSweep{key: key, sw: sw}
-		}
-		c := cfg
-		c.Ctx = ctx
-		sw, err := f.evaluate(c)
-		r := memoSweep{key: key, sw: sw, err: err}
-		if err == nil {
-			m.mu.Lock()
-			m.sweeps[f.id] = r
-			m.mu.Unlock()
-		}
-		return r
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", f.id, err)
-	}
-	return r.sw, r.err
-}
-
-// lookup returns the memoized sweep of figure id under key, or nil.
-func (m *figureMemo) lookup(id string, key [32]byte) *Sweep {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r := m.sweeps[id]; r.key == key {
-		return r.sw
+	r, ok := m.sweeps[f.id]
+	m.mu.Unlock()
+	if ok && r.key == key {
+		return r.sw, nil
 	}
-	return nil
+	sw, err := f.evaluate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	m.sweeps[f.id] = memoSweep{key: key, sw: sw}
+	m.mu.Unlock()
+	return sw, nil
 }
 
 // evaluate builds the figure's stacks and evaluates its lineup and the
