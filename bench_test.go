@@ -145,6 +145,26 @@ func BenchmarkFig7SweepModel1D(b *testing.B) {
 	benchSweep(b, ttsv.Model1D{}, fig7Stacks(b))
 }
 
+// benchPooled times solve, an analytic solve whose ladder scratch comes
+// from core's sync.Pool, after one untimed warm-up solve. The harness
+// collects garbage before each run, which may empty the pool: without the
+// warm-up, a run of two iterations would count one ladder allocation in
+// half its samples and not the other, and its B/op and allocs/op would
+// depend on the collector's timing.
+func benchPooled(b *testing.B, solve func() error) {
+	b.Helper()
+	if err := solve(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Table I: the solve-time column — Model B cost versus segment count on the
 // Fig. 5 geometry, plus Model A and the 1-D model for scale.
 func benchTable1(b *testing.B, m ttsv.Model) {
@@ -153,12 +173,10 @@ func benchTable1(b *testing.B, m ttsv.Model) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(s); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPooled(b, func() error {
+		_, err := m.Solve(s)
+		return err
+	})
 }
 
 func BenchmarkTable1ModelB1(b *testing.B)   { benchTable1(b, ttsv.NewModelB(1)) }
@@ -189,9 +207,11 @@ func BenchmarkCaseStudyModelA(b *testing.B) {
 func BenchmarkCaseStudyModelB1000(b *testing.B) { benchCaseStudy(b, ttsv.NewModelB(1000)) }
 func BenchmarkCaseStudyModel1D(b *testing.B)    { benchCaseStudy(b, ttsv.Model1D{}) }
 
-// solveCold runs one reference solve through a new context, closed after:
-// the cold cost, untouched by earlier solves (a nil context would draw on
-// the process-wide idle contexts).
+// solveCold runs one reference solve through a new context, closed after.
+// The new context takes the storage an earlier one handed back to the idle
+// list, but not its factor or hierarchy: every solve refills the assembly
+// and builds its own factor or hierarchy, in recycled memory (a nil context
+// would serve the earlier factor again).
 func solveCold(b *testing.B, s *ttsv.Stack, res ttsv.Resolution) {
 	sc := ttsv.NewSolveContext()
 	_, _, err := ttsv.SolveReferenceStatsWith(context.Background(), sc, s, res)
@@ -250,8 +270,9 @@ func BenchmarkReferenceSolveRefined(b *testing.B) {
 	}
 }
 
-// BenchmarkReferenceSolveRefinedFresh is the pre-reuse path: every solve
-// assembles and factors from scratch.
+// BenchmarkReferenceSolveRefinedFresh is the no-reuse baseline of the
+// factor: every solve refills the assembly and factors afresh, in the
+// storage the previous solve's context handed back.
 func BenchmarkReferenceSolveRefinedFresh(b *testing.B) {
 	s := mustFig4(b, 10)
 	res := ttsv.DefaultResolution().Refine(2)
@@ -315,9 +336,11 @@ func benchBandFactor(b *testing.B, refine int) {
 
 // BenchmarkReferenceMG* measure the multigrid-preconditioned reference
 // solve as the mesh refines; the "cgiters" metric is the CG iteration
-// count of the last solve and "mglevels" the hierarchy depth. Each iteration re-solves from scratch, so
-// the multigrid timings include hierarchy construction — the honest
-// per-reference-point cost a sweep pays.
+// count of the last solve and "mglevels" the hierarchy depth. Each
+// iteration solves through a new context, which takes the previous one's
+// storage from the idle list but builds its own hierarchy, so the timings
+// include hierarchy construction — the honest per-reference-point cost a
+// sweep pays.
 func benchReferenceResolved(b *testing.B, refine int, p sparse.PrecondKind) {
 	b.Helper()
 	s := mustFig4(b, 10)
@@ -370,8 +393,9 @@ func BenchmarkReferenceMGRefined8(b *testing.B) {
 // BenchmarkReferenceCartFig4 is the 3-D Cartesian reference solve of the
 // Fig. 4 block at r = 10 µm and the default 3-D resolution — the
 // multigrid-preconditioned path of the 3-D cross-validation and the chip
-// power map, hierarchy build included. "cgiters" is the CG iteration count
-// and "mglevels" the hierarchy depth.
+// power map, hierarchy build included: each iteration's new context takes
+// the previous one's storage but builds its own hierarchy. "cgiters" is the
+// CG iteration count and "mglevels" the hierarchy depth.
 func BenchmarkReferenceCartFig4(b *testing.B) {
 	prob, err := fem.BuildCartProblem(mustFig4(b, 10), fem.DefaultCartResolution())
 	if err != nil {
@@ -398,24 +422,20 @@ func BenchmarkTransientModelA(b *testing.B) {
 	s := mustFig4(b, 10)
 	m := ttsv.ModelA{Coeffs: ttsv.PaperBlockCoeffs()}
 	spec := ttsv.TransientSpec{Dt: 1e-4, Steps: 200}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SolveTransient(s, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPooled(b, func() error {
+		_, err := m.SolveTransient(s, spec)
+		return err
+	})
 }
 
 func BenchmarkTransientModelB60(b *testing.B) {
 	s := mustFig4(b, 10)
 	m := ttsv.NewModelB(60)
 	spec := ttsv.TransientSpec{Dt: 1e-4, Steps: 200}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SolveTransient(s, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPooled(b, func() error {
+		_, err := m.SolveTransient(s, spec)
+		return err
+	})
 }
 
 func BenchmarkInsertionPlanning(b *testing.B) {

@@ -52,8 +52,8 @@ const maxPooledBytes = 1 << 20
 
 // ladders recycles ladders and their scratch across solves, so a steady
 // solve allocates little beyond its Result. It is the ladders' own pool,
-// not fem's band free list: that list hands out its smallest buffer that
-// fits, which for a ladder of a few nodes can be a reference mesh's band.
+// not fem's idle list, which keys whole solver contexts by grid shape and
+// has nothing a ladder of a few nodes could take.
 var ladders = sync.Pool{New: func() any { return new(ladder) }}
 
 // newLadder returns a ladder of the given node count whose T0 drains to the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/stack"
 )
@@ -38,8 +39,13 @@ func NewModelB(n int) ModelB {
 	return ModelB{Plane1Segments: n1, PlaneSegments: n}
 }
 
-// Name implements Model.
-func (m ModelB) Name() string { return fmt.Sprintf("B(%d)", m.PlaneSegments) }
+// Name implements Model. It builds "B(n)" in a stack array, so the string
+// is its only allocation: every solve names its result.
+func (m ModelB) Name() string {
+	var b [24]byte
+	name := strconv.AppendInt(append(b[:0], "B("...), int64(m.PlaneSegments), 10)
+	return string(append(name, ')'))
+}
 
 // segmentation describes how one plane is sliced.
 type segmentation struct {

@@ -33,7 +33,7 @@ func TestSteadySolveAllocs(t *testing.T) {
 	for _, c := range []struct {
 		m   Model
 		max float64
-	}{{NewModelB(500), 4}, {ModelA{Coeffs: PaperBlockCoeffs()}, 2}} {
+	}{{NewModelB(500), 3}, {ModelA{Coeffs: PaperBlockCoeffs()}, 2}} {
 		if _, err := c.m.Solve(s); err != nil {
 			t.Fatal(err)
 		}

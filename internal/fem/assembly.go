@@ -115,7 +115,7 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
 		dz := zn - zs
 		for i := 0; i < nr; i++ {
 			rw, re := p.REdges[i], p.REdges[i+1]
-			ring := math.Pi * (re*re - rw*rw) // axial face area
+			ring := math.Pi * (float64(re*re) - float64(rw*rw)) // axial face area
 			row := j*nr + i
 			kc := k[row]
 			vol := ring * dz
@@ -128,7 +128,7 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
 				if math.IsNaN(qv) || math.IsInf(qv, 0) {
 					return fmt.Errorf("fem: source density %g at (r=%g, z=%g) must be finite", qv, rc[i], zc[j])
 				}
-				rhs[row] += qv * vol
+				rhs[row] += float64(qv * vol)
 			}
 
 			// East neighbor (radial outward).
@@ -142,7 +142,7 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
 				a := 2 * math.Pi * re * dz
 				g := a * kc / (re - rc[i])
 				diag[row] += g
-				rhs[row] += g * p.Outer.Temp
+				rhs[row] += float64(g * p.Outer.Temp)
 			}
 			// West face: interior handled by the east sweep of cell i-1; the
 			// axis (i == 0) is a natural symmetry boundary with zero area
@@ -157,14 +157,14 @@ func axiEmit(p *AxiProblem, nr, nz int, rc, zc []float64, asm *assembly) error {
 			} else if p.Top.Kind == Dirichlet {
 				g := ring * kc / (zn - zc[j])
 				diag[row] += g
-				rhs[row] += g * p.Top.Temp
+				rhs[row] += float64(g * p.Top.Temp)
 			}
 
 			// South boundary.
 			if j == 0 && p.Bottom.Kind == Dirichlet {
 				g := ring * kc / (zc[j] - zs)
 				diag[row] += g
-				rhs[row] += g * p.Bottom.Temp
+				rhs[row] += float64(g * p.Bottom.Temp)
 			}
 		}
 	}
@@ -246,7 +246,7 @@ func cartEmit(p *CartProblem, nx, ny, nz int, xc, yc, zc []float64, asm *assembl
 					if math.IsNaN(qv) || math.IsInf(qv, 0) {
 						return fmt.Errorf("fem: source density %g at (%g, %g, %g) must be finite", qv, xc[i], yc[j], zc[l])
 					}
-					rhs[row] += qv * dx * dy * dz
+					rhs[row] += float64(qv * dx * dy * dz)
 				}
 				// +x neighbor.
 				if i+1 < nx {
@@ -275,12 +275,12 @@ func cartEmit(p *CartProblem, nx, ny, nz int, xc, yc, zc []float64, asm *assembl
 				} else if p.Top.Kind == Dirichlet {
 					g := dx * dy * kcz / (p.ZEdges[nz] - zc[l])
 					diag[row] += g
-					rhs[row] += g * p.Top.Temp
+					rhs[row] += float64(g * p.Top.Temp)
 				}
 				if l == 0 && p.Bottom.Kind == Dirichlet {
 					g := dx * dy * kcz / (zc[0] - p.ZEdges[0])
 					diag[row] += g
-					rhs[row] += g * p.Bottom.Temp
+					rhs[row] += float64(g * p.Bottom.Temp)
 				}
 			}
 		}

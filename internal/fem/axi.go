@@ -76,13 +76,11 @@ func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 	return t
 }
 
-// SolveAxiWith assembles and solves the finite-volume system through a
-// reuse context: the assembly, factor or multigrid hierarchy and CG scratch
-// that sc holds for the problem's shape are recycled. A nil sc means a
-// context from the idle list, taken for the problem's shape and returned
-// after the solve, error or not; the results are bit-identical to a solve
-// through a new context either way. The zero Options value selects
-// defaults appropriate for the meshes in this repository.
+// SolveAxiWith assembles and solves the finite-volume system through the
+// reuse context sc, recycling the state it holds or takes for the problem's
+// shape (see SolveContext); a nil sc means one of the package's own, handed
+// back after the solve, error or not. The results are bit-identical to a
+// cold solve either way. The zero Options value selects the defaults.
 //
 // A direct solve checks ctx before factoring and before its sweeps, a CG
 // solve between iterations, so a cancelled caller (e.g. an aborted sweep)
@@ -93,9 +91,9 @@ func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 // assembly → preconditioner → CG chain in the trace.
 func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*AxiSolution, error) {
 	if sc == nil {
-		sc = takeIdle(axiKey(p))
+		sc = &SolveContext{borrowed: true}
 		sol, err := SolveAxiWith(ctx, sc, p, opt)
-		putIdle(sc) // not deferred: a panicking solve drops its context
+		sc.Close() // not deferred: a panicking solve drops its context
 		return sol, err
 	}
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
@@ -108,9 +106,6 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 		return nil, err
 	}
 	root.Set("unknowns", len(sys.rhs))
-	if opt.Tol == 0 {
-		opt.Tol = 1e-10
-	}
 	x, st, err := sc.solveSystem(ctx, sys.op, sys.rhs, opt)
 	if err != nil {
 		root.Set("error", err.Error())
@@ -142,7 +137,7 @@ func (s *AxiSolution) TotalSource() float64 {
 		dz := s.p.ZEdges[j+1] - s.p.ZEdges[j]
 		for i := range s.T[j] {
 			rw, re := s.p.REdges[i], s.p.REdges[i+1]
-			q += s.p.Q(s.RCenters[i], s.ZCenters[j]) * math.Pi * (re*re - rw*rw) * dz
+			q += float64(s.p.Q(s.RCenters[i], s.ZCenters[j]) * math.Pi * (float64(re*re) - float64(rw*rw)) * dz)
 		}
 	}
 	return q
@@ -159,19 +154,19 @@ func (s *AxiSolution) BoundaryOutflow() float64 {
 	if p.Bottom.Kind == Dirichlet {
 		for i := 0; i < nr; i++ {
 			rw, re := p.REdges[i], p.REdges[i+1]
-			a := math.Pi * (re*re - rw*rw)
+			a := math.Pi * (float64(re*re) - float64(rw*rw))
 			kc := p.K(s.RCenters[i], s.ZCenters[0])
 			g := a * kc / (s.ZCenters[0] - p.ZEdges[0])
-			out += g * (s.T[0][i] - p.Bottom.Temp)
+			out += float64(g * (s.T[0][i] - p.Bottom.Temp))
 		}
 	}
 	if p.Top.Kind == Dirichlet {
 		for i := 0; i < nr; i++ {
 			rw, re := p.REdges[i], p.REdges[i+1]
-			a := math.Pi * (re*re - rw*rw)
+			a := math.Pi * (float64(re*re) - float64(rw*rw))
 			kc := p.K(s.RCenters[i], s.ZCenters[nz-1])
 			g := a * kc / (p.ZEdges[nz] - s.ZCenters[nz-1])
-			out += g * (s.T[nz-1][i] - p.Top.Temp)
+			out += float64(g * (s.T[nz-1][i] - p.Top.Temp))
 		}
 	}
 	if p.Outer.Kind == Dirichlet {
@@ -181,7 +176,7 @@ func (s *AxiSolution) BoundaryOutflow() float64 {
 			a := 2 * math.Pi * re * dz
 			kc := p.K(s.RCenters[nr-1], s.ZCenters[j])
 			g := a * kc / (re - s.RCenters[nr-1])
-			out += g * (s.T[j][nr-1] - p.Outer.Temp)
+			out += float64(g * (s.T[j][nr-1] - p.Outer.Temp))
 		}
 	}
 	return out

@@ -70,15 +70,15 @@ type cartSystem struct {
 }
 
 // SolveCartWith assembles and solves the finite-volume system through the
-// reuse context sc, or a context from the idle list when sc is nil. Like
+// reuse context sc, or a context of the package's own when sc is nil. Like
 // SolveAxiWith it stops when ctx is cancelled and emits
 // fem.solve/fem.assemble/fem.precond spans when ctx carries an obs.Tracer;
 // see SolveAxiWith for the reuse contract.
 func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sparse.Options) (*CartSolution, error) {
 	if sc == nil {
-		sc = takeIdle(cartKey(p))
+		sc = &SolveContext{borrowed: true}
 		sol, err := SolveCartWith(ctx, sc, p, opt)
-		putIdle(sc)
+		sc.Close() // not deferred: a panicking solve drops its context
 		return sol, err
 	}
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
@@ -153,7 +153,7 @@ func BuildCartProblem(s *stack.Stack, res CartResolution) (*CartProblem, error) 
 		return nil, fmt.Errorf("fem: invalid 3-D resolution %+v", res)
 	}
 	side := math.Sqrt(s.Footprint)
-	c := side / 2
+	c := float64(side / 2)
 	rv := s.Via.Radius
 	rl := rv + s.Via.LinerThickness
 	if c-rl <= 0 {

@@ -13,11 +13,15 @@ import (
 // asmKey) across repeated solves: its assembly (stencil coefficient arrays
 // refilled in place), either a banded LDLᵀ factor or a multigrid hierarchy
 // together with a snapshot of the coefficients it was built from, and a
-// scratch pool of CG work vectors. A solve of another shape drops that state
-// and re-keys the context. Callers that want to own the state pass a context
-// to the *With functions; a nil context there means the package's bounded
-// list of idle contexts (see idle), one taken for the problem's shape and
-// returned after the solve.
+// scratch pool of CG work vectors. Callers that want to own the state pass a
+// context to the *With functions; a nil context there means one of the
+// package's own, handed back after the solve.
+//
+// A context with no state for a problem's shape (a new one, a closed one, or
+// one that holds another shape, which it hands back first) takes the idle
+// context of that shape (see idle), or starts empty. A nil-context solve
+// keeps the factor or hierarchy it takes; a caller's context takes only the
+// storage, so its first solve builds its own (Stats.Reused is false).
 //
 // None of it is visible in the results: a solve through a context is
 // bit-identical to the same solve through a new one, because the reuse paths
@@ -30,39 +34,47 @@ type SolveContext struct {
 	asm  *assembly
 	f    *linalg.Band
 	h    *mg.Hierarchy
-	buf  []float64 // storage from the free list: f's band, if any, then vals
+	buf  []float64 // f's band, if any, then vals
 	vals []float64 // the coefficients f or h was built from, end to end
 	pool sparse.Pool
+	// borrowed marks a nil-context solve's context, which takes an idle
+	// factor or hierarchy too.
+	borrowed bool
 }
 
 // NewSolveContext returns an empty context ready for reuse.
 func NewSolveContext() *SolveContext { return &SolveContext{} }
 
-// Close empties the context and returns its factor storage to the shared
-// free list. The context remains usable; a later solve starts cold.
+// Close hands the context's state to the idle list and empties the context.
+// The context remains usable; its next solve takes idle state like a new
+// one.
 func (sc *SolveContext) Close() {
 	if sc == nil {
 		return
 	}
-	releaseBand(sc.buf)
-	*sc = SolveContext{}
+	if sc.asm != nil {
+		putIdle(*sc)
+	}
+	*sc = SolveContext{borrowed: sc.borrowed}
 }
 
 // assemble returns the context's assembly after fill has (re)assembled the
-// problem into it, first re-keying the context to key when it holds
-// another shape or none. The diagonal and right-hand side accumulate, so
-// they are zeroed first; the off-diagonals are assigned outright by every
-// fill. A new assembly is kept only once its first fill succeeds. The
-// fem.assemble.pattern.* counters record refills (hits) against fresh
-// allocations (misses).
+// problem into it. A context with no state for key first hands back what it
+// holds and takes the idle state of key. The diagonal and right-hand side
+// accumulate, so they are zeroed first; the off-diagonals are assigned
+// outright by every fill. A new assembly is kept only once its first fill
+// succeeds. The fem.assemble.pattern.* counters record refills (hits)
+// against fresh allocations (misses).
 func (sc *SolveContext) assemble(key asmKey, dims []int, fill func(*assembly) error) (*assembly, error) {
+	if sc.asm == nil || sc.key != key {
+		sc.Close()
+		sc.take(key)
+	}
 	asm := sc.asm
-	if asm != nil && sc.key == key {
+	if asm != nil {
 		obs.Default().Counter("fem.assemble.pattern.hits").Inc()
 	} else {
 		obs.Default().Counter("fem.assemble.pattern.misses").Inc()
-		sc.Close()
-		sc.key = key
 		var err error
 		if asm, err = newAssembly(key, dims); err != nil {
 			return nil, err
@@ -119,21 +131,19 @@ func (sc *SolveContext) factorFor(a *sparse.Stencil) (f *linalg.Band, reused boo
 	return sc.f, false, nil
 }
 
-// reserve makes the context's free-list storage n floats long, trading it
-// for a larger buffer from the list when it is too short. Its contents are
-// undefined.
+// reserve makes the context's factor and snapshot storage n floats long,
+// allocating it anew when it is too short. Its contents are undefined.
 func (sc *SolveContext) reserve(n int) {
 	if cap(sc.buf) < n {
-		releaseBand(sc.buf)
-		sc.buf = grabBand(n)
+		sc.buf = make([]float64, n)
 	}
 	sc.buf = sc.buf[:n]
 }
 
-// size estimates the bytes sc keeps alive: its free-list storage exactly,
-// plus 8 floats per unknown for the assembly and the CG scratch, and with a
-// multigrid hierarchy 24 more for its levels and, on a 3-D grid, 2·(nx+1)
-// for the xy-plane factors of its z-semicoarsened levels. On the
+// size estimates the bytes sc keeps alive: its factor and snapshot storage
+// exactly, plus 8 floats per unknown for the assembly and the CG scratch,
+// and with a multigrid hierarchy 24 more for its levels and, on a 3-D grid,
+// 2·(nx+1) for the xy-plane factors of its z-semicoarsened levels. On the
 // axisymmetric 1×–8× meshes and the 6×6×26 to 34×34×40 chip grids it is
 // within 10% of the live heap a context holds. An idle context does not
 // change, so neither does its size.
@@ -152,91 +162,20 @@ func (sc *SolveContext) size() int {
 	return 8 * floats
 }
 
-// bands is the process-wide free list of the contexts' factor and snapshot
-// storage. Factors are large (21 MB at four times the default mesh), so a
-// context returns its buffer here when it is closed or re-keyed, and the
-// next context to factor takes it over. They stay off the CG scratch pools,
-// whose first-fit Grab would hand a band to a CG vector. The list holds at
-// most maxFreeBytes, the largest buffers released: a release that
-// overfills it drops its smallest buffers, the new one included if it is
-// the smallest, so a process that solved small grids first still recycles
-// the bands of its larger ones. A buffer larger than the bound is never
-// kept.
-var bands struct {
-	sync.Mutex
-	free  [][]float64
-	bytes int // the sum of the free buffers' capacities, in bytes
-}
-
-// maxFreeBytes bounds the free list. It holds the 21 MB band and snapshot
-// of a 4× axisymmetric reference, so cold 4× solves recycle it.
-const maxFreeBytes = 32 << 20
-
-// grabBand returns a length-n buffer from the free list — the smallest that
-// fits — or a new one. Its contents are undefined.
-func grabBand(n int) []float64 {
-	bands.Lock()
-	defer bands.Unlock()
-	best := -1
-	for i, b := range bands.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(bands.free[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return make([]float64, n)
-	}
-	return removeBand(best)[:n]
-}
-
-// releaseBand returns a buffer from grabBand to the free list; nil is a
-// no-op. A list over maxFreeBytes drops its smallest buffers for the GC
-// until it fits.
-func releaseBand(b []float64) {
-	if b == nil || 8*cap(b) > maxFreeBytes {
-		return
-	}
-	bands.Lock()
-	defer bands.Unlock()
-	bands.free = append(bands.free, b[:cap(b)])
-	bands.bytes += 8 * cap(b)
-	for bands.bytes > maxFreeBytes {
-		small := 0
-		for i, f := range bands.free {
-			if cap(f) < cap(bands.free[small]) {
-				small = i
-			}
-		}
-		removeBand(small)
-	}
-}
-
-// removeBand deletes and returns free buffer i, moving the last into its
-// slot, and takes its bytes off the list's total. The caller holds bands.
-func removeBand(i int) []float64 {
-	l := bands.free
-	b, last := l[i], len(l)-1
-	l[i], l[last] = l[last], nil
-	bands.free = l[:last]
-	bands.bytes -= 8 * cap(b)
-	return b
-}
-
-// idle is the process-wide list of idle contexts that every solve given a
-// nil context draws on, ReferenceModel's among them, so a process that
-// re-solves a geometry, or one of the same assembly shape, skips the
-// allocations and, for an unchanged operator, the factor or hierarchy
-// build. The list keeps the most recently returned context last; a return
-// that would take the contexts' sizes past maxIdleBytes closes the oldest
-// until it fits, and a context larger than the bound is closed at once.
-// The bound is fixed, not scaled with GOMAXPROCS: it caps what a stream of
-// distinct geometries (a daemon's requests) can keep alive, while covering
-// the few shapes one process interleaves. Taken contexts are exclusive to
-// their solve, so concurrent solves of one shape each get their own. The
-// fem.idle.hits, .misses and .evictions counters record it.
+// idle is the process-wide list of idle contexts, the one home of solver
+// state between solves: closed caller contexts and those of nil-context
+// solves, ReferenceModel's among them, go here. The list keeps the most
+// recently returned context last; a return that would take the contexts'
+// sizes past maxIdleBytes drops the oldest for the GC until it fits, and a
+// context larger than the bound is dropped at once. The bound is fixed, not
+// scaled with GOMAXPROCS: it caps what a stream of distinct geometries (a
+// daemon's requests) can keep alive, while covering the few shapes one
+// process interleaves. A taken context is exclusive to its taker, so
+// concurrent solves of one shape each get their own. The fem.idle.hits,
+// .misses and .evictions counters record it.
 var idle struct {
 	sync.Mutex
-	list  []*SolveContext
+	list  []SolveContext
 	bytes int // the sum of the listed contexts' sizes
 }
 
@@ -245,54 +184,57 @@ var idle struct {
 // 2× grids.
 const maxIdleBytes = 64 << 20
 
-// takeIdle removes and returns the most recently returned idle context for
-// key, or a new one keyed to it.
-func takeIdle(key asmKey) *SolveContext {
+// take gives the empty sc the most recently returned idle context of
+// shape key, or only the key when the list has none. A caller's context
+// drops the taken factor or hierarchy and its coefficient snapshot, keeping
+// the storage.
+func (sc *SolveContext) take(key asmKey) {
 	idle.Lock()
 	defer idle.Unlock()
 	for i := len(idle.list) - 1; i >= 0; i-- {
 		if idle.list[i].key == key {
 			obs.Default().Counter("fem.idle.hits").Inc()
-			return removeIdle(i)
+			borrowed := sc.borrowed
+			*sc = removeIdle(i)
+			sc.borrowed = borrowed
+			if !borrowed {
+				sc.f, sc.h, sc.vals = nil, nil, nil
+			}
+			return
 		}
 	}
 	obs.Default().Counter("fem.idle.misses").Inc()
-	return &SolveContext{key: key}
+	sc.key = key
 }
 
-// putIdle returns a taken context under its key, closing the oldest idle
-// contexts until its size fits under maxIdleBytes, or the context itself
-// when it is larger than the bound.
-func putIdle(sc *SolveContext) {
+// putIdle lists a context's state, dropping the oldest idle contexts until
+// its size fits under maxIdleBytes, or the context itself when it is
+// larger than the bound.
+func putIdle(sc SolveContext) {
 	size := sc.size()
 	idle.Lock()
 	defer idle.Unlock()
+	evictions := obs.Default().Counter("fem.idle.evictions")
 	if size > maxIdleBytes {
-		evict(sc)
+		evictions.Inc()
 		return
 	}
 	for idle.bytes+size > maxIdleBytes {
-		evict(removeIdle(0))
+		removeIdle(0)
+		evictions.Inc()
 	}
 	idle.list = append(idle.list, sc)
 	idle.bytes += size
 }
 
-// evict closes an idle context, returning its storage to the free list,
-// and counts it.
-func evict(sc *SolveContext) {
-	sc.Close()
-	obs.Default().Counter("fem.idle.evictions").Inc()
-}
-
 // removeIdle deletes and returns entry i, keeping the order, takes its
 // size off the list's total and clears the vacated last slot so the
-// backing array does not keep its context alive. The caller holds idle.
-func removeIdle(i int) *SolveContext {
+// backing array does not keep its state alive. The caller holds idle.
+func removeIdle(i int) SolveContext {
 	l := idle.list
 	sc := l[i]
 	copy(l[i:], l[i+1:])
-	l[len(l)-1] = nil
+	l[len(l)-1] = SolveContext{}
 	idle.list = l[:len(l)-1]
 	idle.bytes -= sc.size()
 	return sc

@@ -113,12 +113,12 @@ func backwardErrors(t *testing.T, s *stack.Stack, res Resolution, x []float64) (
 	return eps * math.Sqrt(axNorm/bNorm), componentwise
 }
 
-// Factor storage is one process-wide free list: contexts take their bands
-// from it and return them on Close, re-keying or eviction from the idle
-// list. Solves running on several goroutines at once, through idle or
-// caller-owned contexts, must never share a band, so each must match the
-// same solve run alone bit for bit.
-func TestConcurrentDirectSolvesShareFreeList(t *testing.T) {
+// Factor storage lives in one process-wide idle list: contexts take it
+// from there and hand it back on Close, on re-keying and after a
+// nil-context solve. Solves running on several goroutines at once, through
+// idle or caller-owned contexts, must never share a band, so each must
+// match the same solve run alone bit for bit.
+func TestConcurrentDirectSolvesShareIdleList(t *testing.T) {
 	radii := []float64{3, 8, 13, 18}
 	want := make([]string, len(radii))
 	for i, r := range radii {

@@ -3,35 +3,47 @@ package fem
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sparse"
 	"repro/internal/stack"
 	"repro/internal/units"
 )
 
-// emptyIdle closes and forgets every idle context, so a test that counts
-// them starts from an empty list whatever ran before it.
+// emptyIdle forgets every idle context, so a test that counts them starts
+// from an empty list whatever ran before it.
 func emptyIdle(t *testing.T) {
 	t.Helper()
 	idle.Lock()
-	l := idle.list
 	idle.list, idle.bytes = nil, 0
 	idle.Unlock()
-	for _, e := range l {
-		e.Close()
+}
+
+// asideIdle sets the idle list aside and returns the func that restores it,
+// dropping whatever was listed in between.
+func asideIdle() (restore func()) {
+	idle.Lock()
+	saved, savedBytes := idle.list, idle.bytes
+	idle.list, idle.bytes = nil, 0
+	idle.Unlock()
+	return func() {
+		idle.Lock()
+		idle.list, idle.bytes = saved, savedBytes
+		idle.Unlock()
 	}
 }
 
 // idleKeys returns the keys of the idle list, oldest first, and checks that
-// no slot past its length still holds a context and that the list's byte
-// total is its contexts' sizes, within maxIdleBytes.
+// no slot past its length still holds state and that the list's byte total
+// is its contexts' sizes, within maxIdleBytes.
 func idleKeys(t *testing.T) []asmKey {
 	t.Helper()
 	idle.Lock()
 	defer idle.Unlock()
 	for i, e := range idle.list[len(idle.list):cap(idle.list)] {
-		if e != nil {
+		if !reflect.ValueOf(e).IsZero() {
 			t.Errorf("vacated idle slot %d still holds a context", len(idle.list)+i)
 		}
 	}
@@ -49,15 +61,19 @@ func idleKeys(t *testing.T) []asmKey {
 
 func counter(name string) int64 { return obs.Default().Counter(name).Value() }
 
-// freshSolve solves s on a new SolveContext: no state from any earlier
-// solve, the baseline every reuse path must match bit for bit.
+// freshSolve solves s cold: on a new SolveContext with the idle list set
+// aside, so no state from any earlier solve, not even its storage, is
+// reused. It is the baseline every reuse path must match bit for bit.
 func freshSolve(t *testing.T, s *stack.Stack, res Resolution) *AxiSolution {
 	t.Helper()
-	sc := NewSolveContext()
-	defer sc.Close()
-	sol, err := SolveStackWith(context.Background(), sc, s, res)
+	defer asideIdle()()
+	misses := counter("fem.assemble.pattern.misses")
+	sol, err := SolveStackWith(context.Background(), NewSolveContext(), s, res)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if counter("fem.assemble.pattern.misses") == misses {
+		t.Fatal("a fresh solve refilled an assembly")
 	}
 	return sol
 }
@@ -121,22 +137,22 @@ func TestIdleKeepsShapesApart(t *testing.T) {
 	}
 
 	// A taken context leaves the list, and its slot keeps no reference.
-	sc := takeIdle(keys[0])
+	sc := NewSolveContext()
+	sc.take(keys[0])
 	if got := idleKeys(t); len(got) != 1 || got[0] != keys[1] {
 		t.Errorf("idle keys with the thin context taken = %v, want [%v]", got, keys[1])
 	}
-	putIdle(sc)
+	sc.Close()
 }
 
 // TestIdleBounded: every solve through the idle list equals a fresh one,
-// and the list holds its contexts' sizes within maxIdleBytes. Contexts a
-// third of the bound each (a free-list buffer, no solve) show the policy:
-// a return to a full list closes the oldest, each eviction is counted, and
-// a context larger than the bound is closed at once.
+// and the list holds its contexts' sizes within maxIdleBytes. Closing
+// caller contexts a third of the bound each (a small assembly and a large
+// factor buffer, no solve) shows the policy: each closed context is listed
+// and emptied, a return to a full list drops the oldest, each eviction is
+// counted, and a context larger than the bound is dropped at once.
 func TestIdleBounded(t *testing.T) {
-	emptyIdle(t)
-	emptyBands(t)
-	defer emptyIdle(t)
+	t.Cleanup(asideIdle())
 	// Each plane count meshes to its own shape.
 	const shapes = 5
 	for i := 0; i < shapes; i++ {
@@ -160,30 +176,41 @@ func TestIdleBounded(t *testing.T) {
 
 	emptyIdle(t)
 	sized := func(i, bytes int) *SolveContext {
-		return &SolveContext{key: asmKey{kind: 'a', d0: -1 - i}, buf: make([]float64, bytes/8)}
+		key := asmKey{kind: 'a', d0: -1 - i}
+		asm, err := newAssembly(key, []int{2, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &SolveContext{key: key, asm: asm}
+		sc.buf = make([]float64, bytes/8-sc.size()/8)
+		return sc
 	}
 	evictions := counter("fem.idle.evictions")
 	const n, fit = 7, 3
-	var put []asmKey
+	var closed []asmKey
 	for i := 0; i < n; i++ {
 		sc := sized(i, maxIdleBytes/fit)
-		putIdle(sc)
-		put = append(put, sc.key)
+		closed = append(closed, sc.key)
+		sc.Close()
+		if sc.asm != nil || sc.buf != nil {
+			t.Fatalf("close %d left the context holding its state", i)
+		}
 		keys := idleKeys(t)
-		if want := put[max(0, len(put)-fit):]; fmt.Sprint(keys) != fmt.Sprint(want) {
-			t.Fatalf("after %d returns the idle keys are %v, want the newest %v", i+1, keys, want)
+		if want := closed[max(0, len(closed)-fit):]; fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("after %d closes the idle keys are %v, want the newest %v", i+1, keys, want)
 		}
 	}
 	if got, want := counter("fem.idle.evictions")-evictions, int64(n-fit); got != want {
 		t.Errorf("evictions = %d, want %d", got, want)
 	}
 	big := sized(n, maxIdleBytes+8)
-	putIdle(big)
-	if keys := idleKeys(t); len(keys) != fit || keys[fit-1] == big.key || big.buf != nil {
+	bigKey := big.key
+	big.Close()
+	if keys := idleKeys(t); len(keys) != fit || keys[fit-1] == bigKey || big.buf != nil {
 		t.Errorf("a context over the bound was kept: idle keys %v", keys)
 	}
 	if got, want := counter("fem.idle.evictions")-evictions, int64(n-fit+1); got != want {
-		t.Errorf("evictions = %d after the oversized return, want %d", got, want)
+		t.Errorf("evictions = %d after the oversized close, want %d", got, want)
 	}
 }
 
@@ -255,8 +282,9 @@ func TestNilContextUsesIdleList(t *testing.T) {
 
 // TestSolveContextAlternatesShapes: one caller-owned context alternating
 // Fig. 4 between the default mesh and twice it holds one shape at a time,
-// so every solve re-keys it and factors afresh, and each is bit-identical
-// to a solve through a new context.
+// so every solve hands back the other shape's state, takes the storage of
+// its own from the idle list and factors afresh, and each is bit-identical
+// to a cold solve.
 func TestSolveContextAlternatesShapes(t *testing.T) {
 	sc := NewSolveContext()
 	defer sc.Close()
@@ -272,5 +300,63 @@ func TestSolveContextAlternatesShapes(t *testing.T) {
 			t.Errorf("solve %d at %d×: served a factor of the other shape", i, f)
 		}
 		wantSameBits(t, fmt.Sprintf("solve %d at %d×", i, f), flatAxiT(got.T), flatAxiT(want.T))
+	}
+}
+
+// TestClosedContextServesNilSolve: Close hands a caller's context to the
+// idle list whole, so the next nil-context solve of the same operator takes
+// it and serves its factor again, bit for bit.
+func TestClosedContextServesNilSolve(t *testing.T) {
+	t.Cleanup(asideIdle())
+	s := fig4(t, 10)
+	sc := NewSolveContext()
+	first, err := SolveStackWith(context.Background(), sc, s, DefaultResolution())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Close()
+	hits := counter("fem.idle.hits")
+	sol, err := SolveStackWith(context.Background(), nil, s, DefaultResolution())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counter("fem.idle.hits") - hits; got != 1 {
+		t.Errorf("the nil-context solve raised fem.idle.hits by %d, want 1", got)
+	}
+	if !sol.Stats.Reused {
+		t.Error("the nil-context solve refactored the closed context's operator")
+	}
+	wantSameBits(t, "nil-context solve after Close", flatAxiT(sol.T), flatAxiT(first.T))
+}
+
+// TestNewContextTakesIdleStorage: a new caller context takes the storage of
+// an idle context of its shape (its assembly is refilled), but not its
+// factor or hierarchy: its first solve builds its own, and matches a cold
+// solve bit for bit.
+func TestNewContextTakesIdleStorage(t *testing.T) {
+	t.Cleanup(asideIdle())
+	s := fig4(t, 10)
+	for _, p := range []sparse.PrecondKind{sparse.PrecondDefault, sparse.PrecondMG} {
+		emptyIdle(t)
+		res := DefaultResolution()
+		res.Precond = p
+		want := freshSolve(t, s, res)
+		if _, err := SolveStackWith(context.Background(), nil, s, res); err != nil {
+			t.Fatal(err)
+		}
+		hits, mgHits := counter("fem.assemble.pattern.hits"), counter("fem.mg.reuse.hits")
+		sc := NewSolveContext()
+		got, err := SolveStackWith(context.Background(), sc, s, res)
+		sc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := counter("fem.assemble.pattern.hits") - hits; d != 1 {
+			t.Errorf("%v: the new context's solve raised fem.assemble.pattern.hits by %d, want 1", p, d)
+		}
+		if got.Stats.Reused || counter("fem.mg.reuse.hits") != mgHits {
+			t.Errorf("%v: the new context's first solve served the idle context's factor or hierarchy", p)
+		}
+		wantSameBits(t, fmt.Sprintf("%v: new context on idle storage", p), flatAxiT(got.T), flatAxiT(want.T))
 	}
 }

@@ -34,10 +34,10 @@ func (m ReferenceModel) Solve(s *stack.Stack) (*core.Result, error) {
 
 // SolveCtx implements core.ContextSolver: a direct solve checks ctx before
 // factoring and before its sweeps, a CG iteration between iterations, so
-// cancelling a sweep also stops its in-flight finite-volume solves. The
-// solve runs through a context from the package's idle list (see idle), so
-// repeated solves of one assembly shape reuse its assembly, factor or
-// hierarchy and scratch; the result is bit-identical to a fresh solve.
+// cancelling a sweep also stops its in-flight finite-volume solves. It
+// passes a nil context (see SolveContext): repeated solves of one shape
+// reuse its assembly, storage and scratch, of one operator its factor or
+// hierarchy, and the result is bit-identical to a fresh solve.
 func (m ReferenceModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
 	sol, err := SolveStackWith(ctx, nil, s, m.Res)
 	if err != nil {

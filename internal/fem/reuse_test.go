@@ -161,9 +161,10 @@ func TestSolveContextCartBitIdentical(t *testing.T) {
 }
 
 // TestSolveContextTopologyChange solves two different mesh sizes through one
-// context: each change of topology re-keys it to the new shape with a new
-// assembly, and every solve keeps matching a fresh one, so a context
-// survives resolution changes mid-stream.
+// context: each change of topology re-keys it to the new shape with that
+// shape's assembly, the idle one or a new one, and every solve keeps
+// matching a fresh one, so a context survives resolution changes
+// mid-stream.
 func TestSolveContextTopologyChange(t *testing.T) {
 	sc := NewSolveContext()
 	defer sc.Close()
@@ -185,73 +186,12 @@ func TestSolveContextTopologyChange(t *testing.T) {
 	}
 }
 
-// emptyBands empties the band free list for the test and restores it
-// afterwards, so buffers a test releases do not outlive it.
-func emptyBands(t *testing.T) {
-	bands.Lock()
-	saved, savedBytes := bands.free, bands.bytes
-	bands.free, bands.bytes = nil, 0
-	bands.Unlock()
-	t.Cleanup(func() {
-		bands.Lock()
-		bands.free, bands.bytes = saved, savedBytes
-		bands.Unlock()
-	})
-}
-
-// freeBytes checks the free list's byte total against its buffers and the
-// bound, and returns it.
-func freeBytes(t *testing.T) int {
-	t.Helper()
-	bands.Lock()
-	defer bands.Unlock()
-	sum := 0
-	for _, b := range bands.free {
-		sum += 8 * cap(b)
-	}
-	if sum != bands.bytes || sum > maxFreeBytes {
-		t.Errorf("free list holds %d bytes, counts %d, bound %d", sum, bands.bytes, maxFreeBytes)
-	}
-	return sum
-}
-
-// A full band free list keeps the largest buffers: after small releases
-// fill it, a larger band released once is recycled by every later grab of
-// its size instead of being dropped and reallocated. A band larger than
-// the bound is never kept, and the 4× reference's band and snapshot fit.
-func TestBandFreeListKeepsLargest(t *testing.T) {
-	emptyBands(t)
-	const small = maxFreeBytes / 8 / 16
-	for range 16 {
-		releaseBand(make([]float64, small))
-	}
-	if got := freeBytes(t); got != maxFreeBytes {
-		t.Fatalf("16 bands of a sixteenth of the bound fill %d bytes, want %d", got, maxFreeBytes)
-	}
-	const large = maxFreeBytes / 8 / 2
-	releaseBand(grabBand(large))
-	if allocs := testing.AllocsPerRun(10, func() { releaseBand(grabBand(large)) }); allocs != 0 {
-		t.Errorf("grab/release of a large band allocates %v times, want 0", allocs)
-	}
-	if got, want := len(bands.free), 9; got != want || freeBytes(t) != maxFreeBytes {
-		t.Errorf("free list holds %d bands, want the large one and 8 small", got)
-	}
-	releaseBand(make([]float64, maxFreeBytes/8+1))
-	if got := freeBytes(t); got != maxFreeBytes {
-		t.Errorf("a band over the bound changed the free list to %d bytes", got)
-	}
-	const ref4x = 23328*109 + 23328*3 // the 4× reference's band and snapshot
-	if 8*ref4x > maxFreeBytes {
-		t.Errorf("the 4× reference's %d-byte band does not fit the %d-byte free list", 8*ref4x, maxFreeBytes)
-	}
-}
-
 // TestContextSizeEstimate checks SolveContext.size, which the idle list's
 // byte bound counts, against the live heap a context holds after a solve:
 // a direct and a multigrid context on the 2× axisymmetric mesh and on chip
 // grids.
 func TestContextSizeEstimate(t *testing.T) {
-	emptyBands(t)
+	t.Cleanup(asideIdle())
 	s := fig4(t, 10)
 	cart := func(nx, nz int) *CartProblem {
 		x, _ := mesh.Uniform(0, 1.5e-3, nx)
@@ -292,6 +232,7 @@ func TestContextSizeEstimate(t *testing.T) {
 		{"cart 12x12x35 direct", cartSolve(cart(12, 35))},
 		{"cart 16x16x35 multigrid", cartSolve(cart(16, 35))},
 	} {
+		emptyIdle(t) // the case allocates its own
 		before := live()
 		sc := NewSolveContext()
 		if err := tc.solve(sc); err != nil {
@@ -302,8 +243,5 @@ func TestContextSizeEstimate(t *testing.T) {
 			t.Errorf("%s: size estimate %d bytes, the context holds %d", tc.grid, est, held)
 		}
 		sc.Close()
-		bands.Lock()
-		bands.free, bands.bytes = nil, 0 // the next case allocates its own
-		bands.Unlock()
 	}
 }

@@ -234,10 +234,10 @@ func locateSpan(spans []layerSpan, z float64) *layerSpan {
 }
 
 // SolveStackWith builds and solves the axisymmetric reference problem for
-// the stack, honoring cancellation, through the reuse context sc, or a
-// context from the idle list when sc is nil (see SolveAxiWith). Across the
-// stacks of a parameter sweep the mesh shape is usually identical, so the
-// assembly and solver scratch carry over from one stack to the next.
+// the stack, honoring cancellation, through the reuse context sc, or one of
+// the package's own when sc is nil (see SolveAxiWith). Across the stacks of
+// a parameter sweep the mesh shape is usually identical, so the assembly,
+// factor storage and solver scratch carry over from one stack to the next.
 func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res Resolution) (*AxiSolution, error) {
 	ctx, sp := obs.StartSpan(ctx, "fem.stack")
 	defer sp.End()

@@ -44,7 +44,7 @@ func (b *tokenBucket) take() (ok bool, retryAfter time.Duration) {
 	defer b.mu.Unlock()
 	now := b.now()
 	if !b.last.IsZero() {
-		b.tokens = math.Min(b.burst, b.tokens+now.Sub(b.last).Seconds()*b.rate)
+		b.tokens = math.Min(b.burst, b.tokens+float64(now.Sub(b.last).Seconds()*b.rate))
 	}
 	b.last = now
 	if b.tokens >= 1 {

@@ -299,9 +299,10 @@ func TestCoalescingCollapsesIdenticalRequests(t *testing.T) {
 	}
 }
 
-// freshReport renders the /solve report for body from solves that start
-// from no state of any earlier solve: the reference model solves through a
-// new solver context, so nothing from fem's idle list is reused.
+// freshReport renders the /solve report for body from solves that reuse
+// no factor or hierarchy of any earlier solve: the reference model solves
+// through a new solver context, which takes only storage from fem's idle
+// list.
 func freshReport(t *testing.T, s *Server, body []byte) []byte {
 	t.Helper()
 	sc, err := s.lowerSolve(body)
@@ -394,16 +395,16 @@ func TestConcurrentRefSolvesMatchFresh(t *testing.T) {
 // TestIdleContextsBoundHeap sends a stream of large distinct grid shapes:
 // 1×-refined blocks of 260 down to 120 planes, each factored direct into a
 // 16–35 MB context, then 4×-refined blocks of 13 down to 2 planes. fem keeps
-// its idle contexts within maxIdleBytes and its free factor storage within
-// maxFreeBytes, so the live heap after GC never exceeds what it was before
-// the stream by more than those two bounds and one context, taken as the
-// largest rise of the live heap over one request. A list bounded by count,
-// not bytes, kept eight of the large contexts, over 200 MB.
+// all of its solver state in idle contexts within maxIdleBytes, so the live
+// heap after GC never exceeds what it was before the stream by more than
+// that bound and one context, taken as the largest rise of the live heap
+// over one request. A list bounded by count, not bytes, kept eight of the
+// large contexts, over 200 MB.
 func TestIdleContextsBoundHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large reference solves")
 	}
-	const idleCap, freeCap = 64 << 20, 32 << 20 // fem's maxIdleBytes and maxFreeBytes
+	const idleCap = 64 << 20 // fem's maxIdleBytes
 	_, ts, _ := newTestServer(t, Config{Workers: 1})
 	live := func() uint64 {
 		runtime.GC()
@@ -432,9 +433,9 @@ func TestIdleContextsBoundHeap(t *testing.T) {
 		}
 	}
 	for k := 1; k < len(heap); k++ {
-		if heap[k] > heap[0]+idleCap+freeCap+one {
-			t.Errorf("live heap after request %d is %.1f MB, over %.1f MB before the stream plus the %.1f MB idle and free bounds and one %.1f MB context",
-				k, float64(heap[k])/1e6, float64(heap[0])/1e6, float64(idleCap+freeCap)/1e6, float64(one)/1e6)
+		if heap[k] > heap[0]+idleCap+one {
+			t.Errorf("live heap after request %d is %.1f MB, over %.1f MB before the stream plus the %.1f MB idle bound and one %.1f MB context",
+				k, float64(heap[k])/1e6, float64(heap[0])/1e6, float64(idleCap)/1e6, float64(one)/1e6)
 		}
 	}
 	t.Logf("live heap per request (MB): %v", mb(heap))

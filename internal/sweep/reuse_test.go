@@ -38,7 +38,8 @@ func maxDTs(t *testing.T, out []Outcome) []float64 {
 }
 
 // freshMaxDTs solves every job on its own through a new SolveContext — no
-// worker, no state from any earlier solve — and returns the max ΔT of each.
+// worker, no factor or hierarchy of any earlier solve, only recycled
+// storage — and returns the max ΔT of each.
 func freshMaxDTs(t *testing.T, jobs []Job) []float64 {
 	t.Helper()
 	dts := make([]float64, len(jobs))

@@ -65,7 +65,7 @@ func Linspace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
-		out[i] = lo + float64(i)*step
+		out[i] = lo + float64(float64(i)*step)
 	}
 	out[n-1] = hi
 	return out

@@ -273,17 +273,21 @@ func ReferenceModel(res Resolution) Model { return fem.ReferenceModel{Res: res} 
 
 // NewSolveContext returns a reuse context that the caller owns for the
 // repeated reference solves it drives itself. It holds one grid shape's
-// assembly, banded LDLᵀ factor or multigrid hierarchy, and solver scratch;
-// a solve of another shape drops them and re-keys it. Reuse never changes
-// results — a solve through a context is bit-identical to one through a new
-// context — and Close empties it, returning the factor's storage.
-// A context serves one solve at a time (use one per goroutine).
+// assembly, banded LDLᵀ factor or multigrid hierarchy, and solver scratch.
+// A context without them (a new or closed one, or one holding another
+// shape, which it hands back first) takes the storage of an idle context of
+// the shape from the process-wide list, but builds its own factor or
+// hierarchy on its first solve. Close hands its state to that list and
+// empties it. Reuse never changes results — a solve through a context is
+// bit-identical to a cold one. A context serves one solve at a time (use
+// one per goroutine).
 func NewSolveContext() *SolveContext { return fem.NewSolveContext() }
 
 // SolveReferenceStatsWith is SolveReferenceStatsCtx solving through a reuse
 // context; pass the same sc across a parameter sweep's solves to skip
 // re-deriving the assembly, factor and multigrid hierarchy each time. A nil
-// sc means a context from the process-wide idle list.
+// sc means the process-wide idle list: the solve takes the idle state of
+// its grid shape, factor or hierarchy included, and hands it back.
 func SolveReferenceStatsWith(ctx context.Context, sc *SolveContext, s *Stack, res Resolution) (float64, SolverStats, error) {
 	sol, err := fem.SolveStackWith(ctx, sc, s, res)
 	if err != nil {
