@@ -51,9 +51,9 @@ RACE_SKIPS = \
 # FMA_PKGS are the packages whose arm64 and GOAMD64=v3 listings must hold no
 # fused multiply-add: linalg's factors and sweeps, the analytic models and
 # their calibration (with what they inline from stack and materials), the
-# reference's assembly and flux balance, units' Linspace and serve's token
-# bucket.
-FMA_PKGS = ./internal/linalg ./internal/core ./internal/fit ./internal/fem ./internal/units ./internal/serve
+# reference's mesh edges, assembly and flux balance, units' Linspace and
+# serve's token bucket.
+FMA_PKGS = ./internal/linalg ./internal/core ./internal/fit ./internal/mesh ./internal/fem ./internal/units ./internal/serve
 # TEST_OUTPUT prints the Output text of `go test -json` events.
 TEST_OUTPUT = grep '"Output":' | sed -e 's/^{.*"Output":"\(.*\)"}$$/\1/' -e 's/\\n$$//' -e 's/\\t/\t/g' \
 	-e 's/\\"/"/g' -e 's/\\u003c/</g' -e 's/\\u003e/>/g' -e 's/\\u0026/\&/g' -e 's/\\\\/\\/g'

@@ -36,6 +36,7 @@ var testOnlyExports = map[string]string{
 	"repro/internal/fem.ConvergenceError.Unwrap":      "interface method: errors.Is and errors.As unwrap through it",
 	"repro/internal/flight.Group.Waiters":             "test accessor: the flight, sweep and serve tests wait until every caller has joined an execution before releasing it",
 	"repro/internal/materials.Material.UnmarshalJSON": "interface method: json.Unmarshaler",
+	"repro/internal/mesh.Uniform":                     "test reference: the uniform edges of fem's slab, 3-D and golden test problems, whose arithmetic Line's uniform intervals keep bit for bit",
 	"repro/internal/sparse.Stencil.MulVec":            "test reference: the sequential matvec that sparse, mg and fem tests check kernels against",
 	"repro/internal/stack.Plane.Height":               "reached through the ttsv.Plane alias",
 	"repro/internal/stack.Stack.WithViaCount":         "reached through the ttsv.Stack alias: the cluster transform of the package doc",

@@ -66,8 +66,9 @@ type axiSystem struct {
 }
 
 // fieldFrom reshapes a flat unknown vector into the [iz][ir] grid. The rows
-// are slices of x itself, which the field then owns: every solver returns a
-// new x, so the reshape allocates only the row headers.
+// are slices of x itself, which the field then owns: the solver grabbed x
+// from the context's pool, and a solve that keeps its field never releases
+// it, so the reshape allocates only the row headers.
 func (sys *axiSystem) fieldFrom(x []float64) [][]float64 {
 	t := make([][]float64, sys.nz)
 	for j := 0; j < sys.nz; j++ {
@@ -96,6 +97,17 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 		sc.Close() // not deferred: a panicking solve drops its context
 		return sol, err
 	}
+	sys, x, st, err := solveAxi(ctx, sc, p, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &AxiSolution{p: p, RCenters: sys.rc, ZCenters: sys.zc, Stats: st, T: sys.fieldFrom(x)}, nil
+}
+
+// solveAxi is SolveAxiWith's solve through a non-nil sc: it returns the
+// assembled system and the solution x, grabbed from sc's pool, which the
+// caller either keeps or hands back with sc.pool.Release.
+func solveAxi(ctx context.Context, sc *SolveContext, p *AxiProblem, opt sparse.Options) (*axiSystem, []float64, sparse.Stats, error) {
 	ctx, root := obs.StartSpan(ctx, "fem.solve")
 	defer root.End()
 	_, asp := obs.StartSpan(ctx, "fem.assemble")
@@ -103,15 +115,15 @@ func SolveAxiWith(ctx context.Context, sc *SolveContext, p *AxiProblem, opt spar
 	asp.End()
 	if err != nil {
 		root.Set("error", err.Error())
-		return nil, err
+		return nil, nil, sparse.Stats{}, err
 	}
 	root.Set("unknowns", len(sys.rhs))
 	x, st, err := sc.solveSystem(ctx, sys.op, sys.rhs, opt)
 	if err != nil {
 		root.Set("error", err.Error())
-		return nil, solveErr("axisymmetric solve", len(sys.rhs), st, err)
+		return nil, nil, st, solveErr("axisymmetric solve", len(sys.rhs), st, err)
 	}
-	return &AxiSolution{p: p, RCenters: sys.rc, ZCenters: sys.zc, Stats: st, T: sys.fieldFrom(x)}, nil
+	return sys, x, st, nil
 }
 
 // MaxT returns the maximum cell temperature and its location.

@@ -103,8 +103,9 @@ func SolveCartWith(ctx context.Context, sc *SolveContext, p *CartProblem, opt sp
 	}
 	nx, ny, nz := sys.nx, sys.ny, sys.nz
 	sol := &CartSolution{XCenters: sys.xc, YCenters: sys.yc, ZCenters: sys.zc, Stats: st}
-	// x is laid out (l*ny+j)*nx + i, and the solver returned it new, so the
-	// field rows are slices of x itself.
+	// x is laid out (l*ny+j)*nx + i, and the solver grabbed it from sc's
+	// pool, which never gets it back, so the field rows are slices of x
+	// itself.
 	sol.T = make([][][]float64, nz)
 	rows := make([][]float64, nz*ny)
 	for l := 0; l < nz; l++ {

@@ -37,18 +37,17 @@ func (m ReferenceModel) Solve(s *stack.Stack) (*core.Result, error) {
 // cancelling a sweep also stops its in-flight finite-volume solves. It
 // passes a nil context (see SolveContext): repeated solves of one shape
 // reuse its assembly, storage and scratch, of one operator its factor or
-// hierarchy, and the result is bit-identical to a fresh solve.
+// hierarchy, and the result is bit-identical to a fresh solve. It keeps no
+// field (see SolveStackMaxWith).
 func (m ReferenceModel) SolveCtx(ctx context.Context, s *stack.Stack) (*core.Result, error) {
-	sol, err := SolveStackWith(ctx, nil, s, m.Res)
+	max, cells, st, err := solveStackMax(ctx, nil, s, m.Res)
 	if err != nil {
 		return nil, err
 	}
-	max, _, _ := sol.MaxT()
-	cells := len(sol.RCenters) * len(sol.ZCenters)
 	return &core.Result{
 		Model:    RefModelName,
 		MaxDT:    max,
 		Unknowns: cells,
-		Solver:   sol.Stats,
+		Solver:   st,
 	}, nil
 }

@@ -249,3 +249,44 @@ func SolveStackWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res R
 	sp.Set("planes", len(s.Planes))
 	return SolveAxiWith(ctx, sc, p, sparse.Options{Precond: res.Precond})
 }
+
+// SolveStackMaxWith is SolveStackWith for a caller that wants only the
+// maximum cell temperature, MaxT's first return, and the solve's Stats:
+// both bit-identical to SolveStackWith's, through the same spans. It keeps
+// no field, handing the solution vector back to the context's pool, so a
+// solve through a warm context allocates only its own bookkeeping.
+func SolveStackMaxWith(ctx context.Context, sc *SolveContext, s *stack.Stack, res Resolution) (float64, sparse.Stats, error) {
+	max, _, st, err := solveStackMax(ctx, sc, s, res)
+	return max, st, err
+}
+
+// solveStackMax is SolveStackMaxWith reporting the unknown count too.
+func solveStackMax(ctx context.Context, sc *SolveContext, s *stack.Stack, res Resolution) (max float64, n int, st sparse.Stats, err error) {
+	ctx, sp := obs.StartSpan(ctx, "fem.stack")
+	defer sp.End()
+	p, err := BuildAxiProblem(s, res)
+	if err != nil {
+		sp.Set("error", err.Error())
+		return 0, 0, sparse.Stats{}, err
+	}
+	sp.Set("planes", len(s.Planes))
+	own := sc == nil
+	if own {
+		sc = &SolveContext{borrowed: true}
+	}
+	_, x, st, err := solveAxi(ctx, sc, p, sparse.Options{Precond: res.Precond})
+	if err == nil {
+		// MaxT's scan: x runs through the field's rows in order.
+		max, n = math.Inf(-1), len(x)
+		for _, t := range x {
+			if t > max {
+				max = t
+			}
+		}
+		sc.pool.Release(x)
+	}
+	if own {
+		sc.Close() // not deferred: a panicking solve drops its context
+	}
+	return max, n, st, err
+}

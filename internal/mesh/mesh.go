@@ -25,35 +25,6 @@ func Uniform(lo, hi float64, n int) ([]float64, error) {
 	return e, nil
 }
 
-// Graded subdivides [lo, hi] into n cells whose widths form a geometric
-// progression with the given ratio between successive cells (ratio > 1 makes
-// cells grow from lo towards hi; ratio < 1 shrink). ratio == 1 is uniform.
-func Graded(lo, hi float64, n int, ratio float64) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("mesh: Graded needs n >= 1, got %d", n)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("mesh: Graded needs hi > lo, got [%g, %g]", lo, hi)
-	}
-	if ratio <= 0 || math.IsNaN(ratio) || math.IsInf(ratio, 0) {
-		return nil, fmt.Errorf("mesh: Graded ratio %g must be positive and finite", ratio)
-	}
-	if ratio == 1 {
-		return Uniform(lo, hi, n)
-	}
-	// First width w satisfies w·(ratio^n - 1)/(ratio - 1) = hi - lo.
-	w := (hi - lo) * (ratio - 1) / (math.Pow(ratio, float64(n)) - 1)
-	e := make([]float64, n+1)
-	e[0] = lo
-	width := w
-	for i := 1; i <= n; i++ {
-		e[i] = e[i-1] + width
-		width *= ratio
-	}
-	e[n] = hi
-	return e, nil
-}
-
 // Interval is one segment of a composite 1-D mesh.
 type Interval struct {
 	// Hi is the upper edge of the interval; the lower edge is the previous
@@ -61,32 +32,66 @@ type Interval struct {
 	Hi float64
 	// Cells is the number of cells in the interval.
 	Cells int
-	// Ratio optionally grades the interval (see Graded); 0 means uniform.
+	// Ratio is the width ratio of successive cells (> 1 grows them towards
+	// Hi, < 1 shrinks them); 0 or 1 means uniform.
 	Ratio float64
 }
 
 // Line builds a composite 1-D mesh starting at origin through the given
 // intervals. Edges at interval boundaries are shared, so material interfaces
-// always coincide with cell faces.
+// always coincide with cell faces. The edges are allocated once and each
+// interval is appended in place.
 func Line(origin float64, intervals []Interval) ([]float64, error) {
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("mesh: Line needs at least one interval")
 	}
-	edges := []float64{origin}
-	lo := origin
+	n := 1
+	for _, iv := range intervals {
+		n += max(iv.Cells, 0)
+	}
+	edges := append(make([]float64, 0, n), origin)
 	for i, iv := range intervals {
-		ratio := iv.Ratio
-		if ratio == 0 {
-			ratio = 1
-		}
-		seg, err := Graded(lo, iv.Hi, iv.Cells, ratio)
-		if err != nil {
+		var err error
+		if edges, err = appendGraded(edges, iv); err != nil {
 			return nil, fmt.Errorf("mesh: Line interval %d: %w", i, err)
 		}
-		edges = append(edges, seg[1:]...)
-		lo = iv.Hi
 	}
 	return edges, nil
+}
+
+// appendGraded appends to edges the iv.Cells edges above iv's lower edge,
+// the last of edges: cells whose widths form a geometric progression with
+// iv.Ratio between successive cells, or equal cells at ratio 1 (or 0). The
+// last edge is iv.Hi exactly.
+func appendGraded(edges []float64, iv Interval) ([]float64, error) {
+	lo, hi, n, ratio := edges[len(edges)-1], iv.Hi, iv.Cells, iv.Ratio
+	if ratio == 0 {
+		ratio = 1
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("needs cells >= 1, got %d", n)
+	}
+	if !(hi > lo) {
+		return nil, fmt.Errorf("needs hi > lo, got [%g, %g]", lo, hi)
+	}
+	if ratio <= 0 || math.IsNaN(ratio) || math.IsInf(ratio, 0) {
+		return nil, fmt.Errorf("ratio %g must be positive and finite", ratio)
+	}
+	if ratio == 1 {
+		for i := 1; i < n; i++ {
+			edges = append(edges, lo+(hi-lo)*float64(i)/float64(n))
+		}
+		return append(edges, hi), nil
+	}
+	// First width w satisfies w·(ratio^n - 1)/(ratio - 1) = hi - lo.
+	width := (hi - lo) * (ratio - 1) / (math.Pow(ratio, float64(n)) - 1)
+	e := lo
+	for i := 1; i < n; i++ {
+		e += width
+		edges = append(edges, e)
+		width *= ratio
+	}
+	return append(edges, hi), nil
 }
 
 // Centers returns the midpoints of the cells defined by edges.

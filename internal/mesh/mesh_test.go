@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -31,8 +32,13 @@ func TestUniformErrors(t *testing.T) {
 	}
 }
 
+// graded is Line over one interval [lo, hi] of n cells at ratio.
+func graded(lo, hi float64, n int, ratio float64) ([]float64, error) {
+	return Line(lo, []Interval{{Hi: hi, Cells: n, Ratio: ratio}})
+}
+
 func TestGradedGeometricWidths(t *testing.T) {
-	e, err := Graded(0, 15, 4, 2)
+	e, err := graded(0, 15, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,20 +55,22 @@ func TestGradedGeometricWidths(t *testing.T) {
 }
 
 func TestGradedRatioOneIsUniform(t *testing.T) {
-	e, err := Graded(0, 1, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	u, _ := Uniform(0, 1, 5)
-	for i := range u {
-		if math.Abs(e[i]-u[i]) > 1e-15 {
-			t.Fatalf("graded(1) != uniform: %v vs %v", e, u)
+	for _, ratio := range []float64{0, 1} {
+		e, err := graded(0, 1, 5, ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range u {
+			if e[i] != u[i] {
+				t.Fatalf("ratio %g: %v, want uniform %v", ratio, e, u)
+			}
 		}
 	}
 }
 
 func TestGradedShrinking(t *testing.T) {
-	e, err := Graded(0, 1, 6, 0.5)
+	e, err := graded(0, 1, 6, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +84,82 @@ func TestGradedShrinking(t *testing.T) {
 }
 
 func TestGradedErrors(t *testing.T) {
-	if _, err := Graded(0, 1, 3, -1); err == nil {
+	if _, err := graded(0, 1, 3, -1); err == nil {
 		t.Error("negative ratio accepted")
 	}
-	if _, err := Graded(0, 1, 0, 2); err == nil {
+	if _, err := graded(0, 1, 0, 2); err == nil {
 		t.Error("zero cells accepted")
 	}
-	if _, err := Graded(0, 1, 3, math.Inf(1)); err == nil {
+	if _, err := graded(0, 1, 3, math.Inf(1)); err == nil {
 		t.Error("infinite ratio accepted")
+	}
+	if _, err := graded(0, 1, 3, math.NaN()); err == nil {
+		t.Error("NaN ratio accepted")
+	}
+	if _, err := Line(0, []Interval{{Hi: 1, Cells: 2}, {Hi: 1, Cells: 2}}); err == nil {
+		t.Error("empty second interval accepted")
+	}
+}
+
+// oldLine is Line as it was built before it appended in place: each
+// interval a separate Uniform or geometric slice, its edges after the first
+// appended onto a slice grown from the origin.
+func oldLine(origin float64, intervals []Interval) []float64 {
+	edges := []float64{origin}
+	lo := origin
+	for _, iv := range intervals {
+		n := iv.Cells
+		e := make([]float64, n+1)
+		if iv.Ratio == 0 || iv.Ratio == 1 {
+			for i := 0; i <= n; i++ {
+				e[i] = lo + (iv.Hi-lo)*float64(i)/float64(n)
+			}
+		} else {
+			w := (iv.Hi - lo) * (iv.Ratio - 1) / (math.Pow(iv.Ratio, float64(n)) - 1)
+			e[0] = lo
+			width := w
+			for i := 1; i <= n; i++ {
+				e[i] = e[i-1] + width
+				width *= iv.Ratio
+			}
+		}
+		e[n] = iv.Hi
+		edges = append(edges, e[1:]...)
+		lo = iv.Hi
+	}
+	return edges
+}
+
+// TestLineMatchesConcatenation: over random interval lists, uniform and
+// graded, Line's edges carry exactly the bits of the per-interval
+// concatenation it replaced, so no mesh built from them moves.
+func TestLineMatchesConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ratios := []float64{0, 1, 1.2, 0.75, math.Sqrt(0.75), Regrade(1.2, 4)}
+	for trial := range 500 {
+		origin := rng.NormFloat64() * 1e-4
+		intervals := make([]Interval, 1+rng.Intn(6))
+		hi := origin
+		for i := range intervals {
+			hi += (0.01 + rng.Float64()) * math.Pow(10, -float64(rng.Intn(7)))
+			intervals[i] = Interval{Hi: hi, Cells: 1 + rng.Intn(40), Ratio: ratios[rng.Intn(len(ratios))]}
+			if rng.Intn(4) == 0 {
+				intervals[i].Ratio = 0.3 + 2*rng.Float64()
+			}
+		}
+		got, err := Line(origin, intervals)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := oldLine(origin, intervals)
+		if len(got) != len(want) || cap(got) != len(want) {
+			t.Fatalf("trial %d: %d edges (capacity %d), want %d", trial, len(got), cap(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: edge %d = %v, want %v bit for bit", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -158,7 +234,7 @@ func TestGradedTotalLengthProperty(t *testing.T) {
 	f := func(seedN uint8, seedR uint8) bool {
 		n := 1 + int(seedN)%20
 		ratio := 0.3 + float64(seedR)/64.0
-		e, err := Graded(2, 7, n, ratio)
+		e, err := graded(2, 7, n, ratio)
 		if err != nil {
 			return false
 		}

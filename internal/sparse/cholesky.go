@@ -77,9 +77,11 @@ func FactorCholesky(a *Stencil, buf []float64) (*linalg.Band, error) {
 	return f, nil
 }
 
-// SolveCholesky solves A·x = b with f, a factor of a: two triangular sweeps,
-// then one matvec into a vector from pl for the true relative residual
-// ‖b − A·x‖/‖b‖ that Stats reports. ctx is checked before the sweeps.
+// SolveCholesky solves A·x = b with f, a factor of a: two triangular sweeps
+// into x, then one matvec into a scratch vector for the true relative
+// residual ‖b − A·x‖/‖b‖ that Stats reports. Both vectors come from pl; the
+// caller owns x and may hand it back with pl.Release once it is done with
+// it. ctx is checked before the sweeps.
 func SolveCholesky(ctx context.Context, a *Stencil, f *linalg.Band, b []float64, pl *Pool) ([]float64, Stats, error) {
 	start := time.Now()
 	st := Stats{Direct: true, Bandwidth: f.Bandwidth()}
@@ -89,7 +91,7 @@ func SolveCholesky(ctx context.Context, a *Stencil, f *linalg.Band, b []float64,
 	if err := ctxErr(ctx); err != nil {
 		return nil, st, fmt.Errorf("sparse: direct solve cancelled: %w", err)
 	}
-	x := make([]float64, a.n)
+	x := pl.Grab(a.n) // the forward sweep writes each entry before reading it
 	f.Solve(x, b)
 	r := pl.Grab(a.n)
 	a.SpanResidual(x, b, r, 0, a.n)

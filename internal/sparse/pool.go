@@ -48,7 +48,10 @@ func (p *Pool) Close() {}
 // Grab returns a length-n float64 slice from the pool's scratch free-list,
 // allocating when nothing fits. The contents are UNDEFINED: callers must
 // fully overwrite the slice before reading it (the CG scratch vectors all
-// qualify — each is written before its first read). A nil pool allocates.
+// qualify — each is written before its first read). A grabbed slice need
+// not come back: one a caller keeps (a solution held as a field) is simply
+// never released, and the pool allocates anew when it runs out. A nil pool
+// allocates.
 func (p *Pool) Grab(n int) []float64 {
 	if p != nil {
 		for i, s := range p.scratch {
@@ -65,7 +68,8 @@ func (p *Pool) Grab(n int) []float64 {
 }
 
 // Release returns slices obtained from Grab to the free-list for reuse by a
-// later solve on the same pool. A nil pool drops them for the GC.
+// later solve on the same pool; the caller must not touch them afterwards.
+// A nil pool drops them for the GC.
 func (p *Pool) Release(vs ...[]float64) {
 	if p == nil {
 		return

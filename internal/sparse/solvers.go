@@ -254,11 +254,13 @@ func solveCG(ctx context.Context, a Operator, b []float64, opt Options) ([]float
 	if err != nil {
 		return nil, stats(0, 0, kind), err
 	}
-	// x escapes (it is the returned solution); the other four vectors are
-	// pure scratch, fully overwritten before first read, so they come from
-	// the pool's free-list — repeated solves on a shared pool (sweeps,
-	// transient steps) then allocate no CG workspace at all.
-	x := make([]float64, n)
+	// All five vectors come from the pool's free-list, so repeated solves on
+	// a shared pool (sweeps, transient steps) allocate no CG workspace at
+	// all. The other four are pure scratch, fully overwritten before first
+	// read; x, the returned solution, belongs to the caller, who may release
+	// it, and is cleared because CG starts from x = 0.
+	x := pl.Grab(n)
+	clear(x)
 	r, z, p, ap := pl.Grab(n), pl.Grab(n), pl.Grab(n), pl.Grab(n)
 	defer pl.Release(r, z, p, ap)
 	copy(r, b)

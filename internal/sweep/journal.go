@@ -168,7 +168,7 @@ func ReadJournal(r io.Reader, jobs []Job) (map[int]Outcome, ShardSpec, error) {
 	)
 	out := make(map[int]Outcome)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxJournalLine)
+	sc.Buffer(nil, maxJournalLine) // grows from bufio's 4 KiB as lines need
 
 	type anyRecord struct {
 		Kind string `json:"kind"`
@@ -246,7 +246,7 @@ func ReadJournal(r io.Reader, jobs []Job) (map[int]Outcome, ShardSpec, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, ShardSpec{}, fmt.Errorf("sweep: reading journal: %w", err)
+		return nil, ShardSpec{}, fmt.Errorf("sweep: journal line %d: %w", lineNo+1, err)
 	}
 	// pendingErr still set here means the malformed line was the last one: a
 	// torn write from a killed process. Everything before it replays — unless

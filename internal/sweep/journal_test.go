@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -161,6 +163,46 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	mid = append(mid, bytes.Join(lines[1:], nil)...)
 	if _, _, err := ReadJournal(bytes.NewReader(mid), jobs); err == nil {
 		t.Fatal("mid-file garbage accepted")
+	}
+}
+
+// TestJournalLongLines: the scanner grows its buffer from bufio's default
+// as lines need, so a point whose label makes its line longer than 64 KiB
+// replays, while a line longer than maxJournalLine fails with an error
+// naming that line.
+func TestJournalLongLines(t *testing.T) {
+	label := strings.Repeat("r", 70<<10)
+	jobs := Batch{}.Add(label, fig4Stack(t, 5), core.Model1D{}).Add("short", fig4Stack(t, 10), core.Model1D{})
+	var buf bytes.Buffer
+	j, err := NewJournal(&buf, jobs, ShardSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), jobs, Options{Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		longest = max(longest, len(line))
+	}
+	if longest <= 64<<10 {
+		t.Fatalf("longest journal line is %d bytes, want over 64 KiB", longest)
+	}
+	replayed, _, err := ReadJournal(bytes.NewReader(buf.Bytes()), jobs)
+	if err != nil {
+		t.Fatalf("journal with a %d-byte label: %v", len(label), err)
+	}
+	if len(replayed) != len(jobs) || replayed[0].Job.Label != label {
+		t.Fatalf("replayed %d of %d points", len(replayed), len(jobs))
+	}
+
+	header := buf.Bytes()[:bytes.IndexByte(buf.Bytes(), '\n')+1]
+	long := append(append([]byte{}, header...), `{"kind":"point","i":0,"label":"`...)
+	long = append(long, bytes.Repeat([]byte("r"), maxJournalLine)...)
+	long = append(long, "\"}\n"...)
+	_, _, err = ReadJournal(bytes.NewReader(long), jobs)
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "journal line 2") {
+		t.Fatalf("line over %d bytes: %v, want a too-long error at line 2", maxJournalLine, err)
 	}
 }
 

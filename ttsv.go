@@ -287,14 +287,11 @@ func NewSolveContext() *SolveContext { return fem.NewSolveContext() }
 // context; pass the same sc across a parameter sweep's solves to skip
 // re-deriving the assembly, factor and multigrid hierarchy each time. A nil
 // sc means the process-wide idle list: the solve takes the idle state of
-// its grid shape, factor or hierarchy included, and hands it back.
+// its grid shape, factor or hierarchy included, and hands it back. It keeps
+// no temperature field: the solution vector goes back to the context's
+// scratch once its maximum is read.
 func SolveReferenceStatsWith(ctx context.Context, sc *SolveContext, s *Stack, res Resolution) (float64, SolverStats, error) {
-	sol, err := fem.SolveStackWith(ctx, sc, s, res)
-	if err != nil {
-		return 0, SolverStats{}, err
-	}
-	max, _, _ := sol.MaxT()
-	return max, sol.Stats, nil
+	return fem.SolveStackMaxWith(ctx, sc, s, res)
 }
 
 // Sweep evaluates all jobs across opt.Workers workers and returns one
